@@ -71,14 +71,13 @@ const WAIVABLE_RULES: [&str; 7] = [
 
 /// Source files whose per-access paths the perfsuite gates; the `hot-*`
 /// rules apply only here.
-const HOT_MODULES: [&str; 12] = [
+const HOT_MODULES: [&str; 11] = [
     "crates/memctrl/src/controller.rs",
     "crates/memctrl/src/compiled.rs",
     "crates/dram/src/bank.rs",
     "crates/dram/src/device.rs",
     "crates/dram-addr/src/tlb.rs",
     "crates/fleet/src/queue.rs",
-    "crates/cluster/src/queue.rs",
     "crates/cluster/src/scheduler.rs",
     "crates/cluster/src/pending.rs",
     "crates/numa/src/claims.rs",

@@ -26,13 +26,12 @@
 //! compiled [`sim::GuestLedger`] from the shared cache instead of
 //! recompiling it.
 
-use crate::events::{ClusterEventKind, ClusterScenario};
+use crate::events::{ClusterEvent, ClusterEventKind, ClusterScenario};
 use crate::pending::PendingQueue;
-use crate::queue::ClusterQueue;
 use crate::report::ClusterReport;
 use crate::sandbox::{SandboxRecord, SandboxState};
 use crate::scheduler::{AuditIssue, ClusterScheduler};
-use fleet::{EventKind, FleetSim, PendingVm};
+use fleet::{EventKind, EventQueue, FleetSim, PendingVm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siloz::SilozError;
@@ -226,7 +225,7 @@ pub struct ClusterStats {
 pub struct ClusterSim {
     scenario: ClusterScenario,
     hosts: Vec<Mutex<HostShard>>,
-    queue: ClusterQueue,
+    queue: EventQueue<ClusterEvent>,
     scheduler: ClusterScheduler,
     sandboxes: BTreeMap<u32, SandboxRecord>,
     /// Sandboxes awaiting placement: FIFO with O(1) membership removal,
@@ -288,7 +287,7 @@ impl ClusterSim {
         Ok(Self {
             scenario,
             hosts,
-            queue: ClusterQueue::new(events, next_seq),
+            queue: EventQueue::new(events, next_seq),
             scheduler,
             sandboxes: BTreeMap::new(),
             pending: PendingQueue::new(),
@@ -355,7 +354,12 @@ impl ClusterSim {
             self.stats.peak_live = self.stats.peak_live.max(self.stats.live_now);
         }
         if schedule_depart {
-            self.queue.push(at + lifetime, id, ClusterEventKind::Depart);
+            self.queue.push(|seq| ClusterEvent {
+                at: at + lifetime,
+                seq,
+                sandbox: id,
+                kind: ClusterEventKind::Depart,
+            });
         }
     }
 

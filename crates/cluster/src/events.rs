@@ -12,14 +12,12 @@
 //! the lease.
 
 use crate::scheduler::ClusterPolicy;
+use fleet::events::{exp_sample, vm_size};
 use fleet::{CheckMode, Scenario};
 use numa::PlacementStrategy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siloz::SilozConfig;
-
-/// 2 MiB — the huge-page granularity sandbox sizes are rounded to.
-const HUGE_PAGE_BYTES: u64 = 2 << 20;
 
 /// Sandboxes per affinity class (`sandbox id % AFFINITY_CLASSES`): the
 /// co-location key the socket-affine cluster policy groups by.
@@ -66,6 +64,12 @@ pub struct ClusterEvent {
     pub sandbox: u32,
     /// Payload.
     pub kind: ClusterEventKind,
+}
+
+impl fleet::queue::Keyed for ClusterEvent {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
 }
 
 /// A full cluster scenario: fleet shape + distributions + checking
@@ -251,22 +255,6 @@ impl ClusterScenario {
     }
 }
 
-/// Samples an exponential with the given mean via inversion.
-fn exp_sample<R: Rng>(rng: &mut R, mean: f64) -> f64 {
-    let u: f64 = rng.gen();
-    -(1.0 - u).ln() * mean
-}
-
-/// Samples a log-uniform sandbox size in `[min, max]`, rounded up to
-/// 2 MiB.
-fn vm_size<R: Rng>(rng: &mut R, min: u64, max: u64) -> u64 {
-    let r: f64 = rng.gen();
-    let ratio = max as f64 / min as f64;
-    let raw = (min as f64 * ratio.powf(r)) as u64;
-    let rounded = raw.div_ceil(HUGE_PAGE_BYTES) * HUGE_PAGE_BYTES;
-    rounded.clamp(min, max)
-}
-
 /// Expands a cluster scenario into its pre-generated event list, sorted
 /// by `(at, seq)`. Returns the events and the next free sequence number
 /// (the engine numbers dynamically scheduled departures from there).
@@ -362,6 +350,23 @@ mod tests {
             assert!(e.seq < next);
             assert!(seen.insert(e.seq), "duplicate seq {}", e.seq);
         }
+    }
+
+    #[test]
+    fn cluster_events_order_by_at_then_seq_in_the_shared_queue() {
+        let ev = |at, seq| ClusterEvent {
+            at,
+            seq,
+            sandbox: 0,
+            kind: ClusterEventKind::Migrate,
+        };
+        let mut q = fleet::EventQueue::new(vec![ev(10, 0), ev(3, 1)], 2);
+        q.push(|seq| ev(3, seq));
+        assert_eq!(q.peek().map(|e| (e.at, e.seq)), Some((3, 1)));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.seq))
+            .collect();
+        assert_eq!(order, [(3, 1), (3, 2), (10, 0)]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 pub mod engine;
 pub mod events;
 pub mod pending;
-pub mod queue;
 pub mod report;
 pub mod sandbox;
 pub mod scheduler;
@@ -39,7 +38,6 @@ pub mod scheduler;
 pub use engine::{run_cluster, run_cluster_observed, ClusterSim, ClusterStats};
 pub use events::{generate_cluster_trace, ClusterEvent, ClusterEventKind, ClusterScenario};
 pub use pending::PendingQueue;
-pub use queue::ClusterQueue;
 pub use report::{write_cluster_reports, ClusterReport};
 pub use sandbox::{SandboxRecord, SandboxState};
 pub use scheduler::{AuditIssue, ClusterPolicy, ClusterScheduler};

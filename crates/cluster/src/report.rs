@@ -1,7 +1,6 @@
 //! Cluster run reports and their JSON artifact (`CLUSTER_{label}.json`).
 
 use analysis::report::Json;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// End-of-run summary of one cluster scenario: cluster-level scheduling
@@ -184,13 +183,8 @@ pub fn write_cluster_reports(label: &str, reports: &[ClusterReport]) -> std::io:
             Json::Arr(reports.iter().map(ClusterReport::to_json).collect()),
         ),
     ]);
-    let dir = std::env::var_os("SILOZ_TELEMETRY_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("CLUSTER_{label}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(doc.render().as_bytes())?;
+    let path = telemetry::artifact_path(&format!("CLUSTER_{label}.json"))?;
+    std::fs::write(&path, doc.render())?;
     Ok(path)
 }
 
@@ -264,9 +258,9 @@ mod tests {
     #[test]
     fn write_cluster_reports_emits_the_artifact() {
         let dir = std::env::temp_dir().join("cluster_report_test");
-        std::env::set_var("SILOZ_TELEMETRY_DIR", &dir);
+        std::env::set_var(telemetry::TELEMETRY_DIR_ENV, &dir);
         let path = write_cluster_reports("unittest", &[sample()]).unwrap();
-        std::env::remove_var("SILOZ_TELEMETRY_DIR");
+        std::env::remove_var(telemetry::TELEMETRY_DIR_ENV);
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(path.ends_with("CLUSTER_unittest.json"));
         assert!(body.contains("\"cluster_schema\": 1"));

@@ -16,7 +16,7 @@
 //!
 //! * **Free-group bucket index** — one bucket per possible `free_groups`
 //!   value (0..=max total groups per host), each bucket a lazy-deletion
-//!   binary min-heap of host ids. A Spread pick walks buckets from the
+//!   min-heap of host ids. A Spread pick walks buckets from the
 //!   fullest down, a BinPack pick from `need` up, and the heap top of the
 //!   first non-empty bucket *is* the oracle's answer: same free count,
 //!   lowest host id — the exact `(free_groups, Reverse(i))` /
@@ -39,6 +39,9 @@
 //! battery and the lockstep proptest drive both implementations through
 //! identical operation sequences and assert bit-identical picks,
 //! counters, and audits.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Pluggable host-selection policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,15 +126,16 @@ pub enum AuditIssue {
     },
 }
 
-/// A lazy-deletion binary min-heap of `(host, stamp)` entries, ordered by
-/// host id. An entry is live iff its stamp equals the host's current
+/// A lazy-deletion min-heap of `(host, stamp)` entries, lowest host id
+/// on top. An entry is live iff its stamp equals the host's current
 /// stamp; every host mutation bumps the stamp, logically deleting all of
 /// the host's old entries everywhere at once. Stale entries are popped
 /// when they surface at the top and swept wholesale when they outnumber
-/// live entries.
+/// live entries. `(host, stamp)` keys are unique, so which host a pick
+/// returns depends only on the key set, never on the heap's layout.
 #[derive(Debug, Default, Clone)]
 struct LazyHeap {
-    entries: Vec<(u32, u64)>,
+    entries: BinaryHeap<Reverse<(u32, u64)>>,
     /// Exact count of live entries (maintained by the index, not by lazy
     /// pops — a stale entry's live-count was already transferred to the
     /// host's new bucket when its stamp was bumped).
@@ -139,63 +143,14 @@ struct LazyHeap {
 }
 
 impl LazyHeap {
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.entries[parent].0 <= self.entries[i].0 {
-                break;
-            }
-            self.entries.swap(parent, i);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut m = i;
-            if l < self.entries.len() && self.entries[l].0 < self.entries[m].0 {
-                m = l;
-            }
-            if r < self.entries.len() && self.entries[r].0 < self.entries[m].0 {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            self.entries.swap(i, m);
-            i = m;
-        }
-    }
-
-    /// Removes and returns the top entry (caller checked non-empty).
-    fn pop_top(&mut self) -> (u32, u64) {
-        let last = self.entries.len() - 1;
-        self.entries.swap(0, last);
-        let e = self.entries.pop().unwrap();
-        if !self.entries.is_empty() {
-            self.sift_down(0);
-        }
-        e
-    }
-
-    /// Drops every stale entry and restores the heap property.
-    fn compact(&mut self, stamps: &[u64]) {
-        self.entries.retain(|&(h, s)| stamps[h as usize] == s);
-        for i in (0..self.entries.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
-    /// Inserts a live entry, compacting first if stale entries dominate.
+    /// Inserts a live entry, dropping every stale one first if they
+    /// dominate.
     fn push(&mut self, host: u32, stamp: u64, stamps: &[u64]) {
         if self.entries.len() >= 2 * (self.live as usize) + 8 {
-            self.compact(stamps);
+            self.entries
+                .retain(|&Reverse((h, s))| stamps[h as usize] == s);
         }
-        self.entries.push((host, stamp));
-        let last = self.entries.len() - 1;
-        self.sift_up(last);
+        self.entries.push(Reverse((host, stamp)));
         self.live += 1;
     }
 
@@ -203,25 +158,24 @@ impl LazyHeap {
     /// entries surfacing at the top are discarded; a live excluded entry
     /// is set aside and restored before returning.
     fn pick_min(&mut self, stamps: &[u64], exclude: Option<usize>) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
         let mut stash = None;
         let found = loop {
-            let Some(&(h, s)) = self.entries.first() else {
+            let Some(&Reverse((h, s))) = self.entries.peek() else {
                 break None;
             };
             if stamps[h as usize] != s {
-                self.pop_top();
-                continue;
+                self.entries.pop();
+            } else if Some(h as usize) == exclude {
+                stash = self.entries.pop();
+            } else {
+                break Some(h as usize);
             }
-            if Some(h as usize) == exclude {
-                stash = Some(self.pop_top());
-                continue;
-            }
-            break Some(h as usize);
         };
-        if let Some((h, s)) = stash {
-            self.entries.push((h, s));
-            let last = self.entries.len() - 1;
-            self.sift_up(last);
+        if let Some(entry) = stash {
+            self.entries.push(entry);
         }
         found
     }
@@ -468,15 +422,10 @@ impl ClusterScheduler {
             return None;
         }
         let lo = bucket_of(need, self.max_total);
-        for f in (lo..self.free_buckets.len()).rev() {
-            if self.free_buckets[f].live == 0 {
-                continue;
-            }
-            if let Some(h) = self.free_buckets[f].pick_min(&self.stamps, exclude) {
-                return Some(h);
-            }
-        }
-        None
+        self.free_buckets[lo..]
+            .iter_mut()
+            .rev()
+            .find_map(|b| b.pick_min(&self.stamps, exclude))
     }
 
     /// Min `(free_groups, id)` over hosts with `free >= need`: the
@@ -486,15 +435,9 @@ impl ClusterScheduler {
             return None;
         }
         let lo = bucket_of(need, self.max_total);
-        for f in lo..self.free_buckets.len() {
-            if self.free_buckets[f].live == 0 {
-                continue;
-            }
-            if let Some(h) = self.free_buckets[f].pick_min(&self.stamps, exclude) {
-                return Some(h);
-            }
-        }
-        None
+        self.free_buckets[lo..]
+            .iter_mut()
+            .find_map(|b| b.pick_min(&self.stamps, exclude))
     }
 
     /// Max `(class count, free_groups, Reverse(id))`: walk the class's
@@ -513,14 +456,12 @@ impl ClusterScheduler {
                 if cells.level_live[k] == 0 {
                     continue;
                 }
-                let row = &mut cells.levels[k];
-                for f in (lo..row.len()).rev() {
-                    if row[f].live == 0 {
-                        continue;
-                    }
-                    if let Some(h) = row[f].pick_min(&self.stamps, exclude) {
-                        return Some(h);
-                    }
+                let pick = cells.levels[k][lo..]
+                    .iter_mut()
+                    .rev()
+                    .find_map(|b| b.pick_min(&self.stamps, exclude));
+                if pick.is_some() {
+                    return pick;
                 }
             }
         }

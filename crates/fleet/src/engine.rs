@@ -6,9 +6,7 @@
 //! [`CheckMode::Incremental`] the engine keeps a dense group→tenant
 //! ownership map and re-checks only what an event touched (with periodic
 //! full proofs); in [`CheckMode::FullProof`] it re-proves the whole host
-//! after each event via [`analysis::isolation::verify_live_placements`];
-//! [`CheckMode::Off`] skips checking entirely (the perfsuite's perf floor
-//! for measuring check cost differentially — never a correctness gate).
+//! after each event via [`analysis::isolation::verify_live_placements`].
 
 use crate::events::{CheckMode, Event, EventKind, Scenario};
 use crate::policy::{AdmissionControl, PendingVm};
@@ -215,10 +213,15 @@ impl FleetSim {
         self.live.len()
     }
 
-    /// Injects one dynamic event (used by property tests to drive
-    /// arbitrary traces through the engine).
+    /// Schedules one dynamic event (internal departures; property tests
+    /// use it to drive arbitrary traces through the engine).
     pub fn inject(&mut self, at: u64, tenant: u32, kind: EventKind) {
-        self.queue.push(at, tenant, kind);
+        self.queue.push(|seq| Event {
+            at,
+            seq,
+            tenant,
+            kind,
+        });
     }
 
     /// Replaces the live defense state (tests and experiments that need a
@@ -232,8 +235,7 @@ impl FleetSim {
     /// baseline there is no group-exclusivity invariant to check, and
     /// escaped flips are a measured outcome, not a violation.
     fn proves_isolation(&self) -> bool {
-        self.scenario.check != CheckMode::Off
-            && self.scenario.mitigation.domain_policy() == DomainPolicy::IsolationDomains
+        self.scenario.mitigation.domain_policy() == DomainPolicy::IsolationDomains
     }
 
     fn violation(&mut self, msg: String) {
@@ -352,59 +354,39 @@ impl FleetSim {
             }
         }
         if let Some(handle) = self.admission.admit_or_defer(&mut self.hv, vm)? {
-            self.live.insert(
-                vm.tenant,
-                LiveVm {
-                    handle,
-                    vcpus: vm.vcpus,
-                    defrag_cursor: 0,
-                },
-            );
-            self.queue
-                .push(now + vm.lifetime, vm.tenant, EventKind::Depart);
-            self.stats.peak_live = self.stats.peak_live.max(self.live.len() as u64);
-            self.invalidate_programs(vm.tenant);
-            self.check_tenant(vm.tenant, true)?;
+            self.inject(now + vm.lifetime, vm.tenant, EventKind::Depart);
+            self.go_live(vm, handle)?;
         }
         Ok(())
     }
 
-    /// Tears down every trace the incremental checker keeps for a departed
-    /// tenant: its ownership-map claims, its cached claim list, and its
-    /// dirty-set entry. Shared by internal departures and
-    /// [`FleetSim::depart_external`], so externally-driven migration
-    /// departures leave the incremental state exactly as internal ones do.
-    fn release_tenant_tracking(&mut self, tenant: u32) {
-        self.invalidate_programs(tenant);
-        self.group_cache.remove(&tenant);
-        self.dirty.remove(&tenant);
-        self.claims.release_tenant(tenant);
+    /// Records a freshly placed VM as live and runs the admission-boundary
+    /// check. Shared by internal arrivals, deferred re-admissions, and
+    /// [`FleetSim::admit_external`], so all three leave the incremental
+    /// prover's state identical.
+    fn go_live(&mut self, vm: PendingVm, handle: VmHandle) -> Result<(), SilozError> {
+        self.live.insert(
+            vm.tenant,
+            LiveVm {
+                handle,
+                vcpus: vm.vcpus,
+                defrag_cursor: 0,
+            },
+        );
+        self.stats.peak_live = self.stats.peak_live.max(self.live.len() as u64);
+        self.invalidate_programs(vm.tenant);
+        self.check_tenant(vm.tenant, true)
     }
 
     fn depart(&mut self, now: u64, tenant: u32) -> Result<(), SilozError> {
-        let Some(vm) = self.live.remove(&tenant) else {
-            self.stats.orphan_events += 1;
+        if !self.depart_external(tenant)? {
             return Ok(());
-        };
-        self.hv.destroy_vm(vm.handle)?;
-        self.stats.departures += 1;
-        self.release_tenant_tracking(tenant);
+        }
         // Freed capacity: retry the deferred queue in arrival order.
         let readmitted = self.admission.retry_deferred(&mut self.hv)?;
         for (pending, handle) in readmitted {
-            self.live.insert(
-                pending.tenant,
-                LiveVm {
-                    handle,
-                    vcpus: pending.vcpus,
-                    defrag_cursor: 0,
-                },
-            );
-            self.queue
-                .push(now + pending.lifetime, pending.tenant, EventKind::Depart);
-            self.stats.peak_live = self.stats.peak_live.max(self.live.len() as u64);
-            self.invalidate_programs(pending.tenant);
-            self.check_tenant(pending.tenant, true)?;
+            self.inject(now + pending.lifetime, pending.tenant, EventKind::Depart);
+            self.go_live(pending, handle)?;
         }
         Ok(())
     }
@@ -639,7 +621,6 @@ impl FleetSim {
             EventKind::Defrag => self.defrag()?,
         }
         match self.scenario.check {
-            CheckMode::Off => {}
             CheckMode::FullProof => self.full_proof(),
             CheckMode::Incremental => {
                 self.events_since_proof += 1;
@@ -708,25 +689,16 @@ impl FleetSim {
         let Some(handle) = self.admission.admit_now(&mut self.hv, vm)? else {
             return Ok(None);
         };
-        self.live.insert(
-            vm.tenant,
-            LiveVm {
-                handle,
-                vcpus: vm.vcpus,
-                defrag_cursor: 0,
-            },
-        );
-        self.stats.peak_live = self.stats.peak_live.max(self.live.len() as u64);
-        self.invalidate_programs(vm.tenant);
-        self.check_tenant(vm.tenant, true)?;
+        self.go_live(vm, handle)?;
         Ok(Some(handle))
     }
 
     /// Departs a tenant on behalf of an external scheduler: destroys the
-    /// VM and releases every incremental-checker trace of it, exactly like
-    /// an internal departure, but without retrying this host's deferred
-    /// queue (the cluster scheduler owns placement retries). Returns
-    /// whether the tenant was live here.
+    /// VM and releases every trace the incremental checker keeps of it
+    /// (ownership-map claims, cached claim list, dirty-set entry). This
+    /// *is* the first half of an internal departure; only the retry of
+    /// this host's deferred queue is left out (the cluster scheduler owns
+    /// placement retries). Returns whether the tenant was live here.
     pub fn depart_external(&mut self, tenant: u32) -> Result<bool, SilozError> {
         let Some(vm) = self.live.remove(&tenant) else {
             self.stats.orphan_events += 1;
@@ -734,7 +706,10 @@ impl FleetSim {
         };
         self.hv.destroy_vm(vm.handle)?;
         self.stats.departures += 1;
-        self.release_tenant_tracking(tenant);
+        self.invalidate_programs(tenant);
+        self.group_cache.remove(&tenant);
+        self.dirty.remove(&tenant);
+        self.claims.release_tenant(tenant);
         Ok(true)
     }
 
@@ -752,9 +727,9 @@ impl FleetSim {
         Ok(ran)
     }
 
-    /// Runs one full isolation proof right now (a no-op under
-    /// [`CheckMode::Off`] or a shared baseline). External drivers call
-    /// this at cluster-wide sync points on every touched host.
+    /// Runs one full isolation proof right now (a no-op on a shared
+    /// baseline). External drivers call this at cluster-wide sync points
+    /// on every touched host.
     pub fn full_proof_now(&mut self) {
         self.full_proof();
     }
@@ -968,24 +943,6 @@ mod tests {
             a.incremental_fast_checks,
             a.incremental_checks
         );
-    }
-
-    #[test]
-    fn off_mode_skips_every_check_without_changing_history() {
-        // The perf floor: checks never steer the simulation, so disabling
-        // them must reproduce the exact event history with zero proofs.
-        let mut on = tiny(PlacementStrategy::FirstFit);
-        on.target_events = 200;
-        let mut off = on.clone();
-        off.check = CheckMode::Off;
-        let a = run_fleet(on).unwrap();
-        let b = run_fleet(off).unwrap();
-        assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.departures, b.departures);
-        assert_eq!(a.attack_flips, b.attack_flips);
-        assert_eq!(b.full_proofs, 0, "off mode must run no proofs");
-        assert_eq!(b.incremental_checks, 0, "off mode must run no checks");
     }
 
     #[test]

@@ -26,12 +26,6 @@ pub enum CheckMode {
     /// Run the full [`analysis::isolation::verify_live_placements`] proof
     /// after *every* event. Quadratic-ish and slow; the perfsuite baseline.
     FullProof,
-    /// Skip every isolation check, including the final proof. The event
-    /// history is identical (checks never steer the simulation), but no
-    /// violations can be detected — this exists solely as the perfsuite's
-    /// perf floor so the checking cost can be measured differentially.
-    /// Never use it in a gate that asserts `clean()`.
-    Off,
 }
 
 /// What happens at an event boundary.
@@ -76,6 +70,12 @@ pub struct Event {
     pub tenant: u32,
     /// Payload.
     pub kind: EventKind,
+}
+
+impl crate::queue::Keyed for Event {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
 }
 
 /// Tenant id used for host-initiated events.
@@ -212,13 +212,13 @@ impl Scenario {
 }
 
 /// Samples an exponential with the given mean via inversion.
-fn exp_sample<R: Rng>(rng: &mut R, mean: f64) -> f64 {
+pub fn exp_sample<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     let u: f64 = rng.gen();
     -(1.0 - u).ln() * mean
 }
 
 /// Samples a log-uniform VM size in `[min, max]`, rounded up to 2 MiB.
-fn vm_size<R: Rng>(rng: &mut R, min: u64, max: u64) -> u64 {
+pub fn vm_size<R: Rng>(rng: &mut R, min: u64, max: u64) -> u64 {
     let r: f64 = rng.gen();
     let ratio = max as f64 / min as f64;
     let raw = (min as f64 * ratio.powf(r)) as u64;

@@ -25,5 +25,5 @@ pub mod report;
 pub use engine::{run_fleet, run_fleet_observed, FleetSim, FleetStats};
 pub use events::{generate_trace, CheckMode, Event, EventKind, Scenario, HOST_TENANT};
 pub use policy::{AdmissionControl, PendingVm};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Keyed};
 pub use report::{write_reports, FleetReport};

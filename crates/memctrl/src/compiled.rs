@@ -16,7 +16,7 @@
 //! [`MemoryController::run_compiled`]: crate::MemoryController::run_compiled
 
 use crate::controller::MemOp;
-use dram_addr::{StreamDecoder, SystemAddressDecoder};
+use dram_addr::{AddrError, BankId, Geometry, MediaAddress, StreamDecoder, SystemAddressDecoder};
 
 /// Flat-bank sentinel for ops whose address failed to decode. Such ops are
 /// dropped at replay, exactly as [`run_trace`] drops undecoded window
@@ -46,6 +46,38 @@ pub(crate) struct CompiledOp {
     pub write: bool,
     /// Cannot issue before this thread's previous op completes.
     pub dependent: bool,
+}
+
+impl CompiledOp {
+    /// Reduces `op` and its decode to scheduling coordinates. A failed
+    /// decode keeps placeholder coordinates under the [`INVALID_BANK`]
+    /// sentinel; replay drops the op by sentinel.
+    #[inline]
+    pub(crate) fn new(
+        op: MemOp,
+        decoded: Result<(MediaAddress, BankId), AddrError>,
+        geometry: &Geometry,
+    ) -> Self {
+        let (row, bank, rank_ord, chan_ord) = match decoded {
+            Ok((m, bank)) => (
+                m.row,
+                bank.0,
+                geometry.rank_ordinal(m.socket, m.channel, m.dimm, m.rank) as u16,
+                geometry.channel_ordinal(m.socket, m.channel) as u16,
+            ),
+            Err(_) => (0, INVALID_BANK, 0, 0),
+        };
+        Self {
+            gap_ps: op.gap_ps,
+            row,
+            bank,
+            rank_ord,
+            chan_ord,
+            thread: op.thread,
+            write: op.write,
+            dependent: op.dependent,
+        }
+    }
 }
 
 /// A trace compiled against one concrete address-decoder configuration,
@@ -79,26 +111,8 @@ impl CompiledTrace {
         let mut decoded = Vec::with_capacity(iter.size_hint().0);
         let mut stream = StreamDecoder::new(decoder);
         for op in iter {
-            let (row, bank, rank_ord, chan_ord) = match stream.decode_with_bank(op.phys) {
-                Ok((m, bank)) => (
-                    m.row,
-                    bank.0,
-                    geometry.rank_ordinal(m.socket, m.channel, m.dimm, m.rank) as u16,
-                    geometry.channel_ordinal(m.socket, m.channel) as u16,
-                ),
-                // Placeholder coordinates; replay drops the op by sentinel.
-                Err(_) => (0, INVALID_BANK, 0, 0),
-            };
-            decoded.push(CompiledOp {
-                gap_ps: op.gap_ps,
-                row,
-                bank,
-                rank_ord,
-                chan_ord,
-                thread: op.thread,
-                write: op.write,
-                dependent: op.dependent,
-            });
+            let decode = stream.decode_with_bank(op.phys);
+            decoded.push(CompiledOp::new(op, decode, &geometry));
         }
         let (tlb_hits, tlb_misses, tlb_aliases) = stream.counters();
         Self {

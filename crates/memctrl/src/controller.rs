@@ -4,15 +4,17 @@
 //! from the [`Geometry`] (flat bank id, channel ordinal, rank ordinal)
 //! rather than hash maps — the controller's hot path does no hashing at
 //! all. Address decode goes through a [`DecodeTlb`], and [`run_trace`]
-//! decodes each op once at window-fill time instead of re-decoding the
-//! whole pending window on every FR-FCFS pick. The pre-flattening
-//! implementation is retained as [`crate::HashedController`] for benchmark
-//! comparison and semantic-equivalence tests.
+//! decodes each op once as the scheduler draws it instead of re-decoding
+//! the whole pending window on every FR-FCFS pick; [`run_compiled`] feeds
+//! the same scheduling loop from a pre-decoded program. The pre-flattening
+//! implementation is retained as [`crate::HashedController`] — the
+//! independently written oracle both entry points are tested against.
 //!
 //! [`run_trace`]: MemoryController::run_trace
+//! [`run_compiled`]: MemoryController::run_compiled
 
 use crate::bankfsm::{AccessKind, BankFsm, PagePolicy};
-use crate::compiled::{CompiledTrace, INVALID_BANK};
+use crate::compiled::{CompiledOp, CompiledTrace, INVALID_BANK};
 use crate::stats::CtrlStats;
 use crate::timing::DdrTimings;
 use dram::DramSystem;
@@ -628,29 +630,62 @@ impl MemoryController {
     /// Each thread's ops issue in order, separated by their `gap_ps` (and
     /// by completion when `dependent`); different threads progress
     /// independently. Within the lookahead window, row-buffer hits are
-    /// served first, as real controllers do. Ops are decoded once when they
-    /// enter the window; the FR-FCFS scan works on the stored decode.
+    /// served first, as real controllers do. Ops are decoded once, in
+    /// trace order, as the scheduler draws them; the FR-FCFS scan works on
+    /// the stored decode.
     pub fn run_trace<I>(&mut self, dram: &mut DramSystem, ops: I) -> TraceResult
     where
         I: IntoIterator<Item = MemOp>,
     {
+        let mut ops = ops.into_iter();
+        self.schedule_ops(dram, |ctrl| {
+            let op = ops.next()?;
+            let decode = ctrl.tlb.decode_with_bank(op.phys);
+            Some(CompiledOp::new(op, decode, &ctrl.geometry))
+        })
+    }
+
+    /// Replays a pre-decoded program — the decode-free twin of
+    /// [`Self::run_trace`].
+    ///
+    /// Both entry points feed the same scheduling loop, so results,
+    /// statistics, and telemetry are bit-identical to running the source
+    /// trace through [`Self::run_trace`] on an identically-configured
+    /// controller. The compile-time decode counters are credited into this
+    /// controller's TLB up front, which for a fresh controller reproduces
+    /// the direct path's exported `tlb` metrics exactly.
+    pub fn run_compiled(&mut self, dram: &mut DramSystem, prog: &CompiledTrace) -> TraceResult {
+        self.tlb
+            .credit(prog.tlb_hits, prog.tlb_misses, prog.tlb_aliases);
+        let mut ops = prog.ops.iter();
+        self.schedule_ops(dram, |_| ops.next().copied())
+    }
+
+    /// The one FR-FCFS scheduling loop behind [`Self::run_trace`] and
+    /// [`Self::run_compiled`]: `draw` yields the next op in trace order,
+    /// already resolved to scheduling coordinates (monomorphised per
+    /// source, so the pre-decoded path pays nothing for the shared code).
+    fn schedule_ops(
+        &mut self,
+        dram: &mut DramSystem,
+        mut draw: impl FnMut(&mut Self) -> Option<CompiledOp>,
+    ) -> TraceResult {
         let start_clock = self.stats.clock_ps;
         let before = self.stats;
         let mut threads: Vec<PerThread> = Vec::new();
         let mut first_issue: Option<u64> = None;
         let window = self.window.max(1);
         let mut pending: Vec<PendingOp> = Vec::with_capacity(window);
-        let mut staged: Option<MemOp> = None;
+        let mut staged: Option<CompiledOp> = None;
         let mut bypassed = 0u32;
         let masked = window <= 64;
         let mut hitmask = 0u64;
-        let mut iter = ops.into_iter();
         loop {
             // Fill the window. A dependent op whose thread still has an op
             // in flight cannot be timestamped yet; it (and everything
             // behind it) waits.
             while pending.len() < window {
-                let Some(op) = staged.take().or_else(|| iter.next()) else {
+                let Some(op) = staged.take().or_else(|| draw(self)) else {
                     break;
                 };
                 let t = per_thread(&mut threads, op.thread, start_clock);
@@ -665,38 +700,21 @@ impl MemoryController {
                 t.cursor = issue;
                 t.outstanding += 1;
                 first_issue.get_or_insert(issue);
-                // Decode once on entry; invalid addresses stay undecoded
-                // (bank sentinel) and are dropped when picked.
-                let entry = match self.tlb.decode_with_bank(op.phys) {
-                    Ok((m, bank)) => PendingOp {
-                        issue,
-                        bank: bank.0,
-                        row: m.row,
-                        rank_ord: self
-                            .geometry
-                            .rank_ordinal(m.socket, m.channel, m.dimm, m.rank)
-                            as u16,
-                        chan_ord: self.geometry.channel_ordinal(m.socket, m.channel) as u16,
-                        thread: op.thread,
-                        write: op.write,
-                    },
-                    Err(_) => PendingOp {
-                        issue,
-                        bank: INVALID_BANK,
-                        row: 0,
-                        rank_ord: 0,
-                        chan_ord: 0,
-                        thread: op.thread,
-                        write: op.write,
-                    },
-                };
                 if masked
-                    && entry.bank != INVALID_BANK
-                    && self.banks[entry.bank as usize].classify(entry.row) == AccessKind::RowHit
+                    && op.bank != INVALID_BANK
+                    && self.banks[op.bank as usize].classify(op.row) == AccessKind::RowHit
                 {
                     hitmask |= 1 << pending.len();
                 }
-                pending.push(entry);
+                pending.push(PendingOp {
+                    issue,
+                    bank: op.bank,
+                    row: op.row,
+                    rank_ord: op.rank_ord,
+                    chan_ord: op.chan_ord,
+                    thread: op.thread,
+                    write: op.write,
+                });
             }
             if pending.is_empty() {
                 break;
@@ -742,127 +760,6 @@ impl MemoryController {
             }
             // Undecoded (out-of-range) ops are dropped from the trace; the
             // workload layer is responsible for valid addressing.
-        }
-        self.flush_acts(dram);
-        let elapsed = self
-            .stats
-            .clock_ps
-            .saturating_sub(first_issue.unwrap_or(start_clock));
-        let mut delta = self.stats;
-        delta.accesses -= before.accesses;
-        delta.row_hits -= before.row_hits;
-        delta.row_misses -= before.row_misses;
-        delta.row_conflicts -= before.row_conflicts;
-        delta.reads -= before.reads;
-        delta.total_latency_ps -= before.total_latency_ps;
-        delta.bytes -= before.bytes;
-        let thread_latency = threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.lat_count > 0)
-            .map(|(id, t)| (id as u16, (t.lat_sum, t.lat_count)))
-            .collect();
-        TraceResult {
-            stats: delta,
-            elapsed_ps: elapsed,
-            thread_latency,
-        }
-    }
-
-    /// Replays a pre-decoded program — the decode-free twin of
-    /// [`Self::run_trace`].
-    ///
-    /// Scheduling is identical op for op: same window fill with the same
-    /// dependent-op stall, same FR-FCFS pick with the same starvation
-    /// bound, same `access_decoded` service path — so results,
-    /// statistics, and telemetry are bit-identical to running the source
-    /// trace through [`Self::run_trace`] on an identically-configured
-    /// controller. The compile-time decode counters are credited into this
-    /// controller's TLB up front, which for a fresh controller reproduces
-    /// the direct path's exported `tlb` metrics exactly.
-    pub fn run_compiled(&mut self, dram: &mut DramSystem, prog: &CompiledTrace) -> TraceResult {
-        self.tlb
-            .credit(prog.tlb_hits, prog.tlb_misses, prog.tlb_aliases);
-        let start_clock = self.stats.clock_ps;
-        let before = self.stats;
-        let mut threads: Vec<PerThread> = Vec::new();
-        let mut first_issue: Option<u64> = None;
-        let window = self.window.max(1);
-        let mut pending: Vec<PendingOp> = Vec::with_capacity(window);
-        let mut bypassed = 0u32;
-        let masked = window <= 64;
-        let mut hitmask = 0u64;
-        let mut next = 0usize;
-        let ops = prog.ops.as_slice();
-        loop {
-            while pending.len() < window && next < ops.len() {
-                let op = &ops[next];
-                let t = per_thread(&mut threads, op.thread, start_clock);
-                if op.dependent && t.outstanding > 0 {
-                    break;
-                }
-                let mut issue = t.cursor + op.gap_ps;
-                if op.dependent {
-                    issue = issue.max(t.last_done);
-                }
-                t.cursor = issue;
-                t.outstanding += 1;
-                first_issue.get_or_insert(issue);
-                if masked
-                    && op.bank != INVALID_BANK
-                    && self.banks[op.bank as usize].classify(op.row) == AccessKind::RowHit
-                {
-                    hitmask |= 1 << pending.len();
-                }
-                pending.push(PendingOp {
-                    issue,
-                    bank: op.bank,
-                    row: op.row,
-                    rank_ord: op.rank_ord,
-                    chan_ord: op.chan_ord,
-                    thread: op.thread,
-                    write: op.write,
-                });
-                next += 1;
-            }
-            if pending.is_empty() {
-                break;
-            }
-            self.queue_depth.observe(pending.len() as u64);
-            let choice = self.pick(&pending, hitmask, masked, bypassed);
-            bypassed = if choice == 0 { 0 } else { bypassed + 1 };
-            let p = pending.remove(choice);
-            if masked {
-                let below = (1u64 << choice) - 1;
-                hitmask = (hitmask & below) | ((hitmask >> 1) & !below);
-            }
-            let thread = p.thread as usize;
-            threads[thread].outstanding -= 1;
-            if p.bank != INVALID_BANK {
-                let ref_before = self.next_ref_ps;
-                let res = self.access_inner(
-                    dram,
-                    BankId(p.bank),
-                    p.row,
-                    p.rank_ord as usize,
-                    p.chan_ord as usize,
-                    p.write,
-                    p.thread,
-                    p.issue,
-                );
-                let t = &mut threads[thread];
-                t.last_done = t.last_done.max(res.done_ps);
-                t.lat_sum += res.latency_ps;
-                t.lat_count += 1;
-                if masked {
-                    self.requalify(
-                        &pending,
-                        &mut hitmask,
-                        p.bank,
-                        self.next_ref_ps != ref_before,
-                    );
-                }
-            }
         }
         self.flush_acts(dram);
         let elapsed = self
@@ -1108,46 +1005,27 @@ mod tests {
         assert!(open_res.elapsed_ps < closed_res.elapsed_ps);
     }
 
-    #[test]
-    fn flat_controller_matches_hashed_baseline() {
-        // The flattened controller must be semantically identical to the
-        // retained hash-map implementation: same TraceResult on a mixed
-        // trace (sequential, hot-row, random, dependent, multi-threaded)
-        // long enough to cross refresh intervals, and same bank census.
-        let dec = mini_decoder();
-        let cap = dec.capacity();
-        let rg = dec.geometry().row_group_bytes();
-        let mut ops = Vec::new();
-        let mut x = 0xdead_beefu64;
-        for i in 0..20_000u64 {
-            let op = match i % 5 {
-                0 => MemOp::read(i * 64),
-                1 => MemOp::read(0).with_gap_ps(1_000).on_thread(1),
-                2 => {
-                    x = dram::util::splitmix64(x);
-                    MemOp::write((x % cap) & !63).on_thread(2)
-                }
-                3 => MemOp::read((i * rg) % cap).after_previous().on_thread(3),
-                _ => MemOp::read(cap + i), // invalid: dropped by both
-            };
-            ops.push(op);
-        }
-        let (mut flat, mut d1) = setup();
-        let flat_res = flat.run_trace(&mut d1, ops.clone());
-
-        let mut d2 = DramSystem::new(mini_geometry());
-        let mut hashed = crate::HashedController::new(mini_decoder());
-        let hashed_res = hashed.run_trace(&mut d2, ops);
-
-        assert_eq!(flat_res, hashed_res);
-        assert_eq!(flat.banks_touched(), hashed.banks_touched());
-        assert_eq!(d1.stats().acts, d2.stats().acts);
-
-        // The implementations must agree on telemetry too — row hit/conflict
-        // counters, queue-depth and latency distributions, per-bank
-        // utilization — not only on TraceResult. The flat controller
-        // additionally exports a `tlb` child (the hashed one decodes
-        // uncached), so compare the shared top-level metrics.
+    /// Asserts one flat-controller entry point against the independently
+    /// written hashed oracle: TraceResult, bank census, full device state
+    /// (stats and the ordered flip log — the hashed baseline issues per-ACT,
+    /// so coalesced bursts must preserve per-ACT flip order), and telemetry.
+    /// The flat controller additionally exports a `tlb` child (the hashed
+    /// one decodes uncached), so the shared top-level metrics — row
+    /// hit/conflict counters, queue-depth and latency distributions,
+    /// per-bank utilization — are what is compared.
+    fn assert_matches_hashed(
+        entry: &str,
+        (flat, flat_res, flat_dram): (&MemoryController, &TraceResult, &DramSystem),
+        (hashed, hashed_res, hashed_dram): (&crate::HashedController, &TraceResult, &DramSystem),
+    ) {
+        assert_eq!(flat_res, hashed_res, "{entry}");
+        assert_eq!(flat.banks_touched(), hashed.banks_touched(), "{entry}");
+        assert_eq!(flat_dram.stats(), hashed_dram.stats(), "{entry}");
+        assert_eq!(
+            flat_dram.flip_log().all(),
+            hashed_dram.flip_log().all(),
+            "{entry}"
+        );
         let flat_reg = telemetry::Registry::new();
         flat.export_telemetry(&flat_reg);
         let hashed_reg = telemetry::Registry::new();
@@ -1155,7 +1033,37 @@ mod tests {
         assert_eq!(
             flat_reg.snapshot().metrics,
             hashed_reg.snapshot().metrics,
-            "flat and hashed controllers must emit identical telemetry"
+            "{entry}: flat and hashed controllers must emit identical telemetry"
+        );
+    }
+
+    #[test]
+    fn flat_controller_matches_hashed_baseline() {
+        // The flattened controller must be semantically identical to the
+        // retained hash-map implementation: same TraceResult on a mixed
+        // trace (sequential, hot-row, random, dependent, multi-threaded)
+        // long enough to cross refresh intervals, and same bank census.
+        let ops = mixed_trace(20_000);
+        let (mut flat, mut d1) = setup();
+        let flat_res = flat.run_trace(&mut d1, ops.clone());
+
+        let prog = CompiledTrace::compile(mini_decoder(), ops.clone());
+        let (mut compiled, mut d3) = setup();
+        let compiled_res = compiled.run_compiled(&mut d3, &prog);
+
+        let mut d2 = DramSystem::new(mini_geometry());
+        let mut hashed = crate::HashedController::new(mini_decoder());
+        let hashed_res = hashed.run_trace(&mut d2, ops);
+
+        assert_matches_hashed(
+            "run_trace",
+            (&flat, &flat_res, &d1),
+            (&hashed, &hashed_res, &d2),
+        );
+        assert_matches_hashed(
+            "run_compiled",
+            (&compiled, &compiled_res, &d3),
+            (&hashed, &hashed_res, &d2),
         );
     }
 
@@ -1190,22 +1098,30 @@ mod tests {
         let mut flat = MemoryController::new(mini_decoder()).with_policy(PagePolicy::Closed);
         let flat_res = flat.run_trace(&mut d1, ops.clone());
 
+        let prog = CompiledTrace::compile(mini_decoder(), ops.clone());
+        let mut d3 = mk_dram();
+        let mut compiled = MemoryController::new(mini_decoder()).with_policy(PagePolicy::Closed);
+        let compiled_res = compiled.run_compiled(&mut d3, &prog);
+
         let mut d2 = mk_dram();
         let mut hashed =
             crate::HashedController::new(mini_decoder()).with_policy(PagePolicy::Closed);
         let hashed_res = hashed.run_trace(&mut d2, ops);
 
-        assert_eq!(flat_res, hashed_res);
-        assert_eq!(d1.stats(), d2.stats());
-        assert!(d1.stats().acts >= 100_000, "closed page re-activates");
+        assert!(d2.stats().acts >= 100_000, "closed page re-activates");
         assert!(
-            !d1.flip_log().all().is_empty(),
+            !d2.flip_log().all().is_empty(),
             "an 87k-ACT siege must flip bits on the default profile"
         );
-        assert_eq!(
-            d1.flip_log().all(),
-            d2.flip_log().all(),
-            "coalesced bursts must preserve per-ACT flip order"
+        assert_matches_hashed(
+            "run_trace",
+            (&flat, &flat_res, &d1),
+            (&hashed, &hashed_res, &d2),
+        );
+        assert_matches_hashed(
+            "run_compiled",
+            (&compiled, &compiled_res, &d3),
+            (&hashed, &hashed_res, &d2),
         );
     }
 

@@ -51,9 +51,23 @@ pub use registry::{MetricValue, Registry, Snapshot};
 
 use std::path::PathBuf;
 
-/// Environment variable overriding where [`write_snapshot`] puts its files
-/// (default: the current working directory).
+/// Environment variable overriding where [`artifact_path`] puts run
+/// artifacts (default: the current working directory).
 pub const TELEMETRY_DIR_ENV: &str = "SILOZ_TELEMETRY_DIR";
+
+/// Where a run artifact named `file_name` (`TELEMETRY_*.json`,
+/// `FLEET_*.json`, `CLUSTER_*.json`) belongs: inside [`TELEMETRY_DIR_ENV`],
+/// or the current directory when unset. Creates the directory, so every
+/// artifact writer accepts a not-yet-existing one.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating the directory.
+pub fn artifact_path(file_name: &str) -> std::io::Result<PathBuf> {
+    let dir = std::env::var_os(TELEMETRY_DIR_ENV).map_or_else(|| PathBuf::from("."), PathBuf::from);
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir.join(file_name))
+}
 
 /// Version tag embedded in every snapshot file; bump only with a golden
 /// fixture update (the schema regression test pins it).
@@ -72,8 +86,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 ///
 /// Returns any I/O error from writing the file.
 pub fn write_snapshot(label: &str, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
-    let dir = std::env::var(TELEMETRY_DIR_ENV).unwrap_or_else(|_| ".".into());
-    let path = PathBuf::from(dir).join(format!("TELEMETRY_{label}.json"));
+    let path = artifact_path(&format!("TELEMETRY_{label}.json"))?;
     std::fs::write(&path, encode::snapshot_file(label, snapshot))?;
     Ok(path)
 }
@@ -85,7 +98,7 @@ mod tests {
     #[test]
     fn write_snapshot_lands_in_requested_dir() {
         let dir = std::env::temp_dir().join("telemetry_write_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         std::env::set_var(TELEMETRY_DIR_ENV, &dir);
         let root = Registry::new();
         root.counter("events").inc();
@@ -95,6 +108,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"suite\": \"unit\""));
         assert!(body.contains("\"schema\": 1"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -25,10 +25,10 @@ step "cargo clippy (warnings are errors)" \
 
 step "cargo test" cargo test --workspace -q
 
-step "telemetry unit + property tests" cargo test -p telemetry -q
-
-step "telemetry snapshot schema (golden fixture)" \
-  cargo test --test telemetry_schema -q
+# benchmark/ is its own workspace with path deps on crates/*: without this
+# step an API change that breaks the pipeline's harness passes every gate.
+step "benchmark harness (own workspace) builds and passes against crates/*" \
+  cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 step "analysis gate: siloz-lint (workspace invariants)" \
   cargo run --release -q -p analysis --bin siloz-lint
@@ -41,12 +41,6 @@ step "analysis gate: isolation-verify (bijectivity + containment proofs)" \
 
 step "analysis gate: interleave-check (exhaustive schedule exploration)" \
   cargo run --release -q -p analysis --bin interleave-check
-
-step "sim gate: compiled replay bit-identical to the uncompiled reference" \
-  cargo test -p sim --test compiled_equivalence -q
-
-step "mitigation gate: siloz-behind-the-trait bitwise equivalence" \
-  cargo test -p sim --test mitigation_equivalence -q
 
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism)" \
   cargo run --release -q -p bench --bin fleet_soak -- --quick
