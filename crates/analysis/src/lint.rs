@@ -9,7 +9,6 @@
 //! | `hot-alloc` | hot-path modules allocate only in constructors, never per access |
 //! | `nondeterminism` | no `SystemTime`/`thread_rng`/`RandomState`/`from_entropy` anywhere — all randomness is seeded, all time is simulated or volatile |
 //! | `atomics-confined` | raw atomics live only in `crates/telemetry`; everything else goes through its metric types |
-//! | `observed-twin` | every `pub fn run_*` experiment entry point has a telemetry-recording `*_observed` twin |
 //! | `metric-names` | registry name literals are snake_case, and the golden fixture's names all exist in source |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `stale-waiver` | every waiver annotation still suppresses at least one finding |
@@ -35,8 +34,6 @@ pub const RULE_HOT_ALLOC: &str = "hot-alloc";
 pub const RULE_NONDETERMINISM: &str = "nondeterminism";
 /// Rule: atomics outside `crates/telemetry`.
 pub const RULE_ATOMICS: &str = "atomics-confined";
-/// Rule: `pub fn run_*` without an `_observed` twin.
-pub const RULE_OBSERVED_TWIN: &str = "observed-twin";
 /// Rule: malformed or stale metric-name literals.
 pub const RULE_METRIC_NAMES: &str = "metric-names";
 /// Rule: crate root missing `#![forbid(unsafe_code)]`.
@@ -45,12 +42,11 @@ pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 pub const RULE_STALE_WAIVER: &str = crate::waivers::RULE_STALE_WAIVER;
 
 /// Every rule, for reporting.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 7] = [
     RULE_HOT_COLLECTIONS,
     RULE_HOT_ALLOC,
     RULE_NONDETERMINISM,
     RULE_ATOMICS,
-    RULE_OBSERVED_TWIN,
     RULE_METRIC_NAMES,
     RULE_FORBID_UNSAFE,
     RULE_STALE_WAIVER,
@@ -59,12 +55,11 @@ pub const ALL_RULES: [&str; 8] = [
 /// The rules a `lint:allow(..)` annotation can name for *this* gate; a
 /// waiver naming anything else (e.g. a `siloz-dataflow` rule) is out of
 /// namespace and judged by the gate that owns it.
-const WAIVABLE_RULES: [&str; 7] = [
+const WAIVABLE_RULES: [&str; 6] = [
     RULE_HOT_COLLECTIONS,
     RULE_HOT_ALLOC,
     RULE_NONDETERMINISM,
     RULE_ATOMICS,
-    RULE_OBSERVED_TWIN,
     RULE_METRIC_NAMES,
     RULE_FORBID_UNSAFE,
 ];
@@ -183,7 +178,6 @@ pub fn lint_source(file: &str, source: &str, class: FileClass) -> FileLint {
     if class.hot {
         hot_alloc_rule(file, &scan, test_cutoff, &mut raw);
     }
-    observed_twin_rule(file, &scan, test_cutoff, &mut raw);
     let metric_literals = metric_name_rule(file, &scan, &mut raw);
     if class.crate_root {
         forbid_unsafe_rule(file, &scan, &mut raw);
@@ -331,101 +325,6 @@ fn hot_alloc_rule(file: &str, scan: &Scan, test_cutoff: u32, out: &mut Vec<Viola
 
 fn is_constructor(name: &str) -> bool {
     name == "new" || name == "default" || name.starts_with("with_")
-}
-
-/// `pub fn run_*` free functions must have a `*_observed` twin in the same
-/// file (methods — anything with `self` in the parameter list — are not
-/// experiment entry points).
-fn observed_twin_rule(file: &str, scan: &Scan, test_cutoff: u32, out: &mut Vec<Violation>) {
-    let t = &scan.tokens;
-    let mut fn_names: BTreeSet<&str> = BTreeSet::new();
-    for i in 0..t.len() {
-        if is_ident(&t[i], "fn") {
-            if let Some(n) = t.get(i + 1).filter(|n| n.kind == TokenKind::Ident) {
-                fn_names.insert(n.text.as_str());
-            }
-        }
-    }
-    for i in 0..t.len() {
-        if !is_ident(&t[i], "pub") || t[i].line >= test_cutoff {
-            continue;
-        }
-        // Skip a `pub(crate)` / `pub(super)` visibility qualifier.
-        let mut j = i + 1;
-        if t.get(j).is_some_and(|n| is_punct(n, "(")) {
-            while j < t.len() && !is_punct(&t[j], ")") {
-                j += 1;
-            }
-            j += 1;
-        }
-        if !t.get(j).is_some_and(|n| is_ident(n, "fn")) {
-            continue;
-        }
-        let Some(name_tok) = t.get(j + 1).filter(|n| n.kind == TokenKind::Ident) else {
-            continue;
-        };
-        let name = name_tok.text.as_str();
-        if !name.starts_with("run_") || name.ends_with("_observed") {
-            continue;
-        }
-        if is_method(t, j + 2) {
-            continue;
-        }
-        let twin = format!("{name}_observed");
-        if !fn_names.contains(twin.as_str()) {
-            out.push(Violation {
-                rule: RULE_OBSERVED_TWIN,
-                file: file.into(),
-                line: name_tok.line,
-                message: format!(
-                    "experiment entry `pub fn {name}` has no `{twin}` twin; every \
-                     entry point must be observable"
-                ),
-            });
-        }
-    }
-}
-
-/// Whether the fn whose tokens start at `from` (just past the name) is a
-/// method: scans the parameter list for `self`, skipping the generic
-/// parameter list if present (where `->` inside `Fn()` bounds must not be
-/// mistaken for the closing `>`).
-fn is_method(t: &[Token], mut from: usize) -> bool {
-    if t.get(from).is_some_and(|n| is_punct(n, "<")) {
-        let mut depth = 0i32;
-        while from < t.len() {
-            if is_punct(&t[from], "<") {
-                depth += 1;
-            } else if is_punct(&t[from], "-") && t.get(from + 1).is_some_and(|n| is_punct(n, ">")) {
-                from += 1; // `->` return arrow inside a bound
-            } else if is_punct(&t[from], ">") {
-                depth -= 1;
-                if depth == 0 {
-                    from += 1;
-                    break;
-                }
-            }
-            from += 1;
-        }
-    }
-    if !t.get(from).is_some_and(|n| is_punct(n, "(")) {
-        return false;
-    }
-    let mut depth = 0i32;
-    while from < t.len() {
-        if is_punct(&t[from], "(") {
-            depth += 1;
-        } else if is_punct(&t[from], ")") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if is_ident(&t[from], "self") {
-            return true;
-        }
-        from += 1;
-    }
-    false
 }
 
 /// Metric-name literals passed to registry constructors must be snake_case;

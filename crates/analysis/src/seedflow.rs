@@ -12,8 +12,8 @@
 //! iteration order (an `UNORDERED` kind tag on constructor results turns
 //! into `MAP_ORDER` taint at iteration).
 //!
-//! **Sinks**: the return value of any `run_*` / `*_observed` entry point
-//! or `deterministic`/`*_json`/`render` output fn
+//! **Sinks**: the return value of any `run_*` / `figure*` / `arena`
+//! experiment entry point or `deterministic`/`*_json`/`render` output fn
 //! ([`RULE_TAINTED_OUTPUT`]), and non-volatile telemetry metric updates
 //! ([`RULE_NONVOLATILE_METRIC`] — `inc`/`add`/`observe` with tainted
 //! arguments on a handle not provably built by a `*_volatile`
@@ -251,7 +251,8 @@ impl Pass for SeedPass {
     fn check_fn(&self, file: &SourceFile, decl: &FnDecl, ret: Taint, out: &mut Vec<Violation>) {
         let name = decl.name.as_str();
         let is_output = name.starts_with("run_")
-            || name.ends_with("_observed")
+            || name.starts_with("figure")
+            || name == "arena"
             || name == "deterministic"
             || name == "render"
             || name.ends_with("_json");

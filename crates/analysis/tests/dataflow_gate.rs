@@ -57,6 +57,13 @@ fn tainted_output_fires_when_ambient_reaches_a_run_entry() {
     assert!(got.contains(&"seed-tainted-output"), "got {got:?}");
     let good = "pub fn run_probe(seed: u64) -> u64 { seed * 3 }\n";
     assert!(fired(&[(REL, good)]).is_empty());
+    // Figure drivers are output sinks by their own name, not through a
+    // callee's.
+    let bad = "pub fn figure9(run: u64) -> u64 { let t = Instant::now(); t }\n";
+    let got = fired(&[(REL, bad)]);
+    assert!(got.contains(&"seed-tainted-output"), "got {got:?}");
+    let good = "pub fn figure9(seed: u64) -> u64 { seed * 3 }\n";
+    assert!(fired(&[(REL, good)]).is_empty());
 }
 
 #[test]

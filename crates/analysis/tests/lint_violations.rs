@@ -4,7 +4,7 @@
 
 use analysis::lint::{
     classify, lint_source, FileClass, RULE_ATOMICS, RULE_FORBID_UNSAFE, RULE_HOT_ALLOC,
-    RULE_HOT_COLLECTIONS, RULE_METRIC_NAMES, RULE_NONDETERMINISM, RULE_OBSERVED_TWIN,
+    RULE_HOT_COLLECTIONS, RULE_METRIC_NAMES, RULE_NONDETERMINISM,
 };
 
 const HOT: &str = "crates/memctrl/src/controller.rs";
@@ -94,23 +94,6 @@ fn waivers_suppress_and_are_counted() {
     // A waiver for one rule does not silence another.
     let wrong_rule = "// lint:allow(hot-alloc)\nuse std::sync::atomic::AtomicU64;\n";
     assert!(rules_fired("crates/sim/src/engine.rs", wrong_rule).contains(&RULE_ATOMICS));
-}
-
-#[test]
-fn observed_twin_required_for_free_run_fns() {
-    let bad = "pub fn run_decay(cfg: &Config) -> u64 { 0 }\n";
-    assert!(rules_fired("crates/sim/src/decay.rs", bad).contains(&RULE_OBSERVED_TWIN));
-    let good = "pub fn run_decay(cfg: &Config) -> u64 { 0 }\n\
-                pub fn run_decay_observed(cfg: &Config, reg: &Registry) -> u64 { 0 }\n";
-    assert!(!rules_fired("crates/sim/src/decay.rs", good).contains(&RULE_OBSERVED_TWIN));
-    // Methods are exempt: `run_trace(&mut self, ...)` is not an experiment
-    // entry point.
-    let method = "impl C { pub fn run_trace(&mut self, ops: I) -> R { todo!() } }\n";
-    assert!(!rules_fired(HOT, method).contains(&RULE_OBSERVED_TWIN));
-    // Generic free fns with `Fn()` bounds are still scanned correctly.
-    let generic = "pub fn run_cells<T, F: Fn() -> T>(n: usize, f: F) -> Vec<T> { todo!() }\n\
-         pub fn run_cells_observed<T, F: Fn() -> T>(n: usize, f: F, r: &R) -> Vec<T> { todo!() }\n";
-    assert!(!rules_fired("crates/sim/src/engine.rs", generic).contains(&RULE_OBSERVED_TWIN));
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn fleet_soak(backend: Backend, events: u32, attack_open_ns: u64) -> (FleetRepor
     s.mitigation = backend;
     s.attack_open_ns = attack_open_ns;
     let t = Instant::now();
-    let report = fleet::run_fleet(s).expect("fleet soak");
+    let report = fleet::run_fleet(s, &telemetry::Registry::new()).expect("fleet soak");
     let ns_per_event = t.elapsed().as_nanos() as f64 / report.events_processed as f64;
     (report, ns_per_event)
 }
@@ -249,7 +249,13 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    let grids = sim::arena_with_threads(&config, &sim, threads, &Backend::ALL).expect("perf grid");
+    let grids = sim::arena(
+        &config,
+        &sim,
+        &Backend::ALL,
+        &sim::Run::with_threads(threads),
+    )
+    .expect("perf grid");
     let references: Vec<(&'static str, HammerPattern, (usize, u64, u64))> = duel_patterns()
         .into_iter()
         .map(|(name, p)| {

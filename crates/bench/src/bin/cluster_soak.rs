@@ -26,7 +26,7 @@
 //! Usage: `cargo run --release -p bench --bin cluster_soak [--quick | --scale N]`
 
 use bench::{emit_telemetry, Scale};
-use cluster::{run_cluster_observed, ClusterPolicy, ClusterReport, ClusterScenario};
+use cluster::{run_cluster, ClusterPolicy, ClusterReport, ClusterScenario};
 use telemetry::Registry;
 
 /// Parses `--scale N` (the thousands-of-hosts tier), if present.
@@ -114,8 +114,7 @@ fn run_scale(hosts: u32) {
     let reports: Vec<ClusterReport> = policies
         .iter()
         .map(|&policy| {
-            run_cluster_observed(ClusterScenario::scale(seed, policy, hosts), 7, &reg)
-                .expect("cluster run")
+            run_cluster(ClusterScenario::scale(seed, policy, hosts), 7, &reg).expect("cluster run")
         })
         .collect();
     check_reports(&reports, u64::from(hosts), u64::from(hosts) * 32);
@@ -153,9 +152,7 @@ fn main() {
         let reg = Registry::new();
         let reports: Vec<ClusterReport> = policies
             .iter()
-            .map(|&policy| {
-                run_cluster_observed(scenario_of(policy), threads, &reg).expect("cluster run")
-            })
+            .map(|&policy| run_cluster(scenario_of(policy), threads, &reg).expect("cluster run"))
             .collect();
         let det = reg.snapshot().deterministic().to_json();
         match &reference {

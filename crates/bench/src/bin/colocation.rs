@@ -11,7 +11,7 @@
 
 use bench::{emit_telemetry, Scale};
 use siloz::HypervisorKind;
-use sim::{run_colocation_suite_observed, SuitePlan};
+use sim::{run_colocation_suite, SuitePlan};
 use telemetry::Registry;
 use workloads::mlc::{Mlc, MlcKind};
 use workloads::ycsb::{Ycsb, YcsbKind};
@@ -36,7 +36,7 @@ fn main() {
         seed: 7,
         threads: sim::default_threads(),
     };
-    let results = run_colocation_suite_observed(
+    let results = run_colocation_suite(
         &plan,
         || Box::new(Ycsb::new(YcsbKind::C, sim_cfg.working_set)) as Box<dyn workloads::WorkloadGen>,
         || {

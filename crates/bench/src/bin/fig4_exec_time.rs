@@ -6,13 +6,11 @@
 //! Usage: `cargo run --release -p bench --bin fig4_exec_time [--quick]`
 
 use bench::{bar, emit_telemetry, print_comparison_table, Scale};
-use telemetry::Registry;
 
 fn main() {
     let scale = Scale::from_args();
-    let reg = Registry::new();
-    let rows = sim::figure4_observed(&scale.config(), &scale.sim(), sim::default_threads(), &reg)
-        .expect("figure 4");
+    let run = sim::Run::default();
+    let rows = sim::figure4(&scale.config(), &scale.sim(), &run).expect("figure 4");
     print_comparison_table(
         "Figure 4: baseline-normalized execution time (lower is better)",
         "ms",
@@ -37,5 +35,5 @@ fn main() {
             "outside ±0.5% (check noise/scale)"
         }
     );
-    emit_telemetry("fig4_exec_time", &reg);
+    emit_telemetry("fig4_exec_time", &run.reg);
 }

@@ -5,13 +5,11 @@
 //! Usage: `cargo run --release -p bench --bin fig5_throughput [--quick]`
 
 use bench::{bar, emit_telemetry, print_comparison_table, Scale};
-use telemetry::Registry;
 
 fn main() {
     let scale = Scale::from_args();
-    let reg = Registry::new();
-    let rows = sim::figure5_observed(&scale.config(), &scale.sim(), sim::default_threads(), &reg)
-        .expect("figure 5");
+    let run = sim::Run::default();
+    let rows = sim::figure5(&scale.config(), &scale.sim(), &run).expect("figure 5");
     print_comparison_table(
         "Figure 5: baseline-normalized throughput (higher raw values are better)",
         "GiB/s",
@@ -36,5 +34,5 @@ fn main() {
             "outside ±0.5% (check noise/scale)"
         }
     );
-    emit_telemetry("fig5_throughput", &reg);
+    emit_telemetry("fig5_throughput", &run.reg);
 }

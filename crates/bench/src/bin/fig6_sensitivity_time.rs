@@ -6,16 +6,14 @@
 //! Usage: `cargo run --release -p bench --bin fig6_sensitivity_time [--quick]`
 
 use bench::{bar, emit_telemetry, print_comparison_table, Scale};
-use telemetry::Registry;
 
 fn main() {
     let scale = Scale::from_args();
     let config = scale.config();
     let (small, nominal, large) = sim::experiments::sensitivity_sizes(&config);
     println!("Sensitivity sizes: {small} / {nominal} (reference) / {large} rows per subarray");
-    let reg = Registry::new();
-    let results = sim::figure6_observed(&config, &scale.sim(), sim::default_threads(), &reg)
-        .expect("figure 6");
+    let run = sim::Run::default();
+    let results = sim::figure6(&config, &scale.sim(), &run).expect("figure 6");
     for (variant, rows) in &results {
         print_comparison_table(
             &format!("Figure 6: {variant} execution time, normalized to Siloz-{nominal}"),
@@ -30,5 +28,5 @@ fn main() {
         );
     }
     println!("\nExpected: |geomean| < 0.5% with no trend across sizes (§7.4).");
-    emit_telemetry("fig6_sensitivity_time", &reg);
+    emit_telemetry("fig6_sensitivity_time", &run.reg);
 }

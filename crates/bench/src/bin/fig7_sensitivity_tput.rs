@@ -4,16 +4,14 @@
 //! Usage: `cargo run --release -p bench --bin fig7_sensitivity_tput [--quick]`
 
 use bench::{bar, emit_telemetry, print_comparison_table, Scale};
-use telemetry::Registry;
 
 fn main() {
     let scale = Scale::from_args();
     let config = scale.config();
     let (small, nominal, large) = sim::experiments::sensitivity_sizes(&config);
     println!("Sensitivity sizes: {small} / {nominal} (reference) / {large} rows per subarray");
-    let reg = Registry::new();
-    let results = sim::figure7_observed(&config, &scale.sim(), sim::default_threads(), &reg)
-        .expect("figure 7");
+    let run = sim::Run::default();
+    let results = sim::figure7(&config, &scale.sim(), &run).expect("figure 7");
     for (variant, rows) in &results {
         print_comparison_table(
             &format!("Figure 7: {variant} throughput, normalized to Siloz-{nominal}"),
@@ -28,5 +26,5 @@ fn main() {
         );
     }
     println!("\nExpected: |geomean| < 0.5% with no trend across sizes (§7.4).");
-    emit_telemetry("fig7_sensitivity_tput", &reg);
+    emit_telemetry("fig7_sensitivity_tput", &run.reg);
 }

@@ -13,9 +13,9 @@
 //! Usage: `cargo run --release -p bench --bin fleet_soak [--quick]`
 
 use bench::{emit_telemetry, Scale};
-use fleet::{run_fleet_observed, FleetReport, Scenario};
+use fleet::{run_fleet, FleetReport, Scenario};
 use numa::PlacementStrategy;
-use sim::run_cells_observed;
+use sim::run_cells;
 use telemetry::Registry;
 
 fn main() {
@@ -39,8 +39,8 @@ fn main() {
     let mut last_reg = Registry::new();
     for threads in [1usize, 2, 7] {
         let reg = Registry::new();
-        let reports = run_cells_observed(cells, threads, &reg, |idx| {
-            run_fleet_observed(scenario_of(idx), &reg).expect("fleet cell")
+        let reports = run_cells(cells, threads, &reg, |idx| {
+            run_fleet(scenario_of(idx), &reg).expect("fleet cell")
         });
         let det = reg.snapshot().deterministic().to_json();
         match &reference {

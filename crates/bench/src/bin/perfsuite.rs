@@ -54,7 +54,7 @@ use dram::DramSystem;
 use dram_addr::{mini_decoder, skylake_decoder, DecodeTlb};
 use memctrl::{HashedController, MemOp, MemoryController};
 use siloz::SilozConfig;
-use sim::SimConfig;
+use sim::{Run, SimConfig};
 use telemetry::Registry;
 
 /// One head-to-head measurement.
@@ -268,37 +268,39 @@ fn bench_device_hammer(reg: &Registry) -> Measure {
 fn bench_figure4(threads: usize, reg: &Registry) -> [Measure; 2] {
     let config = SilozConfig::mini();
     let sim = SimConfig::quick();
-    let fig_reg = reg.child("figure4");
-    let serial_rows = sim::figure4_observed(&config, &sim, 1, &fig_reg).expect("serial figure 4");
+    let serial = Run {
+        reg: reg.child("figure4"),
+        ..Run::with_threads(1)
+    };
+    let serial_rows = sim::figure4(&config, &sim, &serial).expect("serial figure 4");
     let parallel_rows =
-        sim::figure4_with_threads(&config, &sim, threads).expect("parallel figure 4");
+        sim::figure4(&config, &sim, &Run::with_threads(threads)).expect("parallel figure 4");
     assert_eq!(
         serial_rows, parallel_rows,
         "parallel figure 4 diverged from serial"
     );
-    let uncompiled_rows =
-        sim::figure4_uncompiled_with_threads(&config, &sim, threads).expect("uncompiled figure 4");
+    let uncompiled_rows = sim::figure4_uncompiled(&config, &sim, &Run::with_threads(threads))
+        .expect("uncompiled figure 4");
     assert_eq!(
         uncompiled_rows, serial_rows,
         "compiled replay diverged from the uncompiled reference"
     );
-    let cache = sim::TraceCache::new();
-    let cached_rows = sim::figure4_cached(&config, &sim, threads, &cache, &Registry::new())
-        .expect("cached figure 4");
+    let kept = Run::with_threads(threads);
+    let cached_rows = sim::figure4(&config, &sim, &kept).expect("cached figure 4");
     assert_eq!(
         cached_rows, serial_rows,
         "warm-cache regeneration diverged from the cold run"
     );
 
     let uncompiled = best_of(2, || {
-        sim::figure4_uncompiled_with_threads(&config, &sim, threads).expect("uncompiled figure 4")
+        sim::figure4_uncompiled(&config, &sim, &Run::with_threads(threads))
+            .expect("uncompiled figure 4")
     });
     let cold = best_of(2, || {
-        sim::figure4_with_threads(&config, &sim, threads).expect("compiled figure 4")
+        sim::figure4(&config, &sim, &Run::with_threads(threads)).expect("compiled figure 4")
     });
     let warm = best_of(3, || {
-        sim::figure4_cached(&config, &sim, threads, &cache, &Registry::new())
-            .expect("cached figure 4")
+        sim::figure4(&config, &sim, &kept).expect("cached figure 4")
     });
     [
         Measure {
@@ -338,8 +340,9 @@ fn bench_fleet(reg: &Registry) -> Measure {
         s.check = check;
         s
     };
-    let full = fleet::run_fleet(scenario(CheckMode::FullProof)).expect("full-proof run");
-    let incr = fleet::run_fleet_observed(scenario(CheckMode::Incremental), &reg.child("fleet"))
+    let full =
+        fleet::run_fleet(scenario(CheckMode::FullProof), &Registry::new()).expect("full-proof run");
+    let incr = fleet::run_fleet(scenario(CheckMode::Incremental), &reg.child("fleet"))
         .expect("incremental run");
     assert!(full.clean() && incr.clean(), "fleet run violated isolation");
     assert_eq!(
@@ -350,10 +353,11 @@ fn bench_fleet(reg: &Registry) -> Measure {
 
     let events = incr.events_processed;
     let full_ns = best_of(2, || {
-        fleet::run_fleet(scenario(CheckMode::FullProof)).expect("full-proof run")
+        fleet::run_fleet(scenario(CheckMode::FullProof), &Registry::new()).expect("full-proof run")
     });
     let incr_ns = best_of(2, || {
-        fleet::run_fleet(scenario(CheckMode::Incremental)).expect("incremental run")
+        fleet::run_fleet(scenario(CheckMode::Incremental), &Registry::new())
+            .expect("incremental run")
     });
     // The dirty-set regression gate. Whole-soak wall time is dominated by
     // the event loop itself (admissions, slices, defrag), so the checking
@@ -366,7 +370,7 @@ fn bench_fleet(reg: &Registry) -> Measure {
         let mut best = u64::MAX;
         for _ in 0..3 {
             let r = Registry::new();
-            fleet::run_fleet_observed(scenario(check), &r).expect("check-cost run");
+            fleet::run_fleet(scenario(check), &r).expect("check-cost run");
             let MetricValue::Counter { value, .. } =
                 r.snapshot().children["fleet"].metrics["check_wall_ns"]
             else {
@@ -458,7 +462,7 @@ fn bench_mitigation(reg: &Registry) -> Vec<Measure> {
 ///   (incremental + periodic full proofs, the absorbed hosts'
 ///   `check_wall_ns`).
 fn bench_cluster(reg: &Registry) -> Vec<Measure> {
-    use cluster::{run_cluster_observed, ClusterPolicy, ClusterScenario};
+    use cluster::{run_cluster, ClusterPolicy, ClusterScenario};
     use telemetry::MetricValue;
     let scenario = || {
         let mut s = ClusterScenario::quick(17, ClusterPolicy::Spread);
@@ -485,8 +489,7 @@ fn bench_cluster(reg: &Registry) -> Vec<Measure> {
         let r = Registry::new();
         wall_ns[slot] = best_of(2, || {
             let fresh = Registry::new();
-            let report =
-                run_cluster_observed(scenario(), threads, &fresh).expect("cluster bench run");
+            let report = run_cluster(scenario(), threads, &fresh).expect("cluster bench run");
             match &reference {
                 None => reference = Some(report),
                 Some(reference) => assert_eq!(
@@ -496,7 +499,7 @@ fn bench_cluster(reg: &Registry) -> Vec<Measure> {
             }
             fresh
         });
-        let report = run_cluster_observed(scenario(), threads, &r).expect("cluster bench run");
+        let report = run_cluster(scenario(), threads, &r).expect("cluster bench run");
         let rate = report.events_total() as f64 * 1e9 / wall_ns[slot];
         println!(
             "  cluster soak: {threads} worker(s), {} events, {rate:.0} events/sec",

@@ -31,7 +31,7 @@ use crate::pending::PendingQueue;
 use crate::report::ClusterReport;
 use crate::sandbox::{SandboxRecord, SandboxState};
 use crate::scheduler::{AuditIssue, ClusterScheduler};
-use fleet::{EventKind, EventQueue, FleetSim, PendingVm};
+use fleet::{EventKind, EventQueue, FleetSim, PendingVm, HOST_TENANT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use siloz::SilozError;
@@ -131,7 +131,8 @@ impl HostShard {
                 .rng
                 .gen_range(0..epoch_end.saturating_sub(epoch_start).max(1));
             if self.sim.live_vms() > 0 {
-                self.sim.inject(epoch_start + jitter, 0, EventKind::Defrag);
+                self.sim
+                    .inject(epoch_start + jitter, HOST_TENANT, EventKind::Defrag);
             }
         }
         let mut admits = Vec::new();
@@ -246,7 +247,8 @@ impl ClusterSim {
         let cache = Arc::new(sim::TraceCache::new());
         let host_scenario = scenario.host_scenario();
         let seed = scenario.seed;
-        let booted = sim::run_cells(scenario.hosts as usize, threads, |i| {
+        let engine_reg = telemetry::Registry::new();
+        let booted = sim::run_cells(scenario.hosts as usize, threads, &engine_reg, |i| {
             FleetSim::new(host_scenario.clone()).map(|mut fleet_sim| {
                 fleet_sim.set_trace_cache(cache.clone());
                 HostShard {
@@ -530,7 +532,10 @@ impl ClusterSim {
             })
             .collect();
         let hosts = &self.hosts;
-        let deltas = sim::run_cells(active.len(), self.threads, |k| {
+        // The fan-out's scheduling metrics are not part of the cluster's
+        // telemetry tree (`export_telemetry` builds that from the shards).
+        let engine_reg = telemetry::Registry::new();
+        let deltas = sim::run_cells(active.len(), self.threads, &engine_reg, |k| {
             lock(&hosts[active[k]]).apply_epoch(epoch_start, epoch_end, defrag_due, sync)
         });
 
@@ -816,15 +821,11 @@ impl ClusterSim {
     }
 }
 
-/// Runs a cluster scenario end to end across `threads` workers and
-/// returns its report. Results are bit-identical for any `threads`.
-pub fn run_cluster(scenario: ClusterScenario, threads: usize) -> Result<ClusterReport, SilozError> {
-    run_cluster_observed(scenario, threads, &telemetry::Registry::new())
-}
-
-/// [`run_cluster`] that also exports run telemetry into `reg` (children:
-/// `cluster`, `cluster.scheduler`, `cluster.hosts`, `cluster.host<N>`).
-pub fn run_cluster_observed(
+/// Runs a cluster scenario end to end across `threads` workers, exports run
+/// telemetry into `reg` (children: `cluster`, `cluster.scheduler`,
+/// `cluster.hosts`, `cluster.host<N>`) and returns its report. Results are
+/// bit-identical for any `threads`.
+pub fn run_cluster(
     scenario: ClusterScenario,
     threads: usize,
     reg: &telemetry::Registry,
@@ -839,6 +840,7 @@ pub fn run_cluster_observed(
 mod tests {
     use super::*;
     use crate::scheduler::ClusterPolicy;
+    use telemetry::Registry;
 
     fn tiny(policy: ClusterPolicy) -> ClusterScenario {
         let mut s = ClusterScenario::quick(9, policy);
@@ -849,7 +851,7 @@ mod tests {
     #[test]
     fn tiny_cluster_run_is_clean_under_every_policy() {
         for policy in ClusterPolicy::ALL {
-            let report = run_cluster(tiny(policy), 1).unwrap();
+            let report = run_cluster(tiny(policy), 1, &Registry::new()).unwrap();
             assert_eq!(report.cluster_violations, 0, "{report:?}");
             assert_eq!(report.host_violations, 0, "{report:?}");
             assert_eq!(report.attack_escapes, 0, "{report:?}");
@@ -867,9 +869,10 @@ mod tests {
 
     #[test]
     fn cluster_runs_are_bit_identical_across_worker_counts() {
-        let serial = run_cluster(tiny(ClusterPolicy::Spread), 1).unwrap();
+        let serial = run_cluster(tiny(ClusterPolicy::Spread), 1, &Registry::new()).unwrap();
         for threads in [2, 7] {
-            let parallel = run_cluster(tiny(ClusterPolicy::Spread), threads).unwrap();
+            let parallel =
+                run_cluster(tiny(ClusterPolicy::Spread), threads, &Registry::new()).unwrap();
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -879,7 +882,7 @@ mod tests {
         let mut s = tiny(ClusterPolicy::Spread);
         s.migrate_prob = 1.0;
         s.target_sandboxes = 40;
-        let report = run_cluster(s, 1).unwrap();
+        let report = run_cluster(s, 1, &Registry::new()).unwrap();
         assert!(report.migrations > 0);
         assert!(report.clean());
         // Each migration re-admits on a new host: placements exceed
@@ -948,18 +951,18 @@ mod tests {
         // byte-equal reports for every policy (the report carries every
         // placement outcome, reject tally, and violation count).
         for policy in ClusterPolicy::ALL {
-            let indexed = run_cluster(tiny(policy), 1).unwrap();
+            let indexed = run_cluster(tiny(policy), 1, &Registry::new()).unwrap();
             let mut s = tiny(policy);
             s.indexed_scheduler = false;
-            let oracle = run_cluster(s, 1).unwrap();
+            let oracle = run_cluster(s, 1, &Registry::new()).unwrap();
             assert_eq!(indexed, oracle, "{policy:?}");
         }
     }
 
     #[test]
     fn scheduler_policy_changes_placement_shape() {
-        let spread = run_cluster(tiny(ClusterPolicy::Spread), 1).unwrap();
-        let affine = run_cluster(tiny(ClusterPolicy::SocketAffine), 1).unwrap();
+        let spread = run_cluster(tiny(ClusterPolicy::Spread), 1, &Registry::new()).unwrap();
+        let affine = run_cluster(tiny(ClusterPolicy::SocketAffine), 1, &Registry::new()).unwrap();
         assert!(affine.affinity_hits > spread.affinity_hits);
     }
 }

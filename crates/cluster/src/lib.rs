@@ -35,7 +35,7 @@ pub mod report;
 pub mod sandbox;
 pub mod scheduler;
 
-pub use engine::{run_cluster, run_cluster_observed, ClusterSim, ClusterStats};
+pub use engine::{run_cluster, ClusterSim, ClusterStats};
 pub use events::{generate_cluster_trace, ClusterEvent, ClusterEventKind, ClusterScenario};
 pub use pending::PendingQueue;
 pub use report::{write_cluster_reports, ClusterReport};

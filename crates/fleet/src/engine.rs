@@ -858,17 +858,9 @@ impl FleetSim {
     }
 }
 
-/// Runs a scenario end to end and returns its report.
-pub fn run_fleet(scenario: Scenario) -> Result<FleetReport, SilozError> {
-    run_fleet_observed(scenario, &telemetry::Registry::new())
-}
-
-/// [`run_fleet`] that also exports run telemetry into `reg` (children:
-/// `fleet`, `hv`, `ctrl`, `dram`).
-pub fn run_fleet_observed(
-    scenario: Scenario,
-    reg: &telemetry::Registry,
-) -> Result<FleetReport, SilozError> {
+/// Runs a scenario end to end, exports run telemetry into `reg` (children:
+/// `fleet`, `hv`, `ctrl`, `dram`) and returns its report.
+pub fn run_fleet(scenario: Scenario, reg: &telemetry::Registry) -> Result<FleetReport, SilozError> {
     let mut sim = FleetSim::new(scenario)?;
     let report = sim.run_to_completion()?;
     sim.export_telemetry(reg);
@@ -879,6 +871,7 @@ pub fn run_fleet_observed(
 mod tests {
     use super::*;
     use numa::PlacementStrategy;
+    use telemetry::Registry;
 
     fn tiny(strategy: PlacementStrategy) -> Scenario {
         let mut s = Scenario::quick(5, strategy);
@@ -890,7 +883,7 @@ mod tests {
     #[test]
     fn quick_fleet_run_is_clean_under_every_strategy() {
         for strategy in PlacementStrategy::ALL {
-            let report = run_fleet(tiny(strategy)).unwrap();
+            let report = run_fleet(tiny(strategy), &Registry::new()).unwrap();
             assert_eq!(report.violations_total, 0, "{report:?}");
             assert_eq!(report.attack_escapes, 0);
             assert!(report.events_processed >= 120);
@@ -902,8 +895,8 @@ mod tests {
 
     #[test]
     fn fleet_runs_are_deterministic() {
-        let a = run_fleet(tiny(PlacementStrategy::BestFit)).unwrap();
-        let b = run_fleet(tiny(PlacementStrategy::BestFit)).unwrap();
+        let a = run_fleet(tiny(PlacementStrategy::BestFit), &Registry::new()).unwrap();
+        let b = run_fleet(tiny(PlacementStrategy::BestFit), &Registry::new()).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -913,7 +906,7 @@ mod tests {
         s.target_events = 40;
         s.check = CheckMode::FullProof;
         s.attack_prob = 0.0;
-        let report = run_fleet(s).unwrap();
+        let report = run_fleet(s, &Registry::new()).unwrap();
         // One proof per event plus the final one.
         assert_eq!(report.full_proofs, report.events_processed + 1);
         assert_eq!(report.violations_total, 0);
@@ -929,8 +922,8 @@ mod tests {
         inc.target_events = 200;
         let mut full = inc.clone();
         full.check = CheckMode::FullProof;
-        let a = run_fleet(inc).unwrap();
-        let b = run_fleet(full).unwrap();
+        let a = run_fleet(inc, &Registry::new()).unwrap();
+        let b = run_fleet(full, &Registry::new()).unwrap();
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.admitted, b.admitted);
         assert_eq!(a.departures, b.departures);
@@ -950,7 +943,7 @@ mod tests {
         let mut s = tiny(PlacementStrategy::FirstFit);
         s.target_events = 80;
         s.mitigation = mitigation::Backend::None;
-        let report = run_fleet(s).unwrap();
+        let report = run_fleet(s, &Registry::new()).unwrap();
         assert_eq!(report.mitigation, "none");
         assert_eq!(report.full_proofs, 0, "no §4.1 claim on the baseline");
         assert_eq!(report.incremental_checks, 0);
@@ -968,10 +961,10 @@ mod tests {
             s.mitigation = backend;
             s
         };
-        let undefended = run_fleet(mk(mitigation::Backend::None)).unwrap();
+        let undefended = run_fleet(mk(mitigation::Backend::None), &Registry::new()).unwrap();
         assert!(undefended.attacks > 0, "scenario must inject campaigns");
         assert!(undefended.attack_flips > 0, "undefended attacks must flip");
-        let defended = run_fleet(mk(mitigation::Backend::BlockHammer)).unwrap();
+        let defended = run_fleet(mk(mitigation::Backend::BlockHammer), &Registry::new()).unwrap();
         assert_eq!(defended.mitigation, "blockhammer");
         assert_eq!(defended.attacks, undefended.attacks);
         assert!(

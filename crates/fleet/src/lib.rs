@@ -9,7 +9,7 @@
 //! A [`Scenario`] (seed + distributions + [`numa::PlacementStrategy`])
 //! expands into a deterministic event trace; [`FleetSim`] drains it
 //! against a live [`siloz::Hypervisor`], proving zero cross-VM
-//! subarray-group sharing at every event boundary. [`run_fleet_observed`]
+//! subarray-group sharing at every event boundary. [`run_fleet`]
 //! instruments a run with [`telemetry`]; `bench`'s `fleet_soak` binary
 //! fans scenarios across seeds and policies via [`sim::engine::run_cells`]
 //! and emits `FLEET_soak.json`.
@@ -22,7 +22,7 @@ pub mod policy;
 pub mod queue;
 pub mod report;
 
-pub use engine::{run_fleet, run_fleet_observed, FleetSim, FleetStats};
+pub use engine::{run_fleet, FleetSim, FleetStats};
 pub use events::{generate_trace, CheckMode, Event, EventKind, Scenario, HOST_TENANT};
 pub use policy::{AdmissionControl, PendingVm};
 pub use queue::{EventQueue, Keyed};

@@ -2,14 +2,14 @@
 //! threads must not change a single deterministic bit.
 //!
 //! Cells (seed × placement strategy) run through
-//! [`sim::run_cells_observed`] at 1, 2, and 7 workers — the same counts
+//! [`sim::run_cells`] at 1, 2, and 7 workers — the same counts
 //! the `SILOZ_THREADS` battery uses elsewhere — all exporting into one
 //! shared registry. Reports must match exactly and the deterministic
 //! telemetry snapshot must be bit-identical.
 
-use fleet::{run_fleet_observed, FleetReport, Scenario};
+use fleet::{run_fleet, FleetReport, Scenario};
 use numa::PlacementStrategy;
-use sim::run_cells_observed;
+use sim::run_cells;
 use telemetry::Registry;
 
 /// A trimmed quick scenario so the 3×-thread battery stays fast.
@@ -24,8 +24,8 @@ fn cell_scenario(idx: usize) -> Scenario {
 
 fn battery(threads: usize) -> (String, Vec<FleetReport>) {
     let reg = Registry::new();
-    let reports: Vec<FleetReport> = run_cells_observed(6, threads, &reg, |idx| {
-        run_fleet_observed(cell_scenario(idx), &reg).expect("fleet cell")
+    let reports: Vec<FleetReport> = run_cells(6, threads, &reg, |idx| {
+        run_fleet(cell_scenario(idx), &reg).expect("fleet cell")
     });
     (reg.snapshot().deterministic().to_json(), reports)
 }
@@ -64,7 +64,7 @@ fn strategies_actually_differ() {
             let mut s = Scenario::quick(42, strategy);
             s.target_events = 200;
             s.attack_prob = 0.0;
-            format!("{:?}", fleet::run_fleet(s).expect("run"))
+            format!("{:?}", run_fleet(s, &Registry::new()).expect("run"))
         })
         .collect();
     assert!(

@@ -1,6 +1,6 @@
 //! End-to-end attack harnesses over the hypervisor (§7.1).
 
-use crate::fuzzer::{Blacksmith, FuzzConfig};
+use crate::fuzzer::{Blacksmith, Defense, FuzzConfig};
 use dram::flip::BitFlip;
 use dram_addr::BankId;
 use rand::Rng;
@@ -112,7 +112,7 @@ fn hammer_vm_inner<R: Rng>(
     banks_per_socket: u32,
     config: FuzzConfig,
     rng: &mut R,
-    mut defense: Option<(&mut dyn mitigation::Mitigation, u16)>,
+    mut defense: Defense<'_>,
 ) -> Result<HammerVmReport, SilozError> {
     let rows = vm_rows(hv, vm)?;
     let g = *hv.decoder().geometry();
@@ -127,12 +127,7 @@ fn hammer_vm_inner<R: Rng>(
             let bank = BankId(*socket as u32 * g.banks_per_socket() + flat);
             banks.push(bank);
             let reachable = vm_bank_rows(hv, vm, bank, socket_rows)?;
-            let report = match defense.as_mut() {
-                Some((d, source)) => {
-                    fuzzer.fuzz_defended(hv.dram_mut(), bank, &reachable, rng, &mut **d, *source)
-                }
-                None => fuzzer.fuzz(hv.dram_mut(), bank, &reachable, rng),
-            };
+            let report = fuzzer.fuzz_with(hv.dram_mut(), bank, &reachable, rng, &mut defense);
             acts += report.acts;
         }
     }

@@ -13,9 +13,14 @@ use rand::Rng;
 /// [`Mitigation`] backend.
 const TREFI_NS: u64 = dram::REFRESH_WINDOW_NS / dram::REFS_PER_WINDOW as u64;
 
+/// The live defense of a campaign, if any: the backend every ACT is
+/// offered to and the stream id the ACTs are attributed to.
+pub(crate) type Defense<'a> = Option<(&'a mut dyn Mitigation, u16)>;
+
 /// Delivers one `on_refresh` tick per tREFI boundary crossed up to
 /// `now_ns`, advancing the `next_decay_ns` cursor past it.
-fn drain_decay_ticks(defense: &mut dyn Mitigation, now_ns: u64, next_decay_ns: &mut u64) {
+fn drain_decay_ticks(defense: &mut Defense<'_>, now_ns: u64, next_decay_ns: &mut u64) {
+    let Some((defense, _)) = defense else { return };
     while now_ns >= *next_decay_ns {
         defense.on_refresh(*next_decay_ns * 1000);
         *next_decay_ns += TREFI_NS;
@@ -122,26 +127,7 @@ impl Blacksmith {
         allowed_rows: &[u32],
         rng: &mut R,
     ) -> FuzzReport {
-        let before = dram.flip_log().len();
-        let mut acts = 0u64;
-        let mut effective = None;
-        let mut tried = 0u32;
-        for _ in 0..self.config.patterns {
-            tried += 1;
-            let pattern = HammerPattern::random(allowed_rows, rng);
-            let found = self.hammer(dram, bank, &pattern, &mut acts);
-            if found && effective.is_none() {
-                effective = Some(pattern);
-                break;
-            }
-        }
-        let flips = dram.flip_log().all()[before..].to_vec();
-        FuzzReport {
-            patterns_tried: tried,
-            acts,
-            flips,
-            effective_pattern: effective,
-        }
+        self.fuzz_with(dram, bank, allowed_rows, rng, &mut None)
     }
 
     /// [`Blacksmith::fuzz`] with a live [`Mitigation`] backend in the loop:
@@ -161,6 +147,19 @@ impl Blacksmith {
         defense: &mut dyn Mitigation,
         source: u16,
     ) -> FuzzReport {
+        self.fuzz_with(dram, bank, allowed_rows, rng, &mut Some((defense, source)))
+    }
+
+    /// The one campaign loop behind [`Blacksmith::fuzz`] and
+    /// [`Blacksmith::fuzz_defended`].
+    pub(crate) fn fuzz_with<R: Rng>(
+        &mut self,
+        dram: &mut DramSystem,
+        bank: BankId,
+        allowed_rows: &[u32],
+        rng: &mut R,
+        defense: &mut Defense<'_>,
+    ) -> FuzzReport {
         let before = dram.flip_log().len();
         let mut acts = 0u64;
         let mut effective = None;
@@ -168,7 +167,7 @@ impl Blacksmith {
         for _ in 0..self.config.patterns {
             tried += 1;
             let pattern = HammerPattern::random(allowed_rows, rng);
-            let found = self.hammer_defended(dram, bank, &pattern, &mut acts, defense, source);
+            let found = self.hammer_with(dram, bank, &pattern, &mut acts, defense);
             if found && effective.is_none() {
                 effective = Some(pattern);
                 break;
@@ -196,20 +195,7 @@ impl Blacksmith {
         pattern: &HammerPattern,
         acts: &mut u64,
     ) -> bool {
-        let before = dram.flip_log().len();
-        let rows_per_bank = dram.geometry().rows_per_bank;
-        let runs = pattern.coalesced_schedule();
-        for _ in 0..self.config.periods_per_attempt {
-            for &(row, count) in &runs {
-                if row >= rows_per_bank {
-                    continue;
-                }
-                dram.activate_burst(bank, row, count as u64, self.config.extra_open_ns);
-                *acts += count as u64;
-            }
-            dram.advance_ns(pattern.schedule.len() as u64 * T_RC_NS);
-        }
-        dram.flip_log().len() > before
+        self.hammer_with(dram, bank, pattern, acts, &mut None)
     }
 
     /// [`Blacksmith::hammer`] against a live [`Mitigation`] backend.
@@ -229,6 +215,19 @@ impl Blacksmith {
         defense: &mut dyn Mitigation,
         source: u16,
     ) -> bool {
+        self.hammer_with(dram, bank, pattern, acts, &mut Some((defense, source)))
+    }
+
+    /// The one hammering loop behind [`Blacksmith::hammer`] and
+    /// [`Blacksmith::hammer_defended`].
+    fn hammer_with(
+        &self,
+        dram: &mut DramSystem,
+        bank: BankId,
+        pattern: &HammerPattern,
+        acts: &mut u64,
+        defense: &mut Defense<'_>,
+    ) -> bool {
         let before = dram.flip_log().len();
         let rows_per_bank = dram.geometry().rows_per_bank;
         let runs = pattern.coalesced_schedule();
@@ -238,16 +237,18 @@ impl Blacksmith {
                 if row >= rows_per_bank {
                     continue;
                 }
-                let mut delay_ps = 0u64;
-                for _ in 0..count {
-                    let now_ps = dram.now_ns() * 1000 + delay_ps;
-                    delay_ps += defense.on_act(bank.0, row, source, now_ps);
-                }
-                if delay_ps > 0 {
-                    // Stall before the burst: bursts model back-to-back ACT
-                    // runs and must not internally span a refresh, so the
-                    // injected delay lands between runs.
-                    dram.advance_ns(delay_ps.div_ceil(1000));
+                if let Some((defense, source)) = defense {
+                    let mut delay_ps = 0u64;
+                    for _ in 0..count {
+                        let now_ps = dram.now_ns() * 1000 + delay_ps;
+                        delay_ps += defense.on_act(bank.0, row, *source, now_ps);
+                    }
+                    if delay_ps > 0 {
+                        // Stall before the burst: bursts model back-to-back
+                        // ACT runs and must not internally span a refresh,
+                        // so the injected delay lands between runs.
+                        dram.advance_ns(delay_ps.div_ceil(1000));
+                    }
                 }
                 dram.activate_burst(bank, row, count as u64, self.config.extra_open_ns);
                 *acts += count as u64;

@@ -7,7 +7,8 @@
 //! hypervisor kind plus its controller hook — so rows are directly
 //! comparable across backends: every backend's candidate cells draw the
 //! *same* traces (common random numbers) and are normalized against the
-//! *same* reference samples, reused through one shared [`TraceCache`].
+//! *same* reference samples, reused through the run's one
+//! [`TraceCache`](crate::TraceCache).
 //!
 //! Two pins fall out of this construction and are enforced by
 //! `crates/sim/tests/mitigation_equivalence.rs`:
@@ -17,14 +18,11 @@
 //! - the `none` arena row's candidate cells are bit-identical to its
 //!   reference cells before noise (the hook slot stays empty).
 
-use crate::cache::TraceCache;
-use crate::engine::default_threads;
-use crate::experiments::{compare_suite, Comparison};
+use crate::engine::Run;
+use crate::experiments::{compare_suite, Comparison, EXEC_TIME};
 use crate::run::{Replay, SimConfig};
 use mitigation::{Backend, DomainPolicy};
 use siloz::{HypervisorKind, SilozConfig, SilozError};
-use telemetry::Registry;
-use workloads::{exec_time_suite, exec_time_workload};
 
 /// One backend's arena grid: the Fig. 4 roster (plus geomean row)
 /// measured under that defense, normalized against the undefended
@@ -54,7 +52,12 @@ pub fn hypervisor_kind_for(backend: Backend) -> HypervisorKind {
     }
 }
 
-/// Runs the arena over `backends` with default parallelism.
+/// Runs the arena over `backends`, one `compare_suite` grid each, recording
+/// each grid's telemetry into the [`Backend::name`] child of `run.reg`.
+///
+/// Every grid goes through `run.cache`: ledgers are defense-independent and
+/// the undefended reference arm recurs in every grid, so only the defended
+/// candidate cells are simulated per additional backend.
 ///
 /// # Errors
 ///
@@ -63,53 +66,17 @@ pub fn arena(
     config: &SilozConfig,
     sim: &SimConfig,
     backends: &[Backend],
+    run: &Run,
 ) -> Result<Vec<ArenaRow>, SilozError> {
-    arena_with_threads(config, sim, default_threads(), backends)
-}
-
-/// [`arena`] with an explicit worker count (1 = serial reference).
-///
-/// # Errors
-///
-/// Fails if any measurement cell fails to boot or place its VM.
-pub fn arena_with_threads(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    backends: &[Backend],
-) -> Result<Vec<ArenaRow>, SilozError> {
-    arena_observed(config, sim, threads, backends, &Registry::new())
-}
-
-/// [`arena_with_threads`] that also records run telemetry into `reg`,
-/// one child per backend (named by [`Backend::name`]).
-///
-/// # Errors
-///
-/// Fails if any measurement cell fails to boot or place its VM.
-pub fn arena_observed(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    backends: &[Backend],
-    reg: &Registry,
-) -> Result<Vec<ArenaRow>, SilozError> {
-    // One cache across every backend: ledgers are defense-independent and
-    // the undefended reference arm recurs in every grid, so only the
-    // defended candidate cells are simulated per additional backend.
-    let cache = TraceCache::new();
     let mut out = Vec::with_capacity(backends.len());
     for &backend in backends {
         let rows = compare_suite(
-            (exec_time_suite, exec_time_workload),
-            (config, HypervisorKind::Baseline),
-            (config, hypervisor_kind_for(backend)),
-            Some(backend),
+            EXEC_TIME,
+            (config, HypervisorKind::Baseline, None),
+            (config, hypervisor_kind_for(backend), Some(backend)),
             sim,
-            threads,
-            Replay::Compiled,
-            &cache,
-            &reg.child(backend.name()),
+            Replay::Compiled(&run.cache),
+            &run.child(backend.name()),
         )?;
         out.push(ArenaRow { backend, rows });
     }
@@ -135,7 +102,7 @@ mod tests {
     #[test]
     fn arena_measures_every_backend() {
         let (config, sim) = tiny();
-        let grids = arena_with_threads(&config, &sim, 2, &Backend::ALL).unwrap();
+        let grids = arena(&config, &sim, &Backend::ALL, &Run::with_threads(2)).unwrap();
         assert_eq!(grids.len(), 4);
         for grid in &grids {
             assert_eq!(grid.rows.len(), 10, "9 workloads + geomean");
@@ -155,8 +122,8 @@ mod tests {
     fn arena_is_deterministic_across_thread_counts_and_cache_state() {
         let (config, sim) = tiny();
         let backends = [Backend::None, Backend::BlockHammer];
-        let serial = arena_with_threads(&config, &sim, 1, &backends).unwrap();
-        let parallel = arena_with_threads(&config, &sim, 4, &backends).unwrap();
+        let serial = arena(&config, &sim, &backends, &Run::with_threads(1)).unwrap();
+        let parallel = arena(&config, &sim, &backends, &Run::with_threads(4)).unwrap();
         assert_eq!(serial, parallel);
     }
 }

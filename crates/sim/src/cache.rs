@@ -11,9 +11,6 @@
 //!   run the identical load phase);
 //! - **envs** — one booted hypervisor + VM backing map per configuration,
 //!   shared by every draw measured under it;
-//! - **programs** — one pre-decoded [`CompiledTrace`] per (ledger, env)
-//!   pair, shared when the same measurement recurs (e.g. the sensitivity
-//!   reference arm across variants);
 //! - **replays** — one `CellOutcome` per (ledger, env) pair: compiled
 //!   cells run with disturbance physics off against a fresh controller and
 //!   scratch device, so the replay result and post-replay controller
@@ -21,6 +18,9 @@
 //!   measurement (the sensitivity reference arm, a regenerated figure) is
 //!   never re-simulated. Per-cell noise is applied *after* the cache, so
 //!   cells sharing an outcome still sample independent nuisance factors.
+//!   The pre-decoded replay program is bound inside a replay miss and is
+//!   not memoised: it has the same key as the outcome, so an outcome hit
+//!   never needs it.
 //!
 //! Every cached value is a pure function of its key, so cache scheduling
 //! never affects results: parallel grids stay bit-identical to serial ones
@@ -59,6 +59,15 @@ pub(crate) struct BoundEnv {
 pub(crate) struct CellOutcome {
     pub(crate) result: TraceResult,
     pub(crate) ctrl: MemoryController,
+    /// The replay program that produced `result`, owned for as long as the
+    /// outcome is — the lifetime it had when the cache also memoised it.
+    /// Nothing reads it: an outcome hit needs no program, and it could be
+    /// dropped at the end of the replay miss (−230 MiB peak RSS on a cold
+    /// Fig. 4 grid). It is not, because the repo benchmark's `figure_cold`
+    /// `setup_s` then reads +55%: with a smaller heap glibc trims below the
+    /// next pass's roster, which faults its pages in again (CHANGES.md,
+    /// PR 13). Releasing it waits on a benchmark that does not time that.
+    pub(crate) _program: CompiledTrace,
 }
 
 /// The memoization store shared by all cells of an experiment grid (or by
@@ -68,7 +77,6 @@ pub struct TraceCache {
     ledgers: Mutex<BTreeMap<LedgerKey, Arc<GuestLedger>>>,
     substrates: Mutex<BTreeMap<SubstrateKey, (SubstrateSnapshot, StdRng)>>,
     envs: Mutex<BTreeMap<String, Arc<BoundEnv>>>,
-    programs: Mutex<BTreeMap<(LedgerKey, String), Arc<CompiledTrace>>>,
     replays: Mutex<BTreeMap<(LedgerKey, String), Arc<CellOutcome>>>,
 }
 
@@ -140,21 +148,6 @@ impl TraceCache {
             .entry(key.to_owned())
             .or_insert(built)
             .clone())
-    }
-
-    /// The bound replay program for `(ledger, env)`, binding on first use.
-    pub(crate) fn program(
-        &self,
-        ledger: &LedgerKey,
-        env: &str,
-        build: impl FnOnce() -> Arc<CompiledTrace>,
-    ) -> Arc<CompiledTrace> {
-        let key = (ledger.clone(), env.to_owned());
-        if let Some(hit) = lock(&self.programs).get(&key) {
-            return hit.clone();
-        }
-        let built = build();
-        lock(&self.programs).entry(key).or_insert(built).clone()
     }
 
     /// The replay outcome for `(ledger, env)`, simulating on first use.

@@ -9,7 +9,7 @@
 //! neither adds interference nor (by design, §8.4) removes it; bank/channel
 //! partitioning is future work.
 
-use crate::engine::run_cells_observed;
+use crate::engine::run_cells;
 use crate::run::{vm_trace, SimConfig, TraceShape};
 use dram::{DimmProfile, DramSystemBuilder};
 use memctrl::{MemOp, MemoryController};
@@ -61,24 +61,13 @@ fn tenant_trace(
 }
 
 /// Measures the victim workload's latency alone and colocated with the
-/// aggressor workload, under `kind`.
-pub fn run_colocation(
-    config: &SilozConfig,
-    kind: HypervisorKind,
-    victim: &mut dyn WorkloadGen,
-    aggressor: &mut dyn WorkloadGen,
-    sim: &SimConfig,
-    seed: u64,
-) -> Result<ColocationResult, SilozError> {
-    run_colocation_observed(config, kind, victim, aggressor, sim, seed, &Registry::new())
-}
-
-/// [`run_colocation`] that also exports stack-wide telemetry into `reg`.
+/// aggressor workload, under `kind`, exporting stack-wide telemetry into
+/// `reg`.
 ///
 /// Both the solo and the colocated measurement export into the same
 /// children (`ctrl`, `dram`, `hv`); totals are additive over the two
 /// replays, so the snapshot is deterministic for a given configuration.
-pub fn run_colocation_observed(
+pub fn run_colocation(
     config: &SilozConfig,
     kind: HypervisorKind,
     victim: &mut dyn WorkloadGen,
@@ -138,10 +127,6 @@ pub fn run_colocation_observed(
 /// Everything a colocation suite run needs besides the workload factories
 /// and the telemetry sink: which stack to boot, which hypervisor kinds to
 /// compare, the simulation shape, the seed, and the engine worker count.
-///
-/// Bundling these (rather than passing seven positional arguments) keeps
-/// the suite entry points inside the workspace's `clippy::too_many_arguments`
-/// budget without an `#[allow]`.
 #[derive(Debug, Clone, Copy)]
 pub struct SuitePlan<'a> {
     /// Stack configuration the hypervisors boot with.
@@ -165,22 +150,11 @@ pub struct SuitePlan<'a> {
 /// factories, exactly as a serial loop constructing them per iteration
 /// would, and results come back in `plan.kinds` order regardless of
 /// scheduling.
+///
+/// Telemetry lands in `reg`: engine scheduling metrics at `engine`, and
+/// each hypervisor kind's stack totals under a per-kind child (`baseline` /
+/// `siloz`).
 pub fn run_colocation_suite<V, A>(
-    plan: &SuitePlan<'_>,
-    victim: V,
-    aggressor: A,
-) -> Result<Vec<(HypervisorKind, ColocationResult)>, SilozError>
-where
-    V: Fn() -> Box<dyn WorkloadGen> + Sync,
-    A: Fn() -> Box<dyn WorkloadGen> + Sync,
-{
-    run_colocation_suite_observed(plan, victim, aggressor, &Registry::new())
-}
-
-/// [`run_colocation_suite`] that also records telemetry into `reg`: engine
-/// scheduling metrics at `engine`, and each hypervisor kind's stack totals
-/// under a per-kind child (`baseline` / `siloz`).
-pub fn run_colocation_suite_observed<V, A>(
     plan: &SuitePlan<'_>,
     victim: V,
     aggressor: A,
@@ -191,14 +165,14 @@ where
     A: Fn() -> Box<dyn WorkloadGen> + Sync,
 {
     let engine_reg = reg.child("engine");
-    let results = run_cells_observed(plan.kinds.len(), plan.threads, &engine_reg, |idx| {
+    let results = run_cells(plan.kinds.len(), plan.threads, &engine_reg, |idx| {
         let mut v = victim();
         let mut a = aggressor();
         let kind_reg = reg.child(match plan.kinds[idx] {
             HypervisorKind::Baseline => "baseline",
             HypervisorKind::Siloz => "siloz",
         });
-        run_colocation_observed(
+        run_colocation(
             plan.config,
             plan.kinds[idx],
             v.as_mut(),
@@ -239,7 +213,8 @@ mod tests {
         for kind in [HypervisorKind::Baseline, HypervisorKind::Siloz] {
             let mut victim = Ycsb::new(YcsbKind::C, sim.working_set);
             let mut hog = Mlc::new(MlcKind::Reads, sim.working_set);
-            let r = run_colocation(&config, kind, &mut victim, &mut hog, &sim, 3).unwrap();
+            let reg = Registry::new();
+            let r = run_colocation(&config, kind, &mut victim, &mut hog, &sim, 3, &reg).unwrap();
             assert!(
                 r.slowdown() > 1.02,
                 "{kind:?}: a bandwidth hog must slow the victim ({:.3})",

@@ -11,42 +11,97 @@
 // lint:allow-file(atomics-confined) — the work-dispenser cursor below is a
 // scheduling primitive, not a metric; all *measurements* go through
 // telemetry handles.
+use crate::cache::TraceCache;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use telemetry::Registry;
 
-/// Worker count used by the figure drivers: the `SILOZ_THREADS` environment
-/// variable if set (minimum 1), else the machine's available parallelism.
-#[must_use]
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("SILOZ_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
+/// The three axes every grid driver shares: how many workers the cells fan
+/// out over, the [`TraceCache`] compiled cells memoise through, and the
+/// registry the run's telemetry lands in.
+///
+/// `Run::default()` is a one-off regeneration. Keeping one `Run` alive
+/// across calls makes regeneration incremental: ledgers, environments and
+/// whole replay outcomes are reused, so a repeated grid re-simulates
+/// nothing and only re-applies per-cell measurement noise. Output is
+/// bit-identical for any worker count and any cache state.
+pub struct Run {
+    /// Worker threads (1 = the serial reference).
+    pub threads: usize,
+    /// Memoisation shared by every compiled cell of every grid run with
+    /// this value.
+    pub cache: Arc<TraceCache>,
+    /// Telemetry sink.
+    pub reg: Arc<Registry>,
+}
+
+impl Default for Run {
+    /// [`default_threads`] workers, an empty cache, a fresh registry.
+    fn default() -> Self {
+        Self::with_threads(default_threads())
+    }
+}
+
+impl Run {
+    /// Exactly `threads` workers, an empty cache, a fresh registry.
+    #[must_use]
+    pub fn with_threads(threads: usize) -> Self {
+        Self {
+            threads,
+            cache: Arc::default(),
+            reg: Arc::default(),
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+
+    /// The same workers and cache, recording into the `name` child of this
+    /// run's registry — how a driver gives each of its grids its own
+    /// telemetry subtree.
+    #[must_use]
+    pub fn child(&self, name: &str) -> Self {
+        Self {
+            threads: self.threads,
+            cache: self.cache.clone(),
+            reg: self.reg.child(name),
+        }
+    }
+}
+
+/// Worker count used by the figure drivers: the `SILOZ_THREADS` environment
+/// variable if set (minimum 1), else the machine's available parallelism.
+///
+/// # Panics
+///
+/// If `SILOZ_THREADS` is set to anything but a number: a typo must not
+/// silently turn a fixed-worker determinism run into an every-core one.
+#[must_use]
+pub fn default_threads() -> usize {
+    let var = std::env::var_os("SILOZ_THREADS");
+    let var = var.as_deref().map(std::ffi::OsStr::to_string_lossy);
+    threads_from_env(var.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`default_threads`] as a function of the variable's value.
+fn threads_from_env(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None => Ok(std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)),
+        Some(v) => v
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|e| format!("SILOZ_THREADS={v:?} is not a worker count: {e}")),
+    }
 }
 
 /// Runs `cell(0..n)` across `threads` workers and returns the results in
-/// index order.
+/// index order, recording engine telemetry into `reg`.
 ///
 /// `cell` must be a pure function of its index (plus shared immutable
 /// captures) for the parallel result to equal the serial one; every driver
 /// in this crate satisfies that by constructing fresh per-cell state. With
 /// `threads <= 1` the cells run on the calling thread in index order, which
 /// doubles as the serial reference for determinism tests.
-pub fn run_cells<T, F>(n: usize, threads: usize, cell: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_cells_observed(n, threads, &Registry::new(), cell)
-}
-
-/// [`run_cells`] that also records engine telemetry into `reg`.
 ///
 /// Deterministic metrics (`cells_run`) merge by addition and are identical
 /// for any thread count; scheduling-dependent metrics — per-cell wall time
@@ -54,7 +109,7 @@ where
 /// beyond an even `n / threads` share), and `workers` — are registered
 /// *volatile*, so [`telemetry::Snapshot::deterministic`] strips them and
 /// the determinism battery passes regardless of machine or thread count.
-pub fn run_cells_observed<T, F>(n: usize, threads: usize, reg: &Registry, cell: F) -> Vec<T>
+pub fn run_cells<T, F>(n: usize, threads: usize, reg: &Registry, cell: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -79,11 +134,10 @@ pub fn lpt_order(n: usize, costs: &[u64]) -> Vec<usize> {
     order
 }
 
-/// [`run_cells_observed`] with per-cell cost estimates: workers claim cells
-/// in [`lpt_order`] rather than index order. Results still come back in
-/// index order and are bit-identical to the serial loop — only wall-clock
+/// [`run_cells`] with per-cell cost estimates: workers claim cells in
+/// [`lpt_order`] rather than index order. Results still come back in index
+/// order and are bit-identical to the serial loop — only wall-clock
 /// balance depends on the estimates.
-// lint:allow(observed-twin) — takes `reg` directly; this IS the observed form.
 pub fn run_cells_costed<T, F>(
     n: usize,
     threads: usize,
@@ -155,25 +209,43 @@ mod tests {
     use super::*;
 
     #[test]
+    fn malformed_siloz_threads_is_an_error_not_a_fallback() {
+        assert!(threads_from_env(None).unwrap() >= 1);
+        assert_eq!(threads_from_env(Some("7")), Ok(7));
+        assert_eq!(threads_from_env(Some("0")), Ok(1), "documented clamp");
+        for bad in ["", "four"] {
+            let err = threads_from_env(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("SILOZ_THREADS") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn results_come_back_in_index_order() {
-        let out = run_cells(64, 8, |i| i * i);
+        let out = run_cells(64, 8, &Registry::new(), |i| i * i);
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        assert_eq!(run_cells(33, 1, f), run_cells(33, 5, f));
+        let reg = Registry::new();
+        assert_eq!(run_cells(33, 1, &reg, f), run_cells(33, 5, &reg, f));
     }
 
     #[test]
     fn zero_cells_is_empty() {
-        assert_eq!(run_cells(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(
+            run_cells(0, 4, &Registry::new(), |i| i),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]
     fn more_threads_than_cells_is_fine() {
-        assert_eq!(run_cells(2, 16, |i| i + 1), vec![1, 2]);
+        assert_eq!(run_cells(2, 16, &Registry::new(), |i| i + 1), vec![1, 2]);
     }
 
     #[test]
@@ -200,7 +272,7 @@ mod tests {
     fn observed_runs_count_cells_and_mark_timing_volatile() {
         for threads in [1, 3] {
             let reg = Registry::new();
-            let out = run_cells_observed(10, threads, &reg, |i| i);
+            let out = run_cells(10, threads, &reg, |i| i);
             assert_eq!(out.len(), 10);
             let snap = reg.snapshot();
             assert_eq!(

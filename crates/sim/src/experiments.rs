@@ -5,12 +5,10 @@
 //! simulation, and results are aggregated keyed by cell index so the figure
 //! output is bit-identical to the serial loop for any thread count.
 
-use crate::cache::TraceCache;
-use crate::engine::{default_threads, run_cells_costed};
-use crate::run::{workload_cell, CellWorkload, Replay, RunSeeds, SimConfig};
+use crate::engine::{run_cells_costed, Run};
+use crate::run::{workload_cell, Arm, CellWorkload, Replay, RunSeeds, SimConfig};
 use crate::stats::{geomean, overhead_pct_higher_better, overhead_pct_lower_better, Summary};
 use siloz::{HypervisorKind, SilozConfig, SilozError};
-use telemetry::Registry;
 use workloads::{
     exec_time_suite, exec_time_workload, throughput_suite, throughput_workload, Metric, WorkloadGen,
 };
@@ -53,25 +51,26 @@ pub(crate) type SuiteFactory = fn(u64) -> Vec<Box<dyn WorkloadGen>>;
 /// substrate work (KV preloads, sort inputs), and each cell needs one entry.
 pub(crate) type NthFactory = fn(usize, u64) -> Box<dyn WorkloadGen>;
 
-/// Measures one suite under `reference_kind`/`reference_cfg` vs
-/// `candidate_kind`/`candidate_cfg`, paired per seed, plus a geomean row.
+/// The Fig. 4 execution-time roster: whole, and one entry at a time.
+pub(crate) const EXEC_TIME: (SuiteFactory, NthFactory) = (exec_time_suite, exec_time_workload);
+/// The Fig. 5 throughput roster.
+const THROUGHPUT: (SuiteFactory, NthFactory) = (throughput_suite, throughput_workload);
+
+/// Measures one suite under the `reference` arm vs the `candidate` arm,
+/// paired per seed, plus a geomean row.
 ///
 /// Reference and candidate cells of one seed share their *trace* seed:
 /// common random numbers pair the comparison op for op, and the trace
 /// compiler builds each `(workload, seed)` ledger once for both arms.
 /// Their *noise* seeds differ (keyed by the candidate configuration), so
 /// measurement noise stays independent per arm as real runs would be.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compare_suite(
     (suite, nth): (SuiteFactory, NthFactory),
-    reference: (&SilozConfig, HypervisorKind),
-    candidate: (&SilozConfig, HypervisorKind),
-    candidate_defense: Option<mitigation::Backend>,
+    reference: Arm<'_>,
+    candidate: Arm<'_>,
     sim: &SimConfig,
-    threads: usize,
-    replay: Replay,
-    cache: &TraceCache,
-    reg: &Registry,
+    replay: Replay<'_>,
+    run: &Run,
 ) -> Result<Vec<Comparison>, SilozError> {
     let roster = suite(sim.working_set);
     let names: Vec<(String, Metric)> = roster.iter().map(|w| (w.name(), w.metric())).collect();
@@ -87,8 +86,8 @@ pub(crate) fn compare_suite(
     // hints only reorder the parallel dispatch (LPT).
     let cells = sim.repeats as usize * n * 2;
     let costs: Vec<u64> = (0..cells).map(|idx| hints[(idx / 2) % n]).collect();
-    let engine_reg = reg.child("engine");
-    let results = run_cells_costed(cells, threads, &costs, &engine_reg, |idx| {
+    let engine_reg = run.reg.child("engine");
+    let results = run_cells_costed(cells, run.threads, &costs, &engine_reg, |idx| {
         let seed = (idx / (n * 2)) as u64;
         let i = (idx / 2) % n;
         let candidate_run = idx % 2 == 1;
@@ -100,10 +99,9 @@ pub(crate) fn compare_suite(
             metric: names[i].1,
             build: Box::new(move || nth(i, sim.working_set)),
         };
-        let (cfg, kind, seeds) = if candidate_run {
+        let (arm, seeds) = if candidate_run {
             (
-                candidate.0,
-                candidate.1,
+                candidate,
                 RunSeeds {
                     trace: seed,
                     // Different noise stream for the candidate run — keyed
@@ -114,26 +112,9 @@ pub(crate) fn compare_suite(
                 },
             )
         } else {
-            (reference.0, reference.1, RunSeeds::uniform(seed))
+            (reference, RunSeeds::uniform(seed))
         };
-        // The reference arm is always undefended; the defense under test
-        // rides the candidate arm only.
-        let defense = if candidate_run {
-            candidate_defense
-        } else {
-            None
-        };
-        workload_cell(
-            cfg,
-            kind,
-            workload,
-            sim,
-            seeds,
-            replay,
-            Some(cache),
-            defense,
-            reg,
-        )
+        workload_cell(arm, workload, sim, seeds, replay, &run.reg)
     });
     let mut ref_samples: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut cand_samples: Vec<Vec<f64>> = vec![Vec::new(); n];
@@ -191,128 +172,52 @@ pub(crate) fn compare_suite(
     Ok(out)
 }
 
-/// Fig. 4: baseline-normalized execution time for Siloz.
-pub fn figure4(config: &SilozConfig, sim: &SimConfig) -> Result<Vec<Comparison>, SilozError> {
-    figure4_with_threads(config, sim, default_threads())
-}
-
-/// [`figure4`] with an explicit worker count (1 = serial reference).
-pub fn figure4_with_threads(
+/// The Fig. 4/5 comparison: `config` under the baseline hypervisor vs under
+/// Siloz, no controller defense on either arm.
+fn baseline_vs_siloz(
+    suite: (SuiteFactory, NthFactory),
     config: &SilozConfig,
     sim: &SimConfig,
-    threads: usize,
-) -> Result<Vec<Comparison>, SilozError> {
-    figure4_observed(config, sim, threads, &Registry::new())
-}
-
-/// [`figure4_with_threads`] that also records run telemetry into `reg`.
-pub fn figure4_observed(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    reg: &Registry,
-) -> Result<Vec<Comparison>, SilozError> {
-    figure4_cached(config, sim, threads, &TraceCache::new(), reg)
-}
-
-/// [`figure4_observed`] with a caller-owned [`TraceCache`]. Keeping one
-/// cache alive across calls makes regeneration incremental: ledgers,
-/// environments, bound programs, and whole replay outcomes are reused, so
-/// a repeated grid re-simulates nothing and only re-applies per-cell
-/// measurement noise. Output is bit-identical for any cache state.
-pub fn figure4_cached(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    cache: &TraceCache,
-    reg: &Registry,
+    replay: Replay<'_>,
+    run: &Run,
 ) -> Result<Vec<Comparison>, SilozError> {
     compare_suite(
-        (exec_time_suite, exec_time_workload),
-        (config, HypervisorKind::Baseline),
-        (config, HypervisorKind::Siloz),
-        None,
+        suite,
+        (config, HypervisorKind::Baseline, None),
+        (config, HypervisorKind::Siloz, None),
         sim,
-        threads,
-        Replay::Compiled,
-        cache,
-        reg,
+        replay,
+        run,
     )
+}
+
+/// Fig. 4: baseline-normalized execution time for Siloz.
+pub fn figure4(
+    config: &SilozConfig,
+    sim: &SimConfig,
+    run: &Run,
+) -> Result<Vec<Comparison>, SilozError> {
+    baseline_vs_siloz(EXEC_TIME, config, sim, Replay::Compiled(&run.cache), run)
 }
 
 /// [`figure4`] through the direct (uncompiled) replay path — the
 /// equivalence oracle. Output is bit-identical to [`figure4`]; wall time
-/// is not.
+/// is not, and `run.cache` is not used.
 pub fn figure4_uncompiled(
     config: &SilozConfig,
     sim: &SimConfig,
+    run: &Run,
 ) -> Result<Vec<Comparison>, SilozError> {
-    figure4_uncompiled_with_threads(config, sim, default_threads())
-}
-
-/// [`figure4_uncompiled`] with an explicit worker count.
-pub fn figure4_uncompiled_with_threads(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-) -> Result<Vec<Comparison>, SilozError> {
-    compare_suite(
-        (exec_time_suite, exec_time_workload),
-        (config, HypervisorKind::Baseline),
-        (config, HypervisorKind::Siloz),
-        None,
-        sim,
-        threads,
-        Replay::Direct,
-        &TraceCache::new(),
-        &Registry::new(),
-    )
+    baseline_vs_siloz(EXEC_TIME, config, sim, Replay::Direct, run)
 }
 
 /// Fig. 5: baseline-normalized throughput for Siloz.
-pub fn figure5(config: &SilozConfig, sim: &SimConfig) -> Result<Vec<Comparison>, SilozError> {
-    figure5_with_threads(config, sim, default_threads())
-}
-
-/// [`figure5`] with an explicit worker count (1 = serial reference).
-pub fn figure5_with_threads(
+pub fn figure5(
     config: &SilozConfig,
     sim: &SimConfig,
-    threads: usize,
+    run: &Run,
 ) -> Result<Vec<Comparison>, SilozError> {
-    figure5_observed(config, sim, threads, &Registry::new())
-}
-
-/// [`figure5_with_threads`] that also records run telemetry into `reg`.
-pub fn figure5_observed(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    reg: &Registry,
-) -> Result<Vec<Comparison>, SilozError> {
-    figure5_cached(config, sim, threads, &TraceCache::new(), reg)
-}
-
-/// [`figure5_observed`] with a caller-owned [`TraceCache`] — see
-/// [`figure4_cached`] for the reuse contract.
-pub fn figure5_cached(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    cache: &TraceCache,
-    reg: &Registry,
-) -> Result<Vec<Comparison>, SilozError> {
-    compare_suite(
-        (throughput_suite, throughput_workload),
-        (config, HypervisorKind::Baseline),
-        (config, HypervisorKind::Siloz),
-        None,
-        sim,
-        threads,
-        Replay::Compiled,
-        cache,
-        reg,
-    )
+    baseline_vs_siloz(THROUGHPUT, config, sim, Replay::Compiled(&run.cache), run)
 }
 
 /// [`figure5`] through the direct (uncompiled) replay path — the
@@ -320,59 +225,37 @@ pub fn figure5_cached(
 pub fn figure5_uncompiled(
     config: &SilozConfig,
     sim: &SimConfig,
+    run: &Run,
 ) -> Result<Vec<Comparison>, SilozError> {
-    figure5_uncompiled_with_threads(config, sim, default_threads())
-}
-
-/// [`figure5_uncompiled`] with an explicit worker count.
-pub fn figure5_uncompiled_with_threads(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-) -> Result<Vec<Comparison>, SilozError> {
-    compare_suite(
-        (throughput_suite, throughput_workload),
-        (config, HypervisorKind::Baseline),
-        (config, HypervisorKind::Siloz),
-        None,
-        sim,
-        threads,
-        Replay::Direct,
-        &TraceCache::new(),
-        &Registry::new(),
-    )
+    baseline_vs_siloz(THROUGHPUT, config, sim, Replay::Direct, run)
 }
 
 /// A sensitivity variant label and its comparisons vs Siloz-1024.
 pub type SensitivityResult = Vec<(String, Vec<Comparison>)>;
 
+/// The Fig. 6/7 comparison: Siloz at half and at double the nominal
+/// presumed subarray size, each against Siloz at the nominal size. Each
+/// variant records into its own `siloz_{size}` child of `run.reg`; all share
+/// `run.cache`, where the reference arm's environments and replay outcomes
+/// recur in every variant's grid (ledgers are config-independent).
 fn sensitivity(
     suite: (SuiteFactory, NthFactory),
     config: &SilozConfig,
     sim: &SimConfig,
-    sizes: &[u32],
-    reference_size: u32,
-    threads: usize,
-    reg: &Registry,
+    run: &Run,
 ) -> Result<SensitivityResult, SilozError> {
-    let reference_cfg = config.clone().with_presumed_subarray_rows(reference_size);
-    // One cache across the variants: ledgers are config-independent, and
-    // the reference arm's environments and bound programs recur in every
-    // variant's grid.
-    let cache = TraceCache::new();
+    let (small, reference, large) = sensitivity_sizes(config);
+    let reference_cfg = config.clone().with_presumed_subarray_rows(reference);
     let mut out = Vec::new();
-    for &size in sizes {
+    for size in [small, large] {
         let cand_cfg = config.clone().with_presumed_subarray_rows(size);
         let rows = compare_suite(
             suite,
-            (&reference_cfg, HypervisorKind::Siloz),
-            (&cand_cfg, HypervisorKind::Siloz),
-            None,
+            (&reference_cfg, HypervisorKind::Siloz, None),
+            (&cand_cfg, HypervisorKind::Siloz, None),
             sim,
-            threads,
-            Replay::Compiled,
-            &cache,
-            &reg.child(&format!("siloz_{size}")),
+            Replay::Compiled(&run.cache),
+            &run.child(&format!("siloz_{size}")),
         )?;
         out.push((format!("Siloz-{size}"), rows));
     }
@@ -380,71 +263,21 @@ fn sensitivity(
 }
 
 /// Fig. 6: Siloz-1024-normalized execution time for Siloz-512/2048.
-pub fn figure6(config: &SilozConfig, sim: &SimConfig) -> Result<SensitivityResult, SilozError> {
-    figure6_with_threads(config, sim, default_threads())
-}
-
-/// [`figure6`] with an explicit worker count (1 = serial reference).
-pub fn figure6_with_threads(
+pub fn figure6(
     config: &SilozConfig,
     sim: &SimConfig,
-    threads: usize,
+    run: &Run,
 ) -> Result<SensitivityResult, SilozError> {
-    figure6_observed(config, sim, threads, &Registry::new())
-}
-
-/// [`figure6_with_threads`] that also records run telemetry into `reg`,
-/// one child per sensitivity variant.
-pub fn figure6_observed(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    reg: &Registry,
-) -> Result<SensitivityResult, SilozError> {
-    let (small, reference, large) = sensitivity_sizes(config);
-    sensitivity(
-        (exec_time_suite, exec_time_workload),
-        config,
-        sim,
-        &[small, large],
-        reference,
-        threads,
-        reg,
-    )
+    sensitivity(EXEC_TIME, config, sim, run)
 }
 
 /// Fig. 7: Siloz-1024-normalized throughput for Siloz-512/2048.
-pub fn figure7(config: &SilozConfig, sim: &SimConfig) -> Result<SensitivityResult, SilozError> {
-    figure7_with_threads(config, sim, default_threads())
-}
-
-/// [`figure7`] with an explicit worker count (1 = serial reference).
-pub fn figure7_with_threads(
+pub fn figure7(
     config: &SilozConfig,
     sim: &SimConfig,
-    threads: usize,
+    run: &Run,
 ) -> Result<SensitivityResult, SilozError> {
-    figure7_observed(config, sim, threads, &Registry::new())
-}
-
-/// [`figure7_with_threads`] that also records run telemetry into `reg`,
-/// one child per sensitivity variant.
-pub fn figure7_observed(
-    config: &SilozConfig,
-    sim: &SimConfig,
-    threads: usize,
-    reg: &Registry,
-) -> Result<SensitivityResult, SilozError> {
-    let (small, reference, large) = sensitivity_sizes(config);
-    sensitivity(
-        (throughput_suite, throughput_workload),
-        config,
-        sim,
-        &[small, large],
-        reference,
-        threads,
-        reg,
-    )
+    sensitivity(THROUGHPUT, config, sim, run)
 }
 
 /// The (half, nominal, double) presumed subarray sizes for a config —
@@ -474,7 +307,7 @@ mod tests {
     #[test]
     fn figure4_produces_all_rows_with_small_overheads() {
         let (config, sim) = quick();
-        let rows = figure4(&config, &sim).unwrap();
+        let rows = figure4(&config, &sim, &Run::default()).unwrap();
         assert_eq!(rows.len(), 10, "9 workloads + geomean");
         assert_eq!(rows.last().unwrap().workload, "geomean");
         for row in &rows {
@@ -496,8 +329,8 @@ mod tests {
         // streams and summary statistics.
         let config = SilozConfig::mini();
         let sim = SimConfig::quick();
-        let serial = figure4_with_threads(&config, &sim, 1).unwrap();
-        let parallel = figure4_with_threads(&config, &sim, 4).unwrap();
+        let serial = figure4(&config, &sim, &Run::with_threads(1)).unwrap();
+        let parallel = figure4(&config, &sim, &Run::with_threads(4)).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -507,15 +340,15 @@ mod tests {
         // only. Every sample, summary, and overhead of the figure output
         // must be bitwise equal to the direct-replay oracle.
         let (config, sim) = quick();
-        let compiled = figure4(&config, &sim).unwrap();
-        let direct = figure4_uncompiled(&config, &sim).unwrap();
+        let compiled = figure4(&config, &sim, &Run::default()).unwrap();
+        let direct = figure4_uncompiled(&config, &sim, &Run::default()).unwrap();
         assert_eq!(compiled, direct);
     }
 
     #[test]
     fn figure6_has_two_variants() {
         let (config, sim) = quick();
-        let res = figure6(&config, &sim).unwrap();
+        let res = figure6(&config, &sim, &Run::default()).unwrap();
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].0, "Siloz-128");
         assert_eq!(res[1].0, "Siloz-512");

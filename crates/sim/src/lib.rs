@@ -27,22 +27,16 @@ pub mod noise;
 pub mod run;
 pub mod stats;
 
-pub use arena::{arena, arena_observed, arena_with_threads, hypervisor_kind_for, ArenaRow};
+pub use arena::{arena, hypervisor_kind_for, ArenaRow};
 pub use cache::TraceCache;
-pub use colocation::{
-    run_colocation, run_colocation_observed, run_colocation_suite, run_colocation_suite_observed,
-    ColocationResult, SuitePlan,
-};
+pub use colocation::{run_colocation, run_colocation_suite, ColocationResult, SuitePlan};
 pub use compile::{GuestLedger, GuestRun};
-pub use engine::{default_threads, run_cells, run_cells_observed};
+pub use engine::{default_threads, run_cells, Run};
 pub use experiments::{
-    figure4, figure4_cached, figure4_observed, figure4_uncompiled, figure4_uncompiled_with_threads,
-    figure4_with_threads, figure5, figure5_cached, figure5_observed, figure5_uncompiled,
-    figure5_uncompiled_with_threads, figure5_with_threads, figure6, figure6_observed,
-    figure6_with_threads, figure7, figure7_observed, figure7_with_threads, Comparison,
+    figure4, figure4_uncompiled, figure5, figure5_uncompiled, figure6, figure7, Comparison,
 };
 pub use run::{
-    run_workload, run_workload_compiled, run_workload_compiled_observed, run_workload_observed,
-    vm_compiled, vm_trace, RunSeeds, SimConfig, TraceShape, NOISE_DOMAIN,
+    run_workload, run_workload_compiled, run_workload_compiled_observed, vm_compiled, vm_trace,
+    RunSeeds, SimConfig, TraceShape, NOISE_DOMAIN,
 };
 pub use stats::Summary;

@@ -193,37 +193,34 @@ impl RunSeeds {
 }
 
 /// How a measurement cell replays its trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Replay {
+#[derive(Clone, Copy)]
+pub(crate) enum Replay<'a> {
     /// Generate, translate, and decode per cell; replay via
     /// [`MemoryController::run_trace`]. The equivalence oracle.
     Direct,
     /// Reuse compiled ledgers, pooled substrates, booted environments, and
-    /// bound programs through a [`TraceCache`]; replay via
+    /// replay outcomes through this [`TraceCache`]; replay via
     /// [`MemoryController::run_compiled`]. Bit-identical to [`Self::Direct`].
-    Compiled,
+    Compiled(&'a TraceCache),
 }
+
+/// One arm of a comparison: the configuration and hypervisor kind a cell
+/// boots, and the mitigation backend whose controller hook (if it has one)
+/// is installed for the replay — the arena grid's axis. Backends without a
+/// hook (`None`, `Siloz`) leave the cell byte-for-byte identical to an
+/// undefended one: `Siloz`'s defense is the placement kind itself.
+pub(crate) type Arm<'a> = (&'a SilozConfig, HypervisorKind, Option<mitigation::Backend>);
 
 /// One measured sample: execution time in milliseconds (ExecTime) or
-/// bandwidth in GiB/s (Throughput).
-pub fn run_workload(
-    config: &SilozConfig,
-    kind: HypervisorKind,
-    workload: &mut dyn WorkloadGen,
-    sim: &SimConfig,
-    seed: u64,
-) -> Result<f64, SilozError> {
-    run_workload_observed(config, kind, workload, sim, seed, &Registry::new())
-}
-
-/// [`run_workload`] that also exports stack-wide telemetry into `reg`.
+/// bandwidth in GiB/s (Throughput), through the direct replay path — the
+/// reference [`run_workload_compiled`] is pinned against.
 ///
-/// After the trace replay, the memory controller's totals land in the
+/// After the trace replay, the memory controller's totals land in `reg`'s
 /// `ctrl` child, the device model's in `dram`, and the hypervisor's VM /
 /// EPT accounting in `hv`. All exported metrics merge by addition, so many
 /// concurrent runs can share one registry and the merged snapshot is
 /// independent of scheduling order.
-pub fn run_workload_observed(
+pub fn run_workload(
     config: &SilozConfig,
     kind: HypervisorKind,
     workload: &mut dyn WorkloadGen,
@@ -232,21 +229,18 @@ pub fn run_workload_observed(
     reg: &Registry,
 ) -> Result<f64, SilozError> {
     workload_cell(
-        config,
-        kind,
+        (config, kind, None),
         CellWorkload::Ready(workload),
         sim,
         RunSeeds::uniform(seed),
         Replay::Direct,
-        None,
-        None,
         reg,
     )
 }
 
 /// [`run_workload`] through the trace compiler: the sample is bit-identical
 /// to the direct path, but ledgers, substrates, booted environments, and
-/// bound programs are shared through `cache` across every cell that can
+/// replay outcomes are shared through `cache` across every cell that can
 /// reuse them.
 pub fn run_workload_compiled(
     config: &SilozConfig,
@@ -261,7 +255,12 @@ pub fn run_workload_compiled(
 
 /// [`run_workload_compiled`] that also exports stack-wide telemetry into
 /// `reg` — the same `ctrl`/`dram`/`hv` children, with identical values, as
-/// [`run_workload_observed`].
+/// [`run_workload`].
+///
+/// The one sink-less/sink-taking pair left in the workspace: the benchmark
+/// harness (`benchmark/`, which a PR touching `crates/` may not edit) calls
+/// [`run_workload_compiled`] by its six-argument signature, so that name
+/// cannot grow the `reg` parameter until a benchmark PR moves its callers.
 pub fn run_workload_compiled_observed(
     config: &SilozConfig,
     kind: HypervisorKind,
@@ -272,14 +271,11 @@ pub fn run_workload_compiled_observed(
     reg: &Registry,
 ) -> Result<f64, SilozError> {
     workload_cell(
-        config,
-        kind,
+        (config, kind, None),
         CellWorkload::Ready(workload),
         sim,
         RunSeeds::uniform(seed),
-        Replay::Compiled,
-        Some(cache),
-        None,
+        Replay::Compiled(cache),
         reg,
     )
 }
@@ -359,21 +355,12 @@ impl CellWorkload<'_> {
 /// One measurement cell: both the direct path and the compiled path, which
 /// the equivalence battery pins bit-identical (samples *and* exported
 /// telemetry).
-///
-/// `defense` optionally installs a mitigation backend's controller hook
-/// for the replay (the arena grid's axis). Backends without a controller
-/// hook (`None`, `Siloz`) leave the cell byte-for-byte identical to an
-/// undefended one — `Siloz`'s defense is the placement `kind` itself.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn workload_cell(
-    config: &SilozConfig,
-    kind: HypervisorKind,
+    (config, kind, defense): Arm<'_>,
     workload: CellWorkload<'_>,
     sim: &SimConfig,
     seeds: RunSeeds,
-    replay: Replay,
-    cache: Option<&TraceCache>,
-    defense: Option<mitigation::Backend>,
+    replay: Replay<'_>,
     reg: &Registry,
 ) -> Result<f64, SilozError> {
     // Deal each logical request (a chain starting at a non-dependent op) to
@@ -402,15 +389,7 @@ pub(crate) fn workload_cell(
             let result = ctrl.run_trace(env.hv.dram_mut(), trace);
             Ok(finish_cell(metric, &result, &ctrl, &env, seeds, reg))
         }
-        Replay::Compiled => {
-            let local;
-            let cache = match cache {
-                Some(shared) => shared,
-                None => {
-                    local = TraceCache::new();
-                    &local
-                }
-            };
+        Replay::Compiled(cache) => {
             let ledger_key: LedgerKey = (name, working_set, sim.ops, threads, seeds.trace);
             // Environment identity covers every configuration axis a cell
             // can vary: hypervisor kind, VM shape, the full config
@@ -459,9 +438,7 @@ pub(crate) fn workload_cell(
                     }
                     Arc::new(GuestLedger::generate(workload, sim.ops, threads, &mut rng))
                 });
-                let program = cache.program(&ledger_key, &env_key, || {
-                    Arc::new(ledger.bind(&env.hpa, env.hv.decoder().clone(), 0))
-                });
+                let program = ledger.bind(&env.hpa, env.hv.decoder().clone(), 0);
                 // The env is shared and immutable; replay drives a
                 // per-cell scratch device (never touched with physics
                 // disabled).
@@ -471,7 +448,11 @@ pub(crate) fn workload_cell(
                     ctrl = ctrl.with_mitigation(hook);
                 }
                 let result = ctrl.run_compiled(&mut scratch, &program);
-                Arc::new(CellOutcome { result, ctrl })
+                Arc::new(CellOutcome {
+                    result,
+                    ctrl,
+                    _program: program,
+                })
             });
             Ok(finish_cell(
                 metric,
@@ -490,6 +471,11 @@ mod tests {
     use super::*;
     use workloads::mlc::{Mlc, MlcKind};
     use workloads::ycsb::{Ycsb, YcsbKind};
+
+    /// One direct-path sample on the mini configuration.
+    fn sample(kind: HypervisorKind, wl: &mut dyn WorkloadGen, sim: &SimConfig, seed: u64) -> f64 {
+        run_workload(&SilozConfig::mini(), kind, wl, sim, seed, &Registry::new()).unwrap()
+    }
 
     fn block(gpa: u64, frame: u64, order: u8) -> BackingBlock {
         BackingBlock {
@@ -538,7 +524,6 @@ mod tests {
 
     #[test]
     fn exec_time_sample_is_positive_and_repeatable() {
-        let config = SilozConfig::mini();
         let sim = SimConfig {
             vm_memory: 256 << 20,
             working_set: 16 << 20,
@@ -547,16 +532,15 @@ mod tests {
             vcpus: 2,
         };
         let mut wl = Ycsb::new(YcsbKind::C, sim.working_set);
-        let a = run_workload(&config, HypervisorKind::Siloz, &mut wl, &sim, 1).unwrap();
+        let a = sample(HypervisorKind::Siloz, &mut wl, &sim, 1);
         assert!(a > 0.0);
         let mut wl2 = Ycsb::new(YcsbKind::C, sim.working_set);
-        let b = run_workload(&config, HypervisorKind::Siloz, &mut wl2, &sim, 1).unwrap();
+        let b = sample(HypervisorKind::Siloz, &mut wl2, &sim, 1);
         assert_eq!(a, b, "same seed, same sample");
     }
 
     #[test]
     fn throughput_sample_reports_bandwidth() {
-        let config = SilozConfig::mini();
         let sim = SimConfig {
             vm_memory: 128 << 20,
             working_set: 16 << 20,
@@ -565,7 +549,7 @@ mod tests {
             vcpus: 2,
         };
         let mut wl = Mlc::new(MlcKind::Reads, sim.working_set);
-        let bw = run_workload(&config, HypervisorKind::Baseline, &mut wl, &sim, 2).unwrap();
+        let bw = sample(HypervisorKind::Baseline, &mut wl, &sim, 2);
         assert!(bw > 1.0, "streaming reads exceed 1 GiB/s: {bw}");
     }
 
@@ -574,7 +558,6 @@ mod tests {
         // The headline claim in miniature: same workload, both hypervisors,
         // difference within a few percent (exact equality is not expected
         // because physical layouts differ).
-        let config = SilozConfig::mini();
         let sim = SimConfig {
             vm_memory: 128 << 20,
             working_set: 16 << 20,
@@ -583,9 +566,9 @@ mod tests {
             vcpus: 2,
         };
         let mut w1 = Mlc::new(MlcKind::Reads, sim.working_set);
-        let base = run_workload(&config, HypervisorKind::Baseline, &mut w1, &sim, 3).unwrap();
+        let base = sample(HypervisorKind::Baseline, &mut w1, &sim, 3);
         let mut w2 = Mlc::new(MlcKind::Reads, sim.working_set);
-        let sz = run_workload(&config, HypervisorKind::Siloz, &mut w2, &sim, 3).unwrap();
+        let sz = sample(HypervisorKind::Siloz, &mut w2, &sim, 3);
         let diff_pct = ((sz / base) - 1.0).abs() * 100.0;
         assert!(
             diff_pct < 3.0,

@@ -8,11 +8,11 @@
 //! CI pin for that contract; `scripts/check.sh` runs them as a dedicated
 //! gate.
 
+use mitigation::Backend;
 use siloz::{HypervisorKind, SilozConfig};
 use sim::{
-    figure4_cached, figure4_uncompiled_with_threads, figure4_with_threads,
-    figure5_uncompiled_with_threads, figure5_with_threads, run_workload, run_workload_compiled,
-    run_workload_compiled_observed, run_workload_observed, SimConfig, TraceCache,
+    arena, figure4, figure4_uncompiled, figure5, figure5_uncompiled, figure6, run_workload,
+    run_workload_compiled, run_workload_compiled_observed, Run, SimConfig, TraceCache,
 };
 use telemetry::Registry;
 use workloads::{exec_time_workload, throughput_workload, EXEC_TIME_SUITE_LEN};
@@ -48,7 +48,8 @@ fn compiled_matches_uncompiled_across_workloads_kinds_and_seeds() {
             for &i in &exec_indices {
                 let mut direct = exec_time_workload(i, sim.working_set);
                 let mut compiled = exec_time_workload(i, sim.working_set);
-                let a = run_workload(&config, kind, direct.as_mut(), &sim, seed).unwrap();
+                let a = run_workload(&config, kind, direct.as_mut(), &sim, seed, &Registry::new())
+                    .unwrap();
                 let b = run_workload_compiled(&config, kind, compiled.as_mut(), &sim, seed, &cache)
                     .unwrap();
                 assert_bits_eq(
@@ -60,7 +61,8 @@ fn compiled_matches_uncompiled_across_workloads_kinds_and_seeds() {
             for &i in &tput_indices {
                 let mut direct = throughput_workload(i, sim.working_set);
                 let mut compiled = throughput_workload(i, sim.working_set);
-                let a = run_workload(&config, kind, direct.as_mut(), &sim, seed).unwrap();
+                let a = run_workload(&config, kind, direct.as_mut(), &sim, seed, &Registry::new())
+                    .unwrap();
                 let b = run_workload_compiled(&config, kind, compiled.as_mut(), &sim, seed, &cache)
                     .unwrap();
                 assert_bits_eq(
@@ -85,7 +87,15 @@ fn compiled_matches_uncompiled_across_configurations() {
         let config = SilozConfig::mini().with_presumed_subarray_rows(rows);
         let mut direct = exec_time_workload(1, sim.working_set);
         let mut compiled = exec_time_workload(1, sim.working_set);
-        let a = run_workload(&config, HypervisorKind::Siloz, direct.as_mut(), &sim, 7).unwrap();
+        let a = run_workload(
+            &config,
+            HypervisorKind::Siloz,
+            direct.as_mut(),
+            &sim,
+            7,
+            &Registry::new(),
+        )
+        .unwrap();
         let b = run_workload_compiled(
             &config,
             HypervisorKind::Siloz,
@@ -112,7 +122,8 @@ fn compiled_replay_handles_non_pow2_backing() {
         for i in [0usize, EXEC_TIME_SUITE_LEN - 1] {
             let mut direct = exec_time_workload(i, sim.working_set);
             let mut compiled = exec_time_workload(i, sim.working_set);
-            let a = run_workload(&config, kind, direct.as_mut(), &sim, 3).unwrap();
+            let a =
+                run_workload(&config, kind, direct.as_mut(), &sim, 3, &Registry::new()).unwrap();
             let b =
                 run_workload_compiled(&config, kind, compiled.as_mut(), &sim, 3, &cache).unwrap();
             assert_bits_eq(
@@ -125,7 +136,7 @@ fn compiled_replay_handles_non_pow2_backing() {
 }
 
 #[test]
-fn observed_twins_export_identical_deterministic_telemetry() {
+fn direct_and_compiled_cells_export_identical_deterministic_telemetry() {
     // The compiled cell replays against a scratch device with physics off,
     // but what it *exports* — controller totals, hypervisor state, DRAM
     // stats — must be indistinguishable from the uncompiled cell's.
@@ -137,7 +148,7 @@ fn observed_twins_export_identical_deterministic_telemetry() {
         let mut compiled = exec_time_workload(2, sim.working_set);
         let reg_a = Registry::new();
         let reg_b = Registry::new();
-        let a = run_workload_observed(&config, kind, direct.as_mut(), &sim, 11, &reg_a).unwrap();
+        let a = run_workload(&config, kind, direct.as_mut(), &sim, 11, &reg_a).unwrap();
         let b = run_workload_compiled_observed(
             &config,
             kind,
@@ -164,11 +175,11 @@ fn thread_counts_do_not_change_figure_output() {
     // uncompiled one at every worker count.
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let reference = figure4_uncompiled_with_threads(&config, &sim, 1).unwrap();
+    let reference = figure4_uncompiled(&config, &sim, &Run::with_threads(1)).unwrap();
     for threads in [1usize, 2, 7] {
-        let compiled = figure4_with_threads(&config, &sim, threads).unwrap();
+        let compiled = figure4(&config, &sim, &Run::with_threads(threads)).unwrap();
         assert_eq!(reference, compiled, "figure4 diverged at {threads} workers");
-        let uncompiled = figure4_uncompiled_with_threads(&config, &sim, threads).unwrap();
+        let uncompiled = figure4_uncompiled(&config, &sim, &Run::with_threads(threads)).unwrap();
         assert_eq!(
             reference, uncompiled,
             "uncompiled figure4 diverged at {threads} workers"
@@ -180,13 +191,22 @@ fn thread_counts_do_not_change_figure_output() {
 fn warm_cache_regeneration_is_bit_identical() {
     // A persistent TraceCache turns regeneration into replay-outcome
     // lookups; the emitted figure must not depend on the cache's state.
+    // Fig. 6 and the arena go through the caller's cache like Fig. 4 does.
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let cache = TraceCache::new();
-    let cold = figure4_cached(&config, &sim, 1, &cache, &Registry::new()).unwrap();
-    let warm = figure4_cached(&config, &sim, 1, &cache, &Registry::new()).unwrap();
+    let backends = [Backend::None, Backend::BlockHammer];
+    let regenerate = |run: &Run| {
+        (
+            figure4(&config, &sim, run).unwrap(),
+            figure6(&config, &sim, run).unwrap(),
+            arena(&config, &sim, &backends, run).unwrap(),
+        )
+    };
+    let kept = Run::with_threads(1);
+    let cold = regenerate(&kept);
+    let warm = regenerate(&kept);
     assert_eq!(cold, warm, "warm regeneration diverged from the cold run");
-    let fresh = figure4_cached(&config, &sim, 1, &TraceCache::new(), &Registry::new()).unwrap();
+    let fresh = regenerate(&Run::with_threads(1));
     assert_eq!(cold, fresh, "cache reuse changed the figure");
 }
 
@@ -194,7 +214,7 @@ fn warm_cache_regeneration_is_bit_identical() {
 fn figure5_compiled_matches_uncompiled() {
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let compiled = figure5_with_threads(&config, &sim, 2).unwrap();
-    let uncompiled = figure5_uncompiled_with_threads(&config, &sim, 2).unwrap();
+    let compiled = figure5(&config, &sim, &Run::with_threads(2)).unwrap();
+    let uncompiled = figure5_uncompiled(&config, &sim, &Run::with_threads(2)).unwrap();
     assert_eq!(compiled, uncompiled, "figure5 compiled path diverged");
 }

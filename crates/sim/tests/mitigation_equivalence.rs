@@ -12,11 +12,7 @@
 
 use mitigation::Backend;
 use siloz::SilozConfig;
-use sim::{
-    arena_observed, arena_with_threads, figure4_observed, figure4_uncompiled_with_threads,
-    figure4_with_threads, SimConfig,
-};
-use telemetry::Registry;
+use sim::{figure4, figure4_uncompiled, Run, SimConfig};
 
 fn small_sim() -> SimConfig {
     SimConfig {
@@ -39,8 +35,14 @@ fn siloz_behind_the_trait_is_bitwise_the_direct_path_across_threads() {
     let sim = small_sim();
     let mut grids = Vec::new();
     for threads in THREADS {
-        let arena = arena_with_threads(&config, &sim, threads, &[Backend::Siloz]).unwrap();
-        let direct = figure4_with_threads(&config, &sim, threads).unwrap();
+        let arena = sim::arena(
+            &config,
+            &sim,
+            &[Backend::Siloz],
+            &Run::with_threads(threads),
+        )
+        .unwrap();
+        let direct = figure4(&config, &sim, &Run::with_threads(threads)).unwrap();
         assert_eq!(
             arena[0].rows, direct,
             "siloz arena row diverged from figure4 at {threads} threads"
@@ -59,8 +61,8 @@ fn siloz_behind_the_trait_matches_the_uncompiled_oracle() {
     // oracle), so the trait port cannot hide behind the trace compiler.
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let arena = arena_with_threads(&config, &sim, 2, &[Backend::Siloz]).unwrap();
-    let oracle = figure4_uncompiled_with_threads(&config, &sim, 2).unwrap();
+    let arena = sim::arena(&config, &sim, &[Backend::Siloz], &Run::with_threads(2)).unwrap();
+    let oracle = figure4_uncompiled(&config, &sim, &Run::with_threads(2)).unwrap();
     assert_eq!(arena[0].rows, oracle);
 }
 
@@ -71,8 +73,8 @@ fn equivalence_holds_across_subarray_config_variants() {
     let sim = small_sim();
     for rows in [128u32, 256, 512] {
         let config = SilozConfig::mini().with_presumed_subarray_rows(rows);
-        let arena = arena_with_threads(&config, &sim, 2, &[Backend::Siloz]).unwrap();
-        let direct = figure4_with_threads(&config, &sim, 2).unwrap();
+        let arena = sim::arena(&config, &sim, &[Backend::Siloz], &Run::with_threads(2)).unwrap();
+        let direct = figure4(&config, &sim, &Run::with_threads(2)).unwrap();
         assert_eq!(
             arena[0].rows, direct,
             "divergence at presumed_subarray_rows={rows}"
@@ -87,26 +89,32 @@ fn arena_telemetry_matches_the_direct_path_deterministically() {
     // re-running reproduces it byte for byte.
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let arena_reg = Registry::new();
-    arena_observed(&config, &sim, 2, &[Backend::Siloz], &arena_reg).unwrap();
-    let direct_reg = Registry::new();
-    figure4_observed(&config, &sim, 2, &direct_reg).unwrap();
-    let arena_json = arena_reg
+    let arena_run = Run::with_threads(2);
+    sim::arena(&config, &sim, &[Backend::Siloz], &arena_run).unwrap();
+    let direct_run = Run::with_threads(2);
+    figure4(&config, &sim, &direct_run).unwrap();
+    let arena_json = arena_run
+        .reg
         .child("siloz")
         .snapshot()
         .deterministic()
         .to_json();
-    let direct_json = direct_reg.snapshot().deterministic().to_json();
+    let direct_json = direct_run.reg.snapshot().deterministic().to_json();
     assert_eq!(
         arena_json, direct_json,
         "trait-routed telemetry diverged from the direct path"
     );
 
-    let again = Registry::new();
-    arena_observed(&config, &sim, 2, &[Backend::Siloz], &again).unwrap();
+    let again = Run::with_threads(2);
+    sim::arena(&config, &sim, &[Backend::Siloz], &again).unwrap();
     assert_eq!(
         arena_json,
-        again.child("siloz").snapshot().deterministic().to_json(),
+        again
+            .reg
+            .child("siloz")
+            .snapshot()
+            .deterministic()
+            .to_json(),
         "arena telemetry is not reproducible"
     );
 }
@@ -120,11 +128,11 @@ fn none_backend_rides_the_reference_arm_bitwise() {
     // empty; the candidate arm re-uses the reference replay outcome).
     let config = SilozConfig::mini();
     let sim = small_sim();
-    let grids = arena_with_threads(
+    let grids = sim::arena(
         &config,
         &sim,
-        2,
         &[Backend::None, Backend::Siloz, Backend::BlockHammer],
+        &Run::with_threads(2),
     )
     .unwrap();
     let (none, siloz, blockhammer) = (&grids[0], &grids[1], &grids[2]);

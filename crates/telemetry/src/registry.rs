@@ -33,8 +33,8 @@ enum Metric {
 
 /// A named, nestable group of metrics.
 ///
-/// Cheap to create (used as a throwaway by the non-observed sim APIs) and
-/// `Sync`, so experiment cells running on any number of worker threads can
+/// Cheap to create (callers that do not read a run's telemetry pass a
+/// throwaway) and `Sync`, so experiment cells running on any number of worker threads can
 /// export into one shared registry.
 #[derive(Debug, Default)]
 pub struct Registry {

@@ -3,7 +3,7 @@
 //! bank-level parallelism preserved.
 
 use siloz_repro::siloz::SilozConfig;
-use siloz_repro::sim::{figure4, figure5, figure6, figure7, SimConfig};
+use siloz_repro::sim::{figure4, figure5, figure6, figure7, Run, SimConfig};
 
 fn quick_sim() -> SimConfig {
     SimConfig {
@@ -17,7 +17,7 @@ fn quick_sim() -> SimConfig {
 
 #[test]
 fn figure4_exec_time_parity() {
-    let rows = figure4(&SilozConfig::mini(), &quick_sim()).unwrap();
+    let rows = figure4(&SilozConfig::mini(), &quick_sim(), &Run::default()).unwrap();
     assert_eq!(rows.len(), 10);
     let geomean = rows.last().unwrap();
     assert_eq!(geomean.workload, "geomean");
@@ -35,7 +35,7 @@ fn figure4_exec_time_parity() {
 
 #[test]
 fn figure5_throughput_parity() {
-    let rows = figure5(&SilozConfig::mini(), &quick_sim()).unwrap();
+    let rows = figure5(&SilozConfig::mini(), &quick_sim(), &Run::default()).unwrap();
     assert_eq!(rows.len(), 8, "7 throughput workloads + geomean");
     let geomean = rows.last().unwrap();
     assert!(
@@ -54,8 +54,8 @@ fn figures6_and_7_show_no_subarray_size_trend() {
     let config = SilozConfig::mini();
     let sim = quick_sim();
     for results in [
-        figure6(&config, &sim).unwrap(),
-        figure7(&config, &sim).unwrap(),
+        figure6(&config, &sim, &Run::default()).unwrap(),
+        figure7(&config, &sim, &Run::default()).unwrap(),
     ] {
         assert_eq!(results.len(), 2, "half-size and double-size variants");
         let mut geomeans = Vec::new();

@@ -9,12 +9,10 @@
 //! scheduled. These tests pin that guarantee at 1, 2, and 7 workers, the
 //! same counts the paper-figure binaries see via `SILOZ_THREADS`.
 
-use siloz_repro::cluster::{run_cluster_observed, ClusterPolicy, ClusterScenario};
+use siloz_repro::cluster::{run_cluster, ClusterPolicy, ClusterScenario};
 use siloz_repro::mitigation::Backend;
 use siloz_repro::siloz::{HypervisorKind, SilozConfig};
-use siloz_repro::sim::{
-    arena_observed, figure4_observed, run_colocation_suite_observed, SimConfig, SuitePlan,
-};
+use siloz_repro::sim::{arena, figure4, run_colocation_suite, Run, SimConfig, SuitePlan};
 use siloz_repro::telemetry::{MetricValue, Registry};
 use siloz_repro::workloads::mlc::{Mlc, MlcKind};
 use siloz_repro::workloads::ycsb::{Ycsb, YcsbKind};
@@ -43,7 +41,7 @@ fn colocation_snapshot(threads: usize) -> (String, String) {
         seed: 11,
         threads,
     };
-    let results = run_colocation_suite_observed(
+    let results = run_colocation_suite(
         &plan,
         || Box::new(Ycsb::new(YcsbKind::C, 8 << 20)) as Box<dyn WorkloadGen>,
         || Box::new(Mlc::new(MlcKind::Reads, 8 << 20)) as Box<dyn WorkloadGen>,
@@ -79,9 +77,9 @@ fn figure4_telemetry_is_thread_count_invariant() {
     let config = SilozConfig::mini();
     let sim = tiny_sim();
     let run = |threads: usize| {
-        let reg = Registry::new();
-        let rows = figure4_observed(&config, &sim, threads, &reg).expect("figure 4");
-        (reg.snapshot(), rows)
+        let run = Run::with_threads(threads);
+        let rows = figure4(&config, &sim, &run).expect("figure 4");
+        (run.reg.snapshot(), rows)
     };
     let (serial_snap, serial_rows) = run(1);
     for threads in [2, 7] {
@@ -110,9 +108,9 @@ fn deterministic_snapshot_counts_real_work() {
     // controller child.
     let config = SilozConfig::mini();
     let sim = tiny_sim();
-    let reg = Registry::new();
-    figure4_observed(&config, &sim, 3, &reg).expect("figure 4");
-    let snap = reg.snapshot();
+    let run = Run::with_threads(3);
+    figure4(&config, &sim, &run).expect("figure 4");
+    let snap = run.reg.snapshot();
     let n_workloads = 9;
     let cells = sim.repeats as u64 * n_workloads * 2;
     let MetricValue::Counter {
@@ -152,7 +150,7 @@ fn cluster_telemetry_is_thread_count_invariant() {
     };
     let run = |threads: usize| {
         let reg = Registry::new();
-        let report = run_cluster_observed(scenario(), threads, &reg).expect("cluster run");
+        let report = run_cluster(scenario(), threads, &reg).expect("cluster run");
         (reg.snapshot(), report)
     };
     let (serial_snap, serial_report) = run(1);
@@ -234,9 +232,9 @@ fn arena_mitigation_telemetry_is_thread_count_invariant() {
     let sim = tiny_sim();
     let backends = [Backend::None, Backend::BlockHammer];
     let run = |threads: usize| {
-        let reg = Registry::new();
-        let grids = arena_observed(&config, &sim, threads, &backends, &reg).expect("arena");
-        (reg.snapshot(), grids)
+        let run = Run::with_threads(threads);
+        let grids = arena(&config, &sim, &backends, &run).expect("arena");
+        (run.reg.snapshot(), grids)
     };
     let (serial_snap, serial_grids) = run(1);
     for threads in [2, 7] {
