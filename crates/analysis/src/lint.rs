@@ -64,8 +64,8 @@ const WAIVABLE_RULES: [&str; 6] = [
     RULE_FORBID_UNSAFE,
 ];
 
-/// Source files whose per-access paths the perfsuite gates; the `hot-*`
-/// rules apply only here.
+/// Source files on the per-access paths that `benchmark/`'s per-layer
+/// probes time; the `hot-*` rules apply only here.
 const HOT_MODULES: [&str; 11] = [
     "crates/memctrl/src/controller.rs",
     "crates/memctrl/src/compiled.rs",

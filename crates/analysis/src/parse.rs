@@ -996,7 +996,7 @@ impl<'t> Parser<'t> {
                     kind: "extern".into(),
                 }))
             }
-            // Item-level macro invocation: `criterion_group!(...)`,
+            // Item-level macro invocation: `thread_local!(...)`,
             // `proptest! { ... }`. Consumed raw (their interiors are
             // generated items, mostly test-only).
             name if self.peek_punct(1, "!") => {

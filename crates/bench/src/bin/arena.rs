@@ -9,26 +9,26 @@
 //! 2. **Fleet soak** — a churn scenario with injected attack campaigns
 //!    under each backend's full placement + controller policy:
 //!    contained/escaped flips under VM-ownership semantics, admission
-//!    rejection rates, isolation violations, and ns/event. Run twice:
+//!    rejection rates, and isolation violations. Run twice:
 //!    classic Rowhammer, then with RowPress dwell
 //!    ([`ROWPRESS_DWELL_NS`]) amplifying per-ACT disturbance past the
 //!    rivals' ACT-counting thresholds — the regime where throttling
 //!    leaks flips but Siloz's containment still holds.
 //! 3. **Perf** — the benign-workload arena grid ([`mod@sim::arena`]):
-//!    geomean overhead vs the undefended baseline, plus the raw
-//!    `on_act` hook cost in ns/ACT.
+//!    geomean simulated-time overhead vs the undefended baseline. (The
+//!    hook's wall-clock cost is `benchmark/`'s `mitigation.on_act_ns`.)
 //!
-//! Writes `ARENA_report.json` (committed artifact) or, with `--quick`,
-//! a smaller `ARENA_quick.json` (gitignored; the `scripts/check.sh`
-//! gate). Self-validates before writing: the siloz soak must be
+//! Writes `ARENA_report.json` or, with `--quick`, a smaller
+//! `ARENA_quick.json` (both committed; `scripts/check.sh` `cmp`s the
+//! quick one), into `SILOZ_TELEMETRY_DIR` or the working directory.
+//! Every field is simulated, so the files are byte-reproducible.
+//! Self-validates before writing: the siloz soak must be
 //! violation-free and at least one controller rival must demonstrably
 //! block duel flips and contain fleet flips.
 //!
 //! Usage: `cargo run --release -p bench --bin arena [-- --quick]`
 
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
 
 use dram::DramSystemBuilder;
 use dram_addr::{mini_geometry, BankId};
@@ -134,43 +134,15 @@ fn defended_duel(
 /// probes), short of the silly multi-millisecond extreme.
 const ROWPRESS_DWELL_NS: u64 = 60_000;
 
-/// Runs the churn soak under `backend` with the given aggressor dwell
-/// and times it.
-fn fleet_soak(backend: Backend, events: u32, attack_open_ns: u64) -> (FleetReport, f64) {
+/// Runs the churn soak under `backend` with the given aggressor dwell.
+fn fleet_soak(backend: Backend, events: u32, attack_open_ns: u64) -> FleetReport {
     let mut s = Scenario::quick(23, PlacementStrategy::FirstFit);
     s.target_events = events;
     s.attack_prob = 0.3;
     s.copy_on_flip = false;
     s.mitigation = backend;
     s.attack_open_ns = attack_open_ns;
-    let t = Instant::now();
-    let report = fleet::run_fleet(s, &telemetry::Registry::new()).expect("fleet soak");
-    let ns_per_event = t.elapsed().as_nanos() as f64 / report.events_processed as f64;
-    (report, ns_per_event)
-}
-
-/// Raw `on_act` hook cost in ns/ACT, measured over a spread of rows,
-/// banks, and sources (zero work for backends with no controller hook).
-fn hook_ns_per_act(backend: Backend) -> f64 {
-    let Some(mut hook) = backend.controller_hook() else {
-        return 0.0;
-    };
-    let n = 2_000_000u64;
-    let t = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..n {
-        acc ^= hook.on_act(
-            (i % 16) as u32,
-            (i % 4096) as u32,
-            (i % 31) as u16,
-            i * 47_000,
-        );
-        if i % 166 == 0 {
-            hook.on_refresh(i * 47_000);
-        }
-    }
-    black_box(acc);
-    t.elapsed().as_nanos() as f64 / n as f64
+    fleet::run_fleet(s, &telemetry::Registry::new()).expect("fleet soak")
 }
 
 /// Appends one soak's JSON object (keyed `label`) to the report row.
@@ -205,9 +177,7 @@ fn write_fleet_json(json: &mut String, label: &str, f: &FleetReport, none_flips:
 struct BackendResult {
     backend: Backend,
     geomean_overhead_pct: f64,
-    hook_ns_per_act: f64,
     fleet: FleetReport,
-    ns_per_event: f64,
     /// The same soak with `ROWPRESS_DWELL_NS` aggressor dwell: per-ACT
     /// disturbance amplified past the rivals' ACT-counting thresholds.
     fleet_rowpress: FleetReport,
@@ -270,8 +240,8 @@ fn main() {
             .iter()
             .map(|(name, p, r)| defended_duel(backend, name, p, periods, *r))
             .collect();
-        let (fleet, ns_per_event) = fleet_soak(backend, events, 0);
-        let (fleet_rowpress, _) = fleet_soak(backend, events, ROWPRESS_DWELL_NS);
+        let fleet = fleet_soak(backend, events, 0);
+        let fleet_rowpress = fleet_soak(backend, events, ROWPRESS_DWELL_NS);
         println!(
             "  {:<12} geomean {:+.2}%  fleet {} events, {} flips ({} escaped), \
              rowpress {} flips ({} escaped), {} rejections",
@@ -287,9 +257,7 @@ fn main() {
         results.push(BackendResult {
             backend,
             geomean_overhead_pct: grids[i].geomean_overhead_pct(),
-            hook_ns_per_act: hook_ns_per_act(backend),
             fleet,
-            ns_per_event,
             fleet_rowpress,
             duels,
         });
@@ -340,7 +308,6 @@ fn main() {
         );
     }
 
-    let none_ns_per_event = results[0].ns_per_event;
     let mut json = String::from("{\n  \"arena_schema\": 1,\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"duel_periods\": {periods},");
@@ -353,12 +320,6 @@ fn main() {
             json,
             "     \"geomean_overhead_pct\": {:.3},",
             r.geomean_overhead_pct
-        );
-        let _ = writeln!(json, "     \"hook_ns_per_act\": {:.2},", r.hook_ns_per_act);
-        let _ = writeln!(
-            json,
-            "     \"ns_per_event_delta_vs_none\": {:.0},",
-            r.ns_per_event - none_ns_per_event
         );
         write_fleet_json(&mut json, "fleet", &r.fleet, none_flips);
         write_fleet_json(
@@ -390,11 +351,12 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = if quick {
+    let name = if quick {
         "ARENA_quick.json"
     } else {
         "ARENA_report.json"
     };
-    std::fs::write(path, &json).expect("write arena report");
-    println!("wrote {path}");
+    let path = telemetry::artifact_path(name).expect("artifact directory");
+    std::fs::write(&path, &json).expect("write arena report");
+    println!("wrote {}", path.display());
 }

@@ -126,8 +126,8 @@ pub struct ClusterScenario {
     pub defrag_per_sweep: u32,
     /// Whether the scheduler answers picks from its sublinear indexes
     /// (`true`, the default) or from the retained linear-scan oracle
-    /// (`false`; the equivalence battery and perfsuite baselines flip
-    /// this — outcomes are bit-identical either way, only speed differs).
+    /// (`false`; the equivalence battery flips this — outcomes are
+    /// bit-identical either way, only speed differs).
     pub indexed_scheduler: bool,
     /// Per-host boundary-checking policy.
     pub check: CheckMode,

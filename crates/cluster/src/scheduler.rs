@@ -156,8 +156,14 @@ impl LazyHeap {
 
     /// Lowest live host id in this heap, skipping `exclude`. Stale
     /// entries surfacing at the top are discarded; a live excluded entry
-    /// is set aside and restored before returning.
-    fn pick_min(&mut self, stamps: &[u64], exclude: Option<usize>) -> Option<usize> {
+    /// is set aside and restored before returning. Every entry looked at
+    /// adds one to `probes`.
+    fn pick_min(
+        &mut self,
+        stamps: &[u64],
+        exclude: Option<usize>,
+        probes: &mut u64,
+    ) -> Option<usize> {
         if self.live == 0 {
             return None;
         }
@@ -166,6 +172,7 @@ impl LazyHeap {
             let Some(&Reverse((h, s))) = self.entries.peek() else {
                 break None;
             };
+            *probes += 1;
             if stamps[h as usize] != s {
                 self.entries.pop();
             } else if Some(h as usize) == exclude {
@@ -236,6 +243,11 @@ pub struct ClusterScheduler {
     /// host moves between buckets/cells. The telemetry window into index
     /// churn; stays 0 in oracle mode.
     pub bucket_moves: u64,
+    /// Candidates examined by picks: heap entries looked at (indexed) or
+    /// host slots scanned (oracle). With `bucket_moves`, the scheduler's
+    /// whole per-operation work — what the sublinearity test counts.
+    /// Not part of the telemetry export.
+    pub pick_probes: u64,
 }
 
 /// Sorted-list lookup of a class's live count on one host.
@@ -255,8 +267,8 @@ impl ClusterScheduler {
     }
 
     /// The retained pre-index oracle: identical semantics, O(hosts)
-    /// linear-scan picks. Kept for the equivalence battery and as the
-    /// perfsuite baseline.
+    /// linear-scan picks. Kept as the reference of the equivalence battery
+    /// and of the sublinearity test below.
     #[must_use]
     pub fn new_oracle(policy: ClusterPolicy, group_bytes: u64, host_free_groups: &[i64]) -> Self {
         Self::build(policy, group_bytes, host_free_groups, false)
@@ -290,6 +302,7 @@ impl ClusterScheduler {
             placement_rejects: 0,
             affinity_hits: 0,
             bucket_moves: 0,
+            pick_probes: 0,
         };
         if indexed {
             s.stamps.resize(s.slots.len(), 0);
@@ -397,7 +410,8 @@ impl ClusterScheduler {
     }
 
     /// The pre-index linear scan (oracle mode).
-    fn linear_pick(&self, affinity: u32, need: i64, exclude: Option<usize>) -> Option<usize> {
+    fn linear_pick(&mut self, affinity: u32, need: i64, exclude: Option<usize>) -> Option<usize> {
+        self.pick_probes += self.slots.len() as u64;
         let fits = |i: &usize| self.slots[*i].free_groups >= need && Some(*i) != exclude;
         let candidates = (0..self.slots.len()).filter(fits);
         match self.policy {
@@ -425,7 +439,7 @@ impl ClusterScheduler {
         self.free_buckets[lo..]
             .iter_mut()
             .rev()
-            .find_map(|b| b.pick_min(&self.stamps, exclude))
+            .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes))
     }
 
     /// Min `(free_groups, id)` over hosts with `free >= need`: the
@@ -437,7 +451,7 @@ impl ClusterScheduler {
         let lo = bucket_of(need, self.max_total);
         self.free_buckets[lo..]
             .iter_mut()
-            .find_map(|b| b.pick_min(&self.stamps, exclude))
+            .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes))
     }
 
     /// Max `(class count, free_groups, Reverse(id))`: walk the class's
@@ -459,7 +473,7 @@ impl ClusterScheduler {
                 let pick = cells.levels[k][lo..]
                     .iter_mut()
                     .rev()
-                    .find_map(|b| b.pick_min(&self.stamps, exclude));
+                    .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes));
                 if pick.is_some() {
                     return pick;
                 }
@@ -685,46 +699,79 @@ mod tests {
         assert_eq!(s.audit(h, 5, 0).len(), 1, "live drift");
     }
 
-    #[test]
-    fn oracle_mode_matches_indexed_on_a_churn_script() {
-        // A deterministic place/release/exclude script across every
-        // policy: identical picks, counters, and estimates at each step.
-        // (The randomized lockstep battery lives in
-        // tests/proptest_scheduler.rs.)
-        for policy in ClusterPolicy::ALL {
-            let mut idx = ClusterScheduler::new(policy, 128 << 20, &[7, 5, 7, 3]);
-            let mut ora = ClusterScheduler::new_oracle(policy, 128 << 20, &[7, 5, 7, 3]);
-            assert!(idx.is_indexed() && !ora.is_indexed());
-            let mut placed = Vec::new();
-            for step in 0..64u64 {
-                let class = (step % 5) as u32;
-                let mem = ((step % 4) + 1) * (128 << 20);
-                let exclude = if step % 7 == 3 { Some(0) } else { None };
-                let a = idx.place(class, mem, exclude);
-                let b = ora.place(class, mem, exclude);
-                assert_eq!(a, b, "{policy:?} pick diverged at step {step}");
-                if let Some(h) = a {
-                    placed.push((h, class, mem));
-                }
-                if step % 3 == 2 {
-                    if let Some((h, c, m)) = placed.pop() {
-                        idx.release(h, c, m);
-                        ora.release(h, c, m);
-                    }
-                }
-                for h in 0..idx.hosts() {
-                    assert_eq!(idx.est_free_groups(h), ora.est_free_groups(h));
-                    assert_eq!(idx.est_live(h), ora.est_live(h));
-                    assert_eq!(idx.audit(h, ora.est_free_groups(h), ora.est_live(h)), []);
-                }
-                for need in 0..9 {
-                    assert_eq!(idx.can_fit(need), ora.can_fit(need), "can_fit({need})");
+    /// Drives the indexed scheduler and the oracle through one
+    /// deterministic place/release/exclude script in lockstep, asserting
+    /// identical picks, estimates and `can_fit` at every step.
+    fn churn(
+        policy: ClusterPolicy,
+        free: &[i64],
+        steps: u64,
+    ) -> (ClusterScheduler, ClusterScheduler) {
+        let mut idx = ClusterScheduler::new(policy, 128 << 20, free);
+        let mut ora = ClusterScheduler::new_oracle(policy, 128 << 20, free);
+        assert!(idx.is_indexed() && !ora.is_indexed());
+        let mut placed = Vec::new();
+        for step in 0..steps {
+            let class = (step % 5) as u32;
+            let mem = ((step % 4) + 1) * (128 << 20);
+            let exclude = if step % 7 == 3 { Some(0) } else { None };
+            let a = idx.place(class, mem, exclude);
+            let b = ora.place(class, mem, exclude);
+            assert_eq!(a, b, "{policy:?} pick diverged at step {step}");
+            if let Some(h) = a {
+                placed.push((h, class, mem));
+            }
+            if step % 3 == 2 {
+                if let Some((h, c, m)) = placed.pop() {
+                    idx.release(h, c, m);
+                    ora.release(h, c, m);
                 }
             }
+            for h in 0..idx.hosts() {
+                assert_eq!(idx.est_free_groups(h), ora.est_free_groups(h));
+                assert_eq!(idx.est_live(h), ora.est_live(h));
+                assert_eq!(idx.audit(h, ora.est_free_groups(h), ora.est_live(h)), []);
+            }
+            for need in 0..9 {
+                assert_eq!(idx.can_fit(need), ora.can_fit(need), "can_fit({need})");
+            }
+        }
+        (idx, ora)
+    }
+
+    #[test]
+    fn oracle_mode_matches_indexed_on_a_churn_script() {
+        // Identical picks, counters, and estimates at each step, across
+        // every policy. (The randomized lockstep battery lives in
+        // tests/proptest_scheduler.rs.)
+        for policy in ClusterPolicy::ALL {
+            let (idx, ora) = churn(policy, &[7, 5, 7, 3], 64);
             assert_eq!(idx.placements, ora.placements);
             assert_eq!(idx.placement_rejects, ora.placement_rejects);
             assert_eq!(idx.affinity_hits, ora.affinity_hits);
             assert!(idx.bucket_moves > 0 && ora.bucket_moves == 0);
+        }
+    }
+
+    #[test]
+    fn indexed_work_per_place_does_not_grow_with_hosts() {
+        // The same script on a 64-host and a 4096-host fleet: the oracle
+        // scans every host on every pick, the indexes must not. Counted
+        // from the scheduler's own work counters, so the claim holds on
+        // any machine.
+        const STEPS: u64 = 512;
+        let work = |s: &ClusterScheduler| s.bucket_moves + s.pick_probes;
+        for policy in ClusterPolicy::ALL {
+            let (small, small_ora) = churn(policy, &[7; 64], STEPS);
+            let (large, large_ora) = churn(policy, &[7; 4096], STEPS);
+            assert!(
+                work(&large) <= 2 * work(&small),
+                "{policy:?}: {} index operations at 4096 hosts vs {} at 64",
+                work(&large),
+                work(&small),
+            );
+            assert_eq!(small_ora.pick_probes, STEPS * 64);
+            assert_eq!(large_ora.pick_probes, STEPS * 4096);
         }
     }
 

@@ -95,8 +95,8 @@ pub struct FleetStats {
     pub violations_total: u64,
     /// Wall-clock nanoseconds spent inside isolation checks and proofs.
     /// Volatile (scheduling-dependent): exported as a volatile counter,
-    /// never part of [`FleetReport`] — the perfsuite reads it to compare
-    /// checking modes without the event-loop floor drowning the signal.
+    /// never part of [`FleetReport`] — `benchmark/` reads it as
+    /// `fleet.check_us_per_event` and `fleet.full_proof_us`.
     pub check_wall_ns: u64,
     /// First few violation messages, verbatim.
     pub violation_samples: Vec<String>,

@@ -24,7 +24,8 @@ pub enum CheckMode {
     #[default]
     Incremental,
     /// Run the full [`analysis::isolation::verify_live_placements`] proof
-    /// after *every* event. Quadratic-ish and slow; the perfsuite baseline.
+    /// after *every* event. Quadratic-ish and slow; the reference the
+    /// incremental mode's history is tested against.
     FullProof,
 }
 

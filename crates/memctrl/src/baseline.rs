@@ -5,10 +5,10 @@
 //! `HashMap`s and re-decodes every pending op on every FR-FCFS pick —
 //! exactly the structure [`crate::MemoryController`] had before its state
 //! was flattened into geometry-ordinal-indexed `Vec`s and fronted by the
-//! decode TLB. It is kept for two reasons: the Criterion benches compare
-//! the two head-to-head to quantify the flattening win, and an equivalence
-//! test asserts both produce identical [`TraceResult`]s, which pins the
-//! refactor to the original semantics.
+//! decode TLB. It is kept as the independently written reference: the
+//! lockstep tests in [`crate::controller`] assert that it and the flat
+//! controller (`run_trace` and `run_compiled`) produce identical
+//! [`TraceResult`]s, which pins the refactor to the original semantics.
 
 use crate::bankfsm::{AccessKind, BankFsm, PagePolicy};
 use crate::controller::{AccessResult, MemOp, TraceResult};

@@ -56,9 +56,9 @@ use std::path::PathBuf;
 pub const TELEMETRY_DIR_ENV: &str = "SILOZ_TELEMETRY_DIR";
 
 /// Where a run artifact named `file_name` (`TELEMETRY_*.json`,
-/// `FLEET_*.json`, `CLUSTER_*.json`) belongs: inside [`TELEMETRY_DIR_ENV`],
-/// or the current directory when unset. Creates the directory, so every
-/// artifact writer accepts a not-yet-existing one.
+/// `FLEET_*.json`, `CLUSTER_*.json`, `ARENA_*.json`) belongs: inside
+/// [`TELEMETRY_DIR_ENV`], or the current directory when unset. Creates the
+/// directory, so every artifact writer accepts a not-yet-existing one.
 ///
 /// # Errors
 ///

@@ -1,10 +1,11 @@
 //! The three metric primitives: counters, gauges, log2 histograms.
 //!
 //! All mutation is a single `Relaxed` atomic RMW, cheap enough for the
-//! memory controller's per-access path (the perfsuite's 5% regression gate
-//! pins this). Reads taken after all writers have joined (the only pattern
-//! the simulator uses — snapshots happen after `std::thread::scope` exits)
-//! observe exact totals: relaxed atomic addition never loses increments.
+//! memory controller's per-access path (`benchmark/`'s
+//! `memctrl.replay_ns_per_op` is where a dearer one would show). Reads
+//! taken after all writers have joined (the only pattern the simulator
+//! uses — snapshots happen after `std::thread::scope` exits) observe exact
+//! totals: relaxed atomic addition never loses increments.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

@@ -1,7 +1,7 @@
 //! Hierarchical metric registries and their pure-data snapshots.
 //!
 //! A [`Registry`] is a named bag of metrics plus child registries, mirroring
-//! the component tree of the simulator (`perfsuite` → `ctrl` → `tlb`, …).
+//! the component tree of the simulator (`figure4` → `ctrl` → `tlb`, …).
 //! Registration takes a lock; the returned `Arc` handles mutate lock-free,
 //! so components register once and record on the hot path without
 //! contention. [`Snapshot`] captures the tree as plain data: it merges by

@@ -42,20 +42,32 @@ step "analysis gate: isolation-verify (bijectivity + containment proofs)" \
 step "analysis gate: interleave-check (exhaustive schedule exploration)" \
   cargo run --release -q -p analysis --bin interleave-check
 
-step "fleet gate: quick multi-tenant soak (churn + attacks + determinism)" \
-  cargo run --release -q -p bench --bin fleet_soak -- --quick
+# The quick soaks' reports hold simulated quantities only, so each run must
+# reproduce its committed copy byte for byte. They write into a scratch
+# SILOZ_TELEMETRY_DIR (their TELEMETRY_*.json lands there too).
+artifacts="$(mktemp -d)"
+trap 'rm -rf "$artifacts"' EXIT
+pinned() {
+  local report="$1"
+  shift
+  SILOZ_TELEMETRY_DIR="$artifacts" "$@"
+  cmp "$report" "$artifacts/$report"
+}
 
-step "mitigation gate: quick head-to-head arena (duels + soak + perf)" \
-  cargo run --release -q -p bench --bin arena -- --quick
+step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
+  pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
-step "cluster gate: quick multi-host soak (scheduler + migration + determinism)" \
-  cargo run --release -q -p bench --bin cluster_soak -- --quick
+step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to ARENA_quick.json" \
+  pinned ARENA_quick.json cargo run --release -q -p bench --bin arena -- --quick
+
+step "cluster gate: quick multi-host soak (scheduler + migration + determinism), pinned to CLUSTER_soak_quick.json" \
+  pinned CLUSTER_soak_quick.json cargo run --release -q -p bench --bin cluster_soak -- --quick
 
 # Every workspace member except the vendored stand-ins, so a new crate is
 # documented-or-failing without being named here.
 doc_gate() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \
-    --exclude rand --exclude proptest --exclude criterion --exclude parking_lot
+    --exclude rand --exclude proptest --exclude parking_lot
 }
 step "cargo doc (warnings are errors, first-party crates)" doc_gate
 

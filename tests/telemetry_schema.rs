@@ -1,11 +1,11 @@
 //! Golden-snapshot regression test: the `TELEMETRY_*.json` document format
 //! is pinned byte-for-byte against a checked-in fixture.
 //!
-//! Downstream tooling (`scripts/bench.sh` archiving, dashboards, diffing
-//! runs) parses these files; any format change must be deliberate. If you
-//! intentionally evolve the schema, bump `telemetry::SCHEMA_VERSION`,
-//! regenerate the fixture with the `print-actual` hint in the failure
-//! message, and note the change in `DESIGN.md`.
+//! Downstream tooling (dashboards, diffing runs) parses these files; any
+//! format change must be deliberate. If you intentionally evolve the
+//! schema, bump `telemetry::SCHEMA_VERSION`, regenerate the fixture with
+//! the `print-actual` hint in the failure message, and note the change in
+//! `DESIGN.md`.
 
 use siloz_repro::telemetry::{encode, Registry};
 
