@@ -66,11 +66,12 @@ const WAIVABLE_RULES: [&str; 6] = [
 
 /// Source files on the per-access paths that `benchmark/`'s per-layer
 /// probes time; the `hot-*` rules apply only here.
-const HOT_MODULES: [&str; 11] = [
+const HOT_MODULES: [&str; 12] = [
     "crates/memctrl/src/controller.rs",
     "crates/memctrl/src/compiled.rs",
     "crates/dram/src/bank.rs",
     "crates/dram/src/device.rs",
+    "crates/dram/src/trr.rs",
     "crates/dram-addr/src/tlb.rs",
     "crates/fleet/src/queue.rs",
     "crates/cluster/src/scheduler.rs",

@@ -123,6 +123,7 @@ fn classify_matches_repo_layout() {
     assert!(classify("crates/memctrl/src/compiled.rs").hot);
     assert!(classify("crates/dram/src/bank.rs").hot);
     assert!(classify("crates/dram/src/device.rs").hot);
+    assert!(classify("crates/dram/src/trr.rs").hot);
     assert!(classify("crates/dram-addr/src/tlb.rs").hot);
     assert!(classify("crates/fleet/src/queue.rs").hot);
     assert!(!classify("crates/cluster/src/queue.rs").hot);

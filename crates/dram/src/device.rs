@@ -248,6 +248,7 @@ impl DramSystemBuilder {
             scratch_flips: Vec::new(),
             scratch_read: Vec::new(),
             scratch_counts: Vec::new(),
+            scratch_served: Vec::new(),
         }
     }
 }
@@ -302,8 +303,9 @@ pub struct DramSystem {
     /// Ordinals of materialized banks in first-touch order: the distributed
     /// REF sweep visits exactly these (untouched banks hold no victim state).
     touched_banks: Vec<u32>,
-    /// Written row data, media coordinates (keyed by [`row_key`]); unwritten
-    /// rows read as zeros.
+    /// Written row data, media coordinates (keyed by [`row_key`]). An absent
+    /// row is an all-zero row, and that is the canonical form: zero writes
+    /// never materialise one (see [`DramSystem::write_row`]).
     data: RowMap<Box<[u8]>>,
     /// Currently-flipped cells per media row (keyed by [`row_key`]; entries
     /// may be empty — [`RowMap`] has no removal).
@@ -320,6 +322,8 @@ pub struct DramSystem {
     scratch_read: Vec<(u32, u8)>,
     /// Reusable per-word flip-count buffer for reads.
     scratch_counts: Vec<u32>,
+    /// Reusable buffer for the aggressors TRR serves at one REF step.
+    scratch_served: Vec<u32>,
 }
 
 impl DramSystem {
@@ -442,6 +446,7 @@ impl DramSystem {
         self.stats.ref_steps += 1;
         let chunk = (self.geometry.rows_per_bank / REFS_PER_WINDOW).max(1);
         let rows_per_bank = self.geometry.rows_per_bank;
+        let mut served = std::mem::take(&mut self.scratch_served);
         for ti in 0..self.touched_banks.len() {
             let ord = self.touched_banks[ti] as usize;
             let bank = self.banks[ord].as_mut().expect("touched bank exists");
@@ -452,9 +457,9 @@ impl DramSystem {
             bank.refresh_ptr = (start + chunk) % rows_per_bank;
             // TRR: serve suspected aggressors by refreshing their neighbors.
             for side in 0..2u8 {
-                let served = bank.trr[side as usize].on_refresh();
+                bank.trr[side as usize].on_refresh(&mut served);
                 self.stats.trr_triggers += served.len() as u64;
-                for agg in served {
+                for &agg in &served {
                     for d in 1..=2u32 {
                         if agg >= d {
                             bank.refresh_half_row(side, agg - d);
@@ -466,6 +471,7 @@ impl DramSystem {
                 }
             }
         }
+        self.scratch_served = served;
     }
 
     /// Activates a row given its full media address (§2.4).
@@ -722,6 +728,11 @@ impl DramSystem {
     /// Writes bytes into a media row, restoring correct charge over the
     /// written region (overlapping flips are cleared).
     ///
+    /// An absent row *is* an all-zero row (the canonical sparse form): zeros
+    /// written into a row that holds no data clear the overlapping flips and
+    /// store nothing, so zero-filling and block copies of never-written
+    /// memory leave `data` — and the process's memory — where they were.
+    ///
     /// # Panics
     ///
     /// Panics if the region exceeds the row.
@@ -729,12 +740,19 @@ impl DramSystem {
         let row_bytes = self.geometry.row_bytes as usize;
         let end = offset as usize + bytes.len();
         assert!(end <= row_bytes, "write beyond row end");
-        let row = self.data.get_or_insert_with(row_key(bank, media_row), || {
-            // lint:allow(hot-alloc) — first write to a row allocates its backing store once
-            vec![0u8; row_bytes].into_boxed_slice()
-        });
-        row[offset as usize..end].copy_from_slice(bytes);
-        if let Some(active) = self.flipped.get_mut(row_key(bank, media_row)) {
+        let key = row_key(bank, media_row);
+        if bytes.iter().all(|&b| b == 0) {
+            if let Some(row) = self.data.get_mut(key) {
+                row[offset as usize..end].fill(0);
+            }
+        } else {
+            let row = self.data.get_or_insert_with(key, || {
+                // lint:allow(hot-alloc) — first non-zero write to a row allocates its backing store once
+                vec![0u8; row_bytes].into_boxed_slice()
+            });
+            row[offset as usize..end].copy_from_slice(bytes);
+        }
+        if let Some(active) = self.flipped.get_mut(key) {
             // RowMap has no removal; an emptied list simply stays empty.
             active.retain(|&(b, _, _)| (b as usize) < offset as usize || b as usize >= end);
         }
@@ -844,6 +862,22 @@ impl DramSystem {
         self.flipped
             .get(row_key(bank, media_row))
             .map_or(0, Vec::len)
+    }
+
+    /// Number of media rows holding written data: the device's memory
+    /// footprint as a count. Zero-fills of unwritten rows never raise it
+    /// (see [`DramSystem::write_row`]).
+    #[must_use]
+    pub fn rows_written(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether a media row is blank: no written data and no active flip, so
+    /// every read of it returns clean zeros and touches no counter.
+    #[must_use]
+    pub fn row_is_blank(&self, bank: BankId, media_row: u32) -> bool {
+        self.data.get(row_key(bank, media_row)).is_none()
+            && self.active_flip_count(bank, media_row) == 0
     }
 
     /// All media rows currently holding flipped cells.
@@ -1056,6 +1090,34 @@ mod tests {
             dram.write_row(bank, r, 0, &vec![0u8; row_bytes]);
             assert_eq!(dram.active_flip_count(bank, r), 0);
         }
+    }
+
+    #[test]
+    fn zero_writes_never_materialise_an_unwritten_row() {
+        let mut dram = no_trr();
+        let bank = BankId(0);
+        hammer_pair(&mut dram, bank, 20, 22, 120_000);
+        assert!(dram.active_flip_count(bank, 21) > 0);
+        assert!(!dram.row_is_blank(bank, 21), "flipped cells are not blank");
+        // Zeros into an unwritten row: flips under the write are cleared,
+        // the row reads back as zeros, and nothing is stored.
+        dram.write_row(bank, 21, 0, &[0u8; 8192]);
+        assert_eq!(dram.active_flip_count(bank, 21), 0);
+        assert_eq!(dram.rows_written(), 0);
+        assert!(dram.row_is_blank(bank, 21));
+        assert_eq!(
+            dram.read_row(bank, 21, 0, 8192),
+            (vec![0u8; 8192], ReadIntegrity::Clean)
+        );
+        // One non-zero byte materialises the row ...
+        dram.write_row(bank, 21, 100, &[0, 0, 7, 0]);
+        assert_eq!(dram.rows_written(), 1);
+        assert!(!dram.row_is_blank(bank, 21));
+        assert_eq!(dram.read_row(bank, 21, 100, 4).0, [0, 0, 7, 0]);
+        // ... and zeros into a *written* row overwrite what it held.
+        dram.write_row(bank, 21, 96, &[0u8; 16]);
+        assert_eq!(dram.rows_written(), 1);
+        assert_eq!(dram.read_row(bank, 21, 96, 16).0, [0u8; 16]);
     }
 
     #[test]

@@ -100,23 +100,22 @@ impl TrrTracker {
         }
     }
 
-    /// Handles a REF command: returns the internal rows whose *neighbors*
-    /// should be refreshed now (the suspected aggressors), resetting their
-    /// counters.
-    pub fn on_refresh(&mut self) -> Vec<u32> {
+    /// Handles a REF command: fills `served` (cleared first) with the
+    /// internal rows whose *neighbors* should be refreshed now (the suspected
+    /// aggressors, most-activated first), resetting their counters. The
+    /// caller owns the buffer so the per-REF path never allocates.
+    pub fn on_refresh(&mut self, served: &mut Vec<u32>) {
+        served.clear();
         if self.capacity == 0 || self.served_per_ref == 0 {
-            return Vec::new();
+            return;
         }
         self.entries.sort_by_key(|e| std::cmp::Reverse(e.1));
-        let n = self.served_per_ref.min(self.entries.len());
-        let mut served = Vec::with_capacity(n);
-        for e in self.entries.iter_mut().take(n) {
+        for e in self.entries.iter_mut().take(self.served_per_ref) {
             if e.1 > 0 {
                 served.push(e.0);
                 e.1 = 0;
             }
         }
-        served
     }
 
     /// Currently-tracked `(row, count)` entries (diagnostics).
@@ -130,6 +129,13 @@ impl TrrTracker {
 mod tests {
     use super::*;
 
+    /// One REF served into a buffer that arrives dirty, as the device's does.
+    fn served_at_ref(t: &mut TrrTracker) -> Vec<u32> {
+        let mut served = vec![u32::MAX];
+        t.on_refresh(&mut served);
+        served
+    }
+
     #[test]
     fn tracks_heavy_hitters() {
         let mut t = TrrTracker::new(4, 2);
@@ -138,7 +144,7 @@ mod tests {
             t.observe(20);
         }
         t.observe(30);
-        let served = t.on_refresh();
+        let served = served_at_ref(&mut t);
         assert!(served.contains(&10));
         assert!(served.contains(&20));
         assert_eq!(served.len(), 2);
@@ -150,9 +156,9 @@ mod tests {
         for _ in 0..10 {
             t.observe(5);
         }
-        assert_eq!(t.on_refresh(), vec![5]);
+        assert_eq!(served_at_ref(&mut t), vec![5]);
         // Nothing re-observed since: nothing to serve.
-        assert!(t.on_refresh().is_empty());
+        assert!(served_at_ref(&mut t).is_empty());
     }
 
     #[test]
@@ -201,7 +207,7 @@ mod tests {
         }
         // A REF leaves served entries at count 0; the next burst must still
         // match sequential semantics (the m == 0, r == 1 case).
-        assert_eq!(seq.on_refresh(), burst.on_refresh());
+        assert_eq!(served_at_ref(&mut seq), served_at_ref(&mut burst));
         for &(row, n) in &[(70u32, 1u64), (80, 6), (70, 2)] {
             for _ in 0..n {
                 seq.observe(row);
@@ -229,7 +235,7 @@ mod tests {
     fn disabled_tracker_does_nothing() {
         let mut t = TrrTracker::disabled();
         t.observe(1);
-        assert!(t.on_refresh().is_empty());
+        assert!(served_at_ref(&mut t).is_empty());
         assert!(t.entries().is_empty());
     }
 }

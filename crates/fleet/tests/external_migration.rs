@@ -168,3 +168,27 @@ fn external_depart_releases_incremental_state_like_internal() {
     );
     assert_eq!(internal.3, 0, "no violations either way");
 }
+
+#[test]
+fn defrag_sweep_over_never_written_tenants_materialises_no_row() {
+    // Memory as a count: a defrag sweep copies whole backing blocks, and
+    // these guests never stored a byte, so the device must hold exactly the
+    // rows it held before (the EPT tables) — blank blocks move as nothing.
+    // `copy_phys`'s blank-stripe skip and `write_row`'s zero elision each
+    // hold this alone; without both the 64 rows become 3136.
+    let mut sim = FleetSim::new(host_scenario(47)).unwrap();
+    for tenant in 0..4 {
+        sim.admit_external(vm(tenant)).unwrap().expect("admitted");
+    }
+    let rows_before = sim.hypervisor().dram().rows_written();
+    assert!(rows_before > 0, "EPT tables are written rows");
+    for sweep in 0..3 {
+        sim.inject(10 + sweep, 0, EventKind::Defrag);
+    }
+    sim.step_until(20).unwrap();
+    assert_eq!(sim.stats().defrag_sweeps, 3);
+    assert_eq!(sim.stats().defrag_migrations, 12, "4 tenants x 3 sweeps");
+    assert_eq!(sim.hypervisor().dram().rows_written(), rows_before);
+    sim.full_proof_now();
+    assert_eq!(sim.stats().violations_total, 0);
+}

@@ -132,7 +132,7 @@ pub struct Hypervisor {
     kind: HypervisorKind,
     config: SilozConfig,
     decoder: SystemAddressDecoder,
-    /// Decode memoization for the line-by-line `copy_phys` loop: a clone of
+    /// Decode memoization for `copy_phys`'s line loop: a clone of
     /// `decoder` behind a row-group-granular cache, so migrating a block
     /// decodes each row-group stripe once instead of every 64 B. Decode is
     /// pure address-map config, so the two decoders always agree.
@@ -1185,34 +1185,63 @@ impl Hypervisor {
         Ok(hpa_of_frame(frame))
     }
 
-    /// Copies `len` bytes between physical ranges, line by line (used by
-    /// migration-based defenses).
+    /// Copies `len` bytes between physical ranges (used by migration-based
+    /// defenses), without moving zeros.
     ///
-    /// Decodes go through the hypervisor's copy TLB (one real decode per
-    /// row-group stripe rather than per 64 B line) and reads land in a
-    /// reused scratch buffer, so the per-line loop is allocation-free.
+    /// The range is walked in segments that stay inside one source and one
+    /// destination row-group stripe ([`dram_addr::Geometry::row_group_bytes`]):
+    /// inside a stripe consecutive lines rotate over every bank of the
+    /// socket at one media row. When that row is blank
+    /// ([`DramSystem::row_is_blank`]) in every bank at the source and
+    /// likewise at the destination, copying the segment would read clean
+    /// zeros and write them into absent rows — a no-op — so it is skipped.
+    /// Any other segment is copied line by line: decodes go through the
+    /// hypervisor's copy TLB (one real decode per stripe rather than per
+    /// 64 B line) and reads land in a reused scratch buffer, so the loop is
+    /// allocation-free.
     pub fn copy_phys(&mut self, src: u64, dst: u64, len: u64) -> Result<(), SilozError> {
         let g = *self.decoder.geometry();
+        let (line, stripe) = (dram_addr::CACHE_LINE_BYTES, g.row_group_bytes());
         let mut off = 0u64;
         while off < len {
-            let sm = self.copy_tlb.decode(src + off)?;
-            let chunk = (dram_addr::CACHE_LINE_BYTES - (src + off) % dram_addr::CACHE_LINE_BYTES)
-                .min(len - off);
-            let sbank = sm.global_bank(&g);
-            let _ = self.dram.read_row_into(
-                sbank,
-                sm.row,
-                sm.col,
-                chunk as u32,
-                &mut self.copy_scratch,
-            );
-            let dm = self.copy_tlb.decode(dst + off)?;
-            let dbank = dm.global_bank(&g);
-            self.dram
-                .write_row(dbank, dm.row, dm.col, &self.copy_scratch);
-            off += chunk;
+            let (s, d) = (src + off, dst + off);
+            let to_stripe_end = (stripe - s % stripe).min(stripe - d % stripe);
+            let seg_end = off + to_stripe_end.min(len - off);
+            let (sm, dm) = (self.copy_tlb.decode(s)?, self.copy_tlb.decode(d)?);
+            if self.stripe_is_blank(&sm) && self.stripe_is_blank(&dm) {
+                off = seg_end;
+                continue;
+            }
+            while off < seg_end {
+                let (s, d) = (src + off, dst + off);
+                // A chunk stays inside one source line and one destination
+                // line: past either, the next bytes belong to another bank.
+                let chunk = (line - s % line).min(line - d % line).min(seg_end - off);
+                let sm = self.copy_tlb.decode(s)?;
+                let sbank = sm.global_bank(&g);
+                let _ = self.dram.read_row_into(
+                    sbank,
+                    sm.row,
+                    sm.col,
+                    chunk as u32,
+                    &mut self.copy_scratch,
+                );
+                let dm = self.copy_tlb.decode(d)?;
+                let dbank = dm.global_bank(&g);
+                self.dram
+                    .write_row(dbank, dm.row, dm.col, &self.copy_scratch);
+                off += chunk;
+            }
         }
         Ok(())
+    }
+
+    /// Whether the row-group stripe holding `m` is blank in every bank of
+    /// its socket.
+    fn stripe_is_blank(&self, m: &dram_addr::MediaAddress) -> bool {
+        let banks = self.decoder.geometry().banks_per_socket();
+        let first = u32::from(m.socket) * banks;
+        (first..first + banks).all(|b| self.dram.row_is_blank(dram_addr::BankId(b), m.row))
     }
 
     /// Migrates the backing block containing `gpa` to a fresh block on the
