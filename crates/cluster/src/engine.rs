@@ -29,7 +29,7 @@
 use crate::events::{ClusterEvent, ClusterEventKind, ClusterScenario};
 use crate::pending::PendingQueue;
 use crate::report::ClusterReport;
-use crate::sandbox::{SandboxRecord, SandboxState};
+use crate::sandbox::{Lifecycle, SandboxRecord};
 use crate::scheduler::{AuditIssue, ClusterScheduler};
 use fleet::{EventKind, EventQueue, FleetSim, PendingVm, HOST_TENANT};
 use rand::rngs::StdRng;
@@ -46,6 +46,11 @@ const STREAM_SPLIT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Serial-phase access to a shard: between barriers no worker holds it.
+pub(crate) fn shard_mut(m: &mut Mutex<HostShard>) -> &mut HostShard {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a typed scheduler audit finding into the violation log's
@@ -76,7 +81,7 @@ fn render_audit_issue(issue: &AuditIssue) -> String {
 /// phase. Commands carry their virtual tick and are recorded in cluster
 /// dispatch order, so `at` is nondecreasing within an epoch's list.
 #[derive(Debug, Clone)]
-enum HostCmd {
+pub(crate) enum HostCmd {
     /// Admit a sandbox's VM (`migration` marks a cross-host re-admission).
     Admit {
         at: u64,
@@ -91,27 +96,22 @@ enum HostCmd {
     Attack { at: u64, tenant: u32 },
 }
 
-/// What a host reports back from one epoch: the outcome of every admit it
-/// was asked to perform, in command order.
-struct HostDelta {
-    /// `(sandbox, admitted, was_migration)` per admit command.
-    admits: Vec<(u32, bool, bool)>,
-}
-
 /// One host: a fleet engine plus its private RNG stream and the command
 /// list the schedule phase accumulates for it.
-struct HostShard {
+pub(crate) struct HostShard {
     sim: FleetSim,
     /// Host-local stream (defrag jitter), split off the master seed per
     /// host index. Draws happen on a worker-independent schedule so the
     /// stream stays identical for any worker count.
     rng: StdRng,
-    cmds: Vec<HostCmd>,
+    pub(crate) cmds: Vec<HostCmd>,
 }
 
 impl HostShard {
     /// Applies this epoch's commands in order, drains the host queue up to
     /// the epoch horizon, and (at sync barriers) runs a §4.1 full proof.
+    /// Returns `(sandbox, admitted, was_migration)` per admit command, in
+    /// command order.
     ///
     /// Horizon choices keep same-tick semantics: a depart at tick `t`
     /// first steps *through* `t` (so the departing tenant's queued slices
@@ -123,7 +123,7 @@ impl HostShard {
         epoch_end: u64,
         defrag_due: bool,
         sync: bool,
-    ) -> Result<HostDelta, SilozError> {
+    ) -> Result<Vec<(u32, bool, bool)>, SilozError> {
         if defrag_due {
             // Draw the jitter unconditionally: the host's RNG stream must
             // not depend on whether the host happened to be occupied.
@@ -160,7 +160,7 @@ impl HostShard {
         if sync {
             self.sim.full_proof_now();
         }
-        Ok(HostDelta { admits })
+        Ok(admits)
     }
 
     /// Free (unclaimed) guest groups by hypervisor truth.
@@ -182,7 +182,7 @@ pub struct ClusterStats {
     pub sandboxes: u64,
     /// Sandbox departures completed (VM destroyed on its host).
     pub departures: u64,
-    /// Cross-host migrations completed.
+    /// Cross-host migrations completed (the destination admitted).
     pub migrations: u64,
     /// Migrations skipped because no other host had capacity.
     pub migration_skips: u64,
@@ -225,25 +225,24 @@ pub struct ClusterStats {
 /// time.
 pub struct ClusterSim {
     scenario: ClusterScenario,
-    hosts: Vec<Mutex<HostShard>>,
-    queue: EventQueue<ClusterEvent>,
-    scheduler: ClusterScheduler,
-    sandboxes: BTreeMap<u32, SandboxRecord>,
+    pub(crate) hosts: Vec<Mutex<HostShard>>,
+    pub(crate) queue: EventQueue<ClusterEvent>,
+    pub(crate) scheduler: ClusterScheduler,
+    pub(crate) sandboxes: BTreeMap<u32, SandboxRecord>,
     /// Sandboxes awaiting placement: FIFO with O(1) membership removal,
     /// sharded by claim-size class.
-    pending: PendingQueue,
+    pub(crate) pending: PendingQueue,
     /// Next epoch index to execute.
     epoch: u64,
     threads: usize,
-    stats: ClusterStats,
-    /// Shared cross-host ledger pool (also installed into every shard).
-    cache: Arc<sim::TraceCache>,
+    pub(crate) stats: ClusterStats,
 }
 
 impl ClusterSim {
     /// Boots every host shard (in parallel across `threads` workers) and
     /// loads the pre-generated cluster trace.
     pub fn new(scenario: ClusterScenario, threads: usize) -> Result<Self, SilozError> {
+        // One ledger pool for the fleet: the shards hold the only handles.
         let cache = Arc::new(sim::TraceCache::new());
         let host_scenario = scenario.host_scenario();
         let seed = scenario.seed;
@@ -268,7 +267,7 @@ impl ClusterSim {
         let mut frees = Vec::with_capacity(hosts.len());
         let mut group_bytes = u64::MAX;
         for host in &mut hosts {
-            let shard = host.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let shard = shard_mut(host);
             let occ = shard.sim.hypervisor().occupancy();
             for g in &occ.groups {
                 group_bytes = group_bytes.min(g.total_frames * numa::FRAME_BYTES);
@@ -296,7 +295,6 @@ impl ClusterSim {
             epoch: 0,
             threads,
             stats: ClusterStats::default(),
-            cache,
         })
     }
 
@@ -312,12 +310,6 @@ impl ClusterSim {
         &self.scheduler
     }
 
-    /// The shared cross-host ledger pool.
-    #[must_use]
-    pub fn trace_cache(&self) -> &Arc<sim::TraceCache> {
-        &self.cache
-    }
-
     /// Whether all work is done: trace drained and no sandbox waiting.
     #[must_use]
     pub fn is_done(&self) -> bool {
@@ -331,44 +323,13 @@ impl ClusterSim {
         }
     }
 
-    /// Records a successful placement: command the host, bump live
-    /// accounting, and (first placement only) schedule the sandbox's
-    /// departure `lifetime` ticks out — a sandbox parked pending keeps its
-    /// full lifetime from actual placement, and a migrated sandbox keeps
-    /// its original lease.
-    fn commit_placement(&mut self, id: u32, host: usize, at: u64, migration: bool) {
-        let rec = self.sandboxes.get_mut(&id).expect("placed sandbox exists");
-        rec.state = SandboxState::Running(host);
-        let vm = PendingVm {
-            tenant: id,
-            mem_bytes: rec.mem_bytes,
-            vcpus: rec.vcpus,
-            lifetime: rec.lifetime,
-        };
-        let lifetime = rec.lifetime;
-        let schedule_depart = !rec.depart_scheduled;
-        rec.depart_scheduled = true;
-        self.host_mut(host)
-            .cmds
-            .push(HostCmd::Admit { at, vm, migration });
-        if !migration {
-            self.stats.live_now += 1;
-            self.stats.peak_live = self.stats.peak_live.max(self.stats.live_now);
+    /// Queues a guest-work command (slice, attack) for whichever host runs
+    /// `sandbox`; work for a sandbox that runs nowhere is an orphan.
+    fn forward(&mut self, sandbox: u32, cmd: HostCmd) {
+        match self.sandboxes.get(&sandbox).and_then(SandboxRecord::host) {
+            Some(host) => shard_mut(&mut self.hosts[host]).cmds.push(cmd),
+            None => self.stats.orphan_events += 1,
         }
-        if schedule_depart {
-            self.queue.push(|seq| ClusterEvent {
-                at: at + lifetime,
-                seq,
-                sandbox: id,
-                kind: ClusterEventKind::Depart,
-            });
-        }
-    }
-
-    fn host_mut(&mut self, host: usize) -> &mut HostShard {
-        self.hosts[host]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Retries the pending queue FIFO at an epoch boundary, stopping at
@@ -386,13 +347,11 @@ impl ClusterSim {
                 self.stats.shard_retries_skipped += 1;
                 break;
             }
-            let rec = self.sandboxes[&id];
-            let host = self
-                .scheduler
-                .place(rec.affinity, rec.mem_bytes, None)
-                .expect("can_fit admitted the head's class");
-            self.pending.pop_front();
-            self.commit_placement(id, host, at, false);
+            self.transition(id, Lifecycle::Place { at });
+            assert!(
+                !self.pending.contains(id),
+                "can_fit admitted the head's class"
+            );
         }
     }
 
@@ -406,88 +365,25 @@ impl ClusterSim {
                 lifetime,
             } => {
                 self.stats.sandboxes += 1;
-                let rec = SandboxRecord::new(sandbox, mem_bytes, vcpus, lifetime);
-                self.sandboxes.insert(sandbox, rec);
-                match self.scheduler.place(rec.affinity, mem_bytes, None) {
-                    Some(host) => self.commit_placement(sandbox, host, at, false),
-                    None => {
-                        let need = self.scheduler.groups_needed(mem_bytes);
-                        self.pending.push_back(sandbox, need);
-                    }
-                }
-            }
-            ClusterEventKind::Depart => {
-                let Some(rec) = self.sandboxes.get_mut(&sandbox) else {
-                    self.stats.orphan_events += 1;
-                    return;
+                let vm = PendingVm {
+                    tenant: sandbox,
+                    mem_bytes,
+                    vcpus,
+                    lifetime,
                 };
-                match rec.state {
-                    SandboxState::Running(host) => {
-                        rec.state = SandboxState::Departed;
-                        let (affinity, mem) = (rec.affinity, rec.mem_bytes);
-                        self.host_mut(host).cmds.push(HostCmd::Depart {
-                            at,
-                            tenant: sandbox,
-                        });
-                        self.scheduler.release(host, affinity, mem);
-                        self.stats.departures += 1;
-                        self.stats.live_now -= 1;
-                    }
-                    SandboxState::Pending => {
-                        rec.state = SandboxState::Abandoned;
-                        self.pending.remove(sandbox);
-                        self.stats.abandoned_pending += 1;
-                    }
-                    _ => self.stats.orphan_events += 1,
-                }
+                self.sandboxes.insert(sandbox, SandboxRecord::new(vm));
+                self.transition(sandbox, Lifecycle::Place { at });
             }
-            ClusterEventKind::Migrate => {
-                let Some(rec) = self.sandboxes.get(&sandbox).copied() else {
-                    self.stats.orphan_events += 1;
-                    return;
-                };
-                match rec.state {
-                    SandboxState::Running(src) => {
-                        match self.scheduler.place(rec.affinity, rec.mem_bytes, Some(src)) {
-                            Some(dst) => {
-                                self.host_mut(src).cmds.push(HostCmd::Depart {
-                                    at,
-                                    tenant: sandbox,
-                                });
-                                self.scheduler.release(src, rec.affinity, rec.mem_bytes);
-                                self.commit_placement(sandbox, dst, at, true);
-                                let rec = self.sandboxes.get_mut(&sandbox).expect("live");
-                                rec.migrations += 1;
-                                self.stats.migrations += 1;
-                            }
-                            None => self.stats.migration_skips += 1,
-                        }
-                    }
-                    SandboxState::Pending => self.stats.migration_skips += 1,
-                    _ => self.stats.orphan_events += 1,
-                }
-            }
+            ClusterEventKind::Depart => self.transition(sandbox, Lifecycle::Depart { at }),
+            ClusterEventKind::Migrate => self.transition(sandbox, Lifecycle::Migrate { at }),
             ClusterEventKind::Slice { ops } => {
-                match self.sandboxes.get(&sandbox).map(|r| r.state) {
-                    Some(SandboxState::Running(host)) => {
-                        self.host_mut(host).cmds.push(HostCmd::Slice {
-                            at,
-                            tenant: sandbox,
-                            ops,
-                        });
-                    }
-                    _ => self.stats.orphan_events += 1,
-                }
+                let tenant = sandbox;
+                self.forward(sandbox, HostCmd::Slice { at, tenant, ops });
             }
-            ClusterEventKind::Attack => match self.sandboxes.get(&sandbox).map(|r| r.state) {
-                Some(SandboxState::Running(host)) => {
-                    self.host_mut(host).cmds.push(HostCmd::Attack {
-                        at,
-                        tenant: sandbox,
-                    });
-                }
-                _ => self.stats.orphan_events += 1,
-            },
+            ClusterEventKind::Attack => {
+                let tenant = sandbox;
+                self.forward(sandbox, HostCmd::Attack { at, tenant });
+            }
         }
     }
 
@@ -525,9 +421,7 @@ impl ClusterSim {
             && (epoch_index + 1).is_multiple_of(u64::from(self.scenario.defrag_period_epochs));
         let active: Vec<usize> = (0..self.hosts.len())
             .filter(|&i| {
-                let shard = self.hosts[i]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let shard = shard_mut(&mut self.hosts[i]);
                 !shard.cmds.is_empty() || ((defrag_due || sync) && shard.sim.live_vms() > 0)
             })
             .collect();
@@ -542,26 +436,11 @@ impl ClusterSim {
         // Phase 3: reconcile, in active-host order.
         for (k, delta) in deltas.into_iter().enumerate() {
             let host = active[k];
-            for (sandbox, ok, migration) in delta?.admits {
-                if ok {
-                    continue;
-                }
-                if migration {
-                    self.stats.migration_fails += 1;
-                } else {
-                    self.stats.admit_fails += 1;
-                }
-                let rec = self.sandboxes.get_mut(&sandbox).expect("admitted sandbox");
-                // Roll back only if the sandbox still thinks it runs here:
-                // a same-epoch departure or onward migration already moved
-                // the claim, and the host-side admit failure is then moot.
-                if rec.state == SandboxState::Running(host) {
-                    rec.state = SandboxState::Pending;
-                    let (affinity, mem) = (rec.affinity, rec.mem_bytes);
-                    self.scheduler.release(host, affinity, mem);
-                    let need = self.scheduler.groups_needed(mem);
-                    self.pending.push_back(sandbox, need);
-                    self.stats.live_now -= 1;
+            for (sandbox, ok, migration) in delta? {
+                if !ok {
+                    self.transition(sandbox, Lifecycle::Refused { host, migration });
+                } else if migration {
+                    self.transition(sandbox, Lifecycle::Migrated);
                 }
             }
         }
@@ -582,7 +461,7 @@ impl ClusterSim {
     /// counters).
     pub fn prove_hosts(&mut self) {
         for host in &mut self.hosts {
-            let shard = host.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let shard = shard_mut(host);
             if shard.sim.live_vms() > 0 {
                 shard.sim.full_proof_now();
             }
@@ -596,15 +475,13 @@ impl ClusterSim {
     pub fn verify_cluster(&mut self) -> Vec<String> {
         let mut expected: Vec<Vec<u32>> = vec![Vec::new(); self.hosts.len()];
         for (&id, rec) in &self.sandboxes {
-            if let SandboxState::Running(host) = rec.state {
+            if let Some(host) = rec.host() {
                 expected[host].push(id);
             }
         }
         let mut issues = Vec::new();
         for (i, want) in expected.iter().enumerate() {
-            let shard = self.hosts[i]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner);
+            let shard = shard_mut(&mut self.hosts[i]);
             let got = shard.sim.live_tenants();
             if &got != want {
                 issues.push(format!(
@@ -643,11 +520,8 @@ impl ClusterSim {
                 self.pending.len(),
             );
             if self.queue.is_empty() && !self.pending.is_empty() && before == after {
-                while let Some(id) = self.pending.pop_front() {
-                    if let Some(rec) = self.sandboxes.get_mut(&id) {
-                        rec.state = SandboxState::Abandoned;
-                    }
-                    self.stats.abandoned_pending += 1;
+                while let Some((id, _)) = self.pending.front() {
+                    self.transition(id, Lifecycle::Drain);
                 }
             }
         }
@@ -839,6 +713,7 @@ pub fn run_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sandbox::SandboxState;
     use crate::scheduler::ClusterPolicy;
     use telemetry::Registry;
 
@@ -924,10 +799,10 @@ mod tests {
         sim.dispatch(0, 2, arrive(128 << 20));
         assert_eq!(sim.pending.len(), 2);
         assert!(sim.pending.contains(1) && sim.pending.contains(2));
-        sim.dispatch(5, 1, ClusterEventKind::Depart);
+        sim.transition(1, Lifecycle::Depart { at: 5 });
         assert_eq!(sim.stats.abandoned_pending, 1);
         assert!(!sim.pending.contains(1));
-        assert_eq!(sim.sandboxes[&1].state, SandboxState::Abandoned);
+        assert_eq!(sim.sandboxes[&1].state(), SandboxState::Abandoned);
         assert_eq!(sim.pending.front(), Some((2, 1)), "FIFO head preserved");
         // With the host still full, a retry must short-circuit on the
         // bucket index — one skip, one reject, exactly what the oracle's
@@ -938,10 +813,94 @@ mod tests {
         assert_eq!(sim.scheduler.placement_rejects, rejects_before + 1);
         assert!(sim.pending.contains(2), "stuck head stays parked");
         // Capacity frees: the parked survivor places on the next retry.
-        sim.dispatch(7, 0, ClusterEventKind::Depart);
+        sim.transition(0, Lifecycle::Depart { at: 7 });
         sim.retry_pending(8);
         assert!(sim.pending.is_empty());
-        assert_eq!(sim.sandboxes[&2].state, SandboxState::Running(0));
+        assert_eq!(sim.sandboxes[&2].state(), SandboxState::Running(0));
+        assert_eq!((sim.stats.live_now, sim.scheduler.est_live(0)), (1, 1));
+        // The host refuses the admit: the claim goes back and the sandbox
+        // is parked again; a second, stale refusal then moves nothing.
+        let refused = Lifecycle::Refused {
+            host: 0,
+            migration: false,
+        };
+        sim.transition(2, refused);
+        assert_eq!(sim.sandboxes[&2].state(), SandboxState::Pending);
+        assert_eq!(sim.pending.front(), Some((2, 1)));
+        assert_eq!((sim.stats.live_now, sim.scheduler.est_live(0)), (0, 0));
+        assert_eq!(sim.scheduler.est_free_groups(0), 7, "claim released");
+        sim.transition(2, refused);
+        assert_eq!((sim.stats.admit_fails, sim.pending.len()), (2, 1));
+        assert_eq!(sim.scheduler.est_free_groups(0), 7, "released once");
+        // An event the state does not expect is an orphan.
+        sim.transition(1, Lifecycle::Migrate { at: 9 });
+        assert_eq!(sim.stats.orphan_events, 1);
+        sim.transition(2, Lifecycle::Drain);
+        assert_eq!(sim.sandboxes[&2].state(), SandboxState::Abandoned);
+        assert_eq!(sim.stats.abandoned_pending, 2);
+        assert!(sim.pending.is_empty());
+    }
+
+    #[test]
+    fn host_refusals_roll_back_and_conserve_every_sandbox() {
+        // Two two-socket evaluation hosts under GiB-sized sandboxes: the
+        // scheduler counts a host's free groups across both sockets while
+        // the hypervisor wants one socket per VM, so hosts refuse admits
+        // the scheduler placed — the Running → Pending rollback no soak
+        // reaches.
+        let contended = || {
+            let mut s = ClusterScenario::quick(9, ClusterPolicy::BinPack);
+            s.hosts = 2;
+            s.host_config = siloz::SilozConfig::evaluation();
+            s.target_sandboxes = 60;
+            s.vm_bytes_min = 8 << 30;
+            s.vm_bytes_max = 96 << 30;
+            s.mean_lifetime = 400.0;
+            s.attack_prob = 0.0;
+            s
+        };
+        let mut sim = ClusterSim::new(contended(), 1).unwrap();
+        let report = sim.run_to_completion().unwrap();
+        assert!(report.admit_fails > 0, "{report:?}");
+        assert!(report.migration_fails > 0, "{report:?}");
+        assert!(report.clean(), "{report:?}");
+        assert!(sim.verify_cluster().is_empty());
+        assert_eq!(report.final_live, 0);
+        assert_eq!(report.groups_claimed, 0, "every claim drained");
+        assert_eq!(
+            report.sandboxes,
+            report.departures + report.final_live + report.abandoned_pending
+        );
+        // A Migrate fires before 0.8 of the lease and so always finds its
+        // sandbox running or pending: each one is completed, refused by
+        // the destination, or skipped — never two of those.
+        let (trace, _) = crate::events::generate_cluster_trace(&contended());
+        let migrates = trace
+            .iter()
+            .filter(|e| e.kind == ClusterEventKind::Migrate)
+            .count() as u64;
+        assert_eq!(
+            report.migrations + report.migration_fails + report.migration_skips,
+            migrates
+        );
+        let moved: u64 = sim
+            .sandboxes
+            .values()
+            .map(|r| u64::from(r.migrations))
+            .sum();
+        assert_eq!(moved, report.migrations, "per-record and cluster tallies");
+        assert_eq!(
+            run_cluster(contended(), 2, &Registry::new()).unwrap(),
+            report,
+            "2 workers"
+        );
+        let mut oracle = contended();
+        oracle.indexed_scheduler = false;
+        assert_eq!(
+            run_cluster(oracle, 1, &Registry::new()).unwrap(),
+            report,
+            "linear-scan oracle"
+        );
     }
 
     #[test]

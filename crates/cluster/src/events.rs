@@ -32,7 +32,8 @@ pub enum ClusterEventKind {
         mem_bytes: u64,
         /// Requested vCPUs.
         vcpus: u32,
-        /// Lifetime in ticks from placement to departure.
+        /// Lease in ticks: the departure fires this long after the first
+        /// placement the scheduler attempts, wherever the sandbox is then.
         lifetime: u64,
     },
     /// The sandbox's VM is destroyed on its current host (scheduled

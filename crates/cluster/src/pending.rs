@@ -168,19 +168,9 @@ impl PendingQueue {
         self.free.push(slot);
     }
 
-    /// Dequeues the head, returning its sandbox id.
-    pub fn pop_front(&mut self) -> Option<u32> {
-        if self.head == NIL {
-            return None;
-        }
-        let slot = self.head;
-        let id = self.nodes[slot as usize].id;
-        self.unlink(slot);
-        Some(id)
-    }
-
-    /// Removes `id` from anywhere in the queue in O(1) (the
-    /// departure-while-pending path). Returns whether it was queued.
+    /// Removes `id` from anywhere in the queue in O(1) — the head when a
+    /// retry places it, the middle when a lease ends while parked. Returns
+    /// whether it was queued.
     pub fn remove(&mut self, id: u32) -> bool {
         let slot = self.slot_of.get(id as usize).copied().unwrap_or(NIL);
         if slot == NIL {
@@ -195,6 +185,12 @@ impl PendingQueue {
 mod tests {
     use super::*;
 
+    fn pop_front(q: &mut PendingQueue) -> Option<u32> {
+        let (id, _) = q.front()?;
+        assert!(q.remove(id));
+        Some(id)
+    }
+
     #[test]
     fn fifo_order_is_preserved() {
         let mut q = PendingQueue::new();
@@ -203,7 +199,7 @@ mod tests {
         }
         assert_eq!(q.len(), 4);
         assert_eq!(q.front(), Some((5, 1)));
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop_front()).collect();
+        let drained: Vec<_> = std::iter::from_fn(|| pop_front(&mut q)).collect();
         assert_eq!(drained, [5, 2, 9, 7], "strict FIFO, never sorted");
         assert!(q.is_empty());
     }
@@ -220,7 +216,7 @@ mod tests {
         assert!(!q.remove(4), "double remove is a no-op");
         assert!(!q.remove(99), "unknown id is a no-op");
         assert_eq!(q.front(), Some((1, 2)));
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop_front()).collect();
+        let drained: Vec<_> = std::iter::from_fn(|| pop_front(&mut q)).collect();
         assert_eq!(drained, [1, 3]);
     }
 
@@ -236,7 +232,7 @@ mod tests {
         assert_eq!(q.busy_shards(), 2);
         q.remove(1);
         assert_eq!(q.shard_len(3), 1);
-        q.pop_front();
+        pop_front(&mut q);
         assert_eq!(q.shard_len(1), 0);
         assert_eq!(q.busy_shards(), 1);
     }

@@ -1,13 +1,16 @@
-//! Sandbox records: the cluster scheduler's view of every guest.
+//! Sandbox records and the cluster's lifecycle state machine.
 //!
 //! One sandbox is one VM is one isolation-domain claim (the Kata model):
 //! the cluster places it on exactly one host, where it materializes as a
 //! fleet tenant holding its subarray groups exclusively. The record
 //! tracks where the sandbox is in that lifecycle; the per-host engines
 //! hold the authoritative hypervisor state, and the two views are
-//! cross-checked at every sync barrier.
+//! cross-checked at every sync barrier. `ClusterSim::transition` is the
+//! only code that changes a record's state (DESIGN §4j has the table).
 
-use crate::events::AFFINITY_CLASSES;
+use crate::engine::{shard_mut, ClusterSim, HostCmd};
+use crate::events::{ClusterEvent, ClusterEventKind, AFFINITY_CLASSES};
+use fleet::PendingVm;
 
 /// Where a sandbox is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,42 +30,40 @@ pub enum SandboxState {
 /// One sandbox's request and lifecycle state.
 #[derive(Debug, Clone, Copy)]
 pub struct SandboxRecord {
-    /// Cluster-unique sandbox id; doubles as the fleet tenant id on
-    /// whichever host currently runs it.
-    pub id: u32,
-    /// Requested guest RAM, bytes.
-    pub mem_bytes: u64,
-    /// Requested vCPUs.
-    pub vcpus: u32,
-    /// Lifetime in ticks, counted from placement.
-    pub lifetime: u64,
+    /// The request as handed to whichever host admits it: `vm.tenant` is
+    /// the cluster-unique sandbox id and the fleet tenant id there.
+    /// `vm.lifetime` is a lease scheduled at the first *attempted*
+    /// placement: it keeps ticking while a host-refused sandbox is
+    /// re-queued or a migrated one moves.
+    pub vm: PendingVm,
     /// Co-location class (`id % AFFINITY_CLASSES`), the socket-affine
     /// policy's grouping key.
     pub affinity: u32,
-    /// Current lifecycle state.
-    pub state: SandboxState,
-    /// Completed cross-host migrations.
+    state: SandboxState,
+    /// Completed cross-host migrations (the destination admitted).
     pub migrations: u32,
-    /// Whether the departure event is already on the cluster queue. Set at
-    /// first placement (`placed_at + lifetime`); a migration or a
-    /// re-queued failed admission must not schedule a second lease end.
-    pub depart_scheduled: bool,
+    /// Whether the lease end is already on the cluster queue (a re-placed
+    /// refused admission must not schedule a second one).
+    depart_scheduled: bool,
 }
 
 impl SandboxRecord {
     /// A fresh, not-yet-placed record for an arriving sandbox.
     #[must_use]
-    pub fn new(id: u32, mem_bytes: u64, vcpus: u32, lifetime: u64) -> Self {
+    pub fn new(vm: PendingVm) -> Self {
         Self {
-            id,
-            mem_bytes,
-            vcpus,
-            lifetime,
-            affinity: id % AFFINITY_CLASSES,
+            vm,
+            affinity: vm.tenant % AFFINITY_CLASSES,
             state: SandboxState::Pending,
             migrations: 0,
             depart_scheduled: false,
         }
+    }
+
+    /// Current lifecycle state.
+    #[must_use]
+    pub fn state(&self) -> SandboxState {
+        self.state
     }
 
     /// The host currently running this sandbox, if any.
@@ -75,13 +76,163 @@ impl SandboxRecord {
     }
 }
 
+/// Everything that can happen to a sandbox once its record exists.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lifecycle {
+    /// An arrival or a pending-queue retry asks the scheduler for a host.
+    Place { at: u64 },
+    /// The trace moves the sandbox to another host.
+    Migrate { at: u64 },
+    /// The lease ends.
+    Depart { at: u64 },
+    /// A migration's destination host admitted it (phase-3 reconcile).
+    Migrated,
+    /// `host` refused an admit command (phase-3 reconcile).
+    Refused { host: usize, migration: bool },
+    /// The trace drained with the sandbox still unplaceable.
+    Drain,
+}
+
+impl ClusterSim {
+    /// The one writer of sandbox state, scheduler releases, pending-queue
+    /// membership, lease ends and the live/departed/abandoned/migrated
+    /// counters: one `match` from (state, event) to the next state, then
+    /// the books that follow from the edge taken. An event the state does
+    /// not expect is an orphan and moves nothing.
+    pub(crate) fn transition(&mut self, id: u32, event: Lifecycle) {
+        use SandboxState::{Abandoned, Departed, Pending, Running};
+        let Self {
+            sandboxes,
+            scheduler,
+            pending,
+            queue,
+            stats,
+            hosts,
+            ..
+        } = self;
+        let Some(rec) = sandboxes.get_mut(&id) else {
+            stats.orphan_events += 1;
+            return;
+        };
+        let (vm, affinity, prev) = (rec.vm, rec.affinity, rec.state);
+        let mut command = |host: usize, cmd| shard_mut(&mut hosts[host]).cmds.push(cmd);
+        let next = match (prev, event) {
+            (Pending, Lifecycle::Place { at }) => {
+                match scheduler.place(affinity, vm.mem_bytes, None) {
+                    Some(host) => {
+                        let migration = false;
+                        command(host, HostCmd::Admit { at, vm, migration });
+                        if !rec.depart_scheduled {
+                            rec.depart_scheduled = true;
+                            queue.push(|seq| ClusterEvent {
+                                at: at + vm.lifetime,
+                                seq,
+                                sandbox: id,
+                                kind: ClusterEventKind::Depart,
+                            });
+                        }
+                        Running(host)
+                    }
+                    None => Pending,
+                }
+            }
+            (Running(src), Lifecycle::Migrate { at }) => {
+                match scheduler.place(affinity, vm.mem_bytes, Some(src)) {
+                    Some(dst) => {
+                        command(src, HostCmd::Depart { at, tenant: id });
+                        let migration = true;
+                        command(dst, HostCmd::Admit { at, vm, migration });
+                        Running(dst)
+                    }
+                    None => {
+                        stats.migration_skips += 1;
+                        prev
+                    }
+                }
+            }
+            (Pending, Lifecycle::Migrate { .. }) => {
+                stats.migration_skips += 1;
+                Pending
+            }
+            (Running(host), Lifecycle::Depart { at }) => {
+                command(host, HostCmd::Depart { at, tenant: id });
+                Departed
+            }
+            (Pending, Lifecycle::Depart { .. } | Lifecycle::Drain) => Abandoned,
+            (_, Lifecycle::Migrated) => {
+                rec.migrations += 1;
+                stats.migrations += 1;
+                prev
+            }
+            (_, Lifecycle::Refused { host, migration }) => {
+                if migration {
+                    stats.migration_fails += 1;
+                } else {
+                    stats.admit_fails += 1;
+                }
+                // Roll back only if the sandbox still thinks it runs
+                // there: a same-epoch departure or onward migration already
+                // moved the claim, and the refusal is then moot.
+                if prev == Running(host) {
+                    Pending
+                } else {
+                    prev
+                }
+            }
+            _ => {
+                stats.orphan_events += 1;
+                prev
+            }
+        };
+        rec.state = next;
+
+        if next != prev {
+            if let Running(host) = prev {
+                scheduler.release(host, affinity, vm.mem_bytes);
+            }
+            match next {
+                Departed => stats.departures += 1,
+                Abandoned => stats.abandoned_pending += 1,
+                Pending | Running(_) => {}
+            }
+        }
+        let running = |s| u64::from(matches!(s, Running(_)));
+        stats.live_now = stats.live_now + running(next) - running(prev);
+        stats.peak_live = stats.peak_live.max(stats.live_now);
+        if next != Pending {
+            pending.remove(id);
+        } else if !pending.contains(id) {
+            // A fresh arrival no host fits, or a refused admission.
+            pending.push_back(id, scheduler.groups_needed(vm.mem_bytes));
+        }
+
+        debug_assert_eq!(
+            stats.sandboxes,
+            stats.departures + stats.live_now + stats.abandoned_pending + pending.len() as u64,
+            "every arrived sandbox is departed, live, abandoned or queued"
+        );
+        debug_assert_eq!(
+            (0..scheduler.hosts())
+                .map(|h| u64::from(scheduler.est_live(h)))
+                .sum::<u64>(),
+            stats.live_now,
+            "the scheduler tracks exactly the live sandboxes"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn records_start_pending_with_stable_affinity() {
-        let r = SandboxRecord::new(35, 64 << 20, 2, 100);
+        let r = SandboxRecord::new(PendingVm {
+            tenant: 35,
+            mem_bytes: 64 << 20,
+            vcpus: 2,
+            lifetime: 100,
+        });
         assert_eq!(r.state, SandboxState::Pending);
         assert_eq!(r.affinity, 35 % AFFINITY_CLASSES);
         assert_eq!(r.host(), None);

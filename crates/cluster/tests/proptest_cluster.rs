@@ -9,13 +9,23 @@
 //! - the per-host §4.1 proof passes mid-run — while sandboxes are live
 //!   and migrating — and again after the trace drains,
 //! - the drained fleet holds zero domain claims.
+//!
+//! The suite runs in the debug profile, so the conservation
+//! `debug_assert!`s inside `ClusterSim::transition` execute on every
+//! lifecycle step of every drawn scenario.
 
 use cluster::{ClusterPolicy, ClusterScenario, ClusterSim};
 use proptest::prelude::*;
+use siloz::SilozConfig;
 
-/// A randomized small cluster: mini hosts, no attacks (hammer campaigns
-/// cost ~0.5 s each and prove nothing about scheduling), short
-/// lifetimes so departures and pending-queue churn actually happen.
+/// A randomized small cluster: no attacks (hammer campaigns cost ~0.5 s
+/// each and prove nothing about scheduling), short lifetimes so
+/// departures and pending-queue churn actually happen. Two host shapes:
+/// many mini hosts under MiB-sized sandboxes, or (`big_hosts`) two
+/// two-socket evaluation hosts under GiB-sized ones — there the scheduler
+/// counts a host's free groups across both sockets while the hypervisor
+/// wants one socket per VM, so hosts refuse admits the scheduler placed
+/// and the Running → Pending rollback is drawn too.
 #[allow(clippy::too_many_arguments)]
 fn scenario(
     seed: u64,
@@ -27,6 +37,7 @@ fn scenario(
     migrate_prob: f64,
     epoch_ticks: u64,
     sync_period: u32,
+    big_hosts: bool,
 ) -> ClusterScenario {
     let mut s = ClusterScenario::quick(seed, policy);
     s.hosts = hosts;
@@ -34,6 +45,14 @@ fn scenario(
     s.mean_lifetime = lifetime;
     s.vm_bytes_min = 16 << 20;
     s.vm_bytes_max = vm_max_mib << 20;
+    if big_hosts {
+        s.host_config = SilozConfig::evaluation();
+        s.hosts = 2;
+        s.target_sandboxes = sandboxes / 2;
+        s.mean_lifetime = lifetime * 4.0;
+        s.vm_bytes_min = 8 << 30;
+        s.vm_bytes_max = (vm_max_mib / 3) << 30;
+    }
     s.slices_per_sandbox = 1;
     s.slice_ops = 32;
     s.migrate_prob = migrate_prob;
@@ -57,6 +76,7 @@ proptest! {
         epoch_ticks in 16u64..128,
         sync_period in 0u32..6,
         threads in 1u32..3,
+        big_hosts in any::<bool>(),
     ) {
         let lifetime = lifetime_ticks as f64;
         let migrate_prob = f64::from(migrate_pct) / 100.0;
@@ -64,7 +84,7 @@ proptest! {
         for policy in ClusterPolicy::ALL {
             let s = scenario(
                 seed, policy, hosts, sandboxes, lifetime, vm_max_mib,
-                migrate_prob, epoch_ticks, sync_period,
+                migrate_prob, epoch_ticks, sync_period, big_hosts,
             );
             let mut sim = ClusterSim::new(s, threads).expect("boot");
 
@@ -95,6 +115,11 @@ proptest! {
             );
             prop_assert_eq!(report.final_live, 0);
             prop_assert_eq!(report.groups_claimed, 0, "claims must drain");
+            prop_assert_eq!(
+                report.sandboxes,
+                report.departures + report.abandoned_pending,
+                "every sandbox departed or was abandoned"
+            );
             prop_assert!(
                 report.placements >= u64::from(report.sandboxes as u32)
                     - report.abandoned_pending,

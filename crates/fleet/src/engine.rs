@@ -22,19 +22,33 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use siloz::{GroupId, Hypervisor, HypervisorKind, SilozError, VmHandle};
 use sim::GuestLedger;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Max violation messages retained verbatim (the total is always counted).
 const VIOLATION_SAMPLES: usize = 16;
 
-/// A live tenant's runtime state.
-#[derive(Debug, Clone, Copy)]
-struct LiveVm {
+/// Everything the engine knows about one live tenant. Inserted when its VM
+/// goes live and removed whole at departure, so nothing tenant-keyed can
+/// outlive the VM.
+struct Tenant {
     handle: VmHandle,
     vcpus: u32,
     /// Rotation cursor for defragmentation sweeps.
     defrag_cursor: u32,
+    /// The group claims the last slow boundary check derived from the
+    /// hypervisor. `None` marks the tenant dirty — its backing may have
+    /// changed since — which forces the next check down the slow path.
+    groups: Option<Vec<GroupId>>,
+    /// Compiled load-generator ledgers by slice length (the thread count
+    /// follows from `vcpus`). Backing-independent: fetched from the trace
+    /// cache once per tenant life, so a readmitted or migrated tenant
+    /// re-binds what an earlier life compiled.
+    ledgers: BTreeMap<u32, Arc<GuestLedger>>,
+    /// Ledgers bound to the tenant's *current* backing, same key. Cleared
+    /// whenever an event moves the tenant's memory.
+    programs: BTreeMap<u32, CompiledTrace>,
 }
 
 /// Counters accumulated over a run.
@@ -102,6 +116,19 @@ pub struct FleetStats {
     pub violation_samples: Vec<String>,
 }
 
+/// [`AdmissionControl::admit_now`] or [`AdmissionControl::admit_or_defer`].
+type Place =
+    fn(&mut AdmissionControl, &mut Hypervisor, PendingVm) -> Result<Option<VmHandle>, SilozError>;
+
+impl FleetStats {
+    fn violation(&mut self, msg: String) {
+        self.violations_total += 1;
+        if self.violation_samples.len() < VIOLATION_SAMPLES {
+            self.violation_samples.push(msg);
+        }
+    }
+}
+
 /// The simulator: a hypervisor, a memory controller, an event queue, and
 /// the admission controller, advanced one event at a time.
 pub struct FleetSim {
@@ -110,34 +137,19 @@ pub struct FleetSim {
     ctrl: MemoryController,
     queue: EventQueue,
     admission: AdmissionControl,
-    live: BTreeMap<u32, LiveVm>,
+    tenants: BTreeMap<u32, Tenant>,
     /// Persistent interval map of group→tenant claims, indexed by
     /// `GroupId.0`: O(1) point lookup, O(touched) tenant release,
     /// O(1) claim census for the full proof.
     claims: numa::ClaimMap,
-    /// Per-tenant cached group claims, refreshed whenever the slow
-    /// incremental check re-derives them from the hypervisor.
-    group_cache: BTreeMap<u32, Vec<GroupId>>,
-    /// Tenants whose backing may have changed since their cache entry was
-    /// refreshed; a dirty tenant always takes the slow check path.
-    dirty: BTreeSet<u32>,
     /// The deployed defense's controller-side state (rivals only; `None`
     /// for the `none` and `siloz` backends, whose fast path stays intact).
     defense: Option<Box<dyn mitigation::Mitigation>>,
-    /// Compiled per-tenant load-generator ledgers, keyed by
-    /// `(tenant, ops, threads)`. Backing-independent: entries survive the
-    /// tenant's departure and are reused verbatim if it is readmitted —
-    /// or, when a shared [`sim::TraceCache`] is installed, if the tenant
-    /// re-materializes on a *different* host of the same cluster.
-    ledgers: BTreeMap<(u32, u32, u16), Arc<GuestLedger>>,
-    /// Ledgers bound to the owning tenant's *current* backing, same key.
-    /// Invalidated whenever an event moves the tenant's memory.
-    programs: BTreeMap<(u32, u32, u16), CompiledTrace>,
-    /// Optional cluster-wide ledger memoization: when set, ledger lookups
-    /// go through the shared [`sim::TraceCache`] first, so a tenant
-    /// migrated across hosts re-binds its existing compiled trace instead
-    /// of regenerating it.
-    cache: Option<Arc<sim::TraceCache>>,
+    /// Ledger memoization: private to this host until
+    /// [`FleetSim::set_trace_cache`] installs a cluster-wide one, through
+    /// which a tenant migrated across hosts re-binds its existing compiled
+    /// trace instead of regenerating it.
+    cache: Arc<sim::TraceCache>,
     stats: FleetStats,
     events_since_proof: u32,
 }
@@ -176,14 +188,10 @@ impl FleetSim {
             ctrl,
             queue,
             admission,
-            live: BTreeMap::new(),
+            tenants: BTreeMap::new(),
             claims,
-            group_cache: BTreeMap::new(),
-            dirty: BTreeSet::new(),
             defense,
-            ledgers: BTreeMap::new(),
-            programs: BTreeMap::new(),
-            cache: None,
+            cache: Arc::new(sim::TraceCache::new()),
             stats: FleetStats::default(),
             events_since_proof: 0,
         })
@@ -210,7 +218,7 @@ impl FleetSim {
     /// Live VM count.
     #[must_use]
     pub fn live_vms(&self) -> usize {
-        self.live.len()
+        self.tenants.len()
     }
 
     /// Schedules one dynamic event (internal departures; property tests
@@ -238,24 +246,17 @@ impl FleetSim {
         self.scenario.mitigation.domain_policy() == DomainPolicy::IsolationDomains
     }
 
-    fn violation(&mut self, msg: String) {
-        self.stats.violations_total += 1;
-        if self.stats.violation_samples.len() < VIOLATION_SAMPLES {
-            self.stats.violation_samples.push(msg);
-        }
-    }
-
     /// Incremental boundary check for one tenant: its claimed groups must
     /// be exclusively its own in the ownership map (`allow_claims` lets an
     /// admission/expansion record new claims), and both endpoints of every
     /// unmediated backing block must decode into one of those groups.
     ///
     /// A tenant whose backing has not changed since its last slow check
-    /// (not in the dirty set) is verified from its cached claim list with
+    /// (its cached claim list is present) is verified from that list with
     /// pure ownership-map lookups — no hypervisor re-derivation. Events
-    /// that move memory mark the tenant dirty (via
+    /// that move memory drop the list (via
     /// [`FleetSim::invalidate_programs`]), forcing the slow path, which
-    /// re-derives the claims and refreshes the cache.
+    /// re-derives the claims and caches them again.
     fn check_tenant(&mut self, tenant: u32, allow_claims: bool) -> Result<(), SilozError> {
         if !self.proves_isolation() {
             return Ok(());
@@ -267,58 +268,52 @@ impl FleetSim {
     }
 
     fn check_tenant_inner(&mut self, tenant: u32, allow_claims: bool) -> Result<(), SilozError> {
-        let Some(vm) = self.live.get(&tenant).copied() else {
+        let Some(t) = self.tenants.get_mut(&tenant) else {
             return Ok(());
         };
         self.stats.incremental_checks += 1;
-        if !allow_claims && !self.dirty.contains(&tenant) {
-            if let Some(cached) = self.group_cache.remove(&tenant) {
-                self.stats.incremental_fast_checks += 1;
-                for gid in &cached {
-                    match self.claims.owner_of(gid.0) {
-                        Some(owner) if owner == tenant => {}
-                        other => self.violation(format!(
-                            "cached group {} of tenant {tenant} is owned by {other:?}",
-                            gid.0
-                        )),
-                    }
+        if let (false, Some(cached)) = (allow_claims, &t.groups) {
+            self.stats.incremental_fast_checks += 1;
+            for gid in cached {
+                match self.claims.owner_of(gid.0) {
+                    Some(owner) if owner == tenant => {}
+                    other => self.stats.violation(format!(
+                        "cached group {} of tenant {tenant} is owned by {other:?}",
+                        gid.0
+                    )),
                 }
-                self.group_cache.insert(tenant, cached);
-                return Ok(());
             }
+            return Ok(());
         }
-        let groups = self.hv.vm_groups(vm.handle)?;
-        let mut pending = Vec::new();
+        let groups = self.hv.vm_groups(t.handle)?;
         for gid in &groups {
             match self.claims.owner_of(gid.0) {
-                None if allow_claims => pending.push(gid.0),
-                None => self.violation(format!(
+                None if allow_claims => {
+                    self.claims.claim(tenant, gid.0);
+                }
+                None => self.stats.violation(format!(
                     "tenant {tenant} holds unclaimed group {} after a non-claiming event",
                     gid.0
                 )),
                 Some(owner) if owner == tenant => {}
-                Some(owner) => self.violation(format!(
+                Some(owner) => self.stats.violation(format!(
                     "group {} owned by tenant {owner} but claimed by tenant {tenant}",
                     gid.0
                 )),
             }
         }
-        for g in pending {
-            self.claims.claim(tenant, g);
-        }
-        let blocks = self.hv.vm_unmediated_backing(vm.handle)?;
+        let blocks = self.hv.vm_unmediated_backing(t.handle)?;
         for block in &blocks {
             for phys in [block.hpa(), block.hpa() + block.bytes() - 1] {
                 match self.hv.groups().group_of_phys(phys) {
                     Ok(g) if groups.contains(&g) => {}
-                    got => self.violation(format!(
+                    got => self.stats.violation(format!(
                         "tenant {tenant} block at {phys:#x} resolves to {got:?}, outside its groups"
                     )),
                 }
             }
         }
-        self.group_cache.insert(tenant, groups);
-        self.dirty.remove(&tenant);
+        t.groups = Some(groups);
         Ok(())
     }
 
@@ -333,11 +328,11 @@ impl FleetSim {
         self.stats.full_proofs += 1;
         let proof = verify_live_placements(&self.hv);
         for v in proof.violations {
-            self.violation(format!("full proof: {v}"));
+            self.stats.violation(format!("full proof: {v}"));
         }
         let mapped = self.claims.claimed_total();
         if mapped != proof.group_claims {
-            self.violation(format!(
+            self.stats.violation(format!(
                 "ownership map tracks {mapped} claims but the hypervisor proves {}",
                 proof.group_claims
             ));
@@ -345,36 +340,50 @@ impl FleetSim {
         self.stats.check_wall_ns += t.elapsed().as_nanos() as u64;
     }
 
-    fn admit(&mut self, now: u64, vm: PendingVm) -> Result<(), SilozError> {
+    /// The one way a request becomes a live tenant: the defence may veto
+    /// it, `place` (the admission controller's deferring or non-deferring
+    /// primitive) asks the hypervisor for a VM, and a placed VM goes live.
+    /// `None` means vetoed or refused for capacity.
+    fn admit_via(&mut self, vm: PendingVm, place: Place) -> Result<Option<VmHandle>, SilozError> {
         if let Some(d) = self.defense.as_deref_mut() {
             if !d.admit(vm.tenant, vm.mem_bytes) {
                 self.stats.admission_vetoes += 1;
                 self.admission.rejections += 1;
-                return Ok(());
+                return Ok(None);
             }
         }
-        if let Some(handle) = self.admission.admit_or_defer(&mut self.hv, vm)? {
+        let Some(handle) = place(&mut self.admission, &mut self.hv, vm)? else {
+            return Ok(None);
+        };
+        self.go_live(vm, handle)?;
+        Ok(Some(handle))
+    }
+
+    fn admit(&mut self, now: u64, vm: PendingVm) -> Result<(), SilozError> {
+        let placed = self.admit_via(vm, AdmissionControl::admit_or_defer)?;
+        if placed.is_some() {
             self.inject(now + vm.lifetime, vm.tenant, EventKind::Depart);
-            self.go_live(vm, handle)?;
         }
         Ok(())
     }
 
-    /// Records a freshly placed VM as live and runs the admission-boundary
-    /// check. Shared by internal arrivals, deferred re-admissions, and
-    /// [`FleetSim::admit_external`], so all three leave the incremental
-    /// prover's state identical.
+    /// Records a freshly placed VM as live — a new record starts dirty, with
+    /// nothing bound — and runs the claiming admission-boundary check.
+    /// Shared by arrivals and deferred re-admissions, so both leave the
+    /// incremental prover's state identical.
     fn go_live(&mut self, vm: PendingVm, handle: VmHandle) -> Result<(), SilozError> {
-        self.live.insert(
+        self.tenants.insert(
             vm.tenant,
-            LiveVm {
+            Tenant {
                 handle,
                 vcpus: vm.vcpus,
                 defrag_cursor: 0,
+                groups: None,
+                ledgers: BTreeMap::new(),
+                programs: BTreeMap::new(),
             },
         );
-        self.stats.peak_live = self.stats.peak_live.max(self.live.len() as u64);
-        self.invalidate_programs(vm.tenant);
+        self.stats.peak_live = self.stats.peak_live.max(self.tenants.len() as u64);
         self.check_tenant(vm.tenant, true)
     }
 
@@ -392,11 +401,11 @@ impl FleetSim {
     }
 
     fn expand(&mut self, tenant: u32, extra_bytes: u64) -> Result<(), SilozError> {
-        let Some(vm) = self.live.get(&tenant).copied() else {
+        let Some(handle) = self.tenants.get(&tenant).map(|t| t.handle) else {
             self.stats.orphan_events += 1;
             return Ok(());
         };
-        match self.hv.expand_vm(vm.handle, extra_bytes) {
+        match self.hv.expand_vm(handle, extra_bytes) {
             Ok(()) => {
                 self.stats.expansions += 1;
                 self.invalidate_programs(tenant);
@@ -413,15 +422,16 @@ impl FleetSim {
     }
 
     /// Drops a tenant's bound replay programs and marks it dirty for the
-    /// incremental checker. Called whenever an event changes the tenant's
-    /// backing (admission, departure, expansion, defrag or Copy-on-Flip
-    /// migration); the next slice re-binds the cached ledger against the
-    /// new backing, and the next boundary check re-derives the tenant's
-    /// claims from the hypervisor. Ledgers themselves are
-    /// backing-independent and never invalidated.
+    /// incremental checker. Called whenever an event moves a live tenant's
+    /// backing (expansion, defrag or Copy-on-Flip migration); the next
+    /// slice re-binds the tenant's ledger against the new backing, and the
+    /// next boundary check re-derives its claims from the hypervisor.
+    /// Ledgers themselves are backing-independent and never invalidated.
     fn invalidate_programs(&mut self, tenant: u32) {
-        self.programs.retain(|k, _| k.0 != tenant);
-        self.dirty.insert(tenant);
+        if let Some(t) = self.tenants.get_mut(&tenant) {
+            t.programs.clear();
+            t.groups = None;
+        }
     }
 
     /// Replays one load-generator slice for `tenant`. The tenant's guest
@@ -430,60 +440,47 @@ impl FleetSim {
     /// the pre-bound program through the controller; only a backing change
     /// forces a re-bind.
     fn slice(&mut self, tenant: u32, ops: u32) -> Result<(), SilozError> {
-        let Some(vm) = self.live.get(&tenant).copied() else {
+        let Some(t) = self.tenants.get_mut(&tenant) else {
             self.stats.orphan_events += 1;
             return Ok(());
         };
-        let threads = vm.vcpus.clamp(1, 4) as u16;
-        let key = (tenant, ops, threads);
-        if !self.ledgers.contains_key(&key) {
-            let working_set = self.scenario.slice_working_set;
-            let seed = self.scenario.seed ^ (u64::from(tenant) << 17);
-            let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
-            let name = workload.name();
-            let mut build = || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                Arc::new(GuestLedger::generate(
-                    workload.as_mut(),
-                    ops as usize,
-                    threads,
-                    &mut rng,
-                ))
-            };
-            // When two hosts of one cluster race to compile the same
-            // migrated tenant's ledger inside a barrier epoch, only the
-            // host whose build won the cache insert counts the compile:
-            // the cluster-wide total stays 1 for any worker count.
-            let ledger = match &self.cache {
-                Some(cache) => {
-                    let mut mine: Option<Arc<GuestLedger>> = None;
-                    let got =
-                        cache.guest_ledger(&name, working_set, ops as usize, threads, seed, || {
-                            let built = build();
-                            mine = Some(built.clone());
-                            built
-                        });
-                    if mine.as_ref().is_some_and(|m| Arc::ptr_eq(m, &got)) {
-                        self.stats.ledger_compiles += 1;
-                    }
-                    got
-                }
-                None => {
+        let threads = t.vcpus.clamp(1, 4) as u16;
+        let ledger = match t.ledgers.entry(ops) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(slot) => {
+                let working_set = self.scenario.slice_working_set;
+                let seed = self.scenario.seed ^ (u64::from(tenant) << 17);
+                let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
+                let name = workload.name();
+                // When two hosts of one cluster race to compile the same
+                // migrated tenant's ledger inside a barrier epoch, only the
+                // host whose build won the cache insert counts the compile:
+                // the cluster-wide total stays 1 for any worker count.
+                let mut mine: Option<Arc<GuestLedger>> = None;
+                let build = || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let ledger =
+                        GuestLedger::generate(workload.as_mut(), ops as usize, threads, &mut rng);
+                    mine.insert(Arc::new(ledger)).clone()
+                };
+                let got =
+                    self.cache
+                        .guest_ledger(&name, working_set, ops as usize, threads, seed, build);
+                if mine.is_some_and(|m| Arc::ptr_eq(&m, &got)) {
                     self.stats.ledger_compiles += 1;
-                    build()
                 }
-            };
-            self.ledgers.insert(key, ledger);
-        }
-        if !self.programs.contains_key(&key) {
+                slot.insert(got)
+            }
+        };
+        if !t.programs.contains_key(&ops) {
             let thread_base = ((u64::from(tenant) * 16) % 65536) as u16;
-            let program = sim::vm_compiled(&self.hv, vm.handle, &self.ledgers[&key], thread_base)?;
-            self.programs.insert(key, program);
+            let program = sim::vm_compiled(&self.hv, t.handle, ledger, thread_base)?;
+            t.programs.insert(ops, program);
             self.stats.program_binds += 1;
         }
         let _ = self
             .ctrl
-            .run_compiled(self.hv.dram_mut(), &self.programs[&key]);
+            .run_compiled(self.hv.dram_mut(), &t.programs[&ops]);
         self.ctrl.sync_dram_time(self.hv.dram_mut());
         self.stats.slices += 1;
         self.stats.slice_ops += u64::from(ops);
@@ -492,7 +489,7 @@ impl FleetSim {
     }
 
     fn attack(&mut self, tenant: u32, ev: &Event) -> Result<(), SilozError> {
-        let Some(vm) = self.live.get(&tenant).copied() else {
+        let Some(handle) = self.tenants.get(&tenant).map(|t| t.handle) else {
             self.stats.orphan_events += 1;
             return Ok(());
         };
@@ -504,20 +501,20 @@ impl FleetSim {
         let report = match self.defense.as_deref_mut() {
             Some(d) => hammer::hammer_vm_defended(
                 &mut self.hv,
-                vm.handle,
+                handle,
                 1,
                 campaign,
                 &mut rng,
                 d,
                 (tenant % u64::from(u16::MAX) as u32) as u16,
             )?,
-            None => hammer::hammer_vm(&mut self.hv, vm.handle, 1, campaign, &mut rng)?,
+            None => hammer::hammer_vm(&mut self.hv, handle, 1, campaign, &mut rng)?,
         };
         self.stats.attacks += 1;
         self.stats.attack_flips += report.flips_total as u64;
         self.stats.attack_escapes += report.escapes.len() as u64;
         if self.proves_isolation() && !report.escapes.is_empty() {
-            self.violation(format!(
+            self.stats.violation(format!(
                 "attack by tenant {tenant} escaped its domain: {} flips outside",
                 report.escapes.len()
             ));
@@ -527,7 +524,7 @@ impl FleetSim {
             // lowest live tenant id that is not the aggressor) runs a
             // Copy-on-Flip pass over the scrub results.
             let victim = self
-                .live
+                .tenants
                 .iter()
                 .find(|(&t, _)| t != tenant)
                 .map(|(&t, v)| (t, v.handle));
@@ -558,21 +555,22 @@ impl FleetSim {
     fn defrag(&mut self) -> Result<(), SilozError> {
         self.stats.defrag_sweeps += 1;
         let mut budget = self.scenario.defrag_per_sweep;
-        let tenants: Vec<u32> = self.live.keys().copied().collect();
+        let tenants: Vec<u32> = self.tenants.keys().copied().collect();
         for tenant in tenants {
             if budget == 0 {
                 break;
             }
-            let Some(vm) = self.live.get(&tenant).copied() else {
+            let Some(t) = self.tenants.get_mut(&tenant) else {
                 continue;
             };
-            let blocks = self.hv.vm_unmediated_backing(vm.handle)?;
+            let handle = t.handle;
+            let blocks = self.hv.vm_unmediated_backing(handle)?;
             if blocks.is_empty() {
                 continue;
             }
-            let idx = vm.defrag_cursor as usize % blocks.len();
-            let gpa = blocks[idx].gpa;
-            match self.hv.migrate_block(vm.handle, gpa) {
+            let gpa = blocks[t.defrag_cursor as usize % blocks.len()].gpa;
+            t.defrag_cursor = t.defrag_cursor.wrapping_add(1);
+            match self.hv.migrate_block(handle, gpa) {
                 Ok(()) => {
                     self.stats.defrag_migrations += 1;
                     self.invalidate_programs(tenant);
@@ -581,9 +579,6 @@ impl FleetSim {
                 // The VM exactly fills its groups: nothing to compact.
                 Err(SilozError::Numa(_)) => self.stats.defrag_oom += 1,
                 Err(e) => return Err(e),
-            }
-            if let Some(vm) = self.live.get_mut(&tenant) {
-                vm.defrag_cursor = vm.defrag_cursor.wrapping_add(1);
             }
             self.check_tenant(tenant, false)?;
         }
@@ -620,6 +615,11 @@ impl FleetSim {
             EventKind::Attack => self.attack(ev.tenant, &ev)?,
             EventKind::Defrag => self.defrag()?,
         }
+        debug_assert_eq!(
+            self.admission.admitted + self.admission.deferred_admits,
+            self.stats.departures + self.tenants.len() as u64,
+            "every admitted VM is departed or live"
+        );
         match self.scenario.check {
             CheckMode::FullProof => self.full_proof(),
             CheckMode::Incremental => {
@@ -639,22 +639,23 @@ impl FleetSim {
     // across many hosts: it steps each host's queue up to a barrier
     // horizon and drives admissions/departures directly, without the
     // engine's own deferral queue or auto-scheduled departures. The hooks
-    // below keep the incremental §4.1 prover's state — ownership map,
-    // claim cache, dirty set — exactly as the internal event paths do, so
-    // a cross-host migration (external depart + external admit) stays on
-    // the incremental checking path on both hosts.
+    // below are what the internal event paths themselves run (arrival is
+    // `admit_via`, departure is `depart_external` plus a deferred-queue
+    // retry), so a cross-host migration (external depart + external admit)
+    // stays on the incremental checking path on both hosts.
 
-    /// Installs a shared cross-host trace cache. Subsequent slices look up
-    /// their [`GuestLedger`] there before compiling, so a tenant migrated
-    /// from another host (same cluster seed) reuses its compiled trace.
+    /// Replaces this host's private trace cache with a shared cross-host
+    /// one. Subsequent slices look up their [`GuestLedger`] there before
+    /// compiling, so a tenant migrated from another host (same cluster
+    /// seed) reuses its compiled trace.
     pub fn set_trace_cache(&mut self, cache: Arc<sim::TraceCache>) {
-        self.cache = Some(cache);
+        self.cache = cache;
     }
 
     /// Whether `tenant` currently holds a live VM on this host.
     #[must_use]
     pub fn is_live(&self, tenant: u32) -> bool {
-        self.live.contains_key(&tenant)
+        self.tenants.contains_key(&tenant)
     }
 
     /// Tenants currently live on this host, ascending. A cluster-level
@@ -662,7 +663,7 @@ impl FleetSim {
     /// every sync barrier.
     #[must_use]
     pub fn live_tenants(&self) -> Vec<u32> {
-        self.live.keys().copied().collect()
+        self.tenants.keys().copied().collect()
     }
 
     /// Events still queued on this host.
@@ -679,36 +680,22 @@ impl FleetSim {
     /// for an internal arrival. Returns `None` on a veto or capacity
     /// rejection; non-capacity errors propagate.
     pub fn admit_external(&mut self, vm: PendingVm) -> Result<Option<VmHandle>, SilozError> {
-        if let Some(d) = self.defense.as_deref_mut() {
-            if !d.admit(vm.tenant, vm.mem_bytes) {
-                self.stats.admission_vetoes += 1;
-                self.admission.rejections += 1;
-                return Ok(None);
-            }
-        }
-        let Some(handle) = self.admission.admit_now(&mut self.hv, vm)? else {
-            return Ok(None);
-        };
-        self.go_live(vm, handle)?;
-        Ok(Some(handle))
+        self.admit_via(vm, AdmissionControl::admit_now)
     }
 
     /// Departs a tenant on behalf of an external scheduler: destroys the
-    /// VM and releases every trace the incremental checker keeps of it
-    /// (ownership-map claims, cached claim list, dirty-set entry). This
-    /// *is* the first half of an internal departure; only the retry of
-    /// this host's deferred queue is left out (the cluster scheduler owns
-    /// placement retries). Returns whether the tenant was live here.
+    /// VM and drops the tenant's record and ownership-map claims — every
+    /// trace the engine keeps of it. This *is* the first half of an
+    /// internal departure; only the retry of this host's deferred queue is
+    /// left out (the cluster scheduler owns placement retries). Returns
+    /// whether the tenant was live here.
     pub fn depart_external(&mut self, tenant: u32) -> Result<bool, SilozError> {
-        let Some(vm) = self.live.remove(&tenant) else {
+        let Some(t) = self.tenants.remove(&tenant) else {
             self.stats.orphan_events += 1;
             return Ok(false);
         };
-        self.hv.destroy_vm(vm.handle)?;
+        self.hv.destroy_vm(t.handle)?;
         self.stats.departures += 1;
-        self.invalidate_programs(tenant);
-        self.group_cache.remove(&tenant);
-        self.dirty.remove(&tenant);
         self.claims.release_tenant(tenant);
         Ok(true)
     }
@@ -767,7 +754,7 @@ impl FleetSim {
             cof_migrated: self.stats.cof_migrated,
             orphan_events: self.stats.orphan_events,
             peak_live: self.stats.peak_live,
-            final_live: self.live.len() as u64,
+            final_live: self.tenants.len() as u64,
             groups_total: occ.total(),
             groups_claimed: occ.claimed(),
             fragmentation_pct: occ.fragmentation_pct(),
@@ -842,7 +829,7 @@ impl FleetSim {
         fleet
             .counter("claim_released_groups")
             .add(self.claims.released_groups);
-        fleet.gauge("live_vms").add(self.live.len() as i64);
+        fleet.gauge("live_vms").add(self.tenants.len() as i64);
         fleet
             .gauge("peak_live_vms")
             .add(self.stats.peak_live as i64);
@@ -914,7 +901,7 @@ mod tests {
 
     #[test]
     fn incremental_fast_path_kicks_in_without_changing_history() {
-        // The dirty-set optimization must be invisible to everything except
+        // The clean-tenant fast path must be invisible to everything except
         // checking cost: same admissions, same departures, same attack
         // outcomes as re-proving every event, with most incremental checks
         // served from the cache.

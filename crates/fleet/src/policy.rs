@@ -28,6 +28,20 @@ impl PendingVm {
     }
 }
 
+/// Asks the hypervisor for `vm`'s VM; `None` is a capacity refusal.
+///
+/// Capacity exhaustion surfaces as `InsufficientCapacity` under Siloz
+/// (group accounting) but as a raw allocator `Numa` error under the
+/// baseline hypervisor; `create_vm` rolls back partial allocations on
+/// failure, so either way the host is as it was. Other errors propagate.
+fn try_create(hv: &mut Hypervisor, vm: PendingVm) -> Result<Option<VmHandle>, SilozError> {
+    match hv.create_vm(vm.spec()) {
+        Ok(handle) => Ok(Some(handle)),
+        Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Admission controller with a bounded deferred queue.
 #[derive(Debug, Default)]
 pub struct AdmissionControl {
@@ -57,32 +71,20 @@ impl AdmissionControl {
     /// Tries to admit `vm` now; on a capacity rejection the request joins
     /// the deferred queue (abandoning the oldest entry if full) and `None`
     /// is returned. Non-capacity errors propagate.
-    ///
-    /// Capacity exhaustion surfaces as `InsufficientCapacity` under Siloz
-    /// (group accounting) but as a raw allocator `Numa` error under the
-    /// baseline hypervisor; both defer (`create_vm` rolls back partial
-    /// allocations on failure).
     pub fn admit_or_defer(
         &mut self,
         hv: &mut Hypervisor,
         vm: PendingVm,
     ) -> Result<Option<VmHandle>, SilozError> {
-        match hv.create_vm(vm.spec()) {
-            Ok(handle) => {
-                self.admitted += 1;
-                Ok(Some(handle))
+        let placed = self.admit_now(hv, vm)?;
+        if placed.is_none() {
+            if self.deferred.len() == self.cap {
+                self.deferred.pop_front();
+                self.abandoned += 1;
             }
-            Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => {
-                self.rejections += 1;
-                if self.deferred.len() == self.cap {
-                    self.deferred.pop_front();
-                    self.abandoned += 1;
-                }
-                self.deferred.push_back(vm);
-                Ok(None)
-            }
-            Err(e) => Err(e),
+            self.deferred.push_back(vm);
         }
+        Ok(placed)
     }
 
     /// Tries to admit `vm` now, *without* deferral: a capacity rejection
@@ -95,17 +97,12 @@ impl AdmissionControl {
         hv: &mut Hypervisor,
         vm: PendingVm,
     ) -> Result<Option<VmHandle>, SilozError> {
-        match hv.create_vm(vm.spec()) {
-            Ok(handle) => {
-                self.admitted += 1;
-                Ok(Some(handle))
-            }
-            Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => {
-                self.rejections += 1;
-                Ok(None)
-            }
-            Err(e) => Err(e),
+        let placed = try_create(hv, vm)?;
+        match placed {
+            Some(_) => self.admitted += 1,
+            None => self.rejections += 1,
         }
+        Ok(placed)
     }
 
     /// Retries the deferred queue head-first after capacity freed up,
@@ -118,15 +115,12 @@ impl AdmissionControl {
     ) -> Result<Vec<(PendingVm, VmHandle)>, SilozError> {
         let mut admitted = Vec::new();
         while let Some(vm) = self.deferred.front().copied() {
-            match hv.create_vm(vm.spec()) {
-                Ok(handle) => {
-                    self.deferred.pop_front();
-                    self.deferred_admits += 1;
-                    admitted.push((vm, handle));
-                }
-                Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => break,
-                Err(e) => return Err(e),
-            }
+            let Some(handle) = try_create(hv, vm)? else {
+                break;
+            };
+            self.deferred.pop_front();
+            self.deferred_admits += 1;
+            admitted.push((vm, handle));
         }
         Ok(admitted)
     }

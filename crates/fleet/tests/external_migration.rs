@@ -4,8 +4,8 @@
 //! [`FleetSim::depart_external`] on the source host and
 //! [`FleetSim::admit_external`] on the destination. These tests pin the
 //! regression the cluster engine depends on: the external hooks must
-//! maintain the incremental checker's state — ownership map, dirty set,
-//! cached claims — exactly like the internal arrival/departure events
+//! maintain the incremental checker's state — ownership map and the
+//! tenant's cached claims — exactly like the internal arrival/departure events
 //! do, so a migration costs boundary checks, never a forced full proof,
 //! and a shared [`sim::TraceCache`] lets the destination re-bind the
 //! guest's compiled ledger instead of recompiling it.
