@@ -411,8 +411,8 @@ impl FleetSim {
                 self.invalidate_programs(tenant);
                 self.check_tenant(tenant, true)?;
             }
-            // `Numa(_)` is the baseline allocator's capacity error.
-            Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => {
+            // Refused for capacity: `expand_vm` left the host as it was.
+            Err(e) if e.is_capacity() => {
                 self.stats.expand_denials += 1;
                 self.check_tenant(tenant, false)?;
             }
@@ -543,7 +543,7 @@ impl FleetSim {
                     // A fully-packed node has no spare block to copy into;
                     // the defense simply cannot act (§3's availability
                     // caveat).
-                    Err(SilozError::Numa(_)) => self.stats.cof_oom += 1,
+                    Err(e) if e.is_capacity() => self.stats.cof_oom += 1,
                     Err(e) => return Err(e),
                 }
             }
@@ -577,7 +577,7 @@ impl FleetSim {
                     budget -= 1;
                 }
                 // The VM exactly fills its groups: nothing to compact.
-                Err(SilozError::Numa(_)) => self.stats.defrag_oom += 1,
+                Err(e) if e.is_capacity() => self.stats.defrag_oom += 1,
                 Err(e) => return Err(e),
             }
             self.check_tenant(tenant, false)?;
@@ -993,6 +993,34 @@ mod tests {
         assert!(report.admission_vetoes >= 1);
         assert!(report.rejections >= report.admission_vetoes);
         assert_eq!(sim.live_vms(), 0);
+    }
+
+    #[test]
+    fn guard_pool_refusals_are_counted_denials_not_errors() {
+        // An evaluation host whose socket-0 GFP_EPT pool has been drained:
+        // growing a 2 MiB-backed VM across a 1 GiB GPA boundary needs a new
+        // table page, and so does the EPT root of any new VM.
+        let mut s = Scenario::soak(5, PlacementStrategy::FirstFit);
+        s.target_events = 1;
+        let mut sim = FleetSim::new(s).unwrap();
+        let request = |tenant| PendingVm {
+            tenant,
+            mem_bytes: (1 << 30) - (2 << 20),
+            vcpus: 1,
+            lifetime: 1_000,
+        };
+        sim.admit(0, request(800)).unwrap();
+        let handle = sim.tenants[&800].handle;
+        while sim.hv.alloc_protected_table_page(handle).is_ok() {}
+
+        sim.expand(800, 4 << 20).unwrap();
+        assert_eq!((sim.stats.expansions, sim.stats.expand_denials), (0, 1));
+        sim.admit(1, request(801)).unwrap();
+        assert_eq!(sim.admission.rejections, 1);
+        assert_eq!(sim.live_vms(), 1);
+        sim.full_proof();
+        assert_eq!(sim.stats.violations_total, 0, "{:?}", sim.stats);
+        assert!(siloz::audit(&sim.hv).unwrap().is_healthy());
     }
 
     #[test]

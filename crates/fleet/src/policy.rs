@@ -28,16 +28,15 @@ impl PendingVm {
     }
 }
 
-/// Asks the hypervisor for `vm`'s VM; `None` is a capacity refusal.
-///
-/// Capacity exhaustion surfaces as `InsufficientCapacity` under Siloz
-/// (group accounting) but as a raw allocator `Numa` error under the
-/// baseline hypervisor; `create_vm` rolls back partial allocations on
-/// failure, so either way the host is as it was. Other errors propagate.
+/// Asks the hypervisor for `vm`'s VM; `None` is a capacity refusal
+/// ([`SilozError::is_capacity`]: no unclaimed groups under Siloz, a raw
+/// allocator error under the baseline, a drained GFP_EPT pool under
+/// either). `create_vm` rolls back partial allocations on failure, so the
+/// host is as it was. Other errors propagate.
 fn try_create(hv: &mut Hypervisor, vm: PendingVm) -> Result<Option<VmHandle>, SilozError> {
     match hv.create_vm(vm.spec()) {
         Ok(handle) => Ok(Some(handle)),
-        Err(SilozError::InsufficientCapacity { .. } | SilozError::Numa(_)) => Ok(None),
+        Err(e) if e.is_capacity() => Ok(None),
         Err(e) => Err(e),
     }
 }

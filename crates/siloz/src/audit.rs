@@ -12,15 +12,17 @@
 //!    own groups; no two VMs share a group (Siloz only).
 //! 5. **EPT placement** — every VM's EPT table pages lie inside the
 //!    guard-protected EPT row group (when guard rows are configured).
-//! 6. **Claim consistency** — every guest node claimed by a control group
-//!    belongs to exactly the VM naming that group.
+//! 6. **Claim consistency** — the guest nodes claimed by a VM's control
+//!    group are exactly the nodes the VM holds: no VM holds an unclaimed
+//!    node or one claimed by another group, and no claim outlives or
+//!    exceeds its VM (Siloz only).
 //!
 //! [`audit`] returns every violation found rather than failing fast, so
 //! operators (and the `silozctl audit` command) see the full picture.
 
 use crate::hypervisor::{Hypervisor, HypervisorKind};
 use crate::SilozError;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +69,9 @@ pub enum Violation {
         /// Offending table page HPA.
         hpa: u64,
     },
-    /// A claimed guest node is not held by the claiming VM.
+    /// A guest node's claim and its holder disagree: claimed by a control
+    /// group whose VM does not hold it (or has no VM), or held by a VM whose
+    /// control group does not claim it.
     StaleClaim {
         /// Offending node.
         node: u32,
@@ -143,12 +147,28 @@ pub fn audit(hv: &Hypervisor) -> Result<AuditReport, SilozError> {
         }
     }
 
-    // 4 + 5 + 6: per-VM checks.
+    // 4 + 5 + 6: per-VM checks. `claims` starts as every claimed guest node
+    // with its control group; each VM takes out the nodes it holds, and
+    // whatever is left is claimed but held by no VM.
+    let mut claims: BTreeMap<numa::NodeId, String> = BTreeMap::new();
+    for g in hv.occupancy().groups {
+        if let (Some(owner), Some(node)) = (g.owner, hv.node_of_group(g.group)) {
+            claims.insert(node, owner);
+        }
+    }
     let mut group_owner: HashMap<u32, u32> = HashMap::new();
     for vm in hv.vm_handles() {
         report.vms_checked += 1;
         let groups = hv.vm_groups(vm)?;
         if hv.kind() == HypervisorKind::Siloz {
+            let nodes = hv.vm_nodes(vm)?;
+            let cgroup = nodes.first().and_then(|n| claims.get(n)).cloned();
+            for n in nodes {
+                let claim = claims.remove(n);
+                if claim.is_none() || claim != cgroup {
+                    report.violations.push(Violation::StaleClaim { node: n.0 });
+                }
+            }
             for g in &groups {
                 if let Some(&other) = group_owner.get(&g.0) {
                     report.violations.push(Violation::SharedGroup {
@@ -182,6 +202,12 @@ pub fn audit(hv: &Hypervisor) -> Result<AuditReport, SilozError> {
                 }
             }
         }
+    }
+
+    for node in claims.keys() {
+        report
+            .violations
+            .push(Violation::StaleClaim { node: node.0 });
     }
 
     Ok(report)

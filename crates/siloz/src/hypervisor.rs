@@ -29,7 +29,7 @@ use dram_addr::{RepairMap, SystemAddressDecoder};
 use ept::{Ept, EptAllocator, EptError, EptPerms, IntegrityMode, PageSize, PhysMem, Translation};
 use numa::{
     frame_of_hpa, hpa_of_frame, CgroupRegistry, MemPolicy, NodeId, NodeInfo, PlacementStrategy,
-    PolicyAlloc, Topology, FRAME_BYTES,
+    PolicyAlloc, Topology, FRAME_BYTES, ORDER_1G, ORDER_2M,
 };
 use std::collections::HashMap;
 
@@ -70,7 +70,6 @@ struct Vm {
     nodes: Vec<NodeId>,
     regions: Vec<VmRegion>,
     ept: Ept,
-    ept_from_guard_pool: bool,
 }
 
 /// [`PhysMem`] adapter storing EPT tables in the simulated DRAM.
@@ -95,24 +94,76 @@ impl PhysMem for DramPhysMem<'_> {
     }
 }
 
-/// [`EptAllocator`] over a host node's ordinary 4 KiB pages (the baseline's
-/// EPT path and Siloz's fallback when guard rows are disabled).
+/// A host node's ordinary 4 KiB pages as an EPT pool (the baseline's EPT
+/// path and Siloz's fallback when guard rows are disabled).
 struct NodeEptAlloc<'a> {
     topo: &'a Topology,
     node: NodeId,
-    got: Vec<u64>,
 }
 
-impl EptAllocator for NodeEptAlloc<'_> {
+/// Where one socket's EPT table pages come from and go back to (§5.4): the
+/// guard-protected row group when the socket has one (GFP_EPT), ordinary
+/// host-reserved pages otherwise. Built only by [`Hypervisor::ept_backend`],
+/// so "which pool?" is decided in one place and allocation and release
+/// cannot disagree about the answer.
+enum EptPool<'a> {
+    Guard(&'a mut EptFrameAlloc),
+    HostNode(NodeEptAlloc<'a>),
+}
+
+impl EptAllocator for EptPool<'_> {
     fn alloc_table_page(&mut self) -> Result<u64, EptError> {
-        match self.topo.alloc(self.node, 0) {
-            Ok(frame) => {
-                self.got.push(frame);
-                Ok(hpa_of_frame(frame))
-            }
-            Err(_) => Err(EptError::OutOfMemory),
+        match self {
+            EptPool::Guard(guard) => guard.alloc_table_page(),
+            EptPool::HostNode(n) => match n.topo.alloc(n.node, 0) {
+                Ok(frame) => Ok(hpa_of_frame(frame)),
+                Err(_) => Err(EptError::OutOfMemory),
+            },
         }
     }
+}
+
+impl EptPool<'_> {
+    /// Returns every table page of `ept` to the pool, root first (the guard
+    /// pool is LIFO, so this order decides which frame the next VM gets).
+    fn release_all(&mut self, ept: &Ept) {
+        for &hpa in ept.table_pages() {
+            match self {
+                EptPool::Guard(guard) => guard.release(hpa),
+                EptPool::HostNode(n) => {
+                    let _ = n.topo.free(n.node, frame_of_hpa(hpa), 0);
+                }
+            }
+        }
+    }
+}
+
+/// The map step: installs `blocks` of a `kind` region in `ept` — perms from
+/// the region kind, page size from each block. Emulated MMIO is never
+/// mapped; that is what makes it mediated. On failure the leaves this call
+/// installed are unmapped again; table pages it drew stay part of `ept`
+/// (they are linked into the tree) and go back when the EPT does.
+fn map_blocks(
+    ept: &mut Ept,
+    mem: &mut DramPhysMem<'_>,
+    pool: &mut EptPool<'_>,
+    kind: MemoryRegionKind,
+    blocks: &[BackingBlock],
+) -> Result<(), SilozError> {
+    let perms = match kind {
+        MemoryRegionKind::Mmio => return Ok(()),
+        MemoryRegionKind::Rom | MemoryRegionKind::RomDevice => EptPerms::RO,
+        _ => EptPerms::RWX,
+    };
+    for (i, b) in blocks.iter().enumerate() {
+        if let Err(e) = ept.map(mem, pool, b.gpa, b.hpa(), b.page_size(), perms) {
+            for done in &blocks[..i] {
+                let _ = ept.unmap(mem, done.gpa);
+            }
+            return Err(e.into());
+        }
+    }
+    Ok(())
 }
 
 /// The hypervisor.
@@ -179,38 +230,8 @@ impl Hypervisor {
     ) -> Result<Self, SilozError> {
         config.geometry.validate().map_err(SilozError::BadConfig)?;
         let decoder = SystemAddressDecoder::new(config.geometry, config.decoder)?;
-        match kind {
-            HypervisorKind::Siloz => {
-                let prov = ProvisionedTopology::provision(&config, &decoder, &repairs)?;
-                let mut ept_allocs = HashMap::new();
-                if let Some(plan) = &prov.ept_plan {
-                    for sp in &plan.sockets {
-                        ept_allocs.insert(sp.socket, EptFrameAlloc::new(sp));
-                    }
-                }
-                Ok(Self {
-                    kind,
-                    config,
-                    copy_tlb: dram_addr::DecodeTlb::new(decoder.clone()),
-                    copy_scratch: Vec::new(),
-                    decoder,
-                    dram,
-                    topo: prov.topo,
-                    groups: prov.groups,
-                    host_nodes: prov.host_nodes,
-                    guest_nodes: prov.guest_nodes,
-                    node_of_group: prov.node_of_group,
-                    groups_of_node: prov.groups_of_node,
-                    ept_plan: prov.ept_plan,
-                    ept_allocs,
-                    cgroups: CgroupRegistry::new(),
-                    vms: HashMap::new(),
-                    next_vm: 0,
-                    ept_salt: 0x5110_2bad_c0de,
-                    events: HvEvents::default(),
-                    strategy: PlacementStrategy::default(),
-                })
-            }
+        let prov = match kind {
+            HypervisorKind::Siloz => ProvisionedTopology::provision(&config, &decoder, &repairs)?,
             HypervisorKind::Baseline => {
                 // One conventional node per socket; groups are still
                 // computed for *measurement* (the baseline kernel has no
@@ -237,13 +258,7 @@ impl Hypervisor {
                     );
                     host_nodes.push(id);
                 }
-                Ok(Self {
-                    kind,
-                    config,
-                    copy_tlb: dram_addr::DecodeTlb::new(decoder.clone()),
-                    copy_scratch: Vec::new(),
-                    decoder,
-                    dram,
+                ProvisionedTopology {
                     topo,
                     groups,
                     host_nodes,
@@ -251,16 +266,36 @@ impl Hypervisor {
                     node_of_group: HashMap::new(),
                     groups_of_node: HashMap::new(),
                     ept_plan: None,
-                    ept_allocs: HashMap::new(),
-                    cgroups: CgroupRegistry::new(),
-                    vms: HashMap::new(),
-                    next_vm: 0,
-                    ept_salt: 0x5110_2bad_c0de,
-                    events: HvEvents::default(),
-                    strategy: PlacementStrategy::default(),
-                })
+                    offlined_frames: 0,
+                }
             }
-        }
+        };
+        let ept_allocs = (prov.ept_plan.iter())
+            .flat_map(|plan| &plan.sockets)
+            .map(|sp| (sp.socket, EptFrameAlloc::new(sp)))
+            .collect();
+        Ok(Self {
+            kind,
+            config,
+            copy_tlb: dram_addr::DecodeTlb::new(decoder.clone()),
+            copy_scratch: Vec::new(),
+            decoder,
+            dram,
+            topo: prov.topo,
+            groups: prov.groups,
+            host_nodes: prov.host_nodes,
+            guest_nodes: prov.guest_nodes,
+            node_of_group: prov.node_of_group,
+            groups_of_node: prov.groups_of_node,
+            ept_plan: prov.ept_plan,
+            ept_allocs,
+            cgroups: CgroupRegistry::new(),
+            vms: HashMap::new(),
+            next_vm: 0,
+            ept_salt: 0x5110_2bad_c0de,
+            events: HvEvents::default(),
+            strategy: PlacementStrategy::default(),
+        })
     }
 
     /// The placement strategy admission control currently runs under.
@@ -356,10 +391,36 @@ impl Hypervisor {
             .ok_or(SilozError::NoSuchVm(handle.0))
     }
 
+    /// Splits out what an update of an EPT on `socket` touches besides the
+    /// EPT itself: the simulated DRAM its tables live in, the socket's
+    /// table-page pool, and the live VMs (so a caller can borrow one VM's
+    /// EPT alongside). The one place the pool is chosen; the baseline boots
+    /// with no guard pools, so no kind check is needed.
+    fn ept_backend(
+        &mut self,
+        socket: u16,
+    ) -> (DramPhysMem<'_>, EptPool<'_>, &mut HashMap<u32, Vm>) {
+        let mem = DramPhysMem {
+            dram: &mut self.dram,
+            decoder: &self.decoder,
+        };
+        let pool = match self.ept_allocs.get_mut(&socket) {
+            Some(guard) => EptPool::Guard(guard),
+            None => EptPool::HostNode(NodeEptAlloc {
+                topo: &self.topo,
+                node: self.host_nodes[socket as usize],
+            }),
+        };
+        (mem, pool, &mut self.vms)
+    }
+
     /// Creates a VM per `spec` (§5.3's lifecycle: control group, UNMEDIATED
-    /// allocations from guest-reserved nodes, EPT construction).
+    /// allocations from guest-reserved nodes, EPT construction). A refusal
+    /// leaves the host as it was. Where each page comes from and what a
+    /// failure undoes, for this and the other lifecycle operations, is one
+    /// table: DESIGN.md §4, "Backing and mapping guest memory".
     pub fn create_vm(&mut self, spec: VmSpec) -> Result<VmHandle, SilozError> {
-        let result = self.create_vm_inner(spec);
+        let result = self.conserving(|hv| hv.create_vm_inner(spec));
         match &result {
             Ok(_) => self.events.vms_created += 1,
             Err(e) => {
@@ -370,6 +431,42 @@ impl Hypervisor {
             }
         }
         result
+    }
+
+    /// Runs a lifecycle operation under the conservation law every refusal
+    /// obeys: on `Err`, no frame, table page or node claim has changed
+    /// hands. Checked in debug builds only (O(nodes + VMs) per call), so
+    /// every test and debug-profile soak that takes a refusal exercises it.
+    fn conserving<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<T, SilozError>,
+    ) -> Result<T, SilozError> {
+        let before = cfg!(debug_assertions).then(|| self.holdings());
+        let result = op(self);
+        if let (Some(before), Err(e)) = (before, &result) {
+            assert_eq!(
+                self.holdings(),
+                before,
+                "refusal `{e}` moved frames or claims"
+            );
+        }
+        result
+    }
+
+    /// What [`Self::conserving`] compares: frames nobody holds (free in any
+    /// node or in a GFP_EPT pool) plus the table pages live EPTs hold — a
+    /// refused `expand_vm` legitimately moves pages from the former to the
+    /// latter until `destroy_vm` — and the number of claimed guest nodes.
+    fn holdings(&self) -> (u64, usize) {
+        let free_in_nodes: u64 = (self.topo.nodes())
+            .map(|i| self.topo.free_frames(i.id).unwrap_or(0))
+            .sum();
+        let free_in_pools: u64 = self.ept_allocs.values().map(EptFrameAlloc::remaining).sum();
+        let in_epts: usize = self.vms.values().map(|vm| vm.ept.table_pages().len()).sum();
+        let claimed = (self.guest_nodes.iter())
+            .filter(|&&n| self.cgroups.owner_of(n).is_some())
+            .count();
+        (free_in_nodes + free_in_pools + in_epts as u64, claimed)
     }
 
     fn create_vm_inner(&mut self, spec: VmSpec) -> Result<VmHandle, SilozError> {
@@ -421,6 +518,15 @@ impl Hypervisor {
         }
     }
 
+    /// Guest-reserved nodes on `socket` that are (`claimed`) or are not
+    /// claimed by a control group, in `guest_nodes` (zonelist) order.
+    fn socket_guest_nodes(&self, socket: u16, claimed: bool) -> impl Iterator<Item = NodeId> + '_ {
+        self.guest_nodes.iter().copied().filter(move |&n| {
+            self.topo.node(n).map(|i| i.socket) == Ok(socket)
+                && self.cgroups.owner_of(n).is_some() == claimed
+        })
+    }
+
     /// Selects the socket and guest nodes for a VM.
     fn pick_nodes(
         &self,
@@ -441,18 +547,10 @@ impl Hypervisor {
             HypervisorKind::Siloz => {
                 // Candidate sockets in the strategy's preference order; an
                 // explicit preference always goes first regardless.
-                let mut ranked: Vec<(u16, u32)> = (0..self.config.geometry.sockets)
-                    .map(|socket| {
-                        let claimed = self
-                            .guest_nodes
-                            .iter()
-                            .filter(|&&n| {
-                                self.topo.node(n).map(|i| i.socket) == Ok(socket)
-                                    && self.cgroups.owner_of(n).is_some()
-                            })
-                            .count() as u32;
-                        (socket, claimed)
-                    })
+                let all_sockets = 0..self.config.geometry.sockets;
+                let mut ranked: Vec<(u16, u32)> = all_sockets
+                    .clone()
+                    .map(|socket| (socket, self.socket_guest_nodes(socket, true).count() as u32))
                     .collect();
                 self.strategy.order_sockets(&mut ranked);
                 let mut sockets: Vec<u16> = Vec::with_capacity(ranked.len());
@@ -471,12 +569,7 @@ impl Hypervisor {
                 // excluded) covers the request.
                 for &socket in &sockets {
                     let mut candidates: Vec<(NodeId, u64)> = Vec::new();
-                    for &n in &self.guest_nodes {
-                        if self.topo.node(n).map(|i| i.socket) != Ok(socket)
-                            || self.cgroups.owner_of(n).is_some()
-                        {
-                            continue;
-                        }
+                    for n in self.socket_guest_nodes(socket, false) {
                         candidates.push((n, self.topo.free_frames(n)?));
                     }
                     self.strategy.order_nodes(&mut candidates);
@@ -490,11 +583,9 @@ impl Hypervisor {
                         }
                     }
                 }
-                let available: u64 = self
-                    .guest_nodes
-                    .iter()
-                    .filter(|&&n| self.cgroups.owner_of(n).is_none())
-                    .map(|&n| self.topo.free_frames(n).unwrap_or(0) * FRAME_BYTES)
+                let available: u64 = all_sockets
+                    .flat_map(|socket| self.socket_guest_nodes(socket, false))
+                    .map(|n| self.topo.free_frames(n).unwrap_or(0) * FRAME_BYTES)
                     .sum();
                 Err(SilozError::InsufficientCapacity {
                     requested: unmediated_bytes,
@@ -504,167 +595,112 @@ impl Hypervisor {
         }
     }
 
-    /// Allocates and maps all regions and the EPT for a VM.
+    /// The back step: allocates the blocks of one `bytes`-long `kind`
+    /// region of `spec`'s VM at `gpa`, and frees them again itself if any
+    /// allocation fails.
     ///
-    /// Backing memory is allocated before any EPT table page — as with
-    /// boot-time hugepage reservation, guest RAM occupies the front of its
-    /// pool, row-group aligned, under both hypervisors.
-    fn build_vm(&mut self, spec: &VmSpec, socket: u16, nodes: &[NodeId]) -> Result<Vm, SilozError> {
-        let cgroup = self
-            .cgroups
-            .get(&spec.name)
-            .expect("cgroup created")
-            .clone();
-        let host_node = self.host_nodes[socket as usize];
-        let integrity = match (self.kind, self.config.ept_protection) {
-            (_, EptProtection::SecureEpt) => IntegrityMode::Checked,
-            _ => IntegrityMode::None,
+    /// Unmediated pages use the VM's backing page size and come from
+    /// `nodes`, checked against its control group — the UNMEDIATED mmap
+    /// flag (§5.3). Under Siloz those are the VM's exclusive guest-reserved
+    /// nodes; on the baseline `pick_nodes` chose the socket's one
+    /// conventional node and the shared cpuset allows it. Mediated pages
+    /// are plain 4 KiB pages from the socket's host-reserved node.
+    fn back(
+        &self,
+        spec: &VmSpec,
+        socket: u16,
+        nodes: &[NodeId],
+        kind: MemoryRegionKind,
+        gpa: u64,
+        bytes: u64,
+    ) -> Result<VmRegion, SilozError> {
+        let (from, cgroup, page_size) = if kind.is_unmediated() {
+            let cgroup = self.cgroups.get(&spec.name).expect("control group exists");
+            (nodes.to_vec(), Some(cgroup), spec.page_size)
+        } else {
+            let host_node = self.host_nodes[socket as usize];
+            (vec![host_node], None, PageSize::Size4K)
         };
-        let use_guard_pool =
-            self.kind == HypervisorKind::Siloz && self.ept_allocs.contains_key(&socket);
-
-        // Phase 1: lay out GPA space and allocate all backing memory.
-        let mut layout = Vec::new();
-        let ram_bytes = round_up(spec.memory_bytes, spec.page_size.bytes());
-        layout.push((MemoryRegionKind::Ram, ram_bytes));
-        for &(kind, bytes) in &spec.extra_regions {
-            layout.push((kind, round_up(bytes.max(1), FRAME_BYTES)));
-        }
-        let mut built_regions: Vec<VmRegion> = Vec::new();
-        let mut guest_policy = PolicyAlloc::new(MemPolicy::Bind(nodes.to_vec()));
-        let mut host_policy = PolicyAlloc::new(MemPolicy::Bind(vec![host_node]));
-        let mut gpa_cursor = 0u64;
-        for (kind, bytes) in layout {
-            gpa_cursor = round_up(gpa_cursor, spec.page_size.bytes());
-            let base_gpa = gpa_cursor;
-            let mut backing = Vec::new();
-            // Unmediated pages use the backing page size; mediated pages are
-            // plain 4 KiB host pages.
-            let (order, page_bytes) = if kind.is_unmediated() {
-                (page_order(spec.page_size), spec.page_size.bytes())
-            } else {
-                (0u8, FRAME_BYTES)
-            };
-            let mut off = 0u64;
-            while off < bytes {
-                let gpa = base_gpa + off;
-                let alloc_result = if kind.is_unmediated() {
-                    match self.kind {
-                        HypervisorKind::Siloz => {
-                            // The UNMEDIATED mmap flag: allocation must come
-                            // from the VM's guest-reserved nodes, checked
-                            // against its control group (§5.3).
-                            guest_policy.alloc(&self.topo, order, Some(&cgroup))
-                        }
-                        HypervisorKind::Baseline => host_policy.alloc(&self.topo, order, None),
-                    }
-                } else {
-                    // Mediated pages always come from host-reserved memory.
-                    host_policy.alloc(&self.topo, order, None)
-                };
-                let (node, frame) = match alloc_result {
-                    Ok(x) => x,
-                    Err(e) => {
-                        for r in &built_regions {
-                            self.free_region(r);
-                        }
-                        for b in &backing {
-                            let b: &BackingBlock = b;
-                            let _ = self.topo.free(b.node, b.frame, b.order);
-                        }
-                        return Err(e.into());
-                    }
-                };
-                backing.push(BackingBlock {
-                    gpa,
+        let order = page_order(page_size);
+        let mut policy = PolicyAlloc::new(MemPolicy::Bind(from));
+        let mut region = VmRegion {
+            kind,
+            gpa,
+            bytes,
+            backing: Vec::new(),
+        };
+        let mut off = 0u64;
+        while off < bytes {
+            match policy.alloc(&self.topo, order, cgroup) {
+                Ok((node, frame)) => region.backing.push(BackingBlock {
+                    gpa: gpa + off,
                     frame,
                     order,
                     node,
-                });
-                off += page_bytes;
+                }),
+                Err(e) => {
+                    self.free_region(&region);
+                    return Err(e.into());
+                }
             }
-            built_regions.push(VmRegion {
-                kind,
-                gpa: base_gpa,
-                bytes,
-                backing,
-            });
-            gpa_cursor = base_gpa + bytes;
+            off += page_size.bytes();
+        }
+        Ok(region)
+    }
+
+    /// Backs every region, builds the EPT, maps every region — in that
+    /// order, which is a contract: each HPA a VM gets, and through it every
+    /// pinned report, is a function of the sequence of allocator calls.
+    /// Backing memory is allocated before any EPT table page — as with
+    /// boot-time hugepage reservation, guest RAM occupies the front of its
+    /// pool, row-group aligned, under both hypervisors. A failure anywhere
+    /// gives back everything allocated so far.
+    fn build_vm(&mut self, spec: &VmSpec, socket: u16, nodes: &[NodeId]) -> Result<Vm, SilozError> {
+        let ram_bytes = round_up(spec.memory_bytes, spec.page_size.bytes());
+        let extra = (spec.extra_regions.iter())
+            .map(|&(kind, bytes)| (kind, round_up(bytes.max(1), FRAME_BYTES)));
+        let mut regions: Vec<VmRegion> = Vec::new();
+        let mut gpa = 0u64;
+        for (kind, bytes) in std::iter::once((MemoryRegionKind::Ram, ram_bytes)).chain(extra) {
+            gpa = round_up(gpa, spec.page_size.bytes());
+            match self.back(spec, socket, nodes, kind, gpa, bytes) {
+                Ok(region) => regions.push(region),
+                Err(e) => {
+                    regions.iter().for_each(|r| self.free_region(r));
+                    return Err(e);
+                }
+            }
+            gpa += bytes;
         }
 
-        // Phase 2: build the EPT and map every block. Emulated MMIO is never
-        // mapped; that is what makes it mediated.
-        let rollback = |this: &mut Self, ept: Option<&Ept>| {
-            for r in &built_regions {
-                this.free_region(r);
-            }
-            if let Some(e) = ept {
-                this.free_ept_pages(e, socket);
+        let integrity = match self.config.ept_protection {
+            EptProtection::SecureEpt => IntegrityMode::Checked,
+            _ => IntegrityMode::None,
+        };
+        let salt = self.ept_salt;
+        let (mut mem, mut pool, _) = self.ept_backend(socket);
+        let built = Ept::new(&mut mem, &mut pool, integrity, salt)
+            .map_err(SilozError::from)
+            .and_then(|mut ept| {
+                for r in &regions {
+                    if let Err(e) = map_blocks(&mut ept, &mut mem, &mut pool, r.kind, &r.backing) {
+                        pool.release_all(&ept);
+                        return Err(e);
+                    }
+                }
+                Ok(ept)
+            });
+        let ept = match built {
+            Ok(ept) => ept,
+            Err(e) => {
+                regions.iter().for_each(|r| self.free_region(r));
+                return Err(e);
             }
         };
-        let mut ept = {
-            let mut mem = DramPhysMem {
-                dram: &mut self.dram,
-                decoder: &self.decoder,
-            };
-            let created = if use_guard_pool {
-                let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-                Ept::new(&mut mem, alloc, integrity, self.ept_salt)
-            } else {
-                let mut alloc = NodeEptAlloc {
-                    topo: &self.topo,
-                    node: host_node,
-                    got: Vec::new(),
-                };
-                Ept::new(&mut mem, &mut alloc, integrity, self.ept_salt)
-            };
-            match created {
-                Ok(e) => e,
-                Err(e) => {
-                    rollback(self, None);
-                    return Err(e.into());
-                }
-            }
-        };
-        for region in &built_regions {
-            if region.kind == MemoryRegionKind::Mmio {
-                continue;
-            }
-            let perms = match region.kind {
-                MemoryRegionKind::Rom | MemoryRegionKind::RomDevice => EptPerms::RO,
-                _ => EptPerms::RWX,
-            };
-            let size = if region.kind.is_unmediated() {
-                spec.page_size
-            } else {
-                PageSize::Size4K
-            };
-            for block in &region.backing {
-                let mut mem = DramPhysMem {
-                    dram: &mut self.dram,
-                    decoder: &self.decoder,
-                };
-                let map_result = if use_guard_pool {
-                    let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-                    ept.map(&mut mem, alloc, block.gpa, block.hpa(), size, perms)
-                } else {
-                    let mut alloc = NodeEptAlloc {
-                        topo: &self.topo,
-                        node: host_node,
-                        got: Vec::new(),
-                    };
-                    ept.map(&mut mem, &mut alloc, block.gpa, block.hpa(), size, perms)
-                };
-                if let Err(e) = map_result {
-                    rollback(self, Some(&ept));
-                    return Err(e.into());
-                }
-            }
-        }
 
         // 1 GiB backing must respect 3 GiB sets (4.2).
         if spec.page_size == PageSize::Size1G && self.kind == HypervisorKind::Siloz {
-            for region in &built_regions {
+            for region in &regions {
                 if !region.kind.is_unmediated() {
                     continue;
                 }
@@ -684,9 +720,8 @@ impl Hypervisor {
             spec: spec.clone(),
             socket,
             nodes: nodes.to_vec(),
-            regions: built_regions,
+            regions,
             ept,
-            ept_from_guard_pool: use_guard_pool,
         })
     }
 
@@ -696,162 +731,90 @@ impl Hypervisor {
         }
     }
 
-    fn free_ept_pages(&mut self, ept: &Ept, socket: u16) {
-        let use_guard_pool =
-            self.kind == HypervisorKind::Siloz && self.ept_allocs.contains_key(&socket);
-        if use_guard_pool {
-            let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-            for &hpa in ept.table_pages() {
-                alloc.release(hpa);
-            }
-        } else {
-            let host_node = self.host_nodes[socket as usize];
-            for &hpa in ept.table_pages() {
-                let _ = self.topo.free(host_node, frame_of_hpa(hpa), 0);
-            }
-        }
+    /// Grows a VM by `extra_bytes` of unmediated RAM mapped at the top of
+    /// its GPA space (memory hotplug under subarray-group isolation). A
+    /// refusal leaves the host and the VM as they were (DESIGN.md §4 table).
+    pub fn expand_vm(&mut self, handle: VmHandle, extra_bytes: u64) -> Result<(), SilozError> {
+        self.conserving(|hv| hv.expand_vm_inner(handle, extra_bytes))
     }
 
-    /// Grows a VM by `extra_bytes` of unmediated RAM: claims additional
-    /// guest-reserved nodes on the VM's socket when needed, allocates
-    /// backing, and maps it at the top of the existing GPA space (memory
-    /// hotplug under subarray-group isolation).
-    pub fn expand_vm(&mut self, handle: VmHandle, extra_bytes: u64) -> Result<(), SilozError> {
-        let (socket, page_size, mut nodes, name, next_gpa) = {
-            let vm = self.vm(handle)?;
-            let end = vm
-                .regions
-                .iter()
-                .map(|r| r.gpa + r.bytes)
-                .max()
-                .unwrap_or(0);
-            (
-                vm.socket,
-                vm.spec.page_size,
-                vm.nodes.clone(),
-                vm.spec.name.clone(),
-                round_up(end, vm.spec.page_size.bytes()),
-            )
-        };
-        let extra = round_up(extra_bytes.max(1), page_size.bytes());
+    fn expand_vm_inner(&mut self, handle: VmHandle, extra_bytes: u64) -> Result<(), SilozError> {
+        let vm = self.vm(handle)?;
+        let (spec, socket, held) = (vm.spec.clone(), vm.socket, vm.nodes.clone());
+        let end = vm.regions.iter().map(|r| r.gpa + r.bytes).max();
+        let gpa = round_up(end.unwrap_or(0), spec.page_size.bytes());
+        let extra = round_up(extra_bytes.max(1), spec.page_size.bytes());
+
+        // Siloz: claim more nodes if the held ones cannot take the growth.
+        let mut nodes = held.clone();
         if self.kind == HypervisorKind::Siloz {
-            // Claim more nodes if the current ones cannot hold the growth.
-            let free_now: u64 = nodes
+            let free_now: u64 = held
                 .iter()
                 .map(|&n| self.topo.free_frames(n).unwrap_or(0) * FRAME_BYTES)
                 .sum();
             let mut need = extra.saturating_sub(free_now);
-            if need > 0 {
-                let candidates: Vec<NodeId> = self
-                    .guest_nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| {
-                        self.topo.node(n).map(|i| i.socket) == Ok(socket)
-                            && self.cgroups.owner_of(n).is_none()
-                    })
-                    .collect();
-                for n in candidates {
-                    if need == 0 {
-                        break;
-                    }
-                    nodes.push(n);
-                    need = need.saturating_sub(self.topo.free_frames(n)? * FRAME_BYTES);
-                }
-                if need > 0 {
+            // Candidates are taken in `guest_nodes` order, *not* in
+            // `strategy.order_nodes` order as `pick_nodes` takes them. The
+            // difference is pinned by every committed report: keep it.
+            let mut spare = self.socket_guest_nodes(socket, false);
+            while need > 0 {
+                let Some(n) = spare.next() else {
                     return Err(SilozError::InsufficientCapacity {
                         requested: extra,
                         available: free_now,
                     });
-                }
-                let cpus = self
-                    .cgroups
-                    .get(&name)
-                    .map(|g| g.cpus_allowed.iter().copied().collect::<Vec<_>>())
-                    .unwrap_or_default();
-                self.cgroups
-                    .create_exclusive(&name, nodes.iter().copied(), cpus)?;
+                };
+                nodes.push(n);
+                need = need.saturating_sub(self.topo.free_frames(n)? * FRAME_BYTES);
             }
         }
-        // Allocate and map the growth as a fresh RAM region.
-        let cgroup = self.cgroups.get(&name).expect("cgroup exists").clone();
-        let order = page_order(page_size);
-        let host_node = self.host_nodes[socket as usize];
-        let mut policy = PolicyAlloc::new(MemPolicy::Bind(match self.kind {
-            HypervisorKind::Siloz => nodes.clone(),
-            HypervisorKind::Baseline => vec![host_node],
-        }));
-        let use_guard_pool =
-            self.kind == HypervisorKind::Siloz && self.ept_allocs.contains_key(&socket);
-        let mut backing = Vec::new();
-        let mut off = 0u64;
-        while off < extra {
-            let cg = if self.kind == HypervisorKind::Siloz {
-                Some(&cgroup)
-            } else {
-                None
-            };
-            let (node, frame) = match policy.alloc(&self.topo, order, cg) {
-                Ok(x) => x,
-                Err(e) => {
-                    for b in &backing {
-                        let b: &BackingBlock = b;
-                        let _ = self.topo.free(b.node, b.frame, b.order);
+        let claims_more = nodes.len() > held.len();
+        let mut cpus: Vec<u32> = Vec::new();
+        if claims_more {
+            let group = self.cgroups.get(&spec.name);
+            cpus.extend(group.into_iter().flat_map(|g| &g.cpus_allowed));
+            self.cgroups.create_exclusive(
+                &spec.name,
+                nodes.iter().copied(),
+                cpus.iter().copied(),
+            )?;
+        }
+
+        // Back, then map, the growth as a fresh RAM region.
+        let grown = self
+            .back(&spec, socket, &nodes, MemoryRegionKind::Ram, gpa, extra)
+            .and_then(|region| {
+                let (mut mem, mut pool, vms) = self.ept_backend(socket);
+                let ept = &mut vms.get_mut(&handle.0).expect("vm exists").ept;
+                match map_blocks(ept, &mut mem, &mut pool, region.kind, &region.backing) {
+                    Ok(()) => Ok(region),
+                    Err(e) => {
+                        self.free_region(&region);
+                        Err(e)
                     }
-                    return Err(e.into());
                 }
-            };
-            backing.push(BackingBlock {
-                gpa: next_gpa + off,
-                frame,
-                order,
-                node,
             });
-            off += page_size.bytes();
+        match grown {
+            Ok(region) => {
+                let vm = self.vms.get_mut(&handle.0).expect("vm exists");
+                vm.nodes = nodes;
+                vm.regions.push(region);
+                self.events.expansions += 1;
+                Ok(())
+            }
+            Err(e) => {
+                // Put the control group back to the nodes the VM held:
+                // `create_exclusive` only ever adds claims, so drop the
+                // group and re-create it.
+                if claims_more {
+                    self.cgroups.destroy(&spec.name);
+                    self.cgroups
+                        .create_exclusive(&spec.name, held, cpus)
+                        .expect("re-claiming nodes just released");
+                }
+                Err(e)
+            }
         }
-        for block in &backing {
-            let mut mem = DramPhysMem {
-                dram: &mut self.dram,
-                decoder: &self.decoder,
-            };
-            let vm = self.vms.get_mut(&handle.0).expect("vm exists");
-            let map_result = if use_guard_pool {
-                let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-                vm.ept.map(
-                    &mut mem,
-                    alloc,
-                    block.gpa,
-                    block.hpa(),
-                    page_size,
-                    EptPerms::RWX,
-                )
-            } else {
-                let mut alloc = NodeEptAlloc {
-                    topo: &self.topo,
-                    node: host_node,
-                    got: Vec::new(),
-                };
-                vm.ept.map(
-                    &mut mem,
-                    &mut alloc,
-                    block.gpa,
-                    block.hpa(),
-                    page_size,
-                    EptPerms::RWX,
-                )
-            };
-            map_result?;
-        }
-        let vm = self.vms.get_mut(&handle.0).expect("vm exists");
-        vm.nodes = nodes;
-        vm.regions.push(VmRegion {
-            kind: MemoryRegionKind::Ram,
-            gpa: next_gpa,
-            bytes: extra,
-            backing,
-        });
-        self.events.expansions += 1;
-        Ok(())
     }
 
     /// Host shutdown (§5.3): the privileged shutdown routine kills every VM
@@ -866,8 +829,9 @@ impl Hypervisor {
     }
 
     /// Shuts a VM down: backing memory returns to its logical nodes' free
-    /// pools; the node reservation persists until the control group is
-    /// destroyed (§5.3) — which this convenience method also does.
+    /// pools and table pages to their EPT pool; the node reservation
+    /// persists until the control group is destroyed (§5.3) — which this
+    /// convenience method also does.
     pub fn destroy_vm(&mut self, handle: VmHandle) -> Result<(), SilozError> {
         let vm = self
             .vms
@@ -876,19 +840,8 @@ impl Hypervisor {
         for region in &vm.regions {
             self.free_region(region);
         }
-        let socket = vm.socket;
-        let guard = vm.ept_from_guard_pool;
-        if guard {
-            let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-            for &hpa in vm.ept.table_pages() {
-                alloc.release(hpa);
-            }
-        } else {
-            let host_node = self.host_nodes[socket as usize];
-            for &hpa in vm.ept.table_pages() {
-                let _ = self.topo.free(host_node, frame_of_hpa(hpa), 0);
-            }
-        }
+        let (_, mut pool, _) = self.ept_backend(vm.socket);
+        pool.release_all(&vm.ept);
         self.cgroups.destroy(&vm.spec.name);
         self.events.vms_destroyed += 1;
         self.events.ept_walks_retired += vm.ept.walks();
@@ -1170,19 +1123,13 @@ impl Hypervisor {
         Ok((snapshot, iterated))
     }
 
-    /// Allocates one 4 KiB table page from the guard-protected pool of the
-    /// VM's socket (GFP_EPT path), falling back to host-reserved memory
-    /// when guard rows are disabled. Used for EPT-adjacent metadata that
-    /// needs the same integrity protection (e.g. IOMMU tables, §5.1).
+    /// Allocates one 4 KiB table page from the EPT pool of the VM's socket,
+    /// for EPT-adjacent metadata that needs the same integrity protection
+    /// (e.g. IOMMU tables, §5.1). The caller owns the page.
     pub fn alloc_protected_table_page(&mut self, handle: VmHandle) -> Result<u64, SilozError> {
         let socket = self.vm(handle)?.socket;
-        if self.kind == HypervisorKind::Siloz {
-            if let Some(alloc) = self.ept_allocs.get_mut(&socket) {
-                return alloc.alloc_table_page().map_err(Into::into);
-            }
-        }
-        let frame = self.host_alloc(socket, 0)?;
-        Ok(hpa_of_frame(frame))
+        let (_, mut pool, _) = self.ept_backend(socket);
+        Ok(pool.alloc_table_page()?)
     }
 
     /// Copies `len` bytes between physical ranges (used by migration-based
@@ -1245,64 +1192,38 @@ impl Hypervisor {
     }
 
     /// Migrates the backing block containing `gpa` to a fresh block on the
-    /// same node, updating the EPT (the Copy-on-Flip response to corrected
-    /// errors, §3). Fails for unmapped GPAs or when the node is full.
+    /// same node — allocate, copy, unmap, map, free the old block — (the
+    /// Copy-on-Flip response to corrected errors, §3). Fails, changing
+    /// nothing, for unmapped GPAs or when the node is full.
     pub fn migrate_block(&mut self, handle: VmHandle, gpa: u64) -> Result<(), SilozError> {
-        let (region_idx, block_idx, old) = {
-            let vm = self.vm(handle)?;
-            let mut found = None;
-            for (ri, r) in vm.regions.iter().enumerate() {
-                for (bi, b) in r.backing.iter().enumerate() {
-                    if gpa >= b.gpa && gpa < b.gpa + b.bytes() {
-                        found = Some((ri, bi, *b));
-                    }
+        let vm = self.vm(handle)?;
+        let socket = vm.socket;
+        let mut found = None;
+        for (ri, r) in vm.regions.iter().enumerate() {
+            for (bi, b) in r.backing.iter().enumerate() {
+                if gpa >= b.gpa && gpa < b.gpa + b.bytes() {
+                    found = Some((ri, bi, *b));
                 }
             }
-            found.ok_or(SilozError::Ept(EptError::NotMapped { gpa }))?
-        };
-        let new_frame = self.topo.alloc(old.node, old.order)?;
+        }
+        let (region_idx, block_idx, old) =
+            found.ok_or(SilozError::Ept(EptError::NotMapped { gpa }))?;
         let new = BackingBlock {
-            frame: new_frame,
+            frame: self.topo.alloc(old.node, old.order)?,
             ..old
         };
+        // No exit below undoes that allocation, because none is reachable
+        // short of a corrupted EPT: `copy_phys` fails only on an HPA the
+        // decoder rejects (never one the allocator handed out), and
+        // re-mapping a GPA just unmapped at the same size needs no new
+        // table page.
         self.copy_phys(old.hpa(), new.hpa(), old.bytes())?;
-        // Swap the EPT mapping.
-        let socket = self.vm(handle)?.socket;
-        let use_guard_pool =
-            self.kind == HypervisorKind::Siloz && self.ept_allocs.contains_key(&socket);
-        let host_node = self.host_nodes[socket as usize];
-        {
-            let vm = self.vms.get_mut(&handle.0).expect("vm exists");
-            let region = &vm.regions[region_idx];
-            let size = match old.order {
-                0 => PageSize::Size4K,
-                9 => PageSize::Size2M,
-                _ => PageSize::Size1G,
-            };
-            let perms = match region.kind {
-                MemoryRegionKind::Rom | MemoryRegionKind::RomDevice => EptPerms::RO,
-                _ => EptPerms::RWX,
-            };
-            let mut mem = DramPhysMem {
-                dram: &mut self.dram,
-                decoder: &self.decoder,
-            };
-            vm.ept.unmap(&mut mem, old.gpa)?;
-            if use_guard_pool {
-                let alloc = self.ept_allocs.get_mut(&socket).expect("guard pool");
-                vm.ept
-                    .map(&mut mem, alloc, old.gpa, new.hpa(), size, perms)?;
-            } else {
-                let mut alloc = NodeEptAlloc {
-                    topo: &self.topo,
-                    node: host_node,
-                    got: Vec::new(),
-                };
-                vm.ept
-                    .map(&mut mem, &mut alloc, old.gpa, new.hpa(), size, perms)?;
-            }
-            vm.regions[region_idx].backing[block_idx] = new;
-        }
+        let (mut mem, mut pool, vms) = self.ept_backend(socket);
+        let vm = vms.get_mut(&handle.0).expect("vm exists");
+        let region = &mut vm.regions[region_idx];
+        vm.ept.unmap(&mut mem, old.gpa)?;
+        map_blocks(&mut vm.ept, &mut mem, &mut pool, region.kind, &[new])?;
+        region.backing[block_idx] = new;
         self.topo.free(old.node, old.frame, old.order)?;
         self.events.migrations += 1;
         Ok(())
@@ -1330,11 +1251,12 @@ fn round_up(x: u64, to: u64) -> u64 {
     x.div_ceil(to) * to
 }
 
+/// Buddy order of one backing page (inverse of [`BackingBlock::page_size`]).
 fn page_order(size: PageSize) -> u8 {
     match size {
         PageSize::Size4K => 0,
-        PageSize::Size2M => 9,
-        PageSize::Size1G => 18,
+        PageSize::Size2M => ORDER_2M,
+        PageSize::Size1G => ORDER_1G,
     }
 }
 
@@ -1624,6 +1546,108 @@ mod tests {
                 || matches!(err, SilozError::InsufficientCapacity { .. }),
             "unexpected error: {err:?}"
         );
+    }
+
+    #[test]
+    fn refused_expand_leaves_the_host_as_it_was() {
+        /// What a refused call must not move (the regions are compared
+        /// apart: 60k blocks make an unreadable assertion message).
+        #[derive(Debug, PartialEq)]
+        struct Host {
+            node_free: Vec<u64>,
+            claimed: u64,
+            vm_nodes: Vec<NodeId>,
+            vm_groups: Vec<GroupId>,
+            last_gpa: Translation,
+            /// Table pages in the pool plus those the VM's EPT holds: what
+            /// a refused call draws stays owned by the VM (and goes back
+            /// with it) rather than being lost between the two.
+            table_pages: u64,
+        }
+        fn node_free(hv: &Hypervisor) -> Vec<u64> {
+            let topo = hv.topology();
+            topo.nodes()
+                .map(|i| topo.free_frames(i.id).unwrap())
+                .collect()
+        }
+        fn observe(hv: &mut Hypervisor, vm: VmHandle) -> (Host, Vec<VmRegion>) {
+            let regions = hv.vm_regions(vm).unwrap().to_vec();
+            let last = regions.last().unwrap();
+            let host = Host {
+                node_free: node_free(hv),
+                claimed: hv.occupancy().claimed(),
+                vm_nodes: hv.vm_nodes(vm).unwrap().to_vec(),
+                vm_groups: hv.vm_groups(vm).unwrap(),
+                last_gpa: hv
+                    .translate(vm, last.gpa + last.bytes - FRAME_BYTES)
+                    .unwrap(),
+                table_pages: hv.vm_ept_pages(vm).unwrap().len() as u64
+                    + hv.ept_allocs[&0].remaining(),
+            };
+            (host, regions)
+        }
+
+        // One 16 MiB 4 KiB-backed VM grown in fixed steps until the GFP_EPT
+        // pool refuses a table page mid-map. At 8 and 40 MiB steps the
+        // refused call fits the nodes the VM already holds (it only
+        // allocated backing); at 100 and 130 MiB it does not (it claimed
+        // another node first).
+        for (mib, claims_first) in [(8u64, false), (40, false), (100, true), (130, true)] {
+            let step = mib << 20;
+            let mut hv = mini_siloz();
+            let boot = (node_free(&hv), hv.ept_allocs[&0].remaining());
+            let spec = VmSpec::new("grower", 1, 16 << 20).with_page_size(PageSize::Size4K);
+            let vm = hv.create_vm(spec).unwrap();
+            let (before, err) = loop {
+                let before = observe(&mut hv, vm);
+                if let Err(e) = hv.expand_vm(vm, step) {
+                    break (before, e);
+                }
+            };
+            assert_eq!(err, SilozError::Ept(EptError::OutOfMemory), "{mib} MiB");
+            let held: u64 = (before.0.vm_nodes.iter())
+                .map(|n| before.0.node_free[n.0 as usize])
+                .sum();
+            assert_eq!(
+                held * FRAME_BYTES < step,
+                claims_first,
+                "{mib} MiB: the recipe no longer takes the path it names"
+            );
+
+            let after = observe(&mut hv, vm);
+            assert_eq!(after.0, before.0, "{mib} MiB");
+            assert!(after.1 == before.1, "{mib} MiB: vm_regions changed");
+            assert!(crate::audit(&hv).unwrap().is_healthy(), "{mib} MiB");
+
+            assert_eq!(hv.shutdown(), 1);
+            assert_eq!(
+                (node_free(&hv), hv.ept_allocs[&0].remaining()),
+                boot,
+                "{mib} MiB: shutdown did not restore the boot state"
+            );
+            assert_eq!(hv.occupancy().claimed(), 0);
+        }
+    }
+
+    #[test]
+    fn audit_flags_claims_that_disagree_with_their_vm() {
+        use crate::audit::{audit, Violation};
+        let mut hv = mini_siloz();
+        let vm = hv.create_vm(VmSpec::new("a", 1, 96 << 20)).unwrap();
+        assert!(audit(&hv).unwrap().is_healthy());
+        // A claim its VM does not hold — what a refused `expand_vm` that had
+        // claimed a node first used to leave behind.
+        let held = hv.vm_nodes(vm).unwrap().to_vec();
+        let spare = hv.socket_guest_nodes(0, false).next().unwrap();
+        hv.cgroups
+            .create_exclusive("a", held.iter().copied().chain([spare]), [])
+            .unwrap();
+        let stale = |n: &NodeId| Violation::StaleClaim { node: n.0 };
+        assert_eq!(audit(&hv).unwrap().violations, vec![stale(&spare)]);
+        // And the converse: held nodes that no control group claims.
+        hv.cgroups.destroy("a");
+        let unclaimed: Vec<Violation> = held.iter().map(stale).collect();
+        assert_eq!(audit(&hv).unwrap().violations, unclaimed);
     }
 
     #[test]

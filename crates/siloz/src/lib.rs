@@ -83,6 +83,25 @@ pub enum SilozError {
     NotPermitted(String),
 }
 
+impl SilozError {
+    /// Whether this is a refusal for lack of capacity: no unclaimed groups
+    /// (`InsufficientCapacity`, Siloz), no free block on the permitted
+    /// nodes (the baseline's raw allocator error, or a node that cannot
+    /// spare a migration target), or no table page left in the EPT pool.
+    /// `create_vm` and `expand_vm` leave the host exactly as it was on any
+    /// of these, so callers may count the refusal and carry on; every other
+    /// error is a fault and should propagate.
+    #[must_use]
+    pub fn is_capacity(&self) -> bool {
+        matches!(
+            self,
+            SilozError::InsufficientCapacity { .. }
+                | SilozError::Numa(numa::NumaError::OutOfMemory { .. })
+                | SilozError::Ept(ept::EptError::OutOfMemory)
+        )
+    }
+}
+
 impl core::fmt::Display for SilozError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

@@ -134,10 +134,20 @@ impl BackingBlock {
     pub fn bytes(&self) -> u64 {
         4096u64 << self.order
     }
+
+    /// The page size the block is mapped at: one block is one EPT leaf.
+    #[must_use]
+    pub fn page_size(&self) -> PageSize {
+        match self.order {
+            0 => PageSize::Size4K,
+            numa::ORDER_2M => PageSize::Size2M,
+            _ => PageSize::Size1G,
+        }
+    }
 }
 
 /// A mapped region of a VM.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmRegion {
     /// Region classification.
     pub kind: MemoryRegionKind,
@@ -185,5 +195,6 @@ mod tests {
         };
         assert_eq!(b.hpa(), 512 * 4096);
         assert_eq!(b.bytes(), 2 << 20);
+        assert_eq!(b.page_size(), PageSize::Size2M);
     }
 }

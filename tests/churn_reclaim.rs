@@ -6,9 +6,24 @@
 //! [`shutdown`]: siloz_repro::siloz::Hypervisor::shutdown
 
 use proptest::prelude::*;
+use siloz_repro::ept::{EptError, PageSize};
 use siloz_repro::numa::NodeId;
 use siloz_repro::siloz::{audit, Hypervisor, HypervisorKind, SilozConfig, SilozError, VmSpec};
 use siloz_repro::telemetry::{MetricValue, Registry};
+use std::cell::Cell;
+
+/// Cases the property runs. The vendored proptest seeds from the test name,
+/// so they are the same cases every run.
+const CASES: u32 = 16;
+
+thread_local! {
+    /// Cases finished, and `expand_vm` calls refused with
+    /// `Ept(OutOfMemory)` over all of them: the refusal whose rollback this
+    /// suite pins must actually be drawn. Per thread, because the harness
+    /// may run the property on several threads at once.
+    static CASES_RUN: Cell<u32> = const { Cell::new(0) };
+    static EPT_REFUSED_EXPANDS: Cell<u32> = const { Cell::new(0) };
+}
 
 /// Everything that must be byte-for-byte restored by a full teardown.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,15 +59,22 @@ fn fingerprint(hv: &Hypervisor) -> Fingerprint {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Random lifecycle histories (creations, growth bursts, destructions,
-    /// in any interleaving that fits) never perturb what `shutdown`
-    /// reclaims.
+    /// Random lifecycle histories (creations with either backing page
+    /// size, growth bursts, destructions, in any interleaving that fits —
+    /// including the ones the GFP_EPT pool or the group pool refuses)
+    /// never perturb what `shutdown` reclaims.
+    ///
+    /// The page size is drawn per created VM. Every size drawn here
+    /// (< 200 MiB) maps page by page in milliseconds, and ~250 MiB of
+    /// 4 KiB-backed guest memory drains the mini host's 128-page GFP_EPT
+    /// pool, so the 16 cases take that refusal both on create (4 times)
+    /// and on expand (3 times).
     #[test]
     fn shutdown_restores_pristine_post_boot_state(
         ops in prop::collection::vec(
-            (0u8..3, 16u64..200, any::<prop::sample::Index>()),
+            (0u8..3, 16u64..200, any::<prop::sample::Index>(), any::<bool>()),
             1..20,
         ),
     ) {
@@ -62,17 +84,30 @@ proptest! {
         prop_assert!(pristine.guard_remaining > 0, "guard pool missing");
 
         let mut live = Vec::new();
-        for (i, &(kind, mib, which)) in ops.iter().enumerate() {
+        for (i, &(kind, mib, which, small_pages)) in ops.iter().enumerate() {
             match kind {
-                0 => match hv.create_vm(VmSpec::new(&format!("churn{i}"), 1, mib << 20)) {
-                    Ok(vm) => live.push(vm),
-                    Err(SilozError::InsufficientCapacity { .. }) => {}
-                    Err(e) => return Err(TestCaseError::fail(format!("create: {e}"))),
-                },
+                0 => {
+                    let page_size = if small_pages {
+                        PageSize::Size4K
+                    } else {
+                        PageSize::Size2M
+                    };
+                    let spec = VmSpec::new(&format!("churn{i}"), 1, mib << 20);
+                    match hv.create_vm(spec.with_page_size(page_size)) {
+                        Ok(vm) => live.push(vm),
+                        Err(e) if e.is_capacity() => {}
+                        Err(e) => return Err(TestCaseError::fail(format!("create: {e}"))),
+                    }
+                }
                 1 if !live.is_empty() => {
                     let vm = live[which.index(live.len())];
                     match hv.expand_vm(vm, (mib / 4 + 2) << 20) {
-                        Ok(()) | Err(SilozError::InsufficientCapacity { .. }) => {}
+                        Ok(()) => {}
+                        Err(e) if e.is_capacity() => {
+                            if e == SilozError::Ept(EptError::OutOfMemory) {
+                                EPT_REFUSED_EXPANDS.set(EPT_REFUSED_EXPANDS.get() + 1);
+                            }
+                        }
                         Err(e) => return Err(TestCaseError::fail(format!("expand: {e}"))),
                     }
                 }
@@ -96,5 +131,13 @@ proptest! {
         let free_bytes = hv.occupancy().free_bytes();
         prop_assert!(free_bytes > 0);
         hv.create_vm(VmSpec::new("reboot-probe", 1, 256 << 20)).unwrap();
+
+        CASES_RUN.set(CASES_RUN.get() + 1);
+        if CASES_RUN.get() == CASES {
+            prop_assert!(
+                EPT_REFUSED_EXPANDS.get() > 0,
+                "no case drew an expand refused by the GFP_EPT pool"
+            );
+        }
     }
 }
