@@ -65,8 +65,11 @@ const WAIVABLE_RULES: [&str; 6] = [
 ];
 
 /// Source files on the per-access paths that `benchmark/`'s per-layer
-/// probes time; the `hot-*` rules apply only here.
-const HOT_MODULES: [&str; 12] = [
+/// probes time; the `hot-*` rules apply only here. The cluster's host
+/// picker and pending queue are not among them: they run once per
+/// placement (1.2% of a `cluster_churn` event), not per access, and sit
+/// on std ordered collections.
+const HOT_MODULES: [&str; 10] = [
     "crates/memctrl/src/controller.rs",
     "crates/memctrl/src/compiled.rs",
     "crates/dram/src/bank.rs",
@@ -74,8 +77,6 @@ const HOT_MODULES: [&str; 12] = [
     "crates/dram/src/trr.rs",
     "crates/dram-addr/src/tlb.rs",
     "crates/fleet/src/queue.rs",
-    "crates/cluster/src/scheduler.rs",
-    "crates/cluster/src/pending.rs",
     "crates/numa/src/claims.rs",
     "crates/mitigation/src/backends.rs",
     "crates/sim/src/compile.rs",

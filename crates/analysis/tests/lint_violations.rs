@@ -127,8 +127,8 @@ fn classify_matches_repo_layout() {
     assert!(classify("crates/dram-addr/src/tlb.rs").hot);
     assert!(classify("crates/fleet/src/queue.rs").hot);
     assert!(!classify("crates/cluster/src/queue.rs").hot);
-    assert!(classify("crates/cluster/src/scheduler.rs").hot);
-    assert!(classify("crates/cluster/src/pending.rs").hot);
+    assert!(!classify("crates/cluster/src/scheduler.rs").hot);
+    assert!(!classify("crates/cluster/src/pending.rs").hot);
     assert!(classify("crates/numa/src/claims.rs").hot);
     assert!(classify("crates/sim/src/compile.rs").hot);
     assert!(!classify("crates/memctrl/src/baseline.rs").hot);

@@ -14,7 +14,8 @@
 //! `--scale N` selects the thousands-of-hosts tier instead: one pass
 //! per policy at 7 workers over an `N`-host fleet under soak-density
 //! churn (the indexed scheduler is what makes this tier tractable —
-//! the retired linear scan paid O(hosts) per placement). It writes
+//! the linear scan, retained as its test oracle, pays O(hosts) per
+//! placement). It writes
 //! `CLUSTER_soak_scale.json` and skips the thread-count battery; the
 //! quick and full tiers already pin determinism.
 //!

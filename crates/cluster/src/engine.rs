@@ -196,9 +196,9 @@ pub struct ClusterStats {
     /// Slice/attack events whose sandbox was not running anywhere.
     pub orphan_events: u64,
     /// Pending-queue retries short-circuited because the head's size
-    /// class fit nowhere (the scheduler's bucket index answered in
-    /// O(buckets) instead of a doomed full placement; each one still
-    /// tallies the placement reject the skipped scan would have).
+    /// class fit nowhere (the scheduler's emptiest host answered
+    /// instead of a doomed full placement; each one still tallies the
+    /// placement reject the skipped pick would have).
     pub shard_retries_skipped: u64,
     /// Cluster-wide sync proofs completed.
     pub sync_proofs: u64,
@@ -229,7 +229,7 @@ pub struct ClusterSim {
     pub(crate) queue: EventQueue<ClusterEvent>,
     pub(crate) scheduler: ClusterScheduler,
     pub(crate) sandboxes: BTreeMap<u32, SandboxRecord>,
-    /// Sandboxes awaiting placement: FIFO with O(1) membership removal,
+    /// Sandboxes awaiting placement: FIFO with removal by sandbox id,
     /// sharded by claim-size class.
     pub(crate) pending: PendingQueue,
     /// Next epoch index to execute.
@@ -341,8 +341,8 @@ impl ClusterSim {
                 // The head's size class fits nowhere, so head-of-line
                 // order stops the retry here regardless. Tally the one
                 // reject the doomed placement scan would have counted and
-                // skip it — O(buckets) against the free index instead of
-                // a full candidate walk.
+                // skip it — one look at the emptiest host instead of a
+                // full pick.
                 self.scheduler.count_reject();
                 self.stats.shard_retries_skipped += 1;
                 break;
@@ -782,7 +782,7 @@ mod tests {
     #[test]
     fn departure_while_pending_abandons_without_a_queue_scan() {
         // A lone full host parks later arrivals; one parked sandbox's
-        // lease then expires. The O(1) membership index must drop exactly
+        // lease then expires. The id → ticket index must drop exactly
         // that entry, leave FIFO order intact, and count the abandonment.
         let mut s = tiny(ClusterPolicy::Spread);
         s.hosts = 1;
@@ -804,8 +804,8 @@ mod tests {
         assert!(!sim.pending.contains(1));
         assert_eq!(sim.sandboxes[&1].state(), SandboxState::Abandoned);
         assert_eq!(sim.pending.front(), Some((2, 1)), "FIFO head preserved");
-        // With the host still full, a retry must short-circuit on the
-        // bucket index — one skip, one reject, exactly what the oracle's
+        // With the host still full, a retry must short-circuit on
+        // `can_fit` — one skip, one reject, exactly what the oracle's
         // failed placement would have tallied.
         let rejects_before = sim.scheduler.placement_rejects;
         sim.retry_pending(6);

@@ -204,8 +204,8 @@ impl ClusterScenario {
         }
     }
 
-    /// The thousands-of-hosts tier (ROADMAP item 2's remaining idea):
-    /// the soak's per-host pressure on a fleet of `hosts` mini hosts.
+    /// The thousands-of-hosts tier: the soak's per-host pressure on a
+    /// fleet of `hosts` mini hosts.
     /// Arrivals accelerate linearly with fleet size so cluster-wide
     /// utilization — and the head-of-line churn the scheduler indexes
     /// must absorb — matches the 256-host soak. Per-sandbox guest work

@@ -1,51 +1,35 @@
-//! The cluster's pending-placement queue: a FIFO with O(1) membership
-//! removal and per-size-class shard accounting.
+//! The cluster's pending-placement queue: a FIFO with removal by sandbox
+//! id and per-size-class shard accounting.
 //!
 //! Sandboxes that fit nowhere park here until a capacity-freeing event
 //! (departure, migration, failed-admit rollback) lets the head proceed.
 //! Retries are strictly head-of-line — the queue never reorders — so the
 //! engine's placement outcomes stay a pure function of dispatch order.
-//! Three access patterns need to be cheap at 4096-host scale:
+//! Two std maps carry it:
 //!
-//! * **FIFO push/pop** — an intrusive doubly-linked list threaded through
-//!   an arena of nodes (no per-node allocation after warm-up; freed slots
-//!   are recycled).
-//! * **Departure-while-pending** — a sandbox whose lease expires while
-//!   parked must leave the queue immediately. A dense sandbox-id →
-//!   arena-slot index makes `remove` O(1), replacing the former
-//!   O(pending) `retain` scan.
-//! * **Shard accounting** — every entry is classed by its `groups_needed`
-//!   claim size at push time. The per-shard lengths tell the engine (and
-//!   telemetry) how much queued demand each size class holds, and the
-//!   stored head `need` lets `retry_pending` consult the scheduler's
-//!   bucket index (`can_fit`) in O(buckets) instead of running a doomed
-//!   full placement when no capacity-freeing event could have unblocked
-//!   the head's class.
+//! * **`fifo`** — arrival ticket → `(sandbox, need)`. A push takes a
+//!   ticket above every queued one, so the least key is the head and a
+//!   re-queued sandbox goes to the tail.
+//! * **`ticket_of`** — sandbox id → its ticket, so a sandbox whose lease
+//!   expires while parked leaves from anywhere in O(log pending) instead
+//!   of an O(pending) scan.
+//!
+//! Every entry is also classed by its `groups_needed` claim size at push
+//! time. The per-shard lengths tell the engine (and telemetry) how much
+//! queued demand each size class holds, and the stored head `need` lets
+//! `retry_pending` ask the scheduler's `can_fit` instead of running a
+//! doomed full placement when no capacity-freeing event could have
+//! unblocked the head's class.
 
-/// Null link / empty index slot.
-const NIL: u32 = u32::MAX;
-
-/// One arena slot: a parked sandbox and its FIFO links.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    id: u32,
-    need: i64,
-    prev: u32,
-    next: u32,
-}
+use std::collections::BTreeMap;
 
 /// FIFO of sandboxes awaiting placement, sharded by claim size.
 #[derive(Debug, Default)]
 pub struct PendingQueue {
-    nodes: Vec<Node>,
-    /// Sandbox id → arena slot (`NIL` when not queued). Dense: sandbox
-    /// ids are small integers assigned in arrival order.
-    slot_of: Vec<u32>,
-    /// Recycled arena slots.
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    len: usize,
+    /// Arrival ticket → (sandbox id, claim size); the least is the head.
+    fifo: BTreeMap<u64, (u32, i64)>,
+    /// Sandbox id → its ticket in `fifo`.
+    ticket_of: BTreeMap<u32, u64>,
     /// Queued entries per `groups_needed` size class.
     shard_len: Vec<u64>,
 }
@@ -54,43 +38,31 @@ impl PendingQueue {
     /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            slot_of: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            shard_len: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Queued sandboxes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.fifo.len()
     }
 
     /// Whether nothing is parked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.fifo.is_empty()
     }
 
     /// Whether `id` is currently queued.
     #[must_use]
     pub fn contains(&self, id: u32) -> bool {
-        self.slot_of.get(id as usize).copied().unwrap_or(NIL) != NIL
+        self.ticket_of.contains_key(&id)
     }
 
     /// The head sandbox and its claim size, if any.
     #[must_use]
     pub fn front(&self) -> Option<(u32, i64)> {
-        if self.head == NIL {
-            return None;
-        }
-        let n = self.nodes[self.head as usize];
-        Some((n.id, n.need))
+        self.fifo.first_key_value().map(|(_, &entry)| entry)
     }
 
     /// Queued entries in the given `groups_needed` size class.
@@ -113,70 +85,32 @@ impl PendingQueue {
     /// upstream and panics in debug builds.
     pub fn push_back(&mut self, id: u32, need: i64) {
         debug_assert!(!self.contains(id), "sandbox {id} already pending");
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.nodes.push(Node {
-                    id: 0,
-                    need: 0,
-                    prev: NIL,
-                    next: NIL,
-                });
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        self.nodes[slot as usize] = Node {
-            id,
-            need,
-            prev: self.tail,
-            next: NIL,
-        };
-        if self.tail != NIL {
-            self.nodes[self.tail as usize].next = slot;
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        if self.slot_of.len() <= id as usize {
-            self.slot_of.resize(id as usize + 1, NIL);
-        }
-        self.slot_of[id as usize] = slot;
+        let ticket = self.fifo.last_key_value().map_or(0, |(&t, _)| t + 1);
+        self.fifo.insert(ticket, (id, need));
+        self.ticket_of.insert(id, ticket);
         let class = need.max(0) as usize;
         if self.shard_len.len() <= class {
             self.shard_len.resize(class + 1, 0);
         }
         self.shard_len[class] += 1;
-        self.len += 1;
     }
 
-    /// Unlinks one slot from the list and recycles it.
-    fn unlink(&mut self, slot: u32) {
-        let n = self.nodes[slot as usize];
-        if n.prev != NIL {
-            self.nodes[n.prev as usize].next = n.next;
-        } else {
-            self.head = n.next;
-        }
-        if n.next != NIL {
-            self.nodes[n.next as usize].prev = n.prev;
-        } else {
-            self.tail = n.prev;
-        }
-        self.slot_of[n.id as usize] = NIL;
-        self.shard_len[n.need.max(0) as usize] -= 1;
-        self.len -= 1;
-        self.free.push(slot);
-    }
-
-    /// Removes `id` from anywhere in the queue in O(1) — the head when a
-    /// retry places it, the middle when a lease ends while parked. Returns
+    /// Removes `id` from anywhere in the queue — the head when a retry
+    /// places it, the middle when a lease ends while parked. Returns
     /// whether it was queued.
     pub fn remove(&mut self, id: u32) -> bool {
-        let slot = self.slot_of.get(id as usize).copied().unwrap_or(NIL);
-        if slot == NIL {
+        let Some(ticket) = self.ticket_of.remove(&id) else {
             return false;
+        };
+        let parked = self.fifo.remove(&ticket);
+        debug_assert_eq!(
+            parked.map(|(queued, _)| queued),
+            Some(id),
+            "ticket_of and fifo disagree about sandbox {id}"
+        );
+        if let Some((_, need)) = parked {
+            self.shard_len[need.max(0) as usize] -= 1;
         }
-        self.unlink(slot);
         true
     }
 }
@@ -238,18 +172,21 @@ mod tests {
     }
 
     #[test]
-    fn arena_slots_are_recycled() {
+    fn a_requeued_sandbox_goes_to_the_tail() {
+        // What `ClusterSim::transition` does to a host-refused sandbox:
+        // `Running -> Pending` parks it again, behind everyone waiting.
         let mut q = PendingQueue::new();
-        for round in 0..10u32 {
-            for id in 0..8u32 {
-                q.push_back(id, 1);
-            }
-            for id in 0..8u32 {
-                assert!(q.contains(id));
-                assert!(q.remove(id));
-            }
-            assert!(q.is_empty(), "round {round}");
+        for id in [1u32, 2, 3] {
+            q.push_back(id, id as i64);
         }
-        assert!(q.nodes.len() <= 8, "arena never grows past peak occupancy");
+        assert!(q.remove(1));
+        q.push_back(1, 1);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.busy_shards(), 3);
+        assert_eq!([q.shard_len(1), q.shard_len(2), q.shard_len(3)], [1, 1, 1]);
+        let drained: Vec<_> = std::iter::from_fn(|| pop_front(&mut q)).collect();
+        assert_eq!(drained, [2, 3, 1], "the old place in line is not kept");
+        assert!(!q.remove(1), "a stale ticket must not resurrect the entry");
+        assert!(q.is_empty() && q.busy_shards() == 0);
     }
 }

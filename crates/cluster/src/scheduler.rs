@@ -11,37 +11,34 @@
 //!
 //! # Sublinear host selection
 //!
-//! The scheduler answers every pick from policy-specific indexes instead
-//! of scanning all hosts:
+//! "Which host" is one sorted key per policy, held in std ordered sets:
 //!
-//! * **Free-group bucket index** — one bucket per possible `free_groups`
-//!   value (0..=max total groups per host), each bucket a lazy-deletion
-//!   min-heap of host ids. A Spread pick walks buckets from the
-//!   fullest down, a BinPack pick from `need` up, and the heap top of the
-//!   first non-empty bucket *is* the oracle's answer: same free count,
-//!   lowest host id — the exact `(free_groups, Reverse(i))` /
-//!   `(free_groups, i)` tie-breaks of the linear scan. Picks cost
-//!   O(buckets ≤ groups-per-host + stale pops); place/release cost one
-//!   amortized O(1) heap push (stale entries are invalidated by bumping a
-//!   per-host stamp, and heaps compact when stale entries outnumber live
-//!   ones).
-//! * **Per-affinity-class occupancy index** (SocketAffine only) — for
-//!   each class, a (live count × free groups) grid of the same lazy
-//!   heaps. Scanning count levels from the highest down, and free buckets
-//!   from the fullest down within each level, reproduces the oracle's
-//!   `(count, free_groups, Reverse(i))` ordering exactly; when no host
-//!   already runs the class (or none that does fits), every candidate has
-//!   count 0 and the global spread walk is literally the oracle's
-//!   fallback ordering.
+//! * **`by_free`** — every host once, keyed `(free_groups, tie)`. Spread
+//!   takes the greatest key, so `tie` is `-host` and the lowest id wins
+//!   among equally free hosts; BinPack takes the least key at or above
+//!   `(need, MIN)`, so `tie` is `host`. Those are the linear scan's
+//!   `(free_groups, Reverse(i))` / `(free_groups, i)` orderings, read
+//!   from one end of a range.
+//! * **`by_class`** (SocketAffine only) — one key
+//!   `(class, live count of class, free_groups, -host)` per class a host
+//!   runs. A pick walks its class's keys from the greatest down and jumps
+//!   over the rest of a count level as soon as that level's fullest host
+//!   is too small: the scan's `(count, free_groups, Reverse(i))` ordering.
+//!   When no host running the class fits, every candidate has count 0 and
+//!   the Spread walk *is* the scan's fallback ordering.
 //!
-//! The pre-index linear scan is retained as an **oracle** behind a
-//! constructor flag ([`ClusterScheduler::new_oracle`]); the equivalence
-//! battery and the lockstep proptest drive both implementations through
-//! identical operation sequences and assert bit-identical picks,
-//! counters, and audits.
+//! A migration's `exclude`d source costs a walk at most one extra step.
+//! Place/release remove a host's old keys and insert its new ones, so a
+//! pick is O(log hosts) (× count levels for SocketAffine) and does not
+//! depend on groups-per-host.
+//!
+//! The linear scan is retained as an **oracle** behind a constructor flag
+//! ([`ClusterScheduler::new_oracle`]); the equivalence battery and the
+//! lockstep proptest drive both implementations through identical
+//! operation sequences and assert bit-identical picks, counters, and
+//! audits.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeSet;
 
 /// Pluggable host-selection policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,88 +123,6 @@ pub enum AuditIssue {
     },
 }
 
-/// A lazy-deletion min-heap of `(host, stamp)` entries, lowest host id
-/// on top. An entry is live iff its stamp equals the host's current
-/// stamp; every host mutation bumps the stamp, logically deleting all of
-/// the host's old entries everywhere at once. Stale entries are popped
-/// when they surface at the top and swept wholesale when they outnumber
-/// live entries. `(host, stamp)` keys are unique, so which host a pick
-/// returns depends only on the key set, never on the heap's layout.
-#[derive(Debug, Default, Clone)]
-struct LazyHeap {
-    entries: BinaryHeap<Reverse<(u32, u64)>>,
-    /// Exact count of live entries (maintained by the index, not by lazy
-    /// pops — a stale entry's live-count was already transferred to the
-    /// host's new bucket when its stamp was bumped).
-    live: u32,
-}
-
-impl LazyHeap {
-    /// Inserts a live entry, dropping every stale one first if they
-    /// dominate.
-    fn push(&mut self, host: u32, stamp: u64, stamps: &[u64]) {
-        if self.entries.len() >= 2 * (self.live as usize) + 8 {
-            self.entries
-                .retain(|&Reverse((h, s))| stamps[h as usize] == s);
-        }
-        self.entries.push(Reverse((host, stamp)));
-        self.live += 1;
-    }
-
-    /// Lowest live host id in this heap, skipping `exclude`. Stale
-    /// entries surfacing at the top are discarded; a live excluded entry
-    /// is set aside and restored before returning. Every entry looked at
-    /// adds one to `probes`.
-    fn pick_min(
-        &mut self,
-        stamps: &[u64],
-        exclude: Option<usize>,
-        probes: &mut u64,
-    ) -> Option<usize> {
-        if self.live == 0 {
-            return None;
-        }
-        let mut stash = None;
-        let found = loop {
-            let Some(&Reverse((h, s))) = self.entries.peek() else {
-                break None;
-            };
-            *probes += 1;
-            if stamps[h as usize] != s {
-                self.entries.pop();
-            } else if Some(h as usize) == exclude {
-                stash = self.entries.pop();
-            } else {
-                break Some(h as usize);
-            }
-        };
-        if let Some(entry) = stash {
-            self.entries.push(entry);
-        }
-        found
-    }
-}
-
-/// SocketAffine's per-class sub-index: `levels[k]` holds the hosts whose
-/// live count of the class is `k + 1`, bucketed by current free groups.
-#[derive(Debug, Default)]
-struct ClassCells {
-    levels: Vec<Vec<LazyHeap>>,
-    /// Live hosts per count level (skips empty levels during picks).
-    level_live: Vec<u32>,
-}
-
-impl ClassCells {
-    fn ensure_level(&mut self, k: u32, buckets: usize) {
-        while self.levels.len() < k as usize {
-            let mut row = Vec::new();
-            row.resize_with(buckets, LazyHeap::default);
-            self.levels.push(row);
-            self.level_live.push(0);
-        }
-    }
-}
-
 /// Exact group-level capacity accounting plus the placement policies.
 #[derive(Debug)]
 pub struct ClusterScheduler {
@@ -221,16 +136,13 @@ pub struct ClusterScheduler {
     affinity: Vec<Vec<(u32, u32)>>,
     /// `false` selects the retained linear-scan oracle.
     indexed: bool,
-    /// Per-host invalidation stamps for the lazy heaps.
-    stamps: Vec<u64>,
-    /// Free-group bucket index: `free_buckets[f]` holds the hosts with
-    /// exactly `f` free groups.
-    free_buckets: Vec<LazyHeap>,
-    /// Per-affinity-class occupancy index, sorted by class id
-    /// (SocketAffine only).
-    class_idx: Vec<(u32, ClassCells)>,
-    /// Largest `total_groups` across hosts (bucket-index bound).
-    max_total: i64,
+    /// Every host, keyed `(free_groups, tie)`: `tie` is `host` under
+    /// BinPack and `-host` otherwise (see the module docs). Empty in
+    /// oracle mode.
+    by_free: BTreeSet<(i64, i64)>,
+    /// `(class, live count of class, free_groups, -host)` for every class
+    /// every host runs (SocketAffine only).
+    by_class: BTreeSet<(u32, u32, i64, i64)>,
     /// Successful placements (initial + migration re-admissions).
     pub placements: u64,
     /// Placement attempts that found no host with capacity.
@@ -239,14 +151,16 @@ pub struct ClusterScheduler {
     /// affinity class (only the socket-affine policy creates these on
     /// purpose).
     pub affinity_hits: u64,
-    /// Index maintenance operations: one per heap entry pushed when a
-    /// host moves between buckets/cells. The telemetry window into index
-    /// churn; stays 0 in oracle mode.
+    /// Index maintenance operations: one per key inserted when a host
+    /// is re-keyed (its `by_free` key, plus one `by_class` key per class it
+    /// runs). The telemetry window into index churn; stays 0 in oracle
+    /// mode.
     pub bucket_moves: u64,
-    /// Candidates examined by picks: heap entries looked at (indexed) or
-    /// host slots scanned (oracle). With `bucket_moves`, the scheduler's
-    /// whole per-operation work — what the sublinearity test counts.
-    /// Not part of the telemetry export.
+    /// Candidates examined by picks: set entries visited (indexed; the
+    /// O(log hosts) descent to the first of them is std's and is not
+    /// counted) or host slots scanned (oracle). With `bucket_moves`, the
+    /// scheduler's whole per-operation work — what the sublinearity test
+    /// counts. Not part of the telemetry export.
     pub pick_probes: u64,
 }
 
@@ -266,8 +180,8 @@ impl ClusterScheduler {
         Self::build(policy, group_bytes, host_free_groups, true)
     }
 
-    /// The retained pre-index oracle: identical semantics, O(hosts)
-    /// linear-scan picks. Kept as the reference of the equivalence battery
+    /// The retained linear-scan oracle: identical semantics, O(hosts)
+    /// picks. Kept as the reference of the equivalence battery
     /// and of the sublinearity test below.
     #[must_use]
     pub fn new_oracle(policy: ClusterPolicy, group_bytes: u64, host_free_groups: &[i64]) -> Self {
@@ -280,7 +194,6 @@ impl ClusterScheduler {
         host_free_groups: &[i64],
         indexed: bool,
     ) -> Self {
-        let max_total = host_free_groups.iter().copied().max().unwrap_or(0).max(0);
         let mut s = Self {
             policy,
             group_bytes,
@@ -294,10 +207,8 @@ impl ClusterScheduler {
                 .collect(),
             affinity: host_free_groups.iter().map(|_| Vec::new()).collect(),
             indexed,
-            stamps: Vec::new(),
-            free_buckets: Vec::new(),
-            class_idx: Vec::new(),
-            max_total,
+            by_free: BTreeSet::new(),
+            by_class: BTreeSet::new(),
             placements: 0,
             placement_rejects: 0,
             affinity_hits: 0,
@@ -305,13 +216,7 @@ impl ClusterScheduler {
             pick_probes: 0,
         };
         if indexed {
-            s.stamps.resize(s.slots.len(), 0);
-            s.free_buckets
-                .resize_with(max_total as usize + 1, LazyHeap::default);
-            for (i, slot) in s.slots.iter().enumerate() {
-                let b = bucket_of(slot.free_groups, max_total);
-                s.free_buckets[b].push(i as u32, 0, &s.stamps);
-            }
+            s.by_free = (0..s.slots.len()).map(|host| s.free_key(host)).collect();
         }
         s
     }
@@ -349,17 +254,14 @@ impl ClusterScheduler {
 
     /// Whether any host could satisfy a `need`-group request right now.
     /// Exactly `place(..).is_some()` would-be semantics (with no
-    /// exclusion), but read-only: O(buckets) indexed, O(hosts) oracle.
+    /// exclusion), but read-only: the greatest `by_free` key indexed,
+    /// O(hosts) oracle.
     #[must_use]
     pub fn can_fit(&self, need: i64) -> bool {
         if !self.indexed {
             return self.slots.iter().any(|s| s.free_groups >= need);
         }
-        if need > self.max_total {
-            return false;
-        }
-        let lo = bucket_of(need, self.max_total);
-        self.free_buckets[lo..].iter().any(|b| b.live > 0)
+        self.by_free.last().is_some_and(|&(free, _)| free >= need)
     }
 
     /// Counts a placement reject without running a pick — the sharded
@@ -383,9 +285,8 @@ impl ClusterScheduler {
         let need = self.groups_needed(mem_bytes);
         let pick = if self.indexed {
             match self.policy {
-                ClusterPolicy::Spread => self.spread_pick(need, exclude),
-                ClusterPolicy::BinPack => self.binpack_pick(need, exclude),
                 ClusterPolicy::SocketAffine => self.affine_pick(affinity, need, exclude),
+                ClusterPolicy::Spread | ClusterPolicy::BinPack => self.free_pick(need, exclude),
             }
         } else {
             self.linear_pick(affinity, need, exclude)
@@ -409,7 +310,7 @@ impl ClusterScheduler {
         self.mutate(host, affinity, need, false);
     }
 
-    /// The pre-index linear scan (oracle mode).
+    /// The linear scan (oracle mode).
     fn linear_pick(&mut self, affinity: u32, need: i64, exclude: Option<usize>) -> Option<usize> {
         self.pick_probes += self.slots.len() as u64;
         let fits = |i: &usize| self.slots[*i].free_groups >= need && Some(*i) != exclude;
@@ -429,159 +330,118 @@ impl ClusterScheduler {
         }
     }
 
-    /// Max `(free_groups, Reverse(id))` over hosts with `free >= need`:
-    /// the fullest non-empty bucket's minimum id.
-    fn spread_pick(&mut self, need: i64, exclude: Option<usize>) -> Option<usize> {
-        if need > self.max_total {
-            return None;
-        }
-        let lo = bucket_of(need, self.max_total);
-        self.free_buckets[lo..]
-            .iter_mut()
-            .rev()
-            .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes))
+    /// `host`'s `by_free` key: BinPack reads the set from the bottom, so
+    /// its tie-break is `host`; Spread and SocketAffine read from the top,
+    /// so theirs is `-host`. Either way the host is `tie.unsigned_abs()`.
+    fn free_key(&self, host: usize) -> (i64, i64) {
+        let tie = match self.policy {
+            ClusterPolicy::BinPack => host as i64,
+            ClusterPolicy::Spread | ClusterPolicy::SocketAffine => -(host as i64),
+        };
+        (self.slots[host].free_groups, tie)
     }
 
-    /// Min `(free_groups, id)` over hosts with `free >= need`: the
-    /// emptiest-that-fits bucket's minimum id.
-    fn binpack_pick(&mut self, need: i64, exclude: Option<usize>) -> Option<usize> {
-        if need > self.max_total {
-            return None;
+    /// Walks `by_free`'s `free >= need` range from the end the policy
+    /// reads: BinPack's min `(free_groups, id)` is the least key, the
+    /// others' max `(free_groups, Reverse(id))` the greatest.
+    fn free_pick(&mut self, need: i64, exclude: Option<usize>) -> Option<usize> {
+        let mut fits = self.by_free.range((need, i64::MIN)..);
+        loop {
+            let &(_, tie) = match self.policy {
+                ClusterPolicy::BinPack => fits.next(),
+                ClusterPolicy::Spread | ClusterPolicy::SocketAffine => fits.next_back(),
+            }?;
+            self.pick_probes += 1;
+            let host = tie.unsigned_abs() as usize;
+            if Some(host) != exclude {
+                return Some(host);
+            }
         }
-        let lo = bucket_of(need, self.max_total);
-        self.free_buckets[lo..]
-            .iter_mut()
-            .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes))
     }
 
     /// Max `(class count, free_groups, Reverse(id))`: walk the class's
-    /// count levels from the highest down (free buckets fullest-first
-    /// within each level); if no host running the class fits, every
+    /// keys from the greatest down; a host too small ends its count level
+    /// (the rest of the level is smaller still), so the walk resumes below
+    /// `(class, count, MIN, MIN)`. If no host running the class fits, every
     /// remaining candidate has count 0 and the spread walk *is* the
     /// oracle's ordering.
     fn affine_pick(&mut self, class: u32, need: i64, exclude: Option<usize>) -> Option<usize> {
-        if need > self.max_total {
-            return None;
-        }
-        if let Ok(ci) = self.class_idx.binary_search_by_key(&class, |e| e.0) {
-            let lo = bucket_of(need, self.max_total);
-            let cells = &mut self.class_idx[ci].1;
-            for k in (0..cells.levels.len()).rev() {
-                if cells.level_live[k] == 0 {
-                    continue;
+        let lo = (class, 0, i64::MIN, i64::MIN);
+        let mut hi = (class, u32::MAX, i64::MAX, i64::MAX);
+        'level: loop {
+            for &(_, count, free, tie) in self.by_class.range(lo..=hi).rev() {
+                self.pick_probes += 1;
+                if free < need {
+                    hi = (class, count, i64::MIN, i64::MIN);
+                    continue 'level;
                 }
-                let pick = cells.levels[k][lo..]
-                    .iter_mut()
-                    .rev()
-                    .find_map(|b| b.pick_min(&self.stamps, exclude, &mut self.pick_probes));
-                if pick.is_some() {
-                    return pick;
+                let host = tie.unsigned_abs() as usize;
+                if Some(host) != exclude {
+                    return Some(host);
                 }
             }
+            return self.free_pick(need, exclude);
         }
-        self.spread_pick(need, exclude)
     }
 
     /// Applies a placement (`placing`, `delta = -need`) or release
-    /// (`delta = +need`) to one host's slot, affinity list, and — in
-    /// indexed mode — every index the host appears in: one stamp bump
-    /// logically deletes all old entries, then the host is re-pushed into
-    /// its new free bucket and (SocketAffine) one cell per class it still
-    /// runs.
+    /// (`delta = +need`) to one host's slot and affinity list; in indexed
+    /// mode the host's keys are taken out before and put back after.
     fn mutate(&mut self, host: usize, class: u32, delta: i64, placing: bool) {
-        let free_old = self.slots[host].free_groups;
-        let free_new = free_old + delta;
-        self.slots[host].free_groups = free_new;
+        if self.indexed {
+            self.unindex(host);
+        }
+        let slot = &mut self.slots[host];
+        slot.free_groups += delta;
         if placing {
-            self.slots[host].live += 1;
+            slot.live += 1;
         } else {
-            self.slots[host].live = self.slots[host].live.saturating_sub(1);
+            slot.live = slot.live.saturating_sub(1);
         }
         let list = &mut self.affinity[host];
-        let k_old;
         match list.binary_search_by_key(&class, |e| e.0) {
+            Ok(i) if placing => list[i].1 += 1,
             Ok(i) => {
-                k_old = list[i].1;
-                if placing {
-                    list[i].1 += 1;
-                } else {
-                    list[i].1 = list[i].1.saturating_sub(1);
-                    if list[i].1 == 0 {
-                        list.remove(i);
-                    }
+                list[i].1 = list[i].1.saturating_sub(1);
+                if list[i].1 == 0 {
+                    list.remove(i);
                 }
             }
-            Err(i) => {
-                k_old = 0;
-                if placing {
-                    list.insert(i, (class, 1));
-                }
-            }
+            Err(i) if placing => list.insert(i, (class, 1)),
+            Err(_) => {}
         }
-        if !self.indexed {
-            return;
-        }
-        self.stamps[host] += 1;
-        let stamp = self.stamps[host];
-        let bo = bucket_of(free_old, self.max_total);
-        let bn = bucket_of(free_new, self.max_total);
-        self.free_buckets[bo].live -= 1;
-        self.free_buckets[bn].push(host as u32, stamp, &self.stamps);
-        self.bucket_moves += 1;
-        if self.policy != ClusterPolicy::SocketAffine {
-            return;
-        }
-        // Retire the host's old cell entries: for the mutated class the
-        // old count was `k_old`; every other class it runs kept its count
-        // but moved free buckets.
-        if k_old > 0 {
-            self.cell_dec(class, k_old, free_old);
-        }
-        let n = self.affinity[host].len();
-        for idx in 0..n {
-            let (c, k) = self.affinity[host][idx];
-            if c != class && k > 0 {
-                self.cell_dec(c, k, free_old);
-            }
-            self.cell_add(c, k, free_new, host, stamp);
+        if self.indexed {
+            self.index(host);
         }
     }
 
-    /// Removes one live host from a class cell's accounting (the entry
-    /// itself was already invalidated by the stamp bump).
-    fn cell_dec(&mut self, class: u32, k: u32, free: i64) {
-        let ci = match self.class_idx.binary_search_by_key(&class, |e| e.0) {
-            Ok(i) => i,
-            Err(_) => return,
-        };
-        let cells = &mut self.class_idx[ci].1;
-        let level = (k - 1) as usize;
-        if level >= cells.levels.len() {
-            return;
+    /// Takes every key `host` has out of the indexes: its `by_free` key
+    /// and, under SocketAffine, one `by_class` key per class it runs. A
+    /// key that is not there means index and slots have drifted apart.
+    fn unindex(&mut self, host: usize) {
+        let (free, tie) = self.free_key(host);
+        let mut found = self.by_free.remove(&(free, tie));
+        if self.policy == ClusterPolicy::SocketAffine {
+            for &(class, count) in &self.affinity[host] {
+                found &= self.by_class.remove(&(class, count, free, tie));
+            }
         }
-        let b = bucket_of(free, self.max_total);
-        cells.levels[level][b].live -= 1;
-        cells.level_live[level] -= 1;
+        debug_assert!(found, "host {host}: an old key was not indexed");
     }
 
-    /// Inserts a live host into a class cell.
-    fn cell_add(&mut self, class: u32, k: u32, free: i64, host: usize, stamp: u64) {
-        debug_assert!(k > 0);
-        let ci = match self.class_idx.binary_search_by_key(&class, |e| e.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.class_idx.insert(i, (class, ClassCells::default()));
-                i
-            }
-        };
-        let buckets = self.free_buckets.len();
-        let cells = &mut self.class_idx[ci].1;
-        cells.ensure_level(k, buckets);
-        let level = (k - 1) as usize;
-        let b = bucket_of(free, self.max_total);
-        cells.levels[level][b].push(host as u32, stamp, &self.stamps);
-        cells.level_live[level] += 1;
+    /// Puts `host`'s keys back for its current slot, counting one
+    /// `bucket_moves` per key. A key already there is the same drift.
+    fn index(&mut self, host: usize) {
+        let (free, tie) = self.free_key(host);
+        let mut fresh = self.by_free.insert((free, tie));
         self.bucket_moves += 1;
+        if self.policy == ClusterPolicy::SocketAffine {
+            for &(class, count) in &self.affinity[host] {
+                fresh &= self.by_class.insert((class, count, free, tie));
+                self.bucket_moves += 1;
+            }
+        }
+        debug_assert!(fresh, "host {host}: a new key was already indexed");
     }
 
     /// Checks one host's estimate against hypervisor truth. Returns the
@@ -615,13 +475,6 @@ impl ClusterScheduler {
         }
         issues
     }
-}
-
-/// Clamps a free-group count into the bucket range. Legal accounting
-/// keeps `0 <= free <= max_total`; the clamp only defends the index
-/// against an audit-visible over-commit upstream.
-fn bucket_of(free: i64, max_total: i64) -> usize {
-    free.clamp(0, max_total) as usize
 }
 
 #[cfg(test)]
@@ -699,6 +552,69 @@ mod tests {
         assert_eq!(s.audit(h, 5, 0).len(), 1, "live drift");
     }
 
+    /// The indexed scheduler and the oracle, fed the same calls: `place`
+    /// asserts they pick the same host before returning it.
+    struct Pair(ClusterScheduler, ClusterScheduler);
+
+    impl Pair {
+        fn new(policy: ClusterPolicy, free: &[i64]) -> Self {
+            Self(
+                ClusterScheduler::new(policy, 128 << 20, free),
+                ClusterScheduler::new_oracle(policy, 128 << 20, free),
+            )
+        }
+
+        fn place(&mut self, class: u32, groups: u64, exclude: Option<usize>) -> Option<usize> {
+            let mem = groups * (128 << 20);
+            let pick = self.0.place(class, mem, exclude);
+            assert_eq!(pick, self.1.place(class, mem, exclude), "oracle");
+            pick
+        }
+    }
+
+    #[test]
+    fn socket_affine_skips_a_count_level_too_full_to_fit() {
+        let mut s = Pair::new(ClusterPolicy::SocketAffine, &[7, 7, 7]);
+        assert_eq!(s.place(5, 3, None), Some(0));
+        assert_eq!(s.place(5, 3, None), Some(0), "co-locates while it fits");
+        // Host 0 (two of class 5) has 1 group left: nobody running the
+        // class fits, so the pick is Spread's.
+        assert_eq!(s.place(5, 3, None), Some(1), "spread fallback");
+        // Count level 2 is too full, level 1 (host 1, 4 free) is not — and
+        // it beats the emptier host 2, which runs none of the class.
+        assert_eq!(s.place(5, 3, None), Some(1), "next count level wins");
+        // Both class-5 hosts are down to 1 group.
+        assert_eq!(s.place(5, 2, None), Some(2), "spread fallback again");
+        assert_eq!(s.0.affinity_hits, 2);
+    }
+
+    #[test]
+    fn socket_affine_steps_past_an_excluded_host_inside_its_count_level() {
+        let mut s = Pair::new(ClusterPolicy::SocketAffine, &[7, 7, 7, 7]);
+        assert_eq!(s.place(5, 1, None), Some(0));
+        assert_eq!(s.place(5, 1, Some(0)), Some(1), "nobody else runs class 5");
+        // Hosts 0 and 1 now share count level 1 with 6 free each. Migrating
+        // off host 0 (the level's top key) must land on host 1, its
+        // neighbour in the level — not on the emptier hosts 2 and 3.
+        assert_eq!(s.place(5, 1, Some(0)), Some(1));
+        // And migrating off host 1 (count 2) drops to level 1: host 0.
+        assert_eq!(s.place(5, 1, Some(1)), Some(0));
+    }
+
+    #[test]
+    fn an_excluded_best_key_yields_the_next_best() {
+        let mut pack = Pair::new(ClusterPolicy::BinPack, &[3, 5, 5, 7]);
+        assert_eq!(pack.place(0, 2, Some(0)), Some(1), "next-tightest");
+        assert_eq!(pack.place(0, 2, None), Some(0));
+        let mut spread = Pair::new(ClusterPolicy::Spread, &[9, 5, 5, 3]);
+        assert_eq!(spread.place(0, 2, Some(0)), Some(1), "next-emptiest");
+        assert_eq!(spread.place(0, 2, None), Some(0));
+        // The excluded host is the only one that fits.
+        assert_eq!(pack.place(0, 6, Some(3)), None);
+        assert_eq!(spread.place(0, 6, Some(0)), None);
+        assert_eq!(pack.0.placement_rejects, pack.1.placement_rejects);
+    }
+
     /// Drives the indexed scheduler and the oracle through one
     /// deterministic place/release/exclude script in lockstep, asserting
     /// identical picks, estimates and `can_fit` at every step.
@@ -757,8 +673,10 @@ mod tests {
     fn indexed_work_per_place_does_not_grow_with_hosts() {
         // The same script on a 64-host and a 4096-host fleet: the oracle
         // scans every host on every pick, the indexes must not. Counted
-        // from the scheduler's own work counters, so the claim holds on
-        // any machine.
+        // from the scheduler's own work counters — keys inserted plus set
+        // entries a pick visited; the O(log hosts) descent to the first
+        // entry is std's and is not counted — so the claim holds on any
+        // machine.
         const STEPS: u64 = 512;
         let work = |s: &ClusterScheduler| s.bucket_moves + s.pick_probes;
         for policy in ClusterPolicy::ALL {

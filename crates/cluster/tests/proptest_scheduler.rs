@@ -1,8 +1,8 @@
 //! Property test (indexed/oracle scheduler equivalence): the indexed
-//! scheduler — free-group bucket heaps plus per-affinity-class occupancy
-//! cells — must be *bit-identical* to the retained linear-scan oracle,
-//! not merely "a valid pick". For arbitrary interleavings of place /
-//! release / migrate / audit, under every policy:
+//! scheduler — one ordered set of hosts by free groups plus one by
+//! affinity-class occupancy — must be *bit-identical* to the retained
+//! linear-scan oracle, not merely "a valid pick". For arbitrary
+//! interleavings of place / release / migrate / audit, under every policy:
 //!
 //! - both schedulers return the same host (or both reject) at every
 //!   placement, including migrations that exclude the current host,
