@@ -1,4 +1,11 @@
 //! Per-bank disturbance and refresh state.
+//!
+//! Victim half-rows live in an append-only arena (`BankState::victims`)
+//! with a `(side, internal row) → arena index` map beside it. Refresh resets
+//! an entry in place and nothing ever removes one, so an arena index stays
+//! valid for the bank's life — which a [`RowMap`] slot does not across a
+//! `grow`. That is what lets a resolved [`crate::Aggressor`] handle address
+//! its victims by index instead of probing for them on every burst.
 
 use crate::flip::{weak_cells, WeakCell};
 use crate::profile::DimmProfile;
@@ -46,6 +53,16 @@ pub(crate) struct VictimState {
 }
 
 impl VictimState {
+    /// Refresh: clears the disturbance accumulator and re-arms the weak
+    /// cells (charge restored; already-flipped data stays flipped until
+    /// rewritten or scrubbed).
+    #[inline]
+    pub(crate) fn refresh(&mut self) {
+        self.base = 0.0;
+        self.n = 0;
+        self.next_cell = 0;
+    }
+
     /// Accumulated weighted disturbance since this half-row's last refresh.
     #[inline]
     #[must_use]
@@ -75,7 +92,11 @@ impl VictimState {
 /// per-side TRR trackers, and the auto-refresh pointer.
 #[derive(Debug)]
 pub struct BankState {
-    pub(crate) victims: RowMap<VictimState>,
+    /// Victim half-rows in first-touch order. Append-only: an index is
+    /// valid for the bank's life.
+    pub(crate) victims: Vec<VictimState>,
+    /// [`victim_key`] → index into `victims`.
+    pub(crate) victim_index: RowMap<u32>,
     pub(crate) trr: [TrrTracker; 2],
     /// Next internal row the distributed auto-refresh will cover.
     pub(crate) refresh_ptr: u32,
@@ -88,7 +109,8 @@ impl BankState {
     #[must_use]
     pub fn new(trr_capacity: usize, trr_served_per_ref: usize) -> Self {
         Self {
-            victims: RowMap::new(),
+            victims: Vec::new(),
+            victim_index: RowMap::new(),
             trr: [
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
@@ -98,8 +120,44 @@ impl BankState {
         }
     }
 
-    /// Returns the victim state for `(side, internal_row)`, creating it with
-    /// its deterministic weak-cell population on first touch.
+    /// Arena index of the victim state for `(side, internal_row)`, if that
+    /// half-row has ever been disturbed.
+    #[inline]
+    #[must_use]
+    pub(crate) fn victim_idx(&self, side: u8, internal_row: u32) -> Option<u32> {
+        self.victim_index
+            .get(victim_key(side, internal_row))
+            .copied()
+    }
+
+    /// Arena index of the victim state for `(side, internal_row)`, creating
+    /// it with its deterministic weak-cell population on first touch.
+    #[inline]
+    pub(crate) fn victim_idx_or_insert(
+        &mut self,
+        profile: &DimmProfile,
+        bank: u32,
+        side: RankSide,
+        internal_row: u32,
+        half_row_bytes: u32,
+    ) -> u32 {
+        let victims = &mut self.victims;
+        *self
+            .victim_index
+            .get_or_insert_with(victim_key(side_idx(side), internal_row), || {
+                victims.push(VictimState {
+                    base: 0.0,
+                    w: 0.0,
+                    n: 0,
+                    cells: weak_cells(profile, bank, side, internal_row, half_row_bytes),
+                    next_cell: 0,
+                });
+                (victims.len() - 1) as u32
+            })
+    }
+
+    /// Returns the victim state for `(side, internal_row)`, creating it on
+    /// first touch (see [`BankState::victim_idx_or_insert`]).
     #[inline]
     pub(crate) fn victim_mut(
         &mut self,
@@ -109,25 +167,16 @@ impl BankState {
         internal_row: u32,
         half_row_bytes: u32,
     ) -> &mut VictimState {
-        self.victims
-            .get_or_insert_with(victim_key(side_idx(side), internal_row), || VictimState {
-                base: 0.0,
-                w: 0.0,
-                n: 0,
-                cells: weak_cells(profile, bank, side, internal_row, half_row_bytes),
-                next_cell: 0,
-            })
+        let idx = self.victim_idx_or_insert(profile, bank, side, internal_row, half_row_bytes);
+        &mut self.victims[idx as usize]
     }
 
-    /// Refreshes one half-row: clears its disturbance accumulator and
-    /// re-arms its weak cells (charge restored; already-flipped data stays
-    /// flipped until rewritten or scrubbed).
+    /// Refreshes one half-row (see [`VictimState::refresh`]); a half-row
+    /// that was never disturbed holds no state and is a no-op.
     #[inline]
     pub(crate) fn refresh_half_row(&mut self, side: u8, internal_row: u32) {
-        if let Some(v) = self.victims.get_mut(victim_key(side, internal_row)) {
-            v.base = 0.0;
-            v.n = 0;
-            v.next_cell = 0;
+        if let Some(idx) = self.victim_idx(side, internal_row) {
+            self.victims[idx as usize].refresh();
         }
     }
 
@@ -141,7 +190,7 @@ impl BankState {
     #[must_use]
     pub fn max_disturbance(&self) -> f64 {
         self.victims
-            .values()
+            .iter()
             .map(VictimState::disturb)
             .fold(0.0, f64::max)
     }
@@ -173,7 +222,7 @@ mod tests {
             assert_eq!(v.disturb(), 123.0);
         }
         b.refresh_row(7);
-        let v = b.victims.get(victim_key(0, 7)).unwrap();
+        let v = &b.victims[b.victim_idx(0, 7).unwrap() as usize];
         assert_eq!(v.disturb(), 0.0);
         assert_eq!(v.next_cell, 0);
     }

@@ -16,6 +16,21 @@
 //!   state exactly. The equivalence proptests in
 //!   `crates/dram/tests/burst_equivalence.rs` pin the two paths to
 //!   bit-identical flips, stats, and telemetry.
+//!
+//! A burst is two steps split along what each depends on.
+//! [`DramSystem::resolve_aggressor`] does everything that is a function of
+//! `(bank, row, extra_open_ns)` alone — repair lookup, internal-row
+//! transforms, the subarray check, the RowPress-scaled weights, and finding
+//! (or creating) each victim in the bank's arena — and returns an
+//! [`Aggressor`] handle. [`DramSystem::activate_resolved`] does what depends
+//! on `count`: TRR observation, the aggressor's own refresh, disturbance
+//! accrual and ordered flip emission, reaching victims by arena index.
+//! `activate_burst` is the two back to back; a hammer loop resolves each
+//! aggressor once per pattern and applies it every period. A handle is
+//! resolved *at the first issue* (resolving is the bank's first touch and
+//! starts its refresh sweep), re-probes for its own half-row's state until
+//! that exists (a neighbour two rows away may create it later), and is tied
+//! to one `extra_open_ns` and one device.
 
 use crate::bank::{side_idx, BankState};
 use crate::ecc::{classify, EccMode, ReadIntegrity};
@@ -99,6 +114,44 @@ fn first_crossing(base: f64, w: f64, n0: u64, count: u64, threshold: f64) -> u64
         j += 1;
     }
     j
+}
+
+/// Most victims one rank side of an aggressor can have: two per distance
+/// of [`crate::DisturbanceWeights`]'s radius (≤ 2).
+const MAX_VICTIMS: usize = 4;
+
+/// One victim half-row of a resolved aggressor.
+#[derive(Debug, Clone, Copy, Default)]
+struct ResolvedVictim {
+    /// Index into the bank's victim arena.
+    idx: u32,
+    /// Internal row (flips are reported from it).
+    row: u32,
+    /// Per-ACT weight at this distance, RowPress scaling applied.
+    w: f64,
+}
+
+/// One rank side of a resolved aggressor.
+#[derive(Debug, Clone, Copy, Default)]
+struct AggressorSide {
+    /// The internal row physically activated on this side.
+    row: u32,
+    /// Arena index of that row's own victim state, once it has one.
+    own: Option<u32>,
+    n_victims: u8,
+    /// The first `n_victims` entries, in (distance, lo/hi) order.
+    victims: [ResolvedVictim; MAX_VICTIMS],
+}
+
+/// A `(bank, media row, extra_open_ns)` activation target resolved once by
+/// [`DramSystem::resolve_aggressor`] and applied any number of times by
+/// [`DramSystem::activate_resolved`]. Heap-free and `Copy`; valid only on
+/// the device that made it.
+#[derive(Debug, Clone, Copy)]
+pub struct Aggressor {
+    bank: BankId,
+    rank: u16,
+    sides: [AggressorSide; 2],
 }
 
 /// Builder for [`DramSystem`].
@@ -504,20 +557,44 @@ impl DramSystem {
     /// callers must split activation runs around `advance_ns` calls — i.e. a
     /// burst stands for a run of ACTs with no intervening time advance.
     /// `count = 0` is a no-op (no bank state is materialized).
+    ///
+    /// This is the one-shot form: [`DramSystem::resolve_aggressor`] then
+    /// [`DramSystem::activate_resolved`]. A caller that bursts the same row
+    /// many times keeps the handle and pays the resolve once.
     pub fn activate_burst(&mut self, bank: BankId, media_row: u32, count: u64, extra_open_ns: u64) {
-        debug_assert!(media_row < self.geometry.rows_per_bank);
-        debug_assert!(
-            self.now_ns < self.next_ref_ns,
-            "a burst must not span a refresh boundary: split runs around advance_ns"
-        );
         if count == 0 {
             return;
         }
-        self.stats.acts += count;
+        let mut aggressor = self.resolve_aggressor(bank, media_row, extra_open_ns);
+        self.activate_resolved(&mut aggressor, count);
+    }
+
+    /// Resolves everything about activating `media_row` of `bank` that does
+    /// not depend on how many times: the internal aggressor row per rank
+    /// side (repairs and DIMM-internal transforms applied), and its
+    /// same-subarray victims within the blast radius with their
+    /// RowPress-scaled weights, as indices into the bank's victim arena.
+    ///
+    /// Three things a caller holding the handle must know:
+    ///
+    /// - Resolving is the bank's *first touch*: it materializes the bank
+    ///   state (and the victims' weak cells), and the bank's distributed
+    ///   refresh sweep counts REF steps from that moment. Resolve where the
+    ///   first burst would have been issued, not earlier.
+    /// - The weights have `extra_open_ns` baked in: one handle per open time.
+    /// - The handle indexes this device's arena and is meaningless on any
+    ///   other device.
+    #[inline]
+    pub fn resolve_aggressor(
+        &mut self,
+        bank: BankId,
+        media_row: u32,
+        extra_open_ns: u64,
+    ) -> Aggressor {
+        debug_assert!(media_row < self.geometry.rows_per_bank);
         let rank = self.rank_of_bank[bank.0 as usize];
         let profile = self.profile_of_bank[bank.0 as usize];
         let geometry = self.geometry;
-        let internal_cfg = self.internal;
         let half = (geometry.row_bytes / 2) as u32;
         let sub_rows = geometry.rows_per_subarray;
         let rows_per_bank = geometry.rows_per_bank;
@@ -527,51 +604,97 @@ impl DramSystem {
         } else {
             None
         };
+        let slot = &mut self.banks[bank.0 as usize];
+        if slot.is_none() {
+            *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
+            self.touched_banks.push(bank.0);
+        }
+        let state = slot.as_mut().expect("just materialized");
+        let internal_cfg = self.internal;
+        let mut aggressor = Aggressor {
+            bank,
+            rank,
+            sides: [AggressorSide::default(); 2],
+        };
+        for (side, resolved) in RankSide::BOTH.into_iter().zip(&mut aggressor.sides) {
+            let row = repaired_target
+                .unwrap_or_else(|| internal_row(media_row, rank, side, internal_cfg));
+            resolved.row = row;
+            let sub = row / sub_rows;
+            for d in 1..=profile.weights.radius() {
+                let w = profile.weights.at(d) * (1.0 + rowpress);
+                if w <= 0.0 {
+                    continue;
+                }
+                let lo = row.checked_sub(d);
+                let hi = if row + d < rows_per_bank {
+                    Some(row + d)
+                } else {
+                    None
+                };
+                for v in [lo, hi].into_iter().flatten() {
+                    if v / sub_rows != sub {
+                        continue; // Subarray isolation (Fig. 1).
+                    }
+                    let idx = state.victim_idx_or_insert(&profile, bank.0, side, v, half);
+                    resolved.victims[resolved.n_victims as usize] =
+                        ResolvedVictim { idx, row: v, w };
+                    resolved.n_victims += 1;
+                }
+            }
+        }
+        aggressor
+    }
 
+    /// Applies `count` back-to-back activations of a resolved aggressor:
+    /// everything [`DramSystem::activate_burst`] promises, with the victims
+    /// reached by arena index instead of by probe. `count = 0` is a no-op.
+    ///
+    /// The handle is `&mut` because an aggressor's own half-row may gain
+    /// victim state *after* the handle was resolved (rows two apart are each
+    /// other's distance-2 victims): until it is found, each call looks for
+    /// it once more and caches the answer.
+    pub fn activate_resolved(&mut self, aggressor: &mut Aggressor, count: u64) {
+        debug_assert!(
+            self.now_ns < self.next_ref_ns,
+            "a burst must not span a refresh boundary: split runs around advance_ns"
+        );
+        if count == 0 {
+            return;
+        }
+        self.stats.acts += count;
+        let bank = aggressor.bank;
         let mut new_flips = std::mem::take(&mut self.scratch_flips);
         new_flips.clear();
         {
-            let slot = &mut self.banks[bank.0 as usize];
-            if slot.is_none() {
-                *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
-                self.touched_banks.push(bank.0);
-            }
-            let state = slot.as_mut().expect("just materialized");
+            let state = self.banks[bank.0 as usize]
+                .as_mut()
+                .expect("resolve_aggressor materialized the bank");
             state.acts += count;
-            for side in RankSide::BOTH {
-                let aggressor = repaired_target
-                    .unwrap_or_else(|| internal_row(media_row, rank, side, internal_cfg));
-                state.trr[side_idx(side) as usize].observe_n(aggressor, count);
+            for (side, resolved) in RankSide::BOTH.into_iter().zip(&mut aggressor.sides) {
+                let s = side_idx(side);
+                state.trr[s as usize].observe_n(resolved.row, count);
                 // Every ACT refreshes the activated row itself; after the
                 // run, only the last refresh matters.
-                state.refresh_half_row(side_idx(side), aggressor);
-                let sub = aggressor / sub_rows;
-                for d in 1..=profile.weights.radius() {
-                    let w = profile.weights.at(d) * (1.0 + rowpress);
-                    if w <= 0.0 {
-                        continue;
-                    }
-                    let lo = aggressor.checked_sub(d);
-                    let hi = if aggressor + d < rows_per_bank {
-                        Some(aggressor + d)
-                    } else {
-                        None
-                    };
-                    for v in [lo, hi].into_iter().flatten() {
-                        if v / sub_rows != sub {
-                            continue; // Subarray isolation (Fig. 1).
-                        }
-                        let vs = state.victim_mut(&profile, bank.0, side, v, half);
-                        let (base, n0) = vs.add(w, count);
-                        let final_disturb = base + w * ((n0 + count) as f64);
-                        while vs.next_cell < vs.cells.len()
-                            && vs.cells[vs.next_cell].threshold <= final_disturb
-                        {
-                            let cell = vs.cells[vs.next_cell];
-                            let j = first_crossing(base, w, n0, count, cell.threshold);
-                            vs.next_cell += 1;
-                            new_flips.push((j, side, v, cell));
-                        }
+                resolved.own = resolved.own.or_else(|| state.victim_idx(s, resolved.row));
+                if let Some(own) = resolved.own {
+                    state.victims[own as usize].refresh();
+                }
+                for v in &resolved.victims[..resolved.n_victims as usize] {
+                    debug_assert!(
+                        (v.idx as usize) < state.victims.len(),
+                        "handle resolved on another device"
+                    );
+                    let vs = &mut state.victims[v.idx as usize];
+                    let (base, n0) = vs.add(v.w, count);
+                    let final_disturb = base + v.w * ((n0 + count) as f64);
+                    while vs.next_cell < vs.cells.len()
+                        && vs.cells[vs.next_cell].threshold <= final_disturb
+                    {
+                        let cell = vs.cells[vs.next_cell];
+                        let j = first_crossing(base, v.w, n0, count, cell.threshold);
+                        vs.next_cell += 1;
+                        new_flips.push((j, side, v.row, cell));
                     }
                 }
             }
@@ -580,7 +703,7 @@ impl DramSystem {
         // in (side, distance, lo/hi, cell) collection order by stability.
         new_flips.sort_by_key(|f| f.0);
         for &(_, side, internal_victim, cell) in &new_flips {
-            self.apply_flip(bank, rank, side, internal_victim, cell);
+            self.apply_flip(bank, aggressor.rank, side, internal_victim, cell);
         }
         new_flips.clear();
         self.scratch_flips = new_flips;
@@ -1210,6 +1333,22 @@ mod tests {
     }
 
     #[test]
+    fn building_a_device_pays_nothing_per_bank() {
+        // Host set-up (`setup_s` in the repo benchmark) builds a device per
+        // host; its cost is O(banks) only in the `None` slots. Bank state —
+        // the victim arena, its index, the TRR tables — exists from a bank's
+        // first activation, and stays small enough that the slot array of a
+        // 384-bank evaluation host is a few pages. Handles live with their
+        // caller, never inline here.
+        let size = std::mem::size_of::<Option<BankState>>();
+        assert!(size <= 192, "Option<BankState> grew to {size} bytes");
+        let dram = DramSystem::new(dram_addr::skylake_geometry());
+        assert_eq!(dram.banks.len(), 384);
+        assert!(dram.banks.iter().all(Option::is_none));
+        assert!(dram.touched_banks.is_empty());
+    }
+
+    #[test]
     fn invulnerable_profile_never_flips() {
         let mut dram = DramSystemBuilder::new(mini_geometry())
             .profiles(vec![DimmProfile::invulnerable()])
@@ -1329,6 +1468,31 @@ mod tests {
         }
         assert_same_state(&reference, &burst);
         assert!(!reference.flip_log().is_empty());
+    }
+
+    #[test]
+    fn resolve_aggressor_is_the_banks_first_touch() {
+        // The contract a handle's holder works to: a bank's refresh sweep
+        // counts REF steps from its first touch, and resolving is a touch.
+        // Resolve → REF → burst therefore leaves the sweep one chunk ahead
+        // of REF → burst, which is why a handle is resolved where its first
+        // burst is issued and not earlier.
+        let bank = BankId(0);
+        let mut early = no_trr();
+        let mut aggressor = early.resolve_aggressor(bank, 20, 0);
+        assert_eq!(early.touched_banks, [bank.0]);
+        early.advance_ns(early.trefi_ns);
+        early.activate_resolved(&mut aggressor, 5);
+
+        let mut late = no_trr();
+        late.advance_ns(late.trefi_ns);
+        late.activate_burst(bank, 20, 5, 0);
+
+        let sweep = |d: &DramSystem| d.banks[bank.0 as usize].as_ref().unwrap().refresh_ptr;
+        let chunk = (mini_geometry().rows_per_bank / REFS_PER_WINDOW).max(1);
+        assert_eq!(sweep(&late), 0);
+        assert_eq!(sweep(&early), chunk);
+        assert_eq!(early.stats(), late.stats());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod trr;
 pub mod util;
 
 pub use bank::BankState;
-pub use device::{DramStats, DramSystem, DramSystemBuilder, ScrubReport};
+pub use device::{Aggressor, DramStats, DramSystem, DramSystemBuilder, ScrubReport};
 pub use ecc::{EccMode, ReadIntegrity};
 pub use flip::{BitFlip, FlipLog};
 pub use profile::{DimmProfile, DisturbanceWeights};

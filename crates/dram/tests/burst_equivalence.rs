@@ -7,8 +7,13 @@
 //! across TRR configurations, RowPress open times, row repairs, and
 //! subarray-boundary aggressors — through both paths and compare every
 //! observable.
+//!
+//! The last property does the same for *reused* handles: each target of a
+//! fixed cast is resolved once (`resolve_aggressor`, at its first issue) and
+//! then applied many times (`activate_resolved`) between time advances,
+//! against the same per-ACT reference on a twin device.
 
-use dram::{DramStats, DramSystem, DramSystemBuilder};
+use dram::{Aggressor, DramStats, DramSystem, DramSystemBuilder};
 use dram_addr::{mini_geometry, BankId, InternalMapConfig, RepairMap};
 use proptest::prelude::*;
 
@@ -75,6 +80,12 @@ fn assert_equivalent(runs: &[Run], trr: (usize, usize), repairs: bool) -> DramSt
         burst.activate_burst(bank, r.row, r.count, r.extra_open_ns);
         burst.advance_ns(r.advance_ns);
     }
+    assert_same_observables(&reference, &burst);
+    *reference.stats()
+}
+
+/// Asserts every observable of the two devices is bit-identical.
+fn assert_same_observables(reference: &DramSystem, burst: &DramSystem) {
     assert_eq!(reference.stats(), burst.stats(), "DramStats diverged");
     assert_eq!(
         reference.flip_log().all(),
@@ -91,8 +102,93 @@ fn assert_equivalent(runs: &[Run], trr: (usize, usize), repairs: bool) -> DramSt
         d.export_telemetry(&reg);
         reg.snapshot().deterministic().to_json()
     };
-    assert_eq!(snap(&reference), snap(&burst), "telemetry diverged");
-    *reference.stats()
+    assert_eq!(snap(reference), snap(burst), "telemetry diverged");
+}
+
+/// The `(bank, row, extra_open_ns)` targets a reused-handle schedule draws
+/// from; each gets one handle, resolved at its first issue.
+const CAST: [(u32, u32, u64); 12] = [
+    // Rows two apart: each is a distance-2 victim of its neighbours, so an
+    // aggressor's own half-row gains victim state *after* its handle was
+    // resolved. (With `build`'s repairs, row 22 hammers at spare 600 and
+    // the chain is 24-26-28.)
+    (0, 20, 0),
+    (0, 22, 0),
+    (0, 24, 0),
+    (0, 26, 0),
+    (0, 28, 0),
+    // Adjacent to 20 and 22, so their distance-1 victim is itself an
+    // aggressor: a handle that skips its own-row refresh lets it flip.
+    (0, 21, 0),
+    // Row 20 again under RowPress: a second handle for one row, and victims
+    // 19/21 fold weight segments as the two alternate.
+    (0, 20, 1_500),
+    // Both sides of a subarray edge (256-row subarrays).
+    (0, 255, 0),
+    (0, 256, 1_500),
+    // Bank 1: with `build`'s repairs row 255 lives at spare 511, the last
+    // row of the next subarray.
+    (1, 255, 0),
+    (1, 254, 0),
+    (1, 300, 0),
+];
+
+/// One step of a reused-handle schedule: `count` ACTs through the handle of
+/// `CAST[slot]`, then a time advance.
+#[derive(Debug, Clone)]
+struct Step {
+    slot: usize,
+    count: u64,
+    advance_ns: u64,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0usize..CAST.len(), 0u32..6, 0u64..40_000, 0u32..3).prop_map(
+        |(slot, count_kind, count_any, adv_kind)| Step {
+            slot,
+            count: match count_kind {
+                0 => 0,
+                1 => 1,
+                // Sieges long enough to cross weak-cell thresholds, so a
+                // missed refresh or a wrong weight shows up as a flip.
+                2 => 20_000 + count_any,
+                _ => 2 + count_any % 2_000,
+            },
+            advance_ns: match adv_kind {
+                0 => 0,
+                1 => 94,
+                _ => 50_000, // several REF steps, TRR serves included
+            },
+        },
+    )
+}
+
+/// Replays `steps` per-ACT on one device and through reused handles on its
+/// twin, then asserts every observable is bit-identical. A bank fills its
+/// victim index past the initial 16 slots (both rank sides of rows 18..30)
+/// while earlier handles into it are live.
+fn assert_reused_handles_equivalent(steps: &[Step], trr: (usize, usize), repairs: bool) {
+    let mut reference = build(trr, repairs);
+    let mut reused = build(trr, repairs);
+    let mut handles: [Option<Aggressor>; CAST.len()] = [None; CAST.len()];
+    for step in steps {
+        let (bank, row, extra_open_ns) = CAST[step.slot];
+        let bank = BankId(bank);
+        for _ in 0..step.count {
+            reference.activate_row(bank, row, extra_open_ns);
+        }
+        reference.advance_ns(step.advance_ns);
+        // Resolving is the bank's first touch, so an empty burst must not
+        // be what resolves a handle; on a live handle it is a no-op.
+        let handle = &mut handles[step.slot];
+        if step.count > 0 || handle.is_some() {
+            let handle =
+                handle.get_or_insert_with(|| reused.resolve_aggressor(bank, row, extra_open_ns));
+            reused.activate_resolved(handle, step.count);
+        }
+        reused.advance_ns(step.advance_ns);
+    }
+    assert_same_observables(&reference, &reused);
 }
 
 proptest! {
@@ -143,5 +239,16 @@ proptest! {
         ];
         let stats = assert_equivalent(&runs, (0, 0), false);
         prop_assert!(stats.acts >= 75_000);
+    }
+
+    /// Reused handles: resolve once, apply many times across REF and TRR
+    /// boundaries, with and without TRR and repairs.
+    #[test]
+    fn reused_handles_equal_reference(
+        steps in prop::collection::vec(step_strategy(), 1..60),
+        config in 0usize..3,
+    ) {
+        let (trr, repairs) = [((0, 0), false), ((4, 2), false), ((4, 2), true)][config];
+        assert_reused_handles_equivalent(&steps, trr, repairs);
     }
 }

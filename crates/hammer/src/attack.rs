@@ -52,16 +52,16 @@ pub fn vm_bank_rows(
     bank: BankId,
     candidate_rows: &[u32],
 ) -> Result<Vec<u32>, SilozError> {
-    use std::collections::HashSet;
-    let mut frames: HashSet<u64> = HashSet::new();
-    for block in hv.vm_unmediated_backing(vm)? {
-        frames.extend(block.frame..block.frame + (block.bytes() / 4096));
-    }
+    let mut owned: Vec<std::ops::Range<u64>> = hv
+        .vm_unmediated_backing(vm)?
+        .iter()
+        .map(|block| block.frame..block.frame + (1u64 << block.order))
+        .collect();
+    owned.sort_unstable_by_key(|frames| frames.start);
     let decoder = hv.decoder();
     let mut out = Vec::with_capacity(candidate_rows.len());
     for &row in candidate_rows {
-        let touching = siloz::artificial::frames_touching_bank_row(decoder, bank, row)?;
-        if touching.iter().any(|f| frames.contains(f)) {
+        if siloz::artificial::bank_row_touches_frames(decoder, bank, row, &owned)? {
             out.push(row);
         }
     }
@@ -317,6 +317,100 @@ mod tests {
             })
             .sum();
         assert_eq!(rows.len(), expected);
+    }
+
+    /// [`vm_bank_rows`] as it was first written: every frame the VM owns in
+    /// a hash set, every candidate row's frames listed in full.
+    fn vm_bank_rows_by_frame_set(
+        hv: &Hypervisor,
+        vm: VmHandle,
+        bank: BankId,
+        candidate_rows: &[u32],
+    ) -> Vec<u32> {
+        let mut frames = std::collections::HashSet::new();
+        for block in hv.vm_unmediated_backing(vm).unwrap() {
+            frames.extend(block.frame..block.frame + (block.bytes() / 4096));
+        }
+        candidate_rows
+            .iter()
+            .copied()
+            .filter(|&row| {
+                siloz::artificial::frames_touching_bank_row(hv.decoder(), bank, row)
+                    .unwrap()
+                    .iter()
+                    .any(|f| frames.contains(f))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn vm_bank_rows_matches_the_frame_set_definition() {
+        let same = |hv: &Hypervisor, vm: VmHandle, bank: BankId, candidates: &[u32]| {
+            let reachable = vm_bank_rows(hv, vm, bank, candidates).unwrap();
+            assert_eq!(
+                reachable,
+                vm_bank_rows_by_frame_set(hv, vm, bank, candidates),
+                "{bank:?}"
+            );
+            reachable
+        };
+
+        let mut hv = Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Siloz).unwrap();
+        let _other = hv.create_vm(VmSpec::new("other", 2, 128 << 20)).unwrap();
+        let vm = hv.create_vm(VmSpec::new("a", 2, 192 << 20)).unwrap();
+        let (_, socket_rows) = &vm_rows(&hv, vm).unwrap()[0];
+        for bank in [BankId(0), BankId(7), BankId(15)] {
+            assert_eq!(same(&hv, vm, bank, socket_rows), *socket_rows);
+        }
+
+        // Evaluation host with one row of the first guest group repaired
+        // into another subarray: the pages holding a line of that (bank,
+        // row) are offlined (§6) — a third of its row group there (on the
+        // mini machine it would be the whole row group) — so a 4 KiB-paged
+        // guest owns the rest of the row group and the row stays a
+        // candidate. It is the one candidate for which the answer is "no"
+        // and every line is walked.
+        let cfg = SilozConfig::evaluation();
+        let g = cfg.geometry;
+        let repaired_bank = BankId(7);
+        let repaired_row = cfg.presumed_subarray_rows + 5;
+        let mut repairs = dram_addr::RepairMap::new();
+        repairs.insert(
+            repaired_bank,
+            repaired_row,
+            3 * cfg.presumed_subarray_rows + 9,
+        );
+        let dram = dram::DramSystemBuilder::new(g)
+            .repairs(repairs.clone())
+            .build();
+        let mut hv = Hypervisor::boot_with(cfg, HypervisorKind::Siloz, dram, repairs).unwrap();
+        let paged = VmSpec::new("paged", 2, 64 << 20).with_page_size(ept::PageSize::Size4K);
+        let vm = hv.create_vm(paged).unwrap();
+        let (_, socket_rows) = &vm_rows(&hv, vm).unwrap()[0];
+        assert!(socket_rows.contains(&repaired_row));
+        // Bank 0's lines of that row share the offlined pages (a 4 KiB page
+        // holds 64 lines cycling 64 of the socket's 192 banks).
+        for (bank, owns) in [
+            (0, false),
+            (repaired_bank.0, false),
+            (100, true),
+            (191, true),
+        ] {
+            assert_eq!(
+                same(&hv, vm, BankId(bank), socket_rows).contains(&repaired_row),
+                owns,
+                "bank {bank}"
+            );
+        }
+
+        // A guest large enough to span groups, on whichever sockets it got.
+        let vm = hv.create_vm(VmSpec::new("big", 4, 3 << 29)).unwrap();
+        for (socket, socket_rows) in vm_rows(&hv, vm).unwrap() {
+            for flat in [0, 7, g.banks_per_socket() - 1] {
+                let bank = BankId(socket as u32 * g.banks_per_socket() + flat);
+                assert!(!same(&hv, vm, bank, &socket_rows).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::pattern::HammerPattern;
 use crate::T_RC_NS;
 use dram::flip::BitFlip;
-use dram::DramSystem;
+use dram::{Aggressor, DramSystem};
 use dram_addr::BankId;
 use mitigation::Mitigation;
 use rand::Rng;
@@ -220,6 +220,12 @@ impl Blacksmith {
 
     /// The one hammering loop behind [`Blacksmith::hammer`] and
     /// [`Blacksmith::hammer_defended`].
+    ///
+    /// Each run of the schedule resolves its aggressor once and bursts the
+    /// handle every period after. The resolve happens at the run's first
+    /// issue, not before the loop: it is the bank's first touch, and a
+    /// throttle stall ahead of the very first burst may cross a REF step
+    /// the bank must not yet take part in.
     fn hammer_with(
         &self,
         dram: &mut DramSystem,
@@ -231,9 +237,10 @@ impl Blacksmith {
         let before = dram.flip_log().len();
         let rows_per_bank = dram.geometry().rows_per_bank;
         let runs = pattern.coalesced_schedule();
+        let mut aggressors: Vec<Option<Aggressor>> = vec![None; runs.len()];
         let mut next_decay_ns = (dram.now_ns() / TREFI_NS + 1) * TREFI_NS;
         for _ in 0..self.config.periods_per_attempt {
-            for &(row, count) in &runs {
+            for (&(row, count), aggressor) in runs.iter().zip(&mut aggressors) {
                 if row >= rows_per_bank {
                     continue;
                 }
@@ -250,7 +257,10 @@ impl Blacksmith {
                         dram.advance_ns(delay_ps.div_ceil(1000));
                     }
                 }
-                dram.activate_burst(bank, row, count as u64, self.config.extra_open_ns);
+                let aggressor = aggressor.get_or_insert_with(|| {
+                    dram.resolve_aggressor(bank, row, self.config.extra_open_ns)
+                });
+                dram.activate_resolved(aggressor, count as u64);
                 *acts += count as u64;
                 drain_decay_ticks(defense, dram.now_ns(), &mut next_decay_ns);
             }
@@ -389,6 +399,79 @@ mod tests {
             }
             ref other => panic!("unexpected metric {other:?}"),
         }
+    }
+
+    #[test]
+    fn defended_hammer_matches_per_act_issue_when_the_first_stall_crosses_a_ref() {
+        // The first row of the pattern is already blacklisted, the bank has
+        // never been touched, and the clock sits 1 µs before a tREFI
+        // boundary: the 1.5 µs stall ahead of the campaign's first burst
+        // crosses a REF step the bank must sit out, because its refresh
+        // sweep starts at its first ACT. A campaign that touched the bank
+        // any earlier (resolving its handles before the loop) would run the
+        // sweep one step ahead from there on.
+        let pattern = HammerPattern::n_sided(40, 8);
+        let runs = pattern.coalesced_schedule();
+        let config = FuzzConfig {
+            patterns: 1,
+            periods_per_attempt: 4_000,
+            extra_open_ns: 0,
+        };
+        let (bank, source) = (BankId(0), 3);
+        // Cells weak enough to flip under the throttle, re-logged at every
+        // re-crossing, so the flip log is sensitive to the sweep's phase.
+        let build = || {
+            let mut dram = DramSystemBuilder::new(mini_geometry())
+                .profiles(vec![DimmProfile {
+                    base_threshold: 600.0,
+                    weak_cells_per_row: 16.0,
+                    ..DimmProfile::default_eval()
+                }])
+                .pattern_dependent(false)
+                .build();
+            dram.advance_ns(3 * TREFI_NS - 1_000);
+            let mut bh = mitigation::BlockHammer::new();
+            while bh.on_act(bank.0, runs[0].0, source, dram.now_ns() * 1000) == 0 {}
+            (dram, bh)
+        };
+
+        let (mut dram, mut bh) = build();
+        let mut acts = 0u64;
+        let found = Blacksmith::new(config)
+            .hammer_defended(&mut dram, bank, &pattern, &mut acts, &mut bh, source);
+
+        // The same schedule, one ACT at a time.
+        let (mut reference, mut reference_bh) = build();
+        let mut defense: Defense<'_> = Some((&mut reference_bh, source));
+        let mut next_decay_ns = (reference.now_ns() / TREFI_NS + 1) * TREFI_NS;
+        for _ in 0..config.periods_per_attempt {
+            for &(row, count) in &runs {
+                let mut delay_ps = 0u64;
+                for _ in 0..count {
+                    let now_ps = reference.now_ns() * 1000 + delay_ps;
+                    let (backend, source) = defense.as_mut().expect("defended");
+                    delay_ps += backend.on_act(bank.0, row, *source, now_ps);
+                }
+                reference.advance_ns(delay_ps.div_ceil(1000));
+                for _ in 0..count {
+                    reference.activate_row(bank, row, config.extra_open_ns);
+                }
+                drain_decay_ticks(&mut defense, reference.now_ns(), &mut next_decay_ns);
+            }
+            reference.advance_ns(pattern.schedule.len() as u64 * T_RC_NS);
+            drain_decay_ticks(&mut defense, reference.now_ns(), &mut next_decay_ns);
+        }
+
+        assert!(found, "the weak DIMM flips under the throttle");
+        assert_eq!(dram.flip_log().all(), reference.flip_log().all());
+        assert_eq!(dram.stats(), reference.stats());
+        assert_eq!(dram.now_ns(), reference.now_ns());
+        let telemetry = |backend: &mitigation::BlockHammer| {
+            let reg = telemetry::Registry::new();
+            backend.export_telemetry(&reg);
+            reg.snapshot().deterministic().to_json()
+        };
+        assert_eq!(telemetry(&bh), telemetry(&reference_bh));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::SilozError;
 use dram_addr::transform::media_row_from_internal;
 use dram_addr::{BankId, InternalMapConfig, RankSide, RepairMap, SystemAddressDecoder};
 use numa::frame_of_hpa;
+use std::ops::Range;
 
 /// Rows reserved at each subarray boundary when vendor scrambling is active
 /// and the subarray size is not a multiple of 8 (§6).
@@ -117,6 +118,21 @@ impl ArtificialGroupPlan {
     }
 }
 
+/// The page frame of each cache line of `(bank, row)`, in column order.
+fn line_frames_of_bank_row(
+    decoder: &SystemAddressDecoder,
+    bank: BankId,
+    row: u32,
+) -> impl Iterator<Item = Result<u64, SilozError>> + '_ {
+    let g = decoder.geometry();
+    let mut media = bank.to_media(g);
+    media.row = row;
+    (0..g.lines_per_row()).map(move |line| {
+        media.col = (line * dram_addr::CACHE_LINE_BYTES) as u32;
+        Ok(frame_of_hpa(decoder.encode(&media)?))
+    })
+}
+
 /// Page frames whose data has any cache line in `(bank, row)` — the pages
 /// that must be offlined if that row is repaired into another subarray (§6).
 pub fn frames_touching_bank_row(
@@ -124,21 +140,31 @@ pub fn frames_touching_bank_row(
     bank: BankId,
     row: u32,
 ) -> Result<Vec<u64>, SilozError> {
-    let g = decoder.geometry();
-    let mut media = bank.to_media(g);
-    media.row = row;
-    let mut frames = Vec::new();
-    for line in 0..g.lines_per_row() {
-        media.col = (line * dram_addr::CACHE_LINE_BYTES) as u32;
-        let phys = decoder.encode(&media)?;
-        let frame = frame_of_hpa(phys);
-        if frames.last() != Some(&frame) {
-            frames.push(frame);
-        }
-    }
+    let mut frames = line_frames_of_bank_row(decoder, bank, row).collect::<Result<Vec<_>, _>>()?;
     frames.sort_unstable();
     frames.dedup();
     Ok(frames)
+}
+
+/// Whether any cache line of `(bank, row)` lies in one of `owned`, a list of
+/// disjoint frame ranges sorted by start: the question
+/// [`frames_touching_bank_row`] answers by listing, asked so that it stops
+/// at the first line that says yes. Only a row with no owned line (its pages
+/// offlined, or another tenant's) costs a walk of the whole row.
+pub fn bank_row_touches_frames(
+    decoder: &SystemAddressDecoder,
+    bank: BankId,
+    row: u32,
+    owned: &[Range<u64>],
+) -> Result<bool, SilozError> {
+    for frame in line_frames_of_bank_row(decoder, bank, row) {
+        let frame = frame?;
+        let after = owned.partition_point(|r| r.start <= frame);
+        if after > 0 && frame < owned[after - 1].end {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// All frames to offline because of inter-subarray repairs in `repairs`.

@@ -57,7 +57,7 @@ pinned() {
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
-# ~2 min: three strategies on two-socket evaluation hosts with GiB-sized
+# ~1 min: three strategies on two-socket evaluation hosts with GiB-sized
 # guests and multi-node expansions (636 per strategy) — the only committed
 # report that drives create/expand/migrate at that shape.
 step "fleet gate: full multi-tenant soak on evaluation hosts, pinned to FLEET_soak.json" \
