@@ -40,9 +40,6 @@ pub const RULE_RAW_ARITH: &str = "addr-raw-arith";
 /// Two different address domains mixed in one operation.
 pub const RULE_DOMAIN_MIX: &str = "addr-domain-mix";
 
-/// All rules this pass can report (its waiver namespace).
-pub const RULES: [&str; 2] = [RULE_RAW_ARITH, RULE_DOMAIN_MIX];
-
 /// Guest-physical address.
 pub const GPA: Taint = 1 << 4;
 /// Host-physical address.
@@ -145,10 +142,6 @@ pub struct AddrPass;
 impl Pass for AddrPass {
     fn name(&self) -> &'static str {
         "address-domain"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &RULES
     }
 
     fn transfer_call(&self, cx: &crate::dataflow::CallInfo<'_>, default: Taint) -> Taint {

@@ -138,8 +138,6 @@ pub struct CheckCx<'a> {
 pub trait Pass {
     /// Pass name, used in reports.
     fn name(&self) -> &'static str;
-    /// The rule names this pass can report (its waiver namespace).
-    fn rules(&self) -> &'static [&'static str];
     /// Transfer function for a call site. `default` is the engine's
     /// propagation (summary application, or receiver ∪ arguments when
     /// unresolved); passes add source bits or sanitize here.
@@ -710,9 +708,6 @@ mod tests {
     impl Pass for Toy {
         fn name(&self) -> &'static str {
             "toy"
-        }
-        fn rules(&self) -> &'static [&'static str] {
-            &["toy-rule"]
         }
         fn transfer_call(&self, cx: &CallInfo<'_>, default: Taint) -> Taint {
             match cx.segs.last().copied() {

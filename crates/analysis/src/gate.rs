@@ -1,101 +1,109 @@
-//! The `siloz-dataflow` gate driver: runs both dataflow passes over the
-//! whole workspace, applies waivers, checks for stale waivers in the
-//! dataflow namespace, and renders `ANALYSIS_dataflow.json`.
+//! The source gate (`siloz-lint`): one pass over one parse of the
+//! workspace. [`Workspace::load`] walks, reads and lexes each file once;
+//! the token rules ([`crate::lint`]) and both dataflow passes
+//! ([`crate::seedflow`], [`crate::addrflow`]) report raw findings over it;
+//! each file's waivers are collected once and filtered once over the union
+//! of those findings, in one namespace. Renders `ANALYSIS_lint.json`.
 
-use crate::addrflow::AddrPass;
+use crate::addrflow::{self, AddrPass};
 use crate::dataflow::Engine;
-use crate::lint::Violation;
+use crate::lint::{self, Violation};
 use crate::report::Json;
-use crate::seedflow::SeedPass;
+use crate::seedflow::{self, SeedPass};
 use crate::symbols::Workspace;
 use crate::waivers::{Waivers, RULE_STALE_WAIVER};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// Rule: a file the parser could not fully cover. Unwaivable in spirit —
-/// the fix is always to extend the parser, never to look away.
+/// Rule: a statement the parser could not cover. Never waivable: it is
+/// reported after the waiver filter, because the fix is always to extend
+/// the parser, never to look away.
 pub const RULE_PARSE_COVERAGE: &str = "parse-coverage";
 
-/// Result of running the dataflow gate over a workspace.
+/// Every rule the gate reports: the six token rules, the five dataflow
+/// rules, and the two the gate itself owns.
+pub const ALL_RULES: [&str; 13] = [
+    lint::RULE_HOT_COLLECTIONS,
+    lint::RULE_HOT_ALLOC,
+    lint::RULE_NONDETERMINISM,
+    lint::RULE_ATOMICS,
+    lint::RULE_METRIC_NAMES,
+    lint::RULE_FORBID_UNSAFE,
+    seedflow::RULE_TAINTED_OUTPUT,
+    seedflow::RULE_NONVOLATILE_METRIC,
+    seedflow::RULE_UNSEEDED_RNG,
+    addrflow::RULE_RAW_ARITH,
+    addrflow::RULE_DOMAIN_MIX,
+    RULE_PARSE_COVERAGE,
+    RULE_STALE_WAIVER,
+];
+
+/// Result of running the gate over a workspace.
 #[derive(Debug, Default)]
-pub struct DataflowReport {
+pub struct GateReport {
     /// Files parsed.
     pub files: usize,
     /// Functions analyzed.
     pub fns: usize,
-    /// Surviving violations (post-waiver), ordered by file then line.
+    /// Surviving violations (post-waiver), ordered by file, line, rule.
     pub violations: Vec<Violation>,
     /// Waiver annotations that suppressed at least one finding.
     pub waivers_used: usize,
 }
 
-/// The dataflow waiver namespace: every rule either pass can report.
-#[must_use]
-pub fn dataflow_rules() -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = Vec::new();
-    v.extend_from_slice(&crate::seedflow::RULES);
-    v.extend_from_slice(&crate::addrflow::RULES);
-    v
-}
-
-/// Runs both passes over every first-party file under `root`.
+/// Runs the gate over every first-party file under `root`, plus the
+/// golden telemetry fixture cross-check.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from walking or reading the tree.
-pub fn gate_workspace(root: &Path) -> std::io::Result<DataflowReport> {
+pub fn gate_workspace(root: &Path) -> std::io::Result<GateReport> {
     let ws = Workspace::load(root)?;
-    Ok(gate_loaded(&ws))
+    let mut fixture = Vec::new();
+    lint::golden_fixture_check(root, &ws.files, &mut fixture)?;
+    Ok(judge(&ws, fixture))
 }
 
-/// Runs both passes over an already-loaded workspace (snippet-test hook).
+/// Runs the gate over an already-loaded workspace (snippet-test hook; no
+/// fixture cross-check).
 #[must_use]
-pub fn gate_loaded(ws: &Workspace) -> DataflowReport {
-    let mut raw: Vec<Violation> = Vec::new();
+pub fn gate_loaded(ws: &Workspace) -> GateReport {
+    judge(ws, Vec::new())
+}
 
-    // Parser coverage is the foundation every taint fact rests on: a file
-    // with recovered regions has statements the analysis never saw.
+/// Collects every per-file finding on top of `raw`, then applies each
+/// file's waivers. Findings on files outside `ws` pass through unwaived.
+fn judge(ws: &Workspace, mut raw: Vec<Violation>) -> GateReport {
     for f in &ws.files {
-        for &line in &f.parsed.recovered {
-            raw.push(Violation {
-                rule: RULE_PARSE_COVERAGE,
-                file: f.rel.clone(),
-                line,
-                message: "statement not covered by the analysis parser; extend \
-                          `analysis::parse` (recovery is never waivable)"
-                    .into(),
-            });
-        }
+        lint::lint_file(f, &mut raw);
     }
-
     let seed = SeedPass;
     let mut eng = Engine::new(ws, &seed);
     eng.solve();
     raw.extend(eng.report());
-
     let addr = AddrPass;
     let mut eng = Engine::new(ws, &addr);
     eng.solve();
     raw.extend(eng.report());
 
-    // Waivers, per file, judged against the dataflow namespace only.
-    let namespace = dataflow_rules();
     let mut by_file: BTreeMap<String, Vec<Violation>> = BTreeMap::new();
     for v in raw {
         by_file.entry(v.file.clone()).or_default().push(v);
     }
-    let mut report = DataflowReport {
+    let mut report = GateReport {
         files: ws.files.len(),
         fns: ws.fns.len(),
-        ..DataflowReport::default()
+        ..GateReport::default()
     };
     for f in &ws.files {
         let waivers = Waivers::collect(&f.parsed.comments);
         let mut used: BTreeSet<usize> = BTreeSet::new();
         let file_raw = by_file.remove(f.rel.as_str()).unwrap_or_default();
-        let mut kept = waivers.filter(file_raw, |v| (v.rule, v.line), &mut used);
-        for e in waivers.stale(&namespace, &used) {
-            kept.push(Violation {
+        report
+            .violations
+            .extend(waivers.filter(file_raw, |v| (v.rule, v.line), &mut used));
+        for e in waivers.stale(&used) {
+            report.violations.push(Violation {
                 rule: RULE_STALE_WAIVER,
                 file: f.rel.clone(),
                 line: e.line.max(1),
@@ -106,11 +114,20 @@ pub fn gate_loaded(ws: &Workspace) -> DataflowReport {
                 ),
             });
         }
+        // Parser coverage is the foundation every taint fact rests on: a
+        // recovered region holds statements the analysis never saw.
+        for &line in &f.parsed.recovered {
+            report.violations.push(Violation {
+                rule: RULE_PARSE_COVERAGE,
+                file: f.rel.clone(),
+                line,
+                message: "statement not covered by the analysis parser; extend \
+                          `analysis::parse` (recovery is never waivable)"
+                    .into(),
+            });
+        }
         report.waivers_used += used.len();
-        report.violations.extend(kept);
     }
-    // Violations for files not in the workspace (shouldn't happen) pass
-    // through unwaived.
     for (_, mut vs) in by_file {
         report.violations.append(&mut vs);
     }
@@ -120,9 +137,18 @@ pub fn gate_loaded(ws: &Workspace) -> DataflowReport {
     report
 }
 
-/// Renders the machine-readable gate report.
+/// Violation counts per rule, for every rule in [`ALL_RULES`] order.
 #[must_use]
-pub fn render_json(report: &DataflowReport, elapsed_ms: u128) -> String {
+pub fn by_rule(violations: &[Violation]) -> Vec<(&'static str, usize)> {
+    ALL_RULES
+        .iter()
+        .map(|&r| (r, violations.iter().filter(|v| v.rule == r).count()))
+        .collect()
+}
+
+/// Renders the machine-readable gate report (`ANALYSIS_lint.json`).
+#[must_use]
+pub fn render_json(report: &GateReport, elapsed_ms: u128) -> String {
     let violations: Vec<Json> = report
         .violations
         .iter()
@@ -135,12 +161,8 @@ pub fn render_json(report: &DataflowReport, elapsed_ms: u128) -> String {
             ])
         })
         .collect();
-    let mut by_rule: BTreeMap<&str, u128> = BTreeMap::new();
-    for v in &report.violations {
-        *by_rule.entry(v.rule).or_insert(0) += 1;
-    }
     Json::obj(vec![
-        ("schema", Json::Str("siloz-dataflow-v1".into())),
+        ("schema", Json::Str("siloz-lint-v2".into())),
         ("files", Json::Num(report.files as u128)),
         ("fns", Json::Num(report.fns as u128)),
         ("waivers_used", Json::Num(report.waivers_used as u128)),
@@ -148,9 +170,9 @@ pub fn render_json(report: &DataflowReport, elapsed_ms: u128) -> String {
         (
             "by_rule",
             Json::Obj(
-                by_rule
+                by_rule(&report.violations)
                     .into_iter()
-                    .map(|(k, n)| (k.to_string(), Json::Num(n)))
+                    .map(|(k, n)| (k.to_string(), Json::Num(n as u128)))
                     .collect(),
             ),
         ),

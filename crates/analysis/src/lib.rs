@@ -1,14 +1,19 @@
 //! Static-analysis gates for the Siloz reproduction.
 //!
-//! Four gates, all wired into `scripts/check.sh` as hard gates (see
+//! Three gates, all wired into `scripts/check.sh` as hard gates (see
 //! `DESIGN.md` §4d, §4i):
 //!
-//! 1. **`siloz-lint`** ([`lint`]) — a source-level workspace linter built
-//!    on a hand-rolled scanner ([`lexer`]); enforces the invariants the
-//!    repo's determinism and performance claims rest on (no maps or
-//!    allocation in hot paths, no nondeterminism sources, atomics confined
-//!    to `crates/telemetry`, metric names consistent with the golden
-//!    fixture, `forbid(unsafe_code)` in every crate root).
+//! 1. **`siloz-lint`** ([`gate`]) — the source gate: one walk, read and
+//!    lex of the workspace into a parse ([`parse`]) with a symbol table
+//!    and call graph ([`symbols`]), then one pass that runs the token
+//!    rules ([`lint`]: no maps or allocation in hot paths, no
+//!    nondeterminism sources, atomics confined to `crates/telemetry`,
+//!    metric names consistent with the golden fixture,
+//!    `forbid(unsafe_code)` in every crate root) beside a forward
+//!    interprocedural may-taint fixpoint ([`dataflow`]) with two client
+//!    passes, seed-provenance ([`seedflow`]) and address-domain separation
+//!    ([`addrflow`]). One waiver namespace ([`waivers`]) over all of it.
+//!    Writes `ANALYSIS_lint.json`.
 //! 2. **`isolation-verify`** ([`isolation`]) — a static verifier that
 //!    *proves*, by exhaustion over every supported geometry and presumed
 //!    subarray size, that the address decoder is bijective and that Siloz's
@@ -20,14 +25,9 @@
 //!    interleaving of the telemetry hot-path RMW sequences (bounded depth)
 //!    and verifies that counts are linearizable and histogram merge is a
 //!    commutative monoid.
-//! 4. **`siloz-dataflow`** ([`gate`]) — a whole-workspace parse
-//!    ([`parse`]), symbol table and call graph ([`symbols`]), and a forward
-//!    interprocedural may-taint fixpoint ([`dataflow`]) with two client
-//!    passes: seed-provenance ([`seedflow`]) and address-domain separation
-//!    ([`addrflow`]). Writes `ANALYSIS_dataflow.json`.
 //!
-//! [`waivers`] (in-place `lint:allow` annotations) and [`report`] (the JSON
-//! writer) are shared by the gates.
+//! [`lexer`] is the hand-rolled scanner under [`parse`]; [`report`] is the
+//! JSON writer the gates share.
 
 #![forbid(unsafe_code)]
 

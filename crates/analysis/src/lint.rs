@@ -1,4 +1,5 @@
-//! `siloz-lint`: the workspace invariant linter.
+//! The token rules of the source gate (`analysis::gate`, run as
+//! `siloz-lint`).
 //!
 //! Each rule guards an invariant this repo's correctness argument leans on
 //! (see `DESIGN.md` §4d for the full table):
@@ -11,19 +12,15 @@
 //! | `atomics-confined` | raw atomics live only in `crates/telemetry`; everything else goes through its metric types |
 //! | `metric-names` | registry name literals are snake_case, and the golden fixture's names all exist in source |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `stale-waiver` | every waiver annotation still suppresses at least one finding |
 //!
-//! Violations can be waived in place with `// lint:allow(<rule>)` (covers
-//! that line and the next) or `// lint:allow-file(<rule>)` (covers the
-//! whole file). A waiver that suppresses nothing is itself a hard error
-//! (`stale-waiver`): waivers document live exceptions, and one that
-//! outlives its exception silently licenses the next real violation at
-//! that site. The dataflow gate (`analysis::gate`) applies the same
-//! machinery to its own rule namespace.
+//! The rules read the token stream of a file the gate has already parsed
+//! ([`SourceFile::parsed`]), so a gate run lexes each file once. Waivers
+//! and `stale-waiver` are the gate's, one namespace for these rules and
+//! the dataflow rules alike.
 
-use crate::lexer::{scan, Scan, Token, TokenKind};
-use crate::waivers::Waivers;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{Token, TokenKind};
+use crate::symbols::SourceFile;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Rule: banned collection types in hot-path modules.
@@ -38,31 +35,6 @@ pub const RULE_ATOMICS: &str = "atomics-confined";
 pub const RULE_METRIC_NAMES: &str = "metric-names";
 /// Rule: crate root missing `#![forbid(unsafe_code)]`.
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
-/// Rule: a waiver annotation for a lint rule that suppressed nothing.
-pub const RULE_STALE_WAIVER: &str = crate::waivers::RULE_STALE_WAIVER;
-
-/// Every rule, for reporting.
-pub const ALL_RULES: [&str; 7] = [
-    RULE_HOT_COLLECTIONS,
-    RULE_HOT_ALLOC,
-    RULE_NONDETERMINISM,
-    RULE_ATOMICS,
-    RULE_METRIC_NAMES,
-    RULE_FORBID_UNSAFE,
-    RULE_STALE_WAIVER,
-];
-
-/// The rules a `lint:allow(..)` annotation can name for *this* gate; a
-/// waiver naming anything else (e.g. a `siloz-dataflow` rule) is out of
-/// namespace and judged by the gate that owns it.
-const WAIVABLE_RULES: [&str; 6] = [
-    RULE_HOT_COLLECTIONS,
-    RULE_HOT_ALLOC,
-    RULE_NONDETERMINISM,
-    RULE_ATOMICS,
-    RULE_METRIC_NAMES,
-    RULE_FORBID_UNSAFE,
-];
 
 /// Source files on the per-access paths that `benchmark/`'s per-layer
 /// probes time; the `hot-*` rules apply only here. The cluster's host
@@ -156,63 +128,27 @@ pub fn classify(path: &str) -> FileClass {
     }
 }
 
-/// Result of linting one file.
-#[derive(Debug, Default)]
-pub struct FileLint {
-    /// Violations that survived waivers.
-    pub violations: Vec<Violation>,
-    /// Metric/child name literals found (for the workspace golden check).
-    pub metric_literals: Vec<String>,
-    /// Number of waiver annotations that suppressed at least one finding.
-    pub waivers_used: usize,
-}
-
-/// Lints one file's source. `file` is the repo-relative path used in
-/// messages and for path-scoped rules when calling [`classify`] yourself.
-#[must_use]
-pub fn lint_source(file: &str, source: &str, class: FileClass) -> FileLint {
-    let scan = scan(source);
-    let test_cutoff = test_cutoff_line(&scan);
-    let waivers = Waivers::collect(&scan.comments);
-    let mut raw: Vec<Violation> = Vec::new();
-
-    ident_rules(file, &scan, class, test_cutoff, &mut raw);
+/// Runs the token rules over one parsed file, appending its raw
+/// (pre-waiver) findings to `out`. Path-scoped rules follow
+/// [`classify`]`(&file.rel)`.
+pub(crate) fn lint_file(file: &SourceFile, out: &mut Vec<Violation>) {
+    let (rel, tokens) = (file.rel.as_str(), file.parsed.tokens.as_slice());
+    let class = classify(rel);
+    let test_cutoff = test_cutoff_line(tokens);
+    ident_rules(rel, tokens, class, test_cutoff, out);
     if class.hot {
-        hot_alloc_rule(file, &scan, test_cutoff, &mut raw);
+        hot_alloc_rule(rel, tokens, test_cutoff, out);
     }
-    let metric_literals = metric_name_rule(file, &scan, &mut raw);
+    metric_name_rule(rel, tokens, out);
     if class.crate_root {
-        forbid_unsafe_rule(file, &scan, &mut raw);
-    }
-
-    let mut used: BTreeSet<usize> = BTreeSet::new();
-    let mut violations = waivers.filter(raw, |v| (v.rule, v.line), &mut used);
-    // An in-namespace waiver that suppressed nothing is itself a hard
-    // error: dead waivers silently disable future findings at that site.
-    for e in waivers.stale(&WAIVABLE_RULES, &used) {
-        violations.push(Violation {
-            rule: RULE_STALE_WAIVER,
-            file: file.into(),
-            line: e.line.max(1),
-            message: format!(
-                "waiver `lint:allow{}({})` suppressed nothing; remove it",
-                if e.file_scope { "-file" } else { "" },
-                e.rule
-            ),
-        });
-    }
-    FileLint {
-        violations,
-        metric_literals,
-        waivers_used: used.len(),
+        forbid_unsafe_rule(rel, tokens, out);
     }
 }
 
 /// First line belonging to `#[cfg(test)]` code, or `u32::MAX`. The repo
 /// convention keeps test modules at the end of each file, so a line-based
 /// cutoff is exact in practice.
-fn test_cutoff_line(scan: &Scan) -> u32 {
-    let t = &scan.tokens;
+fn test_cutoff_line(t: &[Token]) -> u32 {
     for i in 0..t.len().saturating_sub(2) {
         if is_ident(&t[i], "cfg") && is_punct(&t[i + 1], "(") && is_ident(&t[i + 2], "test") {
             return t[i].line;
@@ -233,12 +169,12 @@ fn is_punct(t: &Token, s: &str) -> bool {
 /// nondeterminism sources (everywhere), atomics (outside telemetry).
 fn ident_rules(
     file: &str,
-    scan: &Scan,
+    tokens: &[Token],
     class: FileClass,
     test_cutoff: u32,
     out: &mut Vec<Violation>,
 ) {
-    for t in &scan.tokens {
+    for t in tokens {
         if t.kind != TokenKind::Ident {
             continue;
         }
@@ -282,8 +218,7 @@ fn ident_rules(
 
 /// Allocation constructs in hot files, allowed only inside constructor-like
 /// functions (`new`, `default`, `with_*`) and test code.
-fn hot_alloc_rule(file: &str, scan: &Scan, test_cutoff: u32, out: &mut Vec<Violation>) {
-    let t = &scan.tokens;
+fn hot_alloc_rule(file: &str, t: &[Token], test_cutoff: u32, out: &mut Vec<Violation>) {
     let mut current_fn = String::new();
     for i in 0..t.len() {
         if is_ident(&t[i], "fn") {
@@ -329,32 +264,33 @@ fn is_constructor(name: &str) -> bool {
     name == "new" || name == "default" || name.starts_with("with_")
 }
 
-/// Metric-name literals passed to registry constructors must be snake_case;
-/// returns all literals found for the workspace-level golden cross-check.
-fn metric_name_rule(file: &str, scan: &Scan, out: &mut Vec<Violation>) -> Vec<String> {
-    let t = &scan.tokens;
-    let mut literals = Vec::new();
-    for i in 0..t.len().saturating_sub(2) {
-        if t[i].kind == TokenKind::Ident
-            && REGISTRY_NAME_METHODS.contains(&t[i].text.as_str())
-            && is_punct(&t[i + 1], "(")
-            && t[i + 2].kind == TokenKind::Str
-        {
-            let name = &t[i + 2].text;
-            literals.push(name.clone());
-            if !is_snake_case(name) {
-                out.push(Violation {
-                    rule: RULE_METRIC_NAMES,
-                    file: file.into(),
-                    line: t[i + 2].line,
-                    message: format!(
-                        "metric/child name {name:?} is not snake_case ([a-z][a-z0-9_]*)"
-                    ),
-                });
-            }
+/// The name literals passed as first argument to registry constructors.
+fn registry_names(t: &[Token]) -> impl Iterator<Item = &Token> {
+    t.windows(3)
+        .filter(|w| {
+            w[0].kind == TokenKind::Ident
+                && REGISTRY_NAME_METHODS.contains(&w[0].text.as_str())
+                && is_punct(&w[1], "(")
+                && w[2].kind == TokenKind::Str
+        })
+        .map(|w| &w[2])
+}
+
+/// Metric-name literals passed to registry constructors must be snake_case.
+fn metric_name_rule(file: &str, t: &[Token], out: &mut Vec<Violation>) {
+    for name in registry_names(t) {
+        if !is_snake_case(&name.text) {
+            out.push(Violation {
+                rule: RULE_METRIC_NAMES,
+                file: file.into(),
+                line: name.line,
+                message: format!(
+                    "metric/child name {:?} is not snake_case ([a-z][a-z0-9_]*)",
+                    name.text
+                ),
+            });
         }
     }
-    literals
 }
 
 fn is_snake_case(s: &str) -> bool {
@@ -364,8 +300,7 @@ fn is_snake_case(s: &str) -> bool {
 }
 
 /// Crate roots must carry `#![forbid(unsafe_code)]`.
-fn forbid_unsafe_rule(file: &str, scan: &Scan, out: &mut Vec<Violation>) {
-    let t = &scan.tokens;
+fn forbid_unsafe_rule(file: &str, t: &[Token], out: &mut Vec<Violation>) {
     let want = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
     let found = (0..t.len().saturating_sub(want.len() - 1)).any(|i| {
         want.iter().enumerate().all(|(k, w)| {
@@ -383,76 +318,24 @@ fn forbid_unsafe_rule(file: &str, scan: &Scan, out: &mut Vec<Violation>) {
     }
 }
 
-/// Result of linting the whole workspace.
-#[derive(Debug, Default)]
-pub struct WorkspaceLint {
-    /// Files scanned.
-    pub files: usize,
-    /// All surviving violations, ordered by file then line.
-    pub violations: Vec<Violation>,
-    /// Waiver annotations that suppressed at least one finding.
-    pub waivers_used: usize,
-}
-
-/// Lints every first-party `.rs` file under `root` (skipping `vendor/`,
-/// `target/`, and VCS metadata) and cross-checks metric names against the
-/// golden fixture.
+/// Every metric/child name in the golden fixture must still exist as a
+/// literal somewhere in source — otherwise the fixture is stale and the
+/// schema test is pinning names nothing produces. `files` is the whole
+/// workspace; findings land on the fixture and are not waivable.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from walking or reading the tree.
-pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut report = WorkspaceLint::default();
-    let mut literals: BTreeSet<String> = BTreeSet::new();
-    for rel in &files {
-        let source = std::fs::read_to_string(root.join(rel))?;
-        let mut lint = lint_source(rel, &source, classify(rel));
-        report.files += 1;
-        report.waivers_used += lint.waivers_used;
-        literals.extend(lint.metric_literals.drain(..));
-        report.violations.append(&mut lint.violations);
-    }
-    golden_fixture_check(root, &literals, &mut report.violations)?;
-    report
-        .violations
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
-}
-
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if matches!(name.as_ref(), "vendor" | "target" | ".git") {
-                continue;
-            }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push(rel);
-        }
-    }
-    Ok(())
-}
-
-/// Every metric/child name in the golden fixture must still exist as a
-/// literal somewhere in source — otherwise the fixture is stale and the
-/// schema test is pinning names nothing produces.
-fn golden_fixture_check(
+/// Returns any I/O error from reading the fixture.
+pub(crate) fn golden_fixture_check(
     root: &Path,
-    literals: &BTreeSet<String>,
+    files: &[SourceFile],
     out: &mut Vec<Violation>,
 ) -> std::io::Result<()> {
+    let literals: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| registry_names(&f.parsed.tokens))
+        .map(|t| t.text.as_str())
+        .collect();
     let fixture = "tests/fixtures/telemetry_golden.json";
     let path = root.join(fixture);
     if !path.exists() {
@@ -469,7 +352,7 @@ fn golden_fixture_check(
         if GOLDEN_STRUCTURAL_KEYS.contains(&name.as_str()) {
             continue;
         }
-        if !literals.contains(&name) {
+        if !literals.contains(name.as_str()) {
             out.push(Violation {
                 rule: RULE_METRIC_NAMES,
                 file: fixture.into(),
@@ -518,49 +401,4 @@ fn json_object_keys(body: &str) -> Vec<(String, u32)> {
         i += 1;
     }
     keys
-}
-
-/// Groups violations by rule for summary printing.
-#[must_use]
-pub fn by_rule(violations: &[Violation]) -> BTreeMap<&'static str, usize> {
-    let mut map = BTreeMap::new();
-    for v in violations {
-        *map.entry(v.rule).or_insert(0) += 1;
-    }
-    map
-}
-
-/// Renders a machine-readable lint report (the `siloz-lint --json` shape).
-#[must_use]
-pub fn render_json(report: &WorkspaceLint) -> String {
-    use crate::report::Json;
-    let violations: Vec<Json> = report
-        .violations
-        .iter()
-        .map(|v| {
-            Json::obj(vec![
-                ("rule", Json::Str(v.rule.to_string())),
-                ("file", Json::Str(v.file.clone())),
-                ("line", Json::Num(u128::from(v.line))),
-                ("message", Json::Str(v.message.clone())),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema", Json::Str("siloz-lint-v1".into())),
-        ("files", Json::Num(report.files as u128)),
-        ("waivers_used", Json::Num(report.waivers_used as u128)),
-        (
-            "by_rule",
-            Json::Obj(
-                by_rule(&report.violations)
-                    .into_iter()
-                    .map(|(k, n)| (k.to_string(), Json::Num(n as u128)))
-                    .collect(),
-            ),
-        ),
-        ("violations", Json::Arr(violations)),
-        ("ok", Json::Bool(report.violations.is_empty())),
-    ])
-    .render()
 }

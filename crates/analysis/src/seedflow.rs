@@ -40,13 +40,6 @@ pub const RULE_NONVOLATILE_METRIC: &str = "seed-nonvolatile-metric";
 /// An RNG constructed without an explicit seed.
 pub const RULE_UNSEEDED_RNG: &str = "seed-unseeded-rng";
 
-/// All rules this pass can report (its waiver namespace).
-pub const RULES: [&str; 3] = [
-    RULE_TAINTED_OUTPUT,
-    RULE_NONVOLATILE_METRIC,
-    RULE_UNSEEDED_RNG,
-];
-
 /// Wall-clock time (`Instant::now`, `SystemTime::now`).
 pub const WALL_CLOCK: Taint = 1 << 0;
 /// Thread identity (`std::thread::current`).
@@ -136,10 +129,6 @@ pub struct SeedPass;
 impl Pass for SeedPass {
     fn name(&self) -> &'static str {
         "seed-provenance"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &RULES
     }
 
     fn transfer_call(&self, cx: &CallInfo<'_>, default: Taint) -> Taint {

@@ -31,6 +31,19 @@ pub struct SourceFile {
     pub parsed: ParsedFile,
 }
 
+impl SourceFile {
+    /// Lexes and parses `source`, deriving crate and test scope from `rel`.
+    #[must_use]
+    pub fn new(rel: String, source: &str) -> SourceFile {
+        SourceFile {
+            krate: crate_of(&rel),
+            test_file: is_test_path(&rel),
+            parsed: parse_file(source),
+            rel,
+        }
+    }
+}
+
 /// One function declaration found anywhere in the workspace.
 #[derive(Debug)]
 pub struct FnDecl {
@@ -69,8 +82,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Parses every first-party `.rs` file under `root` (skipping
-    /// `vendor/`, `target/`, `.git`) and builds the symbol table.
+    /// Reads and parses every first-party `.rs` file under `root`
+    /// (skipping `vendor/`, `target/`, `.git`) and builds the symbol
+    /// table. This is the gate's only walk and only lex of the tree.
     ///
     /// # Errors
     ///
@@ -82,12 +96,7 @@ impl Workspace {
         let mut files = Vec::new();
         for rel in rels {
             let source = std::fs::read_to_string(root.join(&rel))?;
-            files.push(SourceFile {
-                krate: crate_of(&rel),
-                test_file: is_test_path(&rel),
-                parsed: parse_file(&source),
-                rel,
-            });
+            files.push(SourceFile::new(rel, &source));
         }
         Ok(Self::from_files(files))
     }
@@ -423,7 +432,7 @@ fn is_test_path(rel: &str) -> bool {
 }
 
 /// Collects repo-relative `.rs` paths, skipping `vendor/`, `target/`,
-/// `.git` (same walk as the linter's).
+/// `.git`.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;

@@ -1,22 +1,22 @@
-//! In-source waiver annotations, shared by every analysis gate.
+//! In-source waiver annotations for the source gate (`analysis::gate`).
 //!
-//! A finding can be suppressed in place with `// lint:allow(<rule>)`
-//! (covers the annotation's line and the next) or `// lint:allow-file(<rule>)`
-//! (covers the whole file). Both `siloz-lint` and `siloz-dataflow` read the
-//! same syntax; each gate judges only the waivers naming rules in its own
-//! namespace, so a seed/address waiver is invisible to the token linter and
-//! vice versa.
+//! A comment holding `lint:allow` with a rule name in parentheses
+//! suppresses that rule's findings on the annotation's line and the next;
+//! `lint:allow-file` with a rule name suppresses them in the whole file
+//! (`DESIGN.md` §4d has examples — spelling one out in a comment here
+//! would make it a waiver). There is one namespace: every rule the gate
+//! reports, token-level or dataflow.
 //!
-//! Waivers are live-use counted: a gate that finds an annotation for one of
-//! its rules which suppressed nothing reports it as a `stale-waiver`
-//! violation (a hard error, not a warning) — dead waivers otherwise
-//! accumulate and silently disable future findings at that site.
+//! Waivers are live-use counted: an annotation that suppressed nothing —
+//! because its exception is gone, or because it names no rule at all — is
+//! itself a `stale-waiver` violation (a hard error, not a warning). Dead
+//! waivers otherwise accumulate and silently disable future findings at
+//! that site, and a typo'd one looks like a live exception.
 
 use crate::lexer::Comment;
 use std::collections::BTreeSet;
 
-/// Rule name under which an unused waiver is reported. Shared by both
-/// gates; each reports staleness only for waivers in its own namespace.
+/// Rule name under which an unused waiver is reported.
 pub const RULE_STALE_WAIVER: &str = "stale-waiver";
 
 /// One waiver annotation.
@@ -95,15 +95,14 @@ impl Waivers {
             .collect()
     }
 
-    /// Annotations naming a rule in `namespace` that suppressed nothing.
-    /// Each is a hard `stale-waiver` finding for the gate owning that
-    /// namespace.
+    /// Annotations that suppressed nothing. Each is a hard `stale-waiver`
+    /// finding.
     #[must_use]
-    pub fn stale(&self, namespace: &[&str], used: &BTreeSet<usize>) -> Vec<&WaiverEntry> {
+    pub fn stale(&self, used: &BTreeSet<usize>) -> Vec<&WaiverEntry> {
         self.entries
             .iter()
             .enumerate()
-            .filter(|(i, e)| namespace.contains(&e.rule.as_str()) && !used.contains(i))
+            .filter(|(i, _)| !used.contains(i))
             .map(|(_, e)| e)
             .collect()
     }
@@ -125,11 +124,9 @@ mod tests {
 
         let mut used = BTreeSet::new();
         used.insert(0usize);
-        // rule-b's waiver is unused and in-namespace: stale.
-        let stale = w.stale(&["rule-a", "rule-b"], &used);
+        // rule-b's waiver is unused: stale.
+        let stale = w.stale(&used);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "rule-b");
-        // Out-of-namespace waivers are someone else's business.
-        assert!(w.stale(&["rule-a"], &used).is_empty());
     }
 }

@@ -1,24 +1,20 @@
-//! Seeded snippet tests for the `siloz-dataflow` gate: every rule has a
-//! bad twin that must fire and a good twin that must stay silent, so a
-//! regression in either direction (a rule going blind, or a rule going
-//! noisy) fails `cargo test` before it reaches the gate itself.
+//! Seeded snippet tests for the dataflow rules and the waiver machinery
+//! of the source gate (`siloz-lint`): every rule has a bad twin that must
+//! fire and a good twin that must stay silent — silent on all of the
+//! gate's rules, token rules included — so a regression in either
+//! direction (a rule going blind, or a rule going noisy) fails
+//! `cargo test` before it reaches the gate itself.
 
-use analysis::gate::{dataflow_rules, gate_loaded, RULE_PARSE_COVERAGE};
-use analysis::parse::parse_file;
+use analysis::gate::{gate_loaded, RULE_PARSE_COVERAGE};
 use analysis::symbols::{SourceFile, Workspace};
 use analysis::waivers::RULE_STALE_WAIVER;
 
-/// Builds a one-crate workspace from `(rel, source)` pairs.
+/// Builds a workspace from `(rel, source)` pairs.
 fn ws(files: &[(&str, &str)]) -> Workspace {
     Workspace::from_files(
         files
             .iter()
-            .map(|(rel, src)| SourceFile {
-                rel: (*rel).to_string(),
-                krate: "snippet".to_string(),
-                test_file: false,
-                parsed: parse_file(src),
-            })
+            .map(|(rel, src)| SourceFile::new((*rel).to_string(), src))
             .collect(),
     )
 }
@@ -29,7 +25,8 @@ fn fired(files: &[(&str, &str)]) -> Vec<&'static str> {
     report.violations.iter().map(|v| v.rule).collect()
 }
 
-const REL: &str = "crates/snippet/src/lib.rs";
+/// Not a crate root, so `forbid-unsafe` stays out of the good twins.
+const REL: &str = "crates/snippet/src/snippet.rs";
 
 #[test]
 fn parse_coverage_fires_on_unparsed_statements() {
@@ -167,26 +164,43 @@ fn stale_waiver_is_a_hard_error() {
 }
 
 #[test]
-fn foreign_namespace_waivers_are_not_judged_stale_here() {
-    // `hot-collections` belongs to the token linter's namespace; the
-    // dataflow gate must not flag it stale just because no dataflow rule
-    // used it.
-    let src = "// lint:allow(hot-collections)\n\
+fn waiver_naming_no_rule_is_stale() {
+    // A typo (`addr-raw-arithmetic` for `addr-raw-arith`) names no rule,
+    // so it can suppress nothing: stale, like any other unused waiver.
+    let src = "// lint:allow(addr-raw-arithmetic)\n\
                fn f(hpa: u64) -> u64 { hpa + 1 }\n";
-    assert!(fired(&[(REL, src)]).is_empty());
-    assert!(!dataflow_rules().contains(&"hot-collections"));
+    let report = gate_loaded(&ws(&[(REL, src)]));
+    let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
+    assert_eq!(rules, vec![RULE_STALE_WAIVER]);
+    assert_eq!(report.waivers_used, 0);
+    // Over a real finding it leaves the finding in place.
+    let src = "// lint:allow(addr-raw-arithmetic)\n\
+               fn f(hpa: u64) -> u64 { hpa >> 12 }\n";
+    let got = fired(&[(REL, src)]);
+    assert_eq!(
+        got,
+        vec![RULE_STALE_WAIVER, "addr-raw-arith"],
+        "got {got:?}"
+    );
+}
+
+#[test]
+fn parse_coverage_cannot_be_waived() {
+    // Recovery is reported after the waiver filter: a waiver naming it
+    // leaves the finding in place and is itself stale.
+    let src = "// lint:allow(parse-coverage)\n\
+               fn f() { @ @ @ }\n";
+    let report = gate_loaded(&ws(&[(REL, src)]));
+    let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
+    assert!(rules.contains(&RULE_PARSE_COVERAGE), "got {rules:?}");
+    assert!(rules.contains(&RULE_STALE_WAIVER), "got {rules:?}");
+    assert_eq!(report.waivers_used, 0);
 }
 
 #[test]
 fn test_scope_is_exempt() {
-    // The same decomposition inside a test file stays silent: the gates
-    // police shipped analysis code, not fixtures.
+    // The same decomposition inside a test file stays silent: the gate
+    // polices shipped analysis code, not fixtures.
     let bad = "fn f(hpa: u64) -> u64 { hpa >> 12 }\n";
-    let report = gate_loaded(&Workspace::from_files(vec![SourceFile {
-        rel: "crates/snippet/tests/fixture.rs".to_string(),
-        krate: "snippet".to_string(),
-        test_file: true,
-        parsed: parse_file(bad),
-    }]));
-    assert!(report.violations.is_empty(), "got {:?}", report.violations);
+    assert!(fired(&[("crates/snippet/tests/fixture.rs", bad)]).is_empty());
 }

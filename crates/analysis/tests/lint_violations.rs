@@ -1,20 +1,27 @@
-//! Acceptance tests for the linter: each rule must fire on a seeded bad
-//! snippet and stay silent on the corresponding good form, so a check.sh
-//! gate failure is demonstrably reachable for every rule.
+//! Acceptance tests for the token rules of the source gate: each rule
+//! must fire on a seeded bad snippet and stay silent on the corresponding
+//! good form through the gate's own entry point, so a check.sh gate
+//! failure is demonstrably reachable for every rule.
 
+use analysis::gate::{gate_loaded, gate_workspace, GateReport};
 use analysis::lint::{
-    classify, lint_source, FileClass, RULE_ATOMICS, RULE_FORBID_UNSAFE, RULE_HOT_ALLOC,
-    RULE_HOT_COLLECTIONS, RULE_METRIC_NAMES, RULE_NONDETERMINISM,
+    classify, FileClass, RULE_ATOMICS, RULE_FORBID_UNSAFE, RULE_HOT_ALLOC, RULE_HOT_COLLECTIONS,
+    RULE_METRIC_NAMES, RULE_NONDETERMINISM,
 };
+use analysis::symbols::{SourceFile, Workspace};
+use analysis::waivers::Waivers;
 
 const HOT: &str = "crates/memctrl/src/controller.rs";
 
+fn gate(file: &str, src: &str) -> GateReport {
+    gate_loaded(&Workspace::from_files(vec![SourceFile::new(
+        file.to_string(),
+        src,
+    )]))
+}
+
 fn rules_fired(file: &str, src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = lint_source(file, src, classify(file))
-        .violations
-        .iter()
-        .map(|v| v.rule)
-        .collect();
+    let mut rules: Vec<&'static str> = gate(file, src).violations.iter().map(|v| v.rule).collect();
     rules.dedup();
     rules
 }
@@ -75,22 +82,15 @@ fn atomics_are_confined_to_telemetry() {
 fn waivers_suppress_and_are_counted() {
     let waived =
         "// lint:allow(atomics-confined) work dispenser, not a metric\nuse std::sync::atomic::AtomicUsize;\n";
-    let lint = lint_source(
-        "crates/sim/src/engine.rs",
-        waived,
-        classify("crates/sim/src/engine.rs"),
-    );
-    assert!(lint.violations.is_empty());
-    assert_eq!(lint.waivers_used, 1);
+    let report = gate("crates/sim/src/engine.rs", waived);
+    assert!(report.violations.is_empty(), "got {:?}", report.violations);
+    assert_eq!(report.waivers_used, 1);
     // File-scoped waiver covers any line.
     let file_waived =
         "// lint:allow-file(atomics-confined)\nfn a() {}\nfn b() { let x: AtomicU64 = d(); }\n";
-    let lint = lint_source(
-        "crates/sim/src/engine.rs",
-        file_waived,
-        classify("crates/sim/src/engine.rs"),
-    );
-    assert!(lint.violations.is_empty());
+    let report = gate("crates/sim/src/engine.rs", file_waived);
+    assert!(report.violations.is_empty(), "got {:?}", report.violations);
+    assert_eq!(report.waivers_used, 1);
     // A waiver for one rule does not silence another.
     let wrong_rule = "// lint:allow(hot-alloc)\nuse std::sync::atomic::AtomicU64;\n";
     assert!(rules_fired("crates/sim/src/engine.rs", wrong_rule).contains(&RULE_ATOMICS));
@@ -141,8 +141,9 @@ fn classify_matches_repo_layout() {
     let _ = FileClass::default();
 }
 
-/// The real workspace must lint clean — this is the same invocation the
-/// check.sh gate runs, so a regression fails `cargo test` too.
+/// The real workspace must pass the whole gate — the same invocation the
+/// check.sh step runs, so a regression fails `cargo test` too — with
+/// exactly the waivers it honours today, each of them live.
 #[test]
 fn workspace_lints_clean() {
     // Walk up from the crate dir to the workspace root.
@@ -151,11 +152,10 @@ fn workspace_lints_clean() {
         .nth(2)
         .unwrap()
         .to_path_buf();
-    let report = analysis::lint::lint_workspace(&root).unwrap();
-    assert!(report.files > 100, "walked {} files only", report.files);
+    let report = gate_workspace(&root).unwrap();
     assert!(
         report.violations.is_empty(),
-        "workspace lint violations:\n{}",
+        "workspace gate violations:\n{}",
         report
             .violations
             .iter()
@@ -163,5 +163,32 @@ fn workspace_lints_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.waivers_used >= 1, "engine.rs waiver should be live");
+    assert_eq!(report.files, 181, "first-party .rs files walked");
+    // No violations means no stale waiver, so every annotation in the tree
+    // is one of the honoured ones.
+    assert_eq!(report.waivers_used, 6);
+    let ws = Workspace::load(&root).unwrap();
+    let inventory: Vec<(&str, String)> = ws
+        .files
+        .iter()
+        .flat_map(|f| {
+            Waivers::collect(&f.parsed.comments)
+                .entries()
+                .iter()
+                .map(|e| (f.rel.as_str(), e.rule.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(
+        inventory,
+        [
+            ("crates/analysis/src/isolation.rs", "addr-domain-mix"),
+            ("crates/bench/src/bin/fig2_layout.rs", "addr-raw-arith"),
+            ("crates/dram/src/device.rs", "hot-alloc"),
+            ("crates/ept/src/entry.rs", "addr-raw-arith"),
+            ("crates/siloz/src/guest_paging.rs", "addr-raw-arith"),
+            ("crates/sim/src/engine.rs", "atomics-confined"),
+        ]
+        .map(|(file, rule)| (file, rule.to_string()))
+    );
 }

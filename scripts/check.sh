@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Runs one gate and prints its wall time, so cost regressions in any gate
-# are visible in every log (the dataflow gate additionally enforces its own
+# are visible in every log (the source gate additionally enforces its own
 # 15 s budget in-process and fails when it blows it).
 step() {
   local label="$1"
@@ -30,11 +30,8 @@ step "cargo test" cargo test --workspace -q
 step "benchmark harness (own workspace) builds and passes against crates/*" \
   cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-step "analysis gate: siloz-lint (workspace invariants)" \
+step "analysis gate: siloz-lint (token rules + seed-provenance + address-domain)" \
   cargo run --release -q -p analysis --bin siloz-lint
-
-step "analysis gate: siloz-dataflow (seed-provenance + address-domain proofs)" \
-  cargo run --release -q -p analysis --bin siloz-dataflow
 
 step "analysis gate: isolation-verify (bijectivity + containment proofs)" \
   cargo run --release -q -p analysis --bin isolation-verify
