@@ -210,8 +210,8 @@ pub fn isolation_violating_rows(
 /// The byte offset of a physical address within its cache line.
 ///
 /// The one sanctioned way to split an address at line granularity outside
-/// the decoder; callers must not open-code the modulus (the
-/// `siloz-dataflow` address-domain gate enforces this).
+/// the decoder; callers must not open-code the modulus (`siloz-lint`'s
+/// address-domain dataflow pass enforces this).
 #[must_use]
 pub const fn line_offset(phys: u64) -> u64 {
     phys % crate::CACHE_LINE_BYTES

@@ -1,15 +1,18 @@
 //! Per-bank disturbance and refresh state.
 //!
-//! Victim half-rows live in an append-only arena (`BankState::victims`)
-//! with a `(side, internal row) → arena index` map beside it. Refresh resets
-//! an entry in place and nothing ever removes one, so an arena index stays
-//! valid for the bank's life — which a [`RowMap`] slot does not across a
-//! `grow`. That is what lets a resolved [`crate::Aggressor`] handle address
-//! its victims by index instead of probing for them on every burst.
+//! Victim half-rows live in an append-only arena (`BankState::victims`).
+//! Beside it sits a flat index with one `u32` per half-row of the bank,
+//! allocated zeroed when the bank is first touched: slot
+//! `internal_row << 1 | side` holds the arena index + 1, and 0 means the
+//! half-row was never disturbed. Every victim lookup — the REF sweep, a TRR
+//! serve, resolving an aggressor, an aggressor's own-row refresh — is one
+//! load from it. Refresh resets an arena entry in place and nothing ever
+//! removes one, so an arena index stays valid for the bank's life; that is
+//! what lets a resolved [`crate::Aggressor`] handle address its victims by
+//! index instead of looking them up on every burst.
 
 use crate::flip::{weak_cells, WeakCell};
 use crate::profile::DimmProfile;
-use crate::rowmap::RowMap;
 use crate::trr::TrrTracker;
 use dram_addr::RankSide;
 
@@ -22,13 +25,6 @@ pub(crate) fn side_idx(side: RankSide) -> u8 {
     }
 }
 
-/// Packs a `(side, internal_row)` victim coordinate into a [`RowMap`] key.
-#[must_use]
-#[inline]
-pub(crate) fn victim_key(side: u8, internal_row: u32) -> u64 {
-    (side as u64) << 32 | internal_row as u64
-}
-
 /// Disturbance state of one victim half-row.
 ///
 /// Disturbance is stored in *segment* form, `base + w * n`: `n` activations
@@ -38,6 +34,10 @@ pub(crate) fn victim_key(side: u8, internal_row: u32) -> u64 {
 /// `k` sequential per-ACT updates — both evaluate `base + w * n` with one
 /// multiply and one add — which is what pins the burst path to the reference
 /// path in the equivalence proptests.
+///
+/// The next flip threshold is held inline (`next_threshold`), so a burst
+/// that crosses nothing reads this struct and never the `cells` heap
+/// allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct VictimState {
     /// Folded disturbance from earlier weight segments (since last refresh).
@@ -46,13 +46,33 @@ pub(crate) struct VictimState {
     pub w: f64,
     /// Activation count in the current segment.
     pub n: u64,
+    /// `cells[next_cell].threshold`, or ∞ once every cell has flipped.
+    next_threshold: f64,
+    /// `cells[0].threshold` (∞ with no weak cells): what refresh re-arms
+    /// `next_threshold` to.
+    first_threshold: f64,
     /// This half-row's weak cells, sorted by flip threshold.
-    pub cells: Vec<WeakCell>,
+    cells: Vec<WeakCell>,
     /// Index of the next unflipped weak cell at the current disturbance.
-    pub next_cell: usize,
+    next_cell: usize,
 }
 
 impl VictimState {
+    /// An undisturbed half-row with the given weak cells (sorted by
+    /// threshold).
+    pub(crate) fn new(cells: Vec<WeakCell>) -> Self {
+        let first_threshold = cells.first().map_or(f64::INFINITY, |c| c.threshold);
+        Self {
+            base: 0.0,
+            w: 0.0,
+            n: 0,
+            next_threshold: first_threshold,
+            first_threshold,
+            cells,
+            next_cell: 0,
+        }
+    }
+
     /// Refresh: clears the disturbance accumulator and re-arms the weak
     /// cells (charge restored; already-flipped data stays flipped until
     /// rewritten or scrubbed).
@@ -61,6 +81,7 @@ impl VictimState {
         self.base = 0.0;
         self.n = 0;
         self.next_cell = 0;
+        self.next_threshold = self.first_threshold;
     }
 
     /// Accumulated weighted disturbance since this half-row's last refresh.
@@ -86,6 +107,22 @@ impl VictimState {
         self.n += k;
         (self.base, n_before)
     }
+
+    /// The next unflipped weak cell if `disturb` has reached its threshold,
+    /// advancing past it; `None` (without touching `cells`) otherwise.
+    #[inline]
+    pub(crate) fn pop_crossed(&mut self, disturb: f64) -> Option<WeakCell> {
+        if self.next_threshold > disturb {
+            return None;
+        }
+        let cell = self.cells[self.next_cell];
+        self.next_cell += 1;
+        self.next_threshold = self
+            .cells
+            .get(self.next_cell)
+            .map_or(f64::INFINITY, |c| c.threshold);
+        Some(cell)
+    }
 }
 
 /// Mutable state of a single DRAM bank: victim disturbance accumulators,
@@ -95,8 +132,9 @@ pub struct BankState {
     /// Victim half-rows in first-touch order. Append-only: an index is
     /// valid for the bank's life.
     pub(crate) victims: Vec<VictimState>,
-    /// [`victim_key`] → index into `victims`.
-    pub(crate) victim_index: RowMap<u32>,
+    /// Arena index + 1 per half-row at [`BankState::slot`]; 0 = never
+    /// disturbed. `2 × rows_per_bank` entries.
+    victim_index: Vec<u32>,
     pub(crate) trr: [TrrTracker; 2],
     /// Next internal row the distributed auto-refresh will cover.
     pub(crate) refresh_ptr: u32,
@@ -105,12 +143,13 @@ pub struct BankState {
 }
 
 impl BankState {
-    /// Fresh bank state with the given TRR configuration.
+    /// Fresh bank state for a bank of `rows_per_bank` internal rows with
+    /// the given TRR configuration.
     #[must_use]
-    pub fn new(trr_capacity: usize, trr_served_per_ref: usize) -> Self {
+    pub fn new(rows_per_bank: u32, trr_capacity: usize, trr_served_per_ref: usize) -> Self {
         Self {
             victims: Vec::new(),
-            victim_index: RowMap::new(),
+            victim_index: vec![0; 2 * rows_per_bank as usize],
             trr: [
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
@@ -120,14 +159,22 @@ impl BankState {
         }
     }
 
+    /// `victim_index` slot of `(side, internal_row)`.
+    #[inline]
+    fn slot(&self, side: u8, internal_row: u32) -> usize {
+        debug_assert!(
+            (internal_row as usize) < self.victim_index.len() / 2,
+            "internal row {internal_row} is outside the bank (a repair target past rows_per_bank?)"
+        );
+        (internal_row as usize) << 1 | side as usize
+    }
+
     /// Arena index of the victim state for `(side, internal_row)`, if that
     /// half-row has ever been disturbed.
     #[inline]
     #[must_use]
     pub(crate) fn victim_idx(&self, side: u8, internal_row: u32) -> Option<u32> {
-        self.victim_index
-            .get(victim_key(side, internal_row))
-            .copied()
+        self.victim_index[self.slot(side, internal_row)].checked_sub(1)
     }
 
     /// Arena index of the victim state for `(side, internal_row)`, creating
@@ -141,19 +188,18 @@ impl BankState {
         internal_row: u32,
         half_row_bytes: u32,
     ) -> u32 {
-        let victims = &mut self.victims;
-        *self
-            .victim_index
-            .get_or_insert_with(victim_key(side_idx(side), internal_row), || {
-                victims.push(VictimState {
-                    base: 0.0,
-                    w: 0.0,
-                    n: 0,
-                    cells: weak_cells(profile, bank, side, internal_row, half_row_bytes),
-                    next_cell: 0,
-                });
-                (victims.len() - 1) as u32
-            })
+        let slot = self.slot(side_idx(side), internal_row);
+        if self.victim_index[slot] == 0 {
+            self.victims.push(VictimState::new(weak_cells(
+                profile,
+                bank,
+                side,
+                internal_row,
+                half_row_bytes,
+            )));
+            self.victim_index[slot] = self.victims.len() as u32;
+        }
+        self.victim_index[slot] - 1
     }
 
     /// Returns the victim state for `(side, internal_row)`, creating it on
@@ -199,22 +245,27 @@ impl BankState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flip::CellPolarity;
+
+    const ROWS: u32 = 2048;
 
     #[test]
     fn victim_state_created_lazily_with_cells() {
         let p = DimmProfile::default_eval();
-        let mut b = BankState::new(4, 2);
+        let mut b = BankState::new(ROWS, 4, 2);
         assert!(b.victims.is_empty());
         let v = b.victim_mut(&p, 0, RankSide::A, 7, 4096);
         assert!(!v.cells.is_empty());
         assert_eq!(v.disturb(), 0.0);
         assert_eq!(b.victims.len(), 1);
+        assert_eq!(b.victim_idx(0, 7), Some(0));
+        assert_eq!(b.victim_idx(1, 7), None, "the other side is its own slot");
     }
 
     #[test]
     fn refresh_clears_disturbance_and_rearms() {
         let p = DimmProfile::default_eval();
-        let mut b = BankState::new(4, 2);
+        let mut b = BankState::new(ROWS, 4, 2);
         {
             let v = b.victim_mut(&p, 0, RankSide::A, 7, 4096);
             v.add(1.0, 123);
@@ -225,6 +276,53 @@ mod tests {
         let v = &b.victims[b.victim_idx(0, 7).unwrap() as usize];
         assert_eq!(v.disturb(), 0.0);
         assert_eq!(v.next_cell, 0);
+        assert_eq!(v.next_threshold, v.cells[0].threshold);
+    }
+
+    fn cell(threshold: f64) -> WeakCell {
+        WeakCell {
+            byte_in_half: 0,
+            bit: 0,
+            threshold,
+            polarity: CellPolarity::True,
+        }
+    }
+
+    #[test]
+    fn next_threshold_tracks_cells_through_flips_and_refreshes() {
+        let mut v = VictimState::new(vec![cell(10.0), cell(20.0)]);
+        assert_eq!(v.next_threshold, 10.0);
+        // Below the first threshold: nothing pops.
+        assert!(v.pop_crossed(9.9).is_none());
+        // Crossing both, one at a time, in threshold order.
+        assert_eq!(v.pop_crossed(25.0), Some(cell(10.0)));
+        assert_eq!(v.next_threshold, 20.0);
+        assert_eq!(v.pop_crossed(25.0), Some(cell(20.0)));
+        // Every cell flipped: the threshold is ∞ and nothing more pops,
+        // however large the disturbance.
+        assert_eq!(v.next_threshold, f64::INFINITY);
+        assert!(v.pop_crossed(f64::MAX).is_none());
+        // Refresh re-arms from the cached first threshold, so the same
+        // crossing is logged again.
+        v.refresh();
+        assert_eq!((v.next_cell, v.next_threshold), (0, 10.0));
+        assert!(v.pop_crossed(9.9).is_none());
+        assert_eq!(v.pop_crossed(10.0), Some(cell(10.0)), "a re-crossing");
+        assert_eq!(v.next_threshold, 20.0);
+    }
+
+    #[test]
+    fn victim_without_weak_cells_never_pops() {
+        let mut v = VictimState::new(Vec::new());
+        assert_eq!(v.next_threshold, f64::INFINITY);
+        assert!(v.pop_crossed(f64::MAX).is_none());
+        v.refresh();
+        assert_eq!(v.next_threshold, f64::INFINITY);
+        // An invulnerable DIMM's victims are this shape.
+        let mut b = BankState::new(ROWS, 0, 0);
+        let v = b.victim_mut(&DimmProfile::invulnerable(), 0, RankSide::B, 3, 4096);
+        assert!(v.cells.is_empty());
+        assert!(v.pop_crossed(f64::MAX).is_none());
     }
 
     #[test]
@@ -233,13 +331,7 @@ mod tests {
         // leave the exact same (base, w, n) as one add(w, k), across weight
         // changes (RowPress) and refreshes.
         let regimes = [(1.0f64, 7u64), (1.2, 3), (1.2, 5), (0.2, 11), (1.0, 1)];
-        let mut seq = VictimState {
-            base: 0.0,
-            w: 0.0,
-            n: 0,
-            cells: Vec::new(),
-            next_cell: 0,
-        };
+        let mut seq = VictimState::new(Vec::new());
         let mut burst = seq.clone();
         for &(w, k) in &regimes {
             for _ in 0..k {
@@ -257,15 +349,16 @@ mod tests {
 
     #[test]
     fn refresh_of_untouched_row_is_a_noop() {
-        let mut b = BankState::new(4, 2);
+        let mut b = BankState::new(ROWS, 4, 2);
         b.refresh_row(1000);
+        b.refresh_row(ROWS - 1);
         assert!(b.victims.is_empty());
     }
 
     #[test]
     fn max_disturbance_tracks_peak() {
         let p = DimmProfile::default_eval();
-        let mut b = BankState::new(0, 0);
+        let mut b = BankState::new(ROWS, 0, 0);
         assert_eq!(b.max_disturbance(), 0.0);
         b.victim_mut(&p, 0, RankSide::A, 1, 4096).add(1.0, 5);
         b.victim_mut(&p, 0, RankSide::B, 2, 4096).add(1.0, 9);

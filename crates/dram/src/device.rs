@@ -28,9 +28,10 @@
 //! `activate_burst` is the two back to back; a hammer loop resolves each
 //! aggressor once per pattern and applies it every period. A handle is
 //! resolved *at the first issue* (resolving is the bank's first touch and
-//! starts its refresh sweep), re-probes for its own half-row's state until
-//! that exists (a neighbour two rows away may create it later), and is tied
-//! to one `extra_open_ns` and one device.
+//! starts its refresh sweep) and is tied to one `extra_open_ns` and one
+//! device. Its own half-rows are looked up on every apply — one load from
+//! the bank's flat victim index — because a neighbour two rows away may
+//! create their state after the handle was resolved.
 
 use crate::bank::{side_idx, BankState};
 use crate::ecc::{classify, EccMode, ReadIntegrity};
@@ -96,7 +97,12 @@ fn unpack_row_key(key: u64) -> (BankId, u32) {
 /// against the *exact* float evaluation the per-ACT reference path performs,
 /// so the returned index is bit-for-bit the act on which the reference path
 /// would have emitted the flip.
-#[inline]
+///
+/// Cold and never inlined: only a threshold crossing reaches it, and
+/// inlined, its `n0`-to-float setup is hoisted into the victim loop of
+/// every burst, crossing or not.
+#[cold]
+#[inline(never)]
 fn first_crossing(base: f64, w: f64, n0: u64, count: u64, threshold: f64) -> u64 {
     let val = |j: u64| base + w * ((n0 + j) as f64);
     debug_assert!(w > 0.0);
@@ -136,8 +142,6 @@ struct ResolvedVictim {
 struct AggressorSide {
     /// The internal row physically activated on this side.
     row: u32,
-    /// Arena index of that row's own victim state, once it has one.
-    own: Option<u32>,
     n_victims: u8,
     /// The first `n_victims` entries, in (distance, lo/hi) order.
     victims: [ResolvedVictim; MAX_VICTIMS],
@@ -494,6 +498,21 @@ impl DramSystem {
         }
     }
 
+    /// The state of `bank`, materialized (and joined to the REF sweep's
+    /// `touched_banks`) on its first touch.
+    fn bank_state(&mut self, bank: BankId) -> &mut BankState {
+        let slot = &mut self.banks[bank.0 as usize];
+        if slot.is_none() {
+            *slot = Some(BankState::new(
+                self.geometry.rows_per_bank,
+                self.trr_capacity,
+                self.trr_served,
+            ));
+            self.touched_banks.push(bank.0);
+        }
+        slot.as_mut().expect("just materialized")
+    }
+
     /// Executes one distributed REF step across all active banks.
     fn refresh_step(&mut self) {
         self.stats.ref_steps += 1;
@@ -565,8 +584,8 @@ impl DramSystem {
         if count == 0 {
             return;
         }
-        let mut aggressor = self.resolve_aggressor(bank, media_row, extra_open_ns);
-        self.activate_resolved(&mut aggressor, count);
+        let aggressor = self.resolve_aggressor(bank, media_row, extra_open_ns);
+        self.activate_resolved(&aggressor, count);
     }
 
     /// Resolves everything about activating `media_row` of `bank` that does
@@ -604,13 +623,8 @@ impl DramSystem {
         } else {
             None
         };
-        let slot = &mut self.banks[bank.0 as usize];
-        if slot.is_none() {
-            *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
-            self.touched_banks.push(bank.0);
-        }
-        let state = slot.as_mut().expect("just materialized");
         let internal_cfg = self.internal;
+        let state = self.bank_state(bank);
         let mut aggressor = Aggressor {
             bank,
             rank,
@@ -648,13 +662,13 @@ impl DramSystem {
 
     /// Applies `count` back-to-back activations of a resolved aggressor:
     /// everything [`DramSystem::activate_burst`] promises, with the victims
-    /// reached by arena index instead of by probe. `count = 0` is a no-op.
+    /// reached by arena index. `count = 0` is a no-op.
     ///
-    /// The handle is `&mut` because an aggressor's own half-row may gain
-    /// victim state *after* the handle was resolved (rows two apart are each
-    /// other's distance-2 victims): until it is found, each call looks for
-    /// it once more and caches the answer.
-    pub fn activate_resolved(&mut self, aggressor: &mut Aggressor, count: u64) {
+    /// The aggressor's own half-rows are not in the handle: rows two apart
+    /// are each other's distance-2 victims, so an own half-row may gain
+    /// victim state after the handle was resolved. Each call looks them up
+    /// in the bank's flat index, one load per side.
+    pub fn activate_resolved(&mut self, aggressor: &Aggressor, count: u64) {
         debug_assert!(
             self.now_ns < self.next_ref_ns,
             "a burst must not span a refresh boundary: split runs around advance_ns"
@@ -664,49 +678,47 @@ impl DramSystem {
         }
         self.stats.acts += count;
         let bank = aggressor.bank;
-        let mut new_flips = std::mem::take(&mut self.scratch_flips);
-        new_flips.clear();
-        {
-            let state = self.banks[bank.0 as usize]
-                .as_mut()
-                .expect("resolve_aggressor materialized the bank");
-            state.acts += count;
-            for (side, resolved) in RankSide::BOTH.into_iter().zip(&mut aggressor.sides) {
-                let s = side_idx(side);
-                state.trr[s as usize].observe_n(resolved.row, count);
-                // Every ACT refreshes the activated row itself; after the
-                // run, only the last refresh matters.
-                resolved.own = resolved.own.or_else(|| state.victim_idx(s, resolved.row));
-                if let Some(own) = resolved.own {
-                    state.victims[own as usize].refresh();
-                }
-                for v in &resolved.victims[..resolved.n_victims as usize] {
-                    debug_assert!(
-                        (v.idx as usize) < state.victims.len(),
-                        "handle resolved on another device"
-                    );
-                    let vs = &mut state.victims[v.idx as usize];
-                    let (base, n0) = vs.add(v.w, count);
-                    let final_disturb = base + v.w * ((n0 + count) as f64);
-                    while vs.next_cell < vs.cells.len()
-                        && vs.cells[vs.next_cell].threshold <= final_disturb
-                    {
-                        let cell = vs.cells[vs.next_cell];
-                        let j = first_crossing(base, v.w, n0, count, cell.threshold);
-                        vs.next_cell += 1;
-                        new_flips.push((j, side, v.row, cell));
-                    }
+        let state = self.banks[bank.0 as usize]
+            .as_mut()
+            .expect("resolve_aggressor materialized the bank");
+        state.acts += count;
+        for (side, resolved) in RankSide::BOTH.into_iter().zip(&aggressor.sides) {
+            let s = side_idx(side);
+            state.trr[s as usize].observe_n(resolved.row, count);
+            // Every ACT refreshes the activated row itself; after the run,
+            // only the last refresh matters.
+            state.refresh_half_row(s, resolved.row);
+            for v in &resolved.victims[..resolved.n_victims as usize] {
+                debug_assert!(
+                    (v.idx as usize) < state.victims.len(),
+                    "handle resolved on another device"
+                );
+                let vs = &mut state.victims[v.idx as usize];
+                let (base, n0) = vs.add(v.w, count);
+                let final_disturb = base + v.w * ((n0 + count) as f64);
+                while let Some(cell) = vs.pop_crossed(final_disturb) {
+                    let j = first_crossing(base, v.w, n0, count, cell.threshold);
+                    self.scratch_flips.push((j, side, v.row, cell));
                 }
             }
         }
-        // Restore per-ACT emission order: ascending crossing act, ties kept
-        // in (side, distance, lo/hi, cell) collection order by stability.
-        new_flips.sort_by_key(|f| f.0);
-        for &(_, side, internal_victim, cell) in &new_flips {
-            self.apply_flip(bank, aggressor.rank, side, internal_victim, cell);
+        if !self.scratch_flips.is_empty() {
+            self.apply_scratch_flips(bank, aggressor.rank);
         }
-        new_flips.clear();
-        self.scratch_flips = new_flips;
+    }
+
+    /// Applies the flips an activation collected in `scratch_flips`, in
+    /// per-ACT order — ascending crossing act, ties kept in (side,
+    /// distance, lo/hi, cell) collection order by stability — and empties
+    /// the buffer.
+    fn apply_scratch_flips(&mut self, bank: BankId, rank: u16) {
+        let mut flips = std::mem::take(&mut self.scratch_flips);
+        flips.sort_by_key(|f| f.0);
+        for &(_, side, internal_victim, cell) in &flips {
+            self.apply_flip(bank, rank, side, internal_victim, cell);
+        }
+        flips.clear();
+        self.scratch_flips = flips;
     }
 
     /// The per-ACT reference path (see [`DramSystem::activate_burst`] for
@@ -729,14 +741,8 @@ impl DramSystem {
 
         // Collect flips first to avoid borrowing `self` inside the loop.
         let mut new_flips = std::mem::take(&mut self.scratch_flips);
-        new_flips.clear();
         {
-            let slot = &mut self.banks[bank.0 as usize];
-            if slot.is_none() {
-                *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
-                self.touched_banks.push(bank.0);
-            }
-            let state = slot.as_mut().expect("just materialized");
+            let state = self.bank_state(bank);
             state.acts += 1;
             for side in RankSide::BOTH {
                 // The internal row whose cells are physically activated: a
@@ -768,22 +774,15 @@ impl DramSystem {
                         let vs = state.victim_mut(&profile, bank.0, side, v, half);
                         vs.add(w, 1);
                         let disturb = vs.disturb();
-                        while vs.next_cell < vs.cells.len()
-                            && vs.cells[vs.next_cell].threshold <= disturb
-                        {
-                            let cell = vs.cells[vs.next_cell];
-                            vs.next_cell += 1;
+                        while let Some(cell) = vs.pop_crossed(disturb) {
                             new_flips.push((1, side, v, cell));
                         }
                     }
                 }
             }
         }
-        for &(_, side, internal_victim, cell) in &new_flips {
-            self.apply_flip(bank, rank, side, internal_victim, cell);
-        }
-        new_flips.clear();
         self.scratch_flips = new_flips;
+        self.apply_scratch_flips(bank, rank);
     }
 
     /// Applies one flip at an internal victim location, translating back to
@@ -1339,9 +1338,10 @@ mod tests {
         // the victim arena, its index, the TRR tables — exists from a bank's
         // first activation, and stays small enough that the slot array of a
         // 384-bank evaluation host is a few pages. Handles live with their
-        // caller, never inline here.
+        // caller, never inline here. 176 bytes with a `RowMap` victim index,
+        // 144 with the flat `Vec<u32>` one (its rows live on the heap).
         let size = std::mem::size_of::<Option<BankState>>();
-        assert!(size <= 192, "Option<BankState> grew to {size} bytes");
+        assert!(size <= 144, "Option<BankState> grew to {size} bytes");
         let dram = DramSystem::new(dram_addr::skylake_geometry());
         assert_eq!(dram.banks.len(), 384);
         assert!(dram.banks.iter().all(Option::is_none));
@@ -1479,10 +1479,10 @@ mod tests {
         // burst is issued and not earlier.
         let bank = BankId(0);
         let mut early = no_trr();
-        let mut aggressor = early.resolve_aggressor(bank, 20, 0);
+        let aggressor = early.resolve_aggressor(bank, 20, 0);
         assert_eq!(early.touched_banks, [bank.0]);
         early.advance_ns(early.trefi_ns);
-        early.activate_resolved(&mut aggressor, 5);
+        early.activate_resolved(&aggressor, 5);
 
         let mut late = no_trr();
         late.advance_ns(late.trefi_ns);

@@ -1,17 +1,24 @@
-//! A deterministic open-addressed map for per-bank victim state.
+//! A deterministic open-addressed map for the device's sparse per-row state.
 //!
 //! `std::collections::HashMap` is banned from the hot-path modules (see the
 //! `siloz-lint` rule table in `DESIGN.md` §4d): its default `RandomState`
 //! seeds SipHash from process entropy — a nondeterminism source — and the
 //! hash itself is far heavier than needed for small integer keys that are
-//! already well-mixed by a single multiply. This map replaces it on the
-//! per-activation victim path:
+//! already well-mixed by a single multiply. Its users, all in
+//! [`crate::DramSystem`] and all keyed by a packed `(bank, row)`:
 //!
-//! - keys are packed `u64`s (side/row tuples), hashed with one Fibonacci
-//!   multiply;
+//! - `data` — written media rows (absent = all zeros);
+//! - `flipped` — the currently-flipped cells of each media row;
+//! - `repair_inverse` — internal spare row → the media row living there.
+//!
+//! Per-bank victim state is not here: a touched bank indexes its victims
+//! by a flat `2 × rows_per_bank` array (`crate::bank`), one load per
+//! lookup. The map's shape:
+//!
+//! - keys are packed `u64`s, hashed with one Fibonacci multiply;
 //! - power-of-two capacity, linear probing, growth at 7/8 load;
-//! - no removal (victim state is reset in place by refresh, never deleted),
-//!   so there are no tombstones and probes stay short;
+//! - no removal (emptied entries simply stay, e.g. a scrubbed row's flip
+//!   list), so there are no tombstones and probes stay short;
 //! - iteration order is a pure function of the insertion sequence, so every
 //!   fold over the map is reproducible run to run.
 

@@ -11,7 +11,8 @@
 //! The last property does the same for *reused* handles: each target of a
 //! fixed cast is resolved once (`resolve_aggressor`, at its first issue) and
 //! then applied many times (`activate_resolved`) between time advances,
-//! against the same per-ACT reference on a twin device.
+//! against the same per-ACT reference on a twin device. A fixed lockstep
+//! pins all three paths at both ends of a bank under TRR.
 
 use dram::{Aggressor, DramStats, DramSystem, DramSystemBuilder};
 use dram_addr::{mini_geometry, BankId, InternalMapConfig, RepairMap};
@@ -164,9 +165,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 /// Replays `steps` per-ACT on one device and through reused handles on its
-/// twin, then asserts every observable is bit-identical. A bank fills its
-/// victim index past the initial 16 slots (both rank sides of rows 18..30)
-/// while earlier handles into it are live.
+/// twin, then asserts every observable is bit-identical. A bank's victim
+/// arena keeps growing (both rank sides of rows 18..30) while earlier
+/// handles into it are live.
 fn assert_reused_handles_equivalent(steps: &[Step], trr: (usize, usize), repairs: bool) {
     let mut reference = build(trr, repairs);
     let mut reused = build(trr, repairs);
@@ -189,6 +190,55 @@ fn assert_reused_handles_equivalent(steps: &[Step], trr: (usize, usize), repairs
         reused.advance_ns(step.advance_ns);
     }
     assert_same_observables(&reference, &reused);
+}
+
+/// Aggressors at both ends of the bank (internal rows 0, 1, R − 2, R − 1 on
+/// both rank sides: `build` maps identically) under TRR(4, 2), driven
+/// per-ACT, one-shot and through reused handles. Each round's three REF
+/// steps serve all four aggressors, so TRR refreshes the neighbours of row
+/// 0 and row R − 1, where only one side of the blast radius exists — the
+/// `agg >= d` / `agg + d < rows_per_bank` guards that now index an array.
+#[test]
+fn bank_edge_aggressors_under_trr_match_across_paths() {
+    const ROUNDS: u64 = 12;
+    let rows = mini_geometry().rows_per_bank;
+    let edges = [0, 1, rows - 2, rows - 1];
+    let trefi_ns = dram::REFRESH_WINDOW_NS / dram::REFS_PER_WINDOW as u64;
+    let mut reference = build((4, 2), false);
+    let mut one_shot = build((4, 2), false);
+    let mut reused = build((4, 2), false);
+    let mut handles: [Option<Aggressor>; 4] = [None; 4];
+    let bank = BankId(0);
+    for round in 0..ROUNDS {
+        for (i, (&row, handle)) in edges.iter().zip(&mut handles).enumerate() {
+            // Long sieges (past weak-cell thresholds) mixed with 1-ACT runs.
+            let count = [25_000u64, 1, 3_000, 40_000][(round as usize + i) % 4];
+            for _ in 0..count {
+                reference.activate_row(bank, row, 0);
+            }
+            one_shot.activate_burst(bank, row, count, 0);
+            let handle = handle.get_or_insert_with(|| reused.resolve_aggressor(bank, row, 0));
+            reused.activate_resolved(handle, count);
+        }
+        for d in [&mut reference, &mut one_shot, &mut reused] {
+            d.advance_ns(3 * trefi_ns);
+        }
+    }
+    assert_same_observables(&reference, &one_shot);
+    assert_same_observables(&reference, &reused);
+    let stats = reference.stats();
+    assert_eq!(stats.ref_steps, 3 * ROUNDS);
+    assert_eq!(
+        stats.trr_triggers,
+        2 * edges.len() as u64 * ROUNDS,
+        "every edge aggressor served on both sides every round"
+    );
+    let flipped = |lo, hi| reference.flip_log().in_row_range(bank, lo, hi).count();
+    assert!(flipped(0, 4) > 0, "the low edge's victims flipped");
+    assert!(
+        flipped(rows - 4, rows) > 0,
+        "the high edge's victims flipped"
+    );
 }
 
 proptest! {

@@ -40,7 +40,7 @@ pub const FRAME_BYTES: u64 = 4096;
 ///
 /// The one sanctioned way to turn an `hpa` into the frame ordinal the
 /// allocator and EPT pool speak; callers must not open-code the division
-/// (the `siloz-dataflow` address-domain gate enforces this).
+/// (`siloz-lint`'s address-domain dataflow pass enforces this).
 #[must_use]
 pub const fn frame_of_hpa(hpa: u64) -> u64 {
     hpa / FRAME_BYTES
