@@ -13,6 +13,16 @@ pub trait PhysMem {
     fn read_u64(&mut self, phys: u64) -> u64;
     /// Writes the 64-bit word at physical address `phys` (8-byte aligned).
     fn write_u64(&mut self, phys: u64, value: u64);
+    /// Zeroes the table page at `table` (`TABLE_BYTES`-aligned).
+    ///
+    /// The default writes its 512 entries one word at a time; a memory
+    /// with a cheaper bulk write may override it, provided it leaves the
+    /// memory exactly as those word writes would.
+    fn zero_table(&mut self, table: u64) {
+        for i in 0..(TABLE_BYTES / 8) {
+            self.write_u64(table + i * 8, 0);
+        }
+    }
 }
 
 /// Allocator for EPT table pages.
@@ -21,7 +31,13 @@ pub trait PhysMem {
 /// guard-protected EPT row group (§5.4); the baseline implements it with
 /// ordinary host allocations.
 pub trait EptAllocator {
-    /// Allocates one zeroed 4 KiB page for an EPT table; returns its HPA.
+    /// Allocates one 4 KiB page for an EPT table; returns its HPA.
+    ///
+    /// The page's contents are unspecified: a pool may hand back a page a
+    /// destroyed EPT used, entries and all (Siloz's GFP_EPT pool is LIFO).
+    /// [`Ept`] zeroes every page it draws with [`PhysMem::zero_table`]
+    /// before linking it in. Skipping that is unsound: a stale entry would
+    /// translate a GPA this EPT never mapped to a frame it does not own.
     fn alloc_table_page(&mut self) -> Result<u64, EptError>;
 }
 
@@ -135,10 +151,7 @@ impl Ept {
         salt: u64,
     ) -> Result<Self, EptError> {
         let root = alloc.alloc_table_page()?;
-        // Zero the root table.
-        for i in 0..(TABLE_BYTES / 8) {
-            mem.write_u64(root + i * 8, 0);
-        }
+        mem.zero_table(root);
         Ok(Self {
             root,
             mode,
@@ -232,9 +245,7 @@ impl Ept {
                 table = entry.hpa();
             } else {
                 let new_table = alloc.alloc_table_page()?;
-                for i in 0..(TABLE_BYTES / 8) {
-                    mem.write_u64(new_table + i * 8, 0);
-                }
+                mem.zero_table(new_table);
                 self.table_pages.push(new_table);
                 mem.write_u64(
                     entry_addr,

@@ -25,8 +25,11 @@ use crate::vm::{BackingBlock, MemoryRegionKind, VmHandle, VmRegion, VmSpec};
 use crate::SilozError;
 use dram::flip::BitFlip;
 use dram::{DramSystem, DramSystemBuilder};
-use dram_addr::{RepairMap, SystemAddressDecoder};
-use ept::{Ept, EptAllocator, EptError, EptPerms, IntegrityMode, PageSize, PhysMem, Translation};
+use dram_addr::{DecodeTlb, RepairMap, SystemAddressDecoder, CACHE_LINE_BYTES};
+use ept::{
+    Ept, EptAllocator, EptError, EptPerms, IntegrityMode, PageSize, PhysMem, Translation,
+    TABLE_BYTES,
+};
 use numa::{
     frame_of_hpa, hpa_of_frame, CgroupRegistry, MemPolicy, NodeId, NodeInfo, PlacementStrategy,
     PolicyAlloc, Topology, FRAME_BYTES, ORDER_1G, ORDER_2M,
@@ -72,25 +75,37 @@ struct Vm {
     ept: Ept,
 }
 
-/// [`PhysMem`] adapter storing EPT tables in the simulated DRAM.
+/// [`PhysMem`] adapter storing EPT tables in the simulated DRAM. Decodes go
+/// through the hypervisor's decode TLB and reads land in its scratch
+/// buffer, so a table access neither re-derives a row nor allocates.
 struct DramPhysMem<'a> {
     dram: &'a mut DramSystem,
-    decoder: &'a SystemAddressDecoder,
+    tlb: &'a mut DecodeTlb,
+    scratch: &'a mut Vec<u8>,
 }
 
 impl PhysMem for DramPhysMem<'_> {
     fn read_u64(&mut self, phys: u64) -> u64 {
-        let media = self.decoder.decode(phys).expect("EPT page in DRAM");
-        let bank = media.global_bank(self.decoder.geometry());
-        let (bytes, _integrity) = self.dram.read_row(bank, media.row, media.col, 8);
-        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+        let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
+        let _ = self.dram.read_row_into(bank, m.row, m.col, 8, self.scratch);
+        u64::from_le_bytes(self.scratch[..].try_into().expect("8 bytes"))
     }
 
     fn write_u64(&mut self, phys: u64, value: u64) {
-        let media = self.decoder.decode(phys).expect("EPT page in DRAM");
-        let bank = media.global_bank(self.decoder.geometry());
+        let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
         self.dram
-            .write_row(bank, media.row, media.col, &value.to_le_bytes());
+            .write_row(bank, m.row, m.col, &value.to_le_bytes());
+    }
+
+    /// One decode and one 64 B zero write per line. A line is contiguous
+    /// in one row, so this zeroes the same bytes and clears the same flips
+    /// as the line's 8 word writes and, like them, materialises no row.
+    fn zero_table(&mut self, table: u64) {
+        const LINE: u64 = CACHE_LINE_BYTES;
+        for line in (table..table + TABLE_BYTES).step_by(LINE as usize) {
+            let (m, bank) = self.tlb.decode_with_bank(line).expect("EPT page in DRAM");
+            self.dram.write_row(bank, m.row, m.col, &[0; LINE as usize]);
+        }
     }
 }
 
@@ -183,13 +198,14 @@ pub struct Hypervisor {
     kind: HypervisorKind,
     config: SilozConfig,
     decoder: SystemAddressDecoder,
-    /// Decode memoization for `copy_phys`'s line loop: a clone of
-    /// `decoder` behind a row-group-granular cache, so migrating a block
-    /// decodes each row-group stripe once instead of every 64 B. Decode is
-    /// pure address-map config, so the two decoders always agree.
-    copy_tlb: dram_addr::DecodeTlb,
-    /// Reused line buffer for `copy_phys` (allocation-free copy loop).
-    copy_scratch: Vec<u8>,
+    /// Decode memoization for every physical access the hypervisor makes —
+    /// EPT words and table zeroing, guest I/O, `copy_phys`: a clone of
+    /// `decoder` behind a row-group-granular cache, so a stripe is derived
+    /// once rather than per word or 64 B line. Decode is pure address-map
+    /// config, so the two decoders always agree (`tlb_decode_is_exact`).
+    phys_tlb: DecodeTlb,
+    /// Reused read buffer for those accesses (allocation-free reads).
+    phys_scratch: Vec<u8>,
     dram: DramSystem,
     topo: Topology,
     groups: SubarrayGroupMap,
@@ -277,8 +293,8 @@ impl Hypervisor {
         Ok(Self {
             kind,
             config,
-            copy_tlb: dram_addr::DecodeTlb::new(decoder.clone()),
-            copy_scratch: Vec::new(),
+            phys_tlb: DecodeTlb::new(decoder.clone()),
+            phys_scratch: Vec::new(),
             decoder,
             dram,
             topo: prov.topo,
@@ -402,7 +418,8 @@ impl Hypervisor {
     ) -> (DramPhysMem<'_>, EptPool<'_>, &mut HashMap<u32, Vm>) {
         let mem = DramPhysMem {
             dram: &mut self.dram,
-            decoder: &self.decoder,
+            tlb: &mut self.phys_tlb,
+            scratch: &mut self.phys_scratch,
         };
         let pool = match self.ept_allocs.get_mut(&socket) {
             Some(guard) => EptPool::Guard(guard),
@@ -899,7 +916,10 @@ impl Hypervisor {
     pub fn occupancy(&self) -> crate::group::OccupancyReport {
         self.groups.occupancy(|info| {
             let node = *self.node_of_group.get(&info.id)?;
-            if !self.guest_nodes.contains(&node) {
+            // A mapped group's node is either a guest node or its socket's
+            // host node (provisioning), so testing the short host list is
+            // exact.
+            if self.host_nodes.contains(&node) {
                 return None;
             }
             let owner = self.cgroups.owner_of(node).map(str::to_string);
@@ -977,7 +997,8 @@ impl Hypervisor {
             .ok_or(SilozError::NoSuchVm(handle.0))?;
         let mut mem = DramPhysMem {
             dram: &mut self.dram,
-            decoder: &self.decoder,
+            tlb: &mut self.phys_tlb,
+            scratch: &mut self.phys_scratch,
         };
         vm.ept.translate(&mut mem, gpa).map_err(Into::into)
     }
@@ -1004,11 +1025,10 @@ impl Hypervisor {
                     "write to read-only GPA {gpa:#x}"
                 )));
             }
-            let media = self.decoder.decode(t.hpa)?;
-            let bank = media.global_bank(self.decoder.geometry());
+            let (m, bank) = self.phys_tlb.decode_with_bank(t.hpa)?;
             let chunk = ((line - dram_addr::line_offset(t.hpa)) as usize).min(bytes.len() - off);
             self.dram
-                .write_row(bank, media.row, media.col, &bytes[off..off + chunk]);
+                .write_row(bank, m.row, m.col, &bytes[off..off + chunk]);
             off += chunk;
         }
         Ok(())
@@ -1030,12 +1050,13 @@ impl Hypervisor {
         while out.len() < len {
             let off = out.len() as u64;
             let t = self.translate(handle, gpa + off)?;
-            let media = self.decoder.decode(t.hpa)?;
-            let bank = media.global_bank(self.decoder.geometry());
+            let (m, bank) = self.phys_tlb.decode_with_bank(t.hpa)?;
             let chunk = ((line - dram_addr::line_offset(t.hpa)) as usize).min(len - out.len());
-            let (bytes, integrity) = self.dram.read_row(bank, media.row, media.col, chunk as u32);
+            let integrity =
+                self.dram
+                    .read_row_into(bank, m.row, m.col, chunk as u32, &mut self.phys_scratch);
             intact &= integrity.data_is_correct();
-            out.extend(bytes);
+            out.extend_from_slice(&self.phys_scratch);
         }
         Ok((out, intact))
     }
@@ -1143,18 +1164,17 @@ impl Hypervisor {
     /// likewise at the destination, copying the segment would read clean
     /// zeros and write them into absent rows — a no-op — so it is skipped.
     /// Any other segment is copied line by line: decodes go through the
-    /// hypervisor's copy TLB (one real decode per stripe rather than per
+    /// hypervisor's decode TLB (one real decode per stripe rather than per
     /// 64 B line) and reads land in a reused scratch buffer, so the loop is
     /// allocation-free.
     pub fn copy_phys(&mut self, src: u64, dst: u64, len: u64) -> Result<(), SilozError> {
-        let g = *self.decoder.geometry();
-        let (line, stripe) = (dram_addr::CACHE_LINE_BYTES, g.row_group_bytes());
+        let (line, stripe) = (CACHE_LINE_BYTES, self.decoder.geometry().row_group_bytes());
         let mut off = 0u64;
         while off < len {
             let (s, d) = (src + off, dst + off);
             let to_stripe_end = (stripe - s % stripe).min(stripe - d % stripe);
             let seg_end = off + to_stripe_end.min(len - off);
-            let (sm, dm) = (self.copy_tlb.decode(s)?, self.copy_tlb.decode(d)?);
+            let (sm, dm) = (self.phys_tlb.decode(s)?, self.phys_tlb.decode(d)?);
             if self.stripe_is_blank(&sm) && self.stripe_is_blank(&dm) {
                 off = seg_end;
                 continue;
@@ -1164,19 +1184,17 @@ impl Hypervisor {
                 // A chunk stays inside one source line and one destination
                 // line: past either, the next bytes belong to another bank.
                 let chunk = (line - s % line).min(line - d % line).min(seg_end - off);
-                let sm = self.copy_tlb.decode(s)?;
-                let sbank = sm.global_bank(&g);
+                let (sm, sbank) = self.phys_tlb.decode_with_bank(s)?;
                 let _ = self.dram.read_row_into(
                     sbank,
                     sm.row,
                     sm.col,
                     chunk as u32,
-                    &mut self.copy_scratch,
+                    &mut self.phys_scratch,
                 );
-                let dm = self.copy_tlb.decode(d)?;
-                let dbank = dm.global_bank(&g);
+                let (dm, dbank) = self.phys_tlb.decode_with_bank(d)?;
                 self.dram
-                    .write_row(dbank, dm.row, dm.col, &self.copy_scratch);
+                    .write_row(dbank, dm.row, dm.col, &self.phys_scratch);
                 off += chunk;
             }
         }
@@ -1285,6 +1303,10 @@ mod tests {
             ga.iter().all(|g| !gb.contains(g)),
             "groups must be disjoint"
         );
+        // The pool is the guest groups: the host-reserved one is not in it.
+        let occ = hv.occupancy();
+        assert_eq!(occ.total(), hv.guest_nodes().len() as u64);
+        assert_eq!(occ.claimed(), (ga.len() + gb.len()) as u64);
     }
 
     #[test]
@@ -1648,6 +1670,141 @@ mod tests {
         hv.cgroups.destroy("a");
         let unclaimed: Vec<Violation> = held.iter().map(stale).collect();
         assert_eq!(audit(&hv).unwrap().violations, unclaimed);
+    }
+
+    #[test]
+    fn zero_table_matches_512_word_writes() {
+        use dram::{DimmProfile, EccMode};
+        use dram_addr::BankId;
+        const LINE: usize = CACHE_LINE_BYTES as usize;
+
+        let config = SilozConfig::mini();
+        let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).unwrap();
+        let g = *decoder.geometry();
+        let stripe = 16 * g.row_group_bytes();
+        let row = decoder.decode(stripe).unwrap().row;
+        let aggressors = [row - 1, row + 1];
+        assert!(aggressors
+            .iter()
+            .all(|&r| g.subarray_of_row(r) == g.subarray_of_row(row)));
+        // A payload in every even line of one row-group stripe (the odd
+        // lines' rows stay absent), then the stripe's row hammered from
+        // both sides in every bank of the socket, hard enough to flip cells.
+        let seeded = || {
+            let mut dram = DramSystemBuilder::new(g)
+                .internal_map(config.internal_map)
+                .profiles(vec![DimmProfile::evaluation_dimms().remove(0)])
+                .ecc(EccMode::None)
+                .trr(0, 0)
+                .build();
+            let mut tlb = DecodeTlb::new(decoder.clone());
+            for line in (stripe..stripe + g.row_group_bytes()).step_by(2 * LINE) {
+                let (m, bank) = tlb.decode_with_bank(line).unwrap();
+                dram.write_row(bank, m.row, m.col, &[0xa5; LINE]);
+            }
+            for bank in (0..g.banks_per_socket()).map(BankId) {
+                for _ in 0..60 {
+                    for a in aggressors {
+                        dram.activate_burst(bank, a, 2_000, 0);
+                    }
+                    dram.advance_ns(47 * 4_000);
+                }
+            }
+            (dram, tlb)
+        };
+        let (mut fast, mut tlb) = seeded();
+        let (mut slow, _) = seeded();
+
+        // The table page whose lines hold the first cell flipped in the row.
+        let flip = *(fast.flip_log().all().iter())
+            .find(|f| f.media_row == row)
+            .expect("hammering flips a cell");
+        let lines_of = |table: u64| (table..table + TABLE_BYTES).step_by(LINE);
+        let line_no = |byte: u32| byte / LINE as u32;
+        let table = (stripe..stripe + g.row_group_bytes())
+            .step_by(TABLE_BYTES as usize)
+            .find(|&t| {
+                lines_of(t).any(|l| {
+                    let (m, bank) = tlb.decode_with_bank(l).unwrap();
+                    (bank, m.row, line_no(m.col)) == (flip.bank, flip.media_row, line_no(flip.byte))
+                })
+            })
+            .expect("the flipped row lies in the stripe");
+        let written = fast.rows_written();
+
+        let mut scratch = Vec::new();
+        DramPhysMem {
+            dram: &mut fast,
+            tlb: &mut tlb,
+            scratch: &mut scratch,
+        }
+        .zero_table(table);
+        let mut words = DramPhysMem {
+            dram: &mut slow,
+            tlb: &mut tlb,
+            scratch: &mut scratch,
+        };
+        for i in 0..TABLE_BYTES / 8 {
+            words.write_u64(table + i * 8, 0);
+        }
+
+        // Without ECC a flipped cell reads back non-zero until overwritten:
+        // the word writes reached it, so it lies in the table.
+        let cell = slow.read_row(flip.bank, flip.media_row, flip.byte, 1).0;
+        assert_eq!(cell, [0], "the flipped cell was zeroed with the table");
+        assert_eq!(fast.rows_written(), slow.rows_written());
+        assert_eq!(fast.rows_written(), written, "zeroing materialised a row");
+        for l in lines_of(table) {
+            let (m, bank) = tlb.decode_with_bank(l).unwrap();
+            let (f, s) = (
+                fast.read_row(bank, m.row, 0, g.row_bytes as u32),
+                slow.read_row(bank, m.row, 0, g.row_bytes as u32),
+            );
+            assert!(f == s, "bytes of bank {} row {}", bank.0, m.row);
+            assert_eq!(
+                fast.active_flip_count(bank, m.row),
+                slow.active_flip_count(bank, m.row),
+                "bank {} row {}",
+                bank.0,
+                m.row
+            );
+        }
+    }
+
+    #[test]
+    fn reused_table_pages_carry_no_stale_mappings() {
+        // The GFP_EPT pool is LIFO: B's EPT is built from the table pages
+        // A's held last — PT pages full of 4 KiB leaves.
+        let mut hv = mini_siloz();
+        let spec = VmSpec::new("a", 1, 4 << 20)
+            .with_page_size(PageSize::Size4K)
+            .with_region(MemoryRegionKind::Rom, 64 << 10);
+        let a = hv.create_vm(spec).unwrap();
+        let a_pages = hv.vm_ept_pages(a).unwrap().to_vec();
+        let a_gpas: Vec<u64> = (hv.vm_regions(a).unwrap().iter())
+            .flat_map(|r| r.backing.iter().map(|b| b.gpa))
+            .collect();
+        assert_eq!(a_pages.len(), 6, "root, PDPT, PD and three PTs");
+        hv.destroy_vm(a).unwrap();
+
+        let b = (hv.create_vm(VmSpec::new("b", 1, 2 << 20)))
+            .expect("B's tables are built over A's recycled pages");
+        let b_pages = hv.vm_ept_pages(b).unwrap();
+        assert!(
+            b_pages.iter().any(|p| a_pages.contains(p)),
+            "no page reused"
+        );
+        let b_end = (hv.vm_regions(b).unwrap().iter())
+            .map(|r| r.gpa + r.bytes)
+            .max()
+            .unwrap();
+        for gpa in a_gpas.into_iter().filter(|&gpa| gpa >= b_end) {
+            assert_eq!(
+                hv.translate(b, gpa),
+                Err(SilozError::Ept(EptError::NotMapped { gpa })),
+                "GPA {gpa:#x}"
+            );
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to
 step "cluster gate: quick multi-host soak (scheduler + migration + determinism), pinned to CLUSTER_soak_quick.json" \
   pinned CLUSTER_soak_quick.json cargo run --release -q -p bench --bin cluster_soak -- --quick
 
-# ~2 min, <= 1.8 GiB: 4096 hosts, 1.67 M events, three policies. The
+# ~50 s on 2 cores, <= 1.8 GiB: 4096 hosts, 1.67 M events, three policies. The
 # strongest byte-pin a lifecycle change can be held to.
 step "cluster gate: 4096-host scale soak, pinned to CLUSTER_soak_scale.json" \
   pinned CLUSTER_soak_scale.json cargo run --release -q -p bench --bin cluster_soak -- --scale 4096
