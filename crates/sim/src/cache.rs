@@ -29,7 +29,7 @@
 
 use crate::compile::GuestLedger;
 use crate::run::HpaMap;
-use memctrl::{CompiledTrace, MemoryController, TraceResult};
+use memctrl::{MemoryController, TraceResult};
 use rand::rngs::StdRng;
 use siloz::{Hypervisor, SilozError};
 use std::collections::BTreeMap;
@@ -59,15 +59,6 @@ pub(crate) struct BoundEnv {
 pub(crate) struct CellOutcome {
     pub(crate) result: TraceResult,
     pub(crate) ctrl: MemoryController,
-    /// The replay program that produced `result`, owned for as long as the
-    /// outcome is — the lifetime it had when the cache also memoised it.
-    /// Nothing reads it: an outcome hit needs no program, and it could be
-    /// dropped at the end of the replay miss (−230 MiB peak RSS on a cold
-    /// Fig. 4 grid). It is not, because the repo benchmark's `figure_cold`
-    /// `setup_s` then reads +55%: with a smaller heap glibc trims below the
-    /// next pass's roster, which faults its pages in again (CHANGES.md,
-    /// PR 13). Releasing it waits on a benchmark that does not time that.
-    pub(crate) _program: CompiledTrace,
 }
 
 /// The memoization store shared by all cells of an experiment grid (or by

@@ -448,11 +448,7 @@ pub(crate) fn workload_cell(
                     ctrl = ctrl.with_mitigation(hook);
                 }
                 let result = ctrl.run_compiled(&mut scratch, &program);
-                Arc::new(CellOutcome {
-                    result,
-                    ctrl,
-                    _program: program,
-                })
+                Arc::new(CellOutcome { result, ctrl })
             });
             Ok(finish_cell(
                 metric,

@@ -1,5 +1,5 @@
-//! Stable serializations of [`Snapshot`]: JSON (the `TELEMETRY_*.json`
-//! schema, pinned by a golden fixture test) and Prometheus text format.
+//! Stable serialization of [`Snapshot`] as JSON (the `TELEMETRY_*.json`
+//! schema, pinned by a golden fixture test).
 //!
 //! The JSON encoder is hand-rolled — the workspace builds offline with no
 //! serde — and deliberately boring: 2-space indent, alphabetical key order
@@ -154,65 +154,6 @@ pub fn snapshot_file(label: &str, snap: &Snapshot) -> String {
     out
 }
 
-/// Sanitizes a path segment into a Prometheus metric-name segment.
-fn prom_segment(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-fn prom_metrics(out: &mut String, snap: &Snapshot, prefix: &str) {
-    for (name, value) in &snap.metrics {
-        let path = format!("{prefix}_{}", prom_segment(name));
-        match value {
-            MetricValue::Counter { value, .. } => {
-                let _ = writeln!(out, "# TYPE {path} counter");
-                let _ = writeln!(out, "{path} {value}");
-            }
-            MetricValue::Gauge { value, .. } => {
-                let _ = writeln!(out, "# TYPE {path} gauge");
-                let _ = writeln!(out, "{path} {value}");
-            }
-            MetricValue::Histo { value, .. } => {
-                let _ = writeln!(out, "# TYPE {path} histogram");
-                let mut cumulative = 0u64;
-                for (i, &c) in value.buckets.iter().enumerate() {
-                    cumulative += c;
-                    if c != 0 {
-                        let le = if i >= 64 {
-                            "+Inf".to_string()
-                        } else {
-                            format!("{}", HistoSnapshot::bucket_bound(i) - 1)
-                        };
-                        let _ = writeln!(out, "{path}_bucket{{le=\"{le}\"}} {cumulative}");
-                    }
-                }
-                let _ = writeln!(out, "{path}_bucket{{le=\"+Inf\"}} {}", value.count);
-                let _ = writeln!(out, "{path}_sum {}", value.sum);
-                let _ = writeln!(out, "{path}_count {}", value.count);
-            }
-        }
-    }
-    for (name, child) in &snap.children {
-        prom_metrics(out, child, &format!("{prefix}_{}", prom_segment(name)));
-    }
-}
-
-/// Renders `snap` in the Prometheus text exposition format, metric names
-/// flattened as `siloz_<child>_..._<metric>`.
-#[must_use]
-pub fn to_prometheus(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    prom_metrics(&mut out, snap, "siloz");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,16 +194,6 @@ mod tests {
         let body = snapshot_file("unit", &sample());
         assert!(body.starts_with("{\n  \"schema\": 1,\n  \"suite\": \"unit\",\n"));
         assert!(body.ends_with("}\n"));
-    }
-
-    #[test]
-    fn prometheus_flattens_paths() {
-        let text = to_prometheus(&sample());
-        assert!(text.contains("siloz_events 3"));
-        assert!(text.contains("siloz_ctrl_depth -2"));
-        assert!(text.contains("siloz_ctrl_lat_count 2"));
-        assert!(text.contains("siloz_ctrl_lat_sum 100"));
-        assert!(text.contains("siloz_ctrl_lat_bucket{le=\"+Inf\"} 2"));
     }
 
     #[test]

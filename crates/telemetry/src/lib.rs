@@ -17,8 +17,7 @@
 //!   accumulated by concurrently running experiment cells are bit-identical
 //!   for any worker-thread count;
 //! - [`Snapshot`] — a pure-data capture of a registry tree with a stable,
-//!   alphabetically-ordered JSON schema (see `DESIGN.md` §Telemetry) and a
-//!   Prometheus text encoding for future serving.
+//!   alphabetically-ordered JSON schema (see `DESIGN.md` §Telemetry).
 //!
 //! Metrics registered through the `*_volatile` constructors (wall-clock
 //! times, work-steal counts, worker counts) are excluded from

@@ -357,13 +357,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         crate::encode::to_json(self)
     }
-
-    /// Prometheus text-format rendering (see
-    /// [`crate::encode::to_prometheus`]).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        crate::encode::to_prometheus(self)
-    }
 }
 
 #[cfg(test)]

@@ -101,7 +101,9 @@ pub enum Metric {
 /// the request mix that follows. The trace compiler pools these snapshots
 /// (keyed by [`WorkloadGen::substrate_key`]) so a grid of cells pays for
 /// each distinct preload once; adopting a snapshot plus cloning the
-/// post-preload RNG reproduces the cold path bit for bit.
+/// post-preload RNG reproduces the cold path bit for bit. Cloning a
+/// snapshot is cheap: a [`KvStore`] shares its bucket table copy-on-write,
+/// so every adopter reads the one preloaded table and keeps its own writes.
 #[derive(Debug, Clone)]
 pub enum SubstrateSnapshot {
     /// A preloaded [`KvStore`] (YCSB and memcached substrates).
@@ -289,33 +291,38 @@ mod tests {
 
     #[test]
     fn substrate_pool_roundtrip_is_bit_identical() {
-        // Cold path: construct and generate directly.
-        let mut cold = ycsb::Ycsb::new(ycsb::YcsbKind::B, 4 << 20);
-        let ops_cold = cold.generate(2_000, &mut StdRng::seed_from_u64(42));
-        // Pool path: preload a *different* mix sharing the same substrate
-        // key, snapshot it, adopt into a fresh instance, resume the RNG.
+        // Pool path: preload one mix, snapshot it, and let every mix adopt
+        // the one shared snapshot in turn, resuming the post-load RNG. Each
+        // must draw exactly its own cold path's ops, so no mix's writes may
+        // reach the table the snapshot shares with the mixes after it.
         let mut loader = ycsb::Ycsb::new(ycsb::YcsbKind::E, 4 << 20);
-        assert_eq!(loader.substrate_key(), cold.substrate_key());
-        let mut rng = StdRng::seed_from_u64(42);
-        loader.preload(&mut rng);
+        let mut loaded = StdRng::seed_from_u64(42);
+        loader.preload(&mut loaded);
         let snap = loader.export_substrate().expect("preloaded");
-        let mut warm = ycsb::Ycsb::new(ycsb::YcsbKind::B, 4 << 20);
-        assert!(warm.export_substrate().is_none(), "not yet preloaded");
-        warm.adopt_substrate(&snap);
-        let ops_warm = warm.generate(2_000, &mut rng);
-        assert_eq!(ops_cold, ops_warm);
+        for kind in ycsb::YcsbKind::ALL {
+            let mut cold = ycsb::Ycsb::new(kind, 4 << 20);
+            assert_eq!(loader.substrate_key(), cold.substrate_key());
+            let ops_cold = cold.generate(2_000, &mut StdRng::seed_from_u64(42));
+            let mut warm = ycsb::Ycsb::new(kind, 4 << 20);
+            assert!(warm.export_substrate().is_none(), "not yet preloaded");
+            warm.adopt_substrate(&snap);
+            let ops_warm = warm.generate(2_000, &mut loaded.clone());
+            assert_eq!(ops_cold, ops_warm, "{kind:?}");
+        }
 
         // Memcached pools under its own key (different preload draws).
         let mut mc = kv::Memcached::new(4 << 20);
-        assert_ne!(mc.substrate_key(), cold.substrate_key());
+        assert_ne!(mc.substrate_key(), loader.substrate_key());
         let mc_cold = mc.generate(2_000, &mut StdRng::seed_from_u64(7));
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut loaded = StdRng::seed_from_u64(7);
         let mut mc_loader = kv::Memcached::new(4 << 20);
-        mc_loader.preload(&mut rng);
+        mc_loader.preload(&mut loaded);
         let snap = mc_loader.export_substrate().expect("preloaded");
-        let mut mc_warm = kv::Memcached::new(4 << 20);
-        mc_warm.adopt_substrate(&snap);
-        assert_eq!(mc_cold, mc_warm.generate(2_000, &mut rng));
+        for _ in 0..2 {
+            let mut mc_warm = kv::Memcached::new(4 << 20);
+            mc_warm.adopt_substrate(&snap);
+            assert_eq!(mc_cold, mc_warm.generate(2_000, &mut loaded.clone()));
+        }
     }
 
     #[test]

@@ -84,9 +84,8 @@ impl Ycsb {
         // load is identical for every [`YcsbKind`] over the same store size
         // and seed, which is what makes the substrate poolable.
         self.store.mute_trace(true);
-        for k in 0..self.keys {
-            self.store.set(k, rng.gen_range(800..=1200));
-        }
+        self.store
+            .set_all((0..self.keys).map(|k| (k, rng.gen_range(800..=1200))));
         self.store.mute_trace(false);
         self.loaded = true;
     }

@@ -75,6 +75,33 @@ fn figures6_and_7_show_no_subarray_size_trend() {
 }
 
 #[test]
+fn pooled_ycsb_substrate_matches_the_direct_path_for_every_mix() {
+    // Fig. 4's compiled path pools the YCSB load phase: all six mixes adopt
+    // one copy-on-write snapshot of the same KV table, in turn. Each mix's
+    // sample must still equal its cold direct-path sample bit for bit, so
+    // no mix may see another's writes or lose its own.
+    use siloz_repro::siloz::HypervisorKind;
+    use siloz_repro::sim::{run_workload, run_workload_compiled, TraceCache};
+    use siloz_repro::telemetry::Registry;
+    use siloz_repro::workloads::ycsb::{Ycsb, YcsbKind};
+
+    let config = SilozConfig::mini();
+    let sim = quick_sim();
+    let cache = TraceCache::new();
+    let reg = Registry::new();
+    for kind in YcsbKind::ALL {
+        let mut cold = Ycsb::new(kind, sim.working_set);
+        let direct =
+            run_workload(&config, HypervisorKind::Siloz, &mut cold, &sim, 5, &reg).unwrap();
+        let mut warm = Ycsb::new(kind, sim.working_set);
+        let pooled =
+            run_workload_compiled(&config, HypervisorKind::Siloz, &mut warm, &sim, 5, &cache)
+                .unwrap();
+        assert_eq!(direct.to_bits(), pooled.to_bits(), "{kind:?}");
+    }
+}
+
+#[test]
 fn single_bank_placement_would_destroy_bank_parallelism() {
     // The §4.1 motivation for subarray *groups*: an isolation design that
     // confined a VM to one bank would forfeit bank-level parallelism. The

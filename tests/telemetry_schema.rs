@@ -80,20 +80,6 @@ fn snapshot_json_matches_golden_fixture() {
 }
 
 #[test]
-fn prometheus_text_shape_is_stable() {
-    // The Prometheus encoding is looser (line-oriented), so pin the
-    // structural invariants rather than every byte: TYPE headers, flattened
-    // metric paths, and cumulative +Inf buckets.
-    let text = golden_registry().snapshot().to_prometheus();
-    assert!(text.contains("# TYPE siloz_accesses counter"));
-    assert!(text.contains("# TYPE siloz_frames_remaining gauge"));
-    assert!(text.contains("# TYPE siloz_latency_ns histogram"));
-    assert!(text.contains("siloz_ctrl_tlb_hits 850"));
-    assert!(text.contains("siloz_latency_ns_bucket{le=\"+Inf\"} 8"));
-    assert!(text.contains("siloz_latency_ns_count 8"));
-}
-
-#[test]
 fn merged_golden_snapshot_doubles_every_metric() {
     // Merging a snapshot with itself must double counters, gauges, and
     // every histogram bucket — the additive algebra the determinism battery
