@@ -17,7 +17,8 @@
 //! the linear scan, retained as its test oracle, pays O(hosts) per
 //! placement). It writes
 //! `CLUSTER_soak_scale.json` and skips the thread-count battery; the
-//! quick and full tiers already pin determinism.
+//! quick and full tiers already pin determinism. Its last stdout line is
+//! `peak_rss_mib: M`, the process's `VmHWM`.
 //!
 //! Artifacts: `TELEMETRY_cluster_soak.json` (merged registry) and
 //! `CLUSTER_soak.json` (per-run reports; the quick gate writes
@@ -124,6 +125,18 @@ fn run_scale(hosts: u32) {
         Err(e) => eprintln!("reports: could not write CLUSTER_soak_scale.json: {e}"),
     }
     emit_telemetry("cluster_soak_scale", &reg);
+    // Read by `scripts/check.sh`, which fails the tier above its memory
+    // bound. Linux only: elsewhere the line is absent.
+    if let Some(kib) = peak_rss_kib() {
+        println!("peak_rss_mib: {}", kib / 1024);
+    }
+}
+
+/// This process's peak resident set (`VmHWM`, KiB), where `/proc` has it.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
 fn main() {

@@ -753,6 +753,30 @@ mod tests {
     }
 
     #[test]
+    fn shared_draw_classes_compile_once_per_key_at_any_worker_count() {
+        // Ten sandboxes per draw class: hosts stepping in parallel race to
+        // build one class ledger inside an epoch, and only the winning
+        // insert counts, so the fleet-wide compile count is the number of
+        // distinct ledger keys whatever the worker count.
+        let mut s = tiny(ClusterPolicy::Spread);
+        s.target_sandboxes = 640;
+        let mut serial = None;
+        for threads in [1, 2, 7] {
+            let mut sim = ClusterSim::new(s.clone(), threads).unwrap();
+            let report = sim.run_to_completion().unwrap();
+            let keys = lock(&sim.hosts[0]).sim.trace_cache().ledger_count();
+            assert_eq!(report.ledger_compiles, keys as u64, "threads={threads}");
+            assert!(keys <= 64 * 4, "one key per class and vCPU clamp: {keys}");
+            assert!(report.slices > 2 * report.ledger_compiles, "{report:?}");
+            assert!(report.clean());
+            match &serial {
+                None => serial = Some(report),
+                Some(first) => assert_eq!(first, &report, "threads={threads}"),
+            }
+        }
+    }
+
+    #[test]
     fn migration_moves_the_claim_between_hosts() {
         let mut s = tiny(ClusterPolicy::Spread);
         s.migrate_prob = 1.0;

@@ -57,8 +57,9 @@ pub struct ClusterReport {
     pub attack_flips: u64,
     /// Flips escaping the aggressor's domain (0 under Siloz).
     pub attack_escapes: u64,
-    /// Guest ledgers compiled fleet-wide (shared-cache misses; migrated
-    /// sandboxes re-bind instead of recompiling).
+    /// Guest ledgers compiled fleet-wide (shared-cache misses: one per
+    /// draw class and vCPU clamp; every other sandbox of the class, and
+    /// every migrated sandbox, re-binds instead of recompiling).
     pub ledger_compiles: u64,
     /// Ledger→backing binds fleet-wide.
     pub program_binds: u64,

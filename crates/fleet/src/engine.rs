@@ -29,6 +29,19 @@ use std::sync::Arc;
 /// Max violation messages retained verbatim (the total is always counted).
 const VIOLATION_SAMPLES: usize = 16;
 
+/// Distinct guest-trace draws per fleet roster entry. A slice's draw is
+/// synthetic load, not tenant identity, so tenants can share one. Why 8:
+/// it exceeds the tenants a mini host can hold at once (seven guest
+/// groups), so co-resident tenants on one workload rarely replay the same
+/// trace; and it bounds a run's compiles at [`DRAW_CLASSES`] × 4 vCPU
+/// clamps = 256 ledgers per slice length, however many sandboxes it
+/// churns.
+const DRAWS_PER_ROSTER_ENTRY: u32 = 8;
+
+/// Draw classes: tenant `t` draws the ledger of class `t % DRAW_CLASSES`.
+/// A multiple of the roster length, so the class keeps `t`'s roster entry.
+const DRAW_CLASSES: u32 = workloads::FLEET_ROSTER_LEN * DRAWS_PER_ROSTER_ENTRY;
+
 /// Everything the engine knows about one live tenant. Inserted when its VM
 /// goes live and removed whole at departure, so nothing tenant-keyed can
 /// outlive the VM.
@@ -43,8 +56,9 @@ struct Tenant {
     groups: Option<Vec<GroupId>>,
     /// Compiled load-generator ledgers by slice length (the thread count
     /// follows from `vcpus`). Backing-independent: fetched from the trace
-    /// cache once per tenant life, so a readmitted or migrated tenant
-    /// re-binds what an earlier life compiled.
+    /// cache once per tenant life, so a readmitted or migrated tenant — or
+    /// any tenant of the same draw class — re-binds what was compiled
+    /// before.
     ledgers: BTreeMap<u32, Arc<GuestLedger>>,
     /// Ledgers bound to the tenant's *current* backing, same key. Cleared
     /// whenever an event moves the tenant's memory.
@@ -68,7 +82,8 @@ pub struct FleetStats {
     pub slices: u64,
     /// Total memory operations across slices.
     pub slice_ops: u64,
-    /// Tenant ledgers compiled (config-independent; reused across respawns).
+    /// Slice ledgers compiled (config-independent; one per draw class and
+    /// vCPU clamp, reused across tenants, respawns and migrations).
     pub ledger_compiles: u64,
     /// Ledger→backing binds (re-done only when a tenant's backing changes).
     pub program_binds: u64,
@@ -435,10 +450,13 @@ impl FleetSim {
     }
 
     /// Replays one load-generator slice for `tenant`. The tenant's guest
-    /// trace is a fixed draw — seeded by `(scenario seed, tenant)` — so it
-    /// compiles to a [`GuestLedger`] exactly once and each slice replays
-    /// the pre-bound program through the controller; only a backing change
-    /// forces a re-bind.
+    /// trace is a fixed draw — seeded by `(scenario seed, draw class)`,
+    /// the class being `tenant % DRAW_CLASSES` — so it compiles to a
+    /// [`GuestLedger`] once per class and vCPU clamp on a cache, and every
+    /// tenant of that class re-binds the shared ledger. Binds stay per
+    /// tenant (each VM binds its own backing, so rows stay tenant-private),
+    /// and each slice replays the pre-bound program through the controller;
+    /// only a backing change forces a re-bind.
     fn slice(&mut self, tenant: u32, ops: u32) -> Result<(), SilozError> {
         let Some(t) = self.tenants.get_mut(&tenant) else {
             self.stats.orphan_events += 1;
@@ -449,13 +467,13 @@ impl FleetSim {
             Entry::Occupied(hit) => hit.into_mut(),
             Entry::Vacant(slot) => {
                 let working_set = self.scenario.slice_working_set;
-                let seed = self.scenario.seed ^ (u64::from(tenant) << 17);
+                let seed = self.scenario.seed ^ (u64::from(tenant % DRAW_CLASSES) << 17);
                 let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
                 let name = workload.name();
                 // When two hosts of one cluster race to compile the same
-                // migrated tenant's ledger inside a barrier epoch, only the
-                // host whose build won the cache insert counts the compile:
-                // the cluster-wide total stays 1 for any worker count.
+                // class ledger inside a barrier epoch, only the host whose
+                // build won the cache insert counts the compile: the
+                // cluster-wide total is one per key for any worker count.
                 let mut mine: Option<Arc<GuestLedger>> = None;
                 let build = || {
                     let mut rng = StdRng::seed_from_u64(seed);
@@ -647,9 +665,16 @@ impl FleetSim {
     /// Replaces this host's private trace cache with a shared cross-host
     /// one. Subsequent slices look up their [`GuestLedger`] there before
     /// compiling, so a tenant migrated from another host (same cluster
-    /// seed) reuses its compiled trace.
+    /// seed), or any tenant of a draw class another host already
+    /// compiled, reuses that compiled trace.
     pub fn set_trace_cache(&mut self, cache: Arc<sim::TraceCache>) {
         self.cache = cache;
+    }
+
+    /// The trace cache this host's slices compile through.
+    #[must_use]
+    pub fn trace_cache(&self) -> &Arc<sim::TraceCache> {
+        &self.cache
     }
 
     /// Whether `tenant` currently holds a live VM on this host.
@@ -1042,5 +1067,46 @@ mod tests {
         assert!(sim.stats().slices >= 1);
         assert_eq!(sim.stats().violations_total, 0);
         assert_eq!(sim.live_vms(), 0, "departures must drain the fleet");
+    }
+
+    #[test]
+    fn tenants_of_one_draw_class_share_a_ledger_across_hosts() {
+        // Two hosts on one cache, as a cluster runs them: tenant `t` on one
+        // and `t + DRAW_CLASSES` on the other draw the same class, so the
+        // second slice re-binds the first one's ledger; `t + 8` runs the
+        // same roster entry under another class and compiles its own.
+        let host = || {
+            let mut s = tiny(PlacementStrategy::FirstFit);
+            s.target_events = 0;
+            s.attack_prob = 0.0;
+            FleetSim::new(s).unwrap()
+        };
+        let cache = Arc::new(sim::TraceCache::new());
+        let (mut a, mut b) = (host(), host());
+        a.set_trace_cache(Arc::clone(&cache));
+        b.set_trace_cache(Arc::clone(&cache));
+        let t = 5u32;
+        let ops = 96;
+        let run = |sim: &mut FleetSim, tenant: u32| {
+            let vm = PendingVm {
+                tenant,
+                mem_bytes: 64 << 20,
+                vcpus: 3,
+                lifetime: 1_000,
+            };
+            sim.admit_external(vm).unwrap().expect("admitted");
+            sim.slice(tenant, ops).unwrap();
+            Arc::clone(&sim.tenants[&tenant].ledgers[&ops])
+        };
+        let first = run(&mut a, t);
+        let same_class = run(&mut b, t + DRAW_CLASSES);
+        assert!(Arc::ptr_eq(&first, &same_class), "one class, one ledger");
+        assert_eq!(a.stats.ledger_compiles + b.stats.ledger_compiles, 1);
+        assert_eq!(b.stats.program_binds, 1, "binds stay per tenant");
+
+        let other_class = run(&mut a, t + workloads::FLEET_ROSTER_LEN);
+        assert!(!Arc::ptr_eq(&first, &other_class));
+        assert_eq!(a.stats.ledger_compiles + b.stats.ledger_compiles, 2);
+        assert_eq!(cache.ledger_count(), 2);
     }
 }

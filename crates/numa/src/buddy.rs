@@ -187,23 +187,21 @@ impl BuddyAllocator {
         inside && self.offlined.range(frame..end).next().is_none()
     }
 
-    /// Whether any part of the block is already on a free list.
+    /// Whether any part of the `order`-aligned block at `frame` is already
+    /// on a free list. Free blocks are aligned to their own order, so a
+    /// smaller one overlaps the block only by starting inside it, and a
+    /// block of order ≥ `order` only by being the one aligned block that
+    /// contains `frame`: one query per non-empty order.
     fn is_free_or_overlapping(&self, frame: u64, order: u8) -> bool {
         let end = frame + (1u64 << order);
-        for (o, set) in self.free.iter().enumerate() {
-            let size = 1u64 << o;
-            // Any free block starting within, or containing, the region.
-            if set.range(frame..end).next().is_some() {
-                return true;
-            }
-            let align_start = frame & !(size - 1);
-            if let Some(&b) = set.range(align_start..=align_start).next() {
-                if b < end && b + size > frame {
-                    return true;
+        self.free.iter().enumerate().any(|(o, set)| {
+            !set.is_empty()
+                && if o < usize::from(order) {
+                    set.range(frame..end).next().is_some()
+                } else {
+                    set.contains(&(frame & !((1u64 << o) - 1)))
                 }
-            }
-        }
-        false
+        })
     }
 
     /// Takes a single *free* frame offline, splitting any containing free
@@ -251,6 +249,7 @@ impl BuddyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_free_roundtrip_restores_all_frames() {
@@ -394,5 +393,93 @@ mod tests {
         b.free(g1, ORDER_1G).unwrap();
         assert!(b.alloc(ORDER_2M).is_ok());
         let _ = g2;
+    }
+
+    /// The reference overlap check: on every order, any free block
+    /// starting inside the region or containing its first frame.
+    fn overlap_reference(b: &BuddyAllocator, frame: u64, order: u8) -> bool {
+        let end = frame + (1u64 << order);
+        for (o, set) in b.free.iter().enumerate() {
+            let size = 1u64 << o;
+            if set.range(frame..end).next().is_some() {
+                return true;
+            }
+            let align_start = frame & !(size - 1);
+            if let Some(&blk) = set.range(align_start..=align_start).next() {
+                if blk < end && blk + size > frame {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random alloc / free / offline sequences, with double,
+        /// overlapping and partial frees mixed in: the one-query-per-order
+        /// check answers exactly what the reference answers, at every
+        /// probe, and the allocator stays conserving.
+        #[test]
+        fn overlap_check_matches_the_reference(
+            steps in prop::collection::vec((0u8..6, 0u8..10, 0u64..6144), 1..160),
+        ) {
+            let mut b = BuddyAllocator::new(&[0..4096, 5120..6144]);
+            let mut live: Vec<(u64, u8)> = Vec::new();
+            let mut freed: Vec<(u64, u8)> = Vec::new();
+            for (kind, order, raw) in steps {
+                // An arbitrary aligned block, possibly overlapping free and
+                // allocated blocks alike.
+                let arbitrary = (raw & !((1u64 << order) - 1), order);
+                let (frame, o, free_it) = match kind {
+                    0 => {
+                        if let Ok(f) = b.alloc(order) {
+                            live.push((f, order));
+                        }
+                        (arbitrary.0, arbitrary.1, false)
+                    }
+                    // A legitimate free.
+                    1 if !live.is_empty() => {
+                        let (f, o) = live.swap_remove(raw as usize % live.len());
+                        freed.push((f, o));
+                        (f, o, true)
+                    }
+                    // A double free of a block freed earlier.
+                    2 if !freed.is_empty() => {
+                        let (f, o) = freed[raw as usize % freed.len()];
+                        (f, o, true)
+                    }
+                    // A partial free: one half of a live block.
+                    3 if live.iter().any(|&(_, o)| o > 0) => {
+                        let &(f, o) = live.iter().find(|&&(_, o)| o > 0).expect("found");
+                        (f + (raw & 1) * (1u64 << (o - 1)), o - 1, true)
+                    }
+                    4 => {
+                        b.offline_frame(raw);
+                        (arbitrary.0, arbitrary.1, false)
+                    }
+                    _ => (arbitrary.0, arbitrary.1, true),
+                };
+                prop_assert_eq!(
+                    b.is_free_or_overlapping(frame, o),
+                    overlap_reference(&b, frame, o),
+                    "probe ({}, {})", frame, o
+                );
+                if !free_it {
+                    continue;
+                }
+                let before = b.free_frames();
+                match b.free(frame, o) {
+                    Ok(()) => {
+                        prop_assert_eq!(b.free_frames(), before + (1u64 << o));
+                        live.retain(|&(lf, lo)| {
+                            lf + (1u64 << lo) <= frame || frame + (1u64 << o) <= lf
+                        });
+                    }
+                    Err(_) => prop_assert_eq!(b.free_frames(), before),
+                }
+            }
+        }
     }
 }

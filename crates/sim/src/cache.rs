@@ -97,9 +97,10 @@ impl TraceCache {
     /// The ledger for a guest identified by its workload name, working
     /// set, op count, thread count, and trace seed — the public face of
     /// the ledger pool for external load generators (the fleet engine and
-    /// the cluster simulator). Hosts sharing one cache reuse a migrated
-    /// tenant's compiled ledger instead of regenerating it: the key is
-    /// host-independent, so host A's compile serves host B's re-bind.
+    /// the cluster simulator). The key is tenant- and host-independent:
+    /// the fleet engine seeds a draw by draw class, not by tenant, so one
+    /// compile serves every tenant of that class and vCPU clamp, on every
+    /// host sharing the cache, including a migrated tenant's re-bind.
     pub fn guest_ledger(
         &self,
         name: &str,
@@ -111,6 +112,12 @@ impl TraceCache {
     ) -> Arc<GuestLedger> {
         let key: LedgerKey = (name.to_owned(), working_set, ops, threads, seed);
         self.ledger(&key, build)
+    }
+
+    /// Distinct ledgers held: one per key ever built through this cache.
+    #[must_use]
+    pub fn ledger_count(&self) -> usize {
+        lock(&self.ledgers).len()
     }
 
     /// The pooled substrate snapshot and post-load RNG for `key`, if one

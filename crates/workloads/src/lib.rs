@@ -213,14 +213,17 @@ pub fn throughput_suite(working_set: u64) -> Vec<Box<dyn WorkloadGen>> {
         .collect()
 }
 
+/// Number of entries in the fleet roster of [`fleet_tenant_workload`].
+pub const FLEET_ROSTER_LEN: u32 = 8;
+
 /// Deterministic per-tenant workload assignment for fleet scenarios: tenant
-/// `tenant` runs the `tenant % 8`-th entry of a fixed mixed roster (four
-/// YCSB mixes, memcached, OLTP, streaming MLC, GUPS), sized to
+/// `tenant` runs the `tenant % FLEET_ROSTER_LEN`-th entry of a fixed mixed
+/// roster (four YCSB mixes, memcached, OLTP, streaming MLC, GUPS), sized to
 /// `working_set`. The mapping depends only on the tenant id, so a fleet
 /// trace replays bit-identically regardless of scheduling.
 #[must_use]
 pub fn fleet_tenant_workload(tenant: u32, working_set: u64) -> Box<dyn WorkloadGen> {
-    match tenant % 8 {
+    match tenant % FLEET_ROSTER_LEN {
         0 => Box::new(ycsb::Ycsb::new(ycsb::YcsbKind::A, working_set)),
         1 => Box::new(ycsb::Ycsb::new(ycsb::YcsbKind::B, working_set)),
         2 => Box::new(ycsb::Ycsb::new(ycsb::YcsbKind::C, working_set)),
@@ -243,12 +246,19 @@ mod tests {
             let a = fleet_tenant_workload(tenant, 8 << 20).name();
             let b = fleet_tenant_workload(tenant, 8 << 20).name();
             assert_eq!(a, b);
-            assert_eq!(a, fleet_tenant_workload(tenant + 8, 8 << 20).name());
+            assert_eq!(
+                a,
+                fleet_tenant_workload(tenant + FLEET_ROSTER_LEN, 8 << 20).name()
+            );
         }
-        let distinct: std::collections::BTreeSet<String> = (0..8)
+        let distinct: std::collections::BTreeSet<String> = (0..FLEET_ROSTER_LEN)
             .map(|t| fleet_tenant_workload(t, 8 << 20).name())
             .collect();
-        assert_eq!(distinct.len(), 8, "roster entries are distinct");
+        assert_eq!(
+            distinct.len(),
+            FLEET_ROSTER_LEN as usize,
+            "roster entries are distinct"
+        );
     }
 
     #[test]

@@ -49,16 +49,14 @@ impl Zipfian {
         }
     }
 
-    /// Memoized [`Self::zeta`] for large keyspaces: `zeta(n, theta)` is a
-    /// pure function, and figure grids construct the same sampler hundreds
-    /// of times, so the O(n) harmonic sum is worth caching process-wide.
-    /// Small keyspaces skip the lock — the sum is cheaper than contention.
+    /// Memoized [`Self::zeta`]: `zeta(n, theta)` is a pure function, and
+    /// figure grids and fleet tenants construct the same sampler hundreds
+    /// of times, so the O(n) `powf` sum is worth caching process-wide. A
+    /// lookup costs one uncontended lock and a map probe; even a 512-term
+    /// sum costs more than that.
     fn zeta_cached(n: u64, theta: f64) -> f64 {
         use std::collections::BTreeMap;
         use std::sync::{Mutex, OnceLock};
-        if n < 1024 {
-            return Self::zeta(n, theta);
-        }
         static CACHE: OnceLock<Mutex<BTreeMap<(u64, u64), f64>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
         let key = (n, theta.to_bits());
@@ -217,6 +215,15 @@ mod tests {
             }
         }
         assert!(near > 5_000, "latest skews to recent ids: {near}");
+    }
+
+    #[test]
+    fn memoised_zeta_is_bit_identical_to_the_sum() {
+        for n in [2u64, 512, 1000, 1023, 1024, 100_001] {
+            let sum = Zipfian::zeta(n, 0.99).to_bits();
+            assert_eq!(Zipfian::zeta_cached(n, 0.99).to_bits(), sum, "n={n} miss");
+            assert_eq!(Zipfian::zeta_cached(n, 0.99).to_bits(), sum, "n={n} hit");
+        }
     }
 
     #[test]

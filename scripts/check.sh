@@ -66,10 +66,22 @@ step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to
 step "cluster gate: quick multi-host soak (scheduler + migration + determinism), pinned to CLUSTER_soak_quick.json" \
   pinned CLUSTER_soak_quick.json cargo run --release -q -p bench --bin cluster_soak -- --quick
 
-# ~50 s on 2 cores, <= 1.8 GiB: 4096 hosts, 1.67 M events, three policies. The
-# strongest byte-pin a lifecycle change can be held to.
-step "cluster gate: 4096-host scale soak, pinned to CLUSTER_soak_scale.json" \
-  pinned CLUSTER_soak_scale.json cargo run --release -q -p bench --bin cluster_soak -- --scale 4096
+# ~60 s on 2 cores, VmHWM ~1.25 GiB: 4096 hosts, 1.67 M events, three
+# policies. The strongest byte-pin a lifecycle change can be held to, and a
+# memory gate: the step fails when the soak's own VmHWM exceeds 1.8 GiB.
+scale_rss_limit_mib=1843
+scale_soak() {
+  local out peak
+  out="$(cargo run --release -q -p bench --bin cluster_soak -- --scale 4096)"
+  echo "$out"
+  peak="$(sed -n 's/^peak_rss_mib: //p' <<<"$out")"
+  if [[ -z "$peak" ]] || ((peak > scale_rss_limit_mib)); then
+    echo "scale soak peak RSS ${peak:-unreported} MiB exceeds ${scale_rss_limit_mib} MiB" >&2
+    return 1
+  fi
+}
+step "cluster gate: 4096-host scale soak, pinned to CLUSTER_soak_scale.json, VmHWM <= 1.8 GiB" \
+  pinned CLUSTER_soak_scale.json scale_soak
 
 # Every workspace member except the vendored stand-ins, so a new crate is
 # documented-or-failing without being named here.
