@@ -3,19 +3,11 @@
 //! linearizable counts and the histogram-merge monoid laws. Exits non-zero
 //! if any schedule violates an invariant.
 
-use analysis::interleave::{check_all, report_json};
+use analysis::interleave::check_all;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let results = check_all();
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", report_json(&results));
-        return if results.iter().all(|r| r.passed()) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     let mut ok = true;
     for r in &results {
         match &r.failure {

@@ -7,20 +7,11 @@ use analysis::isolation::{report_json, verify_all};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let json_mode = std::env::args().any(|a| a == "--json");
     let proofs = verify_all();
     let json = report_json(&proofs);
     if let Err(e) = std::fs::write("ANALYSIS_isolation.json", &json) {
         eprintln!("isolation-verify: cannot write ANALYSIS_isolation.json: {e}");
         return ExitCode::FAILURE;
-    }
-    if json_mode {
-        println!("{json}");
-        return if proofs.iter().all(analysis::isolation::ConfigProof::passed) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
     }
     for p in &proofs {
         let presumed: Vec<String> = p

@@ -16,7 +16,6 @@ use std::time::Instant;
 const BUDGET_MS: u128 = 15_000;
 
 fn main() -> ExitCode {
-    let json_mode = std::env::args().any(|a| a == "--json");
     let root = Path::new(".");
     if !root.join("Cargo.toml").exists() {
         eprintln!("siloz-lint: run from the repository root (no ./Cargo.toml here)");
@@ -32,25 +31,21 @@ fn main() -> ExitCode {
     };
     let elapsed_ms = start.elapsed().as_millis();
     let json = render_json(&report, elapsed_ms);
-    if json_mode {
-        println!("{json}");
-    } else {
-        for v in &report.violations {
-            println!("{v}");
-        }
-        let summary: Vec<String> = by_rule(&report.violations)
-            .into_iter()
-            .map(|(r, n)| format!("{r}={n}"))
-            .collect();
-        println!(
-            "siloz-lint: {} files, {} fns, {} waivers honored, {} violation(s) in {elapsed_ms} ms [{}]",
-            report.files,
-            report.fns,
-            report.waivers_used,
-            report.violations.len(),
-            summary.join(" ")
-        );
+    for v in &report.violations {
+        println!("{v}");
     }
+    let summary: Vec<String> = by_rule(&report.violations)
+        .into_iter()
+        .map(|(r, n)| format!("{r}={n}"))
+        .collect();
+    println!(
+        "siloz-lint: {} files, {} fns, {} waivers honored, {} violation(s) in {elapsed_ms} ms [{}]",
+        report.files,
+        report.fns,
+        report.waivers_used,
+        report.violations.len(),
+        summary.join(" ")
+    );
     if let Err(e) = std::fs::write("ANALYSIS_lint.json", &json) {
         eprintln!("siloz-lint: cannot write ANALYSIS_lint.json: {e}");
         return ExitCode::FAILURE;

@@ -4,7 +4,7 @@
 //! [`crate::symbols::Workspace`]: a flow-sensitive abstract interpretation of each
 //! body (branches joined, loops iterated to a bounded fixpoint) with a
 //! bitset taint lattice, plus interprocedural function summaries solved to
-//! fixpoint over the call graph.
+//! fixpoint by round-robin sweeps over every function.
 //!
 //! ## Lattice
 //!
@@ -196,44 +196,22 @@ impl<'w> Engine<'w> {
         }
     }
 
-    /// Solves all function summaries to interprocedural fixpoint.
+    /// Solves all function summaries to interprocedural fixpoint, one
+    /// round-robin sweep over every fn per round.
     pub fn solve(&mut self) {
         for _ in 0..SOLVE_CAP {
-            if !self.solve_round() {
+            let mut changed = false;
+            for id in 0..self.ws.fns.len() {
+                let s = self.analyze(id, None);
+                if s != self.summaries[id] {
+                    self.summaries[id] = s;
+                    changed = true;
+                }
+            }
+            if !changed {
                 break;
             }
         }
-    }
-
-    /// Runs one fixpoint round over every function; returns whether any
-    /// summary changed. Public so callers can interleave instrumentation.
-    pub fn solve_round(&mut self) -> bool {
-        let mut changed = false;
-        for id in 0..self.ws.fns.len() {
-            let s = self.analyze(id, None);
-            if s != self.summaries[id] {
-                self.summaries[id] = s;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Summary-state size statistics: `(total entries, max entries, fn id
-    /// with the max)`. Diagnostic hook for fixpoint-cost regressions.
-    #[must_use]
-    pub fn state_stats(&self) -> (usize, usize, usize) {
-        let mut total = 0;
-        let mut max = 0;
-        let mut max_id = 0;
-        for (id, s) in self.summaries.iter().enumerate() {
-            total += s.state.len();
-            if s.state.len() > max {
-                max = s.state.len();
-                max_id = id;
-            }
-        }
-        (total, max, max_id)
     }
 
     /// Runs the reporting pass over every non-test function. Call after
@@ -256,12 +234,6 @@ impl<'w> Engine<'w> {
         out
     }
 
-    /// The solved summary for a fn (test hook).
-    #[must_use]
-    pub fn summary(&self, id: usize) -> &Summary {
-        &self.summaries[id]
-    }
-
     fn analyze(&self, id: usize, report: Option<&mut Vec<Violation>>) -> Summary {
         let decl = &self.ws.fns[id];
         let item = self.ws.fn_item(id);
@@ -273,10 +245,7 @@ impl<'w> Engine<'w> {
             env.insert("self".into(), RECV_BIT | self.pass.binding_taint("self"));
         }
         for (i, p) in item.params.iter().enumerate() {
-            env.insert(
-                p.name.clone(),
-                param_bit(i) | self.pass.binding_taint(&p.name),
-            );
+            env.insert(p.clone(), param_bit(i) | self.pass.binding_taint(p));
         }
         let mut cx = EvalCx {
             eng: self,
@@ -327,6 +296,17 @@ fn access_path(e: &Expr) -> Option<String> {
     }
 }
 
+/// The access path of the nearest place enclosing a pathless lvalue: `v`
+/// for `v[i]` and `v[i].f`, `self.buf` for `self.buf[i]`.
+fn enclosing_path(e: &Expr) -> Option<String> {
+    match &e.kind {
+        ExprKind::Index { base, .. }
+        | ExprKind::Field { base, .. }
+        | ExprKind::Unary { inner: base, .. } => access_path(base).or_else(|| enclosing_path(base)),
+        _ => None,
+    }
+}
+
 impl EvalCx<'_, '_> {
     fn eval_block(&mut self, b: &Block, env: &mut Env) -> Taint {
         let mut last = 0;
@@ -352,7 +332,7 @@ impl EvalCx<'_, '_> {
                         last = t;
                     }
                 }
-                Stmt::Item(_) | Stmt::Raw(_) => {}
+                Stmt::Raw => {}
             }
         }
         last
@@ -390,8 +370,20 @@ impl EvalCx<'_, '_> {
             }
             ExprKind::Assign { op, target, value } => {
                 let vt = self.eval(value, env);
-                if let Some(path) = access_path(target) {
-                    let strong = *op == "=" && !matches!(target.kind, ExprKind::Unary { .. });
+                let place = match access_path(target) {
+                    Some(path) => {
+                        let strong = *op == "=" && !matches!(target.kind, ExprKind::Unary { .. });
+                        Some((path, strong))
+                    }
+                    None => {
+                        // No path of its own (`v[i]`): evaluate it for the
+                        // checks inside (the index), then weak-join into
+                        // the enclosing place.
+                        self.eval(target, env);
+                        enclosing_path(target).map(|path| (path, false))
+                    }
+                };
+                if let Some((path, strong)) = place {
                     let cur = env.get(&path).copied().unwrap_or(0);
                     let field = self
                         .eng
@@ -402,11 +394,6 @@ impl EvalCx<'_, '_> {
                     if let Some(rest) = path.strip_prefix("self.") {
                         *self.state.entry(rest.to_string()).or_insert(0) |= newt;
                     }
-                } else {
-                    // No trackable path (slice element, temporary): weak-join
-                    // into the base variable if there is one.
-                    let base = self.eval(target, env);
-                    let _ = base;
                 }
                 (0, Vec::new())
             }
@@ -731,7 +718,7 @@ mod tests {
         }
     }
 
-    fn engine_over(src: &str) -> (Workspace, Vec<Violation>) {
+    fn engine_over(src: &str) -> Vec<Violation> {
         let ws = Workspace::from_files(vec![SourceFile {
             rel: "crates/x/src/lib.rs".into(),
             krate: "x".into(),
@@ -741,13 +728,12 @@ mod tests {
         let toy = Toy;
         let mut eng = Engine::new(&ws, &toy);
         eng.solve();
-        let report = eng.report();
-        (ws, report)
+        eng.report()
     }
 
     #[test]
     fn interprocedural_flow_reaches_sink() {
-        let (_, report) = engine_over(
+        let report = engine_over(
             "fn mk() -> u64 { source() }\n\
              fn indirect() -> u64 { mk() }\n\
              pub fn sink_bad() -> u64 { indirect() }\n\
@@ -760,7 +746,7 @@ mod tests {
 
     #[test]
     fn branches_join_and_loops_converge() {
-        let (_, report) = engine_over(
+        let report = engine_over(
             "pub fn sink_branch(c: bool) -> u64 {\n\
                  let mut x = 0;\n\
                  if c { x = source(); } else { x = 2; }\n\
@@ -779,7 +765,7 @@ mod tests {
 
     #[test]
     fn field_paths_and_state_writes() {
-        let (ws, report) = engine_over(
+        let report = engine_over(
             "struct S { a: u64, dirty: u64 }\n\
              impl S {\n\
                  fn poison(&mut self) { self.a = source(); }\n\
@@ -789,9 +775,6 @@ mod tests {
              pub fn sink_clean(s: &S) -> u64 { s.a }\n\
              pub fn sink_dirty(s: &S) -> u64 { s.dirty }\n",
         );
-        // poison's summary records the state write.
-        let poison = ws.fns.iter().position(|d| d.name == "poison").unwrap();
-        let _ = poison;
         let lines: Vec<u32> = report.iter().map(|v| v.line).collect();
         // sink_field picks up the state write through the call;
         // sink_clean stays clean; sink_dirty carries field-name taint but
@@ -801,7 +784,7 @@ mod tests {
 
     #[test]
     fn closures_and_adapters_propagate() {
-        let (_, report) = engine_over(
+        let report = engine_over(
             "pub fn sink_map(v: Vec<u64>) -> Vec<u64> {\n\
                  v.iter().map(|x| x + source()).collect()\n\
              }\n",

@@ -43,49 +43,6 @@ impl ScenarioResult {
     }
 }
 
-/// Renders a machine-readable report (the `interleave-check --json`
-/// shape).
-#[must_use]
-pub fn report_json(results: &[ScenarioResult]) -> String {
-    use crate::report::Json;
-    let scenarios: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::Str(r.name.into())),
-                ("passed", Json::Bool(r.passed())),
-                (
-                    "steps_per_thread",
-                    Json::Arr(
-                        r.steps_per_thread
-                            .iter()
-                            .map(|&n| Json::Num(n as u128))
-                            .collect(),
-                    ),
-                ),
-                ("schedules", Json::Num(r.schedules)),
-                (
-                    "failure",
-                    match &r.failure {
-                        Some(f) => Json::Str(f.clone()),
-                        None => Json::Str(String::new()),
-                    },
-                ),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema", Json::Str("siloz-interleave-v1".into())),
-        (
-            "schedules_total",
-            Json::Num(results.iter().map(|r| r.schedules).sum()),
-        ),
-        ("scenarios", Json::Arr(scenarios)),
-        ("ok", Json::Bool(results.iter().all(ScenarioResult::passed))),
-    ])
-    .render()
-}
-
 /// Runs every scenario. All must pass for the `interleave-check` gate.
 #[must_use]
 pub fn check_all() -> Vec<ScenarioResult> {

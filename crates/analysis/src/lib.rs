@@ -5,7 +5,7 @@
 //!
 //! 1. **`siloz-lint`** ([`gate`]) — the source gate: one walk, read and
 //!    lex of the workspace into a parse ([`parse`]) with a symbol table
-//!    and call graph ([`symbols`]), then one pass that runs the token
+//!    ([`symbols`]), then one pass that runs the token
 //!    rules ([`lint`]: no maps or allocation in hot paths, no
 //!    nondeterminism sources, atomics confined to `crates/telemetry`,
 //!    metric names consistent with the golden fixture,

@@ -1,18 +1,19 @@
-//! Workspace symbol table and call graph over the parsed AST.
+//! Workspace symbol table over the parsed AST.
 //!
 //! [`Workspace::load`] parses every first-party `.rs` file under a root,
 //! flattens the item trees into a table of function declarations
 //! ([`FnDecl`]) with enough context to resolve calls (self type, trait,
-//! crate, test scope), and builds name-based resolution indices.
+//! crate, test scope), and builds name-based resolution indices, which
+//! the dataflow engine queries at each call it evaluates.
 //!
 //! Resolution is deliberately name-based and over-approximate: the parser
-//! keeps types as raw spans, so `a.insert(..)` resolves to *every*
+//! skips types, so `a.insert(..)` resolves to *every*
 //! workspace method named `insert`. The dataflow engine joins over all
 //! candidates, which is sound for taint (may-analysis) and precise enough
 //! in practice — the workspace's method names are rarely ambiguous across
 //! types that matter to a pass.
 
-use crate::parse::{parse_file, Block, Expr, ExprKind, FnItem, Item, ParsedFile, Stmt};
+use crate::parse::{parse_file, FnItem, Item, ParsedFile};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -222,34 +223,6 @@ impl Workspace {
     pub fn resolve_method(&self, name: &str) -> &[usize] {
         self.methods.get(name).map_or(&[], Vec::as_slice)
     }
-
-    /// The call graph: for each fn, the resolved callee ids of every call
-    /// and method-call expression in its body (deduplicated, sorted).
-    #[must_use]
-    pub fn call_graph(&self) -> Vec<Vec<usize>> {
-        (0..self.fns.len())
-            .map(|id| {
-                let mut out = Vec::new();
-                if let Some(body) = &self.fn_item(id).body {
-                    let file = self.fns[id].file;
-                    walk_block(body, &mut |e| match &e.kind {
-                        ExprKind::Call { callee, .. } => {
-                            if let ExprKind::Path { segs } = &callee.kind {
-                                out.extend(self.resolve_call(file, segs));
-                            }
-                        }
-                        ExprKind::Method { name, .. } => {
-                            out.extend_from_slice(self.resolve_method(name));
-                        }
-                        _ => {}
-                    });
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect()
-    }
 }
 
 #[derive(Clone)]
@@ -294,125 +267,9 @@ fn collect_fns<'a>(
                     collect_fns(sub, path, &inner, out);
                 }
             }
-            Item::Struct(_) | Item::Const(_) | Item::Raw(_) => {}
+            Item::Raw => {}
         }
         path.pop();
-    }
-}
-
-/// Calls `f` on every expression in a block, recursively — including
-/// closure bodies and initializers, but not nested items (those are
-/// separate [`FnDecl`]s).
-pub fn walk_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    walk_expr(init, f);
-                }
-                if let Some(b) = &l.else_block {
-                    walk_block(b, f);
-                }
-            }
-            Stmt::Expr { expr, .. } => walk_expr(expr, f),
-            Stmt::Item(_) | Stmt::Raw(_) => {}
-        }
-    }
-}
-
-/// Calls `f` on `e` and every sub-expression.
-pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Path { .. } | ExprKind::Lit | ExprKind::Continue => {}
-        ExprKind::Unary { inner, .. }
-        | ExprKind::Ref { inner, .. }
-        | ExprKind::Cast { inner, .. }
-        | ExprKind::Try { inner } => walk_expr(inner, f),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_expr(target, f);
-            walk_expr(value, f);
-        }
-        ExprKind::Call { callee, args } => {
-            walk_expr(callee, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Method { recv, args, .. } => {
-            walk_expr(recv, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Field { base, .. } => walk_expr(base, f),
-        ExprKind::Index { base, index } => {
-            walk_expr(base, f);
-            walk_expr(index, f);
-        }
-        ExprKind::StructLit { fields, rest, .. } => {
-            for (_, v) in fields {
-                if let Some(v) = v {
-                    walk_expr(v, f);
-                }
-            }
-            if let Some(r) = rest {
-                walk_expr(r, f);
-            }
-        }
-        ExprKind::Tuple { items, .. }
-        | ExprKind::Array { items }
-        | ExprKind::MacroCall { args: items, .. } => {
-            for it in items {
-                walk_expr(it, f);
-            }
-        }
-        ExprKind::BlockExpr(b) => walk_block(b, f),
-        ExprKind::If {
-            cond, then, els, ..
-        } => {
-            walk_expr(cond, f);
-            walk_block(then, f);
-            if let Some(e) = els {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::Match { scrut, arms } => {
-            walk_expr(scrut, f);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    walk_expr(g, f);
-                }
-                walk_expr(&arm.body, f);
-            }
-        }
-        ExprKind::While { cond, body, .. } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
-        }
-        ExprKind::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
-        }
-        ExprKind::Loop { body } => walk_block(body, f),
-        ExprKind::Closure { body, .. } => walk_expr(body, f),
-        ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                walk_expr(e, f);
-            }
-            if let Some(e) = hi {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::Return { value } | ExprKind::Break { value } => {
-            if let Some(v) = value {
-                walk_expr(v, f);
-            }
-        }
     }
 }
 
@@ -487,18 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn resolves_calls_and_builds_graph() {
+    fn resolves_calls_and_methods() {
         let w = ws("fn a() { b(); S::new().go(); }\n\
                     fn b() {}\n\
+                    fn new() {}\n\
                     struct S;\n\
                     impl S { fn new() -> S { S } fn go(&self) {} }");
-        let a = 0usize;
-        let g = w.call_graph();
-        // a calls b, S::new, and method go.
-        assert_eq!(g[a], vec![1, 2, 3]);
-        assert!(g[1].is_empty());
-        // Typed resolution hits the impl, not unrelated frees.
-        assert_eq!(w.resolve_call(0, &["S".into(), "new".into()]), vec![2]);
-        assert_eq!(w.resolve_method("go"), &[3]);
+        assert_eq!(w.resolve_call(0, &["b".into()]), vec![1]);
+        // Typed resolution hits the impl, not the same-named free fn.
+        assert_eq!(w.resolve_call(0, &["S".into(), "new".into()]), vec![3]);
+        assert_eq!(w.resolve_call(0, &["new".into()]), vec![2, 3]);
+        assert_eq!(w.resolve_method("go"), &[4]);
     }
 }

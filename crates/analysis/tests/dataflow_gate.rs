@@ -74,6 +74,22 @@ fn tainted_output_tracks_interprocedural_flow() {
 }
 
 #[test]
+fn tainted_output_survives_a_store_through_an_index() {
+    // An element store has no access path of its own; its taint lands on
+    // the enclosing place, a local or `self.` state.
+    let bad = "pub fn run_probe() -> u64 { let mut v = vec![0]; v[0] = Instant::now(); v }\n";
+    let got = fired(&[(REL, bad)]);
+    assert!(got.contains(&"seed-tainted-output"), "got {got:?}");
+    let bad = "struct P { buf: Vec<u64> }\n\
+               impl P { fn stamp(&mut self) { self.buf[0] = Instant::now(); } }\n\
+               pub fn run_probe(p: &mut P) -> Vec<u64> { p.stamp(); p.buf }\n";
+    let got = fired(&[(REL, bad)]);
+    assert!(got.contains(&"seed-tainted-output"), "got {got:?}");
+    let good = "pub fn run_probe(seed: u64) -> u64 { let mut v = vec![0]; v[0] = seed * 3; v }\n";
+    assert!(fired(&[(REL, good)]).is_empty());
+}
+
+#[test]
 fn map_iteration_order_is_tainted_until_sorted() {
     let bad = "pub fn run_keys(m: u64) -> u64 {\n\
                    let h = HashMap::new();\n\

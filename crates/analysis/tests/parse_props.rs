@@ -3,9 +3,12 @@
 //! statements, and the real workspace itself must stay fully covered.
 //!
 //! The generators deliberately compose the constructs the dataflow passes
-//! depend on (calls, methods, fields, binary chains, let/if/while/match)
-//! so a parser regression surfaces here before it punches a hole in the
-//! gate's coverage.
+//! depend on (calls, methods, fields, binary chains, let/if/while/match,
+//! closures, indexing, ranges, `?`, struct literals, `if let`/`while let`,
+//! `loop`/`break` values, match guards, `let ... else`) so a parser
+//! regression surfaces here before it punches a hole in the gate's
+//! coverage. Closures, ranges and struct literals are parenthesized, so
+//! they stay valid in condition and scrutinee position.
 
 use analysis::parse::parse_file;
 use analysis::symbols::Workspace;
@@ -39,7 +42,7 @@ fn expr(rng: &mut TestRng, depth: u32) -> String {
         };
     }
     let d = depth - 1;
-    match rng.next_u64() % 12 {
+    match rng.next_u64() % 20 {
         0 => {
             const OPS: [&str; 14] = [
                 "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=",
@@ -69,13 +72,27 @@ fn expr(rng: &mut TestRng, depth: u32) -> String {
             format!("vec![{}]", items.join(", "))
         }
         10 => format!("Some({})", expr(rng, d)),
+        11 => format!("(|{}| {})", ident(rng), expr(rng, d)),
+        12 => format!("(move || {})", expr(rng, d)),
+        13 => format!("{}[{}]", ident(rng), expr(rng, d)),
+        14 => format!("({}..{})", expr(rng, d), expr(rng, d)),
+        15 => format!("(..={})", expr(rng, d)),
+        16 => format!("{}?", expr(rng, d)),
+        17 => format!(
+            "(Pt {{ {}: {}, {}, ..{} }})",
+            ident(rng),
+            expr(rng, d),
+            ident(rng),
+            expr(rng, d)
+        ),
+        18 => format!("loop {{ break {} }}", expr(rng, d)),
         _ => format!("({})", expr(rng, d)),
     }
 }
 
 /// One statement over the expression generator.
 fn stmt(rng: &mut TestRng) -> String {
-    match rng.next_u64() % 9 {
+    match rng.next_u64() % 13 {
         0 => format!("let {} = {};", ident(rng), expr(rng, 2)),
         1 => format!("let mut {} = {};", ident(rng), expr(rng, 2)),
         2 => format!("{};", expr(rng, 2)),
@@ -89,6 +106,31 @@ fn stmt(rng: &mut TestRng) -> String {
         5 => format!("while {} {{ {}; }}", expr(rng, 1), expr(rng, 2)),
         6 => format!("for i in 0..4 {{ {}; }}", expr(rng, 2)),
         7 => format!("return {};", expr(rng, 2)),
+        8 => format!(
+            "if let Some({}) = {} {{ {}; }}",
+            ident(rng),
+            expr(rng, 1),
+            expr(rng, 2)
+        ),
+        9 => format!(
+            "while let Some({}) = {} {{ {}; }}",
+            ident(rng),
+            expr(rng, 1),
+            expr(rng, 2)
+        ),
+        10 => format!(
+            "let Some({}) = {} else {{ return {}; }};",
+            ident(rng),
+            expr(rng, 2),
+            expr(rng, 1)
+        ),
+        11 => format!(
+            "match {} {{ Some(v) if v > {} => {}, _ => {}, }};",
+            expr(rng, 1),
+            expr(rng, 1),
+            expr(rng, 2),
+            expr(rng, 2)
+        ),
         _ => format!(
             "match {} {{ Some(v) => {}, _ => {}, }};",
             expr(rng, 1),
