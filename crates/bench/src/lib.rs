@@ -15,7 +15,8 @@ use sim::{Comparison, SimConfig};
 pub enum Scale {
     /// Mini geometry, few ops: seconds.
     Quick,
-    /// Evaluation-server geometry, full rosters: minutes.
+    /// Evaluation-server geometry, full rosters: 22-30 s for all 16 binaries
+    /// on a 2-core x86-64 Xeon, 10-15 s for the longest (`table3_containment`).
     Full,
 }
 

@@ -30,7 +30,7 @@ impl EptProtection {
 }
 
 /// Full boot-time configuration of a hypervisor instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SilozConfig {
     /// DRAM geometry (true subarray size included).
     pub geometry: Geometry,

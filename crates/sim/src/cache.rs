@@ -9,9 +9,10 @@
 //! - **substrates** — one KV preload per `(substrate key, trace seed)`,
 //!   shared by every workload mix over the same store (all six YCSB kinds
 //!   run the identical load phase);
-//! - **envs** — one booted hypervisor + VM backing map per configuration,
-//!   shared by every draw measured under it;
-//! - **replays** — one `CellOutcome` per (ledger, env) pair: compiled
+//! - **envs** — one booted hypervisor + VM backing map per `EnvKey` (the
+//!   value of every axis the environment depends on), shared by every draw
+//!   measured under it; each new key gets the next *env ordinal*;
+//! - **replays** — one `CellOutcome` per (ledger, env ordinal) pair: compiled
 //!   cells run with disturbance physics off against a fresh controller and
 //!   scratch device, so the replay result and post-replay controller
 //!   telemetry are a pure function of the pair, and a recurring
@@ -30,8 +31,9 @@
 use crate::compile::GuestLedger;
 use crate::run::HpaMap;
 use memctrl::{MemoryController, TraceResult};
+use mitigation::Backend;
 use rand::rngs::StdRng;
-use siloz::{Hypervisor, SilozError};
+use siloz::{Hypervisor, HypervisorKind, SilozConfig, SilozError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use workloads::SubstrateSnapshot;
@@ -42,6 +44,18 @@ pub(crate) type LedgerKey = (String, u64, usize, u16, u64);
 
 /// Substrate-pool identity: `(substrate key, trace seed)`.
 pub(crate) type SubstrateKey = (String, u64);
+
+/// Environment identity: every axis a cell's env and replay outcome depend
+/// on. `hook` is the defense only if it installs a controller hook (a hooked
+/// replay differs from an undefended one); other backends key as `None`.
+#[derive(PartialEq, Eq)]
+pub(crate) struct EnvKey {
+    pub(crate) kind: HypervisorKind,
+    pub(crate) vm_memory: u64,
+    pub(crate) vcpus: u32,
+    pub(crate) config: SilozConfig,
+    pub(crate) hook: Option<Backend>,
+}
 
 /// A booted measurement environment: the hypervisor (whose decoder and
 /// telemetry the cell uses) and the VM's guest→HPA backing map. Immutable
@@ -67,8 +81,9 @@ pub(crate) struct CellOutcome {
 pub struct TraceCache {
     ledgers: Mutex<BTreeMap<LedgerKey, Arc<GuestLedger>>>,
     substrates: Mutex<BTreeMap<SubstrateKey, (SubstrateSnapshot, StdRng)>>,
-    envs: Mutex<BTreeMap<String, Arc<BoundEnv>>>,
-    replays: Mutex<BTreeMap<(LedgerKey, String), Arc<CellOutcome>>>,
+    /// Booted environments in boot order: an env's ordinal is its index.
+    envs: Mutex<Vec<(EnvKey, Arc<BoundEnv>)>>,
+    replays: Mutex<BTreeMap<(LedgerKey, usize), Arc<CellOutcome>>>,
 }
 
 impl TraceCache {
@@ -131,35 +146,40 @@ impl TraceCache {
         lock(&self.substrates).entry(key).or_insert((snap, rng));
     }
 
-    /// The booted environment for `key`, booting on first use. Only
-    /// successful boots are cached.
+    /// The booted environment for `key` and its ordinal, booting on first
+    /// use. Only successful boots are cached.
     pub(crate) fn env(
         &self,
-        key: &str,
+        key: EnvKey,
         build: impl FnOnce() -> Result<BoundEnv, SilozError>,
-    ) -> Result<Arc<BoundEnv>, SilozError> {
-        if let Some(hit) = lock(&self.envs).get(key) {
-            return Ok(hit.clone());
+    ) -> Result<(usize, Arc<BoundEnv>), SilozError> {
+        let find = |envs: &[(EnvKey, Arc<BoundEnv>)]| {
+            envs.iter()
+                .position(|(k, _)| *k == key)
+                .map(|i| (i, envs[i].1.clone()))
+        };
+        if let Some(hit) = find(&lock(&self.envs)) {
+            return Ok(hit);
         }
         let built = Arc::new(build()?);
-        Ok(lock(&self.envs)
-            .entry(key.to_owned())
-            .or_insert(built)
-            .clone())
+        let mut envs = lock(&self.envs);
+        if let Some(raced) = find(&envs) {
+            return Ok(raced);
+        }
+        envs.push((key, built.clone()));
+        Ok((envs.len() - 1, built))
     }
 
-    /// The replay outcome for `(ledger, env)`, simulating on first use.
+    /// The replay outcome for `(ledger, env ordinal)`, simulating on first use.
     pub(crate) fn replay(
         &self,
-        ledger: &LedgerKey,
-        env: &str,
-        build: impl FnOnce() -> Arc<CellOutcome>,
+        key: (LedgerKey, usize),
+        build: impl FnOnce(&LedgerKey) -> Arc<CellOutcome>,
     ) -> Arc<CellOutcome> {
-        let key = (ledger.clone(), env.to_owned());
         if let Some(hit) = lock(&self.replays).get(&key) {
             return hit.clone();
         }
-        let built = build();
+        let built = build(&key.0);
         lock(&self.replays).entry(key).or_insert(built).clone()
     }
 }
@@ -196,6 +216,63 @@ mod tests {
         });
         assert_eq!(builds, 2, "different seed is a different entry");
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn every_env_key_axis_boots_its_own_env() {
+        // Every axis a cell's environment depends on must key a fresh boot:
+        // a field the comparison ignored would hand one configuration's
+        // booted hypervisor (and replay outcomes) to another.
+        let sim = crate::SimConfig {
+            vm_memory: 32 << 20,
+            ..crate::SimConfig::quick()
+        };
+        let base = || EnvKey {
+            kind: HypervisorKind::Siloz,
+            vm_memory: sim.vm_memory,
+            vcpus: sim.vcpus,
+            config: SilozConfig::mini(),
+            hook: None,
+        };
+        let edits: [fn(&mut EnvKey); 15] = [
+            |k| k.config.presumed_subarray_rows *= 2,
+            |k| k.config.ept_protection = siloz::EptProtection::SecureEpt,
+            |k| k.config.host_groups_per_socket += 1,
+            |k| k.config.cores_per_socket += 1,
+            |k| k.config.decoder.row_groups_per_block *= 2,
+            |k| k.config.decoder.jump_bytes *= 2,
+            |k| k.config.decoder.bank_hash = dram_addr::BankHash::None,
+            |k| k.config.internal_map.inversion = false,
+            |k| k.config.internal_map.mirroring = true,
+            |k| k.config.internal_map.scrambling = true,
+            |k| k.config.geometry.rows_per_subarray *= 2,
+            |k| k.kind = HypervisorKind::Baseline,
+            |k| k.vm_memory *= 2,
+            |k| k.vcpus += 1,
+            |k| k.hook = Some(Backend::BlockHammer),
+        ];
+        let cache = TraceCache::new();
+        let mut boots = 0;
+        // The cache only compares keys, so every key may boot the same env.
+        let mut ordinal = |key: EnvKey| {
+            let boot = || {
+                boots += 1;
+                crate::run::boot_env(&SilozConfig::mini(), HypervisorKind::Siloz, &sim)
+            };
+            cache.env(key, boot).unwrap().0
+        };
+        let edited = |i: usize| {
+            let mut key = base();
+            edits[i](&mut key);
+            key
+        };
+        assert_eq!(ordinal(base()), 0);
+        for i in 0..edits.len() {
+            assert_eq!(ordinal(edited(i)), i + 1, "edit {i} must boot its own env");
+            assert_eq!(ordinal(edited(i)), i + 1, "edit {i} must hit its own env");
+        }
+        assert_eq!(ordinal(base()), 0, "an equal key hits");
+        assert_eq!(boots, edits.len() + 1, "hits never boot");
     }
 
     #[test]

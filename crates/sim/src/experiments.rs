@@ -114,7 +114,7 @@ pub(crate) fn compare_suite(
         } else {
             (reference, RunSeeds::uniform(seed))
         };
-        workload_cell(arm, workload, sim, seeds, replay, &run.reg)
+        workload_cell(arm, workload, sim, seeds, replay, Some(&run.reg))
     });
     let mut ref_samples: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut cand_samples: Vec<Vec<f64>> = vec![Vec::new(); n];

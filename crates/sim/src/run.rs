@@ -1,6 +1,6 @@
 //! Running one workload inside one VM under one hypervisor.
 
-use crate::cache::{BoundEnv, CellOutcome, LedgerKey, TraceCache};
+use crate::cache::{BoundEnv, CellOutcome, EnvKey, LedgerKey, TraceCache};
 use crate::compile::GuestLedger;
 use crate::noise::noisy;
 use dram::{DimmProfile, DramSystem, DramSystemBuilder};
@@ -234,7 +234,7 @@ pub fn run_workload(
         sim,
         RunSeeds::uniform(seed),
         Replay::Direct,
-        reg,
+        Some(reg),
     )
 }
 
@@ -242,6 +242,7 @@ pub fn run_workload(
 /// to the direct path, but ledgers, substrates, booted environments, and
 /// replay outcomes are shared through `cache` across every cell that can
 /// reuse them.
+/// It exports no telemetry, so a warm cell costs only its cache lookups.
 pub fn run_workload_compiled(
     config: &SilozConfig,
     kind: HypervisorKind,
@@ -250,17 +251,20 @@ pub fn run_workload_compiled(
     seed: u64,
     cache: &TraceCache,
 ) -> Result<f64, SilozError> {
-    run_workload_compiled_observed(config, kind, workload, sim, seed, cache, &Registry::new())
+    workload_cell(
+        (config, kind, None),
+        CellWorkload::Ready(workload),
+        sim,
+        RunSeeds::uniform(seed),
+        Replay::Compiled(cache),
+        None,
+    )
 }
 
 /// [`run_workload_compiled`] that also exports stack-wide telemetry into
 /// `reg` — the same `ctrl`/`dram`/`hv` children, with identical values, as
-/// [`run_workload`].
-///
-/// The one sink-less/sink-taking pair left in the workspace: the benchmark
-/// harness (`benchmark/`, which a PR touching `crates/` may not edit) calls
-/// [`run_workload_compiled`] by its six-argument signature, so that name
-/// cannot grow the `reg` parameter until a benchmark PR moves its callers.
+/// [`run_workload`], warm or cold. The export costs several times a warm
+/// cell's lookups: callers that read no telemetry use the sink-less call.
 pub fn run_workload_compiled_observed(
     config: &SilozConfig,
     kind: HypervisorKind,
@@ -276,14 +280,14 @@ pub fn run_workload_compiled_observed(
         sim,
         RunSeeds::uniform(seed),
         Replay::Compiled(cache),
-        reg,
+        Some(reg),
     )
 }
 
 /// Boots the measurement environment for one configuration: hypervisor
 /// with an invulnerable DIMM (disturbance bookkeeping off — allocation
 /// policy is what is being measured), one VM, and its guest→HPA map.
-fn boot_env(
+pub(crate) fn boot_env(
     config: &SilozConfig,
     kind: HypervisorKind,
     sim: &SimConfig,
@@ -297,18 +301,20 @@ fn boot_env(
     Ok(BoundEnv { hv, hpa })
 }
 
-/// Converts a replay result into the cell's sample and exports telemetry.
+/// Converts a replay result into the cell's sample; exports telemetry if `reg`.
 fn finish_cell(
     metric: Metric,
     result: &TraceResult,
     ctrl: &MemoryController,
     env: &BoundEnv,
     seeds: RunSeeds,
-    reg: &Registry,
+    reg: Option<&Registry>,
 ) -> f64 {
-    ctrl.export_telemetry(&reg.child("ctrl"));
-    env.hv.dram().export_telemetry(&reg.child("dram"));
-    env.hv.export_telemetry(&reg.child("hv"));
+    if let Some(reg) = reg {
+        ctrl.export_telemetry(&reg.child("ctrl"));
+        env.hv.dram().export_telemetry(&reg.child("dram"));
+        env.hv.export_telemetry(&reg.child("hv"));
+    }
     let raw = match metric {
         Metric::ExecTime => result.elapsed_ms(),
         Metric::Throughput => result.bandwidth_gib_s(),
@@ -350,18 +356,26 @@ impl CellWorkload<'_> {
             } => (name.clone(), *working_set, *metric),
         }
     }
+
+    /// Runs `draw` on the generator, building a deferred one first.
+    fn draw<R>(self, draw: impl FnOnce(&mut dyn WorkloadGen) -> R) -> R {
+        match self {
+            CellWorkload::Ready(w) => draw(w),
+            CellWorkload::Deferred { build, .. } => draw(build().as_mut()),
+        }
+    }
 }
 
 /// One measurement cell: both the direct path and the compiled path, which
 /// the equivalence battery pins bit-identical (samples *and* exported
-/// telemetry).
+/// telemetry). With no `reg`, the cell exports nothing.
 pub(crate) fn workload_cell(
     (config, kind, defense): Arm<'_>,
     workload: CellWorkload<'_>,
     sim: &SimConfig,
     seeds: RunSeeds,
     replay: Replay<'_>,
-    reg: &Registry,
+    reg: Option<&Registry>,
 ) -> Result<f64, SilozError> {
     // Deal each logical request (a chain starting at a non-dependent op) to
     // the next vCPU, as a multi-threaded server would; dependencies stay
@@ -370,17 +384,9 @@ pub(crate) fn workload_cell(
     let (name, working_set, metric) = workload.identity();
     match replay {
         Replay::Direct => {
-            let mut built;
-            let workload: &mut dyn WorkloadGen = match workload {
-                CellWorkload::Ready(w) => w,
-                CellWorkload::Deferred { build, .. } => {
-                    built = build();
-                    built.as_mut()
-                }
-            };
             let mut env = boot_env(config, kind, sim)?;
             let mut rng = StdRng::seed_from_u64(seeds.trace);
-            let ledger = GuestLedger::generate(workload, sim.ops, threads, &mut rng);
+            let ledger = workload.draw(|w| GuestLedger::generate(w, sim.ops, threads, &mut rng));
             let trace = ledger.expand_mem_ops(&env.hpa, 0);
             let mut ctrl = MemoryController::new(env.hv.decoder().clone()).without_physics();
             if let Some(hook) = defense.and_then(mitigation::Backend::controller_hook) {
@@ -391,52 +397,40 @@ pub(crate) fn workload_cell(
         }
         Replay::Compiled(cache) => {
             let ledger_key: LedgerKey = (name, working_set, sim.ops, threads, seeds.trace);
-            // Environment identity covers every configuration axis a cell
-            // can vary: hypervisor kind, VM shape, the full config
-            // (geometry, subarray size, policy toggles), and — when one is
-            // installed — the controller defense, since a hooked replay's
-            // outcome is not interchangeable with an undefended one.
-            let hook_tag = match defense {
-                Some(d) if d.controller_hook().is_some() => d.name(),
-                _ => "",
+            let env_key = EnvKey {
+                kind,
+                vm_memory: sim.vm_memory,
+                vcpus: sim.vcpus,
+                config: config.clone(),
+                hook: defense.filter(|d| d.controller_hook().is_some()),
             };
-            let env_key = format!(
-                "{kind:?}|{}|{}|{config:?}|{hook_tag}",
-                sim.vm_memory, sim.vcpus
-            );
-            let env = cache.env(&env_key, || boot_env(config, kind, sim))?;
+            let (ordinal, env) = cache.env(env_key, || boot_env(config, kind, sim))?;
             // Cells replay with physics off against a fresh controller and
             // scratch device, so the whole outcome is a pure function of
             // (ledger, env): a recurring measurement is never re-simulated.
-            let outcome = cache.replay(&ledger_key, &env_key, || {
-                let ledger = cache.ledger(&ledger_key, || {
-                    let mut built;
-                    let workload: &mut dyn WorkloadGen = match workload {
-                        CellWorkload::Ready(w) => w,
-                        CellWorkload::Deferred { build, .. } => {
-                            built = build();
-                            built.as_mut()
-                        }
-                    };
-                    let mut rng = StdRng::seed_from_u64(seeds.trace);
-                    // Substrate pool: workloads sharing one load phase
-                    // (e.g. all six YCSB mixes over one store size) adopt
-                    // the pooled post-load snapshot and resume the pooled
-                    // RNG, skipping the preload while drawing
-                    // byte-identical traces.
-                    if let Some(substrate) = workload.substrate_key() {
-                        let pool_key = (substrate, seeds.trace);
-                        if let Some((snap, loaded_rng)) = cache.substrate(&pool_key) {
-                            workload.adopt_substrate(&snap);
-                            rng = loaded_rng;
-                        } else {
-                            workload.preload(&mut rng);
-                            if let Some(snap) = workload.export_substrate() {
-                                cache.store_substrate(pool_key, snap, rng.clone());
+            let outcome = cache.replay((ledger_key, ordinal), |ledger_key| {
+                let ledger = cache.ledger(ledger_key, || {
+                    workload.draw(|workload| {
+                        let mut rng = StdRng::seed_from_u64(seeds.trace);
+                        // Substrate pool: workloads sharing one load phase
+                        // (e.g. all six YCSB mixes over one store size) adopt
+                        // the pooled post-load snapshot and resume the pooled
+                        // RNG, skipping the preload while drawing
+                        // byte-identical traces.
+                        if let Some(substrate) = workload.substrate_key() {
+                            let pool_key = (substrate, seeds.trace);
+                            if let Some((snap, loaded_rng)) = cache.substrate(&pool_key) {
+                                workload.adopt_substrate(&snap);
+                                rng = loaded_rng;
+                            } else {
+                                workload.preload(&mut rng);
+                                if let Some(snap) = workload.export_substrate() {
+                                    cache.store_substrate(pool_key, snap, rng.clone());
+                                }
                             }
                         }
-                    }
-                    Arc::new(GuestLedger::generate(workload, sim.ops, threads, &mut rng))
+                        Arc::new(GuestLedger::generate(workload, sim.ops, threads, &mut rng))
+                    })
                 });
                 let program = ledger.bind(&env.hpa, env.hv.decoder().clone(), 0);
                 // The env is shared and immutable; replay drives a

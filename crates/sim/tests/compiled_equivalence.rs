@@ -139,32 +139,42 @@ fn compiled_replay_handles_non_pow2_backing() {
 fn direct_and_compiled_cells_export_identical_deterministic_telemetry() {
     // The compiled cell replays against a scratch device with physics off,
     // but what it *exports* — controller totals, hypervisor state, DRAM
-    // stats — must be indistinguishable from the uncompiled cell's.
+    // stats — must be indistinguishable from the uncompiled cell's. A
+    // sink-less cell warms the cache first, so both observed cells below
+    // are warm hits: a sink must get the full export even when nothing is
+    // re-simulated.
     let config = SilozConfig::mini();
     let sim = small_sim();
     let cache = TraceCache::new();
     for kind in [HypervisorKind::Baseline, HypervisorKind::Siloz] {
+        let reg_direct = Registry::new();
         let mut direct = exec_time_workload(2, sim.working_set);
-        let mut compiled = exec_time_workload(2, sim.working_set);
-        let reg_a = Registry::new();
-        let reg_b = Registry::new();
-        let a = run_workload(&config, kind, direct.as_mut(), &sim, 11, &reg_a).unwrap();
-        let b = run_workload_compiled_observed(
-            &config,
-            kind,
-            compiled.as_mut(),
-            &sim,
-            11,
-            &cache,
-            &reg_b,
-        )
-        .unwrap();
-        assert_bits_eq(a, b, &format!("observed sample, kind {kind:?}"));
-        assert_eq!(
-            reg_a.snapshot().deterministic().to_json(),
-            reg_b.snapshot().deterministic().to_json(),
-            "deterministic telemetry diverged for kind {kind:?}"
-        );
+        let a = run_workload(&config, kind, direct.as_mut(), &sim, 11, &reg_direct).unwrap();
+        let expected = reg_direct.snapshot().deterministic().to_json();
+        let mut warming = exec_time_workload(2, sim.working_set);
+        let sinkless =
+            run_workload_compiled(&config, kind, warming.as_mut(), &sim, 11, &cache).unwrap();
+        assert_bits_eq(a, sinkless, &format!("sink-less sample, kind {kind:?}"));
+        for pass in 0..2 {
+            let reg = Registry::new();
+            let mut compiled = exec_time_workload(2, sim.working_set);
+            let b = run_workload_compiled_observed(
+                &config,
+                kind,
+                compiled.as_mut(),
+                &sim,
+                11,
+                &cache,
+                &reg,
+            )
+            .unwrap();
+            assert_bits_eq(a, b, &format!("observed sample {pass}, kind {kind:?}"));
+            assert_eq!(
+                expected,
+                reg.snapshot().deterministic().to_json(),
+                "deterministic telemetry diverged for kind {kind:?}, observed cell {pass}"
+            );
+        }
     }
 }
 
