@@ -863,7 +863,9 @@ impl DramSystem {
         let end = offset as usize + bytes.len();
         assert!(end <= row_bytes, "write beyond row end");
         let key = row_key(bank, media_row);
-        if bytes.iter().all(|&b| b == 0) {
+        // A branch-free OR-reduction vectorises; an early-exit `all` is a
+        // byte loop, and this runs on every line written.
+        if bytes.iter().fold(0, |acc, &b| acc | b) == 0 {
             if let Some(row) = self.data.get_mut(key) {
                 row[offset as usize..end].fill(0);
             }
@@ -1240,6 +1242,14 @@ mod tests {
         dram.write_row(bank, 21, 96, &[0u8; 16]);
         assert_eq!(dram.rows_written(), 1);
         assert_eq!(dram.read_row(bank, 21, 96, 16).0, [0u8; 16]);
+        // The zero test looks at every byte: a line whose only non-zero
+        // byte is its last materialises an unwritten row.
+        let mut line = [0u8; 64];
+        line[63] = 0x5a;
+        dram.write_row(bank, 40, 128, &line);
+        assert_eq!(dram.rows_written(), 2);
+        assert!(!dram.row_is_blank(bank, 40));
+        assert_eq!(dram.read_row(bank, 40, 128, 64).0, line);
     }
 
     #[test]

@@ -491,6 +491,7 @@ impl FleetSim {
             }
         };
         if !t.programs.contains_key(&ops) {
+            // Thread ids are mitigation sources, so each tenant keeps its own base.
             let thread_base = ((u64::from(tenant) * 16) % 65536) as u16;
             let program = sim::vm_compiled(&self.hv, t.handle, ledger, thread_base)?;
             t.programs.insert(ops, program);

@@ -106,8 +106,10 @@ pub struct TraceResult {
     /// Time from the first issue to the last completion, picoseconds.
     pub elapsed_ps: u64,
     /// Per-thread `(latency sum ps, access count)` — for per-tenant
-    /// accounting when several VMs' threads share one trace. Sorted by
-    /// thread id, ascending; threads with no completed access are omitted.
+    /// accounting when several VMs' threads share one trace. Strictly
+    /// ascending by thread id (one entry per id, so
+    /// [`Self::mean_latency_ns_of`] can binary-search it); threads with no
+    /// completed access are omitted.
     pub thread_latency: Vec<(u16, (u64, u64))>,
 }
 
@@ -163,8 +165,7 @@ struct RankState {
     last_act_ps: u64,
 }
 
-/// Per-thread issue state during [`MemoryController::run_trace`], stored in
-/// a dense `Vec` indexed by thread id.
+/// One thread's issue state during a replay; lives in a [`ThreadTable`].
 #[derive(Debug, Clone, Copy)]
 struct PerThread {
     cursor: u64,
@@ -174,27 +175,83 @@ struct PerThread {
     lat_count: u64,
 }
 
-/// Returns the state slot for `thread`, growing the table on first sight.
-fn per_thread(threads: &mut Vec<PerThread>, thread: u16, start_clock: u64) -> &mut PerThread {
-    let idx = thread as usize;
-    if idx >= threads.len() {
-        threads.resize(
-            idx + 1,
-            PerThread {
-                cursor: start_clock,
-                last_done: start_clock,
-                outstanding: 0,
-                lat_sum: 0,
-                lat_count: 0,
-            },
-        );
+/// The per-thread table of one replay: a dense `Vec` over the span of
+/// thread ids the replay has seen, `lo..lo + slots.len()`.
+///
+/// Thread ids are semantic (mitigation sources, keys of
+/// [`TraceResult::thread_latency`]) and a fleet tenant's threads start
+/// anywhere in `u16`, so the table is offset by the lowest id seen
+/// rather than indexed from 0: a replay costs O(threads it uses), not
+/// O(largest id).
+struct ThreadTable {
+    lo: u16,
+    slots: Vec<PerThread>,
+    start_clock: u64,
+}
+
+impl ThreadTable {
+    fn new(start_clock: u64) -> Self {
+        Self {
+            lo: 0,
+            slots: Vec::new(),
+            start_clock,
+        }
     }
-    &mut threads[idx]
+
+    /// Returns the slot index of `thread`, growing the span (up or down)
+    /// on first sight. Growing down moves every slot up by the growth, so a
+    /// caller holding slot indices re-bases them when `lo` falls.
+    fn slot(&mut self, thread: u16) -> usize {
+        // Wrapping: an id below `lo` lands at or past `slots.len()`
+        // (the span never exceeds 65 536 ids), so one compare finds both
+        // ways out of the span.
+        let off = thread.wrapping_sub(self.lo) as usize;
+        if off >= self.slots.len() {
+            return self.grow(thread);
+        }
+        off
+    }
+
+    #[cold]
+    fn grow(&mut self, thread: u16) -> usize {
+        let fresh = PerThread {
+            cursor: self.start_clock,
+            last_done: self.start_clock,
+            outstanding: 0,
+            lat_sum: 0,
+            lat_count: 0,
+        };
+        if self.slots.is_empty() {
+            self.lo = thread;
+        } else if thread < self.lo {
+            let below = (self.lo - thread) as usize;
+            self.slots.splice(0..0, std::iter::repeat_n(fresh, below));
+            self.lo = thread;
+        }
+        let off = (thread - self.lo) as usize;
+        if off >= self.slots.len() {
+            self.slots.resize(off + 1, fresh);
+        }
+        off
+    }
+
+    /// `(id, (latency sum, count))` for every thread with a completed
+    /// access, ascending by id.
+    fn latencies(&self) -> Vec<(u16, (u64, u64))> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.lat_count > 0)
+            .map(|(i, t)| (self.lo + i as u16, (t.lat_sum, t.lat_count)))
+            .collect()
+    }
 }
 
 /// A window entry of the replay loops: issue time plus the scheduling
 /// coordinates of the op's decode (performed once, at window entry —
-/// `bank` is [`INVALID_BANK`] when the address failed to decode). 24 bytes,
+/// `bank` is [`INVALID_BANK`] when the address failed to decode). `slot`
+/// is the issuing thread's index in the replay's [`ThreadTable`], also
+/// resolved at entry, so serving an op does no id arithmetic. 24 bytes,
 /// so the per-pick FR-FCFS scan streams over a compact contiguous window.
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
@@ -203,7 +260,7 @@ struct PendingOp {
     row: u32,
     rank_ord: u16,
     chan_ord: u16,
-    thread: u16,
+    slot: u16,
     write: bool,
 }
 
@@ -672,7 +729,7 @@ impl MemoryController {
     ) -> TraceResult {
         let start_clock = self.stats.clock_ps;
         let before = self.stats;
-        let mut threads: Vec<PerThread> = Vec::new();
+        let mut threads = ThreadTable::new(start_clock);
         let mut first_issue: Option<u64> = None;
         let window = self.window.max(1);
         let mut pending: Vec<PendingOp> = Vec::with_capacity(window);
@@ -688,7 +745,14 @@ impl MemoryController {
                 let Some(op) = staged.take().or_else(|| draw(self)) else {
                     break;
                 };
-                let t = per_thread(&mut threads, op.thread, start_clock);
+                let lo = threads.lo;
+                let slot = threads.slot(op.thread);
+                if threads.lo < lo {
+                    // The span grew downward: re-base the window's slots.
+                    let shift = lo - threads.lo;
+                    pending.iter_mut().for_each(|p| p.slot += shift);
+                }
+                let t = &mut threads.slots[slot];
                 if op.dependent && t.outstanding > 0 {
                     staged = Some(op);
                     break;
@@ -712,7 +776,7 @@ impl MemoryController {
                     row: op.row,
                     rank_ord: op.rank_ord,
                     chan_ord: op.chan_ord,
-                    thread: op.thread,
+                    slot: slot as u16,
                     write: op.write,
                 });
             }
@@ -731,8 +795,7 @@ impl MemoryController {
                 let below = (1u64 << choice) - 1;
                 hitmask = (hitmask & below) | ((hitmask >> 1) & !below);
             }
-            let thread = p.thread as usize;
-            threads[thread].outstanding -= 1;
+            threads.slots[p.slot as usize].outstanding -= 1;
             if p.bank != INVALID_BANK {
                 let ref_before = self.next_ref_ps;
                 let res = self.access_inner(
@@ -742,10 +805,10 @@ impl MemoryController {
                     p.rank_ord as usize,
                     p.chan_ord as usize,
                     p.write,
-                    p.thread,
+                    threads.lo + p.slot,
                     p.issue,
                 );
-                let t = &mut threads[thread];
+                let t = &mut threads.slots[p.slot as usize];
                 t.last_done = t.last_done.max(res.done_ps);
                 t.lat_sum += res.latency_ps;
                 t.lat_count += 1;
@@ -774,16 +837,10 @@ impl MemoryController {
         delta.reads -= before.reads;
         delta.total_latency_ps -= before.total_latency_ps;
         delta.bytes -= before.bytes;
-        let thread_latency = threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.lat_count > 0)
-            .map(|(id, t)| (id as u16, (t.lat_sum, t.lat_count)))
-            .collect();
         TraceResult {
             stats: delta,
             elapsed_ps: elapsed,
-            thread_latency,
+            thread_latency: threads.latencies(),
         }
     }
 }
@@ -1043,28 +1100,38 @@ mod tests {
         // retained hash-map implementation: same TraceResult on a mixed
         // trace (sequential, hot-row, random, dependent, multi-threaded)
         // long enough to cross refresh intervals, and same bank census.
-        let ops = mixed_trace(20_000);
-        let (mut flat, mut d1) = setup();
-        let flat_res = flat.run_trace(&mut d1, ops.clone());
+        // The second case mirrors the trace's threads to `65535 - t`: ids
+        // at the top of `u16`, the first op on the highest, so the
+        // per-thread table must grow downward from the first id it sees.
+        let high: Vec<MemOp> = mixed_trace(20_000)
+            .into_iter()
+            .map(|op| op.on_thread(u16::MAX - op.thread))
+            .collect();
+        assert_eq!(high[0].thread, u16::MAX);
+        for (case, ops) in [("ids 0..4", mixed_trace(20_000)), ("ids 65532..", high)] {
+            let (mut flat, mut d1) = setup();
+            let flat_res = flat.run_trace(&mut d1, ops.clone());
 
-        let prog = CompiledTrace::compile(mini_decoder(), ops.clone());
-        let (mut compiled, mut d3) = setup();
-        let compiled_res = compiled.run_compiled(&mut d3, &prog);
+            let prog = CompiledTrace::compile(mini_decoder(), ops.clone());
+            let (mut compiled, mut d3) = setup();
+            let compiled_res = compiled.run_compiled(&mut d3, &prog);
 
-        let mut d2 = DramSystem::new(mini_geometry());
-        let mut hashed = crate::HashedController::new(mini_decoder());
-        let hashed_res = hashed.run_trace(&mut d2, ops);
+            let mut d2 = DramSystem::new(mini_geometry());
+            let mut hashed = crate::HashedController::new(mini_decoder());
+            let hashed_res = hashed.run_trace(&mut d2, ops);
+            assert_eq!(hashed_res.thread_latency.len(), 4, "{case}");
 
-        assert_matches_hashed(
-            "run_trace",
-            (&flat, &flat_res, &d1),
-            (&hashed, &hashed_res, &d2),
-        );
-        assert_matches_hashed(
-            "run_compiled",
-            (&compiled, &compiled_res, &d3),
-            (&hashed, &hashed_res, &d2),
-        );
+            assert_matches_hashed(
+                &format!("{case}: run_trace"),
+                (&flat, &flat_res, &d1),
+                (&hashed, &hashed_res, &d2),
+            );
+            assert_matches_hashed(
+                &format!("{case}: run_compiled"),
+                (&compiled, &compiled_res, &d3),
+                (&hashed, &hashed_res, &d2),
+            );
+        }
     }
 
     #[test]

@@ -13,13 +13,15 @@ fn arb_op(cap: u64) -> impl Strategy<Value = MemOp> {
         0u64..50_000,
         any::<bool>(),
         0u16..4,
+        any::<bool>(),
     )
-        .prop_map(|(line, write, gap, dep, thread)| MemOp {
+        .prop_map(|(line, write, gap, dep, thread, high)| MemOp {
             phys: line * 64,
             write,
             gap_ps: gap,
             dependent: dep,
-            thread,
+            // Thread ids from both ends of `u16`, in any order.
+            thread: if high { u16::MAX - thread } else { thread },
         })
 }
 
@@ -34,6 +36,9 @@ proptest! {
         let mut dram = DramSystem::new(*dec.geometry());
         let mut ctrl = MemoryController::new(dec).without_physics();
         let n = ops.len() as u64;
+        let mut ids: Vec<u16> = ops.iter().map(|op| op.thread).collect();
+        ids.sort_unstable();
+        ids.dedup();
         let res = ctrl.run_trace(&mut dram, ops);
         prop_assert_eq!(res.stats.accesses, n);
         prop_assert_eq!(
@@ -48,6 +53,10 @@ proptest! {
         prop_assert_eq!(per_thread, res.stats.total_latency_ps);
         let per_thread_n: u64 = res.thread_latency.iter().map(|&(_, (_, c))| c).sum();
         prop_assert_eq!(per_thread_n, n);
+        // One entry per issuing thread, strictly ascending by id: none
+        // dropped, none aliased onto another.
+        let seen: Vec<u16> = res.thread_latency.iter().map(|&(id, _)| id).collect();
+        prop_assert_eq!(seen, ids);
     }
 
     /// The controller clock never goes backwards across traces.

@@ -131,13 +131,15 @@ impl GuestLedger {
 
     /// Expands the ledger through a VM backing map, reproducing the exact
     /// physical op stream the direct path built inline. Guest→HPA
-    /// translation runs once per run, not once per op.
+    /// translation runs once per run, not once per op. The iterator
+    /// reports its exact length, so a consumer that reserves its size hint
+    /// (`collect`, [`CompiledTrace::compile`]) allocates once.
     fn iter_mem_ops<'a>(
         &'a self,
         hpa: &'a HpaMap,
         thread_base: u16,
     ) -> impl Iterator<Item = MemOp> + 'a {
-        self.runs.iter().flat_map(move |run| {
+        let ops = self.runs.iter().flat_map(move |run| {
             let op = MemOp {
                 phys: hpa.to_hpa(run.offset),
                 write: run.write,
@@ -146,15 +148,17 @@ impl GuestLedger {
                 thread: thread_base + run.thread,
             };
             std::iter::repeat_n(op, run.count as usize)
-        })
+        });
+        ExactLen {
+            inner: ops,
+            left: self.ops,
+        }
     }
 
     /// The un-decoded expansion: a physical [`MemOp`] trace for
     /// [`memctrl::MemoryController::run_trace`].
     pub(crate) fn expand_mem_ops(&self, hpa: &HpaMap, thread_base: u16) -> Vec<MemOp> {
-        let mut out = Vec::with_capacity(self.ops);
-        out.extend(self.iter_mem_ops(hpa, thread_base));
-        out
+        self.iter_mem_ops(hpa, thread_base).collect()
     }
 
     /// Stage 2: binds the ledger to one concrete VM backing and address
@@ -166,6 +170,31 @@ impl GuestLedger {
         thread_base: u16,
     ) -> CompiledTrace {
         CompiledTrace::compile(decoder, self.iter_mem_ops(hpa, thread_base))
+    }
+}
+
+/// An iterator of known length. `flat_map` reports a lower bound of 0,
+/// which left a bind's program to grow by doubling.
+struct ExactLen<I> {
+    inner: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for ExactLen<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.inner.next()?;
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    fn fold<B, F: FnMut(B, I::Item) -> B>(self, init: B, f: F) -> B {
+        self.inner.fold(init, f)
     }
 }
 
@@ -227,6 +256,10 @@ mod tests {
             prop_assert_eq!(ledger.len(), ops.len());
             prop_assert!(ledger.runs() <= ops.len().max(1));
             let map = identity_map();
+            prop_assert_eq!(
+                ledger.iter_mem_ops(&map, base).size_hint(),
+                (ops.len(), Some(ops.len()))
+            );
             let expanded = ledger.expand_mem_ops(&map, base);
             let expect: Vec<MemOp> = reference_deal(&ops, threads, base)
                 .into_iter()
