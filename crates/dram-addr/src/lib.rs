@@ -56,9 +56,6 @@ pub const PAGE_4K: u64 = 4 << 10;
 /// Size of a 2 MiB huge page.
 pub const PAGE_2M: u64 = 2 << 20;
 
-/// Size of a 1 GiB huge page.
-pub const PAGE_1G: u64 = 1 << 30;
-
 /// The 768 MiB physical-to-media mapping "jump" granularity observed on the
 /// evaluation server (§4.2).
 pub const MAPPING_JUMP_BYTES: u64 = 768 << 20;

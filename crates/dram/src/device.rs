@@ -408,11 +408,6 @@ impl DramSystem {
         &self.flip_log
     }
 
-    /// Clears the historical flip log (active cell corruption is untouched).
-    pub fn clear_flip_log(&mut self) {
-        self.flip_log.clear();
-    }
-
     /// Current simulated time in nanoseconds.
     #[must_use]
     pub fn now_ns(&self) -> u64 {

@@ -78,11 +78,6 @@ impl FlipLog {
             .iter()
             .filter(move |f| f.bank == bank && f.media_row >= lo && f.media_row < hi)
     }
-
-    /// Clears the log (e.g. between experiment phases).
-    pub fn clear(&mut self) {
-        self.flips.clear();
-    }
 }
 
 /// Charge orientation of a DRAM cell (§2.5 background).
@@ -211,8 +206,6 @@ mod tests {
         }
         assert_eq!(log.in_row_range(BankId(0), 5, 25).count(), 2);
         assert_eq!(log.in_row_range(BankId(1), 0, 100).count(), 0);
-        log.clear();
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -45,7 +45,3 @@ pub const REFRESH_WINDOW_NS: u64 = 64_000_000;
 
 /// Number of REF commands distributed across a refresh window (DDR4: 8192).
 pub const REFS_PER_WINDOW: u32 = 8192;
-
-/// Default duration a row stays open for a normal access, in nanoseconds
-/// (roughly tRAS for a closed-page access).
-pub const DEFAULT_OPEN_NS: u64 = 35;

@@ -181,12 +181,6 @@ impl Ept {
         self.mapped_leaves
     }
 
-    /// The integrity mode in force.
-    #[must_use]
-    pub fn integrity_mode(&self) -> IntegrityMode {
-        self.mode
-    }
-
     /// Translation walks performed so far.
     #[must_use]
     pub fn walks(&self) -> u64 {

@@ -692,12 +692,6 @@ impl FleetSim {
         self.tenants.keys().copied().collect()
     }
 
-    /// Events still queued on this host.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Admits a VM on behalf of an external scheduler. Unlike the internal
     /// [`EventKind::Arrive`] path this never defers (the cluster scheduler
     /// owns retry policy) and never schedules an internal departure (the

@@ -130,28 +130,8 @@ impl Blacksmith {
         self.fuzz_with(dram, bank, allowed_rows, rng, &mut None)
     }
 
-    /// [`Blacksmith::fuzz`] with a live [`Mitigation`] backend in the loop:
-    /// every activation is reported to `defense` (attributed to stream
-    /// `source`), and any throttle delay it injects stalls the attacker in
-    /// simulated time — giving refresh and TRR a chance to reset victims
-    /// before their thresholds are crossed.
-    ///
-    /// With [`mitigation::NoMitigation`] this is bit-identical to the
-    /// undefended [`Blacksmith::fuzz`] (same flips, acts, and clock).
-    pub fn fuzz_defended<R: Rng>(
-        &mut self,
-        dram: &mut DramSystem,
-        bank: BankId,
-        allowed_rows: &[u32],
-        rng: &mut R,
-        defense: &mut dyn Mitigation,
-        source: u16,
-    ) -> FuzzReport {
-        self.fuzz_with(dram, bank, allowed_rows, rng, &mut Some((defense, source)))
-    }
-
-    /// The one campaign loop behind [`Blacksmith::fuzz`] and
-    /// [`Blacksmith::fuzz_defended`].
+    /// The one campaign loop behind [`Blacksmith::fuzz`] and the defended
+    /// campaigns of [`crate::hammer_vm_defended`].
     pub(crate) fn fuzz_with<R: Rng>(
         &mut self,
         dram: &mut DramSystem,

@@ -13,21 +13,16 @@
 //! - [`attack`]: end-to-end harnesses over the [`siloz::Hypervisor`]: a
 //!   malicious VM hammering its own memory (the inter-VM containment
 //!   experiment of Table 3) and the EPT guard-row experiment of §7.1;
-//! - [`timing_channel`]: a DRAMA-style bank-conflict timing probe attackers
-//!   use to group addresses by bank without knowing the address map.
 
 #![forbid(unsafe_code)]
 
 pub mod attack;
-pub mod forensics;
 pub mod fuzzer;
 pub mod pattern;
-pub mod timing_channel;
 
 pub use attack::{
     hammer_vm, hammer_vm_defended, verify_ept_intact, vm_bank_rows, vm_rows, HammerVmReport,
 };
-pub use forensics::{attribute_flips, DamageReport, FlipOwner};
 pub use fuzzer::{Blacksmith, FuzzConfig, FuzzReport};
 pub use pattern::HammerPattern;
 

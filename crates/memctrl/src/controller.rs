@@ -400,12 +400,6 @@ impl MemoryController {
         self.tlb.inner()
     }
 
-    /// Decode-TLB `(hits, misses)` so far.
-    #[must_use]
-    pub fn tlb_stats(&self) -> (u64, u64) {
-        (self.tlb.hits(), self.tlb.misses())
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> &CtrlStats {
@@ -422,13 +416,6 @@ impl MemoryController {
     #[must_use]
     pub fn banks_touched(&self) -> usize {
         self.touched.len()
-    }
-
-    /// Per-bank access counts for touched banks (utilization audit).
-    pub fn bank_touches(&self) -> impl Iterator<Item = (BankId, u64)> + '_ {
-        self.touched
-            .iter()
-            .map(|&ord| (BankId(ord), self.bank_touches[ord as usize]))
     }
 
     /// Coefficient of variation of per-bank load (0 = perfectly even),

@@ -129,59 +129,6 @@ impl SubarrayGroupMap {
         })
     }
 
-    /// Reassembles a map from cached parts (§5.3's cross-boot cache path),
-    /// re-validating the invariants the cache cannot be trusted for: dense
-    /// ascending ids, exact row partitioning per socket, and exact frame
-    /// coverage of the machine.
-    pub fn from_parts(
-        decoder: SystemAddressDecoder,
-        presumed_rows: u32,
-        groups: Vec<GroupInfo>,
-    ) -> Result<Self, SilozError> {
-        let g = decoder.geometry();
-        if presumed_rows == 0 || !g.rows_per_bank.is_multiple_of(presumed_rows) {
-            return Err(SilozError::BadConfig(
-                "cached presumed size inconsistent".into(),
-            ));
-        }
-        let groups_per_socket = g.rows_per_bank / presumed_rows;
-        let expected = (g.sockets as u32 * groups_per_socket) as usize;
-        if groups.len() != expected {
-            return Err(SilozError::BadConfig(format!(
-                "cached map has {} groups, expected {expected}",
-                groups.len()
-            )));
-        }
-        let mut total_bytes = 0u64;
-        for (i, info) in groups.iter().enumerate() {
-            if info.id.0 as usize != i {
-                return Err(SilozError::BadConfig("cached group ids not dense".into()));
-            }
-            let expected_rows = (info.id.0 % groups_per_socket) * presumed_rows;
-            if info.rows.start != expected_rows
-                || info.rows.end != expected_rows + presumed_rows
-                || info.socket as u32 != info.id.0 / groups_per_socket
-            {
-                return Err(SilozError::BadConfig(format!(
-                    "cached group {} extents inconsistent",
-                    info.id.0
-                )));
-            }
-            total_bytes += info.bytes();
-        }
-        if total_bytes != decoder.capacity() {
-            return Err(SilozError::BadConfig(
-                "cached frames do not cover the machine exactly".into(),
-            ));
-        }
-        Ok(Self {
-            groups,
-            groups_per_socket,
-            presumed_rows,
-            decoder,
-        })
-    }
-
     /// All groups, ascending by id.
     #[must_use]
     pub fn groups(&self) -> &[GroupInfo] {
@@ -198,12 +145,6 @@ impl SubarrayGroupMap {
     #[must_use]
     pub fn groups_per_socket(&self) -> u32 {
         self.groups_per_socket
-    }
-
-    /// Presumed rows per subarray.
-    #[must_use]
-    pub fn presumed_rows(&self) -> u32 {
-        self.presumed_rows
     }
 
     /// Groups on one socket, ascending.

@@ -314,12 +314,6 @@ impl Hypervisor {
         })
     }
 
-    /// The placement strategy admission control currently runs under.
-    #[must_use]
-    pub fn placement_strategy(&self) -> PlacementStrategy {
-        self.strategy
-    }
-
     /// Switches the placement strategy used by [`Self::create_vm`] for all
     /// subsequent admissions. Existing placements are untouched: strategies
     /// only reorder candidate nodes and sockets, never what is claimable,
@@ -1145,8 +1139,8 @@ impl Hypervisor {
     }
 
     /// Allocates one 4 KiB table page from the EPT pool of the VM's socket,
-    /// for EPT-adjacent metadata that needs the same integrity protection
-    /// (e.g. IOMMU tables, §5.1). The caller owns the page.
+    /// for EPT-adjacent metadata that needs the same guard-row protection
+    /// (§5.4). The caller owns the page.
     pub fn alloc_protected_table_page(&mut self, handle: VmHandle) -> Result<u64, SilozError> {
         let socket = self.vm(handle)?.socket;
         let (_, mut pool, _) = self.ept_backend(socket);
@@ -1244,23 +1238,6 @@ impl Hypervisor {
         region.backing[block_idx] = new;
         self.topo.free(old.node, old.frame, old.order)?;
         self.events.migrations += 1;
-        Ok(())
-    }
-
-    /// Allocates host memory (order-`order` block) from a socket's
-    /// host-reserved node.
-    pub fn host_alloc(&mut self, socket: u16, order: u8) -> Result<u64, SilozError> {
-        let node = *self
-            .host_nodes
-            .get(socket as usize)
-            .ok_or_else(|| SilozError::BadConfig(format!("no socket {socket}")))?;
-        Ok(self.topo.alloc(node, order)?)
-    }
-
-    /// Frees host memory.
-    pub fn host_free(&mut self, socket: u16, frame: u64, order: u8) -> Result<(), SilozError> {
-        let node = self.host_nodes[socket as usize];
-        self.topo.free(node, frame, order)?;
         Ok(())
     }
 }

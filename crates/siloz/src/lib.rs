@@ -31,30 +31,22 @@
 
 pub mod artificial;
 pub mod audit;
-pub mod boot_cache;
 pub mod config;
 pub mod defenses;
 pub mod ept_guard;
 pub mod group;
-pub mod guest_paging;
 pub mod hypervisor;
-pub mod iommu;
 pub mod provision;
 pub mod snc;
-pub mod virtio;
 pub mod vm;
 
 pub use audit::{audit, AuditReport, Violation};
-pub use boot_cache::{from_cache, to_cache};
 pub use config::{EptProtection, SilozConfig};
 pub use ept_guard::EptGuardPlan;
 pub use group::{GroupId, GroupInfo, GroupOccupancy, OccupancyReport, SubarrayGroupMap};
-pub use guest_paging::GuestPageTables;
 pub use hypervisor::{Hypervisor, HypervisorKind};
-pub use iommu::IommuDomain;
 pub use provision::ProvisionedTopology;
 pub use snc::{apply_snc, SncMap};
-pub use virtio::{DmaRateLimiter, VirtQueue, VirtioBlk};
 pub use vm::{BackingBlock, MemoryRegionKind, VmHandle, VmSpec};
 
 /// Errors produced by the hypervisor and its boot-time computations.

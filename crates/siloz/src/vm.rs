@@ -18,9 +18,6 @@ pub enum MemoryRegionKind {
     RomDevice,
     /// Emulated MMIO: every access exits to the hypervisor.
     Mmio,
-    /// Paravirtual (virtio) queue memory: DMAs are mediated by the
-    /// hypervisor, but the queue pages themselves are guest-visible RAM.
-    VirtioQueue,
 }
 
 impl MemoryRegionKind {
@@ -29,10 +26,7 @@ impl MemoryRegionKind {
     #[must_use]
     pub fn is_unmediated(self) -> bool {
         match self {
-            MemoryRegionKind::Ram
-            | MemoryRegionKind::Rom
-            | MemoryRegionKind::RomDevice
-            | MemoryRegionKind::VirtioQueue => true,
+            MemoryRegionKind::Ram | MemoryRegionKind::Rom | MemoryRegionKind::RomDevice => true,
             MemoryRegionKind::Mmio => false,
         }
     }
@@ -168,7 +162,6 @@ mod tests {
         assert!(MemoryRegionKind::Ram.is_unmediated());
         assert!(MemoryRegionKind::Rom.is_unmediated());
         assert!(MemoryRegionKind::RomDevice.is_unmediated());
-        assert!(MemoryRegionKind::VirtioQueue.is_unmediated());
         assert!(!MemoryRegionKind::Mmio.is_unmediated());
     }
 

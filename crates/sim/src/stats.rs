@@ -38,15 +38,6 @@ impl Summary {
             ci95,
         }
     }
-
-    /// Relative CI half-width in percent of the mean.
-    #[must_use]
-    pub fn ci95_pct(&self) -> f64 {
-        if self.mean == 0.0 {
-            return 0.0;
-        }
-        self.ci95 / self.mean.abs() * 100.0
-    }
 }
 
 /// Two-sided 95% t critical values by degrees of freedom (∞ → 1.96).

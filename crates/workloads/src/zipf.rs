@@ -7,7 +7,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zeta_n: f64,
     eta: f64,
@@ -40,7 +39,6 @@ impl Zipfian {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n);
         Self {
             n,
-            theta,
             alpha,
             zeta_n,
             eta,
@@ -97,12 +95,6 @@ impl Zipfian {
     #[must_use]
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// Skew parameter.
-    #[must_use]
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Samples an item index.

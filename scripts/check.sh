@@ -66,7 +66,7 @@ step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to
 step "cluster gate: quick multi-host soak (scheduler + migration + determinism), pinned to CLUSTER_soak_quick.json" \
   pinned CLUSTER_soak_quick.json cargo run --release -q -p bench --bin cluster_soak -- --quick
 
-# ~60 s on 2 cores, VmHWM ~1.25 GiB: 4096 hosts, 1.67 M events, three
+# ~14 s on 2 cores, VmHWM 1.17-1.28 GiB: 4096 hosts, 1.67 M events, three
 # policies. The strongest byte-pin a lifecycle change can be held to, and a
 # memory gate: the step fails when the soak's own VmHWM exceeds 1.8 GiB.
 scale_rss_limit_mib=1843

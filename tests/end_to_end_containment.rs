@@ -110,3 +110,45 @@ fn repairs_and_transforms_do_not_break_containment() {
         report.escapes
     );
 }
+
+#[test]
+fn six_sided_hammer_over_own_same_bank_rows_stays_contained() {
+    // A hand-built many-sided pattern rather than a fuzzed one: the attacker
+    // samples its own backing at the row-group stride, keeps the largest
+    // same-bank set (bank hashing XORs row bits, so the set spans several
+    // banks' worth of candidates), and hammers six of its rows round-robin —
+    // more aggressors than the 4-entry TRR tracks, fast enough to beat the
+    // refresh window. It flips its own bits and none outside its domain.
+    let mut hv = Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Siloz).unwrap();
+    let attacker = hv.create_vm(VmSpec::new("attacker", 2, 256 << 20)).unwrap();
+    let _victim = hv.create_vm(VmSpec::new("victim", 2, 256 << 20)).unwrap();
+
+    let base = hv.vm_unmediated_backing(attacker).unwrap()[0].hpa();
+    let dec = hv.decoder().clone();
+    let g = *dec.geometry();
+    let mut by_bank = std::collections::BTreeMap::<u32, Vec<_>>::new();
+    for i in 0..48u64 {
+        let media = dec.decode(base + i * g.row_group_bytes()).unwrap();
+        by_bank
+            .entry(media.global_bank(&g).0)
+            .or_default()
+            .push(media);
+    }
+    let biggest = by_bank.into_values().max_by_key(Vec::len).unwrap();
+    assert!(biggest.len() >= 6, "need six same-bank aggressors");
+
+    let aggressors = &biggest[..6];
+    let dram = hv.dram_mut();
+    for _ in 0..300_000usize {
+        for m in aggressors {
+            dram.activate(m, 0);
+        }
+        dram.advance_ns(aggressors.len() as u64 * siloz_repro::hammer::T_RC_NS);
+    }
+    assert!(
+        !hv.dram().flip_log().is_empty(),
+        "the campaign must flip bits in-domain"
+    );
+    let escapes = hv.flips_outside_vm(attacker).unwrap();
+    assert!(escapes.is_empty(), "escaped with {} flips", escapes.len());
+}

@@ -183,3 +183,32 @@ fn soft_refresh_cannot_substitute_for_guard_rows() {
     let time_to_flip_ms = 22_000.0 * 47e-9 * 1e3;
     assert!(report.max_period_ms > time_to_flip_ms * 10.0);
 }
+
+#[test]
+fn protected_table_pages_share_the_guarded_ept_row() {
+    // §5.4: EPT-adjacent metadata drawn through the hypervisor gets the same
+    // guard-row protection as the EPTs themselves — every page sits in the
+    // socket's EPT row group, and no page is handed out twice or overlaps
+    // a VM's own EPT pages.
+    let mut hv = Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Siloz).unwrap();
+    let sp = hv.ept_plan().unwrap().socket(0).unwrap().clone();
+    let vms = [
+        hv.create_vm(VmSpec::new("a", 1, 96 << 20)).unwrap(),
+        hv.create_vm(VmSpec::new("b", 1, 96 << 20)).unwrap(),
+    ];
+    let mut pages = std::collections::BTreeSet::new();
+    for &vm in &vms {
+        for _ in 0..8 {
+            let hpa = hv.alloc_protected_table_page(vm).unwrap();
+            assert_eq!(hpa % 4096, 0, "table page {hpa:#x} is not page-aligned");
+            let (_, row) = hv.decoder().row_group_of(hpa).unwrap();
+            assert_eq!(row, sp.ept_row, "table page {hpa:#x} outside the EPT row");
+            assert!(pages.insert(hpa), "table page {hpa:#x} handed out twice");
+        }
+    }
+    for &vm in &vms {
+        for hpa in hv.vm_ept_pages(vm).unwrap() {
+            assert!(!pages.contains(hpa), "table page {hpa:#x} is a VM EPT page");
+        }
+    }
+}

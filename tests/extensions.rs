@@ -1,8 +1,8 @@
-//! Integration: the §8 discussion points — sub-NUMA clustering, DDR5
-//! geometries, IOMMU passthrough, and the §9 intra-VM trade-off.
+//! Integration: the §8 discussion points — sub-NUMA clustering and DDR5
+//! geometries — and the §9 intra-VM trade-off.
 
 use siloz_repro::dram_addr::{ddr5_geometry, InternalMapConfig};
-use siloz_repro::siloz::{apply_snc, Hypervisor, HypervisorKind, IommuDomain, SilozConfig, VmSpec};
+use siloz_repro::siloz::{apply_snc, Hypervisor, HypervisorKind, SilozConfig, VmSpec};
 
 #[test]
 fn snc2_provisions_at_half_granularity() {
@@ -36,29 +36,6 @@ fn ddr5_geometry_boots_with_larger_groups_and_no_artificial_groups() {
         2 * (128 - 1),
         "128 groups of 3 GiB per 384 GiB socket"
     );
-}
-
-#[test]
-fn iommu_restricts_passthrough_dma_end_to_end() {
-    // §5.1's SR-IOV requirements, demonstrated across the stack.
-    let mut hv = Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Siloz).unwrap();
-    let tenant = hv.create_vm(VmSpec::new("tenant", 1, 96 << 20)).unwrap();
-    let other = hv.create_vm(VmSpec::new("other", 1, 96 << 20)).unwrap();
-    let mut dom = IommuDomain::new(&mut hv, tenant).unwrap();
-
-    // Map a ring buffer in the tenant's own memory and "DMA" through it.
-    let ring_hpa = hv.vm_unmediated_backing(tenant).unwrap()[0].hpa() + (4 << 20);
-    dom.map(&mut hv, 0x0, ring_hpa).unwrap();
-    let hpa = dom.translate(0x40).unwrap();
-    let media = hv.decoder().decode(hpa).unwrap();
-    let bank = media.global_bank(hv.decoder().geometry());
-    hv.dram_mut().write_row(bank, media.row, media.col, b"dma!");
-    let (data, _) = hv.dram_mut().read_row(bank, media.row, media.col, 4);
-    assert_eq!(&data, b"dma!");
-
-    // The device can never be pointed at the other tenant or the host.
-    let foreign = hv.vm_unmediated_backing(other).unwrap()[0].hpa();
-    assert!(dom.map(&mut hv, 0x1000, foreign).is_err());
 }
 
 #[test]
