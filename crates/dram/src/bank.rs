@@ -25,66 +25,26 @@ pub(crate) fn side_idx(side: RankSide) -> u8 {
     }
 }
 
-/// Disturbance state of one victim half-row.
-///
-/// Disturbance is stored in *segment* form, `base + w * n`: `n` activations
-/// at the current per-ACT weight `w` on top of a folded `base` from earlier
-/// weight regimes (RowPress changes `w` mid-window). This makes a coalesced
-/// burst of `k` activations (`n += k`) produce bit-for-bit the same float as
-/// `k` sequential per-ACT updates — both evaluate `base + w * n` with one
-/// multiply and one add — which is what pins the burst path to the reference
-/// path in the equivalence proptests.
-///
-/// The next flip threshold is held inline (`next_threshold`), so a burst
-/// that crosses nothing reads this struct and never the `cells` heap
-/// allocation.
-#[derive(Debug, Clone)]
-pub(crate) struct VictimState {
+/// Accumulated disturbance of one victim half-row in *segment* form,
+/// `base + w * n`: `n` activations at the current per-ACT weight `w` on top
+/// of a folded `base` from earlier weight regimes (RowPress changes `w`
+/// mid-window). This makes a coalesced burst of `k` activations (`n += k`)
+/// produce bit-for-bit the same float as `k` sequential per-ACT updates —
+/// both evaluate `base + w * n` with one multiply and one add — which is
+/// what pins the burst path to the reference path in the equivalence
+/// proptests. `Copy`, so a cycle fold can run it ahead on a copy.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Segment {
     /// Folded disturbance from earlier weight segments (since last refresh).
     pub base: f64,
     /// Per-activation weight of the current segment.
     pub w: f64,
     /// Activation count in the current segment.
     pub n: u64,
-    /// `cells[next_cell].threshold`, or ∞ once every cell has flipped.
-    next_threshold: f64,
-    /// `cells[0].threshold` (∞ with no weak cells): what refresh re-arms
-    /// `next_threshold` to.
-    first_threshold: f64,
-    /// This half-row's weak cells, sorted by flip threshold.
-    cells: Vec<WeakCell>,
-    /// Index of the next unflipped weak cell at the current disturbance.
-    next_cell: usize,
 }
 
-impl VictimState {
-    /// An undisturbed half-row with the given weak cells (sorted by
-    /// threshold).
-    pub(crate) fn new(cells: Vec<WeakCell>) -> Self {
-        let first_threshold = cells.first().map_or(f64::INFINITY, |c| c.threshold);
-        Self {
-            base: 0.0,
-            w: 0.0,
-            n: 0,
-            next_threshold: first_threshold,
-            first_threshold,
-            cells,
-            next_cell: 0,
-        }
-    }
-
-    /// Refresh: clears the disturbance accumulator and re-arms the weak
-    /// cells (charge restored; already-flipped data stays flipped until
-    /// rewritten or scrubbed).
-    #[inline]
-    pub(crate) fn refresh(&mut self) {
-        self.base = 0.0;
-        self.n = 0;
-        self.next_cell = 0;
-        self.next_threshold = self.first_threshold;
-    }
-
-    /// Accumulated weighted disturbance since this half-row's last refresh.
+impl Segment {
+    /// Accumulated weighted disturbance since the last refresh.
     #[inline]
     #[must_use]
     pub(crate) fn disturb(&self) -> f64 {
@@ -108,6 +68,90 @@ impl VictimState {
         (self.base, n_before)
     }
 
+    /// What a refresh does to the accumulator: `base` and `n` clear, the
+    /// weight stays.
+    #[inline]
+    fn clear(&mut self) {
+        self.base = 0.0;
+        self.n = 0;
+    }
+
+    /// Bitwise equality (a cycle fold's fixed-point test).
+    #[inline]
+    fn same_bits(&self, other: &Self) -> bool {
+        self.base.to_bits() == other.base.to_bits()
+            && self.w.to_bits() == other.w.to_bits()
+            && self.n == other.n
+    }
+}
+
+/// One victim half-row's part of a pattern period, in run order: what a
+/// cycle fold (`crate::DramSystem::activate_cycle`) replays on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum VictimOp {
+    /// `count` activations of a neighbour at per-ACT weight `w`.
+    Add { w: f64, count: u64 },
+    /// The half-row is itself activated, which refreshes it.
+    Reset,
+}
+
+/// Disturbance state of one victim half-row.
+///
+/// The next flip threshold is held inline (`next_threshold`), so a burst
+/// that crosses nothing reads this struct and never the `cells` heap
+/// allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct VictimState {
+    /// Accumulated disturbance since the last refresh.
+    pub seg: Segment,
+    /// `cells[next_cell].threshold`, or ∞ once every cell has flipped.
+    next_threshold: f64,
+    /// `cells[0].threshold` (∞ with no weak cells): what refresh re-arms
+    /// `next_threshold` to.
+    first_threshold: f64,
+    /// This half-row's weak cells, sorted by flip threshold.
+    cells: Vec<WeakCell>,
+    /// Index of the next unflipped weak cell at the current disturbance.
+    next_cell: usize,
+}
+
+impl VictimState {
+    /// An undisturbed half-row with the given weak cells (sorted by
+    /// threshold).
+    pub(crate) fn new(cells: Vec<WeakCell>) -> Self {
+        let first_threshold = cells.first().map_or(f64::INFINITY, |c| c.threshold);
+        Self {
+            seg: Segment::default(),
+            next_threshold: first_threshold,
+            first_threshold,
+            cells,
+            next_cell: 0,
+        }
+    }
+
+    /// Refresh: clears the disturbance accumulator and re-arms the weak
+    /// cells (charge restored; already-flipped data stays flipped until
+    /// rewritten or scrubbed).
+    #[inline]
+    pub(crate) fn refresh(&mut self) {
+        self.seg.clear();
+        self.next_cell = 0;
+        self.next_threshold = self.first_threshold;
+    }
+
+    /// Accumulated weighted disturbance since this half-row's last refresh.
+    #[inline]
+    #[must_use]
+    pub(crate) fn disturb(&self) -> f64 {
+        self.seg.disturb()
+    }
+
+    /// Records `k` activations at weight `w` (see [`Segment::add`]).
+    #[inline]
+    pub(crate) fn add(&mut self, w: f64, k: u64) -> (f64, u64) {
+        self.seg.add(w, k)
+    }
+
     /// The next unflipped weak cell if `disturb` has reached its threshold,
     /// advancing past it; `None` (without touching `cells`) otherwise.
     #[inline]
@@ -123,6 +167,78 @@ impl VictimState {
             .map_or(f64::INFINITY, |c| c.threshold);
         Some(cell)
     }
+
+    /// The accumulator after `reps` passes of `ops`, or `None` if some
+    /// `Add` on the way would reach a weak-cell threshold (a flip, which
+    /// only the per-run path emits in per-ACT order). Reads only.
+    ///
+    /// Three cases, each bit-identical to replaying the ops one by one:
+    /// one weight and no reset is a single `add(w, reps × Σcount)`, and
+    /// its last value is its peak (the disturbance only grows); with a
+    /// reset the passes are simulated until one leaves the accumulator and
+    /// the threshold it checks against bitwise where it found them — a
+    /// pass's output depends on its input only through the weight at its
+    /// first reset, so that takes at most three passes; mixed weights
+    /// without a reset replay every add.
+    pub(crate) fn fold(&self, ops: &[VictimOp], has_reset: bool, reps: u64) -> Option<Segment> {
+        let mut seg = self.seg;
+        let mut threshold = self.next_threshold;
+        if let Some(w) = single_weight(ops) {
+            let count: u64 = ops
+                .iter()
+                .map(|op| match *op {
+                    VictimOp::Add { count, .. } => count,
+                    VictimOp::Reset => 0,
+                })
+                .sum();
+            seg.add(w, reps * count);
+            return (seg.disturb() < threshold).then_some(seg);
+        }
+        for _ in 0..reps {
+            let (before, threshold_before) = (seg, threshold);
+            for op in ops {
+                match *op {
+                    VictimOp::Add { w, count } => {
+                        seg.add(w, count);
+                        if seg.disturb() >= threshold {
+                            return None;
+                        }
+                    }
+                    VictimOp::Reset => {
+                        seg.clear();
+                        threshold = self.first_threshold;
+                    }
+                }
+            }
+            if has_reset
+                && seg.same_bits(&before)
+                && threshold.to_bits() == threshold_before.to_bits()
+            {
+                break;
+            }
+        }
+        Some(seg)
+    }
+
+    /// Writes back a [`VictimState::fold`] result; `has_reset` re-arms the
+    /// weak cells as the pass's own-row refresh did.
+    #[inline]
+    pub(crate) fn set_folded(&mut self, seg: Segment, has_reset: bool) {
+        if has_reset {
+            self.refresh();
+        }
+        self.seg = seg;
+    }
+}
+
+/// The one weight of `ops`, if they are all `Add`s of bitwise the same `w`.
+fn single_weight(ops: &[VictimOp]) -> Option<f64> {
+    let VictimOp::Add { w, .. } = *ops.first()? else {
+        return None;
+    };
+    ops.iter()
+        .all(|op| matches!(*op, VictimOp::Add { w: x, .. } if x.to_bits() == w.to_bits()))
+        .then_some(w)
 }
 
 /// Mutable state of a single DRAM bank: victim disturbance accumulators,
@@ -338,11 +454,9 @@ mod tests {
                 seq.add(w, 1);
             }
             let (base, n_before) = burst.add(w, k);
-            assert_eq!(base.to_bits(), burst.base.to_bits());
-            assert_eq!(burst.n, n_before + k);
-            assert_eq!(seq.base.to_bits(), burst.base.to_bits());
-            assert_eq!(seq.w.to_bits(), burst.w.to_bits());
-            assert_eq!(seq.n, burst.n);
+            assert_eq!(base.to_bits(), burst.seg.base.to_bits());
+            assert_eq!(burst.seg.n, n_before + k);
+            assert!(seq.seg.same_bits(&burst.seg));
             assert_eq!(seq.disturb().to_bits(), burst.disturb().to_bits());
         }
     }

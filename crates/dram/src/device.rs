@@ -32,8 +32,17 @@
 //! device. Its own half-rows are looked up on every apply — one load from
 //! the bank's flat victim index — because a neighbour two rows away may
 //! create their state after the handle was resolved.
+//!
+//! A hammer pattern repeats one run list every period, and between two time
+//! events ([`DramSystem::next_time_event_ns`]) nothing else happens.
+//! [`DramSystem::resolve_cycle`] turns the run list into a [`Cycle`] — per
+//! victim half-row the adds and own-row refreshes one pass applies, per rank
+//! side the TRR pass — and [`DramSystem::activate_cycle`] applies any number
+//! of passes in one call, falling back to the per-run path when a pass
+//! would cross a flip threshold. `cycle_equals_reference` in
+//! `burst_equivalence.rs` pins it to the per-run path.
 
-use crate::bank::{side_idx, BankState};
+use crate::bank::{side_idx, BankState, Segment, VictimOp};
 use crate::ecc::{classify, EccMode, ReadIntegrity};
 use crate::flip::{BitFlip, FlipLog, WeakCell};
 use crate::profile::DimmProfile;
@@ -156,6 +165,49 @@ pub struct Aggressor {
     bank: BankId,
     rank: u16,
     sides: [AggressorSide; 2],
+}
+
+/// One victim half-row of a [`Cycle`]: its ops are `ops[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct CycleVictim {
+    /// Index into the bank's victim arena.
+    idx: u32,
+    start: u32,
+    end: u32,
+    /// Whether an op is an own-row refresh.
+    has_reset: bool,
+}
+
+/// A pattern period — a run list of resolved aggressors on one bank —
+/// built once by [`DramSystem::resolve_cycle`] and applied any number of
+/// times in one call by [`DramSystem::activate_cycle`]. Every allocation of
+/// a fold happens when the cycle is built.
+#[derive(Debug, Clone)]
+pub struct Cycle {
+    /// The period's runs in issue order, zero-count runs dropped.
+    runs: Vec<(Aggressor, u64)>,
+    /// Activations per pass.
+    acts: u64,
+    /// Length of the bank's victim arena when the cycle was built: a longer
+    /// arena may hold state for an own half-row, whose refresh the ops lack.
+    arena_len: usize,
+    /// Each half-row one pass disturbs or refreshes, in arena order.
+    victims: Vec<CycleVictim>,
+    /// Per-victim ops, concatenated, each victim's in run order.
+    ops: Vec<VictimOp>,
+    /// Per rank side, the `(internal row, count)` the TRR tracker observes
+    /// in one pass.
+    trr: [Vec<(u32, u64)>; 2],
+    /// A fold's results, one per victim, held until none crosses.
+    folded: Vec<Segment>,
+}
+
+impl Cycle {
+    /// Activations one pass issues.
+    #[must_use]
+    pub fn acts(&self) -> u64 {
+        self.acts
+    }
 }
 
 /// Builder for [`DramSystem`].
@@ -441,6 +493,18 @@ impl DramSystem {
         }
     }
 
+    /// Simulated time of the next event [`DramSystem::advance_ns`] would
+    /// execute: the next REF step or, with patrol scrub on, the next scrub.
+    /// Activations issued before it see no refresh in between.
+    #[must_use]
+    pub fn next_time_event_ns(&self) -> u64 {
+        if self.scrub_interval_ns > 0 {
+            self.next_ref_ns.min(self.next_scrub_ns)
+        } else {
+            self.next_ref_ns
+        }
+    }
+
     /// Accumulated results of automatic patrol scrubs (empty when patrol
     /// scrubbing is disabled).
     #[must_use]
@@ -700,6 +764,126 @@ impl DramSystem {
         if !self.scratch_flips.is_empty() {
             self.apply_scratch_flips(bank, aggressor.rank);
         }
+    }
+
+    /// Builds the [`Cycle`] of a period of resolved runs on one bank: per
+    /// victim half-row, the ops one pass applies to it in run order — an
+    /// `Add` per run it neighbours, a `Reset` per run that activates it —
+    /// and per rank side the TRR pass. Resolve every handle first (at its
+    /// first issue, see [`DramSystem::resolve_aggressor`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runs span more than one bank.
+    #[must_use]
+    pub fn resolve_cycle(&self, runs: &[(Aggressor, u64)]) -> Cycle {
+        let runs: Vec<(Aggressor, u64)> = runs.iter().copied().filter(|r| r.1 > 0).collect();
+        let mut cycle = Cycle {
+            acts: runs.iter().map(|r| r.1).sum(),
+            arena_len: 0,
+            victims: Vec::new(),
+            ops: Vec::new(),
+            trr: [Vec::new(), Vec::new()],
+            folded: Vec::new(),
+            runs,
+        };
+        let Some(bank) = cycle.runs.first().map(|r| r.0.bank) else {
+            return cycle;
+        };
+        let state = self.banks[bank.0 as usize]
+            .as_ref()
+            .expect("resolve_aggressor materialized the bank");
+        let mut tagged: Vec<(u32, VictimOp)> = Vec::new();
+        for (aggressor, count) in &cycle.runs {
+            assert_eq!(aggressor.bank, bank, "a cycle's runs share one bank");
+            for (s, side) in (0u8..).zip(&aggressor.sides) {
+                cycle.trr[s as usize].push((side.row, *count));
+                if let Some(idx) = state.victim_idx(s, side.row) {
+                    tagged.push((idx, VictimOp::Reset));
+                }
+                for v in &side.victims[..side.n_victims as usize] {
+                    tagged.push((
+                        v.idx,
+                        VictimOp::Add {
+                            w: v.w,
+                            count: *count,
+                        },
+                    ));
+                }
+            }
+        }
+        // Stable: each victim's ops stay in run order.
+        tagged.sort_by_key(|t| t.0);
+        for group in tagged.chunk_by(|a, b| a.0 == b.0) {
+            let start = cycle.ops.len() as u32;
+            cycle.ops.extend(group.iter().map(|t| t.1));
+            cycle.victims.push(CycleVictim {
+                idx: group[0].0,
+                start,
+                end: cycle.ops.len() as u32,
+                has_reset: group.iter().any(|t| matches!(t.1, VictimOp::Reset)),
+            });
+        }
+        cycle.folded.resize(cycle.victims.len(), Segment::default());
+        cycle.arena_len = state.victims.len();
+        cycle
+    }
+
+    /// Applies `reps` passes of `cycle` back to back, bit-identical to
+    /// `reps` × [`DramSystem::activate_resolved`] over its runs. Like a
+    /// burst, the passes must not span a refresh
+    /// ([`DramSystem::next_time_event_ns`]).
+    ///
+    /// The fold reads first: each victim's accumulator after `reps` passes
+    /// (see `VictimState::fold`). If any victim would reach its next
+    /// weak-cell threshold on the way, the passes run as `reps` ×
+    /// `activate_resolved` instead, so flips keep their per-ACT order.
+    /// Otherwise the folded accumulators are written back, each TRR side
+    /// replays its pass `reps` times (`TrrTracker::observe_cycle`),
+    /// and the counters add `reps` × the period's activations. A cycle
+    /// built before the bank's victim arena grew rebuilds itself first.
+    pub fn activate_cycle(&mut self, cycle: &mut Cycle, reps: u64) {
+        debug_assert!(
+            self.now_ns < self.next_ref_ns,
+            "a cycle must not span a refresh boundary: split it around advance_ns"
+        );
+        let Some(bank) = cycle.runs.first().map(|r| r.0.bank) else {
+            return;
+        };
+        if reps == 0 {
+            return;
+        }
+        let arena_len = self.banks[bank.0 as usize]
+            .as_ref()
+            .expect("resolve_aggressor materialized the bank")
+            .victims
+            .len();
+        if arena_len != cycle.arena_len {
+            *cycle = self.resolve_cycle(&cycle.runs);
+        }
+        let state = self.banks[bank.0 as usize].as_mut().expect("checked above");
+        for (v, out) in cycle.victims.iter().zip(&mut cycle.folded) {
+            let ops = &cycle.ops[v.start as usize..v.end as usize];
+            match state.victims[v.idx as usize].fold(ops, v.has_reset, reps) {
+                Some(seg) => *out = seg,
+                None => {
+                    for _ in 0..reps {
+                        for (aggressor, count) in &cycle.runs {
+                            self.activate_resolved(aggressor, *count);
+                        }
+                    }
+                    return;
+                }
+            }
+        }
+        for (v, &seg) in cycle.victims.iter().zip(&cycle.folded) {
+            state.victims[v.idx as usize].set_folded(seg, v.has_reset);
+        }
+        for (tracker, pass) in state.trr.iter_mut().zip(&cycle.trr) {
+            tracker.observe_cycle(pass, reps);
+        }
+        state.acts += reps * cycle.acts;
+        self.stats.acts += reps * cycle.acts;
     }
 
     /// Applies the flips an activation collected in `scratch_flips`, in

@@ -7,6 +7,10 @@
 //! set churns and true aggressors slip through. We model exactly that
 //! mechanism with a Misra-Gries-style frequent-items tracker.
 
+/// Most entries [`TrrTracker::observe_cycle`] snapshots on the stack to
+/// test a pass for a fixed point.
+const SNAPSHOT_MAX: usize = 16;
+
 /// A per-bank TRR tracker.
 ///
 /// Tracks up to `capacity` candidate aggressor rows with activation
@@ -100,6 +104,47 @@ impl TrrTracker {
         }
     }
 
+    /// Replays `reps` passes of `pass` — each `(row, n)` one
+    /// [`TrrTracker::observe_n`], in order — with state identical to
+    /// issuing them one by one.
+    ///
+    /// Two shortcuts keep a long replay short. A pass whose rows are all
+    /// tracked only increments them, so the remaining passes add
+    /// `passes × n` per row at once. A pass that leaves the entries exactly
+    /// as it found them, order included, is a fixed point: every later pass
+    /// would too. Misra-Gries churn under a many-sided pattern reaches one
+    /// within a pass or two, so a pattern's periods between two REF steps
+    /// cost a few passes, not one per period. (A tracker of more than
+    /// `SNAPSHOT_MAX` = 16 entries skips the fixed-point test.)
+    pub(crate) fn observe_cycle(&mut self, pass: &[(u32, u64)], reps: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut before = [(0u32, 0u64); SNAPSHOT_MAX];
+        for left in (1..=reps).rev() {
+            let tracked = |row: u32| self.entries.iter().any(|e| e.0 == row);
+            if pass.iter().all(|&(row, _)| tracked(row)) {
+                for &(row, n) in pass {
+                    if let Some(e) = self.entries.iter_mut().find(|e| e.0 == row) {
+                        e.1 += left * n;
+                    }
+                }
+                return;
+            }
+            let len = self.entries.len();
+            let snapshot = len <= SNAPSHOT_MAX;
+            if snapshot {
+                before[..len].copy_from_slice(&self.entries);
+            }
+            for &(row, n) in pass {
+                self.observe_n(row, n);
+            }
+            if snapshot && self.entries[..] == before[..len] {
+                return;
+            }
+        }
+    }
+
     /// Handles a REF command: fills `served` (cleared first) with the
     /// internal rows whose *neighbors* should be refreshed now (the suspected
     /// aggressors, most-activated first), resetting their counters. The
@@ -128,6 +173,7 @@ impl TrrTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// One REF served into a buffer that arrives dirty, as the device's does.
     fn served_at_ref(t: &mut TrrTracker) -> Vec<u32> {
@@ -229,6 +275,70 @@ mod tests {
         let mut d = TrrTracker::disabled();
         d.observe_n(10, 100);
         assert!(d.entries().is_empty());
+    }
+
+    /// Drives `observe_cycle` and a loop of `reps` passes of `observe_n`
+    /// through the same rounds, a REF after each, comparing the entries —
+    /// order included — after every step.
+    fn cycle_matches_passes(
+        (capacity, served): (usize, usize),
+        pass: &[(u32, u64)],
+        rounds: &[u64],
+    ) -> bool {
+        let mut folded = TrrTracker::new(capacity, served);
+        let mut passes = folded.clone();
+        let mut churned = false;
+        for &reps in rounds {
+            folded.observe_cycle(pass, reps);
+            for _ in 0..reps {
+                for &(row, n) in pass {
+                    passes.observe_n(row, n);
+                }
+            }
+            assert_eq!(folded.entries(), passes.entries(), "after {reps} passes");
+            let tracked = |row| passes.entries().iter().any(|e| e.0 == row);
+            churned |= reps > 0 && pass.iter().any(|p| !tracked(p.0));
+            assert_eq!(served_at_ref(&mut folded), served_at_ref(&mut passes));
+        }
+        churned
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// At most `capacity` distinct rows: every row stays tracked and
+        /// the counts grow (the closed form after the first pass).
+        #[test]
+        fn observe_cycle_equals_passes_when_counts_grow(
+            capacity in 1usize..6,
+            pass in prop::collection::vec((0u32..64, 1u64..5), 1..12),
+            rounds in prop::collection::vec(0u64..40, 1..6),
+        ) {
+            let pass: Vec<(u32, u64)> =
+                pass.iter().map(|&(row, n)| (row % capacity as u32, n)).collect();
+            let churned = cycle_matches_passes((capacity, 2), &pass, &rounds);
+            prop_assert!(!churned, "every row of the pass stays tracked");
+        }
+
+        /// More distinct rows than slots: Misra-Gries churn, decrements,
+        /// replacements and the post-REF zero-count slots, where the
+        /// fixed-point test must see entry order.
+        #[test]
+        fn observe_cycle_equals_passes_under_churn(
+            capacity in 1usize..5,
+            served in 0usize..3,
+            pass in prop::collection::vec((0u32..64, 1u64..5), 2..16),
+            rounds in prop::collection::vec(0u64..40, 1..6),
+        ) {
+            let span = capacity as u32 + 1 + pass.len() as u32 % 4;
+            let mut pass: Vec<(u32, u64)> =
+                pass.iter().map(|&(row, n)| (row % span, n)).collect();
+            // At least capacity + 1 distinct rows, so the tracker overflows.
+            for (i, p) in pass.iter_mut().take(capacity + 1).enumerate() {
+                p.0 = i as u32;
+            }
+            cycle_matches_passes((capacity, served), &pass, &rounds);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! against the same per-ACT reference on a twin device. A fixed lockstep
 //! pins all three paths at both ends of a bank under TRR.
 
-use dram::{Aggressor, DramStats, DramSystem, DramSystemBuilder};
+use dram::{Aggressor, DimmProfile, DramStats, DramSystem, DramSystemBuilder};
 use dram_addr::{mini_geometry, BankId, InternalMapConfig, RepairMap};
 use proptest::prelude::*;
 
@@ -239,6 +239,152 @@ fn bank_edge_aggressors_under_trr_match_across_paths() {
         flipped(rows - 4, rows) > 0,
         "the high edge's victims flipped"
     );
+}
+
+/// One round of a cycle lockstep: `reps` passes of the period, then
+/// optionally a siege on an outside row, then a time advance.
+#[derive(Debug, Clone)]
+struct Round {
+    reps: u64,
+    /// `(row, count)` hammered on bank 0 between two calls on one cycle;
+    /// its first siege resolves new victims, which may be an own half-row
+    /// of the period's aggressors.
+    siege: Option<(u32, u64)>,
+    advance_ns: u64,
+}
+
+fn round_strategy() -> impl Strategy<Value = Round> {
+    (0u64..65, 0u32..3, 0u32..5, 0u64..3_000, 0u32..4).prop_map(
+        |(reps, siege_kind, siege_row, siege_count, adv_kind)| Round {
+            reps,
+            // Neighbours of the period's own rows: a siege reads the
+            // disturbance a fold left on them, so a wrong one shows as a
+            // flip the reference does not make.
+            siege: (siege_kind == 0)
+                .then_some(([19, 23, 25, 31, 33][siege_row as usize], siege_count)),
+            advance_ns: match adv_kind {
+                0 => 0,
+                1 => 94,
+                2 => 9_000,  // about one REF step
+                _ => 50_000, // several REF steps, TRR serves included
+            },
+        },
+    )
+}
+
+/// Rows of bank 0 a period draws its aggressors from, with their open
+/// times: rows two apart (20, 22, 24 — each an own half-row another one
+/// disturbs, so a pass refreshes a victim mid-pass), an adjacent row (21:
+/// victims 20/22 see distance-1 and distance-2 weights in one pass), row
+/// 20 again under RowPress dwell (a second weight on the same victims),
+/// and rows 30/32 that nothing else disturbs until a siege resolves their
+/// neighbours. With `build`'s repairs row 22 hammers at spare 600.
+const PERIOD_CAST: [(u32, u64); 7] = [
+    (20, 0),
+    (22, 0),
+    (24, 0),
+    (21, 0),
+    (20, 1_500),
+    (30, 0),
+    (32, 0),
+];
+
+/// Runs `period` (slots of [`PERIOD_CAST`] with counts) on two twins: one
+/// applies `reps` × `activate_resolved` per round, the other one
+/// `activate_cycle` on a cycle built after the first period, which
+/// resolved every handle at its first issue. Both then take the same
+/// siege and time advance. Every observable must match after each round.
+fn assert_cycle_equivalent(
+    period: &[(usize, u64)],
+    rounds: &[Round],
+    trr: (usize, usize),
+    repairs: bool,
+    weak: bool,
+) -> DramStats {
+    let build = || {
+        let mut map = RepairMap::new();
+        if repairs {
+            map.insert(BankId(0), 22, 600);
+        }
+        let mut builder = DramSystemBuilder::new(mini_geometry())
+            .trr(trr.0, trr.1)
+            .repairs(map)
+            .internal_map(InternalMapConfig::identity());
+        if weak {
+            // Thresholds a few hundred ACTs up, many cells per row: folds
+            // cross often, so the per-run fallback runs.
+            builder = builder
+                .profiles(vec![DimmProfile {
+                    base_threshold: 600.0,
+                    weak_cells_per_row: 16.0,
+                    ..DimmProfile::default_eval()
+                }])
+                .pattern_dependent(false);
+        }
+        builder.build()
+    };
+    let bank = BankId(0);
+    let mut reference = build();
+    let mut folded = build();
+    let handles = |dram: &mut DramSystem| -> Vec<(Aggressor, u64)> {
+        let mut runs = Vec::new();
+        for &(slot, count) in period {
+            let (row, extra_open_ns) = PERIOD_CAST[slot];
+            let aggressor = dram.resolve_aggressor(bank, row, extra_open_ns);
+            dram.activate_resolved(&aggressor, count);
+            runs.push((aggressor, count));
+        }
+        runs
+    };
+    let reference_runs = handles(&mut reference);
+    let folded_runs = handles(&mut folded);
+    let mut cycle = folded.resolve_cycle(&folded_runs);
+    assert_eq!(cycle.acts(), period.iter().map(|p| p.1).sum::<u64>());
+    for round in rounds {
+        for _ in 0..round.reps {
+            for (aggressor, count) in &reference_runs {
+                reference.activate_resolved(aggressor, *count);
+            }
+        }
+        folded.activate_cycle(&mut cycle, round.reps);
+        for dram in [&mut reference, &mut folded] {
+            if let Some((row, count)) = round.siege {
+                dram.activate_burst(bank, row, count, 0);
+            }
+            dram.advance_ns(round.advance_ns);
+        }
+        assert_same_observables(&reference, &folded);
+    }
+    *reference.stats()
+}
+
+fn period_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    prop::collection::vec((0usize..PERIOD_CAST.len(), 1u64..4), 1..10)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A cycle fold is `reps` passes of its runs: every victim case (one
+    /// weight; own-row resets; mixed weights), the crossing fallback on a
+    /// weak DIMM, the TRR fixed point under TRR (0, 0), (2, 1) and (4, 2),
+    /// repairs, and a cycle whose bank grew new victims between two calls.
+    #[test]
+    fn cycle_equals_reference(
+        period in period_strategy(),
+        rounds in prop::collection::vec(round_strategy(), 1..24),
+        config in 0usize..6,
+    ) {
+        let (trr, repairs, weak) = [
+            ((0, 0), false, false),
+            ((2, 1), false, true),
+            ((4, 2), false, false),
+            ((4, 2), true, true),
+            ((2, 1), true, false),
+            ((0, 0), false, true),
+        ][config];
+        assert_cycle_equivalent(&period, &rounds, trr, repairs, weak);
+    }
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 use crate::pattern::HammerPattern;
 use crate::T_RC_NS;
 use dram::flip::BitFlip;
-use dram::{Aggressor, DramSystem};
+use dram::{Aggressor, Cycle, DramSystem};
 use dram_addr::BankId;
 use mitigation::Mitigation;
 use rand::Rng;
@@ -144,7 +144,13 @@ impl Blacksmith {
         let mut acts = 0u64;
         let mut effective = None;
         let mut tried = 0u32;
-        for _ in 0..self.config.patterns {
+        // An attacker with no rows has no pattern to sample.
+        let patterns = if allowed_rows.is_empty() {
+            0
+        } else {
+            self.config.patterns
+        };
+        for _ in 0..patterns {
             tried += 1;
             let pattern = HammerPattern::random(allowed_rows, rng);
             let found = self.hammer_with(dram, bank, &pattern, &mut acts, defense);
@@ -206,6 +212,12 @@ impl Blacksmith {
     /// issue, not before the loop: it is the bank's first touch, and a
     /// throttle stall ahead of the very first burst may cross a REF step
     /// the bank must not yet take part in.
+    ///
+    /// Undefended, every period after the first is the same run list with
+    /// no stall, so the periods up to the device's next time event (REF
+    /// step or patrol scrub) fold into one [`DramSystem::activate_cycle`]
+    /// and one `advance_ns`. A defended campaign's per-ACT stalls move the
+    /// clock inside a period, so it issues period by period.
     fn hammer_with(
         &self,
         dram: &mut DramSystem,
@@ -217,9 +229,35 @@ impl Blacksmith {
         let before = dram.flip_log().len();
         let rows_per_bank = dram.geometry().rows_per_bank;
         let runs = pattern.coalesced_schedule();
+        let period_ns = pattern.schedule.len() as u64 * T_RC_NS;
         let mut aggressors: Vec<Option<Aggressor>> = vec![None; runs.len()];
+        let mut cycle: Option<Cycle> = None;
         let mut next_decay_ns = (dram.now_ns() / TREFI_NS + 1) * TREFI_NS;
-        for _ in 0..self.config.periods_per_attempt {
+        let periods = u64::from(self.config.periods_per_attempt);
+        let mut period = 0u64;
+        while period < periods {
+            if period > 0 && defense.is_none() {
+                let cycle = cycle.get_or_insert_with(|| {
+                    let resolved: Vec<(Aggressor, u64)> = runs
+                        .iter()
+                        .zip(&aggressors)
+                        .filter_map(|(&(_, count), a)| a.map(|a| (a, u64::from(count))))
+                        .collect();
+                    dram.resolve_cycle(&resolved)
+                });
+                // The most periods that all issue before the next event:
+                // now + (k − 1)·P < next.
+                let to_event = dram.next_time_event_ns() - dram.now_ns();
+                let k = match period_ns {
+                    0 => periods - period,
+                    p => ((to_event - 1) / p + 1).min(periods - period),
+                };
+                dram.activate_cycle(cycle, k);
+                *acts += k * cycle.acts();
+                dram.advance_ns(k * period_ns);
+                period += k;
+                continue;
+            }
             for (&(row, count), aggressor) in runs.iter().zip(&mut aggressors) {
                 if row >= rows_per_bank {
                     continue;
@@ -244,8 +282,9 @@ impl Blacksmith {
                 *acts += count as u64;
                 drain_decay_ticks(defense, dram.now_ns(), &mut next_decay_ns);
             }
-            dram.advance_ns(pattern.schedule.len() as u64 * T_RC_NS);
+            dram.advance_ns(period_ns);
             drain_decay_ticks(defense, dram.now_ns(), &mut next_decay_ns);
+            period += 1;
         }
         dram.flip_log().len() > before
     }
@@ -254,6 +293,7 @@ impl Blacksmith {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::AggressorSlot;
     use dram::{DimmProfile, DramSystemBuilder};
     use dram_addr::mini_geometry;
     use rand::SeedableRng;
@@ -494,6 +534,122 @@ mod tests {
             telemetry::MetricValue::Counter { value, .. } => assert!(value >= 1),
             ref other => panic!("unexpected metric {other:?}"),
         }
+    }
+
+    #[test]
+    fn fuzzing_no_rows_is_an_empty_campaign() {
+        let mut dram = DramSystemBuilder::new(mini_geometry()).build();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let report =
+            Blacksmith::new(FuzzConfig::default()).fuzz(&mut dram, BankId(0), &[], &mut rng);
+        assert_eq!((report.patterns_tried, report.acts), (0, 0));
+        assert!(!report.any_flips() && report.effective_pattern.is_none());
+        assert_eq!(
+            *dram.stats(),
+            dram::DramStats::default(),
+            "the bank is never touched"
+        );
+        assert_eq!(dram.now_ns(), 0);
+    }
+
+    /// `hammer` against the loop it folds, written out: one
+    /// `activate_resolved` per run (each handle resolved at its first
+    /// issue) and one `advance_ns` per period.
+    fn assert_hammer_matches_per_period_issue(
+        pattern: &HammerPattern,
+        periods: u32,
+        build: impl Fn() -> DramSystem,
+    ) -> DramSystem {
+        let config = FuzzConfig {
+            patterns: 1,
+            periods_per_attempt: periods,
+            extra_open_ns: 0,
+        };
+        let bank = BankId(0);
+        let mut dram = build();
+        let mut acts = 0u64;
+        let found = Blacksmith::new(config).hammer(&mut dram, bank, pattern, &mut acts);
+
+        let mut reference = build();
+        let mut reference_acts = 0u64;
+        let runs = pattern.coalesced_schedule();
+        let mut handles: Vec<Option<Aggressor>> = vec![None; runs.len()];
+        for _ in 0..periods {
+            for (&(row, count), handle) in runs.iter().zip(&mut handles) {
+                let handle =
+                    handle.get_or_insert_with(|| reference.resolve_aggressor(bank, row, 0));
+                reference.activate_resolved(handle, u64::from(count));
+                reference_acts += u64::from(count);
+            }
+            reference.advance_ns(pattern.schedule.len() as u64 * T_RC_NS);
+        }
+
+        assert_eq!(found, !reference.flip_log().is_empty());
+        assert_eq!(acts, reference_acts);
+        assert_eq!(dram.now_ns(), reference.now_ns());
+        assert_eq!(dram.stats(), reference.stats());
+        assert_eq!(dram.flip_log().all(), reference.flip_log().all());
+        let scrubs = |d: &DramSystem| {
+            let h = d.scrub_history();
+            (h.corrected.clone(), h.uncorrectable.clone())
+        };
+        assert_eq!(scrubs(&dram), scrubs(&reference));
+        reference
+    }
+
+    #[test]
+    fn folded_hammer_matches_per_period_issue() {
+        let weak = DimmProfile {
+            base_threshold: 3_000.0,
+            weak_cells_per_row: 16.0,
+            ..DimmProfile::default_eval()
+        };
+        let build = |trr: (usize, usize), scrub_ns: u64, profile: DimmProfile| {
+            move || {
+                DramSystemBuilder::new(mini_geometry())
+                    .trr(trr.0, trr.1)
+                    .patrol_scrub(scrub_ns)
+                    .profiles(vec![profile])
+                    .build()
+            }
+        };
+        // A period of 8 ACTs (376 ns) is about 20 per tREFI. Patrol scrub
+        // every 10 periods lands on period boundaries, where a period
+        // folded one too far would flip before the scrub and not after;
+        // every 0.7 ms lands inside a period.
+        let short = HammerPattern::n_sided(40, 8);
+        for (trr, scrub_ns) in [((0, 0), 3_760), ((4, 2), 700_000), ((2, 1), 0)] {
+            let reference =
+                assert_hammer_matches_per_period_issue(&short, 30_000, build(trr, scrub_ns, weak));
+            assert!(
+                !reference.flip_log().is_empty(),
+                "{trr:?}: the weak DIMM flips"
+            );
+            if scrub_ns > 0 {
+                assert!(!reference.scrub_history().corrected.is_empty());
+            }
+        }
+        assert_hammer_matches_per_period_issue(
+            &short,
+            30_000,
+            build((4, 2), 1_000_000, DimmProfile::default_eval()),
+        );
+        // 16 aggressors firing 4 × 3 times: 192 ACTs, a 9 µs period longer
+        // than tREFI, so no two periods fold.
+        let long = HammerPattern::from_slots(
+            (0..16)
+                .map(|i| AggressorSlot {
+                    row: 100 + 2 * i,
+                    frequency: 4,
+                    phase: i % 8,
+                    amplitude: 3,
+                })
+                .collect(),
+        );
+        assert!(long.schedule.len() as u64 * T_RC_NS > TREFI_NS);
+        let reference =
+            assert_hammer_matches_per_period_issue(&long, 2_000, build((4, 2), 1_000_000, weak));
+        assert!(!reference.flip_log().is_empty());
     }
 
     #[test]

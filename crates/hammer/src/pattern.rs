@@ -110,6 +110,10 @@ impl HammerPattern {
 
     /// Randomly samples a Blacksmith-style pattern from `allowed_rows`
     /// (ascending candidate rows within one bank and subarray).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `allowed_rows` is empty.
     pub fn random<R: Rng>(allowed_rows: &[u32], rng: &mut R) -> Self {
         let n = rng
             .gen_range(2..=16usize)

@@ -54,11 +54,27 @@ pinned() {
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
-# ~1 min: three strategies on two-socket evaluation hosts with GiB-sized
+# ~45-50 s on 2 cores: three strategies on two-socket evaluation hosts with GiB-sized
 # guests and multi-node expansions (636 per strategy) — the only committed
 # report that drives create/expand/migrate at that shape.
 step "fleet gate: full multi-tenant soak on evaluation hosts, pinned to FLEET_soak.json" \
   pinned FLEET_soak.json cargo run --release -q -p bench --bin fleet_soak
+
+# The paper-scale pin on the undefended hammer path: Table 3 (six DIMMs,
+# Siloz and the unmodified baseline; ~3 s) and the §7.1 EPT guard-row
+# campaign (~2 s) at full scale must reproduce their committed
+# bench_results/ files byte for byte, less the run-specific
+# "telemetry: wrote <path>" line.
+paper_pin() {
+  local bin="$1"
+  SILOZ_TELEMETRY_DIR="$artifacts" cargo run --release -q -p bench --bin "$bin" |
+    sed '/^telemetry: wrote /d' >"$artifacts/$bin.txt"
+  cmp "bench_results/$bin.txt" "$artifacts/$bin.txt"
+}
+step "paper gate: full-scale Table 3 containment, pinned to bench_results/table3_containment.txt" \
+  paper_pin table3_containment
+step "paper gate: full-scale §7.1 EPT guard rows, pinned to bench_results/ept_protection.txt" \
+  paper_pin ept_protection
 
 step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to ARENA_quick.json" \
   pinned ARENA_quick.json cargo run --release -q -p bench --bin arena -- --quick

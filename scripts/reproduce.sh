@@ -3,8 +3,8 @@
 #
 # Usage: scripts/reproduce.sh [--quick]
 #   --quick : scaled-down geometry (default is the full evaluation-server
-#             configuration; all 16 binaries took 22-30 s together on a
-#             2-core x86-64 Xeon, table3_containment the longest at 10-15 s).
+#             configuration; all 16 binaries took 11.4 s together on a
+#             2-core x86-64 Xeon, table3_containment the longest at 2.9 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 MODE="${1:-}"
@@ -36,7 +36,8 @@ cargo build --release -p bench --bins
 for bin in "${BINARIES[@]}"; do
   echo "== $bin =="
   # shellcheck disable=SC2086
-  ./target/release/"$bin" $MODE | tee "$OUT/$bin.txt"
+  # The telemetry path line differs per checkout; the committed files omit it.
+  ./target/release/"$bin" $MODE | sed '/^telemetry: wrote /d' | tee "$OUT/$bin.txt"
   echo
 done
 
