@@ -1,6 +1,6 @@
 //! Pluggable RowHammer mitigation backends behind a single [`Mitigation`]
-//! trait (ROADMAP item 1; the "simulation-based evaluation framework" of
-//! arxiv 2506.07190).
+//! trait, after the "simulation-based evaluation framework" of arxiv
+//! 2506.07190.
 //!
 //! Siloz (PAPER.md) prevents inter-VM RowHammer by *placement*: no two
 //! VMs share a DRAM subarray group, so disturbance cannot cross a trust

@@ -87,15 +87,7 @@ impl BuddyAllocator {
     fn seed_segment(&mut self, seg: Range<u64>) {
         let mut start = seg.start;
         while start < seg.end {
-            let align = if start == 0 {
-                MAX_ORDER
-            } else {
-                (start.trailing_zeros() as u8).min(MAX_ORDER)
-            };
-            let mut order = align;
-            while order > 0 && start + (1u64 << order) > seg.end {
-                order -= 1;
-            }
+            let order = max_block(start, seg.end);
             self.free[order as usize].insert(start);
             self.free_frames += 1u64 << order;
             start += 1u64 << order;
@@ -146,13 +138,40 @@ impl BuddyAllocator {
         Ok(frame)
     }
 
+    /// Allocates `n` blocks of `2^order` frames, appending their first
+    /// frames to `out`: exactly the frames, in order, that `n` calls of
+    /// [`Self::alloc`] return, leaving exactly the free lists they leave.
+    ///
+    /// Each pick takes the lowest block of the smallest non-empty order
+    /// `O ≥ order`. Orders `order..O` are empty then, so the sequential
+    /// splits hand out the picked block from its low end, and what they
+    /// leave of it is its remaining maximal aligned blocks: this carves
+    /// `min(left, 2^(O − order))` blocks and re-inserts that remainder.
+    /// Out of memory part-way, the blocks already taken stay in `out`, as
+    /// they would in the loop.
+    pub fn alloc_run(&mut self, order: u8, n: u64, out: &mut Vec<u64>) -> Result<(), NumaError> {
+        let mut left = n;
+        while left > 0 {
+            let Some(o) = (order..=MAX_ORDER).find(|&o| !self.free[o as usize].is_empty()) else {
+                return Err(NumaError::OutOfMemory { order });
+            };
+            let block = self.free[o as usize].pop_first().expect("nonempty");
+            let take = left.min(1u64 << (o - order));
+            out.extend((0..take).map(|i| block + (i << order)));
+            left -= take;
+            self.free_frames -= 1u64 << o;
+            self.seed_segment(block + (take << order)..block + (1u64 << o));
+        }
+        Ok(())
+    }
+
     /// Frees a block previously returned by [`Self::alloc`].
     ///
     /// Coalesces with free buddies, but never across coverage holes.
     pub fn free(&mut self, frame: u64, order: u8) -> Result<(), NumaError> {
         if order > MAX_ORDER
             || !frame.is_multiple_of(1u64 << order)
-            || !self.in_coverage(frame, order)
+            || !self.in_coverage(frame, frame + (1u64 << order))
         {
             return Err(NumaError::BadFree { frame, order });
         }
@@ -162,12 +181,60 @@ impl BuddyAllocator {
         // Merged buddies are already counted free; only the newly-freed
         // block adds to the free count.
         self.free_frames += 1u64 << order;
-        let mut frame = frame;
-        let mut order = order;
+        self.merge_in(frame, order);
+        Ok(())
+    }
+
+    /// Frees `n` contiguous blocks of `2^order` frames starting at `frame`:
+    /// the same result (the first error, if any) and the same free lists
+    /// as `n` calls of [`Self::free`] in address order.
+    ///
+    /// The free lists are a function of the free set alone — every block
+    /// is maximal, merged as far as coverage allows — so freeing the run's
+    /// maximal aligned blocks through the merge loop lands where the single
+    /// frees do. That needs every single free to succeed, which the run's
+    /// checks establish at run granularity: aligned, inside one coverage
+    /// range, no offlined frame, no free block overlapping it. If any check
+    /// fails, the run is freed block by block, so errors and state are the
+    /// single frees' own.
+    pub fn free_run(&mut self, frame: u64, order: u8, n: u64) -> Result<(), NumaError> {
+        if n == 0 {
+            return Ok(());
+        }
+        if order > MAX_ORDER {
+            return Err(NumaError::BadFree { frame, order });
+        }
+        let end = frame + (n << order);
+        if !frame.is_multiple_of(1u64 << order)
+            || !self.in_coverage(frame, end)
+            || self.overlaps_free(frame, end)
+        {
+            let mut first = Ok(());
+            for i in 0..n {
+                let freed = self.free(frame + (i << order), order);
+                first = first.and(freed);
+            }
+            return first;
+        }
+        self.free_frames += n << order;
+        let mut start = frame;
+        while start < end {
+            let o = max_block(start, end);
+            self.merge_in(start, o);
+            start += 1u64 << o;
+        }
+        Ok(())
+    }
+
+    /// Puts the block at `frame` on the free lists, coalescing it with
+    /// free buddies as far as coverage allows.
+    fn merge_in(&mut self, mut frame: u64, mut order: u8) {
         while order < MAX_ORDER {
             let buddy = frame ^ (1u64 << order);
             let merged = frame.min(buddy);
-            if self.free[order as usize].contains(&buddy) && self.in_coverage(merged, order + 1) {
+            if self.free[order as usize].contains(&buddy)
+                && self.in_coverage(merged, merged + (2u64 << order))
+            {
                 self.free[order as usize].remove(&buddy);
                 frame = merged;
                 order += 1;
@@ -176,15 +243,24 @@ impl BuddyAllocator {
             }
         }
         self.free[order as usize].insert(frame);
-        Ok(())
     }
 
-    /// Whether `[frame, frame + 2^order)` lies entirely inside one original
-    /// coverage range with no offlined frames.
-    fn in_coverage(&self, frame: u64, order: u8) -> bool {
-        let end = frame + (1u64 << order);
-        let inside = self.ranges.iter().any(|r| frame >= r.start && end <= r.end);
-        inside && self.offlined.range(frame..end).next().is_none()
+    /// Whether `[start, end)` lies entirely inside one original coverage
+    /// range with no offlined frames.
+    fn in_coverage(&self, start: u64, end: u64) -> bool {
+        let inside = self.ranges.iter().any(|r| start >= r.start && end <= r.end);
+        inside && self.offlined.range(start..end).next().is_none()
+    }
+
+    /// Whether any free block overlaps `[start, end)`: one starting inside
+    /// it, or the aligned block containing `start` — at most two queries
+    /// per non-empty order.
+    fn overlaps_free(&self, start: u64, end: u64) -> bool {
+        self.free.iter().enumerate().any(|(o, set)| {
+            !set.is_empty()
+                && (set.range(start..end).next().is_some()
+                    || set.contains(&(start & !((1u64 << o) - 1))))
+        })
     }
 
     /// Whether any part of the `order`-aligned block at `frame` is already
@@ -208,7 +284,7 @@ impl BuddyAllocator {
     /// block. Returns `false` if the frame is allocated, already offline, or
     /// out of coverage (callers migrate data first, as Linux does).
     pub fn offline_frame(&mut self, frame: u64) -> bool {
-        if self.offlined.contains(&frame) || !self.in_coverage(frame, 0) {
+        if self.offlined.contains(&frame) || !self.in_coverage(frame, frame + 1) {
             return false;
         }
         // Find the free block containing this frame.
@@ -244,6 +320,16 @@ impl BuddyAllocator {
             .filter(|&f| self.offline_frame(f))
             .count() as u64
     }
+}
+
+/// Order of the largest aligned block starting at `start` that ends by
+/// `end` (`start < end`), capped at [`MAX_ORDER`].
+fn max_block(start: u64, end: u64) -> u8 {
+    let mut order = start.trailing_zeros().min(u32::from(MAX_ORDER)) as u8;
+    while order > 0 && start + (1u64 << order) > end {
+        order -= 1;
+    }
+    order
 }
 
 #[cfg(test)]
@@ -461,11 +547,13 @@ mod tests {
                     }
                     _ => (arbitrary.0, arbitrary.1, true),
                 };
+                let reference = overlap_reference(&b, frame, o);
                 prop_assert_eq!(
                     b.is_free_or_overlapping(frame, o),
-                    overlap_reference(&b, frame, o),
+                    reference,
                     "probe ({}, {})", frame, o
                 );
+                prop_assert_eq!(b.overlaps_free(frame, frame + (1u64 << o)), reference);
                 if !free_it {
                     continue;
                 }
@@ -481,5 +569,102 @@ mod tests {
                 }
             }
         }
+
+        /// `alloc_run`/`free_run` against single `alloc`/`free` calls on a
+        /// clone, over holes and three coverage ranges (two of them
+        /// adjacent), with runs that run out of memory part-way and frees
+        /// that double-free, overlap free blocks, cross ranges or leave
+        /// coverage: the same frames, results, free lists and free count
+        /// after every step.
+        #[test]
+        fn runs_match_single_calls_in_lockstep(
+            holes in prop::collection::vec(0u64..6144, 0..6),
+            steps in prop::collection::vec((0u8..4, 0u8..5, 1u64..64, 0u64..6144), 1..120),
+        ) {
+            let mut run = BuddyAllocator::with_holes(&[0..3072, 3072..4096, 5120..6144], &holes);
+            let mut single = run.clone();
+            let mut live: Vec<(u64, u8)> = Vec::new();
+            for (kind, order, n, raw) in steps {
+                match kind {
+                    0 => {
+                        let mut got = Vec::new();
+                        let result = run.alloc_run(order, n, &mut got);
+                        let mut want = Vec::new();
+                        let mut expected = Ok(());
+                        for _ in 0..n {
+                            match single.alloc(order) {
+                                Ok(f) => want.push(f),
+                                Err(e) => {
+                                    expected = Err(e);
+                                    break;
+                                }
+                            }
+                        }
+                        prop_assert_eq!(result, expected);
+                        prop_assert_eq!(&got, &want);
+                        live.extend(got.iter().map(|&f| (f, order)));
+                    }
+                    // A run of live blocks that are contiguous and of one
+                    // order, starting at a random live block — or, once
+                    // freed, a double free of it.
+                    1 | 2 if !live.is_empty() => {
+                        live.sort_unstable();
+                        let at = raw as usize % live.len();
+                        let (frame, o) = live[at];
+                        let len = (live[at..].iter().enumerate())
+                            .take_while(|&(i, &(f, lo))| lo == o && f == frame + ((i as u64) << o))
+                            .count()
+                            .min(n as usize);
+                        prop_assert_eq!(
+                            run.free_run(frame, o, len as u64),
+                            free_each(&mut single, frame, o, len as u64)
+                        );
+                        if kind == 1 {
+                            live.drain(at..at + len);
+                        }
+                    }
+                    // An arbitrary aligned run: overlapping free and live
+                    // blocks, holes, range ends and uncovered frames alike.
+                    3 => {
+                        let frame = raw & !((1u64 << order) - 1);
+                        prop_assert_eq!(
+                            run.free_run(frame, order, n),
+                            free_each(&mut single, frame, order, n)
+                        );
+                    }
+                    _ => prop_assert_eq!(run.offline_frame(raw), single.offline_frame(raw)),
+                }
+                prop_assert_eq!(&run.free, &single.free);
+                prop_assert_eq!(run.free_frames(), single.free_frames());
+            }
+        }
+    }
+
+    /// `n` single frees in address order, each attempted: the first error.
+    fn free_each(b: &mut BuddyAllocator, frame: u64, order: u8, n: u64) -> Result<(), NumaError> {
+        let mut first = Ok(());
+        for i in 0..n {
+            first = first.and(b.free(frame + (i << order), order));
+        }
+        first
+    }
+
+    #[test]
+    fn alloc_run_keeps_what_it_took_when_memory_runs_out() {
+        let mut b = BuddyAllocator::with_holes(&[0..64], &[17]);
+        let mut got = Vec::new();
+        assert_eq!(
+            b.alloc_run(2, 20, &mut got),
+            Err(NumaError::OutOfMemory { order: 2 })
+        );
+        // Every 4-frame block but the one holding the hole, smallest free
+        // block first, as single allocations take them.
+        assert_eq!(
+            got,
+            [20, 24, 28, 0, 4, 8, 12, 32, 36, 40, 44, 48, 52, 56, 60]
+        );
+        assert_eq!(b.free_frames(), 3);
+        assert_eq!(b.free_run(0, 2, 4), Ok(()));
+        assert_eq!(b.alloc(4), Ok(0), "the freed run merged back");
     }
 }

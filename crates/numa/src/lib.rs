@@ -9,12 +9,14 @@
 //!   frame ranges) with optional CPUs and a per-node buddy allocator;
 //! - [`BuddyAllocator`]: power-of-two page-block allocation with
 //!   deterministic lowest-address-first behaviour, hole support, and page
-//!   offlining (the mechanism Siloz extends for guard rows, §5.4);
+//!   offlining (the mechanism Siloz extends for guard rows, §5.4); runs of
+//!   blocks allocate and free in one call, exactly as block-by-block calls
+//!   would;
 //! - [`ControlGroup`]/[`CgroupRegistry`]: cpuset-style restriction of
 //!   memory allocations and scheduling to specific nodes (§5.2), with
 //!   exclusive node claims;
-//! - [`MemPolicy`]: bind/interleave/preferred allocation policies with
-//!   zonelist-style fallback, mirroring the kernel's NUMA memory policy;
+//! - [`PlacementStrategy`]: the order in which a hypervisor considers
+//!   candidate sockets and nodes when placing a VM;
 //! - [`ClaimMap`]: a persistent interval map of group→tenant claims —
 //!   O(1) point lookup and census, O(touched) tenant release — backing
 //!   the fleet engine's incremental §4.1 checker.
@@ -31,7 +33,7 @@ pub use buddy::BuddyAllocator;
 pub use claims::ClaimMap;
 pub use cpuset::{CgroupRegistry, ControlGroup};
 pub use node::{NodeId, NodeInfo, Topology};
-pub use policy::{MemPolicy, PlacementStrategy, PolicyAlloc};
+pub use policy::PlacementStrategy;
 
 /// Base page size (4 KiB) — one page frame.
 pub const FRAME_BYTES: u64 = 4096;

@@ -3,7 +3,7 @@
 use crate::buddy::BuddyAllocator;
 use crate::NumaError;
 use parking_lot::Mutex;
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 
 /// Identifier of a NUMA node (physical or logical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,31 +117,47 @@ impl Topology {
             .filter(move |i| i.socket == socket)
     }
 
+    /// `node`'s allocator, locked.
+    fn buddy(
+        &self,
+        node: NodeId,
+    ) -> Result<impl DerefMut<Target = BuddyAllocator> + '_, NumaError> {
+        let n = (self.nodes.get(node.0 as usize)).ok_or(NumaError::BadNode(node))?;
+        Ok(n.alloc.lock())
+    }
+
     /// Allocates a `2^order`-frame block from `node`.
     pub fn alloc(&self, node: NodeId, order: u8) -> Result<u64, NumaError> {
-        let n = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(NumaError::BadNode(node))?;
-        n.alloc.lock().alloc(order)
+        self.buddy(node)?.alloc(order)
     }
 
     /// Frees a block back to `node`.
     pub fn free(&self, node: NodeId, frame: u64, order: u8) -> Result<(), NumaError> {
-        let n = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(NumaError::BadNode(node))?;
-        n.alloc.lock().free(frame, order)
+        self.buddy(node)?.free(frame, order)
+    }
+
+    /// Allocates `n` blocks of `2^order` frames from `node` under one lock,
+    /// appending their first frames to `out` (see
+    /// [`BuddyAllocator::alloc_run`]).
+    pub fn alloc_run(
+        &self,
+        node: NodeId,
+        order: u8,
+        n: u64,
+        out: &mut Vec<u64>,
+    ) -> Result<(), NumaError> {
+        self.buddy(node)?.alloc_run(order, n, out)
+    }
+
+    /// Frees `n` contiguous blocks back to `node` under one lock (see
+    /// [`BuddyAllocator::free_run`]).
+    pub fn free_run(&self, node: NodeId, frame: u64, order: u8, n: u64) -> Result<(), NumaError> {
+        self.buddy(node)?.free_run(frame, order, n)
     }
 
     /// Free frames on `node`.
     pub fn free_frames(&self, node: NodeId) -> Result<u64, NumaError> {
-        let n = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(NumaError::BadNode(node))?;
-        Ok(n.alloc.lock().free_frames())
+        Ok(self.buddy(node)?.free_frames())
     }
 
     /// Offlines frames on `node`; returns how many went offline.
@@ -150,11 +166,7 @@ impl Topology {
         node: NodeId,
         frames: impl IntoIterator<Item = u64>,
     ) -> Result<u64, NumaError> {
-        let n = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(NumaError::BadNode(node))?;
-        Ok(n.alloc.lock().offline_frames(frames))
+        Ok(self.buddy(node)?.offline_frames(frames))
     }
 
     /// Snapshots free-memory statistics for a set of nodes (the periodic

@@ -1,56 +1,6 @@
-//! NUMA memory allocation policies (bind / interleave / preferred).
-//!
-//! Mirrors the kernel's NUMA memory policy semantics: `Bind` restricts
-//! allocations to a node set, `Interleave` round-robins across a set, and
-//! `Preferred` tries one node first with zonelist-style fallback. Control
-//! groups are enforced at allocation time, as Siloz relies on (§5.2).
+//! Group-aware VM placement strategies.
 
-use crate::{ControlGroup, NodeId, NumaError, Topology};
-
-/// A NUMA allocation policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemPolicy {
-    /// Allocate only from the listed nodes, trying them in order.
-    Bind(Vec<NodeId>),
-    /// Round-robin successive allocations across the listed nodes.
-    Interleave(Vec<NodeId>),
-    /// Try `preferred` first, then the fallback list in order.
-    Preferred {
-        /// First-choice node.
-        preferred: NodeId,
-        /// Zonelist-style fallback order.
-        fallback: Vec<NodeId>,
-    },
-}
-
-impl MemPolicy {
-    /// The candidate node order for the `n`-th allocation under this policy.
-    #[must_use]
-    pub fn candidates(&self, n: u64) -> Vec<NodeId> {
-        match self {
-            MemPolicy::Bind(nodes) => nodes.clone(),
-            MemPolicy::Interleave(nodes) => {
-                if nodes.is_empty() {
-                    return Vec::new();
-                }
-                let start = (n % nodes.len() as u64) as usize;
-                let mut out = Vec::with_capacity(nodes.len());
-                for i in 0..nodes.len() {
-                    out.push(nodes[(start + i) % nodes.len()]);
-                }
-                out
-            }
-            MemPolicy::Preferred {
-                preferred,
-                fallback,
-            } => {
-                let mut out = vec![*preferred];
-                out.extend(fallback.iter().copied().filter(|f| f != preferred));
-                out
-            }
-        }
-    }
-}
+use crate::NodeId;
 
 /// Group-aware VM placement strategies (admission-control plumbing).
 ///
@@ -128,130 +78,9 @@ impl PlacementStrategy {
     }
 }
 
-/// A policy-driven allocator with an interleave cursor.
-#[derive(Debug)]
-pub struct PolicyAlloc {
-    policy: MemPolicy,
-    counter: u64,
-}
-
-impl PolicyAlloc {
-    /// Creates an allocator for `policy`.
-    #[must_use]
-    pub fn new(policy: MemPolicy) -> Self {
-        Self { policy, counter: 0 }
-    }
-
-    /// The policy in use.
-    #[must_use]
-    pub fn policy(&self) -> &MemPolicy {
-        &self.policy
-    }
-
-    /// Allocates a `2^order`-frame block under the policy, honoring
-    /// `cgroup` if provided.
-    ///
-    /// Returns the node used and the first frame of the block.
-    pub fn alloc(
-        &mut self,
-        topo: &Topology,
-        order: u8,
-        cgroup: Option<&ControlGroup>,
-    ) -> Result<(NodeId, u64), NumaError> {
-        let candidates = self.policy.candidates(self.counter);
-        self.counter += 1;
-        let mut last_err = NumaError::OutOfMemory { order };
-        for node in candidates {
-            if let Some(g) = cgroup {
-                if !g.allows_node(node) {
-                    last_err = NumaError::NotAllowed(node);
-                    continue;
-                }
-            }
-            match topo.alloc(node, order) {
-                Ok(frame) => return Ok((node, frame)),
-                Err(e @ NumaError::OutOfMemory { .. }) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeInfo;
-
-    fn topo3() -> (Topology, Vec<NodeId>) {
-        let mut t = Topology::new();
-        let ids = (0..3u64)
-            .map(|i| {
-                t.add_node(
-                    NodeInfo {
-                        id: NodeId(0),
-                        socket: 0,
-                        is_logical: true,
-                        cpus: vec![],
-                        frame_ranges: vec![i * 64..i * 64 + 64],
-                    },
-                    &[],
-                )
-            })
-            .collect();
-        (t, ids)
-    }
-
-    #[test]
-    fn bind_sticks_to_first_node_until_full() {
-        let (t, ids) = topo3();
-        let mut pa = PolicyAlloc::new(MemPolicy::Bind(vec![ids[1], ids[2]]));
-        for _ in 0..64 {
-            let (node, frame) = pa.alloc(&t, 0, None).unwrap();
-            assert_eq!(node, ids[1]);
-            assert!((64..128).contains(&frame));
-        }
-        // Node 1 exhausted: falls over to node 2.
-        let (node, _) = pa.alloc(&t, 0, None).unwrap();
-        assert_eq!(node, ids[2]);
-    }
-
-    #[test]
-    fn interleave_round_robins() {
-        let (t, ids) = topo3();
-        let mut pa = PolicyAlloc::new(MemPolicy::Interleave(ids.clone()));
-        let seq: Vec<NodeId> = (0..6).map(|_| pa.alloc(&t, 0, None).unwrap().0).collect();
-        assert_eq!(seq, vec![ids[0], ids[1], ids[2], ids[0], ids[1], ids[2]]);
-    }
-
-    #[test]
-    fn preferred_falls_back() {
-        let (t, ids) = topo3();
-        let mut pa = PolicyAlloc::new(MemPolicy::Preferred {
-            preferred: ids[0],
-            fallback: vec![ids[0], ids[1]],
-        });
-        for _ in 0..64 {
-            assert_eq!(pa.alloc(&t, 0, None).unwrap().0, ids[0]);
-        }
-        assert_eq!(pa.alloc(&t, 0, None).unwrap().0, ids[1]);
-    }
-
-    #[test]
-    fn cgroup_blocks_disallowed_nodes() {
-        let (t, ids) = topo3();
-        let mut reg = crate::CgroupRegistry::new();
-        reg.create_exclusive("vm", [ids[2]], []).unwrap();
-        let g = reg.get("vm").unwrap().clone();
-        let mut pa = PolicyAlloc::new(MemPolicy::Bind(vec![ids[0], ids[2]]));
-        let (node, _) = pa.alloc(&t, 0, Some(&g)).unwrap();
-        assert_eq!(node, ids[2], "first candidate rejected by cgroup");
-        let mut pa2 = PolicyAlloc::new(MemPolicy::Bind(vec![ids[0]]));
-        assert!(matches!(
-            pa2.alloc(&t, 0, Some(&g)),
-            Err(NumaError::NotAllowed(_))
-        ));
-    }
 
     #[test]
     fn first_fit_preserves_zonelist_order() {
@@ -289,15 +118,5 @@ mod tests {
         }
         assert_eq!(PlacementStrategy::default(), PlacementStrategy::FirstFit);
         assert_eq!(PlacementStrategy::BestFit.name(), "best_fit");
-    }
-
-    #[test]
-    fn empty_interleave_is_oom() {
-        let (t, _) = topo3();
-        let mut pa = PolicyAlloc::new(MemPolicy::Interleave(vec![]));
-        assert!(matches!(
-            pa.alloc(&t, 0, None),
-            Err(NumaError::OutOfMemory { .. })
-        ));
     }
 }

@@ -93,25 +93,24 @@ fn secure_ept_detects_synthetic_corruption() {
     config.ept_protection = EptProtection::SecureEpt;
     let mut hv = Hypervisor::boot(config, HypervisorKind::Siloz).unwrap();
     let vm = hv.create_vm(VmSpec::new("tenant", 2, 64 << 20)).unwrap();
-    // Corrupt the leaf table page directly in DRAM (as a flip would).
+    // Corrupt the leaf table page directly in DRAM (as a flip would): flip
+    // a PFN bit of its first present entry. The page's 64 lines are spread
+    // over the socket's banks, so each entry is decoded at its own address.
     let leaf_hpa = *hv.vm_ept_pages(vm).unwrap().last().unwrap();
-    let media = hv.decoder().decode(leaf_hpa).unwrap();
-    let bank = media.global_bank(hv.decoder().geometry());
-    let (mut bytes, _) = hv.dram_mut().read_row(bank, media.row, media.col, 4096);
-    // Find a present entry and flip a PFN bit.
     let mut flipped = false;
-    for i in 0..512 {
-        let raw = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+    for entry_hpa in (leaf_hpa..leaf_hpa + 4096).step_by(8) {
+        let media = hv.decoder().decode(entry_hpa).unwrap();
+        let bank = media.global_bank(hv.decoder().geometry());
+        let (bytes, _) = hv.dram_mut().read_row(bank, media.row, media.col, 8);
+        let raw = u64::from_le_bytes(bytes.try_into().unwrap());
         if raw & 0b111 != 0 {
             let bad = raw ^ (1 << 20);
-            bytes[i * 8..i * 8 + 8].copy_from_slice(&bad.to_le_bytes());
+            (hv.dram_mut()).write_row(bank, media.row, media.col, &bad.to_le_bytes());
             flipped = true;
             break;
         }
     }
     assert!(flipped, "leaf table had no present entries");
-    let col = media.col;
-    hv.dram_mut().write_row(bank, media.row, col, &bytes);
     // Some GPA now fails integrity on translation.
     let mut violations = 0;
     for gpa in (0..(64u64 << 20)).step_by(2 << 20) {
