@@ -56,8 +56,10 @@ struct Duel {
 }
 
 /// The named attack patterns every backend faces (≥ 2, per the arena
-/// contract). Both sit mid-subarray on a TRR-free DIMM and flip bits
-/// undefended at the duel's period count.
+/// contract). Both sit mid-subarray on a TRR-free DIMM. Only `n_sided_8`
+/// flips bits undefended at the duel's period count (9 in
+/// `ARENA_report.json`); `double_sided` flips none on any backend, so its
+/// row measures only each defense's slowdown.
 fn duel_patterns() -> [(&'static str, HammerPattern); 2] {
     [
         ("double_sided", HammerPattern::double_sided(41)),

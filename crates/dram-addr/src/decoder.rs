@@ -20,8 +20,9 @@
 //! the §4.2 page-alignment consequences (2 MiB pages never straddle a block
 //! pair in different subarray groups; 3 GiB sets capture 1 GiB pages).
 
-use crate::{BankHash, Geometry, MediaAddress, CACHE_LINE_BYTES, MAPPING_JUMP_BYTES};
+use crate::{BankHash, BankId, Geometry, MediaAddress, CACHE_LINE_BYTES, MAPPING_JUMP_BYTES};
 use core::fmt;
+use std::sync::Arc;
 
 /// Errors produced by address translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +104,17 @@ pub struct SystemAddressDecoder {
     row_groups_per_super: u64,
     banks_per_socket: u64,
     socket_bytes: u64,
+    /// Structured bank coordinates by flat bank index within a socket
+    /// (socket/row/col zeroed): `BankId::to_media`'s division chain,
+    /// tabulated once. Shared, not rebuilt, by every [`crate::DecodeTlb`]
+    /// over a clone of this decoder.
+    pub(crate) bank_media: Arc<[MediaAddress]>,
+    /// The bank-hash permutation, fully tabulated:
+    /// `hash_table[(row & hash_row_mask) * banks_per_socket + slot]` is the
+    /// flat bank index. [`BankHash::None`] tabulates as one identity row
+    /// with a zero mask, so a table lookup has no policy branch.
+    pub(crate) hash_row_mask: u32,
+    pub(crate) hash_table: Arc<[u32]>,
 }
 
 impl SystemAddressDecoder {
@@ -133,13 +145,28 @@ impl SystemAddressDecoder {
                 socket_bytes, config.jump_bytes
             )));
         }
+        let banks = geometry.banks_per_socket();
+        let bank_media = (0..banks)
+            .map(|flat| BankId(flat).to_media(&geometry))
+            .collect();
+        let hash_row_mask = match config.bank_hash {
+            BankHash::None => 0,
+            BankHash::XorRow => u32::from(geometry.bank_groups) - 1,
+        };
+        let hash_table = (0..=hash_row_mask)
+            .flat_map(|row| (0..u64::from(banks)).map(move |slot| (slot, row)))
+            .map(|(slot, row)| config.bank_hash.bank_of_line(slot, row, &geometry))
+            .collect();
         Ok(Self {
             row_group_bytes,
             block_bytes,
             half_bytes: config.jump_bytes / 2,
             row_groups_per_super: config.jump_bytes / row_group_bytes,
-            banks_per_socket: geometry.banks_per_socket() as u64,
+            banks_per_socket: u64::from(banks),
             socket_bytes,
+            bank_media,
+            hash_row_mask,
+            hash_table,
             geometry,
             config,
         })
@@ -185,7 +212,7 @@ impl SystemAddressDecoder {
             .config
             .bank_hash
             .bank_of_line(line_slot, row, &self.geometry);
-        let mut media = crate::BankId(flat_bank).to_media(&self.geometry);
+        let mut media = BankId(flat_bank).to_media(&self.geometry);
         media.socket = socket as u16;
         media.row = row;
         media.col = (col_line * CACHE_LINE_BYTES + phys % CACHE_LINE_BYTES) as u32;

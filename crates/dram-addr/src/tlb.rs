@@ -12,8 +12,9 @@
 //!   function and a direct-mapped cache over stripes is *exact* — no false
 //!   hits are possible because the full stripe index is the tag.
 //! - The flat-bank → [`MediaAddress`] unpacking depends only on the flat
-//!   index, so a dense table of `banks_per_socket` entries, built once,
-//!   replaces the division chain entirely.
+//!   index, so a dense table of `banks_per_socket` entries replaces the
+//!   division chain entirely. The decoder builds it (and the bank-hash
+//!   table) once; every TLB over a clone of that decoder shares it.
 //!
 //! On a hit, the remaining work is the same tail the uncached path runs:
 //! line slot and column from `phys % row_group_bytes`, the bank-hash
@@ -21,6 +22,7 @@
 //! cached and uncached decode agree exactly across the address space.
 
 use crate::{AddrError, BankId, MediaAddress, SystemAddressDecoder, CACHE_LINE_BYTES};
+use std::sync::Arc;
 
 /// Tag value marking an empty TLB slot (no stripe hashes to it yet —
 /// `u64::MAX / row_group_bytes` exceeds any in-range stripe index).
@@ -49,10 +51,10 @@ pub struct DecodeTlb {
     rows: Vec<u32>,
     /// `tags.len() - 1`; length is a power of two.
     mask: u64,
-    /// Structured bank coordinates by flat bank index within a socket
-    /// (socket/row/col zeroed), replacing `BankId::to_media`'s division
-    /// chain on every decode.
-    bank_media: Vec<MediaAddress>,
+    /// The decoder's structured bank coordinates by flat bank index
+    /// within a socket (socket/row/col zeroed), replacing
+    /// `BankId::to_media`'s division chain on every decode.
+    bank_media: Arc<[MediaAddress]>,
     hits: u64,
     misses: u64,
     /// Misses that evicted a live (different-stripe) entry, as opposed to
@@ -66,12 +68,10 @@ pub struct DecodeTlb {
     /// `(mask, shift)` replacing `% / banks_per_socket` when the bank count
     /// is a power of two (every line of the tail then runs division-free).
     bank_pow2: Option<(u64, u32)>,
-    /// The bank-hash permutation, fully tabulated:
-    /// `hash_table[(row & hash_row_mask) * banks_per_socket + slot]` is the
-    /// flat bank index. [`crate::BankHash::None`] tabulates as one identity
-    /// row with a zero mask, so the hot path has no policy branch.
+    /// The decoder's tabulated bank-hash permutation: the flat bank index
+    /// is `hash_table[(row & hash_row_mask) * banks_per_socket + slot]`.
     hash_row_mask: u32,
-    hash_table: Vec<u32>,
+    hash_table: Arc<[u32]>,
 }
 
 impl DecodeTlb {
@@ -91,27 +91,15 @@ impl DecodeTlb {
     pub fn with_slots(decoder: SystemAddressDecoder, slots: usize) -> Self {
         let slots = slots.max(1).next_power_of_two();
         let g = decoder.geometry();
-        let bank_media = (0..g.banks_per_socket())
-            .map(|flat| BankId(flat).to_media(g))
-            .collect();
         let banks = g.banks_per_socket() as u64;
         let bank_pow2 = banks
             .is_power_of_two()
             .then(|| (banks - 1, banks.trailing_zeros()));
-        let hash_row_mask = match decoder.config().bank_hash {
-            crate::BankHash::None => 0,
-            crate::BankHash::XorRow => u32::from(g.bank_groups) - 1,
-        };
-        let hash = decoder.config().bank_hash;
-        let hash_table = (0..=hash_row_mask)
-            .flat_map(|row| (0..banks).map(move |slot| (slot, row)))
-            .map(|(slot, row)| hash.bank_of_line(slot, row, g))
-            .collect();
         Self {
             tags: vec![EMPTY; slots],
             rows: vec![0; slots],
             mask: slots as u64 - 1,
-            bank_media,
+            bank_media: Arc::clone(&decoder.bank_media),
             hits: 0,
             misses: 0,
             aliases: 0,
@@ -120,8 +108,8 @@ impl DecodeTlb {
             socket_bytes: decoder.socket_bytes(),
             capacity: decoder.capacity(),
             bank_pow2,
-            hash_row_mask,
-            hash_table,
+            hash_row_mask: decoder.hash_row_mask,
+            hash_table: Arc::clone(&decoder.hash_table),
             inner: decoder,
         }
     }
@@ -202,6 +190,50 @@ impl DecodeTlb {
     /// recompute from the media address.
     #[inline]
     pub fn decode_with_bank(&mut self, phys: u64) -> Result<(MediaAddress, BankId), AddrError> {
+        let (socket, row) = self.lookup(phys)?;
+        let line = phys % self.row_group_bytes / CACHE_LINE_BYTES;
+        Ok(self.tail(line, phys % CACHE_LINE_BYTES, socket, row))
+    }
+
+    /// Decodes the `n` lines `phys + i·64`, `i < n`, in order, handing each
+    /// to `f`: exactly what `n` [`Self::decode_with_bank`] calls return, hit
+    /// and miss counts included, with one cache lookup per row-group
+    /// stripe. Later lines of a stripe are the hits they would have been:
+    /// the first one's lookup left its slot live.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first line beyond the machine's capacity, after `f`
+    /// has seen the lines before it.
+    pub fn decode_lines(
+        &mut self,
+        phys: u64,
+        n: usize,
+        mut f: impl FnMut(MediaAddress, BankId),
+    ) -> Result<(), AddrError> {
+        let end = phys.saturating_add(n as u64 * CACHE_LINE_BYTES);
+        let mut line = phys;
+        while line < end {
+            let (socket, row) = self.lookup(line)?;
+            let line_off = line % self.row_group_bytes;
+            let stripe_end = (line - line_off + self.row_group_bytes).min(end);
+            let lines = (stripe_end - line).div_ceil(CACHE_LINE_BYTES);
+            self.hits += lines - 1;
+            let first = line_off / CACHE_LINE_BYTES;
+            for l in first..first + lines {
+                let (media, bank) = self.tail(l, phys % CACHE_LINE_BYTES, socket, row);
+                f(media, bank);
+            }
+            line += lines * CACHE_LINE_BYTES;
+        }
+        Ok(())
+    }
+
+    /// The cached half of a decode: range check, then the stripe's
+    /// `(socket, row)` from its slot, counting the hit or the miss (and
+    /// filling the slot on a miss).
+    #[inline]
+    fn lookup(&mut self, phys: u64) -> Result<(u16, u32), AddrError> {
         if phys >= self.capacity {
             return Err(AddrError::PhysOutOfRange {
                 phys,
@@ -224,20 +256,23 @@ impl DecodeTlb {
             self.rows[slot_idx] = row;
             row
         };
-        // Identical tail to the uncached decode: line slot and column come
-        // from the stripe-local offset, then the bank-hash permutation and
-        // the precomputed coordinate table.
-        let line_off = phys % self.row_group_bytes;
-        let line = line_off / CACHE_LINE_BYTES;
+        Ok(((phys / self.socket_bytes) as u16, row))
+    }
+
+    /// The rest of a decode, identical to the uncached one's: bank slot
+    /// and column line from `line`, the line's index in its row-group
+    /// stripe, then the bank-hash permutation and the coordinate table, for
+    /// a stripe at `(socket, row)`; `byte` is the offset in the line.
+    #[inline]
+    fn tail(&self, line: u64, byte: u64, socket: u16, row: u32) -> (MediaAddress, BankId) {
         let (bank_slot, col_line) = self.split_line(line);
         let flat = self.flat_bank(bank_slot, row);
-        let socket = phys / self.socket_bytes;
         let mut media = self.bank_media[flat as usize];
-        media.socket = socket as u16;
+        media.socket = socket;
         media.row = row;
-        media.col = (col_line * CACHE_LINE_BYTES + phys % CACHE_LINE_BYTES) as u32;
-        let bank = BankId(socket as u32 * self.banks_per_socket as u32 + flat);
-        Ok((media, bank))
+        media.col = (col_line * CACHE_LINE_BYTES + byte) as u32;
+        let bank = BankId(u32::from(socket) * self.banks_per_socket as u32 + flat);
+        (media, bank)
     }
 }
 
@@ -301,14 +336,10 @@ impl StreamDecoder {
             // The TLB slot for this stripe is live, so it would have hit.
             self.tlb.hits += 1;
             let line = line_off / CACHE_LINE_BYTES;
-            let (bank_slot, col_line) = self.tlb.split_line(line);
-            let flat = self.tlb.flat_bank(bank_slot, self.row);
-            let mut media = self.tlb.bank_media[flat as usize];
-            media.socket = self.socket;
-            media.row = self.row;
-            media.col = (col_line * CACHE_LINE_BYTES + phys % CACHE_LINE_BYTES) as u32;
-            let bank = BankId(u32::from(self.socket) * self.tlb.banks_per_socket as u32 + flat);
-            return Ok((media, bank));
+            let tail = self
+                .tlb
+                .tail(line, phys % CACHE_LINE_BYTES, self.socket, self.row);
+            return Ok(tail);
         }
         let (media, bank) = self.tlb.decode_with_bank(phys)?;
         self.stripe_base = phys - phys % self.tlb.row_group_bytes;
@@ -538,6 +569,49 @@ mod tests {
             Err(AddrError::PhysOutOfRange { .. })
         ));
         assert_eq!(stream.counters(), counters);
+    }
+
+    #[test]
+    fn decode_lines_matches_per_line_decodes_with_counters() {
+        // Runs inside one stripe, across one and several stripe boundaries
+        // (unaligned starts too), into a slot another stripe holds, and up
+        // to the capacity: the same decodes and the same hit, miss and
+        // alias counts as one `decode_with_bank` per line.
+        for (dec, slots) in [(mini_decoder(), 4), (skylake_decoder(), 1024)] {
+            let stripe = dec.geometry().row_group_bytes();
+            let cap = dec.capacity();
+            let runs = [
+                (0, 64),
+                (stripe - 4 * 64, 8),
+                (3 * stripe - 64 + 5, 3),
+                (stripe - 64, (2 * stripe / 64) as usize + 2),
+                (4 * slots as u64 * stripe + 128, 70),
+                (cap - 2 * 64, 2),
+                (0, 0),
+            ];
+            let (mut lines, mut single) = (
+                DecodeTlb::with_slots(dec.clone(), slots),
+                DecodeTlb::with_slots(dec.clone(), slots),
+            );
+            for (phys, n) in runs {
+                let mut got = Vec::new();
+                lines
+                    .decode_lines(phys, n, |m, b| got.push((m, b)))
+                    .unwrap();
+                let want: Vec<_> = (0..n as u64)
+                    .map(|i| single.decode_with_bank(phys + i * 64).unwrap())
+                    .collect();
+                assert_eq!(got, want, "run {phys:#x} x{n}");
+                let counters = |t: &DecodeTlb| (t.hits(), t.misses(), t.aliases());
+                assert_eq!(counters(&lines), counters(&single), "run {phys:#x} x{n}");
+            }
+            assert!(lines.aliases() > 0 && lines.hits() > lines.misses());
+            // A run past the capacity decodes the lines before it, then fails.
+            let mut seen = 0;
+            let past = lines.decode_lines(cap - 64, 2, |_, _| seen += 1);
+            assert!(matches!(past, Err(AddrError::PhysOutOfRange { phys, .. }) if phys == cap));
+            assert_eq!(seen, 1);
+        }
     }
 
     #[test]

@@ -4,6 +4,13 @@ use crate::entry::{EptEntry, EptPerms, IntegrityMode, PageSize};
 use crate::{LEVELS, LEVEL_BITS, TABLE_BYTES};
 use telemetry::Counter;
 
+/// Entries per table page.
+const ENTRIES: u64 = TABLE_BYTES / 8;
+
+/// Entries per 64-byte line: the span of one [`PhysMem::read_clean`] or
+/// [`PhysMem::write_words`].
+const LINE_WORDS: u64 = 8;
+
 /// Backing physical memory for EPT table pages.
 ///
 /// Implemented over the simulated DRAM by the hypervisor crate, and by a
@@ -21,6 +28,25 @@ pub trait PhysMem {
     fn zero_table(&mut self, table: u64) {
         for i in 0..(TABLE_BYTES / 8) {
             self.write_u64(table + i * 8, 0);
+        }
+    }
+    /// Fills `out` with the consecutive words from `phys`, all in one
+    /// 64-byte line, if every one of them reads clean: reading it with
+    /// [`Self::read_u64`] has no side effect (no ECC event is counted) and
+    /// returns the same value until it is written. Returns `false`, and
+    /// reads nothing, otherwise.
+    ///
+    /// The default always returns `false`, so callers read word by word.
+    fn read_clean(&mut self, phys: u64, out: &mut [u64]) -> bool {
+        let _ = (phys, out);
+        false
+    }
+    /// Writes `words` to consecutive words from `phys`, all in one 64-byte
+    /// line, leaving the memory exactly as one [`Self::write_u64`] per word
+    /// would.
+    fn write_words(&mut self, phys: u64, words: &[u64]) {
+        for (i, &word) in words.iter().enumerate() {
+            self.write_u64(phys + i as u64 * 8, word);
         }
     }
 }
@@ -219,13 +245,107 @@ impl Ept {
         size: PageSize,
         perms: EptPerms,
     ) -> Result<(), EptError> {
-        if !gpa.is_multiple_of(size.bytes()) || !hpa.is_multiple_of(size.bytes()) {
-            return Err(EptError::Misaligned);
+        self.map_run(mem, alloc, gpa, size, &[hpa], perms)
+            .map_err(|(_, e)| e)
+    }
+
+    /// Maps page `i` of a run, `[gpa + i·size, gpa + (i+1)·size)`, to
+    /// `[hpas[i], hpas[i] + size)` with `perms`, for every `i`.
+    ///
+    /// Memory effects, allocator calls and counters are exactly those of
+    /// one [`Self::map`] per page in order, stopping at the first failure;
+    /// on failure it returns that page's index (the number of pages mapped)
+    /// with its error. The run is mapped a leaf table at a time: the pages
+    /// that share one are walked to it once, and their entries are read and
+    /// written a 64-byte line at a time. Whatever a per-page map would
+    /// re-read with a side effect is re-read: if an upper entry does not
+    /// read clean ([`PhysMem::read_clean`]), or a corrupted entry loops the
+    /// walk back to a table it passed, the pages go one walk each.
+    pub fn map_run(
+        &mut self,
+        mem: &mut dyn PhysMem,
+        alloc: &mut dyn EptAllocator,
+        gpa: u64,
+        size: PageSize,
+        hpas: &[u64],
+        perms: EptPerms,
+    ) -> Result<(), (usize, EptError)> {
+        let (bytes, leaf_level) = (size.bytes(), size.leaf_level());
+        let aligned = |a: u64| a.is_multiple_of(bytes);
+        let mut i = 0;
+        while i < hpas.len() {
+            let page_gpa = gpa + i as u64 * bytes;
+            if !aligned(page_gpa) || !aligned(hpas[i]) {
+                return Err((i, EptError::Misaligned));
+            }
+            // The pages sharing this one's leaf table, cut before the first
+            // misaligned HPA (whose own map fails before walking).
+            let first = Self::index(page_gpa, leaf_level);
+            let room = (ENTRIES - first) as usize;
+            let chunk = (hpas[i..].iter().take(room).skip(1))
+                .position(|&h| !aligned(h))
+                .map_or(room.min(hpas.len() - i), |p| p + 1);
+            let (table, shared) =
+                (self.walk(mem, alloc, page_gpa, leaf_level, chunk > 1)).map_err(|e| (i, e))?;
+            let (start, end) = (i, if shared { i + chunk } else { i + 1 });
+            let mut words = [0u64; LINE_WORDS as usize];
+            while i < end {
+                let index = first + (i - start) as u64;
+                let n = (end - i).min((LINE_WORDS - index % LINE_WORDS) as usize);
+                let addr = table + index * 8;
+                // A per-page map reads each leaf word once, then writes it
+                // if it is free: read the line's words up to the first
+                // present one, write the free ones before it in one go.
+                let present = if mem.read_clean(addr, &mut words[..n]) {
+                    words[..n].iter().position(|&w| EptEntry(w).is_present())
+                } else {
+                    (0..n).position(|j| EptEntry(mem.read_u64(addr + j as u64 * 8)).is_present())
+                };
+                let free = present.unwrap_or(n);
+                if free > 0 {
+                    for (w, &hpa) in words[..free].iter_mut().zip(&hpas[i..]) {
+                        *w = EptEntry::leaf(hpa, perms, self.mode, self.salt).0;
+                    }
+                    mem.write_words(addr, &words[..free]);
+                    self.mapped_leaves += free as u64;
+                }
+                i += free;
+                if present.is_some() {
+                    let gpa = gpa + i as u64 * bytes;
+                    return Err((i, EptError::AlreadyMapped { gpa }));
+                }
+            }
         }
-        let leaf_level = size.leaf_level();
+        Ok(())
+    }
+
+    /// Walks from the root to `gpa`'s table at `leaf_level`, drawing and
+    /// zeroing each missing table on the way, exactly as one page's
+    /// [`Self::map`] does; returns the leaf table.
+    ///
+    /// With `share`, also returns whether the next pages under the same
+    /// leaf table may skip their own walks. They may when repeating this
+    /// walk would take the same path with no side effect: every upper entry
+    /// it read present reads clean (an entry it wrote does), and its tables
+    /// are distinct pages. A corrupted entry pointing back at a table on the
+    /// path breaks the second: a table drawn or written later in the walk
+    /// would then change words the walk already read.
+    fn walk(
+        &mut self,
+        mem: &mut dyn PhysMem,
+        alloc: &mut dyn EptAllocator,
+        gpa: u64,
+        leaf_level: u32,
+        share: bool,
+    ) -> Result<(u64, bool), EptError> {
+        let mut path = [0u64; LEVELS as usize];
+        let mut depth = 0;
+        let mut shared = share;
         let mut table = self.root;
         let mut level = LEVELS;
         while level > leaf_level {
+            path[depth] = table;
+            depth += 1;
             let entry_addr = table + Self::index(gpa, level) * 8;
             let entry = EptEntry(mem.read_u64(entry_addr));
             if entry.is_present() {
@@ -236,6 +356,7 @@ impl Ept {
                     self.integrity_denials.inc();
                     return Err(EptError::IntegrityViolation { level, entry_addr });
                 }
+                shared = shared && mem.read_clean(entry_addr, &mut [0]);
                 table = entry.hpa();
             } else {
                 let new_table = alloc.alloc_table_page()?;
@@ -249,17 +370,10 @@ impl Ept {
             }
             level -= 1;
         }
-        let entry_addr = table + Self::index(gpa, leaf_level) * 8;
-        let existing = EptEntry(mem.read_u64(entry_addr));
-        if existing.is_present() {
-            return Err(EptError::AlreadyMapped { gpa });
-        }
-        mem.write_u64(
-            entry_addr,
-            EptEntry::leaf(hpa, perms, self.mode, self.salt).0,
-        );
-        self.mapped_leaves += 1;
-        Ok(())
+        path[depth] = table;
+        let path = &path[..=depth];
+        shared = shared && (1..path.len()).all(|d| !path[..d].contains(&path[d]));
+        Ok((table, shared))
     }
 
     /// Translates a GPA, verifying integrity at every level.
@@ -331,7 +445,8 @@ impl Ept {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     struct Mem(HashMap<u64, u64>);
     impl PhysMem for Mem {
@@ -576,6 +691,230 @@ mod tests {
         // Root + PDPT + one PD = 3 table pages for 1 GiB of mappings.
         assert_eq!(ept.table_pages().len(), 3);
         assert_eq!(ept.mapped_leaves(), 512);
+    }
+
+    /// A word store that counts what a DRAM-backed memory counts: a read
+    /// of a dirty word (a flipped cell ECC corrects on every read) is
+    /// recorded per address, and a write cleans the word it covers.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recorder {
+        words: BTreeMap<u64, u64>,
+        dirty: BTreeSet<u64>,
+        reads: BTreeMap<u64, u32>,
+    }
+
+    /// `[phys, phys + 8n)` is non-empty and lies in one 64-byte line.
+    fn one_line(phys: u64, n: usize) -> bool {
+        n > 0 && phys / 64 == (phys + 8 * n as u64 - 8) / 64
+    }
+
+    impl PhysMem for Recorder {
+        fn read_u64(&mut self, p: u64) -> u64 {
+            if self.dirty.contains(&p) {
+                *self.reads.entry(p).or_default() += 1;
+            }
+            self.words.get(&p).copied().unwrap_or(0)
+        }
+        fn write_u64(&mut self, p: u64, v: u64) {
+            self.dirty.remove(&p);
+            self.words.insert(p, v);
+        }
+        fn read_clean(&mut self, p: u64, out: &mut [u64]) -> bool {
+            assert!(one_line(p, out.len()), "read_clean {p:#x} x{}", out.len());
+            let addrs = (0..out.len() as u64).map(|j| p + 8 * j);
+            if addrs.clone().any(|a| self.dirty.contains(&a)) {
+                return false;
+            }
+            for (w, a) in out.iter_mut().zip(addrs) {
+                *w = self.words.get(&a).copied().unwrap_or(0);
+            }
+            true
+        }
+        fn write_words(&mut self, p: u64, words: &[u64]) {
+            assert!(
+                one_line(p, words.len()),
+                "write_words {p:#x} x{}",
+                words.len()
+            );
+            for (j, &w) in words.iter().enumerate() {
+                self.write_u64(p + 8 * j as u64, w);
+            }
+        }
+    }
+
+    /// Table pages from a bump pointer, `left` of them before it runs out.
+    #[derive(Debug, PartialEq)]
+    struct Budget {
+        next: u64,
+        left: usize,
+    }
+    impl EptAllocator for Budget {
+        fn alloc_table_page(&mut self) -> Result<u64, EptError> {
+            self.left = self.left.checked_sub(1).ok_or(EptError::OutOfMemory)?;
+            self.next += TABLE_BYTES;
+            Ok(self.next)
+        }
+    }
+
+    const SIZES: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+    /// One lockstep case: the memory and tables a run is mapped over.
+    #[derive(Debug, Clone)]
+    struct Case {
+        mode: IntegrityMode,
+        size: PageSize,
+        gpa: u64,
+        hpas: Vec<u64>,
+        /// `(page offset from gpa, size)` mapped beforehand, page by page.
+        pre: Vec<(u64, PageSize)>,
+        /// Table pages the run may draw.
+        budget: usize,
+        dirty: Vec<prop::sample::Index>,
+        /// `(word, bit)` flipped in place after the pre-maps.
+        corrupt: Vec<(prop::sample::Index, u32)>,
+    }
+
+    fn arb_case() -> impl Strategy<Value = Case> {
+        (
+            (any::<bool>(), 0usize..3, 0u64..3, 500u64..530, 0usize..40),
+            (any::<bool>(), 0usize..40, any::<bool>()),
+            prop::collection::vec((0u64..48, 0usize..3), 0..5),
+            (any::<bool>(), 0usize..6),
+            prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+            prop::collection::vec((any::<prop::sample::Index>(), 0u32..52), 0..2),
+        )
+            .prop_map(
+                |(
+                    (checked, s, hi, first, len),
+                    (mis, m, reverse),
+                    pre,
+                    (oom, budget),
+                    dirty,
+                    corrupt,
+                )| {
+                    let size = SIZES[s];
+                    let bytes = size.bytes();
+                    let mut hpas: Vec<u64> = (0..len as u64)
+                        .map(|i| (7 << 40) + if reverse { len as u64 - i } else { i } * bytes)
+                        .collect();
+                    if mis && m < len {
+                        hpas[m] += bytes / 2;
+                    }
+                    Case {
+                        mode: if checked {
+                            IntegrityMode::Checked
+                        } else {
+                            IntegrityMode::None
+                        },
+                        size,
+                        gpa: (hi << 39) + first * bytes,
+                        hpas,
+                        pre: pre.into_iter().map(|(p, s)| (p, SIZES[s])).collect(),
+                        budget: if oom { budget } else { usize::MAX },
+                        dirty,
+                        corrupt,
+                    }
+                },
+            )
+    }
+
+    /// The state a case's run starts from, built the same way every time.
+    fn prepare(case: &Case) -> (Recorder, Budget, Ept) {
+        let mut mem = Recorder::default();
+        let mut alloc = Budget {
+            next: 0x100_0000,
+            left: usize::MAX,
+        };
+        let mut ept = Ept::new(&mut mem, &mut alloc, case.mode, 0x5a17).unwrap();
+        for &(p, size) in &case.pre {
+            let gpa = (case.gpa + p * case.size.bytes()) & !(size.bytes() - 1);
+            let _ = ept.map(&mut mem, &mut alloc, gpa, 3 << 40, size, EptPerms::RO);
+        }
+        alloc.left = case.budget;
+        // Every entry installed so far, and the run's leaf slot in every
+        // table.
+        let first = Ept::index(case.gpa, case.size.leaf_level());
+        let installed = mem.words.iter().filter(|&(_, &w)| w != 0);
+        let mut words: BTreeSet<u64> = installed.map(|(&a, _)| a).collect();
+        for &table in ept.table_pages() {
+            words.extend((0..case.hpas.len() as u64).map(|j| table + (first + j) % ENTRIES * 8));
+        }
+        let words: Vec<u64> = words.into_iter().collect();
+        for d in &case.dirty {
+            mem.dirty.insert(words[d.index(words.len())]);
+        }
+        for (w, bit) in &case.corrupt {
+            *mem.words.entry(words[w.index(words.len())]).or_default() ^= 1 << bit;
+        }
+        (mem, alloc, ept)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `map_run` against one `map` per page, stopping at the first
+        /// failure: same memory, same side-effecting reads per address,
+        /// same `(pages mapped, error)`, tables and counters. Runs cross a
+        /// 512-entry boundary, meet pre-mapped pages at every size, a
+        /// misaligned HPA, an allocator that runs dry, dirty upper and leaf
+        /// words, and corrupted entries.
+        #[test]
+        fn map_run_matches_per_page_maps(case in arb_case()) {
+            let (mut run_mem, mut run_alloc, mut run) = prepare(&case);
+            let got = run.map_run(
+                &mut run_mem, &mut run_alloc, case.gpa, case.size, &case.hpas, EptPerms::RWX,
+            );
+            let (mut mem, mut alloc, mut ept) = prepare(&case);
+            let mut want = Ok(());
+            for (i, &hpa) in case.hpas.iter().enumerate() {
+                let gpa = case.gpa + i as u64 * case.size.bytes();
+                if let Err(e) = ept.map(&mut mem, &mut alloc, gpa, hpa, case.size, EptPerms::RWX) {
+                    want = Err((i, e));
+                    break;
+                }
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&run_mem, &mem);
+            prop_assert_eq!(run_alloc, alloc);
+            prop_assert_eq!(run.mapped_leaves(), ept.mapped_leaves());
+            prop_assert_eq!(run.table_pages(), ept.table_pages());
+            prop_assert_eq!(run.integrity_denials(), ept.integrity_denials());
+        }
+    }
+
+    #[test]
+    fn map_run_rewalks_when_a_corrupted_entry_loops_the_walk() {
+        // A root entry redirected (no integrity) to a page that held a
+        // table once and is free again: the walk follows a stale entry
+        // there, then draws that same page as the leaf table and zeroes it.
+        // The first leaf lands where the stale entry was, so the second
+        // page's walk meets a leaf one level up.
+        let size = PageSize::Size4K;
+        let stale = 0x200_0000;
+        let setup = || {
+            let mut mem = Recorder::default();
+            let mut alloc = Budget {
+                next: 0x100_0000,
+                left: usize::MAX,
+            };
+            let ept = Ept::new(&mut mem, &mut alloc, IntegrityMode::None, 0).unwrap();
+            mem.write_u64(ept.root(), EptEntry::table(stale, IntegrityMode::None, 0).0);
+            mem.write_u64(stale, EptEntry::table(0x300_0000, IntegrityMode::None, 0).0);
+            alloc.next = stale - TABLE_BYTES;
+            (mem, alloc, ept)
+        };
+        let hpas: Vec<u64> = (0..4).map(|i| (1 << 32) + i * size.bytes()).collect();
+        let (mut run_mem, mut run_alloc, mut run) = setup();
+        let got = run.map_run(&mut run_mem, &mut run_alloc, 0, size, &hpas, EptPerms::RWX);
+        let (mut mem, mut alloc, mut ept) = setup();
+        let gpa = size.bytes();
+        ept.map(&mut mem, &mut alloc, 0, hpas[0], size, EptPerms::RWX)
+            .unwrap();
+        let second = ept.map(&mut mem, &mut alloc, gpa, hpas[1], size, EptPerms::RWX);
+        assert_eq!(second, Err(EptError::AlreadyMapped { gpa }));
+        assert_eq!(got, Err((1, EptError::AlreadyMapped { gpa })));
+        assert_eq!(run_mem, mem);
+        assert_eq!(run.mapped_leaves(), 1);
     }
 
     #[test]

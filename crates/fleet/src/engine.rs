@@ -468,14 +468,16 @@ impl FleetSim {
             Entry::Vacant(slot) => {
                 let working_set = self.scenario.slice_working_set;
                 let seed = self.scenario.seed ^ (u64::from(tenant % DRAW_CLASSES) << 17);
-                let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
-                let name = workload.name();
+                let name = workloads::fleet_tenant_name(tenant);
                 // When two hosts of one cluster race to compile the same
                 // class ledger inside a barrier epoch, only the host whose
                 // build won the cache insert counts the compile: the
                 // cluster-wide total is one per key for any worker count.
                 let mut mine: Option<Arc<GuestLedger>> = None;
                 let build = || {
+                    // Built on a miss only: construction has no side
+                    // effect, and an OLTP tenant's bulk-loads a B+-tree.
+                    let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
                     let mut rng = StdRng::seed_from_u64(seed);
                     let ledger =
                         GuestLedger::generate(workload.as_mut(), ops as usize, threads, &mut rng);
@@ -483,7 +485,7 @@ impl FleetSim {
                 };
                 let got =
                     self.cache
-                        .guest_ledger(&name, working_set, ops as usize, threads, seed, build);
+                        .guest_ledger(name, working_set, ops as usize, threads, seed, build);
                 if mine.is_some_and(|m| Arc::ptr_eq(&m, &got)) {
                     self.stats.ledger_compiles += 1;
                 }

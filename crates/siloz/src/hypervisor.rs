@@ -24,7 +24,7 @@ use crate::provision::ProvisionedTopology;
 use crate::vm::{BackingBlock, MemoryRegionKind, VmHandle, VmRegion, VmSpec};
 use crate::SilozError;
 use dram::flip::BitFlip;
-use dram::{DramSystem, DramSystemBuilder, ReadIntegrity};
+use dram::{DramSystem, DramSystemBuilder};
 use dram_addr::{DecodeTlb, RepairMap, SystemAddressDecoder, CACHE_LINE_BYTES};
 use ept::{
     Ept, EptAllocator, EptError, EptPerms, IntegrityMode, PageSize, PhysMem, Translation,
@@ -79,107 +79,74 @@ struct Vm {
 /// through the hypervisor's decode TLB and reads land in its scratch
 /// buffer, so a table access neither re-derives a row nor allocates.
 ///
-/// It memoises the words it knows read back clean (see [`CleanWords`]):
-/// `Ept::map` reads the same upper-level entries for every leaf under
-/// them, and those reads are then served without touching the device.
+/// A 64-byte line is contiguous in one row, so a multi-word access is one
+/// row access per line: `read_clean` and `write_words` decode once,
+/// `zero_table` once per page.
 struct DramPhysMem<'a> {
     dram: &'a mut DramSystem,
     tlb: &'a mut DecodeTlb,
     scratch: &'a mut Vec<u8>,
-    clean: CleanWords,
 }
 
 impl<'a> DramPhysMem<'a> {
     fn new(dram: &'a mut DramSystem, tlb: &'a mut DecodeTlb, scratch: &'a mut Vec<u8>) -> Self {
-        Self {
-            dram,
-            tlb,
-            scratch,
-            clean: CleanWords::default(),
-        }
+        Self { dram, tlb, scratch }
     }
 }
 
 impl PhysMem for DramPhysMem<'_> {
     fn read_u64(&mut self, phys: u64) -> u64 {
-        if let Some(word) = self.clean.get(phys) {
-            return word;
-        }
         let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
-        let integrity = self.dram.read_row_into(bank, m.row, m.col, 8, self.scratch);
-        let word = u64::from_le_bytes(self.scratch[..].try_into().expect("8 bytes"));
-        if integrity == ReadIntegrity::Clean {
-            self.clean.put(phys, word);
-        }
-        word
+        self.dram.read_row_into(bank, m.row, m.col, 8, self.scratch);
+        u64::from_le_bytes(self.scratch[..].try_into().expect("8 bytes"))
     }
 
     fn write_u64(&mut self, phys: u64, value: u64) {
         let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
         self.dram
             .write_row(bank, m.row, m.col, &value.to_le_bytes());
-        self.clean.put(phys, value);
     }
 
-    /// One decode and one 64 B zero write per line. A line is contiguous
-    /// in one row, so this zeroes the same bytes and clears the same flips
-    /// as the line's 8 word writes and, like them, materialises no row.
+    /// Clean when the row holds no flipped cell: a read then counts no ECC
+    /// event, and nothing else touches the device while the adapter lives.
+    fn read_clean(&mut self, phys: u64, out: &mut [u64]) -> bool {
+        let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
+        if self.dram.active_flip_count(bank, m.row) != 0 {
+            return false;
+        }
+        let len = 8 * out.len() as u32;
+        self.dram
+            .read_row_into(bank, m.row, m.col, len, self.scratch);
+        for (word, bytes) in out.iter_mut().zip(self.scratch.chunks_exact(8)) {
+            *word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        }
+        true
+    }
+
+    /// One `write_row` of the span: it covers the words' bytes, clears the
+    /// flips in them and materialises the row exactly as the word writes do.
+    fn write_words(&mut self, phys: u64, words: &[u64]) {
+        const LINE: usize = CACHE_LINE_BYTES as usize;
+        let mut bytes = [0u8; LINE];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        let (m, bank) = self.tlb.decode_with_bank(phys).expect("EPT page in DRAM");
+        self.dram
+            .write_row(bank, m.row, m.col, &bytes[..8 * words.len()]);
+    }
+
+    /// One TLB lookup for the page and one 64 B zero write per line, which
+    /// zeroes the same bytes and clears the same flips as the line's 8 word
+    /// writes and, like them, materialises no row.
     fn zero_table(&mut self, table: u64) {
-        const LINE: u64 = CACHE_LINE_BYTES;
-        for line in (table..table + TABLE_BYTES).step_by(LINE as usize) {
-            let (m, bank) = self.tlb.decode_with_bank(line).expect("EPT page in DRAM");
-            self.dram.write_row(bank, m.row, m.col, &[0; LINE as usize]);
-        }
-        self.clean.zero_page(table);
-    }
-}
-
-/// Words the device would return `Clean` with a known value, most recently
-/// used first: each word read back `Clean` or written through the adapter.
-///
-/// Exact because the adapter borrows the device exclusively: nothing else
-/// writes it or flips a cell while the adapter lives, so a clean word
-/// stays clean, and a write clears the flips in the bytes it covers.
-/// Serving a clean word from here skips only a read with no side effect —
-/// ECC counters move on flipped words alone. A word read `Corrected` (or
-/// worse) is never memoised: re-reading it counts again, as the device
-/// would. Eight slots hold the four levels of one `Ept::map` walk with
-/// room to spare; the least recently used word is dropped.
-#[derive(Default)]
-struct CleanWords {
-    /// `(phys, value)`; the first `len` slots are live.
-    slots: [(u64, u64); 8],
-    len: usize,
-}
-
-impl CleanWords {
-    /// The memoised value of the word at `phys`, moved to the front.
-    fn get(&mut self, phys: u64) -> Option<u64> {
-        let i = self.slots[..self.len].iter().position(|s| s.0 == phys)?;
-        self.slots[..=i].rotate_right(1);
-        Some(self.slots[0].1)
-    }
-
-    /// Records `value` as the word at `phys`, at the front.
-    fn put(&mut self, phys: u64, value: u64) {
-        let i = match self.slots[..self.len].iter().position(|s| s.0 == phys) {
-            Some(i) => i,
-            None => {
-                self.len = (self.len + 1).min(self.slots.len());
-                self.len - 1
-            }
-        };
-        self.slots[..=i].rotate_right(1);
-        self.slots[0] = (phys, value);
-    }
-
-    /// The table page at `table` was zeroed: its memoised words read 0.
-    fn zero_page(&mut self, table: u64) {
-        for s in &mut self.slots[..self.len] {
-            if frame_of_hpa(s.0) == frame_of_hpa(table) {
-                s.1 = 0;
-            }
-        }
+        const LINE: usize = CACHE_LINE_BYTES as usize;
+        let dram = &mut *self.dram;
+        (self.tlb)
+            .decode_lines(table, TABLE_BYTES as usize / LINE, |m, bank| {
+                dram.write_row(bank, m.row, m.col, &[0; LINE]);
+            })
+            .expect("EPT page in DRAM");
     }
 }
 
@@ -229,13 +196,15 @@ impl EptPool<'_> {
 
 /// The map step: installs `blocks` of a `kind` region in `ept` — perms from
 /// the region kind, page size from each block. Emulated MMIO is never
-/// mapped; that is what makes it mediated. On failure the leaves this call
-/// installed are unmapped again; table pages it drew stay part of `ept`
-/// (they are linked into the tree) and go back when the EPT does.
+/// mapped; that is what makes it mediated. Each GPA-contiguous run of
+/// same-size blocks is one [`Ept::map_run`], which has the effects of one
+/// `map` per block. On failure the leaves this call installed are unmapped
+/// again; table pages it drew stay part of `ept` (they are linked into the
+/// tree) and go back when the EPT does.
 fn map_blocks(
     ept: &mut Ept,
     mem: &mut DramPhysMem<'_>,
-    pool: &mut EptPool<'_>,
+    alloc: &mut dyn EptAllocator,
     kind: MemoryRegionKind,
     blocks: &[BackingBlock],
 ) -> Result<(), SilozError> {
@@ -244,13 +213,21 @@ fn map_blocks(
         MemoryRegionKind::Rom | MemoryRegionKind::RomDevice => EptPerms::RO,
         _ => EptPerms::RWX,
     };
-    for (i, b) in blocks.iter().enumerate() {
-        if let Err(e) = ept.map(mem, pool, b.gpa, b.hpa(), b.page_size(), perms) {
-            for done in &blocks[..i] {
+    let hpas: Vec<u64> = blocks.iter().map(BackingBlock::hpa).collect();
+    let mut start = 0;
+    while start < blocks.len() {
+        let (gpa, size) = (blocks[start].gpa, blocks[start].page_size());
+        let run = (blocks[start..].iter().zip(0..))
+            .take_while(|&(b, i)| b.page_size() == size && b.gpa == gpa + i * size.bytes())
+            .count();
+        let hpas = &hpas[start..start + run];
+        if let Err((k, e)) = ept.map_run(mem, alloc, gpa, size, hpas, perms) {
+            for done in &blocks[..start + k] {
                 let _ = ept.unmap(mem, done.gpa);
             }
             return Err(e.into());
         }
+        start += run;
     }
     Ok(())
 }
@@ -1835,51 +1812,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn clean_word_memo_rereads_a_corrected_upper_level_word() {
+    /// Table pages from a stack: the last is drawn first.
+    struct Pages(Vec<u64>);
+    impl EptAllocator for Pages {
+        fn alloc_table_page(&mut self) -> Result<u64, EptError> {
+            self.0.pop().ok_or(EptError::OutOfMemory)
+        }
+    }
+
+    /// The adapter reduced to its word accesses: `read_clean` never
+    /// succeeds and `write_words` writes word by word, as every EPT update
+    /// did before runs.
+    struct WordByWord<'a>(DramPhysMem<'a>);
+    impl PhysMem for WordByWord<'_> {
+        fn read_u64(&mut self, phys: u64) -> u64 {
+            self.0.read_u64(phys)
+        }
+        fn write_u64(&mut self, phys: u64, value: u64) {
+            self.0.write_u64(phys, value);
+        }
+    }
+
+    /// A mini-geometry device with SecDed ECC and no TRR, so hammering a
+    /// row flips cells that every read of them counts.
+    fn secded_dram(config: &SilozConfig) -> DramSystem {
         use dram::{DimmProfile, EccMode};
+        DramSystemBuilder::new(config.geometry)
+            .internal_map(config.internal_map)
+            .profiles(vec![DimmProfile::evaluation_dimms().remove(0)])
+            .ecc(EccMode::SecDed)
+            .trr(0, 0)
+            .build()
+    }
+
+    /// 2 MiB blocks backing guest pages `pages`, at GPA `page · 2 MiB`.
+    fn blocks_2m(pages: std::ops::Range<u64>) -> Vec<BackingBlock> {
+        (pages.map(|i| BackingBlock {
+            gpa: i << 21,
+            frame: (1 << 20) + (i << ORDER_2M),
+            order: ORDER_2M,
+            node: NodeId(0),
+        }))
+        .collect()
+    }
+
+    #[test]
+    fn run_map_rereads_a_corrected_upper_level_word() {
         use ept::EptEntry;
         const LINE: u64 = CACHE_LINE_BYTES;
-
-        /// The adapter with its memo emptied before every read: each read
-        /// goes to the device, as before there was a memo.
-        struct Unmemoised<'a>(DramPhysMem<'a>);
-        impl PhysMem for Unmemoised<'_> {
-            fn read_u64(&mut self, phys: u64) -> u64 {
-                self.0.clean = CleanWords::default();
-                self.0.read_u64(phys)
-            }
-            fn write_u64(&mut self, phys: u64, value: u64) {
-                self.0.write_u64(phys, value);
-            }
-        }
-        /// Table pages from a bump pointer, the first at `root`.
-        struct Pages(Vec<u64>);
-        impl EptAllocator for Pages {
-            fn alloc_table_page(&mut self) -> Result<u64, EptError> {
-                self.0.pop().ok_or(EptError::OutOfMemory)
-            }
-        }
 
         let config = SilozConfig::mini();
         let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).unwrap();
         let g = *decoder.geometry();
         let stripe = 16 * g.row_group_bytes();
         let row = decoder.decode(stripe).unwrap().row;
-        let build = || {
-            DramSystemBuilder::new(g)
-                .internal_map(config.internal_map)
-                .profiles(vec![DimmProfile::evaluation_dimms().remove(0)])
-                .ecc(EccMode::SecDed)
-                .trr(0, 0)
-                .build()
-        };
         let mut tlb = DecodeTlb::new(decoder.clone());
         let mut scratch = Vec::new();
 
         // Where hammering the stripe's row flips a cell alone in its word:
         // that word, the table page holding it, and its index there.
-        let mut probe = build();
+        let mut probe = secded_dram(&config);
         hammer_in_every_bank(&mut probe, row);
         let flips = probe.flip_log().all().to_vec();
         let lone = (flips.iter())
@@ -1903,10 +1895,14 @@ mod tests {
         let index = (word - root) / 8;
 
         // Twin devices: an EPT whose root entry `index` is present, then the
-        // hammering, then two 2 MiB leaves mapped under that entry.
+        // hammering, then three 2 MiB leaves mapped under that entry. Every
+        // page's walk re-reads the entry, and the device counts each read:
+        // a run of three pages must too. (Three, not two: a run that read
+        // the entry once more to check it, then skipped the rest, would
+        // also count two.)
         let mut corrected = Vec::new();
-        for memoised in [true, false] {
-            let mut dram = build();
+        for as_run in [true, false] {
+            let mut dram = secded_dram(&config);
             let far = 40 * g.row_group_bytes();
             let mut pages = Pages((1..8).rev().map(|i| far + i * TABLE_BYTES).collect());
             pages.0.push(root);
@@ -1925,27 +1921,125 @@ mod tests {
             hammer_in_every_bank(&mut dram, row);
             let (m, bank) = tlb.decode_with_bank(word).unwrap();
             let (bytes, integrity) = dram.read_row(bank, m.row, m.col, 8);
-            assert_eq!(integrity, ReadIntegrity::Corrected(1));
+            assert_eq!(integrity, dram::ReadIntegrity::Corrected(1));
             let entry = EptEntry(u64::from_le_bytes(bytes.try_into().unwrap()));
             assert!(entry.is_present() && !entry.is_leaf(), "root entry {index}");
 
             let before = dram.stats().corrected_words;
             let mut mem = DramPhysMem::new(&mut dram, &mut tlb, &mut scratch);
-            let mut unmemoised;
-            let mem: &mut dyn PhysMem = if memoised {
-                &mut mem
-            } else {
-                unmemoised = Unmemoised(mem);
-                &mut unmemoised
-            };
-            for leaf in 1..=2 {
-                let (gpa, hpa) = (gpa + leaf * (2 << 20), leaf * (2 << 20));
-                ept.map(mem, &mut pages, gpa, hpa, PageSize::Size2M, EptPerms::RWX)
+            let (gpa, hpas) = (gpa + (2 << 20), [2 << 20, 4 << 20, 6 << 20]);
+            let size = PageSize::Size2M;
+            if as_run {
+                ept.map_run(&mut mem, &mut pages, gpa, size, &hpas, EptPerms::RWX)
                     .unwrap();
+            } else {
+                for (gpa, hpa) in (0..).map(|i| gpa + i * (2 << 20)).zip(hpas) {
+                    ept.map(&mut mem, &mut pages, gpa, hpa, size, EptPerms::RWX)
+                        .unwrap();
+                }
             }
             corrected.push(dram.stats().corrected_words - before);
         }
-        assert_eq!(corrected, [2, 2], "memoised, unmemoised");
+        assert_eq!(corrected, [3, 3], "one run, three maps");
+    }
+
+    #[test]
+    fn map_blocks_matches_per_block_maps_over_a_flipped_leaf_table() {
+        const LINE: u64 = CACHE_LINE_BYTES;
+        let config = SilozConfig::mini();
+        let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).unwrap();
+        let g = *decoder.geometry();
+        let stripe = 16 * g.row_group_bytes();
+        let row = decoder.decode(stripe).unwrap().row;
+        let mut tlb = DecodeTlb::new(decoder.clone());
+        let mut scratch = Vec::new();
+
+        // Each table page of the stripe with the entries in which hammering
+        // its row flips cells; the one with the most, and there a flipped
+        // entry `w` that does not open its line.
+        let mut probe = secded_dram(&config);
+        hammer_in_every_bank(&mut probe, row);
+        let flips = probe.flip_log().all().to_vec();
+        let lines_of = |table: u64| (table..table + TABLE_BYTES).step_by(LINE as usize);
+        let flipped_entries = |tlb: &mut DecodeTlb, table: u64| -> Vec<u64> {
+            let mut entries: Vec<u64> = (lines_of(table).zip(0..))
+                .flat_map(|(l, line)| {
+                    let (m, bank) = tlb.decode_with_bank(l).unwrap();
+                    (flips.iter())
+                        .filter(move |f| {
+                            (f.bank, f.media_row, f.byte / 64) == (bank, m.row, m.col / 64)
+                        })
+                        .map(move |f| line * 8 + u64::from(f.byte % 64 / 8))
+                })
+                .collect();
+            entries.dedup();
+            entries
+        };
+        let (leaf_table, w) = (stripe..stripe + g.row_group_bytes())
+            .step_by(TABLE_BYTES as usize)
+            .map(|t| (t, flipped_entries(&mut tlb, t)))
+            .filter_map(|(t, entries)| {
+                Some((t, *entries.iter().find(|&&e| e % 8 != 0)?, entries.len()))
+            })
+            .max_by_key(|&(_, _, n)| n)
+            .map(|(t, w, _)| (t, w))
+            .expect("hammering flips an entry past a line's first");
+
+        // Twin devices: an EPT whose PD is that page with entry `w - 1`
+        // mapped, then the hammering. Then two runs over the PD, each as one
+        // `map_blocks` or as the per-block maps (and undo) it replaced, word
+        // by word: one from the start of that entry's line, which stops at
+        // it, and one from `w`, mid-line, to the PD's end.
+        let runs = [blocks_2m((w - 1) / 8 * 8..512), blocks_2m(w..512)];
+        let mut twin = |per_block: bool| {
+            let mut dram = secded_dram(&config);
+            let far = 40 * g.row_group_bytes();
+            let mut pages = Pages(vec![leaf_table, far + TABLE_BYTES, far]);
+            let mut mem = DramPhysMem::new(&mut dram, &mut tlb, &mut scratch);
+            let mut ept = Ept::new(&mut mem, &mut pages, IntegrityMode::None, 0).unwrap();
+            let ram = MemoryRegionKind::Ram;
+            map_blocks(&mut ept, &mut mem, &mut pages, ram, &blocks_2m(w - 1..w)).unwrap();
+            assert_eq!(ept.table_pages()[2], leaf_table);
+            hammer_in_every_bank(&mut dram, row);
+            let mut seen = vec![(*dram.stats(), dram.rows_written())];
+            let mut results = Vec::new();
+            for blocks in &runs {
+                let mut mem = DramPhysMem::new(&mut dram, &mut tlb, &mut scratch);
+                results.push(if per_block {
+                    let mut mem = WordByWord(mem);
+                    (blocks.iter().enumerate()).try_for_each(|(i, b)| {
+                        let (gpa, size) = (b.gpa, b.page_size());
+                        ept.map(&mut mem, &mut pages, gpa, b.hpa(), size, EptPerms::RWX)
+                            .map_err(|e| {
+                                for done in &blocks[..i] {
+                                    let _ = ept.unmap(&mut mem, done.gpa);
+                                }
+                                SilozError::from(e)
+                            })
+                    })
+                } else {
+                    map_blocks(&mut ept, &mut mem, &mut pages, ram, blocks)
+                });
+                seen.push((*dram.stats(), dram.rows_written()));
+            }
+            let rows: Vec<_> = (lines_of(leaf_table).map(|l| tlb.decode_with_bank(l).unwrap()))
+                .map(|(m, bank)| {
+                    let flipped = dram.active_flip_count(bank, m.row);
+                    (dram.read_row(bank, m.row, 0, g.row_bytes as u32), flipped)
+                })
+                .collect();
+            (results, seen, rows, ept.mapped_leaves())
+        };
+        let (by_run, by_block) = (twin(false), twin(true));
+        let gpa = (w - 1) << 21;
+        let stop = Err(SilozError::Ept(EptError::AlreadyMapped { gpa }));
+        assert_eq!(by_block.0, [stop, Ok(())]);
+        let ecc = |i: usize| {
+            let stats = by_block.1[i].0;
+            stats.corrected_words + stats.uncorrectable_words
+        };
+        assert!(ecc(2) > ecc(1), "the second run read flipped entries");
+        assert!(by_run == by_block, "map_blocks and per-block maps differ");
     }
 
     #[test]

@@ -235,6 +235,24 @@ pub fn fleet_tenant_workload(tenant: u32, working_set: u64) -> Box<dyn WorkloadG
     }
 }
 
+/// The name of tenant `tenant`'s roster entry: what
+/// [`fleet_tenant_workload`]`(tenant, working_set).name()` returns for any
+/// working set, without building the generator (the OLTP entry bulk-loads
+/// a B+-tree to construct).
+#[must_use]
+pub fn fleet_tenant_name(tenant: u32) -> &'static str {
+    match tenant % FLEET_ROSTER_LEN {
+        0 => ycsb::YcsbKind::A.label(),
+        1 => ycsb::YcsbKind::B.label(),
+        2 => ycsb::YcsbKind::C.label(),
+        3 => "memcached",
+        4 => "mysql",
+        5 => mlc::MlcKind::Reads.label(),
+        6 => ycsb::YcsbKind::F.label(),
+        _ => "gups",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +277,19 @@ mod tests {
             FLEET_ROSTER_LEN as usize,
             "roster entries are distinct"
         );
+    }
+
+    #[test]
+    fn fleet_tenant_names_match_the_built_generators() {
+        for tenant in 0..2 * FLEET_ROSTER_LEN {
+            for working_set in [1 << 20, 8 << 20, 64 << 20] {
+                assert_eq!(
+                    fleet_tenant_name(tenant),
+                    fleet_tenant_workload(tenant, working_set).name(),
+                    "tenant {tenant}, working set {working_set}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pinned() {
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
-# ~40 s on 2 cores: three strategies on two-socket evaluation hosts with GiB-sized
+# ~30 s on 2 cores: three strategies on two-socket evaluation hosts with GiB-sized
 # guests and multi-node expansions (636 per strategy) — the only committed
 # report that drives create/expand/migrate at that shape.
 step "fleet gate: full multi-tenant soak on evaluation hosts, pinned to FLEET_soak.json" \
@@ -75,17 +75,18 @@ step "paper gate: full-scale Table 3 containment, pinned to bench_results/table3
   paper_pin table3_containment
 step "paper gate: full-scale §7.1 EPT guard rows, pinned to bench_results/ept_protection.txt" \
   paper_pin ept_protection
-# Six more paper outputs that regenerate in ~0.4 s together: Tables 1-2,
-# Fig. 2's layout, the guard-row overhead, §8.3's SoftTRR deadlines and
-# §8.4's co-location latencies.
+# Seven more paper outputs that regenerate in ~0.4 s together: Fig. 1's
+# hierarchy, Tables 1-2, Fig. 2's layout, the guard-row overhead, §8.3's
+# SoftTRR deadlines and §8.4's co-location latencies.
 paper_pins() {
   local bin
   for bin in "$@"; do
     paper_pin "$bin"
   done
 }
-step "paper gate: Tables 1-2, Fig. 2, guard overhead, §8.3 and §8.4, pinned to bench_results/" \
-  paper_pins table1_transforms table2_config fig2_layout guard_overhead softtrr_deadlines colocation
+step "paper gate: Figs 1-2, Tables 1-2, guard overhead, §8.3 and §8.4, pinned to bench_results/" \
+  paper_pins fig1_hierarchy table1_transforms table2_config fig2_layout guard_overhead softtrr_deadlines \
+  colocation
 
 step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to ARENA_quick.json" \
   pinned ARENA_quick.json cargo run --release -q -p bench --bin arena -- --quick
@@ -93,7 +94,7 @@ step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to
 step "cluster gate: quick multi-host soak (scheduler + migration + determinism), pinned to CLUSTER_soak_quick.json" \
   pinned CLUSTER_soak_quick.json cargo run --release -q -p bench --bin cluster_soak -- --quick
 
-# ~21 s on 2 cores, VmHWM ~1.3 GiB: 4096 hosts, 1.67 M events, three
+# ~17-21 s on 2 cores, VmHWM ~1.3 GiB: 4096 hosts, 1.67 M events, three
 # policies. The strongest byte-pin a lifecycle change can be held to, and a
 # memory gate: the step fails when the soak's own VmHWM exceeds 1.8 GiB.
 scale_rss_limit_mib=1843
