@@ -293,8 +293,11 @@ impl DecodeTlb {
 #[derive(Debug, Clone)]
 pub struct StreamDecoder {
     tlb: DecodeTlb,
-    /// First byte of the current stripe, or `u64::MAX` before any decode.
+    /// First byte of the current stripe.
     stripe_base: u64,
+    /// Bytes of the current stripe: 0 before any decode, so no address is
+    /// within it, and the TLB's stripe size after.
+    stripe_len: u64,
     /// Cached `(row, socket)` of the current stripe.
     row: u32,
     socket: u16,
@@ -306,7 +309,8 @@ impl StreamDecoder {
     pub fn new(decoder: SystemAddressDecoder) -> Self {
         Self {
             tlb: DecodeTlb::new(decoder),
-            stripe_base: u64::MAX,
+            stripe_base: 0,
+            stripe_len: 0,
             row: 0,
             socket: 0,
         }
@@ -332,7 +336,7 @@ impl StreamDecoder {
         // subtraction replaces the division; the in-range check is implied
         // (the previous decode validated this stripe).
         let line_off = phys.wrapping_sub(self.stripe_base);
-        if line_off < self.tlb.row_group_bytes {
+        if line_off < self.stripe_len {
             // The TLB slot for this stripe is live, so it would have hit.
             self.tlb.hits += 1;
             let line = line_off / CACHE_LINE_BYTES;
@@ -343,6 +347,7 @@ impl StreamDecoder {
         }
         let (media, bank) = self.tlb.decode_with_bank(phys)?;
         self.stripe_base = phys - phys % self.tlb.row_group_bytes;
+        self.stripe_len = self.tlb.row_group_bytes;
         self.row = media.row;
         self.socket = media.socket;
         Ok((media, bank))
@@ -514,7 +519,8 @@ mod tests {
             let mut stream = StreamDecoder::new(dec.clone());
             let mut tlb = DecodeTlb::new(dec.clone());
             let stripe = dec.geometry().row_group_bytes();
-            let mut seq = Vec::new();
+            // The first decode lies in stripe 0, at a line's last byte.
+            let mut seq = vec![63];
             // Dense run inside one stripe, crossing into the next.
             for k in 0..64u64 {
                 seq.push(stripe - 32 * 64 + k * 64);

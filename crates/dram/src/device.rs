@@ -47,6 +47,7 @@ use crate::ecc::{classify, EccMode, ReadIntegrity};
 use crate::flip::{BitFlip, FlipLog, WeakCell};
 use crate::profile::DimmProfile;
 use crate::rowmap::RowMap;
+use crate::trr::TrrOrbit;
 use crate::{REFRESH_WINDOW_NS, REFS_PER_WINDOW};
 use dram_addr::transform::media_row_from_internal;
 use dram_addr::{
@@ -181,7 +182,9 @@ struct CycleVictim {
 /// A pattern period — a run list of resolved aggressors on one bank —
 /// built once by [`DramSystem::resolve_cycle`] and applied any number of
 /// times in one call by [`DramSystem::activate_cycle`]. Every allocation of
-/// a fold happens when the cycle is built.
+/// a fold happens when the cycle is built, except its TRR orbits': they
+/// grow as calls need states, to at most 64 per side, and keep their
+/// buffers when they restart.
 #[derive(Debug, Clone)]
 pub struct Cycle {
     /// The period's runs in issue order, zero-count runs dropped.
@@ -198,6 +201,8 @@ pub struct Cycle {
     /// Per rank side, the `(internal row, count)` the TRR tracker observes
     /// in one pass.
     trr: [Vec<(u32, u64)>; 2],
+    /// Per rank side, the tracker's orbit under that pass.
+    orbits: [TrrOrbit; 2],
     /// A fold's results, one per victim, held until none crosses.
     folded: Vec<Segment>,
 }
@@ -784,6 +789,7 @@ impl DramSystem {
             victims: Vec::new(),
             ops: Vec::new(),
             trr: [Vec::new(), Vec::new()],
+            orbits: Default::default(),
             folded: Vec::new(),
             runs,
         };
@@ -839,9 +845,11 @@ impl DramSystem {
     /// weak-cell threshold on the way, the passes run as `reps` ×
     /// `activate_resolved` instead, so flips keep their per-ACT order.
     /// Otherwise the folded accumulators are written back, each TRR side
-    /// replays its pass `reps` times (`TrrTracker::observe_cycle`),
-    /// and the counters add `reps` × the period's activations. A cycle
-    /// built before the bank's victim arena grew rebuilds itself first.
+    /// applies `reps` passes of its pass (`TrrTracker::observe_cycle`,
+    /// read from the cycle's orbit of that side's tracker when the tracker
+    /// starts where the orbit does), and the counters add `reps` × the
+    /// period's activations. A cycle built before the bank's victim arena
+    /// grew rebuilds itself first, with new orbits.
     pub fn activate_cycle(&mut self, cycle: &mut Cycle, reps: u64) {
         debug_assert!(
             self.now_ns < self.next_ref_ns,
@@ -879,8 +887,9 @@ impl DramSystem {
         for (v, &seg) in cycle.victims.iter().zip(&cycle.folded) {
             state.victims[v.idx as usize].set_folded(seg, v.has_reset);
         }
-        for (tracker, pass) in state.trr.iter_mut().zip(&cycle.trr) {
-            tracker.observe_cycle(pass, reps);
+        for ((tracker, pass), orbit) in state.trr.iter_mut().zip(&cycle.trr).zip(&mut cycle.orbits)
+        {
+            tracker.observe_cycle(pass, reps, orbit);
         }
         state.acts += reps * cycle.acts;
         self.stats.acts += reps * cycle.acts;
@@ -1733,6 +1742,75 @@ mod tests {
         assert_same_state(&reference, &burst);
         assert!(reference.stats().trr_triggers > 0, "TRR did serve");
         assert!(!reference.flip_log().is_empty(), "pattern defeated TRR");
+    }
+
+    #[test]
+    fn cycle_tracker_entries_match_per_run_path_across_refs() {
+        // One cycle serves every REF interval of a 10-sided pattern, as in
+        // the hammer loop. Its TRR orbits are read whenever an interval
+        // starts where the last one did; a siege in the middle moves the
+        // start state and grows the victim arena, so the next call rebuilds
+        // the cycle with fresh orbits. Both sides' tracker entries, order
+        // included, must match the per-run path after every call and REF.
+        let bank = BankId(0);
+        let build = || DramSystemBuilder::new(mini_geometry()).trr(4, 2).build();
+        let rows: [(u32, u64); 10] =
+            core::array::from_fn(|i| (10 + 2 * i as u32, 1 + i as u64 % 3));
+        let first_period = |dram: &mut DramSystem| -> Vec<(Aggressor, u64)> {
+            let mut runs = Vec::new();
+            for &(row, count) in &rows {
+                let aggressor = dram.resolve_aggressor(bank, row, 0);
+                dram.activate_resolved(&aggressor, count);
+                runs.push((aggressor, count));
+            }
+            runs
+        };
+        let entries = |d: &DramSystem| {
+            let state = d.banks[bank.0 as usize].as_ref().unwrap();
+            state.trr.clone().map(|t| t.entries().to_vec())
+        };
+        let mut reference = build();
+        let mut folded = build();
+        let reference_runs = first_period(&mut reference);
+        let folded_runs = first_period(&mut folded);
+        let mut cycle = folded.resolve_cycle(&folded_runs);
+        let period_ns = 47 * cycle.acts();
+        let mut read_orbits = 0;
+        for interval in 0..8 {
+            let to_event = folded.next_time_event_ns() - folded.now_ns();
+            let k = (to_event - 1) / period_ns + 1;
+            for _ in 0..k {
+                for (aggressor, count) in &reference_runs {
+                    reference.activate_resolved(aggressor, *count);
+                }
+            }
+            let trackers = &folded.banks[bank.0 as usize].as_ref().unwrap().trr;
+            read_orbits += (0..2)
+                .filter(|&s| cycle.orbits[s].starts_at(&trackers[s]))
+                .count();
+            let arena_len = cycle.arena_len;
+            folded.activate_cycle(&mut cycle, k);
+            assert_eq!(entries(&reference), entries(&folded), "interval {interval}");
+            assert_eq!(
+                cycle.arena_len == arena_len,
+                interval != 4,
+                "rebuilt after the siege"
+            );
+            for dram in [&mut reference, &mut folded] {
+                if interval == 3 {
+                    dram.activate_burst(bank, 40, 3, 0);
+                }
+                dram.advance_ns(k * period_ns);
+            }
+            assert_eq!(
+                entries(&reference),
+                entries(&folded),
+                "REF after {interval}"
+            );
+            assert_same_state(&reference, &folded);
+        }
+        assert!(folded.stats().trr_triggers > 0, "TRR did serve");
+        assert!(read_orbits >= 6, "{read_orbits} calls read an orbit");
     }
 
     #[test]

@@ -51,6 +51,23 @@ pinned() {
   cmp "$report" "$artifacts/$report"
 }
 
+# What each benchmark workload simulates, pinned: the release harness runs
+# all five at seed 11 for 0.1 s (~5 s in all) and prints the first pass's
+# event count and digest. A perf change must leave every line as it is; a
+# change that moves one on purpose regenerates scripts/bench_digests.txt.
+bench_digests() {
+  CARGO_TARGET_DIR=target cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+  local w
+  for w in cluster_churn fleet_soak figure_cold figure_warm defended_fleet; do
+    target/release/siloz-benchmark --out "$artifacts/benchmark" --commit check \
+      --workload "$w" --seed 11 --seconds 0.1 --trace 0 |
+      sed -n "s/^sim_events count \(.*\)/$w \1/p; s/^sim_digest fnv1a //p" | paste -sd ' '
+  done >"$artifacts/bench_digests.txt"
+  grep -v '^#' scripts/bench_digests.txt | diff - "$artifacts/bench_digests.txt"
+}
+step "benchmark gate: sim_events/sim_digest of all five workloads, pinned to scripts/bench_digests.txt" \
+  bench_digests
+
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
