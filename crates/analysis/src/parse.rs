@@ -539,7 +539,9 @@ impl<'t> Parser<'t> {
 
     /// Consumes a cast target type (`expr as T`): `&`-prefixes then either a
     /// balanced group or a path with optional generic arguments. Stricter
-    /// than [`Parser::skip_until`] because a binary operator may follow.
+    /// than [`Parser::skip_until`] because a binary operator may follow; a
+    /// `<` followed by `=` is that operator (`x as u64 <= y`), not generic
+    /// arguments.
     fn skip_cast_type(&mut self) -> PResult<()> {
         while self.at_punct("&") || self.at_punct("*") {
             self.i += 1;
@@ -572,7 +574,7 @@ impl<'t> Parser<'t> {
         loop {
             if self.at_punct(":") && self.peek_punct(1, ":") {
                 self.i += 2;
-                if self.at_punct("<") {
+                if self.at_generic_open() {
                     self.skip_angles()?;
                 } else if self.at_any_ident() {
                     self.i += 1;
@@ -581,13 +583,19 @@ impl<'t> Parser<'t> {
                 }
                 continue;
             }
-            if self.at_punct("<") {
+            if self.at_generic_open() {
                 self.skip_angles()?;
                 continue;
             }
             break;
         }
         Ok(())
+    }
+
+    /// Whether the next token opens generic arguments of a cast type: a
+    /// `<` that is not the first half of `<=`.
+    fn at_generic_open(&self) -> bool {
+        self.at_punct("<") && !self.peek_punct(1, "=")
     }
 
     /// Consumes a pattern until a depth-0 stop, collecting binding names.
@@ -2052,6 +2060,38 @@ mod tests {
     fn shifts_and_comparisons_disambiguate() {
         parse_ok("fn f(a: u64, b: u64) -> bool { (a << 2) > (b >> 1) && a < b }\n");
         parse_ok("fn g(a: u64) -> u64 { a >> 3 << 1 }\n");
+    }
+
+    #[test]
+    fn cast_before_less_or_equal_is_a_comparison() {
+        let f = parse_ok(
+            "fn f(v: &[u64], n: u32) -> bool { v.len() as u64 <= 4 && n as usize <= v.len() }\n\
+             fn after() {}\n",
+        );
+        let fns: Vec<&str> = f
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                Item::Fn(f) => Some(f.name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fns, ["f", "after"]);
+        let Item::Fn(func) = &f.items[0] else {
+            panic!("not a fn")
+        };
+        let Some(Stmt::Expr { expr, semi: false }) = func.body.as_ref().unwrap().stmts.last()
+        else {
+            panic!("no tail expr")
+        };
+        let ExprKind::Binary { op: "&&", lhs, .. } = &expr.kind else {
+            panic!("not a conjunction: {:?}", expr.kind)
+        };
+        assert!(
+            matches!(lhs.kind, ExprKind::Binary { op: "<=", .. }),
+            "{:?}",
+            lhs.kind
+        );
     }
 
     #[test]

@@ -212,9 +212,7 @@ impl TrrTracker {
             orbit.reset(self, pass);
         }
         let extends = |orbit: &TrrOrbit| {
-            orbit.tail == Tail::Open
-                && (orbit.len() as u64) <= reps
-                && orbit.len() < ORBIT_MAX_STATES
+            orbit.tail == Tail::Open && orbit.len() as u64 <= reps && orbit.len() < ORBIT_MAX_STATES
         };
         if extends(orbit) && orbit.len() > 1 {
             self.entries.clear();

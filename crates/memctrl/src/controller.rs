@@ -19,7 +19,6 @@ use crate::stats::CtrlStats;
 use crate::timing::DdrTimings;
 use dram::DramSystem;
 use dram_addr::{AddrError, BankId, DecodeTlb, Geometry, MediaAddress, SystemAddressDecoder};
-use std::collections::VecDeque;
 
 /// One memory operation of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,11 +157,33 @@ struct ActRun {
     count: u64,
 }
 
-/// Per-rank activate bookkeeping (tFAW and tRRD).
-#[derive(Debug, Default, Clone)]
+/// Per-rank activate bookkeeping (tFAW and tRRD). The last four ACT
+/// starts sit in a ring: `recent_len` of them are valid and, once all four
+/// are, `recent_acts[recent_next]` is the oldest.
+#[derive(Debug, Default, Clone, Copy)]
 struct RankState {
-    recent_acts: VecDeque<u64>,
+    recent_acts: [u64; 4],
+    recent_len: u8,
+    recent_next: u8,
     last_act_ps: u64,
+}
+
+impl RankState {
+    /// Start of the fourth-most-recent ACT, once four have issued: the
+    /// next ACT may not start before it plus tFAW.
+    #[inline]
+    fn faw_anchor(&self) -> Option<u64> {
+        (self.recent_len == 4).then(|| self.recent_acts[self.recent_next as usize])
+    }
+
+    /// Records an ACT starting at `act_ps`, evicting the oldest of four.
+    #[inline]
+    fn record_act(&mut self, act_ps: u64) {
+        self.last_act_ps = act_ps;
+        self.recent_acts[self.recent_next as usize] = act_ps;
+        self.recent_next = (self.recent_next + 1) % 4;
+        self.recent_len = (self.recent_len + 1).min(4);
+    }
 }
 
 /// One thread's issue state during a replay; lives in a [`ThreadTable`].
@@ -247,13 +268,19 @@ impl ThreadTable {
     }
 }
 
-/// A window entry of the replay loops: issue time plus the scheduling
+/// FR-FCFS lookahead window: how many drawn ops the scheduler may reorder
+/// among, and how many times in a row it may bypass the oldest.
+const WINDOW: usize = 16;
+
+/// Ring positions of the pending window, one bit each in a `u64` mask.
+const RING: usize = 64;
+
+/// A window entry of the replay loop: issue time plus the scheduling
 /// coordinates of the op's decode (performed once, at window entry —
 /// `bank` is [`INVALID_BANK`] when the address failed to decode). `slot`
 /// is the issuing thread's index in the replay's [`ThreadTable`], also
-/// resolved at entry, so serving an op does no id arithmetic. 24 bytes,
-/// so the per-pick FR-FCFS scan streams over a compact contiguous window.
-#[derive(Debug, Clone, Copy)]
+/// resolved at entry, so serving an op does no id arithmetic.
+#[derive(Debug, Default, Clone, Copy)]
 struct PendingOp {
     issue: u64,
     bank: u32,
@@ -262,6 +289,158 @@ struct PendingOp {
     chan_ord: u16,
     slot: u16,
     write: bool,
+}
+
+/// The pending window of one replay, as fixed ring slots.
+///
+/// Fills are numbered in trace order; an entry keeps ring slot
+/// `seq % RING` from fill to pick, so a pick moves nothing. `live` and
+/// `hit` mask the ring slots that hold an entry and an entry that
+/// classifies as a row hit. Every live `seq` lies in `head..tail`, where
+/// `head` is the oldest live entry (`tail` when the window is empty), so
+/// rotating a mask right by `head % RING` lists its entries oldest first.
+///
+/// `by_bank[b]` masks the live slots on flat bank `b` (the controller's
+/// all-zero per-bank masks, lent for the replay), so re-classifying after
+/// an access visits only the served bank's entries.
+struct Ring {
+    slots: [PendingOp; RING],
+    live: u64,
+    hit: u64,
+    len: usize,
+    head: usize,
+    tail: usize,
+    by_bank: Vec<u64>,
+}
+
+impl Ring {
+    fn new(by_bank: Vec<u64>) -> Self {
+        Self {
+            slots: [PendingOp::default(); RING],
+            live: 0,
+            hit: 0,
+            len: 0,
+            head: 0,
+            tail: 0,
+            by_bank,
+        }
+    }
+
+    /// Ring slot of the oldest live entry.
+    #[inline]
+    fn head_slot(&self) -> usize {
+        self.head % RING
+    }
+
+    /// Appends `op` as the newest entry; `hit` is its classification
+    /// against the current bank state.
+    #[inline]
+    fn push(&mut self, op: PendingOp, hit: bool) {
+        if self.tail - self.head == RING {
+            self.renumber();
+        }
+        let slot = self.tail % RING;
+        let bit = 1u64 << slot;
+        self.slots[slot] = op;
+        self.live |= bit;
+        self.hit |= u64::from(hit) << slot;
+        if op.bank != INVALID_BANK {
+            self.by_bank[op.bank as usize] |= bit;
+        }
+        self.tail += 1;
+        self.len += 1;
+    }
+
+    /// Renumbers the live entries `0..len`, oldest first, when holes left
+    /// by bypassing picks have stretched the span to the whole ring. Each
+    /// bypass streak is capped at [`WINDOW`], but the holes behind a
+    /// bypassed head accumulate over streaks.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut moved = [(PendingOp::default(), false); WINDOW];
+        let n = self.len;
+        for entry in &mut moved[..n] {
+            let slot = self.head_slot();
+            let hit = (self.hit >> slot) & 1 == 1;
+            *entry = (self.take(slot), hit);
+        }
+        (self.head, self.tail) = (0, 0);
+        for &(op, hit) in &moved[..n] {
+            self.push(op, hit);
+        }
+        #[cfg(test)]
+        tests::RING_RENUMBERS.with(|count| count.set(count.get() + 1));
+    }
+
+    /// FR-FCFS pick: the oldest row hit if any, else the oldest entry; the
+    /// starvation bound forces the oldest once `bypassed` reaches
+    /// [`WINDOW`]. Returns a ring slot.
+    #[inline]
+    fn pick(&self, bypassed: u32) -> usize {
+        let h = self.head_slot();
+        // With no hit the rotation's 64 trailing zeros wrap to the head.
+        let oldest_hit = (h + self.hit.rotate_right(h as u32).trailing_zeros() as usize) % RING;
+        if bypassed >= WINDOW as u32 {
+            h
+        } else {
+            oldest_hit
+        }
+    }
+
+    /// Removes the entry in ring slot `slot`, advancing `head` over the
+    /// holes behind it when it was the oldest.
+    #[inline]
+    fn take(&mut self, slot: usize) -> PendingOp {
+        let op = self.slots[slot];
+        let bit = 1u64 << slot;
+        self.live &= !bit;
+        self.hit &= !bit;
+        if op.bank != INVALID_BANK {
+            self.by_bank[op.bank as usize] &= !bit;
+        }
+        self.len -= 1;
+        if slot == self.head_slot() {
+            // An empty window's rotation has 64 trailing zeros: the head
+            // then lands on `tail`, which is at most that far.
+            let next = self.head + self.live.rotate_right(slot as u32).trailing_zeros() as usize;
+            self.head = next.min(self.tail);
+        }
+        op
+    }
+
+    /// Re-derives `hit` after an access to `bank` left `open` as its open
+    /// row: only that bank's entries re-classify — unless the access
+    /// crossed a refresh boundary (`refresh_crossed`), which precharged
+    /// every touched bank and thus cleared every hit except those the
+    /// served bank re-opened.
+    #[inline]
+    fn requalify(&mut self, bank: u32, open: Option<u32>, refresh_crossed: bool) {
+        if refresh_crossed {
+            self.hit = 0;
+        }
+        let mask = self.by_bank[bank as usize];
+        let mut hits = 0u64;
+        if let Some(open) = open {
+            let mut rest = mask;
+            while rest != 0 {
+                let s = rest.trailing_zeros();
+                hits |= u64::from(self.slots[s as usize].row == open) << s;
+                rest &= rest - 1;
+            }
+        }
+        self.hit = (self.hit & !mask) | hits;
+    }
+
+    /// Adds `shift` to every live entry's thread slot, after the replay's
+    /// [`ThreadTable`] grew downward by that many ids.
+    #[cold]
+    fn rebase_threads(&mut self, shift: u16) {
+        let mut rest = self.live;
+        while rest != 0 {
+            self.slots[rest.trailing_zeros() as usize].slot += shift;
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// The memory controller: address decode, FR-FCFS scheduling, DDR timing.
@@ -310,9 +489,10 @@ pub struct MemoryController {
     pending_act: Option<ActRun>,
     /// Row-buffer management policy.
     pub policy: PagePolicy,
-    /// FR-FCFS lookahead window for [`Self::run_trace`].
-    pub window: usize,
     dram_sync_counter: u32,
+    /// Per-bank pending masks of the replay window, indexed by flat
+    /// [`BankId`]: all zero between replays, lent to the replay's [`Ring`].
+    pending_by_bank: Vec<u64>,
     /// Pending-window occupancy at each FR-FCFS pick (single-owner local
     /// accumulator; merged into a registry at export time).
     queue_depth: telemetry::HistoSnapshot,
@@ -353,8 +533,8 @@ impl MemoryController {
             drive_physics: true,
             pending_act: None,
             policy: PagePolicy::Open,
-            window: 16,
             dram_sync_counter: 0,
+            pending_by_bank: vec![0; geometry.total_banks() as usize],
             queue_depth: telemetry::HistoSnapshot::default(),
             latency_ns: telemetry::HistoSnapshot::default(),
             mitigation: None,
@@ -494,8 +674,10 @@ impl MemoryController {
 
     /// The innermost service path: bank, row, and geometry ordinals already
     /// resolved (by [`Self::access_decoded`], or at compile time for
-    /// [`Self::run_compiled`] programs).
+    /// [`Self::run_compiled`] programs). Inlined into the replay loop: as
+    /// a call it cost about a tenth of a replay.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn access_inner(
         &mut self,
         dram: &mut DramSystem,
@@ -533,20 +715,14 @@ impl MemoryController {
             }
             let rank = &self.ranks[rank_ord];
             arrival = arrival.max(rank.last_act_ps + self.timings.t_rrd_ps);
-            if rank.recent_acts.len() == 4 {
-                let oldest = rank.recent_acts[0];
+            if let Some(oldest) = rank.faw_anchor() {
                 arrival = arrival.max(oldest + self.timings.t_faw_ps);
             }
         }
         let (act_start, bank_done) =
             self.banks[ord].access_classified(kind, row, arrival, &self.timings, self.policy);
         if kind != AccessKind::RowHit {
-            let rank = &mut self.ranks[rank_ord];
-            rank.last_act_ps = act_start;
-            rank.recent_acts.push_back(act_start);
-            while rank.recent_acts.len() > 4 {
-                rank.recent_acts.pop_front();
-            }
+            self.ranks[rank_ord].record_act(act_start);
         }
         // Channel data bus: the burst occupies the bus; queue if busy.
         let bus = &mut self.bus_free[chan_ord];
@@ -615,60 +791,6 @@ impl MemoryController {
         }
     }
 
-    /// FR-FCFS pick: the oldest row-hit if any, else the oldest op; the
-    /// starvation bound forces the oldest once `bypassed` reaches the
-    /// window size. `hitmask` bit `i` mirrors "entry `i` classifies as a
-    /// row hit" whenever `masked` (windows of at most 64 entries); larger
-    /// windows fall back to scanning.
-    #[inline]
-    fn pick(&self, pending: &[PendingOp], hitmask: u64, masked: bool, bypassed: u32) -> usize {
-        if bypassed >= self.window as u32 {
-            0
-        } else if masked {
-            if hitmask == 0 {
-                0
-            } else {
-                hitmask.trailing_zeros() as usize
-            }
-        } else {
-            pending
-                .iter()
-                .position(|p| {
-                    p.bank != INVALID_BANK
-                        && self.banks[p.bank as usize].classify(p.row) == AccessKind::RowHit
-                })
-                .unwrap_or(0)
-        }
-    }
-
-    /// Re-derives `hitmask` bits after serving an access on `served_bank`:
-    /// only that bank's open row changed, so only its entries re-classify —
-    /// unless the access crossed a refresh boundary (`refresh_crossed`),
-    /// which precharged every touched bank and thus cleared every hit
-    /// except those the just-served bank re-opened.
-    #[inline]
-    fn requalify(
-        &self,
-        pending: &[PendingOp],
-        hitmask: &mut u64,
-        served_bank: u32,
-        refresh_crossed: bool,
-    ) {
-        if refresh_crossed {
-            *hitmask = 0;
-        }
-        let open = self.banks[served_bank as usize].open_row;
-        for (i, e) in pending.iter().enumerate() {
-            if e.bank == served_bank {
-                if open == Some(e.row) {
-                    *hitmask |= 1 << i;
-                } else {
-                    *hitmask &= !(1 << i);
-                }
-            }
-        }
-    }
-
     /// Replays a trace with FR-FCFS scheduling over a lookahead window.
     ///
     /// Each thread's ops issue in order, separated by their `gap_ps` (and
@@ -718,17 +840,16 @@ impl MemoryController {
         let before = self.stats;
         let mut threads = ThreadTable::new(start_clock);
         let mut first_issue: Option<u64> = None;
-        let window = self.window.max(1);
-        let mut pending: Vec<PendingOp> = Vec::with_capacity(window);
+        let mut ring = Ring::new(std::mem::take(&mut self.pending_by_bank));
+        // Picks per window occupancy, folded into `queue_depth` at the end.
+        let mut depths = [0u64; WINDOW + 1];
         let mut staged: Option<CompiledOp> = None;
         let mut bypassed = 0u32;
-        let masked = window <= 64;
-        let mut hitmask = 0u64;
         loop {
             // Fill the window. A dependent op whose thread still has an op
             // in flight cannot be timestamped yet; it (and everything
             // behind it) waits.
-            while pending.len() < window {
+            while ring.len < WINDOW {
                 let Some(op) = staged.take().or_else(|| draw(self)) else {
                     break;
                 };
@@ -736,8 +857,7 @@ impl MemoryController {
                 let slot = threads.slot(op.thread);
                 if threads.lo < lo {
                     // The span grew downward: re-base the window's slots.
-                    let shift = lo - threads.lo;
-                    pending.iter_mut().for_each(|p| p.slot += shift);
+                    ring.rebase_threads(lo - threads.lo);
                 }
                 let t = &mut threads.slots[slot];
                 if op.dependent && t.outstanding > 0 {
@@ -751,37 +871,35 @@ impl MemoryController {
                 t.cursor = issue;
                 t.outstanding += 1;
                 first_issue.get_or_insert(issue);
-                if masked
-                    && op.bank != INVALID_BANK
-                    && self.banks[op.bank as usize].classify(op.row) == AccessKind::RowHit
-                {
-                    hitmask |= 1 << pending.len();
-                }
-                pending.push(PendingOp {
-                    issue,
-                    bank: op.bank,
-                    row: op.row,
-                    rank_ord: op.rank_ord,
-                    chan_ord: op.chan_ord,
-                    slot: slot as u16,
-                    write: op.write,
-                });
+                let hit = op.bank != INVALID_BANK
+                    && self.banks[op.bank as usize].classify(op.row) == AccessKind::RowHit;
+                ring.push(
+                    PendingOp {
+                        issue,
+                        bank: op.bank,
+                        row: op.row,
+                        rank_ord: op.rank_ord,
+                        chan_ord: op.chan_ord,
+                        slot: slot as u16,
+                        write: op.write,
+                    },
+                    hit,
+                );
             }
-            if pending.is_empty() {
+            if ring.len == 0 {
                 break;
             }
-            self.queue_depth.observe(pending.len() as u64);
+            depths[ring.len] += 1;
             // FR-FCFS: pick the oldest row-hit if any, else the oldest op.
             // Cap how often the oldest op may be bypassed — real
             // controllers bound reordering to prevent starvation.
-            let choice = self.pick(&pending, hitmask, masked, bypassed);
-            bypassed = if choice == 0 { 0 } else { bypassed + 1 };
-            let p = pending.remove(choice);
-            if masked {
-                // Collapse the removed entry's bit out of the mask.
-                let below = (1u64 << choice) - 1;
-                hitmask = (hitmask & below) | ((hitmask >> 1) & !below);
-            }
+            let choice = ring.pick(bypassed);
+            bypassed = if choice == ring.head_slot() {
+                0
+            } else {
+                bypassed + 1
+            };
+            let p = ring.take(choice);
             threads.slots[p.slot as usize].outstanding -= 1;
             if p.bank != INVALID_BANK {
                 let ref_before = self.next_ref_ps;
@@ -799,17 +917,20 @@ impl MemoryController {
                 t.last_done = t.last_done.max(res.done_ps);
                 t.lat_sum += res.latency_ps;
                 t.lat_count += 1;
-                if masked {
-                    self.requalify(
-                        &pending,
-                        &mut hitmask,
-                        p.bank,
-                        self.next_ref_ps != ref_before,
-                    );
-                }
+                ring.requalify(
+                    p.bank,
+                    self.banks[p.bank as usize].open_row,
+                    self.next_ref_ps != ref_before,
+                );
             }
             // Undecoded (out-of-range) ops are dropped from the trace; the
             // workload layer is responsible for valid addressing.
+        }
+        self.pending_by_bank = ring.by_bank;
+        for (depth, &picks) in depths.iter().enumerate() {
+            if picks > 0 {
+                self.queue_depth.observe_n(depth as u64, picks);
+            }
         }
         self.flush_acts(dram);
         let elapsed = self
@@ -836,6 +957,13 @@ impl MemoryController {
 mod tests {
     use super::*;
     use dram_addr::{mini_decoder, mini_geometry};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Times [`Ring::renumber`] ran on this test's thread.
+        pub(super) static RING_RENUMBERS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn setup() -> (MemoryController, DramSystem) {
         let dec = mini_decoder();
@@ -1177,6 +1305,347 @@ mod tests {
             (&compiled, &compiled_res, &d3),
             (&hashed, &hashed_res, &d2),
         );
+    }
+
+    /// The textbook FR-FCFS loop the ring window replaces: a `Vec` window
+    /// in fill order, a full-window classify scan per pick and `remove` on
+    /// serve, over the controller's own decode and access path. It checks
+    /// the scheduler alone, so it is the oracle where [`crate::HashedController`]
+    /// has no model (a mitigation hook).
+    fn scan_replay(
+        ctrl: &mut MemoryController,
+        dram: &mut DramSystem,
+        ops: &[MemOp],
+    ) -> TraceResult {
+        use std::collections::BTreeMap;
+        type Decoded = Option<(MediaAddress, BankId)>;
+        let start = ctrl.stats.clock_ps;
+        let before = ctrl.stats;
+        // Per thread: (cursor, last done, outstanding, latency sum, count).
+        let mut threads: BTreeMap<u16, (u64, u64, u32, u64, u64)> = BTreeMap::new();
+        let mut first_issue = None;
+        let mut pending: Vec<(MemOp, Decoded, u64)> = Vec::new();
+        let mut next = 0;
+        let mut bypassed = 0;
+        loop {
+            while pending.len() < WINDOW && next < ops.len() {
+                let op = ops[next];
+                let t = threads.entry(op.thread).or_insert((start, start, 0, 0, 0));
+                if op.dependent && t.2 > 0 {
+                    break;
+                }
+                let mut issue = t.0 + op.gap_ps;
+                if op.dependent {
+                    issue = issue.max(t.1);
+                }
+                t.0 = issue;
+                t.2 += 1;
+                first_issue.get_or_insert(issue);
+                pending.push((op, ctrl.tlb.decode_with_bank(op.phys).ok(), issue));
+                next += 1;
+            }
+            if pending.is_empty() {
+                break;
+            }
+            ctrl.queue_depth.observe(pending.len() as u64);
+            let choice = if bypassed >= WINDOW {
+                0
+            } else {
+                pending
+                    .iter()
+                    .position(|(_, d, _)| {
+                        d.is_some_and(|(m, bank)| {
+                            ctrl.banks[bank.0 as usize].classify(m.row) == AccessKind::RowHit
+                        })
+                    })
+                    .unwrap_or(0)
+            };
+            bypassed = if choice == 0 { 0 } else { bypassed + 1 };
+            let (op, decoded, issue) = pending.remove(choice);
+            let t = threads.get_mut(&op.thread).expect("filled");
+            t.2 -= 1;
+            if let Some((media, bank)) = decoded {
+                let res = ctrl.access_decoded(dram, media, bank, op.write, op.thread, issue);
+                t.1 = t.1.max(res.done_ps);
+                t.3 += res.latency_ps;
+                t.4 += 1;
+            }
+        }
+        ctrl.flush_acts(dram);
+        let mut stats = ctrl.stats;
+        stats.accesses -= before.accesses;
+        stats.row_hits -= before.row_hits;
+        stats.row_misses -= before.row_misses;
+        stats.row_conflicts -= before.row_conflicts;
+        stats.reads -= before.reads;
+        stats.total_latency_ps -= before.total_latency_ps;
+        stats.bytes -= before.bytes;
+        TraceResult {
+            stats,
+            elapsed_ps: ctrl
+                .stats
+                .clock_ps
+                .saturating_sub(first_issue.unwrap_or(start)),
+            thread_latency: threads
+                .into_iter()
+                .filter(|(_, t)| t.4 > 0)
+                .map(|(id, t)| (id, (t.3, t.4)))
+                .collect(),
+        }
+    }
+
+    /// One configuration of the lockstep check.
+    #[derive(Debug, Clone, Copy)]
+    struct Lockstep {
+        closed_page: bool,
+        /// Drive the device physics on a DIMM weak enough to flip within
+        /// a few thousand ACTs.
+        physics: bool,
+        /// Install a BlockHammer hook (checked against [`scan_replay`]).
+        blockhammer: bool,
+    }
+
+    impl Lockstep {
+        fn controller(self) -> MemoryController {
+            let mut ctrl = MemoryController::new(mini_decoder());
+            if self.closed_page {
+                ctrl = ctrl.with_policy(PagePolicy::Closed);
+            }
+            if !self.physics {
+                ctrl = ctrl.without_physics();
+            }
+            if self.blockhammer {
+                ctrl = ctrl.with_mitigation(
+                    mitigation::Backend::BlockHammer
+                        .controller_hook()
+                        .expect("blockhammer hooks the controller"),
+                );
+            }
+            ctrl
+        }
+
+        fn dram(self) -> DramSystem {
+            if !self.physics {
+                return DramSystem::new(mini_geometry());
+            }
+            let weak = dram::DimmProfile {
+                name: "weak",
+                base_threshold: 48.0,
+                threshold_spread: 0.2,
+                weights: dram::DisturbanceWeights::default(),
+                rowpress_per_us: 0.0,
+                weak_cells_per_row: 8.0,
+                seed: 0x5eed,
+            };
+            dram::DramSystemBuilder::new(mini_geometry())
+                .profiles(vec![weak])
+                .trr(0, 0)
+                .build()
+        }
+
+        /// Replays `ops` through `run_trace` and `run_compiled` and checks
+        /// both against the oracle: `TraceResult`, device stats, the
+        /// ordered flip log and telemetry. Returns the `run_trace`
+        /// controller and device.
+        fn check(self, ops: &[MemOp]) -> (MemoryController, DramSystem) {
+            let (mut direct, mut d1) = (self.controller(), self.dram());
+            let direct_res = direct.run_trace(&mut d1, ops.iter().copied());
+            let prog = CompiledTrace::compile(mini_decoder(), ops.iter().copied());
+            let (mut compiled, mut d3) = (self.controller(), self.dram());
+            let compiled_res = compiled.run_compiled(&mut d3, &prog);
+            if self.blockhammer {
+                let (mut reference, mut d2) = (self.controller(), self.dram());
+                let reference_res = scan_replay(&mut reference, &mut d2, ops);
+                let reference_reg = telemetry::Registry::new();
+                reference.export_telemetry(&reference_reg);
+                for (entry, ctrl, res, dram) in [
+                    ("run_trace", &direct, &direct_res, &d1),
+                    ("run_compiled", &compiled, &compiled_res, &d3),
+                ] {
+                    assert_eq!(res, &reference_res, "{entry}");
+                    assert_eq!(dram.stats(), d2.stats(), "{entry}");
+                    assert_eq!(dram.flip_log().all(), d2.flip_log().all(), "{entry}");
+                    let reg = telemetry::Registry::new();
+                    ctrl.export_telemetry(&reg);
+                    assert_eq!(reg.snapshot(), reference_reg.snapshot(), "{entry}");
+                }
+            } else {
+                let mut hashed = crate::HashedController::new(mini_decoder());
+                if self.closed_page {
+                    hashed = hashed.with_policy(PagePolicy::Closed);
+                }
+                if !self.physics {
+                    hashed = hashed.without_physics();
+                }
+                let mut d2 = self.dram();
+                let hashed_res = hashed.run_trace(&mut d2, ops.iter().copied());
+                assert_matches_hashed(
+                    "run_trace",
+                    (&direct, &direct_res, &d1),
+                    (&hashed, &hashed_res, &d2),
+                );
+                assert_matches_hashed(
+                    "run_compiled",
+                    (&compiled, &compiled_res, &d3),
+                    (&hashed, &hashed_res, &d2),
+                );
+            }
+            (direct, d1)
+        }
+    }
+
+    /// A random trace of `len` ops for the lockstep check: six banks over
+    /// both channels and ranks, eight rows each, plus a hammered row pair
+    /// on a seventh bank (3 ops in 8, so a 3k-op closed-page run reaches
+    /// BlockHammer's blacklist); 1 in 64 ops out of range; gaps and
+    /// dependent chains; `threads` thread numbers, each issued under its
+    /// low id or its mirror at the top of `u16`.
+    fn lockstep_trace(seed: u64, len: usize, threads: u16) -> Vec<MemOp> {
+        let dec = mini_decoder();
+        let cap = dec.capacity();
+        let at = |bank: u64, row: u32, line: u64| {
+            dec.encode(&MediaAddress {
+                socket: 0,
+                channel: (bank & 1) as u16,
+                dimm: 0,
+                rank: ((bank >> 1) & 1) as u16,
+                bank_group: (bank >> 2) as u16,
+                bank: 1,
+                row,
+                col: (line * 64) as u32,
+            })
+            .expect("in range")
+        };
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = dram::util::splitmix64(x);
+                let r = x;
+                let line = (r >> 16) % 128;
+                let phys = match r % 64 {
+                    0 => cap + (r >> 8) % cap,
+                    1..=24 => at(7, 100 + 2 * ((r >> 8) & 1) as u32, line),
+                    _ => at((r >> 8) % 6, 40 + ((r >> 12) % 8) as u32, line),
+                };
+                let t = ((r >> 24) % u64::from(threads)) as u16;
+                MemOp {
+                    phys,
+                    write: (r >> 32) & 1 == 1,
+                    gap_ps: if (r >> 33) & 3 == 0 {
+                        (r >> 40) % 50_000
+                    } else {
+                        0
+                    },
+                    dependent: (r >> 36) & 3 == 0,
+                    thread: if (r >> 38) & 1 == 1 { u16::MAX - t } else { t },
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ring window schedules exactly as the oracles do, on random
+        /// traces under every configuration: open and closed page, physics
+        /// on and off, with and without a BlockHammer hook.
+        #[test]
+        fn ring_window_matches_oracles_in_lockstep(
+            seed in any::<u64>(),
+            len in 1usize..3_000,
+            threads in 1u16..=24,
+            closed_page in any::<bool>(),
+            physics in any::<bool>(),
+            blockhammer in any::<bool>(),
+        ) {
+            let cfg = Lockstep { closed_page, physics, blockhammer };
+            cfg.check(&lockstep_trace(seed, len, threads));
+        }
+    }
+
+    #[test]
+    fn lockstep_traces_flip_and_throttle() {
+        // The lockstep's generator must reach what it claims to cover: a
+        // vulnerable-DIMM run that logs flips (so flip-log order is
+        // compared), a BlockHammer run that throttles, and a window that
+        // wraps the ring many times.
+        let ops = lockstep_trace(11, 3_000, 8);
+        let cfg = Lockstep {
+            closed_page: true,
+            physics: true,
+            blockhammer: true,
+        };
+        let (ctrl, dram) = cfg.check(&ops);
+        assert!(!dram.flip_log().all().is_empty(), "no flips to order");
+        let reg = telemetry::Registry::new();
+        ctrl.export_telemetry(&reg);
+        let telemetry::MetricValue::Counter {
+            value: throttled, ..
+        } = reg.snapshot().children["mitigation"].metrics["acts_throttled"]
+        else {
+            panic!("acts_throttled must be a counter");
+        };
+        assert!(throttled > 0, "blockhammer never throttled");
+        let (_, dram) = Lockstep {
+            blockhammer: false,
+            ..cfg
+        }
+        .check(&ops);
+        assert!(!dram.flip_log().all().is_empty(), "no flips to order");
+    }
+
+    #[test]
+    fn bypass_streaks_that_outgrow_the_ring_renumber_it() {
+        // Bank A opens row 0, then twelve ops to distinct rows of bank A
+        // sit at the front of the window behind which a stream of row hits
+        // to bank B arrives. Each A op is the oldest and not a hit, so it
+        // is bypassed up to the starvation cap before it is served, and
+        // the next A op then leads with a fresh streak; the holes the
+        // streaks leave behind stretch the window's span past the ring.
+        // The pattern repeats, so the ring renumbers again and again.
+        let dec = mini_decoder();
+        let at = |bank: u16, row: u32| {
+            dec.encode(&MediaAddress {
+                socket: 0,
+                channel: 0,
+                dimm: 0,
+                rank: 0,
+                bank_group: bank,
+                bank: 0,
+                row,
+                col: 0,
+            })
+            .expect("in range")
+        };
+        let mut ops = vec![MemOp::read(at(1, 7))];
+        for round in 0..4u32 {
+            ops.extend((0..12).map(|i| MemOp::read(at(0, 20 * round + 1 + i))));
+            ops.extend((0..200).map(|_| MemOp::read(at(1, 7))));
+        }
+        // Eight threads with compute gaps: serving one bank-B op in place
+        // of another then moves per-thread latency, not just bus order.
+        let ops: Vec<MemOp> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| op.with_gap_ps(1_000).on_thread((i % 8) as u16))
+            .collect();
+        for closed_page in [false, true] {
+            let cfg = Lockstep {
+                closed_page,
+                physics: false,
+                blockhammer: false,
+            };
+            let before = RING_RENUMBERS.with(Cell::get);
+            cfg.check(&ops);
+            let renumbers = RING_RENUMBERS.with(Cell::get) - before;
+            if closed_page {
+                // No hits, no bypasses: the span never exceeds the window.
+                assert_eq!(renumbers, 0);
+            } else {
+                // Both entry points replay the trace.
+                assert!(renumbers >= 8, "renumbered {renumbers} times");
+            }
+        }
     }
 
     /// A mixed trace exercising every scheduling feature: sequential

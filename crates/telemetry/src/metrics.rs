@@ -188,6 +188,16 @@ impl HistoSnapshot {
         self.buckets[Histo::bucket_of(value)] += 1;
     }
 
+    /// Records `n` observations of `value` at once: the same snapshot as
+    /// `n` calls of [`Self::observe`], for accumulators that count
+    /// observations per value and fold them in later.
+    #[inline]
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        self.count += n;
+        self.sum += value * n;
+        self.buckets[Histo::bucket_of(value)] += n;
+    }
+
     /// Adds `other` into `self` (the commutative, associative histogram
     /// merge the registry tree is built on).
     pub fn merge(&mut self, other: &HistoSnapshot) {
@@ -281,6 +291,17 @@ mod tests {
         assert_eq!(s.sum, 66);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[6], 2);
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observe() {
+        let (mut folded, mut single) = (HistoSnapshot::default(), HistoSnapshot::default());
+        for (value, n) in [(0u64, 3u64), (1, 1), (7, 5), (16, 2), (1 << 40, 4)] {
+            folded.observe_n(value, n);
+            (0..n).for_each(|_| single.observe(value));
+        }
+        folded.observe_n(9, 0);
+        assert_eq!(folded, single);
     }
 
     #[test]
