@@ -785,11 +785,11 @@ impl<'t> Parser<'t> {
                 self.skip_group()?;
                 Ok(Item::Raw)
             }
-            // Item-level macro invocation: `thread_local!(...)`,
-            // `proptest! { ... }`. Skipped (their interiors are generated
-            // items, mostly test-only).
-            _ if self.peek_punct(1, "!") => {
-                self.i += 2;
+            // Item-level macro invocation, its path maybe qualified:
+            // `thread_local!(...)`, `proptest::proptest! { ... }`. Skipped
+            // (their interiors are generated items, mostly test-only).
+            _ => {
+                self.i += self.item_macro_bang().ok_or(kw.line)? + 1;
                 if self.at_any_ident() {
                     self.i += 1;
                 }
@@ -799,8 +799,20 @@ impl<'t> Parser<'t> {
                 }
                 Ok(Item::Raw)
             }
-            _ => Err(kw.line),
         }
+    }
+
+    /// The offset of the `!` when a macro path — `name` or `a::b::name` —
+    /// starts here.
+    fn item_macro_bang(&self) -> Option<usize> {
+        let mut j = 0;
+        while self.peek_punct(j + 1, ":")
+            && self.peek_punct(j + 2, ":")
+            && self.tok(j + 3).is_some_and(|t| t.kind == TokenKind::Ident)
+        {
+            j += 3;
+        }
+        self.peek_punct(j + 1, "!").then_some(j + 1)
     }
 
     /// Whether the upcoming attribute block contains `cfg(test)`.
@@ -1799,6 +1811,7 @@ impl<'t> Parser<'t> {
                 rest = Some(Box::new(self.parse_expr(false)?));
                 break;
             }
+            self.skip_attrs()?;
             let name = self.ident_text()?;
             if self.at_punct(":") && !self.peek_punct(1, ":") {
                 self.i += 1;
@@ -1883,7 +1896,8 @@ fn struct_lit_ahead(p: &Parser<'_>, segs: &[String]) -> bool {
     {
         return true;
     }
-    if p.peek_punct(1, ".") && p.peek_punct(2, ".") {
+    // `{ ..base }`, or a first field under an attribute.
+    if (p.peek_punct(1, ".") && p.peek_punct(2, ".")) || p.peek_punct(1, "#") {
         return true;
     }
     if p.tok(1).is_some_and(|t| t.kind == TokenKind::Ident) {

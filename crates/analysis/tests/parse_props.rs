@@ -185,6 +185,24 @@ proptest! {
     }
 }
 
+#[test]
+fn struct_literal_fields_may_carry_attributes() {
+    assert_full_parse(
+        "fn f(a: u64) -> S {\n    \
+         let s = S { #[cfg(test)] a, b: 1 };\n    \
+         S { a, #[allow(unused)] b: a + 1, ..s }\n}\n",
+    );
+}
+
+#[test]
+fn path_qualified_item_macros_parse() {
+    let src = "proptest::proptest! {\n    fn p(x in 0u64..4) { assert!(x < 4); }\n}\n\
+               std::thread_local! { static N: u64 = 0; }\n\
+               fn after() -> u64 { 0 }\n";
+    assert_full_parse(src);
+    assert_eq!(parse_file(src).items.len(), 3);
+}
+
 /// The real workspace must parse with zero recoveries: any construct the
 /// parser cannot cover is a hole in the gate's guarantees, so this fails
 /// in `cargo test` with the offending file and line, not just in the gate.

@@ -1,14 +1,15 @@
 //! Long-soak containment (§7.1's 24-hour test): a multi-tenant host with
 //! automatic ECC patrol scrubbing runs Blacksmith campaigns round after
-//! round; after every round the scrub history and flip log are audited for
-//! anything outside the attacker's subarray groups.
+//! round through the attack driver; after every round the scrub history
+//! and the owner ledger are audited for any flip outside the attacker's
+//! memory.
 //!
 //! Usage: `cargo run --release -p bench --bin soak [--quick]`
 
 use bench::{emit_telemetry, Scale};
 use dram::{DimmProfile, DramSystemBuilder};
 use dram_addr::{BankId, RepairMap};
-use hammer::{Blacksmith, FuzzConfig};
+use hammer::FuzzConfig;
 use rand::SeedableRng;
 use siloz::{Hypervisor, HypervisorKind, VmSpec};
 use telemetry::Registry;
@@ -34,30 +35,29 @@ fn main() {
     hv.guest_write(victim, 0x1000, b"victim canary data")
         .unwrap();
 
-    let rows = hammer::vm_rows(&hv, attacker).unwrap();
-    let (_, socket_rows) = &rows[0];
     let g = *hv.decoder().geometry();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x50_a1);
-    let mut fuzzer = Blacksmith::new(FuzzConfig {
+    let campaign = FuzzConfig {
         patterns: 4,
         periods_per_attempt: 100_000,
         extra_open_ns: 0,
-    });
+    };
 
     println!("soak: {rounds} rounds of continuous hammering with patrol scrub\n");
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>12} {:>9}",
         "round", "sim time", "flips", "escapes", "scrub fixes", "canary"
     );
+    let mut escapes = 0;
     for round in 0..rounds {
         // Rotate the attacked bank each round to spread damage.
         let bank = BankId((round * 13) % g.banks_per_socket());
-        let reachable = hammer::vm_bank_rows(&hv, attacker, bank, socket_rows).unwrap();
-        let _ = fuzzer.fuzz(hv.dram_mut(), bank, &reachable, &mut rng);
+        let report = hammer::hammer_vm_banks(&mut hv, attacker, &[bank], campaign, &mut rng, None)
+            .expect("campaign");
+        escapes += report.escapes().total();
         // Idle period: scrub catches up.
         hv.dram_mut().advance_ns(200_000_000);
 
-        let escapes = hv.flips_outside_vm(attacker).unwrap();
         let (canary, intact) = hv.guest_read(victim, 0x1000, 18).unwrap();
         let canary_ok = intact && &canary == b"victim canary data";
         println!(
@@ -65,11 +65,11 @@ fn main() {
             round,
             hv.dram().now_ns() as f64 / 1e9,
             hv.dram().flip_log().len(),
-            escapes.len(),
+            escapes,
             hv.dram().scrub_history().corrected.len(),
             if canary_ok { "OK" } else { "CORRUPT" }
         );
-        assert!(escapes.is_empty(), "containment breached in round {round}");
+        assert_eq!(escapes, 0, "containment breached in round {round}");
         assert!(canary_ok, "victim data corrupted in round {round}");
         let audit = siloz::audit(&hv).expect("audit");
         assert!(

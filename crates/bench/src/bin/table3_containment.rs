@@ -2,9 +2,10 @@
 //! domain's subarray group, across DIMMs A-F (§7.1).
 //!
 //! A Blacksmith campaign runs pinned to a VM's subarray groups under Siloz;
-//! flips are classified per DIMM as inside vs outside the groups. A
-//! baseline section then shows that the same campaign *does* escape without
-//! Siloz.
+//! the owner ledger classifies each flip per DIMM as inside the attacker's
+//! memory (its groups) or outside it. A baseline section then shows
+//! whether the same campaign escapes without Siloz: its verdict asks
+//! whether any flip hit the victim's lines.
 //!
 //! Usage: `cargo run --release -p bench --bin table3_containment [--quick]`
 
@@ -13,7 +14,7 @@ use dram::{DimmProfile, DramSystemBuilder};
 use dram_addr::{BankId, RepairMap};
 use hammer::{Blacksmith, FuzzConfig};
 use rand::SeedableRng;
-use siloz::{Hypervisor, HypervisorKind, SilozConfig, VmSpec};
+use siloz::{Hypervisor, HypervisorKind, Owner, SilozConfig, VmSpec};
 use telemetry::Registry;
 
 fn fuzz_cfg(scale: Scale) -> FuzzConfig {
@@ -32,7 +33,8 @@ fn fuzz_cfg(scale: Scale) -> FuzzConfig {
 }
 
 /// Hammers one bank per channel of socket 0 from inside the VM; returns
-/// per-DIMM (inside, outside) flip counts.
+/// per-DIMM (inside, outside) flip counts: flips on the VM's own lines and
+/// flips anywhere else.
 fn campaign(
     hv: &mut Hypervisor,
     vm: siloz::VmHandle,
@@ -40,39 +42,24 @@ fn campaign(
     seed: u64,
 ) -> Vec<(String, usize, usize)> {
     let g = *hv.decoder().geometry();
-    let rows = hammer::attack::vm_rows(hv, vm).expect("vm rows");
-    let (_, socket_rows) = &rows[0];
-    let mut fuzzer = Blacksmith::new(fuzz_cfg(scale));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // One bank per channel: flat bank index == channel index (channel-major).
-    for channel in 0..g.channels_per_socket {
-        let bank = BankId(channel as u32);
-        let _ = fuzzer.fuzz(hv.dram_mut(), bank, socket_rows, &mut rng);
-    }
-    // Classify all flips per DIMM.
-    let escapes = hv.flips_outside_vm(vm).expect("containment query");
-    let mut table = Vec::new();
-    for channel in 0..g.channels_per_socket {
-        let name = hv
-            .dram()
-            .profile_for(BankId(channel as u32))
-            .name
-            .to_string();
-        let in_dimm = |f: &dram::BitFlip| {
-            let m = f.bank.to_media(&g);
-            m.socket == 0 && m.channel == channel
-        };
-        let total = hv
-            .dram()
-            .flip_log()
-            .all()
-            .iter()
-            .filter(|f| in_dimm(f))
-            .count();
-        let outside = escapes.iter().filter(|f| in_dimm(f)).count();
-        table.push((name, total - outside, outside));
-    }
-    table
+    let banks: Vec<BankId> = (0..g.channels_per_socket)
+        .map(|channel| BankId(channel.into()))
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let report =
+        hammer::hammer_vm_banks(hv, vm, &banks, fuzz_cfg(scale), &mut rng, None).expect("campaign");
+    banks
+        .iter()
+        .map(|&bank| {
+            let name = hv.dram().profile_for(bank).name.to_string();
+            let channel = bank.to_media(&g).channel;
+            let (inside, outside): (Vec<&_>, Vec<&_>) = (report.flips.flips().iter())
+                .filter(|(f, _)| f.bank.socket(&g) == 0 && f.bank.to_media(&g).channel == channel)
+                .partition(|(_, owner)| *owner == Owner::Vm(vm));
+            (name, inside.len(), outside.len())
+        })
+        .collect()
 }
 
 fn main() {
@@ -142,7 +129,7 @@ fn main() {
     );
     let mut hv = boot(config, HypervisorKind::Baseline);
     let attacker = hv.create_vm(VmSpec::new("attacker", 2, vm_mem)).unwrap();
-    let _victim = hv.create_vm(VmSpec::new("victim", 2, vm_mem)).unwrap();
+    let victim = hv.create_vm(VmSpec::new("victim", 2, vm_mem)).unwrap();
     let table = campaign(&mut hv, attacker, scale, 1);
     // A realistic attacker additionally targets the edges of its own row
     // ranges (Flip-Feng-Shui-style), where victims' rows abut in the same
@@ -169,25 +156,29 @@ fn main() {
             let mut acts = 0u64;
             let _ = fuzzer.hammer(hv.dram_mut(), BankId(channel as u32), &edge, &mut acts);
         }
-        if !hv.flips_outside_vm(attacker).unwrap().is_empty() {
-            break; // The fuzzer stops at the first effective pattern.
+        // The fuzzer stops at the first effective pattern.
+        if hv.flips_by_owner(0).unwrap().escapes(attacker).total() > 0 {
+            break;
         }
     }
-    let escapes = hv.flips_outside_vm(attacker).unwrap();
+    let flips = hv.flips_by_owner(0).unwrap();
     let inside: usize = table.iter().map(|(_, i, _)| i).sum();
     println!(
         "baseline: {} flips inside the attacker's own rows, {} flips OUTSIDE \
          (co-located tenants are exposed)",
         inside,
-        escapes.len()
+        flips.escapes(attacker).total()
     );
-    if escapes.is_empty() {
-        println!("baseline verdict: no escapes at this scale — rerun without --quick");
-    } else {
-        println!(
+    let mut on_victim = flips
+        .flips()
+        .iter()
+        .filter(|(_, o)| *o == Owner::Vm(victim));
+    match on_victim.next() {
+        None => println!("baseline verdict: no escapes at this scale — rerun without --quick"),
+        Some((f, _)) => println!(
             "baseline verdict: INTER-VM FLIPS OCCURRED (e.g. row {} of bank {:?})",
-            escapes[0].media_row, escapes[0].bank
-        );
+            f.media_row, f.bank
+        ),
     }
     hv.dram()
         .export_telemetry(&reg.child("baseline").child("dram"));

@@ -21,9 +21,11 @@ pub struct BitFlip {
 
 /// Log of all flips a DRAM system has suffered since construction.
 ///
-/// The log is the ground truth for security experiments: Table 3 checks
-/// whether any logged flip falls outside the hammering domain's subarray
-/// group, and the EPT experiment checks protected row ranges.
+/// The log is the ground truth for security experiments. It records media
+/// coordinates only; the hypervisor's owner ledger
+/// (`siloz::Hypervisor::flips_by_owner`) maps each flip's 64-byte line back
+/// to whose memory it hit, which is what Table 3 and the fleet's attack
+/// step count. The EPT experiment checks protected row ranges.
 #[derive(Debug, Default, Clone)]
 pub struct FlipLog {
     flips: Vec<BitFlip>,

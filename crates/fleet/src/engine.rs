@@ -531,13 +531,14 @@ impl FleetSim {
             )?,
             None => hammer::hammer_vm(&mut self.hv, handle, 1, campaign, &mut rng)?,
         };
+        let escapes = report.escapes();
         self.stats.attacks += 1;
-        self.stats.attack_flips += report.flips_total as u64;
-        self.stats.attack_escapes += report.escapes.len() as u64;
-        if self.proves_isolation() && !report.escapes.is_empty() {
+        self.stats.attack_flips += report.flips.len() as u64;
+        self.stats.attack_escapes += escapes.total() as u64;
+        if self.proves_isolation() && escapes.total() > 0 {
             self.stats.violation(format!(
-                "attack by tenant {tenant} escaped its domain: {} flips outside",
-                report.escapes.len()
+                "attack by tenant {tenant} escaped its domain: {} flips outside ({escapes})",
+                escapes.total()
             ));
         }
         if self.scenario.copy_on_flip {

@@ -1,25 +1,34 @@
 //! End-to-end attack harnesses over the hypervisor (§7.1).
 
-use crate::fuzzer::{Blacksmith, Defense, FuzzConfig};
-use dram::flip::BitFlip;
+use crate::fuzzer::{Blacksmith, FuzzConfig};
 use dram_addr::BankId;
 use rand::Rng;
-use siloz::{Hypervisor, SilozError, VmHandle};
+use siloz::{Escapes, FlipsByOwner, Hypervisor, Owner, SilozError, VmHandle};
 
 /// Result of a malicious VM's hammering campaign.
 #[derive(Debug, Clone)]
 pub struct HammerVmReport {
-    /// Total flips induced anywhere.
-    pub flips_total: usize,
-    /// Flips inside the VM's own provisioned domain.
-    pub flips_in_domain: usize,
-    /// Flips outside the VM's domain — inter-VM/host escapes. Siloz's
-    /// guarantee is that this is empty (Table 3).
-    pub escapes: Vec<BitFlip>,
+    /// The hammering VM.
+    pub attacker: VmHandle,
     /// Activations issued.
     pub acts: u64,
-    /// Banks attacked.
-    pub banks: Vec<BankId>,
+    /// The campaign's flips, each with the owner of the line it hit.
+    pub flips: FlipsByOwner,
+}
+
+impl HammerVmReport {
+    /// Flips in the attacker's own memory — under Siloz, its domain.
+    #[must_use]
+    pub fn flips_in_domain(&self) -> usize {
+        self.flips.count(Owner::Vm(self.attacker))
+    }
+
+    /// Flips anywhere else, by class of owner: inter-VM and host escapes.
+    /// Siloz's guarantee is that there are none (Table 3).
+    #[must_use]
+    pub fn escapes(&self) -> Escapes {
+        self.flips.escapes(self.attacker)
+    }
 }
 
 /// The media rows (per socket) a VM's unmediated memory occupies — the rows
@@ -70,7 +79,7 @@ pub fn vm_bank_rows(
 
 /// Runs a Blacksmith campaign from inside a VM: the attacker hammers the
 /// rows it owns, in `banks_per_socket` banks of each socket it occupies,
-/// then the report classifies every flip as in-domain or escaped.
+/// spread across the socket's channels ([`hammer_vm_banks`]).
 pub fn hammer_vm<R: Rng>(
     hv: &mut Hypervisor,
     vm: VmHandle,
@@ -78,7 +87,8 @@ pub fn hammer_vm<R: Rng>(
     config: FuzzConfig,
     rng: &mut R,
 ) -> Result<HammerVmReport, SilozError> {
-    hammer_vm_inner(hv, vm, banks_per_socket, config, rng, None)
+    let banks = spread_banks(hv, vm, banks_per_socket)?;
+    hammer_vm_banks(hv, vm, &banks, config, rng, None)
 }
 
 /// [`hammer_vm`] with a controller-level [`mitigation::Mitigation`] backend
@@ -96,52 +106,49 @@ pub fn hammer_vm_defended<R: Rng>(
     defense: &mut dyn mitigation::Mitigation,
     source: u16,
 ) -> Result<HammerVmReport, SilozError> {
-    hammer_vm_inner(
-        hv,
-        vm,
-        banks_per_socket,
-        config,
-        rng,
-        Some((defense, source)),
-    )
+    let banks = spread_banks(hv, vm, banks_per_socket)?;
+    hammer_vm_banks(hv, vm, &banks, config, rng, Some((defense, source)))
 }
 
-fn hammer_vm_inner<R: Rng>(
+/// `per` banks of each socket `vm` occupies, spread across the socket's
+/// channels: flat bank `7 i mod banks` for the `i`-th.
+fn spread_banks(hv: &Hypervisor, vm: VmHandle, per: u32) -> Result<Vec<BankId>, SilozError> {
+    let n = hv.decoder().geometry().banks_per_socket();
+    let sockets = vm_rows(hv, vm)?.into_iter().map(|(s, _)| u32::from(s) * n);
+    Ok(sockets
+        .flat_map(|base| (0..per).map(move |i| BankId(base + (i * 7) % n)))
+        .collect())
+}
+
+/// The attack driver: one Blacksmith campaign from inside `vm`, fuzzing
+/// each of `banks` in turn over the rows of it the VM can activate
+/// ([`vm_bank_rows`]), with `defense` — a backend and the stream id its
+/// ACTs are attributed to — live on every ACT when given. The report holds
+/// the flips of the campaign's window of the flip log, by owner.
+pub fn hammer_vm_banks<R: Rng>(
     hv: &mut Hypervisor,
     vm: VmHandle,
-    banks_per_socket: u32,
+    banks: &[BankId],
     config: FuzzConfig,
     rng: &mut R,
-    mut defense: Defense<'_>,
+    mut defense: Option<(&mut dyn mitigation::Mitigation, u16)>,
 ) -> Result<HammerVmReport, SilozError> {
     let rows = vm_rows(hv, vm)?;
     let g = *hv.decoder().geometry();
     let mut fuzzer = Blacksmith::new(config);
     let mut acts = 0u64;
-    let mut banks = Vec::new();
     let before = hv.dram().flip_log().len();
-    for (socket, socket_rows) in &rows {
-        for i in 0..banks_per_socket {
-            // Spread attacked banks across the socket's channels.
-            let flat = (i * 7) % g.banks_per_socket();
-            let bank = BankId(*socket as u32 * g.banks_per_socket() + flat);
-            banks.push(bank);
-            let reachable = vm_bank_rows(hv, vm, bank, socket_rows)?;
-            let report = fuzzer.fuzz_with(hv.dram_mut(), bank, &reachable, rng, &mut defense);
-            acts += report.acts;
-        }
+    for &bank in banks {
+        let socket_rows = rows.iter().find(|(s, _)| *s == bank.socket(&g));
+        let socket_rows = socket_rows.map_or(&[][..], |(_, r)| r);
+        let reachable = vm_bank_rows(hv, vm, bank, socket_rows)?;
+        let report = fuzzer.fuzz_with(hv.dram_mut(), bank, &reachable, rng, &mut defense);
+        acts += report.acts;
     }
-    let flips_total = hv.dram().flip_log().len() - before;
-    // Window the escape scan to this campaign: in long-running multi-tenant
-    // scenarios the log already holds earlier aggressors' (contained) flips,
-    // which live outside *this* VM's groups by construction.
-    let escapes = hv.flips_outside_vm_since(vm, before)?;
     Ok(HammerVmReport {
-        flips_total,
-        flips_in_domain: flips_total.saturating_sub(escapes.len()),
-        escapes,
+        attacker: vm,
         acts,
-        banks,
+        flips: hv.flips_by_owner(before)?,
     })
 }
 
@@ -188,22 +195,24 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let report = hammer_vm(&mut hv, attacker, 2, quick_cfg(), &mut rng).unwrap();
         assert!(
-            report.flips_total > 0,
+            !report.flips.is_empty(),
             "attack must succeed inside the domain"
         );
-        assert!(
-            report.escapes.is_empty(),
-            "Siloz must contain flips: {:?}",
-            report.escapes
+        assert_eq!(
+            report.escapes(),
+            Escapes::default(),
+            "Siloz must contain flips"
         );
-        assert_eq!(report.flips_in_domain, report.flips_total);
+        assert_eq!(report.flips_in_domain(), report.flips.len());
     }
 
     #[test]
     fn baseline_leaks_flips_across_domains() {
         // On the baseline, the attacker's rows share subarrays with other
-        // tenants: hammering the attacker's own edge rows flips the
-        // victim's adjacent rows.
+        // memory: hammering the attacker's own edge rows flips the rows
+        // above them. The host allocates the attacker's EPT tables right
+        // after its RAM, then the victim's RAM at the next 2 MiB boundary,
+        // so the nearest neighbour is the attacker's own EPT page (§5.4).
         // TRR is disabled to isolate the allocation-policy property (TRR
         // evasion is covered by the fuzzer tests).
         let cfg = SilozConfig::mini();
@@ -217,11 +226,11 @@ mod tests {
         .unwrap();
         let attacker = hv.create_vm(VmSpec::new("attacker", 2, 64 << 20)).unwrap();
         let _victim = hv.create_vm(VmSpec::new("victim", 2, 64 << 20)).unwrap();
-        // The attacker owns rows [0, 128); the victim [128, 256) — all in
-        // the same 256-row subarray. Hammer the attacker's topmost rows.
+        // The attacker owns rows [0, 128), all in the 256-row subarray 0.
+        // Hammer its topmost rows.
         let rows = vm_rows(&hv, attacker).unwrap();
         let top = *rows[0].1.last().unwrap();
-        assert!(top < 256, "attacker and victim share subarray 0");
+        assert!(top < 256, "the attacker's edge shares subarray 0");
         let pattern = crate::pattern::HammerPattern::n_sided(top - 14, 8);
         assert!(pattern.rows().iter().all(|r| rows[0].1.contains(r)));
         // Hammer several banks: each bank has its own weak-cell population
@@ -233,13 +242,14 @@ mod tests {
             flipped |= fuzzer.hammer(hv.dram_mut(), dram_addr::BankId(bank), &pattern, &mut acts);
         }
         assert!(flipped, "attack must flip bits");
-        let escapes = hv.flips_outside_vm(attacker).unwrap();
+        let flips = hv.flips_by_owner(0).unwrap();
+        let escapes = flips.escapes(attacker);
         assert!(
-            !escapes.is_empty(),
-            "baseline co-location must leak flips across VM boundaries"
+            escapes.ept > 0,
+            "baseline co-location must leak flips into the EPT page: {escapes}"
         );
         // The escaped flips landed beyond the attacker's topmost row.
-        assert!(escapes.iter().any(|f| f.media_row > top));
+        assert!(flips.outside(attacker).all(|(f, _)| f.media_row > top));
     }
 
     #[test]
@@ -257,10 +267,8 @@ mod tests {
         };
         let plain = run(false);
         let defended = run(true);
-        assert_eq!(plain.flips_total, defended.flips_total);
         assert_eq!(plain.acts, defended.acts);
-        assert_eq!(plain.banks, defended.banks);
-        assert_eq!(plain.escapes, defended.escapes);
+        assert_eq!(plain.flips, defended.flips);
     }
 
     #[test]
@@ -289,14 +297,14 @@ mod tests {
             }
         };
         let undefended = run(None);
-        assert!(undefended.flips_total > 0, "baseline attack must flip");
+        assert!(!undefended.flips.is_empty(), "baseline attack must flip");
         let mut bh = mitigation::BlockHammer::new();
         let defended = run(Some(&mut bh));
         assert!(
-            defended.flips_total < undefended.flips_total,
+            defended.flips.len() < undefended.flips.len(),
             "BlockHammer must suppress flips: {} vs {}",
-            defended.flips_total,
-            undefended.flips_total
+            defended.flips.len(),
+            undefended.flips.len()
         );
     }
 

@@ -2,7 +2,6 @@
 
 use crate::pattern::HammerPattern;
 use crate::T_RC_NS;
-use dram::flip::BitFlip;
 use dram::{Aggressor, Cycle, DramSystem};
 use dram_addr::BankId;
 use mitigation::Mitigation;
@@ -71,9 +70,9 @@ pub struct FuzzReport {
     pub patterns_tried: u32,
     /// Total activations issued.
     pub acts: u64,
-    /// Flips discovered (media coordinates), in discovery order.
-    pub flips: Vec<BitFlip>,
-    /// The first successful pattern, if any.
+    /// The first successful pattern, if any. The campaign stops there, so
+    /// it is `None` exactly when no bit flipped; the flips themselves are
+    /// in the device's flip log.
     pub effective_pattern: Option<HammerPattern>,
 }
 
@@ -81,7 +80,7 @@ impl FuzzReport {
     /// Whether any bit flipped.
     #[must_use]
     pub fn any_flips(&self) -> bool {
-        !self.flips.is_empty()
+        self.effective_pattern.is_some()
     }
 }
 
@@ -117,9 +116,9 @@ impl Blacksmith {
 
     /// Runs the campaign against one bank, restricted to `allowed_rows`
     /// (the rows the attacker actually owns — e.g. a VM's provisioned
-    /// rows). Returns all flips produced anywhere in the DRAM system during
-    /// the campaign (escapes included — that is the point of the
-    /// containment experiments).
+    /// rows). Flips land anywhere in the DRAM system — escapes included,
+    /// the point of the containment experiments — and are read from its
+    /// flip log.
     pub fn fuzz<R: Rng>(
         &mut self,
         dram: &mut DramSystem,
@@ -130,8 +129,8 @@ impl Blacksmith {
         self.fuzz_with(dram, bank, allowed_rows, rng, &mut None)
     }
 
-    /// The one campaign loop behind [`Blacksmith::fuzz`] and the defended
-    /// campaigns of [`crate::hammer_vm_defended`].
+    /// The one campaign loop behind [`Blacksmith::fuzz`] and the attack
+    /// driver [`crate::hammer_vm_banks`], defended or not.
     pub(crate) fn fuzz_with<R: Rng>(
         &mut self,
         dram: &mut DramSystem,
@@ -140,7 +139,6 @@ impl Blacksmith {
         rng: &mut R,
         defense: &mut Defense<'_>,
     ) -> FuzzReport {
-        let before = dram.flip_log().len();
         let mut acts = 0u64;
         let mut effective = None;
         let mut tried = 0u32;
@@ -154,16 +152,14 @@ impl Blacksmith {
             tried += 1;
             let pattern = HammerPattern::random(allowed_rows, rng);
             let found = self.hammer_with(dram, bank, &pattern, &mut acts, defense);
-            if found && effective.is_none() {
+            if found {
                 effective = Some(pattern);
                 break;
             }
         }
-        let flips = dram.flip_log().all()[before..].to_vec();
         FuzzReport {
             patterns_tried: tried,
             acts,
-            flips,
             effective_pattern: effective,
         }
     }
@@ -320,7 +316,7 @@ mod tests {
         let rows: Vec<u32> = (256..512).collect();
         let report = fuzzer.fuzz(&mut dram, BankId(3), &rows, &mut rng);
         assert!(report.any_flips());
-        for f in &report.flips {
+        for f in dram.flip_log().all() {
             assert_eq!(f.media_row / 256, 1, "flip escaped the subarray");
         }
     }
@@ -663,8 +659,8 @@ mod tests {
                 periods_per_attempt: 30_000,
                 extra_open_ns: extra,
             });
-            let r = fuzzer.fuzz(&mut dram, BankId(0), &rows, &mut rng);
-            r.flips.len()
+            let _ = fuzzer.fuzz(&mut dram, BankId(0), &rows, &mut rng);
+            dram.flip_log().len()
         };
         assert!(run(3_000) >= run(0), "RowPress cannot be weaker");
     }

@@ -10,9 +10,9 @@
 //!   frequency, phase, and amplitude — the Blacksmith parameter space;
 //! - [`fuzzer`]: the search loop, hammering candidate patterns against a
 //!   [`dram::DramSystem`] and harvesting bit flips;
-//! - [`attack`]: end-to-end harnesses over the [`siloz::Hypervisor`]: a
-//!   malicious VM hammering its own memory (the inter-VM containment
-//!   experiment of Table 3) and the EPT guard-row experiment of §7.1;
+//! - [`attack`]: the one attack driver over the [`siloz::Hypervisor`],
+//!   [`hammer_vm_banks`]: a malicious VM hammering its own memory, each
+//!   flip attributed to its owner (Table 3); and EPT verification (§7.1);
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +21,8 @@ pub mod fuzzer;
 pub mod pattern;
 
 pub use attack::{
-    hammer_vm, hammer_vm_defended, verify_ept_intact, vm_bank_rows, vm_rows, HammerVmReport,
+    hammer_vm, hammer_vm_banks, hammer_vm_defended, verify_ept_intact, vm_bank_rows, vm_rows,
+    HammerVmReport,
 };
 pub use fuzzer::{Blacksmith, FuzzConfig, FuzzReport};
 pub use pattern::HammerPattern;

@@ -12,6 +12,17 @@ use std::ops::Range;
 /// Maximum supported block order (2^18 frames = 1 GiB).
 pub const MAX_ORDER: u8 = 18;
 
+/// How an allocator holds one frame of its coverage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameState {
+    /// On a free list.
+    Free,
+    /// Handed out by an allocation.
+    Allocated,
+    /// Taken offline, or left out as a hole at construction.
+    Offlined,
+}
+
 /// A power-of-two buddy allocator over page frame numbers.
 ///
 /// # Examples
@@ -110,6 +121,20 @@ impl BuddyAllocator {
     #[must_use]
     pub fn offlined_frames(&self) -> u64 {
         self.offlined.len() as u64
+    }
+
+    /// How the allocator holds `frame`; `None` outside its coverage.
+    #[must_use]
+    pub fn frame_state(&self, frame: u64) -> Option<FrameState> {
+        if self.offlined.contains(&frame) {
+            Some(FrameState::Offlined)
+        } else if !self.in_coverage(frame, frame + 1) {
+            None
+        } else if self.is_free_or_overlapping(frame, 0) {
+            Some(FrameState::Free)
+        } else {
+            Some(FrameState::Allocated)
+        }
     }
 
     /// Allocates a block of `2^order` frames; returns its first frame.
@@ -352,6 +377,20 @@ mod tests {
         // Everything coalesced back: a maximal allocation succeeds.
         let f = b.alloc(12).unwrap();
         assert_eq!(f % (1 << 12), 0);
+    }
+
+    #[test]
+    fn frame_state_tracks_alloc_free_and_offline() {
+        let mut b = BuddyAllocator::with_holes(&[0..64], &[5]);
+        let a = b.alloc(3).unwrap();
+        assert!(b.offline_frame(40));
+        assert_eq!(b.frame_state(a + 7), Some(FrameState::Allocated));
+        assert_eq!(b.frame_state(5), Some(FrameState::Offlined));
+        assert_eq!(b.frame_state(40), Some(FrameState::Offlined));
+        assert_eq!(b.frame_state(41), Some(FrameState::Free));
+        assert_eq!(b.frame_state(64), None);
+        b.free(a, 3).unwrap();
+        assert_eq!(b.frame_state(a + 7), Some(FrameState::Free));
     }
 
     #[test]

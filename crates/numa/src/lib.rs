@@ -29,7 +29,7 @@ pub mod cpuset;
 pub mod node;
 pub mod policy;
 
-pub use buddy::BuddyAllocator;
+pub use buddy::{BuddyAllocator, FrameState};
 pub use claims::ClaimMap;
 pub use cpuset::{CgroupRegistry, ControlGroup};
 pub use node::{NodeId, NodeInfo, Topology};

@@ -1,6 +1,6 @@
 //! NUMA nodes and the machine topology.
 
-use crate::buddy::BuddyAllocator;
+use crate::buddy::{BuddyAllocator, FrameState};
 use crate::NumaError;
 use parking_lot::Mutex;
 use std::ops::{DerefMut, Range};
@@ -182,6 +182,14 @@ impl Topology {
             out.push((id, self.free_frames(id)?));
         }
         Ok(out)
+    }
+
+    /// How the node owning `frame` holds it; `None` for a frame no node
+    /// covers.
+    #[must_use]
+    pub fn frame_state(&self, frame: u64) -> Option<FrameState> {
+        let node = self.node_of_frame(frame)?;
+        self.buddy(node).ok()?.frame_state(frame)
     }
 
     /// The node owning `frame`, if any (frames belong to at most one node).

@@ -23,7 +23,6 @@ use crate::group::{GroupId, SubarrayGroupMap};
 use crate::provision::ProvisionedTopology;
 use crate::vm::{BackingBlock, MemoryRegionKind, VmHandle, VmRegion, VmSpec};
 use crate::SilozError;
-use dram::flip::BitFlip;
 use dram::{DramSystem, DramSystemBuilder};
 use dram_addr::{DecodeTlb, RepairMap, SystemAddressDecoder, CACHE_LINE_BYTES};
 use ept::{
@@ -1110,72 +1109,6 @@ impl Hypervisor {
         Ok((out, intact))
     }
 
-    /// Flips recorded so far that fall *outside* a VM's provisioned subarray
-    /// groups — inter-VM escapes if that VM was the hammering domain (§7.1).
-    ///
-    /// On the baseline (no provisioned groups), every flip outside the VM's
-    /// actually-backing rows counts as an escape.
-    pub fn flips_outside_vm(&self, handle: VmHandle) -> Result<Vec<BitFlip>, SilozError> {
-        self.flips_outside_vm_since(handle, 0)
-    }
-
-    /// [`Self::flips_outside_vm`] restricted to flips recorded at or after
-    /// flip-log index `skip`.
-    ///
-    /// Long-running scenarios with several attack campaigns need this
-    /// window: a previous aggressor's (contained) flips live in *its*
-    /// groups, which are outside every other VM's groups, so an unwindowed
-    /// scan would misattribute them as fresh escapes.
-    pub fn flips_outside_vm_since(
-        &self,
-        handle: VmHandle,
-        skip: usize,
-    ) -> Result<Vec<BitFlip>, SilozError> {
-        let vm = self.vm(handle)?;
-        let g = self.decoder.geometry();
-        let mut escaped = Vec::new();
-        match self.kind {
-            HypervisorKind::Siloz => {
-                let groups = self.vm_groups(handle)?;
-                let spans: Vec<(u16, std::ops::Range<u32>)> = groups
-                    .iter()
-                    .filter_map(|gid| self.groups.group(*gid))
-                    .map(|info| (info.socket, info.rows.clone()))
-                    .collect();
-                for flip in self.dram.flip_log().all().iter().skip(skip) {
-                    let socket = flip.bank.socket(g);
-                    let inside = spans
-                        .iter()
-                        .any(|(s, rows)| *s == socket && rows.contains(&flip.media_row));
-                    if !inside {
-                        escaped.push(*flip);
-                    }
-                }
-            }
-            HypervisorKind::Baseline => {
-                // Rows actually backing the VM.
-                let mut vm_rows: std::collections::HashSet<(u16, u32)> =
-                    std::collections::HashSet::new();
-                for b in vm.regions.iter().flat_map(|r| r.backing.iter()) {
-                    let mut p = b.hpa();
-                    let end = b.hpa() + b.bytes();
-                    while p < end {
-                        let (socket, row) = self.decoder.row_group_of(p)?;
-                        vm_rows.insert((socket, row));
-                        p += g.row_group_bytes() - p % g.row_group_bytes();
-                    }
-                }
-                for flip in self.dram.flip_log().all().iter().skip(skip) {
-                    let socket = flip.bank.socket(g);
-                    if !vm_rows.contains(&(socket, flip.media_row)) {
-                        escaped.push(*flip);
-                    }
-                }
-            }
-        }
-        Ok(escaped)
-    }
-
     /// Periodic free-memory statistics refresh, with the §5.3 optimization:
     /// guest-reserved nodes' free counts cannot change while their VM runs,
     /// so Siloz skips them entirely; the baseline iterates every node.
@@ -1359,6 +1292,7 @@ fn page_order(size: PageSize) -> u8 {
 mod tests {
     use super::*;
     use crate::vm::VmSpec;
+    use dram::flip::BitFlip;
 
     fn mini_siloz() -> Hypervisor {
         Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Siloz).unwrap()

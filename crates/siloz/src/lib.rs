@@ -23,6 +23,9 @@
 //!   §5.3);
 //! - [`hypervisor`]: the Siloz hypervisor and the unmodified-Linux/KVM-style
 //!   baseline it is evaluated against (§7);
+//! - [`ledger`]: whose memory each DRAM line is — the owner every logged
+//!   bit flip is attributed to, the one classifier of the containment
+//!   experiments (§7.1);
 //! - [`defenses`]: the competing software defenses of §3/§8.3 (guard-row
 //!   schemes, SoftTRR-style refresh, Copy-on-Flip-style migration), used by
 //!   the comparison experiments.
@@ -36,6 +39,7 @@ pub mod defenses;
 pub mod ept_guard;
 pub mod group;
 pub mod hypervisor;
+pub mod ledger;
 pub mod provision;
 pub mod snc;
 pub mod vm;
@@ -45,6 +49,7 @@ pub use config::{EptProtection, SilozConfig};
 pub use ept_guard::EptGuardPlan;
 pub use group::{GroupId, GroupInfo, GroupOccupancy, OccupancyReport, SubarrayGroupMap};
 pub use hypervisor::{Hypervisor, HypervisorKind};
+pub use ledger::{Escapes, FlipsByOwner, Owner};
 pub use provision::ProvisionedTopology;
 pub use snc::{apply_snc, SncMap};
 pub use vm::{BackingBlock, MemoryRegionKind, VmHandle, VmSpec};

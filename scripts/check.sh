@@ -68,6 +68,17 @@ bench_digests() {
 step "benchmark gate: sim_events/sim_digest of all five workloads, pinned to scripts/bench_digests.txt" \
   bench_digests
 
+# `cargo test` builds the four root examples but never runs them;
+# inter_vm_attack asserts Siloz containment through the attack driver.
+# Well under a second together in a release build.
+run_examples() {
+  local ex
+  for ex in quickstart cloud_provisioning ept_protection inter_vm_attack; do
+    SILOZ_TELEMETRY_DIR="$artifacts" cargo run --release -q --example "$ex" >/dev/null
+  done
+}
+step "examples: the four root examples run to completion" run_examples
+
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 

@@ -299,14 +299,16 @@ impl Console {
             &mut self.rng,
         ) {
             Ok(report) => {
+                let escapes = report.escapes();
                 println!(
                     "  {} activations, {} flips total, {} in-domain, {} ESCAPED",
                     report.acts,
-                    report.flips_total,
-                    report.flips_in_domain,
-                    report.escapes.len()
+                    report.flips.len(),
+                    report.flips_in_domain(),
+                    escapes.total()
                 );
-                if report.escapes.is_empty() {
+                println!("  escaped into: {escapes}");
+                if escapes.total() == 0 {
                     println!("  containment verdict: OK (no inter-VM flips)");
                 } else {
                     println!("  containment verdict: BREACHED");
@@ -402,6 +404,8 @@ mod tests {
         // The attack ran against the real hypervisor: flips exist, none
         // escaped.
         let vm = c.vms["a"];
-        assert!(c.hv.flips_outside_vm(vm).unwrap().is_empty());
+        let flips = c.hv.flips_by_owner(0).unwrap();
+        assert!(!flips.is_empty());
+        assert_eq!(flips.escapes(vm).total(), 0, "{}", flips.escapes(vm));
     }
 }

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use siloz_repro::dram::{DimmProfile, DramSystemBuilder};
 use siloz_repro::dram_addr::RepairMap;
 use siloz_repro::hammer::{hammer_vm, FuzzConfig};
-use siloz_repro::siloz::{Hypervisor, HypervisorKind, SilozConfig, VmSpec};
+use siloz_repro::siloz::{Escapes, Hypervisor, HypervisorKind, Owner, SilozConfig, VmSpec};
 
 fn quick_cfg() -> FuzzConfig {
     FuzzConfig {
@@ -32,15 +32,15 @@ fn siloz_contains_blacksmith_across_dimm_profiles() {
         let _victim = hv.create_vm(VmSpec::new("victim", 2, 256 << 20)).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let report = hammer_vm(&mut hv, attacker, 2, quick_cfg(), &mut rng).unwrap();
-        assert!(
-            report.escapes.is_empty(),
-            "DIMM {name}: {} flips escaped the subarray groups",
-            report.escapes.len()
+        assert_eq!(
+            report.escapes(),
+            Escapes::default(),
+            "DIMM {name}: flips escaped the attacker's memory"
         );
         // More-susceptible DIMMs (A) must actually flip in-domain; the
         // hardest (F) may or may not at this effort.
         if name == "A" {
-            assert!(report.flips_total > 0, "DIMM A must flip in-domain");
+            assert!(report.flips_in_domain() > 0, "DIMM A must flip in-domain");
         }
     }
 }
@@ -55,7 +55,8 @@ fn victim_data_survives_attack_under_siloz() {
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let report = hammer_vm(&mut hv, attacker, 3, quick_cfg(), &mut rng).unwrap();
-    assert!(report.flips_total > 0, "attack must be potent");
+    assert!(!report.flips.is_empty(), "attack must be potent");
+    assert_eq!(report.flips.count(Owner::Vm(victim)), 0);
 
     let (read_back, intact) = hv.guest_read(victim, 0x40_0000, secret.len()).unwrap();
     assert!(intact, "victim reads must be clean");
@@ -73,8 +74,10 @@ fn attacker_cannot_flip_host_reserved_memory() {
         0..hv.config().presumed_subarray_rows
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let _ = hammer_vm(&mut hv, attacker, 2, quick_cfg(), &mut rng).unwrap();
-    for flip in hv.dram().flip_log().all() {
+    let report = hammer_vm(&mut hv, attacker, 2, quick_cfg(), &mut rng).unwrap();
+    assert!(!report.flips.is_empty(), "attack must flip bits");
+    for (flip, owner) in report.flips.flips() {
+        assert_eq!(*owner, Owner::Vm(attacker), "{flip:?}");
         assert!(
             !host_rows.contains(&flip.media_row),
             "flip landed in host-reserved rows: {flip:?}"
@@ -104,10 +107,10 @@ fn repairs_and_transforms_do_not_break_containment() {
     let mut hv = Hypervisor::boot_with(config, HypervisorKind::Siloz, dram, repairs).unwrap();
     let attacker = hv.create_vm(VmSpec::new("attacker", 2, 128 << 20)).unwrap();
     let report = hammer_vm(&mut hv, attacker, 2, quick_cfg(), &mut rng).unwrap();
-    assert!(
-        report.escapes.is_empty(),
-        "escapes despite §6 mitigations: {:?}",
-        report.escapes
+    assert_eq!(
+        report.escapes(),
+        Escapes::default(),
+        "escapes despite §6 mitigations"
     );
 }
 
@@ -149,6 +152,6 @@ fn six_sided_hammer_over_own_same_bank_rows_stays_contained() {
         !hv.dram().flip_log().is_empty(),
         "the campaign must flip bits in-domain"
     );
-    let escapes = hv.flips_outside_vm(attacker).unwrap();
-    assert!(escapes.is_empty(), "escaped with {} flips", escapes.len());
+    let escapes = hv.flips_by_owner(0).unwrap().escapes(attacker);
+    assert_eq!(escapes.total(), 0, "escaped: {escapes}");
 }

@@ -83,7 +83,7 @@ fn vm_translations_stay_intact_after_full_campaign() {
         &mut rng,
     )
     .unwrap();
-    assert!(report.flips_total > 0);
+    assert!(!report.flips.is_empty());
     assert!(verify_ept_intact(&mut hv, vm).unwrap());
 }
 
