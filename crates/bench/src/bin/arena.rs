@@ -30,6 +30,7 @@
 
 use std::fmt::Write as _;
 
+use bench::{Args, Scale};
 use dram::DramSystemBuilder;
 use dram_addr::{mini_geometry, BankId};
 use fleet::{FleetReport, Scenario};
@@ -187,7 +188,7 @@ struct BackendResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env("arena [--quick]").scale == Scale::Quick;
     let (periods, events, sim) = if quick {
         (
             12_000u32,

@@ -27,21 +27,9 @@
 //!
 //! Usage: `cargo run --release -p bench --bin cluster_soak [--quick | --scale N]`
 
-use bench::{emit_telemetry, Scale};
+use bench::{emit_telemetry, Args, Scale};
 use cluster::{run_cluster, ClusterPolicy, ClusterReport, ClusterScenario};
 use telemetry::Registry;
-
-/// Parses `--scale N` (the thousands-of-hosts tier), if present.
-fn scale_hosts() -> Option<u32> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            let n = args.next().expect("--scale needs a host count");
-            return Some(n.parse().expect("--scale host count must be a u32"));
-        }
-    }
-    None
-}
 
 /// Prints the per-policy report table and enforces the soak's isolation
 /// and liveness invariants on every report.
@@ -140,11 +128,12 @@ fn peak_rss_kib() -> Option<u64> {
 }
 
 fn main() {
-    if let Some(hosts) = scale_hosts() {
+    let args = Args::from_env("cluster_soak [--quick | --scale N]");
+    if let Some(hosts) = args.hosts {
         run_scale(hosts);
         return;
     }
-    let scale = Scale::from_args();
+    let scale = args.scale;
     let seed = 11u64;
     let (min_events, min_hosts): (u64, u64) = match scale {
         Scale::Quick => (4_000, 16),

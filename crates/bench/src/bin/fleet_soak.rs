@@ -12,14 +12,14 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_soak [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::{emit_telemetry, Args, Scale};
 use fleet::{run_fleet, FleetReport, Scenario};
 use numa::PlacementStrategy;
 use sim::run_cells;
 use telemetry::Registry;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Args::from_env("fleet_soak [--quick]").scale;
     let (seeds, min_events): (&[u64], u64) = match scale {
         Scale::Quick => (&[11], 2_000),
         Scale::Full => (&[11, 12], 5_000),

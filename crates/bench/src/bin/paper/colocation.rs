@@ -2,22 +2,18 @@
 //!
 //! Siloz isolates Rowhammer *disturbance*, not memory-controller bandwidth:
 //! subarray groups span every bank by design, so colocated tenants contend
-//! exactly as on the baseline. This binary quantifies the victim's latency
+//! exactly as on the baseline. This artifact quantifies the victim's latency
 //! inflation next to a bandwidth hog under both hypervisors — showing that
 //! Siloz adds no interference of its own, and motivating the §8.4
 //! discussion of bank/channel isolation domains as future work.
-//!
-//! Usage: `cargo run --release -p bench --bin colocation [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use siloz::HypervisorKind;
-use sim::{run_colocation_suite, SuitePlan};
-use telemetry::Registry;
+use sim::{run_colocation_suite, Run, SuitePlan};
 use workloads::mlc::{Mlc, MlcKind};
 use workloads::ycsb::{Ycsb, YcsbKind};
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let sim_cfg = scale.sim();
 
@@ -28,13 +24,12 @@ fn main() {
     );
     // Both hypervisor kinds run concurrently; each cell builds its own
     // fresh workload generators, so output matches the old serial loop.
-    let reg = Registry::new();
     let plan = SuitePlan {
         config: &config,
         kinds: &[HypervisorKind::Baseline, HypervisorKind::Siloz],
         sim: &sim_cfg,
         seed: 7,
-        threads: sim::default_threads(),
+        threads: run.threads,
     };
     let results = run_colocation_suite(
         &plan,
@@ -43,7 +38,7 @@ fn main() {
             Box::new(Mlc::new(MlcKind::Reads, sim_cfg.working_set))
                 as Box<dyn workloads::WorkloadGen>
         },
-        &reg,
+        &run.reg,
     )
     .expect("colocation run");
     for (kind, r) in results {
@@ -61,5 +56,4 @@ fn main() {
          bank/rank/channel\nisolation domains (§8.4) would trade bandwidth for \
          performance isolation."
     );
-    emit_telemetry("colocation", &reg);
 }

@@ -6,19 +6,16 @@
 //! unprotected control block of 32 rows in the same subarray group. The
 //! protected EPT row must show zero flips; the unprotected control rows
 //! must flip.
-//!
-//! Usage: `cargo run --release -p bench --bin ept_protection [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram::DramSystemBuilder;
 use dram_addr::{BankId, SystemAddressDecoder};
 use hammer::{Blacksmith, FuzzConfig};
 use rand::SeedableRng;
 use siloz::ept_guard::EptGuardPlan;
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).expect("decoder");
     let g = *decoder.geometry();
@@ -93,9 +90,8 @@ fn main() {
     } else {
         println!("RESULT: UNEXPECTED — protected row flipped or control stayed clean.");
     }
-    let reg = Registry::new();
-    dram.export_telemetry(&reg.child("dram"));
-    let guard = reg.child("ept_guard");
+    dram.export_telemetry(&run.reg.child("dram"));
+    let guard = run.reg.child("ept_guard");
     guard
         .counter("protected_row_flips")
         .add(protected_flips as u64);
@@ -103,5 +99,4 @@ fn main() {
     guard
         .counter("control_region_flips")
         .add(control_region_flips as u64);
-    emit_telemetry("ept_protection", &reg);
 }

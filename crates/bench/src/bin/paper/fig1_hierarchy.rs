@@ -1,15 +1,13 @@
 //! Renders **Figure 1**: the DRAM module hierarchy in the context of a row
 //! activation and Rowhammer — from the live device model, with a real
 //! hammering run annotating aggressor/victim/unaffected rows.
-//!
-//! Usage: `cargo run --release -p bench --bin fig1_hierarchy`
 
-use bench::emit_telemetry;
+use bench::Scale;
 use dram::DramSystemBuilder;
 use dram_addr::{mini_geometry, BankId};
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
+pub fn run(_scale: Scale, run: &Run) {
     let g = mini_geometry();
     let mut dram = DramSystemBuilder::new(g).trr(0, 0).build();
     let bank = BankId(0);
@@ -54,7 +52,5 @@ fn main() {
             v
         }
     );
-    let reg = Registry::new();
-    dram.export_telemetry(&reg.child("dram"));
-    emit_telemetry("fig1_hierarchy", &reg);
+    dram.export_telemetry(&run.reg.child("dram"));
 }

@@ -2,16 +2,13 @@
 //! ascending physical pages map to ascending row groups, alternating
 //! between ranges A and B per 24 MiB block, with jumps at 768 MiB (§4.1,
 //! §4.2). This dumps the live page → row-group → subarray-group map.
-//!
-//! Usage: `cargo run -p bench --bin fig2_layout [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram_addr::SystemAddressDecoder;
 use siloz::SubarrayGroupMap;
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).expect("decoder");
     let map = SubarrayGroupMap::compute(&decoder, config.presumed_subarray_rows).expect("groups");
@@ -38,8 +35,7 @@ fn main() {
         .chain((0..4).map(|i| decoder.config().jump_bytes / 2 + i * block))
         .chain((0..4).map(|i| decoder.config().jump_bytes + i * block))
         .collect();
-    let reg = Registry::new();
-    let layout = reg.child("layout");
+    let layout = run.reg.child("layout");
     for phys in samples {
         if phys >= decoder.socket_bytes() {
             continue;
@@ -84,5 +80,4 @@ fn main() {
     layout
         .gauge("groups_per_socket")
         .add(i64::from(config.groups_per_socket()));
-    emit_telemetry("fig2_layout", &reg);
 }

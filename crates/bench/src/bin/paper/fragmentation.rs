@@ -6,14 +6,12 @@
 //! the gap between requested bytes and reserved bytes. The paper notes that
 //! providers already sell VMs at similar granularity and that SNC halves
 //! group sizes (§8.1).
-//!
-//! Usage: `cargo run --release -p bench --bin fragmentation [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use rand::Rng;
 use rand::SeedableRng;
 use siloz::{apply_snc, SilozConfig};
-use telemetry::Registry;
+use sim::Run;
 
 /// A cloud-ish VM size mix (GiB, probability weight).
 const MIX: [(f64, u32); 7] = [
@@ -50,8 +48,7 @@ fn waste_fraction(group_bytes: u64, vms: &[f64]) -> f64 {
     (reserved - requested) / reserved
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let n = match scale {
         Scale::Quick => 2_000usize,
         Scale::Full => 50_000,
@@ -92,8 +89,7 @@ fn main() {
          lever for finer-grained provisioning. (A 4 KiB-page baseline wastes ~0%,\n\
          but offers no isolation.)"
     );
-    let reg = Registry::new();
-    let frag = reg.child("fragmentation");
+    let frag = run.reg.child("fragmentation");
     frag.counter("vms_sampled").add(n as u64);
     frag.counter("configs_evaluated").add(rows.len() as u64 + 1);
     frag.counter("requested_bytes").add(
@@ -101,5 +97,4 @@ fn main() {
             .map(|&gib| (gib * (1u64 << 30) as f64) as u64)
             .sum(),
     );
-    emit_telemetry("fragmentation", &reg);
 }

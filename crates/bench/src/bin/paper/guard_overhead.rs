@@ -1,17 +1,14 @@
 //! Regenerates the **§3 guard-row overhead analysis**: ZebRAM-style
 //! whole-memory guard rows cost ≥50% of DRAM (80% at the 4 guards modern
 //! DIMMs need), while Siloz's EPT-only reservation costs ≈0.024% per bank.
-//!
-//! Usage: `cargo run -p bench --bin guard_overhead [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram_addr::SystemAddressDecoder;
 use siloz::defenses::{guard_row_overhead, guard_rows_needed};
 use siloz::ept_guard::EptGuardPlan;
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).expect("decoder");
     let g = decoder.geometry();
@@ -55,8 +52,7 @@ fn main() {
         98.5,
         plan.reserved_fraction(g) * 100.0
     );
-    let reg = Registry::new();
-    let guard = reg.child("ept_guard");
+    let guard = run.reg.child("ept_guard");
     guard.counter("reserved_rows_per_bank").add(u64::from(b));
     guard
         .counter("sockets_planned")
@@ -64,5 +60,4 @@ fn main() {
     guard
         .counter("guard_frames_per_socket")
         .add(plan.sockets[0].guard_frames.len() as u64);
-    emit_telemetry("guard_overhead", &reg);
 }

@@ -4,18 +4,15 @@
 //! robust defense. Sweeps tAggOn and reports flips at a fixed ACT budget,
 //! plus the containment check: RowPress flips obey the same subarray
 //! boundaries as classic Rowhammer.
-//!
-//! Usage: `cargo run --release -p bench --bin rowpress_sweep [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram::DramSystemBuilder;
 use dram_addr::BankId;
 use hammer::pattern::HammerPattern;
 use hammer::{Blacksmith, FuzzConfig};
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let g = config.geometry;
     let periods = match scale {
@@ -29,10 +26,9 @@ fn main() {
         "tAggOn (ns)", "flips", "all in same subarray?"
     );
     let sub = g.rows_per_subarray;
-    let reg = Registry::new();
     // All sweep points export into the same `dram` child; totals are
     // additive over the sweep.
-    let dram_reg = reg.child("dram");
+    let dram_reg = run.reg.child("dram");
     for extra_open_ns in [0u64, 500, 1_000, 2_000, 4_000, 8_000] {
         let mut dram = DramSystemBuilder::new(g).trr(0, 0).build();
         let fuzzer = Blacksmith::new(FuzzConfig {
@@ -64,5 +60,4 @@ fn main() {
          flip stays\nwithin the aggressors' subarray — which is why Siloz treats RowPress \
          identically to\nRowhammer (§2.5): subarray groups contain both."
     );
-    emit_telemetry("rowpress_sweep", &reg);
 }

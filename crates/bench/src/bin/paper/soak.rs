@@ -3,19 +3,16 @@
 //! round through the attack driver; after every round the scrub history
 //! and the owner ledger are audited for any flip outside the attacker's
 //! memory.
-//!
-//! Usage: `cargo run --release -p bench --bin soak [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram::{DimmProfile, DramSystemBuilder};
 use dram_addr::{BankId, RepairMap};
 use hammer::FuzzConfig;
 use rand::SeedableRng;
 use siloz::{Hypervisor, HypervisorKind, VmSpec};
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let (rounds, vm_mem) = match scale {
         Scale::Quick => (4u32, 192 << 20),
@@ -85,8 +82,6 @@ fn main() {
         hv.dram().flip_log().len(),
         hv.dram().scrub_history().corrected.len()
     );
-    let reg = Registry::new();
-    hv.dram().export_telemetry(&reg.child("dram"));
-    hv.export_telemetry(&reg.child("hv"));
-    emit_telemetry("soak", &reg);
+    hv.dram().export_telemetry(&run.reg.child("dram"));
+    hv.export_telemetry(&run.reg.child("hv"));
 }

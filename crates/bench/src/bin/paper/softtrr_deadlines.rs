@@ -2,17 +2,17 @@
 //! SoftTRR-style 1 ms refresh daemon under generic Linux scheduling misses
 //! deadlines — minimum period 1 ms, occasional gaps beyond 32 ms — leaving
 //! EPT rows vulnerable; this is why Siloz uses guard rows instead.
-//!
-//! Usage: `cargo run -p bench --bin softtrr_deadlines [--quick]`
 
-use bench::emit_telemetry;
+use bench::Scale;
 use rand::SeedableRng;
 use siloz::defenses::{simulate_soft_refresh, SchedulerModel};
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ticks = if quick { 200_000 } else { 2_000_000 };
+pub fn run(scale: Scale, run: &Run) {
+    let ticks = match scale {
+        Scale::Quick => 200_000,
+        Scale::Full => 2_000_000,
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(83);
 
     println!("Software refresh (SoftTRR-like) under generic scheduling (§8.3)\n");
@@ -54,13 +54,11 @@ fn main() {
 
     println!("\nConclusion (§8.3): software refresh cannot guarantee 1 ms periods on a");
     println!("generic production kernel; Siloz therefore protects EPTs with guard rows.");
-    let reg = Registry::new();
-    let soft = reg.child("soft_refresh");
+    let soft = run.reg.child("soft_refresh");
     soft.counter("ticks_simulated").add(generic.ticks + t.ticks);
     soft.counter("missed_deadlines_generic")
         .add(generic.missed_deadlines);
     soft.counter("gross_misses_generic")
         .add(generic.gross_misses);
     soft.counter("gross_misses_dynticks").add(t.gross_misses);
-    emit_telemetry("softtrr_deadlines", &reg);
 }

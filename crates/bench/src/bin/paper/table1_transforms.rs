@@ -1,14 +1,12 @@
 //! Regenerates **Table 1**: DDR4 address mirroring and inversion of
 //! lower-order row media address bits as a function of DIMM rank and side.
-//!
-//! Usage: `cargo run -p bench --bin table1_transforms`
 
-use bench::emit_telemetry;
+use bench::Scale;
 use dram_addr::transform::{internal_row, preserves_subarray_grouping};
 use dram_addr::{InternalMapConfig, RankSide};
-use telemetry::Registry;
+use sim::Run;
 
-fn main() {
+pub fn run(_scale: Scale, run: &Run) {
     let cfg = InternalMapConfig {
         mirroring: true,
         inversion: true,
@@ -52,8 +50,7 @@ fn main() {
     }
 
     println!("\nIsolation consequences (§6):");
-    let reg = Registry::new();
-    let transforms = reg.child("transforms");
+    let transforms = run.reg.child("transforms");
     for rows in [512u32, 1024, 2048, 768, 1536] {
         let ok = (0..2).all(|rank| {
             RankSide::BOTH
@@ -77,5 +74,4 @@ fn main() {
         );
     }
     transforms.counter("variants_rendered").add(4);
-    emit_telemetry("table1_transforms", &reg);
 }

@@ -1,12 +1,9 @@
 //! Regenerates **Table 2**: the baseline system configuration.
-//!
-//! Usage: `cargo run -p bench --bin table2_config [--quick]`
 
-use bench::{emit_telemetry, Scale};
-use telemetry::Registry;
+use bench::Scale;
+use sim::Run;
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     println!("{}", config.render_table2());
     println!();
@@ -16,13 +13,11 @@ fn main() {
         config.groups_per_socket(),
         config.groups_per_socket() as u64 * config.geometry.sockets as u64,
     );
-    let reg = Registry::new();
-    let cfg = reg.child("config");
+    let cfg = run.reg.child("config");
     cfg.gauge("groups_per_socket")
         .add(i64::from(config.groups_per_socket()));
     cfg.gauge("logical_nodes")
         .add(i64::from(config.groups_per_socket()) * i64::from(config.geometry.sockets));
     cfg.gauge("subarray_group_bytes")
         .add(config.subarray_group_bytes() as i64);
-    emit_telemetry("table2_config", &reg);
 }

@@ -6,16 +6,14 @@
 //! memory (its groups) or outside it. A baseline section then shows
 //! whether the same campaign escapes without Siloz: its verdict asks
 //! whether any flip hit the victim's lines.
-//!
-//! Usage: `cargo run --release -p bench --bin table3_containment [--quick]`
 
-use bench::{emit_telemetry, Scale};
+use bench::Scale;
 use dram::{DimmProfile, DramSystemBuilder};
 use dram_addr::{BankId, RepairMap};
 use hammer::{Blacksmith, FuzzConfig};
 use rand::SeedableRng;
 use siloz::{Hypervisor, HypervisorKind, Owner, SilozConfig, VmSpec};
-use telemetry::Registry;
+use sim::Run;
 
 fn fuzz_cfg(scale: Scale) -> FuzzConfig {
     match scale {
@@ -62,8 +60,7 @@ fn campaign(
         .collect()
 }
 
-fn main() {
-    let scale = Scale::from_args();
+pub fn run(scale: Scale, run: &Run) {
     let config = scale.config();
     let vm_mem = match scale {
         Scale::Quick => 256 << 20,
@@ -73,7 +70,6 @@ fn main() {
     println!(
         "Table 3: bit-flip containment per DIMM (Blacksmith pinned to a Siloz subarray group)"
     );
-    let reg = Registry::new();
     let mut hv = boot(config.clone(), HypervisorKind::Siloz);
     let attacker = hv.create_vm(VmSpec::new("attacker", 2, vm_mem)).unwrap();
     let _victim = hv.create_vm(VmSpec::new("victim", 2, vm_mem)).unwrap();
@@ -121,8 +117,8 @@ fn main() {
         }
     );
     hv.dram()
-        .export_telemetry(&reg.child("siloz").child("dram"));
-    hv.export_telemetry(&reg.child("siloz").child("hv"));
+        .export_telemetry(&run.reg.child("siloz").child("dram"));
+    hv.export_telemetry(&run.reg.child("siloz").child("hv"));
 
     println!(
         "\n-- Baseline comparison (same campaign + boundary targeting, unmodified allocation) --"
@@ -181,9 +177,8 @@ fn main() {
         ),
     }
     hv.dram()
-        .export_telemetry(&reg.child("baseline").child("dram"));
-    hv.export_telemetry(&reg.child("baseline").child("hv"));
-    emit_telemetry("table3_containment", &reg);
+        .export_telemetry(&run.reg.child("baseline").child("dram"));
+    hv.export_telemetry(&run.reg.child("baseline").child("hv"));
 }
 
 fn boot(config: SilozConfig, kind: HypervisorKind) -> Hypervisor {

@@ -1,36 +1,28 @@
-//! Shared helpers for the table/figure regeneration binaries.
+//! Shared helpers for the bench binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` for the index). All binaries accept `--quick`
-//! (scaled-down geometry/workloads, for smoke runs) and default to the
-//! evaluation-server configuration.
+//! `paper` regenerates one table or figure of the paper per run (see
+//! `DESIGN.md` for the index); `fleet_soak`, `arena` and `cluster_soak`
+//! write the committed soak reports. All of them parse their command line
+//! with [`Args`], accept `--quick` (scaled-down geometry/workloads, for
+//! smoke runs) and default to the evaluation-server configuration.
 
 #![forbid(unsafe_code)]
 
 use siloz::SilozConfig;
-use sim::{Comparison, SimConfig};
+use sim::SimConfig;
 
 /// Scale at which to run an experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Mini geometry, few ops: seconds.
     Quick,
-    /// Evaluation-server geometry, full rosters: 22-30 s for all 16 binaries
-    /// on a 2-core x86-64 Xeon, 10-15 s for the longest (`table3_containment`).
+    /// Evaluation-server geometry, full rosters: ~10 s for all 16 `paper`
+    /// artifacts on a 2-core x86-64 Xeon, ~2.2 s for the longest
+    /// (`table3_containment`).
     Full,
 }
 
 impl Scale {
-    /// Parses process arguments (`--quick` selects [`Scale::Quick`]).
-    #[must_use]
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// The hypervisor configuration for this scale.
     #[must_use]
     pub fn config(self) -> SilozConfig {
@@ -62,33 +54,71 @@ impl Scale {
     }
 }
 
-/// Prints a figure's comparison rows as the paper-style table.
-pub fn print_comparison_table(title: &str, unit: &str, rows: &[Comparison]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<12} {:>14} {:>14} {:>12} {:>10}",
-        "workload",
-        format!("reference ({unit})"),
-        format!("candidate ({unit})"),
-        "overhead %",
-        "±95% CI"
-    );
-    for row in rows {
-        println!(
-            "{:<12} {:>14.3} {:>14.3} {:>+12.3} {:>10.3}",
-            row.workload,
-            row.reference.mean,
-            row.candidate.mean,
-            row.overhead_pct(),
-            row.ci95_pct(),
-        );
+/// A parsed bench command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// The positional argument (`paper`'s artifact), if given.
+    pub name: Option<String>,
+    /// [`Scale::Quick`] with `--quick`, else [`Scale::Full`].
+    pub scale: Scale,
+    /// `--scale N`: `cluster_soak`'s thousands-of-hosts tier.
+    pub hosts: Option<u32>,
+}
+
+impl Args {
+    /// Parses `args` (without the program name) against `usage`, which is
+    /// also the grammar: `--quick` is always taken, one positional name
+    /// only if `usage` shows a `<placeholder>`, and `--scale N` only if it
+    /// names `--scale`.
+    ///
+    /// # Errors
+    /// A one-line description of the first argument the binary does not
+    /// take, of a missing or non-positive `--scale` count, or of `--quick`
+    /// given together with `--scale`.
+    pub fn parse<I: IntoIterator<Item = String>>(usage: &str, args: I) -> Result<Self, String> {
+        let mut parsed = Args {
+            name: None,
+            scale: Scale::Full,
+            hosts: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => parsed.scale = Scale::Quick,
+                "--scale" if usage.contains("--scale") && parsed.hosts.is_none() => {
+                    let n = args.next().ok_or("--scale needs a host count")?;
+                    let hosts = n.parse().ok().filter(|&h: &u32| h > 0);
+                    parsed.hosts = Some(hosts.ok_or_else(|| {
+                        format!("--scale needs a positive host count, got `{n}`")
+                    })?);
+                }
+                _ if usage.contains('<') && parsed.name.is_none() && !arg.starts_with('-') => {
+                    parsed.name = Some(arg);
+                }
+                _ => return Err(format!("unexpected argument `{arg}`")),
+            }
+        }
+        if parsed.scale == Scale::Quick && parsed.hosts.is_some() {
+            return Err("--quick and --scale exclude each other".into());
+        }
+        Ok(parsed)
+    }
+
+    /// [`Args::parse`] over the process arguments. A rejected command line
+    /// prints the error and `usage` to stderr and exits with status 2.
+    #[must_use]
+    pub fn from_env(usage: &str) -> Self {
+        Self::parse(usage, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {usage}");
+            std::process::exit(2)
+        })
     }
 }
 
 /// Snapshots `reg` and writes it to `TELEMETRY_{label}.json` (in
 /// `SILOZ_TELEMETRY_DIR`, or the working directory), printing the path.
 ///
-/// Every figure/table binary calls this last, so each run leaves a
+/// `paper` and the soak binaries call this last, so each run leaves a
 /// machine-readable record of what the stack actually did next to its
 /// human-readable output. A write failure is reported but not fatal — the
 /// experiment output itself is already on stdout.
@@ -96,18 +126,6 @@ pub fn emit_telemetry(label: &str, reg: &telemetry::Registry) {
     match telemetry::write_snapshot(label, &reg.snapshot()) {
         Ok(path) => println!("\ntelemetry: wrote {}", path.display()),
         Err(e) => eprintln!("\ntelemetry: could not write TELEMETRY_{label}.json: {e}"),
-    }
-}
-
-/// Renders a crude horizontal bar for a percentage (paper-figure flavour).
-#[must_use]
-pub fn bar(pct: f64, scale: f64) -> String {
-    let chars = (pct.abs() / scale * 20.0).round() as usize;
-    let body: String = std::iter::repeat_n('#', chars.min(40)).collect();
-    if pct < 0.0 {
-        format!("{body:>20}|")
-    } else {
-        format!("{:>20}|{}", "", body)
     }
 }
 
@@ -122,10 +140,62 @@ mod tests {
         assert!(Scale::Quick.sim().ops < Scale::Full.sim().ops);
     }
 
+    const PAPER: &str = "paper <artifact> [--quick]";
+    const CLUSTER: &str = "cluster_soak [--quick | --scale N]";
+
+    fn parse(usage: &str, args: &[&str]) -> Result<Args, String> {
+        Args::parse(usage, args.iter().map(ToString::to_string))
+    }
+
     #[test]
-    fn bar_renders_signs() {
-        assert!(bar(1.0, 1.0).ends_with('#'));
-        assert!(bar(-1.0, 1.0).ends_with('|'));
-        assert_eq!(bar(0.0, 1.0), format!("{:>20}|", ""));
+    fn parses_what_each_binary_takes() {
+        let full = Args {
+            name: None,
+            scale: Scale::Full,
+            hosts: None,
+        };
+        assert_eq!(parse(CLUSTER, &[]), Ok(full.clone()));
+        assert_eq!(parse(PAPER, &[]), Ok(full.clone()));
+        assert_eq!(
+            parse(CLUSTER, &["--quick"]).map(|a| a.scale),
+            Ok(Scale::Quick)
+        );
+        assert_eq!(
+            parse(CLUSTER, &["--scale", "64"]),
+            Ok(Args {
+                hosts: Some(64),
+                ..full
+            })
+        );
+        assert_eq!(
+            parse(PAPER, &["--quick", "fig4_exec_time"]),
+            Ok(Args {
+                name: Some("fig4_exec_time".into()),
+                scale: Scale::Quick,
+                hosts: None,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_what_a_binary_does_not_take() {
+        for (usage, args) in [
+            (CLUSTER, &["--quik"][..]),
+            (CLUSTER, &["--quick", "--scale", "64"]),
+            (CLUSTER, &["--scale", "64", "--quick"]),
+            (CLUSTER, &["--scale"]),
+            (CLUSTER, &["--scale", "lots"]),
+            (CLUSTER, &["--scale", "0"]),
+            (CLUSTER, &["--scale", "-1"]),
+            (CLUSTER, &["--scale", "8", "--scale", "8"]),
+            (CLUSTER, &["table2_config"]),
+            (PAPER, &["--scale", "64"]),
+            (PAPER, &["table1_transforms", "table2_config"]),
+            (PAPER, &["table2_config", "--full"]),
+            ("fleet_soak [--quick]", &["table2_config"]),
+            ("fleet_soak [--quick]", &["--scale", "64"]),
+        ] {
+            assert!(parse(usage, args).is_err(), "{usage} took {args:?}");
+        }
     }
 }

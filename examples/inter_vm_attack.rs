@@ -59,5 +59,5 @@ fn main() {
     println!("Inter-VM Rowhammer attack demo (Table 3 in miniature)\n");
     attack(HypervisorKind::Baseline);
     attack(HypervisorKind::Siloz);
-    println!("For the full per-DIMM table: cargo run --release -p bench --bin table3_containment");
+    println!("For the full per-DIMM table: cargo run --release -p bench --bin paper -- table3_containment");
 }

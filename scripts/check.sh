@@ -88,33 +88,22 @@ step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinne
 step "fleet gate: full multi-tenant soak on evaluation hosts, pinned to FLEET_soak.json" \
   pinned FLEET_soak.json cargo run --release -q -p bench --bin fleet_soak
 
-# The paper-scale pin on the undefended hammer path: Table 3 (six DIMMs,
-# Siloz and the unmodified baseline; ~3 s) and the §7.1 EPT guard-row
-# campaign (~2 s) at full scale must reproduce their committed
-# bench_results/ files byte for byte, less the run-specific
-# "telemetry: wrote <path>" line.
-paper_pin() {
-  local bin="$1"
-  SILOZ_TELEMETRY_DIR="$artifacts" cargo run --release -q -p bench --bin "$bin" |
-    sed '/^telemetry: wrote /d' >"$artifacts/$bin.txt"
-  cmp "bench_results/$bin.txt" "$artifacts/$bin.txt"
-}
-step "paper gate: full-scale Table 3 containment, pinned to bench_results/table3_containment.txt" \
-  paper_pin table3_containment
-step "paper gate: full-scale §7.1 EPT guard rows, pinned to bench_results/ept_protection.txt" \
-  paper_pin ept_protection
-# Seven more paper outputs that regenerate in ~0.4 s together: Fig. 1's
-# hierarchy, Tables 1-2, Fig. 2's layout, the guard-row overhead, §8.3's
-# SoftTRR deadlines and §8.4's co-location latencies.
+# Every paper artifact at full scale (Tables 1-3, Figs 1-2 and 4-7, §3,
+# §7.1's EPT guard rows and soak, §8.1, §8.3, §8.4, §2.5; ~10 s together on
+# 2 cores, Table 3 the longest at ~2.2 s) must reproduce its committed
+# bench_results/ file byte for byte, less the run-specific
+# "telemetry: wrote <path>" line. A `paper` unit test keeps that directory
+# and the binary's artifact table the same set.
 paper_pins() {
-  local bin
-  for bin in "$@"; do
-    paper_pin "$bin"
+  local pin name
+  for pin in bench_results/*.txt; do
+    name="$(basename "$pin" .txt)"
+    SILOZ_TELEMETRY_DIR="$artifacts" cargo run --release -q -p bench --bin paper -- "$name" |
+      sed '/^telemetry: wrote /d' >"$artifacts/$name.txt"
+    cmp "$pin" "$artifacts/$name.txt"
   done
 }
-step "paper gate: Figs 1-2, Tables 1-2, guard overhead, §8.3 and §8.4, pinned to bench_results/" \
-  paper_pins fig1_hierarchy table1_transforms table2_config fig2_layout guard_overhead softtrr_deadlines \
-  colocation
+step "paper gate: every full-scale paper artifact, pinned to bench_results/" paper_pins
 
 step "mitigation gate: quick head-to-head arena (duels + soak + perf), pinned to ARENA_quick.json" \
   pinned ARENA_quick.json cargo run --release -q -p bench --bin arena -- --quick

@@ -1,43 +1,34 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper into bench_results/.
+# Regenerates every table and figure of the paper: one `paper <artifact>`
+# run per committed bench_results/<artifact>.txt (~10 s for all 16 at full
+# scale on a 2-core x86-64 Xeon, table3_containment the longest at ~2.2 s).
 #
 # Usage: scripts/reproduce.sh [--quick]
-#   --quick : scaled-down geometry (default is the full evaluation-server
-#             configuration; all 16 binaries took 11.4 s together on a
-#             2-core x86-64 Xeon, table3_containment the longest at 2.9 s).
+#   Full scale rewrites bench_results/, so `git diff` shows any drift.
+#   --quick writes outputs and telemetry to a fresh temporary directory
+#   (its path is printed), never over the full-scale pins.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 MODE="${1:-}"
-OUT=bench_results
-mkdir -p "$OUT"
+case "$MODE" in
+  "") OUT=bench_results ;;
+  --quick)
+    OUT="$(mktemp -d)"
+    export SILOZ_TELEMETRY_DIR="${SILOZ_TELEMETRY_DIR:-$OUT}"
+    ;;
+  *)
+    echo "usage: scripts/reproduce.sh [--quick]" >&2
+    exit 2
+    ;;
+esac
 
-BINARIES=(
-  table1_transforms
-  table2_config
-  fig1_hierarchy
-  fig2_layout
-  table3_containment
-  ept_protection
-  fig4_exec_time
-  fig5_throughput
-  fig6_sensitivity_time
-  fig7_sensitivity_tput
-  guard_overhead
-  softtrr_deadlines
-  colocation
-  rowpress_sweep
-  fragmentation
-  soak
-)
-
-echo "building release binaries..."
-cargo build --release -p bench --bins
-
-for bin in "${BINARIES[@]}"; do
-  echo "== $bin =="
-  # shellcheck disable=SC2086
+cargo build --release -q -p bench --bin paper
+for pin in bench_results/*.txt; do
+  name="$(basename "$pin" .txt)"
+  echo "== $name =="
   # The telemetry path line differs per checkout; the committed files omit it.
-  ./target/release/"$bin" $MODE | sed '/^telemetry: wrote /d' | tee "$OUT/$bin.txt"
+  # shellcheck disable=SC2086
+  ./target/release/paper "$name" $MODE | sed '/^telemetry: wrote /d' | tee "$OUT/$name.txt"
   echo
 done
 
