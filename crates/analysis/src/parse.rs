@@ -1724,7 +1724,8 @@ impl<'t> Parser<'t> {
             self.expect_punct("|")?;
             let lo = self.i;
             // Scan to the closing `|` at depth 0 (params may contain
-            // annotated types with generics but never `||` or closures).
+            // annotated types with generics or a fn-trait's `->`, but never
+            // `||` or closures).
             let mut depth = 0i32;
             loop {
                 let Some(t) = self.tok(0) else {
@@ -1734,6 +1735,10 @@ impl<'t> Parser<'t> {
                     match t.text.as_str() {
                         "(" | "[" | "{" => {
                             self.skip_group()?;
+                            continue;
+                        }
+                        "-" if self.peek_punct(1, ">") => {
+                            self.i += 2;
                             continue;
                         }
                         "<" => depth += 1,
@@ -2032,6 +2037,18 @@ mod tests {
              fn go(&self) -> u64 { self.b.iter().map(|x| x + self.a).sum() }\n\
              }\n\
              fn main() { let s = S::new(3); assert_eq!(s.go(), 3); }\n",
+        );
+    }
+
+    #[test]
+    fn closure_params_may_name_fn_trait_types() {
+        // The `>` of a param type's `->` closes no generic.
+        parse_ok(
+            "fn f() -> u64 {\n\
+             let apply = |g: &dyn Fn(u64) -> u64, x: u64| g(x);\n\
+             let boxed = |g: Box<dyn Fn(u8) -> Vec<u8>>| g(1).len();\n\
+             apply(&|x| x + 1, 2) + boxed(Box::new(|b| vec![b])) as u64\n\
+             }\n",
         );
     }
 

@@ -43,7 +43,7 @@ pub use repair::{RepairKind, RepairMap};
 pub use skylake::{
     ddr5_decoder, ddr5_geometry, mini_decoder, mini_geometry, skylake_decoder, skylake_geometry,
 };
-pub use tlb::{DecodeTlb, StreamDecoder};
+pub use tlb::{DecodeTlb, RowTranslate, StreamDecoder};
 pub use transform::{internal_row, line_offset, InternalMapConfig};
 
 /// Size of one cache line in bytes; the granularity at which the memory

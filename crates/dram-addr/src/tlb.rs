@@ -354,6 +354,62 @@ impl StreamDecoder {
     }
 }
 
+/// How one physical range decodes as another: the row shift and the
+/// default-size TLB slot shift between corresponding bytes, as
+/// [`SystemAddressDecoder::row_translate`] returns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowTranslate {
+    /// Each byte of the second range decodes as the matching byte of the
+    /// first, with the row plus this.
+    pub rows: i64,
+    /// The stripe shift modulo [`DecodeTlb::DEFAULT_SLOTS`]: how far the
+    /// second range's stripes sit from the first's in a default-size TLB.
+    pub slots: u64,
+}
+
+impl SystemAddressDecoder {
+    /// The translate carrying `[from, from + len)` onto `[to, to + len)`,
+    /// or `None` when the two ranges do not decode alike bar the row.
+    ///
+    /// `Some` needs `to − from` to be a whole number of row-group stripes
+    /// (so a byte keeps its line, column and bank slot), every stripe of the
+    /// pair on one socket, one row shift across all of them, and that shift
+    /// a multiple of the bank-hash row period (so the hash picks the same
+    /// bank). A set of range pairs that all return one equal `RowTranslate`
+    /// is exact for a [`StreamDecoder`]: the stripe map `(socket, row) →
+    /// (socket, row + rows)` is injective and moves every TLB slot by the
+    /// same `slots`, so a stream over the second ranges sees the hit, miss
+    /// and alias sequence of the matching stream over the first, and equal
+    /// decodes but for the row.
+    #[must_use]
+    pub fn row_translate(&self, from: u64, to: u64, len: u64) -> Option<RowTranslate> {
+        let stripe = self.geometry().row_group_bytes();
+        let shift = i64::try_from(to).ok()? - i64::try_from(from).ok()?;
+        if len == 0 || shift % stripe as i64 != 0 {
+            return None;
+        }
+        let stripes = shift / stripe as i64;
+        let first = from / stripe;
+        let last = from.checked_add(len - 1)? / stripe;
+        let mut rows = None;
+        for s in first..=last {
+            let (socket, row) = self.row_group_of(s * stripe).ok()?;
+            let moved = u64::try_from(s as i64 + stripes).ok()?;
+            let (moved_socket, moved_row) = self.row_group_of(moved * stripe).ok()?;
+            let delta = i64::from(moved_row) - i64::from(row);
+            if moved_socket != socket || *rows.get_or_insert(delta) != delta {
+                return None;
+            }
+        }
+        let rows = rows?;
+        let period = (u64::from(self.hash_row_mask) + 1).next_power_of_two() as i64;
+        (rows % period == 0).then(|| RowTranslate {
+            rows,
+            slots: stripes.rem_euclid(DecodeTlb::DEFAULT_SLOTS as i64) as u64,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,5 +685,153 @@ mod tests {
         }
         assert_eq!(tlb.misses(), 1, "one stripe, one miss");
         assert_eq!(tlb.hits(), 63);
+    }
+
+    /// The mini geometry with one mapping super-region per socket: 2048
+    /// stripes under one A/B alternation. On the presets a super-region
+    /// (512 or 128 stripes) divides [`DecodeTlb::DEFAULT_SLOTS`], so an
+    /// equal row shift alone keeps TLB aliasing; here stripes `s` and
+    /// `s + 1024` share a slot but sit 4 rows apart, so it does not.
+    fn one_jump_decoder() -> SystemAddressDecoder {
+        let config = crate::decoder::DecoderConfig {
+            row_groups_per_block: 4,
+            jump_bytes: 1 << 30,
+            bank_hash: crate::BankHash::XorRow,
+        };
+        SystemAddressDecoder::new(crate::mini_geometry(), config).unwrap()
+    }
+
+    /// Feeds `n` pseudo-random accesses over `pairs` to two stream
+    /// decoders, `from + off` to the first and `to + off` to the second,
+    /// asserting equal decodes but for the row, which moves by `rows`;
+    /// returns both decoders' counters.
+    fn replay_pairs(
+        dec: &SystemAddressDecoder,
+        pairs: &[(u64, u64)],
+        len: u64,
+        rows: i64,
+        x: &mut u64,
+    ) -> ((u64, u64, u64), (u64, u64, u64)) {
+        let (mut a, mut b) = (
+            StreamDecoder::new(dec.clone()),
+            StreamDecoder::new(dec.clone()),
+        );
+        for _ in 0..300 {
+            let (from, to) = pairs[(xorshift(x) % pairs.len() as u64) as usize];
+            let off = xorshift(x) % len;
+            let (ma, ba) = a.decode_with_bank(from + off).unwrap();
+            let (mb, bb) = b.decode_with_bank(to + off).unwrap();
+            assert_eq!(
+                i64::from(mb.row),
+                i64::from(ma.row) + rows,
+                "{from:#x}+{off:#x}"
+            );
+            assert_eq!(MediaAddress { row: ma.row, ..mb }, ma, "{from:#x}+{off:#x}");
+            assert_eq!(ba, bb, "{from:#x}+{off:#x}");
+        }
+        (a.counters(), b.counters())
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn equal_row_translates_replay_streams_exactly() {
+        // Brute force: random ranges moved by random row shifts (some onto
+        // the other socket, some nudged off the stripe grid, some a whole
+        // TLB span from another range). Wherever every pair returns one
+        // equal translate, two stream decoders fed matching addresses must
+        // agree but for the row, counters included.
+        for dec in [mini_decoder(), skylake_decoder(), one_jump_decoder()] {
+            let stripe = dec.geometry().row_group_bytes();
+            let span = DecodeTlb::DEFAULT_SLOTS as u64 * stripe;
+            let cap = dec.capacity();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let (mut accepted, mut rejected) = (0, 0);
+            for _ in 0..600 {
+                let len = [64, stripe / 2, stripe, 2 << 20, 3 * stripe + 192]
+                    [(xorshift(&mut x) % 5) as usize];
+                let rows =
+                    [0i64, 1, 2, 4, 8, -4, 32, 1024, -1024, 3][(xorshift(&mut x) % 10) as usize];
+                let mut pairs: Vec<(u64, u64)> = Vec::new();
+                for _ in 0..1 + xorshift(&mut x) % 4 {
+                    let mut from = (xorshift(&mut x) % (cap - len)) & !63;
+                    if let Some(&(prev, _)) = pairs.last() {
+                        if xorshift(&mut x).is_multiple_of(2) {
+                            from = (prev + span) % (cap - len);
+                        }
+                    }
+                    let (mut socket, row) = dec.row_group_of(from).unwrap();
+                    if xorshift(&mut x).is_multiple_of(8) {
+                        socket = (socket + 1) % dec.geometry().sockets;
+                    }
+                    let Ok(row) = u32::try_from(i64::from(row) + rows) else {
+                        continue;
+                    };
+                    let Ok(moved) = dec.phys_range_of_row_group(socket, row) else {
+                        continue;
+                    };
+                    let mut to = moved.start + from % stripe;
+                    if xorshift(&mut x).is_multiple_of(8) {
+                        to += 64 * (1 + xorshift(&mut x) % 4);
+                    }
+                    if to + len <= cap {
+                        pairs.push((from, to));
+                    }
+                }
+                let Some(&(from, to)) = pairs.first() else {
+                    continue;
+                };
+                let first = dec.row_translate(from, to, len);
+                match first {
+                    Some(t)
+                        if pairs
+                            .iter()
+                            .all(|&(f, t2)| dec.row_translate(f, t2, len) == first) =>
+                    {
+                        accepted += 1;
+                        let (a, b) = replay_pairs(&dec, &pairs, len, t.rows, &mut x);
+                        assert_eq!(a, b, "counters diverged under {t:?} for {pairs:x?}");
+                    }
+                    _ => rejected += 1,
+                }
+            }
+            assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+        }
+    }
+
+    #[test]
+    fn a_translate_needs_the_bank_hash_period_and_one_slot_shift() {
+        let dec = skylake_decoder();
+        let stripe = dec.geometry().row_group_bytes();
+        // One stripe down a block is one row: the XOR hash then moves
+        // every line to another bank, so no translate.
+        assert_eq!(dec.row_translate(0, stripe, stripe), None);
+        let t = dec.row_translate(0, 4 * stripe, stripe).unwrap();
+        assert_eq!((t.rows, t.slots), (4, 4));
+        // Siloz's shift by one 1,024-row subarray group: 1.5 GiB.
+        let t = dec.row_translate(0, 1024 * stripe, 128 << 21).unwrap();
+        assert_eq!((t.rows, t.slots), (1024, 0));
+        assert_eq!(dec.row_translate(0, 1024 * stripe + 64, 64), None);
+        assert_eq!(dec.row_translate(0, 0, 0), None);
+        // The other socket's row 0 is no translate of this one's.
+        assert_eq!(dec.row_translate(0, dec.socket_bytes(), stripe), None);
+
+        // Four rows up: A's block at stripe 0 lands a TLB span on, in B;
+        // B's block at stripe 1024 lands at stripe 4. One row shift, two
+        // slot shifts — and a stream over both sees different aliasing.
+        let dec = one_jump_decoder();
+        let (span, block) = (1024 * (512 << 10), 2u64 << 20);
+        let low = dec.row_translate(0, span, block).unwrap();
+        let high = dec.row_translate(span, block, block).unwrap();
+        assert_eq!((low.rows, high.rows), (4, 4));
+        assert_ne!(low.slots, high.slots);
+        let mut x = 7;
+        let (a, b) = replay_pairs(&dec, &[(0, span), (span, block)], block, 4, &mut x);
+        assert_ne!(a, b, "the slot shift is what keeps the counters equal");
     }
 }

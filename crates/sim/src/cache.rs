@@ -21,7 +21,17 @@
 //!   cells sharing an outcome still sample independent nuisance factors.
 //!   The pre-decoded replay program is bound inside a replay miss and is
 //!   not memoised: it has the same key as the outcome, so an outcome hit
-//!   never needs it.
+//!   never needs it;
+//! - **row translates** — on a replay miss, the cache first looks for the
+//!   same ledger's outcome under another hook-less env with an equal
+//!   decoder. If this env's backing is a row translate of that env's over
+//!   the ledger's extent (`HpaMap::row_translates`), the bound program
+//!   would be the other's with every row moved by one shift, on the same
+//!   banks and with the same TLB counts. A replay with physics off and no
+//!   hook reads a row only to compare it with the open row, so the outcome
+//!   is the other's; it is stored under this pair's key. A Siloz cell on
+//!   the evaluation host is its baseline cell moved up one subarray group
+//!   in this way.
 //!
 //! Every cached value is a pure function of its key, so cache scheduling
 //! never affects results: parallel grids stay bit-identical to serial ones
@@ -34,7 +44,7 @@ use memctrl::{MemoryController, TraceResult};
 use mitigation::Backend;
 use rand::rngs::StdRng;
 use siloz::{Hypervisor, HypervisorKind, SilozConfig, SilozError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 use workloads::SubstrateSnapshot;
 
@@ -135,6 +145,16 @@ impl TraceCache {
         lock(&self.ledgers).len()
     }
 
+    /// Replay outcomes served by a row translate of another env's outcome
+    /// instead of a bind and a replay: the stored outcomes that another
+    /// (ledger, env) pair already holds. Only a translate shares one.
+    #[must_use]
+    pub fn translated_replays(&self) -> usize {
+        let replays = lock(&self.replays);
+        let distinct: BTreeSet<*const CellOutcome> = replays.values().map(Arc::as_ptr).collect();
+        replays.len() - distinct.len()
+    }
+
     /// The pooled substrate snapshot and post-load RNG for `key`, if one
     /// was stored.
     pub(crate) fn substrate(&self, key: &SubstrateKey) -> Option<(SubstrateSnapshot, StdRng)> {
@@ -170,7 +190,8 @@ impl TraceCache {
         Ok((envs.len() - 1, built))
     }
 
-    /// The replay outcome for `(ledger, env ordinal)`, simulating on first use.
+    /// The replay outcome for `(ledger, env ordinal)`: on first use, a row
+    /// translate of another env's outcome if one serves, else simulated.
     pub(crate) fn replay(
         &self,
         key: (LedgerKey, usize),
@@ -179,8 +200,38 @@ impl TraceCache {
         if let Some(hit) = lock(&self.replays).get(&key) {
             return hit.clone();
         }
-        let built = build(&key.0);
+        let built = self.translate(&key).unwrap_or_else(|| build(&key.0));
         lock(&self.replays).entry(key).or_insert(built).clone()
+    }
+
+    /// The outcome of `key`'s ledger under another hook-less env with an
+    /// equal decoder, when `key`'s env is hook-less too and its backing a
+    /// row translate of that env's over the ledger's extent.
+    fn translate(&self, (ledger_key, ordinal): &(LedgerKey, usize)) -> Option<Arc<CellOutcome>> {
+        let done: Vec<(usize, Arc<CellOutcome>)> = lock(&self.replays)
+            .range((ledger_key.clone(), 0)..=(ledger_key.clone(), usize::MAX))
+            .map(|((_, o), outcome)| (*o, outcome.clone()))
+            .collect();
+        if done.is_empty() {
+            return None;
+        }
+        let extent = lock(&self.ledgers).get(ledger_key)?.extent();
+        let hookless = |o: usize| {
+            let envs = lock(&self.envs);
+            let (key, env) = &envs[o];
+            key.hook.is_none().then(|| env.clone())
+        };
+        let env = hookless(*ordinal)?;
+        let decoder = env.hv.decoder();
+        let translates = |other: Arc<BoundEnv>| {
+            let other_decoder = other.hv.decoder();
+            other_decoder.geometry() == decoder.geometry()
+                && other_decoder.config() == decoder.config()
+                && env.hpa.row_translates(&other.hpa, decoder, extent)
+        };
+        done.into_iter()
+            .find(|&(o, _)| hookless(o).is_some_and(translates))
+            .map(|(_, outcome)| outcome)
     }
 }
 

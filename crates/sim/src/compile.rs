@@ -45,6 +45,8 @@ pub struct GuestLedger {
     runs: Vec<GuestRun>,
     ops: usize,
     threads: u16,
+    /// One past the largest guest offset: every op lies in `[0, extent)`.
+    extent: u64,
 }
 
 impl GuestLedger {
@@ -57,7 +59,9 @@ impl GuestLedger {
         let threads = threads.max(1);
         let mut runs: Vec<GuestRun> = Vec::new();
         let mut thread = 0u16;
+        let mut extent = 0;
         for op in guest_ops {
+            extent = extent.max(op.offset.saturating_add(1));
             if !op.dependent {
                 thread += 1;
                 if thread == threads {
@@ -89,6 +93,7 @@ impl GuestLedger {
             runs,
             ops: guest_ops.len(),
             threads,
+            extent,
         }
     }
 
@@ -120,6 +125,13 @@ impl GuestLedger {
     #[must_use]
     pub fn threads(&self) -> u16 {
         self.threads
+    }
+
+    /// One past the largest guest offset the ledger touches (0 when
+    /// empty): a backing is read only over `[0, extent)`.
+    #[must_use]
+    pub(crate) fn extent(&self) -> u64 {
+        self.extent
     }
 
     /// Number of RLE runs (≤ [`Self::len`]; the compression ratio is
@@ -231,6 +243,7 @@ mod tests {
             order: 18, // 1 GiB
             node: numa::NodeId(0),
         }])
+        .unwrap()
     }
 
     fn arb_guest_op() -> impl Strategy<Value = GuestOp> {
@@ -254,6 +267,10 @@ mod tests {
         ) {
             let ledger = GuestLedger::compile(&ops, threads);
             prop_assert_eq!(ledger.len(), ops.len());
+            prop_assert_eq!(
+                ledger.extent(),
+                ops.iter().map(|op| op.offset + 1).max().unwrap_or(0)
+            );
             prop_assert!(ledger.runs() <= ops.len().max(1));
             let map = identity_map();
             prop_assert_eq!(

@@ -83,9 +83,14 @@ pub(crate) fn compare_suite(
     // order. Each cell builds a fresh instance of exactly the workload it
     // measures (generators are stateful) and shares nothing mutable, so
     // results are reproduced bit-identically for any thread count; cost
-    // hints only reorder the parallel dispatch (LPT).
+    // hints only reorder the parallel dispatch (LPT). Among equal hints
+    // every reference cell dispatches before any candidate: a candidate
+    // whose replay is a row translate of its reference's then finds the
+    // reference's outcome cached instead of replaying beside it.
     let cells = sim.repeats as usize * n * 2;
-    let costs: Vec<u64> = (0..cells).map(|idx| hints[(idx / 2) % n]).collect();
+    let costs: Vec<u64> = (0..cells)
+        .map(|idx| 2 * hints[(idx / 2) % n] + u64::from(idx % 2 == 0))
+        .collect();
     let engine_reg = run.reg.child("engine");
     let results = run_cells_costed(cells, run.threads, &costs, &engine_reg, |idx| {
         let seed = (idx / (n * 2)) as u64;

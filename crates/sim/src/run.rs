@@ -28,18 +28,59 @@ pub(crate) struct HpaMap {
 }
 
 impl HpaMap {
-    pub(crate) fn new(blocks: Vec<BackingBlock>) -> Self {
-        assert!(!blocks.is_empty());
-        let block_bytes = blocks[0].bytes();
+    /// The map over a VM's unmediated backing blocks.
+    ///
+    /// # Errors
+    ///
+    /// A VM with no unmediated backing (a zero-byte guest) has no guest
+    /// offset to translate: `BadConfig`.
+    pub(crate) fn new(blocks: Vec<BackingBlock>) -> Result<Self, SilozError> {
+        let Some(first) = blocks.first() else {
+            return Err(SilozError::BadConfig(
+                "VM has no unmediated backing to replay a trace on".into(),
+            ));
+        };
+        let block_bytes = first.bytes();
         let ram_bytes: u64 = blocks.iter().map(|b| b.bytes()).sum();
         let pow2 = (ram_bytes.is_power_of_two() && block_bytes.is_power_of_two())
             .then(|| (ram_bytes - 1, block_bytes.trailing_zeros(), block_bytes - 1));
-        Self {
+        Ok(Self {
             blocks,
             ram_bytes,
             block_bytes,
             pow2,
+        })
+    }
+
+    /// Whether every guest offset in `[0, extent)` decodes under `self`
+    /// exactly as under `from`, but for one row shift, with the same
+    /// stream-decoder hit, miss and alias sequence: the blocks
+    /// [`Self::to_hpa`] reads for those offsets pair up with equal sizes,
+    /// and every pair returns one equal
+    /// [`dram_addr::SystemAddressDecoder::row_translate`]. A ledger of
+    /// that extent then binds to `from`'s program with rows moved, which
+    /// replays to the same outcome.
+    pub(crate) fn row_translates(
+        &self,
+        from: &HpaMap,
+        decoder: &dram_addr::SystemAddressDecoder,
+        extent: u64,
+    ) -> bool {
+        if self.block_bytes != from.block_bytes {
+            return false;
         }
+        // An extent past either map's RAM wraps, and names blocks that are
+        // not there: no translate.
+        let n = extent.div_ceil(self.block_bytes) as usize;
+        let (Some(to), Some(from)) = (self.blocks.get(..n), from.blocks.get(..n)) else {
+            return false;
+        };
+        let mut shift = None;
+        from.iter().zip(to).all(|(a, b)| {
+            decoder
+                .row_translate(a.hpa(), b.hpa(), self.block_bytes)
+                .is_some_and(|t| *shift.get_or_insert(t) == t)
+        })
     }
 
     /// Translates a guest offset (wrapped into RAM) to a host physical
@@ -83,14 +124,14 @@ pub struct TraceShape {
 ///
 /// # Errors
 ///
-/// Fails if `vm` is unknown to `hv`.
+/// Fails if `vm` is unknown to `hv` or has no unmediated backing.
 pub fn vm_trace(
     hv: &Hypervisor,
     vm: siloz::VmHandle,
     workload: &mut dyn WorkloadGen,
     shape: &TraceShape,
 ) -> Result<Vec<MemOp>, SilozError> {
-    let hpa_map = HpaMap::new(hv.vm_unmediated_backing(vm)?);
+    let hpa_map = HpaMap::new(hv.vm_unmediated_backing(vm)?)?;
     let mut rng = StdRng::seed_from_u64(shape.seed);
     let ledger = GuestLedger::generate(workload, shape.ops, shape.threads, &mut rng);
     Ok(ledger.expand_mem_ops(&hpa_map, shape.thread_base))
@@ -104,14 +145,14 @@ pub fn vm_trace(
 ///
 /// # Errors
 ///
-/// Fails if `vm` is unknown to `hv`.
+/// Fails if `vm` is unknown to `hv` or has no unmediated backing.
 pub fn vm_compiled(
     hv: &Hypervisor,
     vm: siloz::VmHandle,
     ledger: &GuestLedger,
     thread_base: u16,
 ) -> Result<CompiledTrace, SilozError> {
-    let hpa_map = HpaMap::new(hv.vm_unmediated_backing(vm)?);
+    let hpa_map = HpaMap::new(hv.vm_unmediated_backing(vm)?)?;
     Ok(ledger.bind(&hpa_map, hv.decoder().clone(), thread_base))
 }
 
@@ -297,7 +338,7 @@ pub(crate) fn boot_env(
         .build();
     let mut hv = Hypervisor::boot_with(config.clone(), kind, dram, dram_addr::RepairMap::new())?;
     let vm = hv.create_vm(VmSpec::new("perf-vm", sim.vcpus, sim.vm_memory))?;
-    let hpa = HpaMap::new(hv.vm_unmediated_backing(vm)?);
+    let hpa = HpaMap::new(hv.vm_unmediated_backing(vm)?)?;
     Ok(BoundEnv { hv, hpa })
 }
 
@@ -484,7 +525,7 @@ mod tests {
         let blocks: Vec<BackingBlock> = (0..4)
             .map(|i| block(i << 21, 0x4000 + i * 512, 9))
             .collect();
-        let map = HpaMap::new(blocks.clone());
+        let map = HpaMap::new(blocks.clone()).unwrap();
         assert!(map.pow2.is_some());
         let ram: u64 = blocks.iter().map(|b| b.bytes()).sum();
         let bb = blocks[0].bytes();
@@ -501,7 +542,7 @@ mod tests {
         let blocks: Vec<BackingBlock> = (0..3)
             .map(|i| block(i << 21, 0x8000 + i * 512, 9))
             .collect();
-        let map = HpaMap::new(blocks.clone());
+        let map = HpaMap::new(blocks.clone()).unwrap();
         assert!(map.pow2.is_none());
         let ram: u64 = blocks.iter().map(|b| b.bytes()).sum();
         let bb = blocks[0].bytes();
@@ -510,6 +551,116 @@ mod tests {
             let expect = blocks[(g / bb) as usize].hpa() + g % bb;
             assert_eq!(map.to_hpa(guest), expect, "guest {guest:#x}");
         }
+    }
+
+    #[test]
+    fn row_translates_needs_every_read_block_to_move_alike() {
+        // Skylake: 1.5 MiB stripes (384 frames), one row each; a TLB span
+        // of 1,024 stripes is 1.5 GiB. Four 2 MiB blocks from HPA 0.
+        let dec = dram_addr::skylake_decoder();
+        let map = |shift: &dyn Fn(u64) -> u64, order: u8| {
+            let blocks = (0..4).map(|i| block(i << 21, shift(i) + i * 512, order));
+            HpaMap::new(blocks.collect()).unwrap()
+        };
+        let base = map(&|_| 0, 9);
+        let translates = |to: &HpaMap, extent| to.row_translates(&base, &dec, extent);
+        let span = 1024 * 384;
+        assert!(translates(&map(&|_| span, 9), 8 << 20));
+        assert!(translates(&map(&|_| 4 * 384, 9), 8 << 20), "4 rows up");
+        assert!(
+            !translates(&map(&|_| span, 9), (8 << 20) + 1),
+            "past the RAM"
+        );
+        assert!(
+            !translates(&map(&|_| span, 10), 1 << 20),
+            "other block size"
+        );
+        assert!(
+            !translates(&map(&|_| 384, 9), 8 << 20),
+            "one row: another bank"
+        );
+        assert!(
+            !translates(&map(&|_| 512, 9), 8 << 20),
+            "not a whole stripe"
+        );
+        let last_apart = map(&|i| if i == 3 { 2 * span } else { span }, 9);
+        assert!(
+            translates(&last_apart, 6 << 20),
+            "the last block is not read"
+        );
+        assert!(
+            !translates(&last_apart, (6 << 20) + 1),
+            "the last block is read"
+        );
+        assert!(translates(&base, 0), "an empty ledger reads nothing");
+
+        // One 1 GiB mapping jump over the mini geometry (512 KiB stripes):
+        // four rows up moves A's block at HPA 0 up 1,024 stripes, but B's
+        // at 512 MiB down 1,020 — one row shift, two TLB slot shifts.
+        let config = dram_addr::decoder::DecoderConfig {
+            row_groups_per_block: 4,
+            jump_bytes: 1 << 30,
+            bank_hash: dram_addr::BankHash::XorRow,
+        };
+        let dec = dram_addr::SystemAddressDecoder::new(dram_addr::mini_geometry(), config).unwrap();
+        let pair = |a: [u64; 2], b: [u64; 2]| {
+            let map = |hpa: [u64; 2]| {
+                HpaMap::new(hpa.iter().map(|&h| block(0, h >> 12, 9)).collect()).unwrap()
+            };
+            map(b).row_translates(&map(a), &dec, 4 << 20)
+        };
+        assert!(pair([0, 4 << 20], [512 << 20, (512 << 20) + (4 << 20)]));
+        assert!(!pair([0, 512 << 20], [512 << 20, 2 << 20]));
+    }
+
+    #[test]
+    fn hooked_cells_replay_their_own_trace() {
+        // The BlockHammer arm backs the VM as the undefended baseline does,
+        // so the baseline's outcome sits under the same ledger with a
+        // backing that is trivially a translate; the hook alone must keep
+        // the arm off it.
+        let config = SilozConfig::mini();
+        let sim = SimConfig {
+            ops: 4_000,
+            ..SimConfig::quick()
+        };
+        let cache = TraceCache::new();
+        let cell = |defense, replay, reg: &Registry| {
+            let workload = CellWorkload::Ready(&mut Ycsb::new(YcsbKind::A, sim.working_set));
+            let arm = (&config, HypervisorKind::Baseline, defense);
+            workload_cell(arm, workload, &sim, RunSeeds::uniform(9), replay, Some(reg)).unwrap()
+        };
+        cell(None, Replay::Compiled(&cache), &Registry::new());
+        let hooked = Some(mitigation::Backend::BlockHammer);
+        let (direct, compiled) = (Registry::new(), Registry::new());
+        let a = cell(hooked, Replay::Direct, &direct);
+        let b = cell(hooked, Replay::Compiled(&cache), &compiled);
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(
+            direct.snapshot().deterministic().to_json(),
+            compiled.snapshot().deterministic().to_json()
+        );
+        assert_eq!(cache.translated_replays(), 0);
+    }
+
+    #[test]
+    fn a_vm_without_backing_is_an_error_not_a_panic() {
+        // `create_vm` admits a zero-byte guest; it has no block to map.
+        let sim = SimConfig {
+            vm_memory: 0,
+            ..SimConfig::quick()
+        };
+        let mut wl = Ycsb::new(YcsbKind::C, sim.working_set);
+        let cell = run_workload(
+            &SilozConfig::mini(),
+            HypervisorKind::Baseline,
+            &mut wl,
+            &sim,
+            1,
+            &Registry::new(),
+        );
+        assert!(matches!(cell, Err(SilozError::BadConfig(_))), "{cell:?}");
+        assert!(HpaMap::new(Vec::new()).is_err());
     }
 
     #[test]

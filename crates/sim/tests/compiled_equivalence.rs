@@ -228,3 +228,150 @@ fn figure5_compiled_matches_uncompiled() {
     let uncompiled = figure5_uncompiled(&config, &sim, &Run::with_threads(2)).unwrap();
     assert_eq!(compiled, uncompiled, "figure5 compiled path diverged");
 }
+
+/// Measures one draw of `make()` under the baseline and then under Siloz,
+/// directly and through `cache`, asserting each compiled sample and its
+/// deterministic telemetry bit-identical to the direct cell's. Returns the
+/// two direct samples and how many of the two compiled cells `cache`
+/// served by a row translate.
+fn paired_cells(
+    config: &SilozConfig,
+    sim: &SimConfig,
+    make: &dyn Fn() -> Box<dyn workloads::WorkloadGen>,
+    seed: u64,
+    cache: &TraceCache,
+) -> ([f64; 2], [usize; 2]) {
+    let mut samples = [0.0; 2];
+    let mut translated = [0; 2];
+    for (arm, kind) in [HypervisorKind::Baseline, HypervisorKind::Siloz]
+        .into_iter()
+        .enumerate()
+    {
+        let (reg_direct, reg_compiled) = (Registry::new(), Registry::new());
+        let direct = run_workload(config, kind, make().as_mut(), sim, seed, &reg_direct).unwrap();
+        let before = cache.translated_replays();
+        let compiled = run_workload_compiled_observed(
+            config,
+            kind,
+            make().as_mut(),
+            sim,
+            seed,
+            cache,
+            &reg_compiled,
+        )
+        .unwrap();
+        translated[arm] = cache.translated_replays() - before;
+        let what = format!("{} under {kind:?}", make().name());
+        assert_bits_eq(direct, compiled, &what);
+        assert_eq!(
+            reg_direct.snapshot().deterministic().to_json(),
+            reg_compiled.snapshot().deterministic().to_json(),
+            "telemetry of {what}"
+        );
+        samples[arm] = direct;
+    }
+    (samples, translated)
+}
+
+#[test]
+fn fig4_siloz_cells_replay_as_row_translates_of_their_baseline_cells() {
+    // On the evaluation host every Fig. 4 draw binds under Siloz to the
+    // baseline's program with each row moved up one 1,024-row subarray
+    // group, on the same banks with the same TLB counts: the Siloz cell is
+    // served from the baseline's outcome, and the two arms' samples (same
+    // seed, so same noise) are bitwise equal.
+    let config = SilozConfig::evaluation();
+    let sim = SimConfig {
+        ops: 1_500,
+        ..SimConfig::default()
+    };
+    let cache = TraceCache::new();
+    for seed in [5, 11] {
+        for i in 0..EXEC_TIME_SUITE_LEN {
+            let make = || exec_time_workload(i, sim.working_set);
+            let ([baseline, siloz], translated) = paired_cells(&config, &sim, &make, seed, &cache);
+            let what = format!("workload {i}, seed {seed}");
+            assert_eq!(translated, [0, 1], "{what}: only the Siloz cell");
+            assert_bits_eq(baseline, siloz, &format!("{what}: raw ratio 1"));
+        }
+    }
+    assert_eq!(cache.translated_replays(), 2 * EXEC_TIME_SUITE_LEN);
+}
+
+/// Guest ops drawn uniformly over the whole working set.
+struct Scatter(u64);
+
+impl workloads::WorkloadGen for Scatter {
+    fn name(&self) -> String {
+        "scatter".into()
+    }
+
+    fn working_set(&self) -> u64 {
+        self.0
+    }
+
+    fn metric(&self) -> workloads::Metric {
+        workloads::Metric::ExecTime
+    }
+
+    fn generate(&mut self, count: usize, rng: &mut rand::rngs::StdRng) -> Vec<workloads::GuestOp> {
+        use rand::Rng;
+        (0..count)
+            .map(|_| workloads::GuestOp::read(rng.gen_range(0..self.0) & !63))
+            .collect()
+    }
+}
+
+#[test]
+fn cells_that_are_not_row_translates_replay_on_their_own() {
+    // Siloz backs the evaluation VM's first 1.5 GiB one subarray group up,
+    // the next 0.5 GiB at 4 GiB (2.5 GiB up: not a whole stripe) and the
+    // last 1 GiB at 3 GiB. A draw confined to the first 1.5 GiB is a row
+    // translate of the baseline's; one that reaches past it replays on its
+    // own. Both stay bit-identical to the direct path.
+    let config = SilozConfig::evaluation();
+    let sim = SimConfig {
+        ops: 1_500,
+        ..SimConfig::default()
+    };
+    let cache = TraceCache::new();
+    for (working_set, expect) in [(3 << 30, [0, 0]), (2 << 30, [0, 0]), (3 << 29, [0, 1])] {
+        let make = || Box::new(Scatter(working_set)) as Box<dyn workloads::WorkloadGen>;
+        let (_, translated) = paired_cells(&config, &sim, &make, 5, &cache);
+        assert_eq!(translated, expect, "a {working_set:#x}-byte draw");
+    }
+}
+
+#[test]
+fn a_non_pow2_backing_translates_through_the_division_path() {
+    // The mini Siloz VM of 192 MiB (not a power of two) is one run 128 MiB
+    // up, 256 rows: its cells are served from the baseline's outcomes
+    // through `HpaMap`'s division path, bit-identically.
+    let mut sim = small_sim();
+    sim.vm_memory = 192 << 20;
+    let cache = TraceCache::new();
+    for i in [0usize, EXEC_TIME_SUITE_LEN - 1] {
+        let make = || exec_time_workload(i, sim.working_set);
+        let (_, translated) = paired_cells(&SilozConfig::mini(), &sim, &make, 3, &cache);
+        assert_eq!(translated, [0, 1], "192 MiB backing, workload {i}");
+    }
+    let whole = || Box::new(Scatter(192 << 20)) as Box<dyn workloads::WorkloadGen>;
+    let (_, translated) = paired_cells(&SilozConfig::mini(), &sim, &whole, 3, &cache);
+    assert_eq!(translated, [0, 1], "a draw over the whole 192 MiB");
+}
+
+#[test]
+fn hooked_cells_never_take_a_translated_outcome() {
+    // BlockHammer runs on the baseline's placement, so its env backs the
+    // VM exactly as the undefended reference does; only the hook differs,
+    // and a hooked replay is its own.
+    let run = Run::with_threads(1);
+    arena(
+        &SilozConfig::mini(),
+        &small_sim(),
+        &[Backend::BlockHammer],
+        &run,
+    )
+    .unwrap();
+    assert_eq!(run.cache.translated_replays(), 0);
+}
