@@ -110,8 +110,6 @@ impl CompiledTrace {
         let iter = ops.into_iter();
         let mut decoded = Vec::with_capacity(iter.size_hint().0);
         let mut stream = StreamDecoder::new(decoder);
-        // `for_each`, not `for`: a chained source (a ledger's RLE runs)
-        // then drives its own inner loops instead of one `next` per op.
         iter.for_each(|op| {
             let decode = stream.decode_with_bank(op.phys);
             decoded.push(CompiledOp::new(op, decode, &geometry));

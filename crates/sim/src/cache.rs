@@ -5,7 +5,8 @@
 //! [`TraceCache`] deduplicates everything that is pure along each axis:
 //!
 //! - **ledgers** — one [`GuestLedger`] per `(workload, working-set, ops,
-//!   threads, trace-seed)` tuple, shared by every configuration;
+//!   threads, trace-seed)` tuple: the drawn ops as drawn, dealt to vCPU
+//!   streams only at bind, shared by every configuration;
 //! - **substrates** — one KV preload per `(substrate key, trace seed)`,
 //!   shared by every workload mix over the same store (all six YCSB kinds
 //!   run the identical load phase);
@@ -87,6 +88,12 @@ pub(crate) struct CellOutcome {
 
 /// The memoization store shared by all cells of an experiment grid (or by
 /// consecutive grids, when the caller keeps it alive across them).
+///
+/// A warm cell is a handful of lookups here, so the struct's layout is on
+/// its path: one added 8-byte counter field, with no timed code changed,
+/// once slowed a warm Fig. 4 cell from ~167 to ~186 ns (best of 7, on 2
+/// cores). A counter here must be derived from stored state, as
+/// [`Self::translated_replays`] is, not kept in a field.
 #[derive(Default)]
 pub struct TraceCache {
     ledgers: Mutex<BTreeMap<LedgerKey, Arc<GuestLedger>>>,

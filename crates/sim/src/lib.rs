@@ -30,7 +30,7 @@ pub mod stats;
 pub use arena::{arena, hypervisor_kind_for, ArenaRow};
 pub use cache::TraceCache;
 pub use colocation::{run_colocation, run_colocation_suite, ColocationResult, SuitePlan};
-pub use compile::{GuestLedger, GuestRun};
+pub use compile::GuestLedger;
 pub use engine::{default_threads, run_cells, Run};
 pub use experiments::{
     figure4, figure4_uncompiled, figure5, figure5_uncompiled, figure6, figure7, Comparison,

@@ -15,16 +15,14 @@ use workloads::{Metric, WorkloadGen};
 /// Precomputed guest-offset → host-physical translation over a VM's
 /// unmediated backing blocks.
 ///
-/// When total RAM and the block size are both powers of two — the common
-/// case for every geometry in this repo — the per-op wrap/index/offset
-/// chain reduces to one mask, one shift, and one mask instead of three
-/// 64-bit divisions.
+/// Every block is `4096 << order` bytes and all blocks of a map are one
+/// size, so the block index and the offset inside it are one shift and
+/// one mask. Only an offset past RAM pays a division to wrap into it.
 pub(crate) struct HpaMap {
     blocks: Vec<BackingBlock>,
     ram_bytes: u64,
-    block_bytes: u64,
-    /// `(ram_mask, blk_shift, blk_mask)` when both sizes are powers of two.
-    pow2: Option<(u64, u32, u64)>,
+    /// log2 of the common block size.
+    blk_shift: u32,
 }
 
 impl HpaMap {
@@ -33,23 +31,30 @@ impl HpaMap {
     /// # Errors
     ///
     /// A VM with no unmediated backing (a zero-byte guest) has no guest
-    /// offset to translate: `BadConfig`.
+    /// offset to translate, and blocks of more than one size have no
+    /// common shift: `BadConfig`.
     pub(crate) fn new(blocks: Vec<BackingBlock>) -> Result<Self, SilozError> {
         let Some(first) = blocks.first() else {
             return Err(SilozError::BadConfig(
                 "VM has no unmediated backing to replay a trace on".into(),
             ));
         };
-        let block_bytes = first.bytes();
-        let ram_bytes: u64 = blocks.iter().map(|b| b.bytes()).sum();
-        let pow2 = (ram_bytes.is_power_of_two() && block_bytes.is_power_of_two())
-            .then(|| (ram_bytes - 1, block_bytes.trailing_zeros(), block_bytes - 1));
+        if blocks.iter().any(|b| b.order != first.order) {
+            return Err(SilozError::BadConfig(
+                "VM backing blocks differ in size".into(),
+            ));
+        }
+        let ram_bytes = first.bytes() * blocks.len() as u64;
         Ok(Self {
+            blk_shift: first.bytes().trailing_zeros(),
             blocks,
             ram_bytes,
-            block_bytes,
-            pow2,
         })
+    }
+
+    /// Bytes per backing block.
+    fn block_bytes(&self) -> u64 {
+        1 << self.blk_shift
     }
 
     /// Whether every guest offset in `[0, extent)` decodes under `self`
@@ -66,19 +71,19 @@ impl HpaMap {
         decoder: &dram_addr::SystemAddressDecoder,
         extent: u64,
     ) -> bool {
-        if self.block_bytes != from.block_bytes {
+        if self.blk_shift != from.blk_shift {
             return false;
         }
         // An extent past either map's RAM wraps, and names blocks that are
         // not there: no translate.
-        let n = extent.div_ceil(self.block_bytes) as usize;
+        let n = extent.div_ceil(self.block_bytes()) as usize;
         let (Some(to), Some(from)) = (self.blocks.get(..n), from.blocks.get(..n)) else {
             return false;
         };
         let mut shift = None;
         from.iter().zip(to).all(|(a, b)| {
             decoder
-                .row_translate(a.hpa(), b.hpa(), self.block_bytes)
+                .row_translate(a.hpa(), b.hpa(), self.block_bytes())
                 .is_some_and(|t| *shift.get_or_insert(t) == t)
         })
     }
@@ -87,14 +92,13 @@ impl HpaMap {
     /// address.
     #[inline]
     pub(crate) fn to_hpa(&self, guest: u64) -> u64 {
-        if let Some((ram_mask, blk_shift, blk_mask)) = self.pow2 {
-            let guest = guest & ram_mask;
-            self.blocks[(guest >> blk_shift) as usize].hpa() + (guest & blk_mask)
+        let guest = if guest < self.ram_bytes {
+            guest
         } else {
-            let guest = guest % self.ram_bytes;
-            let idx = (guest / self.block_bytes) as usize;
-            self.blocks[idx].hpa() + guest % self.block_bytes
-        }
+            guest % self.ram_bytes
+        };
+        let offset = guest & (self.block_bytes() - 1);
+        self.blocks[(guest >> self.blk_shift) as usize].hpa() + offset
     }
 }
 
@@ -517,19 +521,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hpa_map_fast_path_matches_division_chain() {
-        // 4 × 2 MiB blocks: RAM and block size both powers of two, so the
-        // mask/shift fast path is taken; check it against the plain
-        // modulo/divide chain it replaces.
-        let blocks: Vec<BackingBlock> = (0..4)
-            .map(|i| block(i << 21, 0x4000 + i * 512, 9))
-            .collect();
-        let map = HpaMap::new(blocks.clone()).unwrap();
-        assert!(map.pow2.is_some());
+    /// `map` against the modulo/divide chain it replaces, on a stride
+    /// through four RAMs and on the offsets around a wrap.
+    fn assert_division_chain(map: &HpaMap, blocks: &[BackingBlock], step: usize) {
         let ram: u64 = blocks.iter().map(|b| b.bytes()).sum();
         let bb = blocks[0].bytes();
-        for guest in (0..4 * ram).step_by(4097) {
+        let edges = [ram - 1, ram, ram + 1, 3 * ram];
+        for guest in (0..4 * ram).step_by(step).chain(edges) {
             let g = guest % ram;
             let expect = blocks[(g / bb) as usize].hpa() + g % bb;
             assert_eq!(map.to_hpa(guest), expect, "guest {guest:#x}");
@@ -537,20 +535,31 @@ mod tests {
     }
 
     #[test]
-    fn hpa_map_non_pow2_ram_uses_division_chain() {
-        // 3 blocks: RAM is 6 MiB (not a power of two) — generic path.
+    fn hpa_map_pow2_ram_matches_division_chain() {
+        // 4 × 2 MiB blocks: RAM is 8 MiB, a power of two.
+        let blocks: Vec<BackingBlock> = (0..4)
+            .map(|i| block(i << 21, 0x4000 + i * 512, 9))
+            .collect();
+        let map = HpaMap::new(blocks.clone()).unwrap();
+        assert_division_chain(&map, &blocks, 4097);
+    }
+
+    #[test]
+    fn hpa_map_non_pow2_ram_matches_division_chain() {
+        // 3 blocks: RAM is 6 MiB, not a power of two.
         let blocks: Vec<BackingBlock> = (0..3)
             .map(|i| block(i << 21, 0x8000 + i * 512, 9))
             .collect();
         let map = HpaMap::new(blocks.clone()).unwrap();
-        assert!(map.pow2.is_none());
-        let ram: u64 = blocks.iter().map(|b| b.bytes()).sum();
-        let bb = blocks[0].bytes();
-        for guest in (0..4 * ram).step_by(8191) {
-            let g = guest % ram;
-            let expect = blocks[(g / bb) as usize].hpa() + g % bb;
-            assert_eq!(map.to_hpa(guest), expect, "guest {guest:#x}");
-        }
+        assert_division_chain(&map, &blocks, 8191);
+    }
+
+    #[test]
+    fn hpa_map_rejects_blocks_of_two_sizes() {
+        // A shift by the first block's size would index the wrong block.
+        let blocks = vec![block(0, 0x4000, 9), block(2 << 20, 0x8000, 0)];
+        let map = HpaMap::new(blocks);
+        assert!(matches!(map, Err(SilozError::BadConfig(_))));
     }
 
     #[test]

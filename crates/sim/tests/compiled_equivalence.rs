@@ -343,10 +343,10 @@ fn cells_that_are_not_row_translates_replay_on_their_own() {
 }
 
 #[test]
-fn a_non_pow2_backing_translates_through_the_division_path() {
+fn a_non_pow2_backing_translates_through_the_compare_wrap() {
     // The mini Siloz VM of 192 MiB (not a power of two) is one run 128 MiB
     // up, 256 rows: its cells are served from the baseline's outcomes
-    // through `HpaMap`'s division path, bit-identically.
+    // through `HpaMap`'s compare-and-modulo wrap, bit-identically.
     let mut sim = small_sim();
     sim.vm_memory = 192 << 20;
     let cache = TraceCache::new();
