@@ -48,6 +48,8 @@ pub(crate) struct CompiledOp {
     pub dependent: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<CompiledOp>() == 24);
+
 impl CompiledOp {
     /// Reduces `op` and its decode to scheduling coordinates. A failed
     /// decode keeps placeholder coordinates under the [`INVALID_BANK`]

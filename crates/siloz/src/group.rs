@@ -89,15 +89,20 @@ impl SubarrayGroupMap {
             )));
         }
         let groups_per_socket = g.rows_per_bank / presumed_rows;
+        // A mapping block's `n` row groups are physically contiguous, and the
+        // decoder keeps a block inside one super-region; a group holds whole
+        // blocks. So one decode per block, widened to the block, yields the
+        // frames a decode per row would.
+        let block_bytes = u64::from(n) * g.row_group_bytes();
         let mut groups = Vec::with_capacity((g.sockets as u32 * groups_per_socket) as usize);
         for socket in 0..g.sockets {
             for s in 0..groups_per_socket {
                 let rows = s * presumed_rows..(s + 1) * presumed_rows;
                 let mut frames: Vec<Range<u64>> = Vec::new();
-                for row in rows.clone() {
-                    let phys = decoder.phys_range_of_row_group(socket, row)?;
-                    debug_assert!(is_frame_aligned(phys.start));
-                    let fr = frame_of_hpa(phys.start)..frame_of_hpa(phys.end);
+                for row in rows.clone().step_by(n as usize) {
+                    let start = decoder.phys_range_of_row_group(socket, row)?.start;
+                    debug_assert!(is_frame_aligned(start));
+                    let fr = frame_of_hpa(start)..frame_of_hpa(start + block_bytes);
                     match frames.last_mut() {
                         Some(last) if last.end == fr.start => last.end = fr.end,
                         _ => frames.push(fr),
@@ -377,6 +382,63 @@ mod tests {
         assert_eq!(m2048.groups().len(), 128);
         assert_eq!(m512.groups()[0].bytes(), 3 << 28);
         assert_eq!(m2048.groups()[0].bytes(), 3 << 30);
+    }
+
+    /// The frames of every group as one decode per row derives them.
+    fn per_row_frames(dec: &SystemAddressDecoder, presumed_rows: u32) -> Vec<Vec<Range<u64>>> {
+        let g = dec.geometry();
+        let mut out = Vec::new();
+        for socket in 0..g.sockets {
+            for s in 0..g.rows_per_bank / presumed_rows {
+                let mut frames: Vec<Range<u64>> = (s * presumed_rows..(s + 1) * presumed_rows)
+                    .map(|row| {
+                        let phys = dec.phys_range_of_row_group(socket, row).unwrap();
+                        frame_of_hpa(phys.start)..frame_of_hpa(phys.end)
+                    })
+                    .collect();
+                frames.sort_by_key(|r| r.start);
+                let mut merged: Vec<Range<u64>> = Vec::new();
+                for fr in frames {
+                    match merged.last_mut() {
+                        Some(last) if last.end == fr.start => last.end = fr.end,
+                        _ => merged.push(fr),
+                    }
+                }
+                out.push(merged);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_decode_matches_the_per_row_derivation() {
+        let custom = SystemAddressDecoder::new(
+            dram_addr::mini_geometry(),
+            dram_addr::decoder::DecoderConfig {
+                row_groups_per_block: 8,
+                jump_bytes: 32 << 20,
+                ..dram_addr::decoder::DecoderConfig::default()
+            },
+        )
+        .unwrap();
+        for (dec, presumed_rows) in [
+            (skylake_decoder(), 1024),
+            (skylake_decoder(), 512),
+            (skylake_decoder(), 2048),
+            (mini_decoder(), 256),
+            (custom.clone(), 256),
+            (custom, 64),
+        ] {
+            let map = SubarrayGroupMap::compute(&dec, presumed_rows).unwrap();
+            let frames: Vec<Vec<Range<u64>>> =
+                map.groups().iter().map(|g| g.frames.clone()).collect();
+            assert_eq!(
+                frames,
+                per_row_frames(&dec, presumed_rows),
+                "{:?} at {presumed_rows} rows",
+                dec.config()
+            );
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl GuestLedger {
     fn from_draw(ops: Vec<GuestOp>, threads: u16) -> Self {
         let extent = ops
             .iter()
-            .map(|op| op.offset.saturating_add(1))
+            .map(|op| op.offset().saturating_add(1))
             .max()
             .unwrap_or(0);
         Self {
@@ -105,14 +105,14 @@ impl GuestLedger {
         let threads = self.threads;
         let mut thread = 0u16;
         self.ops.iter().map(move |op| {
-            if !op.dependent {
+            if !op.is_dependent() {
                 thread = if thread + 1 < threads { thread + 1 } else { 0 };
             }
             MemOp {
-                phys: hpa.to_hpa(op.offset),
-                write: op.write,
-                gap_ps: op.gap_ps,
-                dependent: op.dependent,
+                phys: hpa.to_hpa(op.offset()),
+                write: op.is_write(),
+                gap_ps: op.gap_ps(),
+                dependent: op.is_dependent(),
                 thread: thread_base + thread,
             }
         })
@@ -150,7 +150,7 @@ mod tests {
         guest_ops
             .iter()
             .map(|op| {
-                if !op.dependent {
+                if !op.is_dependent() {
                     thread += 1;
                     if thread == threads {
                         thread = 0;
@@ -174,11 +174,16 @@ mod tests {
 
     fn arb_guest_op() -> impl Strategy<Value = GuestOp> {
         (0u64..8, any::<bool>(), 0u64..2, any::<bool>()).prop_map(|(off, write, gap, dependent)| {
-            GuestOp {
-                offset: off * 64,
-                write,
-                gap_ps: gap * 100,
-                dependent,
+            let op = if write {
+                GuestOp::write(off * 64)
+            } else {
+                GuestOp::read(off * 64)
+            }
+            .with_gap_ps(gap * 100);
+            if dependent {
+                op.chained()
+            } else {
+                op
             }
         })
     }
@@ -194,7 +199,7 @@ mod tests {
             prop_assert_eq!(ledger.len(), ops.len());
             prop_assert_eq!(
                 ledger.extent(),
-                ops.iter().map(|op| op.offset + 1).max().unwrap_or(0)
+                ops.iter().map(|op| op.offset() + 1).max().unwrap_or(0)
             );
             let map = identity_map();
             prop_assert_eq!(
@@ -205,10 +210,10 @@ mod tests {
             let expect: Vec<MemOp> = reference_deal(&ops, threads, base)
                 .into_iter()
                 .map(|(op, thread)| MemOp {
-                    phys: map.to_hpa(op.offset),
-                    write: op.write,
-                    gap_ps: op.gap_ps,
-                    dependent: op.dependent,
+                    phys: map.to_hpa(op.offset()),
+                    write: op.is_write(),
+                    gap_ps: op.gap_ps(),
+                    dependent: op.is_dependent(),
                     thread,
                 })
                 .collect();

@@ -24,8 +24,17 @@ pub struct TraceArena {
 
 impl TraceArena {
     /// An arena of `capacity` bytes of guest address space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` passes 2^62 bytes, where a [`GuestOp`]'s
+    /// offset would run into its flag bits.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
+        assert!(
+            capacity <= GuestOp::OFFSET_LIMIT,
+            "working set of {capacity} bytes passes 2^62"
+        );
         Self {
             capacity,
             next: 0,
@@ -103,12 +112,8 @@ impl TraceArena {
         let mut gap = gap_ps + std::mem::take(&mut self.pending_gap);
         let mut dep = dependent;
         for line in first_line..=last_line {
-            self.trace.push(GuestOp {
-                offset: line * 64,
-                write,
-                gap_ps: gap,
-                dependent: dep,
-            });
+            self.trace
+                .push(GuestOp::new(line * 64, write, dep).with_gap_ps(gap));
             gap = 0;
             dep = false; // Only the first line of an object access depends.
         }
@@ -150,10 +155,10 @@ mod tests {
         a.write(64, 1);
         let t = a.take_trace();
         assert_eq!(t.len(), 3);
-        assert_eq!(t[0].offset, 0);
-        assert_eq!(t[1].offset, 64);
-        assert!(!t[0].write);
-        assert!(t[2].write);
+        assert_eq!(t[0].offset(), 0);
+        assert_eq!(t[1].offset(), 64);
+        assert!(!t[0].is_write());
+        assert!(t[2].is_write());
         assert!(a.take_trace().is_empty(), "trace was taken");
     }
 
@@ -164,8 +169,8 @@ mod tests {
         a.read(0, 64);
         a.read(64, 64);
         let t = a.take_trace();
-        assert_eq!(t[0].gap_ps, 5_000);
-        assert_eq!(t[1].gap_ps, 0);
+        assert_eq!(t[0].gap_ps(), 5_000);
+        assert_eq!(t[1].gap_ps(), 0);
     }
 
     #[test]
@@ -193,7 +198,7 @@ mod tests {
         let mut a = TraceArena::new(4096);
         a.read_dependent(0, 128);
         let t = a.take_trace();
-        assert!(t[0].dependent);
-        assert!(!t[1].dependent);
+        assert!(t[0].is_dependent());
+        assert!(!t[1].is_dependent());
     }
 }

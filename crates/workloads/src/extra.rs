@@ -124,11 +124,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ops = wl.generate(10_000, &mut rng);
         assert_eq!(ops.len(), 10_000);
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         assert!((writes as f64 / ops.len() as f64 - 0.5).abs() < 0.01);
         // Writes depend on their reads.
-        assert!(ops.iter().filter(|o| o.write).all(|o| o.dependent));
-        assert!(ops.iter().all(|o| o.offset < 8 << 20));
+        assert!(ops
+            .iter()
+            .filter(|o| o.is_write())
+            .all(|o| o.is_dependent()));
+        assert!(ops.iter().all(|o| o.offset() < 8 << 20));
     }
 
     #[test]
@@ -139,18 +142,18 @@ mod tests {
         let half = wl.vertices() * 64;
         // Reads in lower half (vertex scan), writes in upper half (pushes).
         for op in &ops {
-            if op.write {
-                assert!(op.offset >= half);
+            if op.is_write() {
+                assert!(op.offset() >= half);
             } else {
-                assert!(op.offset < half);
+                assert!(op.offset() < half);
             }
         }
         // Power-law pushes: the hottest accumulator sees far more traffic
         // than the median.
         use std::collections::HashMap;
         let mut hist: HashMap<u64, u32> = HashMap::new();
-        for op in ops.iter().filter(|o| o.write) {
-            *hist.entry(op.offset).or_default() += 1;
+        for op in ops.iter().filter(|o| o.is_write()) {
+            *hist.entry(op.offset()).or_default() += 1;
         }
         let max = hist.values().max().copied().unwrap_or(0);
         assert!(max >= 8, "hub vertex must be hot: max {max}");

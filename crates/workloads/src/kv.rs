@@ -6,6 +6,10 @@
 //! memcached-style throughput loads (§7.3) exercise the memory system the
 //! way a KV service does: a dependent pointer chase into the bucket array
 //! followed by value-sized sequential access.
+//!
+//! The modeled bucket is one 64-byte cache line in the guest arena. The
+//! host keeps less: a 4-byte index entry per slot, naming a 24-byte record
+//! per stored key, so empty slots cost 4 bytes, not a record each.
 
 use crate::arena::TraceArena;
 use crate::{GuestOp, Metric, SubstrateSnapshot, WorkloadGen};
@@ -16,29 +20,66 @@ use std::sync::Arc;
 
 const BUCKET_BYTES: u64 = 64;
 
-/// One bucket: key id + value location (modeled, sized one cache line).
-#[derive(Debug, Clone, Copy, Default)]
-struct Bucket {
+/// One stored key: its id and where its value lives in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Record {
     key: u64,
     value_off: u64,
     value_len: u32,
-    used: bool,
+}
+
+/// The host-side table behind the modeled bucket array: `index[slot]` is 0
+/// for an empty slot, else 1 + the position in `records` of the key the
+/// slot holds. The probed array is 4 bytes a slot; records cost 24 bytes
+/// per stored key, not per slot.
+#[derive(Debug, Clone)]
+struct Table {
+    index: Vec<u32>,
+    records: Vec<Record>,
+}
+
+impl Table {
+    fn new(slots: usize) -> Self {
+        Self {
+            index: vec![0; slots],
+            records: Vec::new(),
+        }
+    }
+
+    fn get(&self, slot: usize) -> Option<Record> {
+        match self.index[slot] {
+            0 => None,
+            i => Some(self.records[i as usize - 1]),
+        }
+    }
+
+    fn set(&mut self, slot: usize, rec: Record) {
+        match self.index[slot] {
+            0 => {
+                self.records.push(rec);
+                self.index[slot] =
+                    u32::try_from(self.records.len()).expect("record count fits the index");
+            }
+            i => self.records[i as usize - 1] = rec,
+        }
+    }
 }
 
 /// The KV store substrate.
 ///
-/// The bucket table is copy-on-write and allocated by the first write: a
-/// store nobody writes costs no table, and a clone (a pooled
+/// The table is copy-on-write and allocated by the first write: a store
+/// nobody writes costs no table, and a clone (a pooled
 /// [`SubstrateSnapshot`] and every store adopting it) shares the table
 /// rather than copying it. A write made while the table is shared lands in
 /// a small per-store overlay that shadows the table slot.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     arena: TraceArena,
-    /// `slots` buckets, allocated by the first write.
-    table: Option<Arc<Vec<Bucket>>>,
+    /// `slots` index entries and the records they name, allocated by the
+    /// first write.
+    table: Option<Arc<Table>>,
     /// Slots this store wrote while `table` was shared with a clone.
-    overlay: BTreeMap<usize, Bucket>,
+    overlay: BTreeMap<usize, Record>,
     slots: usize,
     buckets_off: u64,
     items: u64,
@@ -71,15 +112,19 @@ impl KvStore {
         (h as usize) & (self.slots - 1)
     }
 
-    /// The bucket at `slot` as a store sees it: its overlay entry, else the
-    /// table's (an unallocated table reads as empty).
-    fn bucket(overlay: &BTreeMap<usize, Bucket>, table: &[Bucket], slot: usize) -> Bucket {
+    /// The record at `slot` as a store sees it: its overlay entry, else the
+    /// table's (`None` for an empty slot or an unallocated table).
+    fn bucket(
+        overlay: &BTreeMap<usize, Record>,
+        table: Option<&Table>,
+        slot: usize,
+    ) -> Option<Record> {
         if !overlay.is_empty() {
-            if let Some(b) = overlay.get(&slot) {
-                return *b;
+            if let Some(r) = overlay.get(&slot) {
+                return Some(*r);
             }
         }
-        table.get(slot).copied().unwrap_or_default()
+        table.and_then(|t| t.get(slot))
     }
 
     /// Number of live items.
@@ -101,12 +146,12 @@ impl KvStore {
         let mut table = self
             .table
             .take()
-            .unwrap_or_else(|| Arc::new(vec![Bucket::default(); slots]));
+            .unwrap_or_else(|| Arc::new(Table::new(slots)));
         match Arc::get_mut(&mut table) {
             Some(own) => {
                 for (key, value_len) in entries {
-                    if let Some((slot, b)) = self.place(own, key, value_len) {
-                        own[slot] = b;
+                    if let Some((slot, rec)) = self.place(own, key, value_len) {
+                        own.set(slot, rec);
                         // Sharers dropped since the overlay took this slot:
                         // the stale entry would shadow the write just made.
                         if !self.overlay.is_empty() {
@@ -117,8 +162,8 @@ impl KvStore {
             }
             None => {
                 for (key, value_len) in entries {
-                    if let Some((slot, b)) = self.place(&table, key, value_len) {
-                        self.overlay.insert(slot, b);
+                    if let Some((slot, rec)) = self.place(&table, key, value_len) {
+                        self.overlay.insert(slot, rec);
                     }
                 }
             }
@@ -127,33 +172,31 @@ impl KvStore {
     }
 
     /// Probes `table` for `key`'s slot and emits the write's trace; returns
-    /// the slot and the bucket to store there (`None` if the table is full).
+    /// the slot and the record to store there (`None` if the table is full).
     /// Inlined into `set_all`'s loops: as a call it costs a preload ~20%.
     #[inline(always)]
-    fn place(&mut self, table: &[Bucket], key: u64, value_len: u32) -> Option<(usize, Bucket)> {
+    fn place(&mut self, table: &Table, key: u64, value_len: u32) -> Option<(usize, Record)> {
         self.arena.compute(self.op_compute_ps);
         let mut slot = self.slot_of(key);
         // Linear probing; every probe is a dependent bucket read.
         for _ in 0..self.slots {
             let off = self.buckets_off + slot as u64 * BUCKET_BYTES;
             self.arena.read_dependent(off, BUCKET_BYTES);
-            let b = Self::bucket(&self.overlay, table, slot);
-            if !b.used || b.key == key {
-                let value_off = if b.used && b.value_len >= value_len {
-                    b.value_off // Reuse in place.
-                } else {
-                    self.arena.alloc(value_len as u64, 64)
+            let found = Self::bucket(&self.overlay, Some(table), slot);
+            if found.is_none_or(|r| r.key == key) {
+                let value_off = match found {
+                    Some(r) if r.value_len >= value_len => r.value_off, // Reuse in place.
+                    _ => self.arena.alloc(value_len as u64, 64),
                 };
-                if !b.used {
+                if found.is_none() {
                     self.items += 1;
                 }
                 self.arena.write(off, BUCKET_BYTES);
                 self.arena.write(value_off, value_len as u64);
-                let placed = Bucket {
+                let placed = Record {
                     key,
                     value_off,
                     value_len,
-                    used: true,
                 };
                 return Some((slot, placed));
             }
@@ -165,17 +208,16 @@ impl KvStore {
     /// Reads a key's value; returns whether it existed.
     pub fn get(&mut self, key: u64) -> bool {
         self.arena.compute(self.op_compute_ps);
-        let table = self.table.as_deref().map_or(&[][..], Vec::as_slice);
+        let table = self.table.as_deref();
         let mut slot = self.slot_of(key);
         for _ in 0..self.slots {
             let off = self.buckets_off + slot as u64 * BUCKET_BYTES;
             self.arena.read_dependent(off, BUCKET_BYTES);
-            let b = Self::bucket(&self.overlay, table, slot);
-            if !b.used {
+            let Some(r) = Self::bucket(&self.overlay, table, slot) else {
                 return false;
-            }
-            if b.key == key {
-                self.arena.read(b.value_off, b.value_len as u64);
+            };
+            if r.key == key {
+                self.arena.read(r.value_off, r.value_len as u64);
                 return true;
             }
             slot = (slot + 1) & (self.slots - 1);
@@ -309,7 +351,201 @@ impl WorkloadGen for Memcached {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// One slot of the reference table: a 24-byte bucket per slot, the
+    /// plain layout the index + records table must be indistinguishable
+    /// from.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Bucket {
+        key: u64,
+        value_off: u64,
+        value_len: u32,
+        used: bool,
+    }
+
+    /// The oracle: the same probes over one owned bucket per slot, with no
+    /// copy-on-write (a clone copies the table).
+    #[derive(Debug, Clone)]
+    struct ReferenceStore {
+        arena: TraceArena,
+        table: Vec<Bucket>,
+        buckets_off: u64,
+        items: u64,
+    }
+
+    impl ReferenceStore {
+        fn new(arena_bytes: u64, expected_items: u64) -> Self {
+            let mut arena = TraceArena::new(arena_bytes);
+            let slots = (expected_items * 2).next_power_of_two();
+            let buckets_off = arena.alloc(slots * BUCKET_BYTES, 4096);
+            Self {
+                arena,
+                table: vec![Bucket::default(); slots as usize],
+                buckets_off,
+                items: 0,
+            }
+        }
+
+        /// Emits the dependent read of `key`'s `i`-th probe and returns
+        /// the bucket's guest offset and slot.
+        fn probe(&mut self, key: u64, i: usize) -> (u64, usize) {
+            let mut h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 31;
+            let slot = (h as usize).wrapping_add(i) & (self.table.len() - 1);
+            let off = self.buckets_off + slot as u64 * BUCKET_BYTES;
+            self.arena.read_dependent(off, BUCKET_BYTES);
+            (off, slot)
+        }
+
+        fn set(&mut self, key: u64, value_len: u32) {
+            self.arena.compute(120_000);
+            for i in 0..self.table.len() {
+                let (off, slot) = self.probe(key, i);
+                let b = self.table[slot];
+                if !b.used || b.key == key {
+                    let value_off = if b.used && b.value_len >= value_len {
+                        b.value_off
+                    } else {
+                        self.arena.alloc(value_len as u64, 64)
+                    };
+                    self.items += u64::from(!b.used);
+                    self.arena.write(off, BUCKET_BYTES);
+                    self.arena.write(value_off, value_len as u64);
+                    self.table[slot] = Bucket {
+                        key,
+                        value_off,
+                        value_len,
+                        used: true,
+                    };
+                    return;
+                }
+            }
+        }
+
+        fn get(&mut self, key: u64) -> bool {
+            self.arena.compute(120_000);
+            for i in 0..self.table.len() {
+                let (_, slot) = self.probe(key, i);
+                let b = self.table[slot];
+                if !b.used {
+                    return false;
+                }
+                if b.key == key {
+                    self.arena.read(b.value_off, b.value_len as u64);
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(u64, u32),
+        SetAll(Vec<(u64, u32)>),
+        Get(u64),
+        Scan(u64, u32),
+    }
+
+    /// Keys from a range wider than the 32-slot table, so probes chain,
+    /// the table fills and sets start failing.
+    const KEYS: u64 = 48;
+
+    fn entry() -> impl Strategy<Value = (u64, u32)> {
+        (0..KEYS, 1u32..600)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..4, entry(), proptest::collection::vec(entry(), 0..6)).prop_map(
+            |(kind, (key, len), batch)| match kind {
+                0 => Op::Set(key, len),
+                1 => Op::SetAll(batch),
+                2 => Op::Get(key),
+                _ => Op::Scan(key, len % 8),
+            },
+        )
+    }
+
+    /// A 32-slot store in an arena small enough to wrap.
+    fn stores() -> (KvStore, ReferenceStore) {
+        (
+            KvStore::new(64 << 10, 16),
+            ReferenceStore::new(64 << 10, 16),
+        )
+    }
+
+    /// Applies `op` to both stores and checks they traced, counted and
+    /// allocated the same.
+    fn step(kv: &mut KvStore, reference: &mut ReferenceStore, op: &Op) {
+        match op {
+            Op::Set(key, len) => {
+                kv.set(*key, *len);
+                reference.set(*key, *len);
+            }
+            Op::SetAll(batch) => {
+                kv.set_all(batch.iter().copied());
+                for &(key, len) in batch {
+                    reference.set(key, len);
+                }
+            }
+            Op::Get(key) => assert_eq!(kv.get(*key), reference.get(*key), "{op:?}"),
+            Op::Scan(key, count) => {
+                kv.scan(*key, *count);
+                for k in *key..key + u64::from(*count) {
+                    if !reference.get(k) {
+                        break;
+                    }
+                }
+            }
+        }
+        assert_eq!(kv.take_trace(), reference.arena.take_trace(), "{op:?}");
+        assert_eq!(kv.items(), reference.items, "{op:?}");
+        assert_eq!(kv.arena.used(), reference.arena.used(), "{op:?}");
+    }
+
+    proptest! {
+        #[test]
+        fn owned_shared_and_orphaned_stores_match_the_bucket_table(
+            preload in proptest::collection::vec(entry(), 1..24),
+            ops in proptest::collection::vec(op(), 0..80),
+            cut in 0usize..80,
+        ) {
+            let preload = Op::SetAll(preload);
+
+            // An owned store, preloaded and then driven.
+            let (mut kv, mut reference) = stores();
+            for op in std::iter::once(&preload).chain(&ops) {
+                step(&mut kv, &mut reference, op);
+            }
+
+            // A store adopting a shared snapshot: its writes stay its own.
+            let (mut loader, mut loaded) = stores();
+            step(&mut loader, &mut loaded, &preload);
+            let snapshot = loader.clone();
+            let (mut adopter, mut reference) = (snapshot.clone(), loaded.clone());
+            for op in &ops {
+                step(&mut adopter, &mut reference, op);
+            }
+            let (mut unchanged, mut reference) = (snapshot.clone(), loaded.clone());
+            for key in 0..KEYS {
+                step(&mut unchanged, &mut reference, &Op::Get(key));
+            }
+            drop((adopter, unchanged));
+
+            // An adopter whose sharers drop partway: it owns the table
+            // from `cut` on, and its overlay must not shadow later writes.
+            let mut sharers = Some((loader, snapshot));
+            let (mut adopter, mut reference) = (sharers.as_ref().unwrap().1.clone(), loaded);
+            for (i, op) in ops.iter().enumerate() {
+                if i == cut {
+                    drop(sharers.take());
+                }
+                step(&mut adopter, &mut reference, op);
+            }
+        }
+    }
 
     #[test]
     fn set_get_roundtrip_with_probing() {
@@ -325,9 +561,9 @@ mod tests {
         let trace = kv.take_trace();
         assert!(!trace.is_empty());
         // Bucket probes are dependent reads.
-        assert!(trace.iter().any(|op| op.dependent));
+        assert!(trace.iter().any(|op| op.is_dependent()));
         // Value writes exist.
-        assert!(trace.iter().any(|op| op.write));
+        assert!(trace.iter().any(|op| op.is_write()));
     }
 
     #[test]
@@ -397,8 +633,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ops = m.generate(5_000, &mut rng);
         assert_eq!(ops.len(), 5_000);
-        assert!(ops.iter().all(|o| o.offset < m.working_set()));
-        let writes = ops.iter().filter(|o| o.write).count();
+        assert!(ops.iter().all(|o| o.offset() < m.working_set()));
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         assert!(writes > 0 && writes < ops.len() / 3, "GET-heavy mix");
     }
 }

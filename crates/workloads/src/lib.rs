@@ -33,46 +33,54 @@ pub use zipf::Zipfian;
 
 use rand::rngs::StdRng;
 
-/// One guest-address memory operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One guest-address memory operation, 16 bytes.
+///
+/// The offset and the two flags share one word: offsets lie below the
+/// working set, far under 2^62, so the top two bits hold `write` and
+/// `dependent`. The compute gap keeps a full `u64`: terasort's sort gap
+/// `n·log2(n)·800` ps passes `u32::MAX` near a 3.5 GiB working set.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct GuestOp {
-    /// Byte offset within the workload's working set (guest address space).
-    pub offset: u64,
-    /// Write (true) or read (false).
-    pub write: bool,
+    /// Offset in the low 62 bits, [`Self::WRITE`] and [`Self::DEPENDENT`]
+    /// above it.
+    bits: u64,
     /// Compute time before issuing this op, picoseconds.
-    pub gap_ps: u64,
-    /// Whether this op depends on the previous op's data (serializes).
-    pub dependent: bool,
+    gap_ps: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<GuestOp>() == 16);
+
 impl GuestOp {
+    /// Bound on [`Self::offset`]: the bits at and above it are flags.
+    const OFFSET_LIMIT: u64 = 1 << 62;
+    const WRITE: u64 = 1 << 63;
+    const DEPENDENT: u64 = 1 << 62;
+
+    /// An op with no compute gap.
+    pub(crate) const fn new(offset: u64, write: bool, dependent: bool) -> Self {
+        debug_assert!(offset < Self::OFFSET_LIMIT, "guest offset past 2^62");
+        Self {
+            bits: offset | (write as u64 * Self::WRITE) | (dependent as u64 * Self::DEPENDENT),
+            gap_ps: 0,
+        }
+    }
+
     /// An independent read.
     #[must_use]
     pub const fn read(offset: u64) -> Self {
-        Self {
-            offset,
-            write: false,
-            gap_ps: 0,
-            dependent: false,
-        }
+        Self::new(offset, false, false)
     }
 
     /// An independent write.
     #[must_use]
     pub const fn write(offset: u64) -> Self {
-        Self {
-            offset,
-            write: true,
-            gap_ps: 0,
-            dependent: false,
-        }
+        Self::new(offset, true, false)
     }
 
     /// Marks the op dependent on the previous one.
     #[must_use]
     pub const fn chained(mut self) -> Self {
-        self.dependent = true;
+        self.bits |= Self::DEPENDENT;
         self
     }
 
@@ -81,6 +89,41 @@ impl GuestOp {
     pub const fn with_gap_ps(mut self, gap: u64) -> Self {
         self.gap_ps = gap;
         self
+    }
+
+    /// Byte offset within the workload's working set (guest address space).
+    #[must_use]
+    pub const fn offset(self) -> u64 {
+        self.bits & (Self::OFFSET_LIMIT - 1)
+    }
+
+    /// Write (true) or read (false).
+    #[must_use]
+    pub const fn is_write(self) -> bool {
+        self.bits & Self::WRITE != 0
+    }
+
+    /// Compute time before issuing this op, picoseconds.
+    #[must_use]
+    pub const fn gap_ps(self) -> u64 {
+        self.gap_ps
+    }
+
+    /// Whether this op depends on the previous op's data (serializes).
+    #[must_use]
+    pub const fn is_dependent(self) -> bool {
+        self.bits & Self::DEPENDENT != 0
+    }
+}
+
+impl std::fmt::Debug for GuestOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GuestOp")
+            .field("offset", &self.offset())
+            .field("write", &self.is_write())
+            .field("gap_ps", &self.gap_ps)
+            .field("dependent", &self.is_dependent())
+            .finish()
     }
 }
 
@@ -102,8 +145,8 @@ pub enum Metric {
 /// (keyed by [`WorkloadGen::substrate_key`]) so a grid of cells pays for
 /// each distinct preload once; adopting a snapshot plus cloning the
 /// post-preload RNG reproduces the cold path bit for bit. Cloning a
-/// snapshot is cheap: a [`KvStore`] shares its bucket table copy-on-write,
-/// so every adopter reads the one preloaded table and keeps its own writes.
+/// snapshot is cheap: a [`KvStore`] shares its table copy-on-write, so
+/// every adopter reads the one preloaded table and keeps its own writes.
 #[derive(Debug, Clone)]
 pub enum SubstrateSnapshot {
     /// A preloaded [`KvStore`] (YCSB and memcached substrates).
@@ -259,6 +302,26 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn guest_op_round_trips_at_the_offset_bound() {
+        let offset = (1 << 62) - 64;
+        let op = GuestOp::write(offset).chained().with_gap_ps(u64::MAX);
+        assert_eq!(op.offset(), offset);
+        assert!(op.is_write() && op.is_dependent());
+        assert_eq!(op.gap_ps(), u64::MAX);
+        let read = GuestOp::read(offset);
+        assert_eq!(read.offset(), offset);
+        assert!(!read.is_write() && !read.is_dependent());
+        assert_eq!(read.gap_ps(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "guest offset past 2^62")]
+    fn guest_op_rejects_an_offset_in_the_flag_bits() {
+        let _ = GuestOp::read(1 << 62);
+    }
+
+    #[test]
     fn fleet_roster_is_deterministic_and_total() {
         for tenant in 0..16 {
             let a = fleet_tenant_workload(tenant, 8 << 20).name();
@@ -320,10 +383,10 @@ mod tests {
             assert!(!ops.is_empty(), "{} generated nothing", wl.name());
             for op in &ops {
                 assert!(
-                    op.offset < wl.working_set(),
+                    op.offset() < wl.working_set(),
                     "{} op at {:#x} beyond working set {:#x}",
                     wl.name(),
-                    op.offset,
+                    op.offset(),
                     wl.working_set()
                 );
             }

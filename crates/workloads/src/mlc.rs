@@ -136,7 +136,7 @@ mod tests {
         let mut wl = Mlc::new(kind, 1 << 20);
         let mut rng = StdRng::seed_from_u64(1);
         let ops = wl.generate(12_000, &mut rng);
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         writes as f64 / ops.len() as f64
     }
 
@@ -155,7 +155,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ops = wl.generate(100, &mut rng);
         for w in ops.windows(2) {
-            assert_eq!(w[1].offset, (w[0].offset + 64) % (1 << 20));
+            assert_eq!(w[1].offset(), (w[0].offset() + 64) % (1 << 20));
         }
     }
 
@@ -166,9 +166,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let ops = wl.generate(9, &mut rng);
         let third = ws / 3 / 64 * 64;
-        assert!(ops[0].offset >= third && ops[0].offset < 2 * third);
-        assert!(ops[1].offset >= 2 * third);
-        assert!(ops[2].offset < third);
-        assert!(ops[2].write);
+        assert!(ops[0].offset() >= third && ops[0].offset() < 2 * third);
+        assert!(ops[1].offset() >= 2 * third);
+        assert!(ops[2].offset() < third);
+        assert!(ops[2].is_write());
     }
 }

@@ -267,7 +267,7 @@ mod tests {
         assert!(!t.select(999_999));
         let trace = t.take_trace();
         // Each descend emits height dependent node reads.
-        assert!(trace.iter().filter(|o| o.dependent).count() >= 2);
+        assert!(trace.iter().filter(|o| o.is_dependent()).count() >= 2);
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
         let _ = t.take_trace();
         assert!(t.update(42));
         let trace = t.take_trace();
-        assert!(trace.iter().any(|o| o.write));
+        assert!(trace.iter().any(|o| o.is_write()));
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let ops = wl.generate(10_000, &mut rng);
         assert_eq!(ops.len(), 10_000);
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         assert!(writes > 0);
         assert!(writes < ops.len() / 2, "select-dominated");
     }

@@ -142,9 +142,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ops = wl.generate(40_000, &mut rng);
         assert_eq!(ops.len(), 40_000);
-        assert!(ops.iter().any(|o| o.dependent), "canneal chases pointers");
-        assert!(ops.iter().any(|o| o.write), "fluidanimate/canneal write");
-        assert!(ops.iter().all(|o| o.offset < 16 << 20));
+        assert!(
+            ops.iter().any(|o| o.is_dependent()),
+            "canneal chases pointers"
+        );
+        assert!(
+            ops.iter().any(|o| o.is_write()),
+            "fluidanimate/canneal write"
+        );
+        assert!(ops.iter().all(|o| o.offset() < 16 << 20));
     }
 
     #[test]
@@ -153,7 +159,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ops = wl.generate(100, &mut rng);
         // First share comes from blackscholes: strictly ascending stream.
-        let first: Vec<u64> = ops.iter().take(20).map(|o| o.offset).collect();
+        let first: Vec<u64> = ops.iter().take(20).map(|o| o.offset()).collect();
         for w in first.windows(2) {
             assert_eq!(w[1], (w[0] + 64) % (1 << 20));
         }

@@ -155,14 +155,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ops = wl.generate(40_000, &mut rng);
         assert_eq!(ops.len(), 40_000);
-        let dependent = ops.iter().filter(|o| o.dependent).count();
+        let dependent = ops.iter().filter(|o| o.is_dependent()).count();
         assert!(
             dependent > 1_000,
             "pointer-chase share present: {dependent}"
         );
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         assert!(writes > 1_000, "stencil/mixed writes present: {writes}");
-        assert!(ops.iter().all(|o| o.offset < 32 << 20));
+        assert!(ops.iter().all(|o| o.offset() < 32 << 20));
     }
 
     #[test]

@@ -144,11 +144,11 @@ mod tests {
         // Enough ops to cycle generate -> sort -> merge.
         let ops = t.generate(400_000, &mut rng);
         assert_eq!(ops.len(), 400_000);
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         let reads = ops.len() - writes;
         assert!(writes > 0 && reads > 0);
         // Streaming job: mostly sequential, no dependent chains.
-        assert!(ops.iter().all(|o| !o.dependent));
+        assert!(ops.iter().all(|o| !o.is_dependent()));
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ops = t.generate(600_000, &mut rng);
         assert!(
-            ops.iter().any(|o| o.write && o.offset >= out_off),
+            ops.iter().any(|o| o.is_write() && o.offset() >= out_off),
             "merge must write the output half"
         );
     }

@@ -208,7 +208,7 @@ mod tests {
         let mut wl = Ycsb::new(kind, 8 << 20);
         let mut rng = StdRng::seed_from_u64(11);
         let ops = wl.generate(20_000, &mut rng);
-        let writes = ops.iter().filter(|o| o.write).count();
+        let writes = ops.iter().filter(|o| o.is_write()).count();
         (writes, ops.len())
     }
 
@@ -243,7 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let ops = wl.generate(20_000, &mut rng);
         // Scans produce long runs of reads; verify read dominance.
-        let reads = ops.iter().filter(|o| !o.write).count();
+        let reads = ops.iter().filter(|o| !o.is_write()).count();
         assert!(reads as f64 / ops.len() as f64 > 0.9);
     }
 

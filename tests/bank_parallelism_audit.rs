@@ -27,7 +27,7 @@ fn run(kind: HypervisorKind) -> (usize, f64) {
     let trace: Vec<MemOp> = ops
         .iter()
         .map(|op| {
-            let guest = op.offset % ram;
+            let guest = op.offset() % ram;
             MemOp::read(blocks[(guest / block_bytes) as usize].hpa() + guest % block_bytes)
         })
         .collect();
