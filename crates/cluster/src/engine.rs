@@ -766,7 +766,7 @@ mod tests {
             let report = sim.run_to_completion().unwrap();
             let keys = lock(&sim.hosts[0]).sim.trace_cache().ledger_count();
             assert_eq!(report.ledger_compiles, keys as u64, "threads={threads}");
-            assert!(keys <= 64 * 4, "one key per class and vCPU clamp: {keys}");
+            assert!(keys <= 64, "one key per draw class: {keys}");
             assert!(report.slices > 2 * report.ledger_compiles, "{report:?}");
             assert!(report.clean());
             match &serial {

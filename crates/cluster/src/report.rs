@@ -58,8 +58,8 @@ pub struct ClusterReport {
     /// Flips escaping the aggressor's domain (0 under Siloz).
     pub attack_escapes: u64,
     /// Guest ledgers compiled fleet-wide (shared-cache misses: one per
-    /// draw class and vCPU clamp; every other sandbox of the class, and
-    /// every migrated sandbox, re-binds instead of recompiling).
+    /// draw class; every other sandbox of the class, at any vCPU clamp,
+    /// and every migrated sandbox, re-binds instead of recompiling).
     pub ledger_compiles: u64,
     /// Ledger→backing binds fleet-wide.
     pub program_binds: u64,

@@ -33,9 +33,8 @@ const VIOLATION_SAMPLES: usize = 16;
 /// synthetic load, not tenant identity, so tenants can share one. Why 8:
 /// it exceeds the tenants a mini host can hold at once (seven guest
 /// groups), so co-resident tenants on one workload rarely replay the same
-/// trace; and it bounds a run's compiles at [`DRAW_CLASSES`] × 4 vCPU
-/// clamps = 256 ledgers per slice length, however many sandboxes it
-/// churns.
+/// trace; and it bounds a run's compiles at [`DRAW_CLASSES`] = 64
+/// ledgers per slice length, however many sandboxes it churns.
 const DRAWS_PER_ROSTER_ENTRY: u32 = 8;
 
 /// Draw classes: tenant `t` draws the ledger of class `t % DRAW_CLASSES`.
@@ -54,12 +53,12 @@ struct Tenant {
     /// hypervisor. `None` marks the tenant dirty — its backing may have
     /// changed since — which forces the next check down the slow path.
     groups: Option<Vec<GroupId>>,
-    /// Compiled load-generator ledgers by slice length (the thread count
-    /// follows from `vcpus`). Backing-independent: fetched from the trace
-    /// cache once per tenant life, so a readmitted or migrated tenant — or
-    /// any tenant of the same draw class — re-binds what was compiled
-    /// before.
-    ledgers: BTreeMap<u32, Arc<GuestLedger>>,
+    /// Load-generator ledgers by slice length: the draw class's shared
+    /// draw, dealt across this tenant's vCPU clamp. Backing-independent:
+    /// fetched from the trace cache once per tenant life, so a readmitted
+    /// or migrated tenant — or any tenant of the same draw class, at any
+    /// clamp — re-binds what was compiled before.
+    ledgers: BTreeMap<u32, GuestLedger>,
     /// Ledgers bound to the tenant's *current* backing, same key. Cleared
     /// whenever an event moves the tenant's memory.
     programs: BTreeMap<u32, CompiledTrace>,
@@ -83,7 +82,8 @@ pub struct FleetStats {
     /// Total memory operations across slices.
     pub slice_ops: u64,
     /// Slice ledgers compiled (config-independent; one per draw class and
-    /// vCPU clamp, reused across tenants, respawns and migrations).
+    /// slice length, reused across tenants, vCPU clamps, respawns and
+    /// migrations).
     pub ledger_compiles: u64,
     /// Ledger→backing binds (re-done only when a tenant's backing changes).
     pub program_binds: u64,
@@ -452,11 +452,11 @@ impl FleetSim {
     /// Replays one load-generator slice for `tenant`. The tenant's guest
     /// trace is a fixed draw — seeded by `(scenario seed, draw class)`,
     /// the class being `tenant % DRAW_CLASSES` — so it compiles to a
-    /// [`GuestLedger`] once per class and vCPU clamp on a cache, and every
-    /// tenant of that class re-binds the shared ledger. Binds stay per
-    /// tenant (each VM binds its own backing, so rows stay tenant-private),
-    /// and each slice replays the pre-bound program through the controller;
-    /// only a backing change forces a re-bind.
+    /// [`GuestLedger`] once per class on a cache, and every tenant of that
+    /// class deals the shared draw across its own vCPU clamp and binds it.
+    /// Binds stay per tenant (each VM binds its own backing, so rows stay
+    /// tenant-private), and each slice replays the pre-bound program
+    /// through the controller; only a backing change forces a re-bind.
     fn slice(&mut self, tenant: u32, ops: u32) -> Result<(), SilozError> {
         let Some(t) = self.tenants.get_mut(&tenant) else {
             self.stats.orphan_events += 1;
@@ -479,17 +479,18 @@ impl FleetSim {
                     // effect, and an OLTP tenant's bulk-loads a B+-tree.
                     let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
                     let mut rng = StdRng::seed_from_u64(seed);
+                    // One stream: each tenant deals the draw below.
                     let ledger =
-                        GuestLedger::generate(workload.as_mut(), ops as usize, threads, &mut rng);
+                        GuestLedger::generate(workload.as_mut(), ops as usize, 1, &mut rng);
                     mine.insert(Arc::new(ledger)).clone()
                 };
-                let got =
-                    self.cache
-                        .guest_ledger(name, working_set, ops as usize, threads, seed, build);
+                let got = self
+                    .cache
+                    .guest_ledger(name, working_set, ops as usize, seed, build);
                 if mine.is_some_and(|m| Arc::ptr_eq(&m, &got)) {
                     self.stats.ledger_compiles += 1;
                 }
-                slot.insert(got)
+                slot.insert(got.with_threads(threads))
             }
         };
         if !t.programs.contains_key(&ops) {
@@ -1071,8 +1072,9 @@ mod tests {
     fn tenants_of_one_draw_class_share_a_ledger_across_hosts() {
         // Two hosts on one cache, as a cluster runs them: tenant `t` on one
         // and `t + DRAW_CLASSES` on the other draw the same class, so the
-        // second slice re-binds the first one's ledger; `t + 8` runs the
-        // same roster entry under another class and compiles its own.
+        // second slice re-deals and re-binds the first one's draw, at
+        // another vCPU clamp; `t + 8` runs the same roster entry under
+        // another class and compiles its own.
         let host = || {
             let mut s = tiny(PlacementStrategy::FirstFit);
             s.target_events = 0;
@@ -1085,26 +1087,90 @@ mod tests {
         b.set_trace_cache(Arc::clone(&cache));
         let t = 5u32;
         let ops = 96;
-        let run = |sim: &mut FleetSim, tenant: u32| {
+        let run = |sim: &mut FleetSim, tenant: u32, vcpus: u32| {
             let vm = PendingVm {
                 tenant,
                 mem_bytes: 64 << 20,
-                vcpus: 3,
+                vcpus,
                 lifetime: 1_000,
             };
             sim.admit_external(vm).unwrap().expect("admitted");
             sim.slice(tenant, ops).unwrap();
-            Arc::clone(&sim.tenants[&tenant].ledgers[&ops])
+            sim.tenants[&tenant].ledgers[&ops].clone()
         };
-        let first = run(&mut a, t);
-        let same_class = run(&mut b, t + DRAW_CLASSES);
-        assert!(Arc::ptr_eq(&first, &same_class), "one class, one ledger");
+        let first = run(&mut a, t, 3);
+        let same_class = run(&mut b, t + DRAW_CLASSES, 2);
+        assert!(first.shares_draw(&same_class), "one class, one draw");
+        assert_eq!((first.threads(), same_class.threads()), (3, 2));
         assert_eq!(a.stats.ledger_compiles + b.stats.ledger_compiles, 1);
         assert_eq!(b.stats.program_binds, 1, "binds stay per tenant");
 
-        let other_class = run(&mut a, t + workloads::FLEET_ROSTER_LEN);
-        assert!(!Arc::ptr_eq(&first, &other_class));
+        let other_class = run(&mut a, t + workloads::FLEET_ROSTER_LEN, 3);
+        assert!(!first.shares_draw(&other_class));
         assert_eq!(a.stats.ledger_compiles + b.stats.ledger_compiles, 2);
         assert_eq!(cache.ledger_count(), 2);
+    }
+
+    #[test]
+    fn a_re_dealt_class_draw_binds_as_a_fresh_draw_at_that_clamp() {
+        // Every roster entry, under two classes each, at vCPU clamps 1-4,
+        // two working sets and two slice lengths: the program a tenant
+        // binds from its class's shared draw, re-dealt at its clamp, is op
+        // for op the program of a fresh generator and RNG drawn at that
+        // clamp and bound to the same backing.
+        for working_set in [1u64 << 20, 8 << 20] {
+            let mut s = tiny(PlacementStrategy::FirstFit);
+            s.target_events = 0;
+            s.attack_prob = 0.0;
+            s.slice_working_set = working_set;
+            let scenario_seed = s.seed;
+            let mut sim = FleetSim::new(s).unwrap();
+            let classes: Vec<u32> = (0..workloads::FLEET_ROSTER_LEN)
+                .flat_map(|r| [r, r + workloads::FLEET_ROSTER_LEN])
+                .collect();
+            for &class in &classes {
+                let mut draws: BTreeMap<u32, GuestLedger> = BTreeMap::new();
+                for clamp in 1..=4u16 {
+                    let tenant = class + DRAW_CLASSES * u32::from(clamp - 1);
+                    let vm = PendingVm {
+                        tenant,
+                        mem_bytes: 64 << 20,
+                        vcpus: u32::from(clamp),
+                        lifetime: 1_000,
+                    };
+                    let handle = sim.admit_external(vm).unwrap().expect("admitted");
+                    for ops in [48u32, 2000] {
+                        sim.slice(tenant, ops).unwrap();
+                        let t = &sim.tenants[&tenant];
+                        let ledger = &t.ledgers[&ops];
+                        assert_eq!(ledger.threads(), clamp);
+                        let first = draws.entry(ops).or_insert_with(|| ledger.clone());
+                        assert!(ledger.shares_draw(first), "the re-deal shares the draw");
+
+                        let mut workload = workloads::fleet_tenant_workload(tenant, working_set);
+                        let seed = scenario_seed ^ (u64::from(class) << 17);
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let fresh =
+                            GuestLedger::generate(workload.as_mut(), ops as usize, clamp, &mut rng);
+                        let thread_base = ((u64::from(tenant) * 16) % 65536) as u16;
+                        let expect =
+                            sim::vm_compiled(&sim.hv, handle, &fresh, thread_base).unwrap();
+                        let program = &t.programs[&ops];
+                        let case =
+                            format!("class {class} clamp {clamp} ws {working_set} ops {ops}");
+                        assert_eq!(program.len(), ops as usize, "{case}");
+                        assert_eq!(program.tlb_counters(), expect.tlb_counters(), "{case}");
+                        assert!(*program == expect, "{case}: the programs differ");
+                    }
+                    assert!(sim.depart_external(tenant).unwrap());
+                }
+            }
+            let expect = classes.len() as u64 * 2;
+            assert_eq!(
+                sim.stats.ledger_compiles, expect,
+                "one draw per class and length"
+            );
+            assert_eq!(sim.cache.ledger_count() as u64, expect);
+        }
     }
 }

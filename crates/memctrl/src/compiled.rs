@@ -28,7 +28,7 @@ pub(crate) const INVALID_BANK: u32 = u32::MAX;
 /// One pre-decoded trace op, reduced to exactly what the scheduler and
 /// timing model consume (24 bytes, so replay streams the program through
 /// cache efficiently).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CompiledOp {
     /// CPU time before issue on this thread, picoseconds.
     pub gap_ps: u64,
@@ -83,8 +83,9 @@ impl CompiledOp {
 }
 
 /// A trace compiled against one concrete address-decoder configuration,
-/// ready for decode-free replay.
-#[derive(Debug, Clone)]
+/// ready for decode-free replay. Two programs are equal when every op's
+/// coordinates, thread, kind and gap and the decode-cache counters agree.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
     pub(crate) ops: Vec<CompiledOp>,
     /// Decode-cache counters accumulated while compiling, credited into

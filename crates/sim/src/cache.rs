@@ -6,7 +6,9 @@
 //!
 //! - **ledgers** — one [`GuestLedger`] per `(workload, working-set, ops,
 //!   threads, trace-seed)` tuple: the drawn ops as drawn, dealt to vCPU
-//!   streams only at bind, shared by every configuration;
+//!   streams only at bind, shared by every configuration (an external
+//!   load generator's draw keys `threads` as 0 and is re-dealt per
+//!   tenant, see [`TraceCache::guest_ledger`]);
 //! - **substrates** — one KV preload per `(substrate key, trace seed)`,
 //!   shared by every workload mix over the same store (all six YCSB kinds
 //!   run the identical load phase);
@@ -50,7 +52,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use workloads::SubstrateSnapshot;
 
 /// Ledger identity: `(workload name, working set, ops, threads, trace
-/// seed)`.
+/// seed)`; `threads` is 0 for a [`TraceCache::guest_ledger`] draw.
 pub(crate) type LedgerKey = (String, u64, usize, u16, u64);
 
 /// Substrate-pool identity: `(substrate key, trace seed)`.
@@ -126,23 +128,25 @@ impl TraceCache {
             .clone()
     }
 
-    /// The ledger for a guest identified by its workload name, working
-    /// set, op count, thread count, and trace seed — the public face of
-    /// the ledger pool for external load generators (the fleet engine and
-    /// the cluster simulator). The key is tenant- and host-independent:
-    /// the fleet engine seeds a draw by draw class, not by tenant, so one
-    /// compile serves every tenant of that class and vCPU clamp, on every
-    /// host sharing the cache, including a migrated tenant's re-bind.
+    /// The draw for a guest identified by its workload name, working set,
+    /// op count and trace seed — the public face of the ledger pool for
+    /// external load generators (the fleet engine and the cluster
+    /// simulator). The key is tenant-, host- and vCPU-independent: the
+    /// fleet engine seeds a draw by draw class, not by tenant, and deals it
+    /// at bind ([`GuestLedger::with_threads`]), so one compile serves every
+    /// tenant of that class, on every host sharing the cache, including a
+    /// migrated tenant's re-bind. Its deal slot keys as 0, which no figure
+    /// cell uses (they deal across at least one vCPU), so a draw here never
+    /// meets a figure ledger.
     pub fn guest_ledger(
         &self,
         name: &str,
         working_set: u64,
         ops: usize,
-        threads: u16,
         seed: u64,
         build: impl FnOnce() -> Arc<GuestLedger>,
     ) -> Arc<GuestLedger> {
-        let key: LedgerKey = (name.to_owned(), working_set, ops, threads, seed);
+        let key: LedgerKey = (name.to_owned(), working_set, ops, 0, seed);
         self.ledger(&key, build)
     }
 

@@ -2,11 +2,12 @@
 //!
 //! A [`GuestLedger`] is one `(workload, seed, ops, threads)` tuple's guest
 //! trace held for replay: the drawn guest ops themselves, with the vCPU
-//! count to deal them across and their guest extent. The
-//! ledger is independent of every configuration axis — hypervisor kind,
-//! subarray size, VM backing — so one draw is shared by all cells of an
-//! experiment grid that measure the same workload draw (see
-//! [`crate::TraceCache`]).
+//! count to deal them across and their guest extent. The draw does not
+//! depend on the vCPU count, so [`GuestLedger::with_threads`] re-deals one
+//! draw across another count, sharing its ops. The ledger is independent
+//! of every configuration axis — hypervisor kind, subarray size, VM
+//! backing — so one draw is shared by all cells of an experiment grid
+//! that measure the same workload draw (see [`crate::TraceCache`]).
 //!
 //! Stage 2 (`GuestLedger::bind`) deals each logical request round-robin
 //! to a vCPU stream and resolves every op against one concrete VM backing
@@ -20,13 +21,15 @@
 use crate::run::HpaMap;
 use memctrl::{CompiledTrace, MemOp};
 use rand::rngs::StdRng;
+use std::sync::Arc;
 use workloads::{GuestOp, WorkloadGen};
 
 /// A drawn guest trace: the ops, the vCPU streams they are dealt across
-/// at bind, and their extent.
+/// at bind, and their extent. The ops sit behind an `Arc`, so a clone or a
+/// re-deal shares them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuestLedger {
-    ops: Vec<GuestOp>,
+    ops: Arc<Vec<GuestOp>>,
     threads: u16,
     /// One past the largest guest offset: every op lies in `[0, extent)`.
     extent: u64,
@@ -60,10 +63,29 @@ impl GuestLedger {
             .max()
             .unwrap_or(0);
         Self {
-            ops,
+            ops: Arc::new(ops),
             threads: threads.max(1),
             extent,
         }
+    }
+
+    /// The same draw dealt across `threads` vCPU streams (0 clamps to 1),
+    /// sharing this ledger's ops: what `generate` would have drawn with
+    /// `threads`, since the draw never reads the vCPU count.
+    #[must_use]
+    pub fn with_threads(&self, threads: u16) -> Self {
+        Self {
+            ops: Arc::clone(&self.ops),
+            threads: threads.max(1),
+            extent: self.extent,
+        }
+    }
+
+    /// Whether `self` and `other` hold one draw: the same ops allocation,
+    /// whatever the deal.
+    #[must_use]
+    pub fn shares_draw(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.ops, &other.ops)
     }
 
     /// Number of guest ops the ledger expands to.
@@ -217,7 +239,13 @@ mod tests {
                     thread,
                 })
                 .collect();
-            prop_assert_eq!(expanded, expect);
+            prop_assert_eq!(&expanded, &expect);
+            // A draw held at one deal and re-dealt at `threads` shares its
+            // ops and expands as if drawn at `threads`.
+            let undealt = GuestLedger::compile(&ops, 1);
+            let redealt = undealt.with_threads(threads);
+            prop_assert!(redealt.shares_draw(&undealt));
+            prop_assert_eq!(redealt.expand_mem_ops(&map, base), expect);
         }
     }
 
@@ -228,5 +256,6 @@ mod tests {
         assert_eq!(ledger.threads(), 1);
         let expanded = ledger.expand_mem_ops(&identity_map(), 0);
         assert!(expanded.iter().all(|op| op.thread == 0));
+        assert_eq!(ledger.with_threads(0).threads(), 1);
     }
 }
