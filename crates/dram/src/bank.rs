@@ -10,6 +10,16 @@
 //! removes one, so an arena index stays valid for the bank's life; that is
 //! what lets a resolved [`crate::Aggressor`] handle address its victims by
 //! index instead of looking them up on every burst.
+//!
+//! Between two calls of one cycle (`crate::DramSystem::activate_cycle`) a
+//! bank may *hold* that cycle's victims lazily: their accumulators follow
+//! a per-bank pass clock instead of being folded and written back on every
+//! call. A one-weight victim without an own-row refresh is `seg` as of its
+//! `origin` pass plus `per_pass` activations per pass since; a victim with
+//! one sits at its fold's fixed point, which every later pass returns it
+//! to. A REF refresh of a held victim re-arms it against the clock; every
+//! other access to the bank's victims settles them all first
+//! ([`BankState::settle`]). See DESIGN.md *Cycle fold*.
 
 use crate::flip::{weak_cells, WeakCell};
 use crate::profile::DimmProfile;
@@ -112,7 +122,10 @@ pub(crate) struct VictimState {
     /// This half-row's weak cells, sorted by flip threshold.
     cells: Vec<WeakCell>,
     /// Index of the next unflipped weak cell at the current disturbance.
-    next_cell: usize,
+    next_cell: u32,
+    /// Index + 1 of this victim's entry in the bank's `Lazy::held`; 0 when
+    /// the bank does not hold it.
+    held: u32,
 }
 
 impl VictimState {
@@ -126,6 +139,7 @@ impl VictimState {
             first_threshold,
             cells,
             next_cell: 0,
+            held: 0,
         }
     }
 
@@ -159,40 +173,41 @@ impl VictimState {
         if self.next_threshold > disturb {
             return None;
         }
-        let cell = self.cells[self.next_cell];
+        let cell = self.cells[self.next_cell as usize];
         self.next_cell += 1;
         self.next_threshold = self
             .cells
-            .get(self.next_cell)
+            .get(self.next_cell as usize)
             .map_or(f64::INFINITY, |c| c.threshold);
         Some(cell)
     }
 
-    /// The accumulator after `reps` passes of `ops`, or `None` if some
-    /// `Add` on the way would reach a weak-cell threshold (a flip, which
-    /// only the per-run path emits in per-ACT order). Reads only.
+    /// The accumulator after `reps` passes of `ops` (whose shape is
+    /// `shape`), or `None` if some `Add` on the way would reach a weak-cell
+    /// threshold (a flip, which only the per-run path emits in per-ACT
+    /// order). Reads only. With the accumulator comes whether the bank may
+    /// hold the victim from there on (see [`BankState::hold`]).
     ///
-    /// Three cases, each bit-identical to replaying the ops one by one:
-    /// one weight and no reset is a single `add(w, reps × Σcount)`, and
-    /// its last value is its peak (the disturbance only grows); with a
-    /// reset the passes are simulated until one leaves the accumulator and
-    /// the threshold it checks against bitwise where it found them — a
-    /// pass's output depends on its input only through the weight at its
-    /// first reset, so that takes at most three passes; mixed weights
-    /// without a reset replay every add.
-    pub(crate) fn fold(&self, ops: &[VictimOp], has_reset: bool, reps: u64) -> Option<Segment> {
+    /// Each shape is bit-identical to replaying the ops one by one. A
+    /// linear pass is a single `add(w, reps × per_pass)`, whose last value
+    /// is its peak (the disturbance only grows); it can always be held.
+    /// With a reset the passes are simulated until one leaves the
+    /// accumulator and the threshold it checks against bitwise where it
+    /// found them — a pass's output depends on its input only through the
+    /// weight at its first reset, so that takes at most three passes — and
+    /// the victim can be held at that fixed point once it is reached.
+    /// Mixed weights without a reset replay every add and are never held.
+    pub(crate) fn fold(
+        &self,
+        ops: &[VictimOp],
+        shape: PassShape,
+        reps: u64,
+    ) -> Option<(Segment, bool)> {
         let mut seg = self.seg;
         let mut threshold = self.next_threshold;
-        if let Some(w) = single_weight(ops) {
-            let count: u64 = ops
-                .iter()
-                .map(|op| match *op {
-                    VictimOp::Add { count, .. } => count,
-                    VictimOp::Reset => 0,
-                })
-                .sum();
-            seg.add(w, reps * count);
-            return (seg.disturb() < threshold).then_some(seg);
+        if let PassShape::Linear { w, per_pass } = shape {
+            seg.add(w, reps * per_pass);
+            return (seg.disturb() < threshold).then_some((seg, true));
         }
         for _ in 0..reps {
             let (before, threshold_before) = (seg, threshold);
@@ -210,14 +225,14 @@ impl VictimState {
                     }
                 }
             }
-            if has_reset
+            if matches!(shape, PassShape::Reset)
                 && seg.same_bits(&before)
                 && threshold.to_bits() == threshold_before.to_bits()
             {
-                break;
+                return Some((seg, true));
             }
         }
-        Some(seg)
+        Some((seg, false))
     }
 
     /// Writes back a [`VictimState::fold`] result; `has_reset` re-arms the
@@ -231,20 +246,157 @@ impl VictimState {
     }
 }
 
-/// The one weight of `ops`, if they are all `Add`s of bitwise the same `w`.
-fn single_weight(ops: &[VictimOp]) -> Option<f64> {
-    let VictimOp::Add { w, .. } = *ops.first()? else {
-        return None;
+/// What one pass of a cycle does to a victim half-row, classified once
+/// when the cycle is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PassShape {
+    /// Every op is an `Add` of bitwise the same weight `w`, `per_pass`
+    /// activations in all.
+    Linear { w: f64, per_pass: u64 },
+    /// Some op is an own-row refresh.
+    Reset,
+    /// Adds of more than one weight (d1 and d2, or a RowPress dwell), no
+    /// reset.
+    Mixed,
+}
+
+impl PassShape {
+    /// The shape of one pass of `ops`.
+    pub(crate) fn of(ops: &[VictimOp]) -> Self {
+        if ops.iter().any(|op| matches!(op, VictimOp::Reset)) {
+            return Self::Reset;
+        }
+        let Some(&VictimOp::Add { w, .. }) = ops.first() else {
+            return Self::Mixed;
+        };
+        let mut per_pass = 0;
+        for op in ops {
+            match *op {
+                VictimOp::Add { w: x, count } if x.to_bits() == w.to_bits() => per_pass += count,
+                _ => return Self::Mixed,
+            }
+        }
+        Self::Linear { w, per_pass }
+    }
+
+    /// Activations per pass of a linear shape; `None` for a reset.
+    pub(crate) fn per_pass(self) -> Option<u64> {
+        match self {
+            Self::Linear { per_pass, .. } => Some(per_pass),
+            Self::Reset | Self::Mixed => None,
+        }
+    }
+}
+
+/// Most passes a linear victim is held for without a look: past it the
+/// deadline is early, which only costs a settle, and `n` cannot overflow.
+const MAX_HELD_PASSES: u64 = 1 << 32;
+
+/// Passes after which a victim at `seg`, gaining `per_pass` activations
+/// at its weight each pass, first reaches `threshold` (at most
+/// [`MAX_HELD_PASSES`]). The pass analogue of `first_crossing`: a
+/// closed-form estimate fixed up against the exact float value the fold
+/// compares, `base + w × (n + per_pass × p)`.
+fn passes_to_cross(seg: Segment, per_pass: u64, threshold: f64) -> u64 {
+    let val = |p: u64| seg.base + seg.w * ((seg.n + per_pass * p) as f64);
+    let cap = ((u64::MAX - seg.n) / per_pass).clamp(1, MAX_HELD_PASSES);
+    if val(cap) < threshold {
+        return cap;
+    }
+    let est = (((threshold - seg.base) / seg.w - seg.n as f64) / per_pass as f64).ceil();
+    let mut p = if est.is_finite() && est >= 1.0 {
+        (est as u64).min(cap)
+    } else {
+        1
     };
-    ops.iter()
-        .all(|op| matches!(*op, VictimOp::Add { w: x, .. } if x.to_bits() == w.to_bits()))
-        .then_some(w)
+    while p > 1 && val(p - 1) >= threshold {
+        p -= 1;
+    }
+    while val(p) < threshold {
+        p += 1;
+    }
+    p
+}
+
+/// How a held victim's accumulator follows the pass clock.
+#[derive(Debug, Clone, Copy)]
+enum Hold {
+    /// One weight, no reset: the victim's `seg` as of `origin` plus
+    /// `per_pass` activations per pass since. It reaches `next_threshold`
+    /// at pass `deadline`, and `after_refresh` passes after a refresh
+    /// (which leaves `(0, w, 0)` against the first threshold whenever it
+    /// comes).
+    Linear {
+        per_pass: u64,
+        deadline: u64,
+        after_refresh: u64,
+    },
+    /// A reset victim at its fold's fixed point `fixed`: any pass leaves
+    /// `fixed`, a REF refresh included. The victim's `seg` is `fixed`, or
+    /// cleared by a refresh at `origin` with no pass since.
+    Fixed { fixed: Segment },
+}
+
+/// One held victim.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    /// Index into the bank's victim arena.
+    idx: u32,
+    /// Pass clock when the victim was held or last refreshed.
+    origin: u64,
+    hold: Hold,
+}
+
+impl Held {
+    /// The pass clock at which the victim would reach its threshold.
+    fn deadline(&self) -> u64 {
+        match self.hold {
+            Hold::Linear { deadline, .. } => deadline,
+            Hold::Fixed { .. } => u64::MAX,
+        }
+    }
+
+    /// The victim's accumulator at pass `clock`, given its `seg`.
+    fn settled(&self, seg: Segment, clock: u64) -> Segment {
+        match self.hold {
+            Hold::Linear { per_pass, .. } => Segment {
+                n: seg.n + per_pass * (clock - self.origin),
+                ..seg
+            },
+            Hold::Fixed { fixed } if clock > self.origin => fixed,
+            Hold::Fixed { .. } => seg,
+        }
+    }
+}
+
+/// The victims of one cycle a bank holds between calls, against the
+/// bank's pass clock.
+#[derive(Debug, Default)]
+struct Lazy {
+    /// Stamp of the held cycle; 0 when the bank holds nothing.
+    stamp: u64,
+    /// Passes the bank has applied lazily.
+    clock: u64,
+    /// No held victim reaches its threshold before this pass. The least
+    /// deadline, or earlier: a refresh that moved the least one later
+    /// leaves it until a call reaches it.
+    deadline: u64,
+    held: Vec<Held>,
+}
+
+impl Lazy {
+    /// An empty hold, boxed: a bank that never holds a cycle pays one
+    /// pointer for it.
+    fn new() -> Box<Self> {
+        Box::new(Self::default())
+    }
 }
 
 /// Mutable state of a single DRAM bank: victim disturbance accumulators,
-/// per-side TRR trackers, and the auto-refresh pointer.
+/// per-side TRR trackers, the auto-refresh pointer, and the cycle whose
+/// victims it holds lazily.
 #[derive(Debug)]
-pub struct BankState {
+pub(crate) struct BankState {
     /// Victim half-rows in first-touch order. Append-only: an index is
     /// valid for the bank's life.
     pub(crate) victims: Vec<VictimState>,
@@ -254,15 +406,15 @@ pub struct BankState {
     pub(crate) trr: [TrrTracker; 2],
     /// Next internal row the distributed auto-refresh will cover.
     pub(crate) refresh_ptr: u32,
-    /// Total activations this bank has seen (diagnostics).
-    pub acts: u64,
+    /// Allocated when the bank first holds a cycle.
+    lazy: Option<Box<Lazy>>,
 }
 
 impl BankState {
     /// Fresh bank state for a bank of `rows_per_bank` internal rows with
     /// the given TRR configuration.
     #[must_use]
-    pub fn new(rows_per_bank: u32, trr_capacity: usize, trr_served_per_ref: usize) -> Self {
+    pub(crate) fn new(rows_per_bank: u32, trr_capacity: usize, trr_served_per_ref: usize) -> Self {
         Self {
             victims: Vec::new(),
             victim_index: vec![0; 2 * rows_per_bank as usize],
@@ -271,7 +423,7 @@ impl BankState {
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
             ],
             refresh_ptr: 0,
-            acts: 0,
+            lazy: None,
         }
     }
 
@@ -334,11 +486,37 @@ impl BankState {
     }
 
     /// Refreshes one half-row (see [`VictimState::refresh`]); a half-row
-    /// that was never disturbed holds no state and is a no-op.
+    /// that was never disturbed holds no state and is a no-op. A held
+    /// victim stays held, re-armed at the current pass.
     #[inline]
     pub(crate) fn refresh_half_row(&mut self, side: u8, internal_row: u32) {
         if let Some(idx) = self.victim_idx(side, internal_row) {
-            self.victims[idx as usize].refresh();
+            let v = &mut self.victims[idx as usize];
+            v.refresh();
+            if v.held != 0 {
+                let held = v.held;
+                self.rearm(held);
+            }
+        }
+    }
+
+    /// Restarts held victim `held` (its `VictimState::held`) at the current
+    /// pass after a refresh. Out of line, so the REF sweep's loop over
+    /// half-rows that are not held stays small.
+    #[cold]
+    #[inline(never)]
+    fn rearm(&mut self, held: u32) {
+        let lazy = self.lazy.as_deref_mut().expect("a held victim has a hold");
+        let held = &mut lazy.held[held as usize - 1];
+        held.origin = lazy.clock;
+        if let Hold::Linear {
+            deadline,
+            after_refresh,
+            ..
+        } = &mut held.hold
+        {
+            *deadline = lazy.clock + *after_refresh;
+            lazy.deadline = lazy.deadline.min(*deadline);
         }
     }
 
@@ -348,13 +526,119 @@ impl BankState {
         self.refresh_half_row(1, internal_row);
     }
 
-    /// Peak accumulated disturbance across all victims (diagnostics).
-    #[must_use]
-    pub fn max_disturbance(&self) -> f64 {
-        self.victims
-            .iter()
-            .map(VictimState::disturb)
-            .fold(0.0, f64::max)
+    /// Holds the victims of the cycle stamped `stamp`, as a fold just left
+    /// them: `(arena index, Some(per_pass))` for a linear victim, `(arena
+    /// index, None)` for a reset victim at its fixed point.
+    pub(crate) fn hold(&mut self, stamp: u64, victims: impl Iterator<Item = (u32, Option<u64>)>) {
+        let lazy = self.lazy.get_or_insert_with(Lazy::new);
+        debug_assert!(lazy.stamp == 0, "a bank holds one cycle: settle first");
+        lazy.stamp = stamp;
+        lazy.deadline = u64::MAX;
+        for (idx, per_pass) in victims {
+            let v = &mut self.victims[idx as usize];
+            let hold = match per_pass {
+                Some(per_pass) => Hold::Linear {
+                    per_pass,
+                    deadline: lazy.clock + passes_to_cross(v.seg, per_pass, v.next_threshold),
+                    after_refresh: passes_to_cross(
+                        Segment {
+                            base: 0.0,
+                            n: 0,
+                            ..v.seg
+                        },
+                        per_pass,
+                        v.first_threshold,
+                    ),
+                },
+                None => Hold::Fixed { fixed: v.seg },
+            };
+            let held = Held {
+                idx,
+                origin: lazy.clock,
+                hold,
+            };
+            lazy.deadline = lazy.deadline.min(held.deadline());
+            lazy.held.push(held);
+            v.held = lazy.held.len() as u32;
+        }
+    }
+
+    /// Applies `reps` passes of the cycle stamped `stamp` by moving the
+    /// clock, if the bank holds that cycle and no held victim reaches its
+    /// threshold on the way; otherwise changes nothing and returns false.
+    #[inline]
+    pub(crate) fn advance_held(&mut self, stamp: u64, reps: u64) -> bool {
+        let Some(lazy) = self.lazy.as_deref_mut() else {
+            return false;
+        };
+        if stamp == 0 || lazy.stamp != stamp {
+            return false;
+        }
+        let to = lazy.clock + reps;
+        if to >= lazy.deadline {
+            lazy.deadline = lazy
+                .held
+                .iter()
+                .map(Held::deadline)
+                .min()
+                .unwrap_or(u64::MAX);
+            if to >= lazy.deadline {
+                return false;
+            }
+        }
+        lazy.clock = to;
+        true
+    }
+
+    /// Writes every held victim's accumulator at the current pass back into
+    /// it and holds nothing more. Everything that reads or writes victims
+    /// outside a held call or a REF refresh calls this first.
+    #[inline]
+    pub(crate) fn settle(&mut self) {
+        if self.lazy.as_ref().is_some_and(|lazy| lazy.stamp != 0) {
+            self.settle_held();
+        }
+    }
+
+    #[cold]
+    fn settle_held(&mut self) {
+        let lazy = self.lazy.as_deref_mut().expect("checked by settle");
+        lazy.stamp = 0;
+        for held in lazy.held.drain(..) {
+            let v = &mut self.victims[held.idx as usize];
+            v.seg = held.settled(v.seg, lazy.clock);
+            v.held = 0;
+        }
+    }
+
+    /// Appends the bank's settled state to `out`: per victim in arena order
+    /// its accumulator's bits and next weak cell, then each TRR side's
+    /// entries, then the refresh pointer. Settles nothing.
+    pub(crate) fn fingerprint(&self, out: &mut Vec<u64>) {
+        for v in &self.victims {
+            let seg = match &self.lazy {
+                Some(lazy) if v.held != 0 => {
+                    lazy.held[v.held as usize - 1].settled(v.seg, lazy.clock)
+                }
+                _ => v.seg,
+            };
+            out.extend([
+                seg.base.to_bits(),
+                seg.w.to_bits(),
+                seg.n,
+                u64::from(v.next_cell),
+            ]);
+        }
+        for tracker in &self.trr {
+            out.push(tracker.entries().len() as u64);
+            out.extend(
+                tracker
+                    .entries()
+                    .iter()
+                    .flat_map(|&(row, n)| [u64::from(row), n]),
+            );
+        }
+        out.push(u64::from(self.refresh_ptr));
     }
 }
 
@@ -462,20 +746,41 @@ mod tests {
     }
 
     #[test]
+    fn passes_to_cross_is_the_first_pass_the_fold_crosses_on() {
+        // Thresholds at, just below and just above the exact value of some
+        // pass: with fractional weights and a folded base the closed-form
+        // estimate lands one pass early or late on several of them, and
+        // the walk must end on the pass a pass-by-pass check reaches first.
+        for (base, w, n) in [(0.0, 1.0, 0), (3.7, 0.2, 11), (0.1, 1.3, 5), (12.5, 0.7, 0)] {
+            for per_pass in [1, 3, 7] {
+                let val = |p: u64| base + w * ((n + per_pass * p) as f64);
+                for at in [1, 5, 37].map(val) {
+                    for threshold in [at.next_down(), at, at.next_up()] {
+                        let seg = Segment { base, w, n };
+                        let first = (1..).find(|&p| val(p) >= threshold).unwrap();
+                        assert_eq!(
+                            passes_to_cross(seg, per_pass, threshold),
+                            first,
+                            "{seg:?} + {per_pass}/pass to {threshold}"
+                        );
+                    }
+                }
+            }
+        }
+        // No weak cell left: the deadline is the cap, never a wrap.
+        let seg = Segment {
+            base: 0.0,
+            w: 1.0,
+            n: 9,
+        };
+        assert_eq!(passes_to_cross(seg, 4, f64::INFINITY), MAX_HELD_PASSES);
+    }
+
+    #[test]
     fn refresh_of_untouched_row_is_a_noop() {
         let mut b = BankState::new(ROWS, 4, 2);
         b.refresh_row(1000);
         b.refresh_row(ROWS - 1);
         assert!(b.victims.is_empty());
-    }
-
-    #[test]
-    fn max_disturbance_tracks_peak() {
-        let p = DimmProfile::default_eval();
-        let mut b = BankState::new(ROWS, 0, 0);
-        assert_eq!(b.max_disturbance(), 0.0);
-        b.victim_mut(&p, 0, RankSide::A, 1, 4096).add(1.0, 5);
-        b.victim_mut(&p, 0, RankSide::B, 2, 4096).add(1.0, 9);
-        assert_eq!(b.max_disturbance(), 9.0);
     }
 }

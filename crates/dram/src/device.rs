@@ -39,10 +39,13 @@
 //! victim half-row the adds and own-row refreshes one pass applies, per rank
 //! side the TRR pass — and [`DramSystem::activate_cycle`] applies any number
 //! of passes in one call, falling back to the per-run path when a pass
-//! would cross a flip threshold. `cycle_equals_reference` in
-//! `burst_equivalence.rs` pins it to the per-run path.
+//! would cross a flip threshold. Between two calls of one cycle the bank
+//! holds its victims lazily (see the `bank` module), so a call that reaches
+//! no victim's threshold only moves the bank's pass clock and replays the
+//! TRR pass. `cycle_equals_reference` in `burst_equivalence.rs` pins it to
+//! the per-run path.
 
-use crate::bank::{side_idx, BankState, Segment, VictimOp};
+use crate::bank::{side_idx, BankState, PassShape, Segment, VictimOp};
 use crate::ecc::{classify, EccMode, ReadIntegrity};
 use crate::flip::{BitFlip, FlipLog, WeakCell};
 use crate::profile::DimmProfile;
@@ -175,16 +178,20 @@ struct CycleVictim {
     idx: u32,
     start: u32,
     end: u32,
-    /// Whether an op is an own-row refresh.
-    has_reset: bool,
+    shape: PassShape,
 }
 
 /// A pattern period — a run list of resolved aggressors on one bank —
 /// built once by [`DramSystem::resolve_cycle`] and applied any number of
 /// times in one call by [`DramSystem::activate_cycle`]. Every allocation of
-/// a fold happens when the cycle is built, except its TRR orbits': they
+/// a fold happens when the cycle is built, except its TRR orbits' (they
 /// grow as calls need states, to at most 64 per side, and keep their
-/// buffers when they restart.
+/// buffers when they restart) and the bank's hold of its victims (one per
+/// bank, kept across cycles).
+///
+/// A call that folds every victim to a state the bank can hold stamps the
+/// cycle, and the bank holds the victims under that stamp until anything
+/// else touches them.
 #[derive(Debug, Clone)]
 pub struct Cycle {
     /// The period's runs in issue order, zero-count runs dropped.
@@ -205,6 +212,9 @@ pub struct Cycle {
     orbits: [TrrOrbit; 2],
     /// A fold's results, one per victim, held until none crosses.
     folded: Vec<Segment>,
+    /// The stamp this cycle's victims were last held under; 0 if never.
+    /// The bank holds them while its stamp is this one.
+    stamp: u64,
 }
 
 impl Cycle {
@@ -363,6 +373,7 @@ impl DramSystemBuilder {
             scratch_read: Vec::new(),
             scratch_counts: Vec::new(),
             scratch_served: Vec::new(),
+            stamps: 0,
         }
     }
 }
@@ -438,6 +449,8 @@ pub struct DramSystem {
     scratch_counts: Vec<u32>,
     /// Reusable buffer for the aggressors TRR serves at one REF step.
     scratch_served: Vec<u32>,
+    /// The last stamp a bank's hold of a [`Cycle`] was given.
+    stamps: u64,
 }
 
 impl DramSystem {
@@ -745,7 +758,7 @@ impl DramSystem {
         let state = self.banks[bank.0 as usize]
             .as_mut()
             .expect("resolve_aggressor materialized the bank");
-        state.acts += count;
+        state.settle();
         for (side, resolved) in RankSide::BOTH.into_iter().zip(&aggressor.sides) {
             let s = side_idx(side);
             state.trr[s as usize].observe_n(resolved.row, count);
@@ -791,6 +804,7 @@ impl DramSystem {
             trr: [Vec::new(), Vec::new()],
             orbits: Default::default(),
             folded: Vec::new(),
+            stamp: 0,
             runs,
         };
         let Some(bank) = cycle.runs.first().map(|r| r.0.bank) else {
@@ -827,7 +841,7 @@ impl DramSystem {
                 idx: group[0].0,
                 start,
                 end: cycle.ops.len() as u32,
-                has_reset: group.iter().any(|t| matches!(t.1, VictimOp::Reset)),
+                shape: PassShape::of(&cycle.ops[start as usize..]),
             });
         }
         cycle.folded.resize(cycle.victims.len(), Segment::default());
@@ -840,16 +854,22 @@ impl DramSystem {
     /// burst, the passes must not span a refresh
     /// ([`DramSystem::next_time_event_ns`]).
     ///
-    /// The fold reads first: each victim's accumulator after `reps` passes
-    /// (see `VictimState::fold`). If any victim would reach its next
-    /// weak-cell threshold on the way, the passes run as `reps` ×
-    /// `activate_resolved` instead, so flips keep their per-ACT order.
-    /// Otherwise the folded accumulators are written back, each TRR side
-    /// applies `reps` passes of its pass (`TrrTracker::observe_cycle`,
-    /// read from the cycle's orbit of that side's tracker when the tracker
-    /// starts where the orbit does), and the counters add `reps` × the
-    /// period's activations. A cycle built before the bank's victim arena
-    /// grew rebuilds itself first, with new orbits.
+    /// If the bank holds this cycle's victims and no held victim reaches
+    /// its threshold within the passes, the call only moves the bank's pass
+    /// clock. Otherwise the bank settles its victims and the call folds
+    /// (see `VictimState::fold`): each victim's accumulator after `reps`
+    /// passes. If any victim would reach its next weak-cell threshold on
+    /// the way, the passes run as `reps` × `activate_resolved` instead, so
+    /// flips keep their per-ACT order. Otherwise the folded accumulators
+    /// are written back, and if every victim can be held there (one
+    /// weight and no reset, or a reset victim at its fixed point) the bank
+    /// holds them for the next call. A cycle built before the bank's
+    /// victim arena grew rebuilds itself first, with new orbits.
+    ///
+    /// Either way each TRR side then applies `reps` passes of its pass
+    /// (`TrrTracker::observe_cycle`, read from the cycle's orbit of that
+    /// side's tracker when the tracker starts where the orbit does), and
+    /// the counters add `reps` × the period's activations.
     pub fn activate_cycle(&mut self, cycle: &mut Cycle, reps: u64) {
         debug_assert!(
             self.now_ns < self.next_ref_ns,
@@ -861,38 +881,68 @@ impl DramSystem {
         if reps == 0 {
             return;
         }
-        let arena_len = self.banks[bank.0 as usize]
-            .as_ref()
-            .expect("resolve_aggressor materialized the bank")
-            .victims
-            .len();
-        if arena_len != cycle.arena_len {
-            *cycle = self.resolve_cycle(&cycle.runs);
+        let state = self.banks[bank.0 as usize]
+            .as_mut()
+            .expect("resolve_aggressor materialized the bank");
+        let held = state.victims.len() == cycle.arena_len && state.advance_held(cycle.stamp, reps);
+        if !held && !self.fold_cycle(cycle, reps) {
+            return;
         }
         let state = self.banks[bank.0 as usize].as_mut().expect("checked above");
+        for ((tracker, pass), orbit) in state.trr.iter_mut().zip(&cycle.trr).zip(&mut cycle.orbits)
+        {
+            tracker.observe_cycle(pass, reps, orbit);
+        }
+        self.stats.acts += reps * cycle.acts;
+    }
+
+    /// The eager half of [`DramSystem::activate_cycle`]: settles the bank,
+    /// folds every victim and writes the results back, holding them if it
+    /// can. Returns false if a victim would cross a threshold, after
+    /// running the passes per run.
+    fn fold_cycle(&mut self, cycle: &mut Cycle, reps: u64) -> bool {
+        let bank = cycle.runs[0].0.bank;
+        let state = self.banks[bank.0 as usize]
+            .as_mut()
+            .expect("checked by caller");
+        state.settle();
+        if state.victims.len() != cycle.arena_len {
+            *cycle = self.resolve_cycle(&cycle.runs);
+        }
+        let state = self.banks[bank.0 as usize]
+            .as_mut()
+            .expect("checked by caller");
+        let mut holdable = true;
         for (v, out) in cycle.victims.iter().zip(&mut cycle.folded) {
             let ops = &cycle.ops[v.start as usize..v.end as usize];
-            match state.victims[v.idx as usize].fold(ops, v.has_reset, reps) {
-                Some(seg) => *out = seg,
+            match state.victims[v.idx as usize].fold(ops, v.shape, reps) {
+                Some((seg, held)) => {
+                    *out = seg;
+                    holdable &= held;
+                }
                 None => {
                     for _ in 0..reps {
                         for (aggressor, count) in &cycle.runs {
                             self.activate_resolved(aggressor, *count);
                         }
                     }
-                    return;
+                    return false;
                 }
             }
         }
         for (v, &seg) in cycle.victims.iter().zip(&cycle.folded) {
-            state.victims[v.idx as usize].set_folded(seg, v.has_reset);
+            let has_reset = matches!(v.shape, PassShape::Reset);
+            state.victims[v.idx as usize].set_folded(seg, has_reset);
         }
-        for ((tracker, pass), orbit) in state.trr.iter_mut().zip(&cycle.trr).zip(&mut cycle.orbits)
-        {
-            tracker.observe_cycle(pass, reps, orbit);
+        if holdable {
+            self.stamps += 1;
+            cycle.stamp = self.stamps;
+            state.hold(
+                cycle.stamp,
+                cycle.victims.iter().map(|v| (v.idx, v.shape.per_pass())),
+            );
         }
-        state.acts += reps * cycle.acts;
-        self.stats.acts += reps * cycle.acts;
+        true
     }
 
     /// Applies the flips an activation collected in `scratch_flips`, in
@@ -931,7 +981,7 @@ impl DramSystem {
         let mut new_flips = std::mem::take(&mut self.scratch_flips);
         {
             let state = self.bank_state(bank);
-            state.acts += 1;
+            state.settle();
             for side in RankSide::BOTH {
                 // The internal row whose cells are physically activated: a
                 // repaired row's charge lives at its spare (§6); otherwise
@@ -1203,6 +1253,27 @@ impl DramSystem {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Every touched bank's disturbance state as settled, flattened for
+    /// equality tests: per bank in first-touch order its ordinal, each
+    /// victim's accumulator bits (`base`, `w`, `n`) and next weak cell,
+    /// both TRR trackers' entries in order, and the refresh pointer.
+    /// Reading it settles nothing, so two devices that simulate the same
+    /// thing have equal fingerprints however lazily either holds its
+    /// victims.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn settled_fingerprint(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &ord in &self.touched_banks {
+            out.push(u64::from(ord));
+            self.banks[ord as usize]
+                .as_ref()
+                .expect("touched bank exists")
+                .fingerprint(&mut out);
+        }
+        out
     }
 
     /// Patrol scrub (§2.5): walks all corrupted rows; corrects (rewrites)

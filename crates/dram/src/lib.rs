@@ -24,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bank;
+mod bank;
 pub mod device;
 pub mod ecc;
 pub mod flip;
@@ -33,7 +33,6 @@ pub mod rowmap;
 pub mod trr;
 pub mod util;
 
-pub use bank::BankState;
 pub use device::{Aggressor, Cycle, DramStats, DramSystem, DramSystemBuilder, ScrubReport};
 pub use ecc::{EccMode, ReadIntegrity};
 pub use flip::{BitFlip, FlipLog};

@@ -3,7 +3,10 @@
 //! `DramSystem::activate_burst` is specified to be *bit-identical* to the
 //! per-ACT reference path for any run-ordered activation sequence: same flip
 //! log (including order), same `DramStats`, same active-flip rows, same
-//! deterministic telemetry. These properties drive randomized schedules —
+//! deterministic telemetry, and the same settled bank state (every victim
+//! accumulator, next weak cell, TRR entry and refresh pointer, so a wrong
+//! value that has not flipped anything yet shows too). These properties
+//! drive randomized schedules —
 //! across TRR configurations, RowPress open times, row repairs, and
 //! subarray-boundary aggressors — through both paths and compare every
 //! observable.
@@ -104,6 +107,11 @@ fn assert_same_observables(reference: &DramSystem, burst: &DramSystem) {
         reg.snapshot().deterministic().to_json()
     };
     assert_eq!(snap(reference), snap(burst), "telemetry diverged");
+    assert_eq!(
+        reference.settled_fingerprint(),
+        burst.settled_fingerprint(),
+        "settled bank state diverged"
+    );
 }
 
 /// The `(bank, row, extra_open_ns)` targets a reused-handle schedule draws
@@ -241,35 +249,76 @@ fn bank_edge_aggressors_under_trr_match_across_paths() {
     );
 }
 
-/// One round of a cycle lockstep: `reps` passes of the period, then
+/// One round of a cycle lockstep: passes of one of two periods, then
 /// optionally a siege on an outside row, then a time advance.
 #[derive(Debug, Clone)]
 struct Round {
-    reps: u64,
+    /// Which of the two periods (and cycles) the round's passes run.
+    cycle: usize,
+    passes: Passes,
     /// `(row, count)` hammered on bank 0 between two calls on one cycle;
     /// its first siege resolves new victims, which may be an own half-row
     /// of the period's aggressors.
     siege: Option<(u32, u64)>,
-    advance_ns: u64,
+    advance: Advance,
+}
+
+/// How many passes a round runs, and in how many calls.
+#[derive(Debug, Clone, Copy)]
+enum Passes {
+    /// One call of this many passes.
+    Call(u64),
+    /// Passes up to and including the first that crosses a weak-cell
+    /// threshold on the reference (at most [`CROSSING_CAP`]), so the call
+    /// ends exactly on a held victim's deadline. `split` runs them as a
+    /// call that stops one pass short of it and a call of one pass.
+    ToCrossing { split: bool },
+}
+
+/// Most passes a [`Passes::ToCrossing`] round looks ahead.
+const CROSSING_CAP: u64 = 400;
+
+/// The time a round advances after its passes.
+#[derive(Debug, Clone, Copy)]
+enum Advance {
+    Ns(u64),
+    /// REF steps up to the one whose sweep refreshes this internal row of
+    /// bank 0: a victim the bank may hold between two calls.
+    SweepTo(u32),
 }
 
 fn round_strategy() -> impl Strategy<Value = Round> {
-    (0u64..65, 0u32..3, 0u32..5, 0u64..3_000, 0u32..4).prop_map(
-        |(reps, siege_kind, siege_row, siege_count, adv_kind)| Round {
-            reps,
-            // Neighbours of the period's own rows: a siege reads the
-            // disturbance a fold left on them, so a wrong one shows as a
-            // flip the reference does not make.
-            siege: (siege_kind == 0)
-                .then_some(([19, 23, 25, 31, 33][siege_row as usize], siege_count)),
-            advance_ns: match adv_kind {
-                0 => 0,
-                1 => 94,
-                2 => 9_000,  // about one REF step
-                _ => 50_000, // several REF steps, TRR serves included
-            },
-        },
+    (
+        (0usize..2, 0u32..8, 0u64..65),
+        (0u32..3, 0u32..5, 0u64..3_000),
+        (0u32..5, 0usize..6),
     )
+        .prop_map(
+            |((cycle, pass_kind, reps), (siege_kind, siege_row, siege_count), (adv_kind, row))| {
+                Round {
+                    cycle,
+                    passes: match pass_kind {
+                        6 => Passes::ToCrossing { split: false },
+                        7 => Passes::ToCrossing { split: true },
+                        _ => Passes::Call(reps),
+                    },
+                    // Neighbours of the period's own rows: a siege reads the
+                    // disturbance a fold left on them, so a wrong one shows as
+                    // a flip the reference does not make.
+                    siege: (siege_kind == 0)
+                        .then_some(([19, 23, 25, 31, 33][siege_row as usize], siege_count)),
+                    advance: match adv_kind {
+                        0 => Advance::Ns(0),
+                        1 => Advance::Ns(94),
+                        2 => Advance::Ns(9_000),  // about one REF step
+                        3 => Advance::Ns(50_000), // several REF steps, TRR serves included
+                        // A one-weight victim (19, 21, 23, 31) or an own
+                        // half-row another aggressor disturbs (20, 22).
+                        _ => Advance::SweepTo([19, 20, 21, 22, 23, 31][row]),
+                    },
+                }
+            },
+        )
 }
 
 /// Rows of bank 0 a period draws its aggressors from, with their open
@@ -289,13 +338,16 @@ const PERIOD_CAST: [(u32, u64); 7] = [
     (32, 0),
 ];
 
-/// Runs `period` (slots of [`PERIOD_CAST`] with counts) on two twins: one
-/// applies `reps` × `activate_resolved` per round, the other one
-/// `activate_cycle` on a cycle built after the first period, which
-/// resolved every handle at its first issue. Both then take the same
-/// siege and time advance. Every observable must match after each round.
+/// Runs two periods (slots of [`PERIOD_CAST`] with counts) on bank 0 of
+/// two twins: one applies each pass as `activate_resolved` per run, the
+/// other calls `activate_cycle` on one cycle per period, built after both
+/// periods ran once and so resolved every handle at its first issue. Each
+/// round runs one of the two, so calls of two cycles alternate on one bank
+/// (each switch settles the other's held victims). Both twins then take
+/// the same siege and time advance. Every observable and the settled bank
+/// state must match after each round.
 fn assert_cycle_equivalent(
-    period: &[(usize, u64)],
+    periods: [&[(usize, u64)]; 2],
     rounds: &[Round],
     trr: (usize, usize),
     repairs: bool,
@@ -326,32 +378,70 @@ fn assert_cycle_equivalent(
     let bank = BankId(0);
     let mut reference = build();
     let mut folded = build();
-    let handles = |dram: &mut DramSystem| -> Vec<(Aggressor, u64)> {
-        let mut runs = Vec::new();
-        for &(slot, count) in period {
-            let (row, extra_open_ns) = PERIOD_CAST[slot];
-            let aggressor = dram.resolve_aggressor(bank, row, extra_open_ns);
-            dram.activate_resolved(&aggressor, count);
-            runs.push((aggressor, count));
-        }
-        runs
+    let handles = |dram: &mut DramSystem| -> [Vec<(Aggressor, u64)>; 2] {
+        periods.map(|period| {
+            let mut runs = Vec::new();
+            for &(slot, count) in period {
+                let (row, extra_open_ns) = PERIOD_CAST[slot];
+                let aggressor = dram.resolve_aggressor(bank, row, extra_open_ns);
+                dram.activate_resolved(&aggressor, count);
+                runs.push((aggressor, count));
+            }
+            runs
+        })
     };
     let reference_runs = handles(&mut reference);
     let folded_runs = handles(&mut folded);
-    let mut cycle = folded.resolve_cycle(&folded_runs);
-    assert_eq!(cycle.acts(), period.iter().map(|p| p.1).sum::<u64>());
+    let mut cycles = folded_runs.map(|runs| folded.resolve_cycle(&runs));
+    for (cycle, period) in cycles.iter().zip(periods) {
+        assert_eq!(cycle.acts(), period.iter().map(|p| p.1).sum::<u64>());
+    }
+    let trefi_ns = dram::REFRESH_WINDOW_NS / dram::REFS_PER_WINDOW as u64;
+    let rows = mini_geometry().rows_per_bank as u64;
     for round in rounds {
-        for _ in 0..round.reps {
-            for (aggressor, count) in &reference_runs {
-                reference.activate_resolved(aggressor, *count);
+        let runs = &reference_runs[round.cycle];
+        let pass = |dram: &mut DramSystem| {
+            for (aggressor, count) in runs {
+                dram.activate_resolved(aggressor, *count);
             }
+        };
+        let calls = match round.passes {
+            Passes::Call(reps) => {
+                (0..reps).for_each(|_| pass(&mut reference));
+                vec![reps]
+            }
+            Passes::ToCrossing { split } => {
+                let flips = reference.flip_log().len();
+                let mut reps = 0;
+                while reps < CROSSING_CAP && reference.flip_log().len() == flips {
+                    pass(&mut reference);
+                    reps += 1;
+                }
+                if split && reps > 1 {
+                    vec![reps - 1, 1]
+                } else {
+                    vec![reps]
+                }
+            }
+        };
+        for reps in calls {
+            folded.activate_cycle(&mut cycles[round.cycle], reps);
         }
-        folded.activate_cycle(&mut cycle, round.reps);
+        let advance_ns = match round.advance {
+            Advance::Ns(ns) => ns,
+            Advance::SweepTo(row) => {
+                // Bank 0 was touched before the first REF step, so its
+                // sweep has covered one row per step since.
+                let ptr = reference.stats().ref_steps % rows;
+                let steps = (u64::from(row) + rows - ptr) % rows + 1;
+                reference.next_time_event_ns() - reference.now_ns() + (steps - 1) * trefi_ns
+            }
+        };
         for dram in [&mut reference, &mut folded] {
             if let Some((row, count)) = round.siege {
                 dram.activate_burst(bank, row, count, 0);
             }
-            dram.advance_ns(round.advance_ns);
+            dram.advance_ns(advance_ns);
         }
         assert_same_observables(&reference, &folded);
     }
@@ -366,12 +456,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A cycle fold is `reps` passes of its runs: every victim case (one
-    /// weight; own-row resets; mixed weights), the crossing fallback on a
-    /// weak DIMM, the TRR fixed point under TRR (0, 0), (2, 1) and (4, 2),
-    /// repairs, and a cycle whose bank grew new victims between two calls.
+    /// weight; own-row resets; mixed weights), victims held lazily between
+    /// calls and refreshed by REF steps while held, calls that end on a
+    /// held victim's deadline or one pass short of it, the crossing
+    /// fallback on a weak DIMM, the TRR fixed point under TRR (0, 0),
+    /// (2, 1) and (4, 2), repairs, two cycles alternating on one bank, and
+    /// a cycle whose bank grew new victims between two calls.
     #[test]
     fn cycle_equals_reference(
         period in period_strategy(),
+        other in period_strategy(),
         rounds in prop::collection::vec(round_strategy(), 1..24),
         config in 0usize..6,
     ) {
@@ -383,7 +477,7 @@ proptest! {
             ((2, 1), true, false),
             ((0, 0), false, true),
         ][config];
-        assert_cycle_equivalent(&period, &rounds, trr, repairs, weak);
+        assert_cycle_equivalent([&period, &other], &rounds, trr, repairs, weak);
     }
 }
 

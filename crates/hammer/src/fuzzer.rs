@@ -212,8 +212,12 @@ impl Blacksmith {
     /// Undefended, every period after the first is the same run list with
     /// no stall, so the periods up to the device's next time event (REF
     /// step or patrol scrub) fold into one [`DramSystem::activate_cycle`]
-    /// and one `advance_ns`. A defended campaign's per-ACT stalls move the
-    /// clock inside a period, so it issues period by period.
+    /// and one `advance_ns`. One cycle serves the whole campaign, so after
+    /// its first fold the bank holds the victims lazily and a call that
+    /// crosses no threshold touches none of them: it moves the bank's pass
+    /// clock and replays the TRR pass. A defended campaign's per-ACT
+    /// stalls move the clock inside a period, so it issues period by
+    /// period.
     fn hammer_with(
         &self,
         dram: &mut DramSystem,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper: one `paper <artifact>`
-# run per committed bench_results/<artifact>.txt (~10 s for all 16 at full
-# scale on a 2-core x86-64 Xeon, table3_containment the longest at ~2.2 s).
+# run per committed bench_results/<artifact>.txt (~4 s for all 16 at full
+# scale on a 2-core x86-64 Xeon, Figs 5 and 7 the longest at under 1 s).
 #
 # Usage: scripts/reproduce.sh [--quick]
 #   Full scale rewrites bench_results/, so `git diff` shows any drift.
