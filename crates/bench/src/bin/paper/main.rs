@@ -8,6 +8,7 @@
 //! Usage: `cargo run --release -p bench --bin paper -- <artifact> [--quick]`
 
 mod colocation;
+mod design;
 mod ept_protection;
 mod fig1_hierarchy;
 mod fig2_layout;

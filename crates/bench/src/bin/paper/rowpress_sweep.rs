@@ -2,8 +2,8 @@
 //! reducing the activation count needed to flip — the phenomenon that makes
 //! subarray-boundary isolation (rather than ACT-counting mitigations) the
 //! robust defense. Sweeps tAggOn and reports flips at a fixed ACT budget,
-//! plus the containment check: RowPress flips obey the same subarray
-//! boundaries as classic Rowhammer.
+//! and fails if they ever fall as tAggOn grows. Its containment column
+//! cannot read NO: `dram`'s `flips_never_escape_hammered_subarrays` holds it.
 
 use bench::Scale;
 use dram::DramSystemBuilder;
@@ -29,6 +29,7 @@ pub fn run(scale: Scale, run: &Run) {
     // All sweep points export into the same `dram` child; totals are
     // additive over the sweep.
     let dram_reg = run.reg.child("dram");
+    let mut previous = 0;
     for extra_open_ns in [0u64, 500, 1_000, 2_000, 4_000, 8_000] {
         let mut dram = DramSystemBuilder::new(g).trr(0, 0).build();
         let fuzzer = Blacksmith::new(FuzzConfig {
@@ -54,6 +55,8 @@ pub fn run(scale: Scale, run: &Run) {
             if contained { "yes" } else { "NO (bug!)" }
         );
         dram.export_telemetry(&dram_reg);
+        assert!(flips >= previous, "flips fell as tAggOn grew");
+        previous = flips;
     }
     println!(
         "\nShape: flips grow with tAggOn at constant ACT count (RowPress), and every \

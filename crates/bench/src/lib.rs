@@ -16,9 +16,9 @@ use sim::SimConfig;
 pub enum Scale {
     /// Mini geometry, few ops: seconds.
     Quick,
-    /// Evaluation-server geometry, full rosters: ~4 s for all 16 `paper`
-    /// artifacts on a 2-core x86-64 Xeon, under 1 s for the longest
-    /// (Figs 5 and 7, then `table3_containment`).
+    /// Evaluation-server geometry, full rosters: 13–17 s for all 16
+    /// `paper` artifacts on a 2-core x86-64 Xeon, 9–13 s of it
+    /// `table3_containment`'s 40 campaigns, under 1 s for each other one.
     Full,
 }
 

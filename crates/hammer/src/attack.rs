@@ -1,6 +1,7 @@
 //! End-to-end attack harnesses over the hypervisor (§7.1).
 
 use crate::fuzzer::{Blacksmith, FuzzConfig};
+use crate::pattern::{AggressorSlot, HammerPattern};
 use dram_addr::BankId;
 use rand::Rng;
 use siloz::{Escapes, FlipsByOwner, Hypervisor, Owner, SilozError, VmHandle};
@@ -144,6 +145,54 @@ pub fn hammer_vm_banks<R: Rng>(
         let reachable = vm_bank_rows(hv, vm, bank, socket_rows)?;
         let report = fuzzer.fuzz_with(hv.dram_mut(), bank, &reachable, rng, &mut defense);
         acts += report.acts;
+    }
+    Ok(HammerVmReport {
+        attacker: vm,
+        acts,
+        flips: hv.flips_by_owner(before)?,
+    })
+}
+
+/// Most aggressors of one edge-sweep pattern.
+pub const EDGE_SIDES: usize = 12;
+
+/// The rows of `bank` the edge sweep hammers from inside `vm`, ascending:
+/// every other row down from the top of its [`vm_bank_rows`], at most
+/// [`EDGE_SIDES`].
+pub fn edge_rows(hv: &Hypervisor, vm: VmHandle, bank: BankId) -> Result<Vec<u32>, SilozError> {
+    let socket = bank.socket(hv.decoder().geometry());
+    let rows = vm_rows(hv, vm)?.into_iter().find(|(s, _)| *s == socket);
+    let reachable = vm_bank_rows(hv, vm, bank, &rows.unwrap_or_default().1)?;
+    let top = &reachable[reachable.len().saturating_sub(2 * EDGE_SIDES - 1)..];
+    Ok(top.iter().rev().step_by(2).rev().copied().collect())
+}
+
+/// The edge sweep: in each of `banks`, one pattern over the VM's
+/// [`edge_rows`], where on an unmodified host a neighbour's rows may share
+/// the subarray (Flip-Feng-Shui-style), at every phase rotation every time:
+/// the boundary aggressor's phase relative to REF decides whether TRR
+/// samples it, and the attacker cannot see where its flips land. The
+/// report holds the sweep's own window of the flip log, by owner.
+pub fn hammer_vm_edge(
+    hv: &mut Hypervisor,
+    vm: VmHandle,
+    banks: &[BankId],
+    config: FuzzConfig,
+) -> Result<HammerVmReport, SilozError> {
+    let (fuzzer, mut acts) = (Blacksmith::new(config), 0);
+    let before = hv.dram().flip_log().len();
+    for &bank in banks {
+        let rows = edge_rows(hv, vm, bank)?;
+        for rot in 0..rows.len() {
+            let slots = (0..rows.len()).map(|i| AggressorSlot {
+                row: rows[i],
+                frequency: 1,
+                phase: ((i + rot) % rows.len()) as u32,
+                amplitude: 1,
+            });
+            let pattern = HammerPattern::from_slots(slots.collect());
+            fuzzer.hammer(hv.dram_mut(), bank, &pattern, &mut acts);
+        }
     }
     Ok(HammerVmReport {
         attacker: vm,

@@ -12,7 +12,8 @@
 //!   [`dram::DramSystem`] and harvesting bit flips;
 //! - [`attack`]: the one attack driver over the [`siloz::Hypervisor`],
 //!   [`hammer_vm_banks`]: a malicious VM hammering its own memory, each
-//!   flip attributed to its owner (Table 3); and EPT verification (§7.1);
+//!   flip attributed to its owner (Table 3); the edge sweep beside it,
+//!   [`hammer_vm_edge`]; and EPT verification (§7.1);
 
 #![forbid(unsafe_code)]
 
@@ -21,8 +22,8 @@ pub mod fuzzer;
 pub mod pattern;
 
 pub use attack::{
-    hammer_vm, hammer_vm_banks, hammer_vm_defended, verify_ept_intact, vm_bank_rows, vm_rows,
-    HammerVmReport,
+    edge_rows, hammer_vm, hammer_vm_banks, hammer_vm_defended, hammer_vm_edge, verify_ept_intact,
+    vm_bank_rows, vm_rows, HammerVmReport,
 };
 pub use fuzzer::{Blacksmith, FuzzConfig, FuzzReport};
 pub use pattern::HammerPattern;

@@ -68,32 +68,32 @@ bench_digests() {
 step "benchmark gate: sim_events/sim_digest of all five workloads, pinned to scripts/bench_digests.txt" \
   bench_digests
 
-# `cargo test` builds the four root examples but never runs them;
-# inter_vm_attack asserts Siloz containment through the attack driver.
+# `cargo test` builds the three root examples but never runs them.
 # Well under a second together in a release build.
 run_examples() {
   local ex
-  for ex in quickstart cloud_provisioning ept_protection inter_vm_attack; do
+  for ex in quickstart cloud_provisioning ept_protection; do
     SILOZ_TELEMETRY_DIR="$artifacts" cargo run --release -q --example "$ex" >/dev/null
   done
 }
-step "examples: the four root examples run to completion" run_examples
+step "examples: the three root examples run to completion" run_examples
 
 step "fleet gate: quick multi-tenant soak (churn + attacks + determinism), pinned to FLEET_soak_quick.json" \
   pinned FLEET_soak_quick.json cargo run --release -q -p bench --bin fleet_soak -- --quick
 
-# ~30 s on 2 cores: three strategies on two-socket evaluation hosts with GiB-sized
+# ~8-10 s on 2 cores: three strategies on two-socket evaluation hosts with GiB-sized
 # guests and multi-node expansions (636 per strategy) — the only committed
 # report that drives create/expand/migrate at that shape.
 step "fleet gate: full multi-tenant soak on evaluation hosts, pinned to FLEET_soak.json" \
   pinned FLEET_soak.json cargo run --release -q -p bench --bin fleet_soak
 
 # Every paper artifact at full scale (Tables 1-3, Figs 1-2 and 4-7, §3,
-# §7.1's EPT guard rows and soak, §8.1, §8.3, §8.4, §2.5; ~10 s together on
-# 2 cores, Table 3 the longest at ~2.2 s) must reproduce its committed
-# bench_results/ file byte for byte, less the run-specific
-# "telemetry: wrote <path>" line. A `paper` unit test keeps that directory
-# and the binary's artifact table the same set.
+# §7.1's EPT guard rows and soak, §8.1, §8.3, §8.4, §2.5; ~15 s together on
+# 2 cores, Table 3's 40 campaigns the longest at ~11 s) must reproduce its
+# committed bench_results/ file byte for byte, less the run-specific
+# "telemetry: wrote <path>" line. Table 3 and the RowPress sweep also exit
+# non-zero when a verdict they assert is red. A `paper` unit test keeps
+# that directory and the binary's artifact table the same set.
 paper_pins() {
   local pin name
   for pin in bench_results/*.txt; do
